@@ -1,14 +1,10 @@
 (* Benchmark harness.
 
-   Two parts, both driven by this one executable:
-
-   1. Regenerate every table and figure of the evaluation (experiments
-      E1–E9 from DESIGN.md) by running the full pipelines and printing
-      the paper-style tables. Pass [--quick] for reduced sizes.
-   2. Bechamel micro-benchmarks: one [Test.make] per experiment,
-      timing that experiment's computational kernel (the fit, the MINLP
-      solve, the discrete-event phase, ...). Pass [--no-bechamel] to
-      skip, [--only E4] to regenerate a single experiment.
+   Regenerates every table and figure of the evaluation (experiments
+   E1–E14 from DESIGN.md) by running the full pipelines and printing
+   the paper-style tables. Pass [--quick] for reduced sizes, [--only
+   E4] to regenerate a single experiment, [--trace FILE] to write a
+   Chrome trace of the run.
 
    Pass [--report FILE] to additionally run each MINLP solver once on
    the E6-style sweet-spotted allocation model with full engine
@@ -21,36 +17,11 @@
    ([--seed N], [--trials N] to override); any certificate rejection
    or soundness violation makes the executable exit non-zero.
 
-   Pass [--fleet FILE] to run the 1-vs-2-backend serving locality
-   benchmark (spawned `hslb serve` processes behind an in-process
-   router) and write BENCH_fleet.json. Flag spellings and semantics
-   are shared with the hslb CLI via [Cli_common].
-
-   Pass [--arena FILE] to race every scheduler family over the
-   workload-scenario zoo and write the BENCH_arena.json regret matrix
-   (experiment E13; validated by `hslb obs --arena-bench`).
-
-   Pass [--kernels FILE] to time the hot-path solver kernels (flat
-   simplex, closure-compiled expressions, fused SPG gradients, shared
-   relaxation contexts) against their pre-optimization baselines and
-   write BENCH_kernels.json (validated by `hslb obs --kernels-bench`). *)
-
-open Bechamel
-open Toolkit
-
-(* ---------- representative kernels, one per experiment ---------- *)
-
-let fit_kernel () =
-  (* E1: one performance-model fit on 10 observations *)
-  let law = Scaling_law.make ~a:200. ~b:1e-5 ~c:0.9 ~d:2. in
-  let obs =
-    Array.of_list
-      (List.map
-         (fun n -> (float_of_int n, Scaling_law.eval_int law n))
-         [ 1; 2; 4; 8; 12; 16; 32; 64; 128; 256 ])
-  in
-  let rng = Numerics.Rng.create 3 in
-  ignore (Hslb.Fitting.fit_observations ~starts:4 ~rng obs)
+   [--portfolio FILE], [--kernels FILE], [--obs-bench FILE],
+   [--resolve FILE] and [--place FILE] each write one BENCH artifact
+   and exit; `hslb obs --bench FILE` checks it against its gates. The
+   flag spellings are shared with the hslb CLI via [Cli_common.Argv],
+   which rejects anything else with exit 2. *)
 
 let fitted_specs =
   lazy
@@ -65,116 +36,6 @@ let fitted_specs =
          in
          Hslb.Alloc_model.spec_of
            (List.hd (Hslb.Classes.gather_and_fit ~rng ~sizes:[ 1; 4; 16; 64 ] ~reps:1 [ cls ]))))
-
-let allocation_kernel objective () =
-  (* E2: one allocation MINLP solve *)
-  ignore (Hslb.Alloc_model.solve ~objective ~n_total:64 (Lazy.force fitted_specs))
-
-let pipeline_setup =
-  lazy
-    (let machine = Machine.make ~name:"bench" ~num_nodes:64 () in
-     let molecule = Fmo.Molecule.water_cluster ~rng:(Numerics.Rng.create 1) 8 in
-     let plan = Fmo.Task.fmo2_plan (Fmo.Fragment.fragment molecule Fmo.Basis.B6_31gd) in
-     (machine, plan))
-
-let pipeline_kernel () =
-  (* E3: the full gather-fit-solve planning pass on a small cluster *)
-  let machine, plan = Lazy.force pipeline_setup in
-  ignore
-    (Hslb.Fmo_app.plan_hslb ~rng:(Numerics.Rng.create 2) machine plan ~n_total:32
-       Hslb.Fmo_app.default_config)
-
-let sim_kernel schedule () =
-  (* E4: one discrete-event monomer sweep, 64 tasks on 16 groups *)
-  let partition = Gddi.Group.even_partition ~total_nodes:64 ~groups:16 in
-  let duration ~task ~group =
-    2. /. float_of_int group.Gddi.Group.nodes *. (1. +. (0.01 *. float_of_int task))
-  in
-  ignore (Gddi.Sim.run_phase partition ~num_tasks:64 ~duration schedule)
-
-let peptide_kernel () =
-  (* E5: heterogeneous workload construction + LPT schedule *)
-  let plan =
-    Fmo.Task.fmo2_plan
-      (Fmo.Fragment.fragment
-         (Fmo.Molecule.random_peptide ~rng:(Numerics.Rng.create 4) 12)
-         Fmo.Basis.B6_31gd)
-  in
-  let partition = Gddi.Group.even_partition ~total_nodes:48 ~groups:12 in
-  let dimers = Fmo.Task.dimer_tasks plan in
-  let predicted ~task ~group =
-    Fmo.Task.scf_work_gflops dimers.(task).Fmo.Task.nbf /. float_of_int group.Gddi.Group.nodes
-  in
-  ignore (Gddi.Schedulers.lpt partition ~predicted ~num_tasks:(Array.length dimers))
-
-let minlp_kernel sos () =
-  (* E6: OA solve of a sweet-spotted allocation model *)
-  let specs =
-    List.map
-      (fun s -> { s with Hslb.Alloc_model.allowed = Some [ 1; 2; 4; 8; 16; 32 ] })
-      (Lazy.force fitted_specs)
-  in
-  let problem, _, _ =
-    Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total:64 specs
-  in
-  ignore
-    (Minlp.Oa.run ~options:{ Minlp.Oa.default_options with branch_sos_first = sos } problem)
-
-let gather_kernel () =
-  (* E7: the gather step at 6 node counts *)
-  let law = Scaling_law.make ~a:300. ~b:0. ~c:0.92 ~d:1. in
-  let rng = Numerics.Rng.create 8 in
-  let cls =
-    Hslb.Classes.make ~name:"g" ~count:1 (fun ~nodes ->
-        Scaling_law.eval_int law nodes *. Numerics.Rng.lognormal rng ~mu:0. ~sigma:0.02)
-  in
-  ignore (Hslb.Classes.gather cls ~sizes:[ 1; 2; 8; 32; 128; 512 ] ~reps:2)
-
-let layout_inputs =
-  lazy
-    (let rng = Numerics.Rng.create 9 in
-     let classes = Layouts.Cesm_data.benchmark_classes ~rng Layouts.Cesm_data.Deg1 in
-     let fits =
-       Hslb.Classes.gather_and_fit ~rng
-         ~sizes:(Hslb.Fitting.recommended_sizes ~n_min:8 ~n_max:1024 ~points:5)
-         ~reps:1 classes
-     in
-     let comp name =
-       Layouts.Component.of_fit ~name
-         (List.find
-            (fun (fc : Hslb.Classes.fitted) -> fc.Hslb.Classes.cls.Hslb.Classes.name = name)
-            fits)
-           .Hslb.Classes.fit
-     in
-     {
-       Layouts.Layout_model.ice = comp "ice";
-       lnd = comp "lnd";
-       atm = comp "atm";
-       ocn = comp "ocn";
-     })
-
-let layout_kernel layout () =
-  (* E8/E9: one component-layout MINLP solve *)
-  let config = Layouts.Layout_model.default_config ~n_total:128 in
-  match Layouts.Layout_model.solve layout config (Lazy.force layout_inputs) with
-  | Ok _ -> ()
-  | Error st ->
-    failwith ("layout bench solve failed: " ^ Minlp.Solution.status_to_string st)
-
-let micro_tests =
-  [
-    ("E1/fit_observations", fit_kernel);
-    ("E2/alloc_min_max", allocation_kernel Hslb.Objective.Min_max);
-    ("E2/alloc_min_sum", allocation_kernel Hslb.Objective.Min_sum);
-    ("E3/plan_hslb_small", pipeline_kernel);
-    ("E4/sim_phase_dynamic", sim_kernel Gddi.Sim.Dynamic);
-    ("E5/peptide_lpt", peptide_kernel);
-    ("E6/oa_sos_branching", minlp_kernel true);
-    ("E6/oa_binary_branching", minlp_kernel false);
-    ("E7/gather", gather_kernel);
-    ("E8/layout_hybrid", layout_kernel Layouts.Layout_model.Hybrid);
-    ("E9/layout_sequential", layout_kernel Layouts.Layout_model.Fully_sequential);
-  ]
 
 let e6_problem () =
   let specs =
@@ -278,7 +139,9 @@ let write_portfolio_bench path =
     ]
   in
   let b = Buffer.create 8192 in
-  Buffer.add_string b "{\n  \"schema\": \"hslb-bench-portfolio-v2\",\n  \"instances\": [\n";
+  Buffer.add_string b
+    (Printf.sprintf "{\n  \"schema\": %S,\n  \"instances\": [\n"
+       Experiments.Bench_gates.portfolio_schema);
   List.iteri
     (fun i (name, specs, n_total) ->
       if i > 0 then Buffer.add_string b ",\n";
@@ -380,9 +243,9 @@ let write_portfolio_bench path =
 (* Each kernel pits the pre-optimization implementation of a hot path
    against the one the solvers now run, on identical inputs, and
    re-verifies the bit-identity contract the optimization claims
-   (validated by `hslb obs --kernels-bench`).  Speedups are
-   machine-dependent; the validator gates on the identity bits and
-   sane timings, not on a magnitude. *)
+   (checked by `hslb obs --bench`).  Speedups are machine-dependent;
+   the gates read the identity bits and sane timings, not a
+   magnitude. *)
 let write_kernels_bench path =
   let results = Buffer.create 2048 in
   let first = ref true in
@@ -575,8 +438,9 @@ let write_kernels_bench path =
      ~reps ~base_s ~cand_s ~identical);
   let oc = open_out path in
   Printf.fprintf oc
-    "{\n  \"schema\": \"hslb-bench-kernels-v1\",\n  \"cores\": %d,\n  \"kernels\": [\n%s\n  ]\n}\n"
-    (Runtime.Config.cores ()) (Buffer.contents results);
+    "{\n  \"schema\": %S,\n  \"cores\": %d,\n  \"kernels\": [\n%s\n  ]\n}\n"
+    Experiments.Bench_gates.kernels_schema (Runtime.Config.cores ())
+    (Buffer.contents results);
   close_out oc;
   Format.printf "kernel benchmark written to %s@." path
 
@@ -636,55 +500,10 @@ let write_obs_bench path =
   close_out oc;
   Format.printf "observability overhead benchmark written to %s@." path
 
-(* ---------- fleet locality benchmark (--fleet FILE) ---------- *)
-
-(* the 1-vs-2-backend cache-locality benchmark behind BENCH_fleet.json,
-   identical to `hslb_cli loadgen --bench-out` (see docs/SERVE.md):
-   48 distinct instances against 32-entry backend LRUs, so the single
-   backend thrashes while each fleet shard stays resident *)
-let write_fleet_bench path =
-  let prog =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/hslb_cli.exe"
-  in
-  if not (Sys.file_exists prog) then begin
-    Format.eprintf "fleet bench: %s not built (run dune build)@." prog;
-    exit 1
-  end;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hslb-bench-fleet-%d" (Unix.getpid ()))
-  in
-  (match Unix.mkdir dir 0o755 with
-  | () -> ()
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let backend_args =
-    [ "serve"; "--jobs"; "1"; "--queue-limit"; "64"; "--cache-capacity"; "32";
-      "--no-audit" ]
-  in
-  let b = Serve.Loadgen.fleet_bench ~prog ~backend_args ~dir ~backends:2 () in
-  Serve.Loadgen.write_bench path b;
-  Format.printf
-    "fleet locality benchmark written to %s (single %.1f req/s, fleet(2) %.1f \
-     req/s, speedup %.2fx)@."
-    path b.Serve.Loadgen.single.Serve.Loadgen.throughput_rps
-    b.Serve.Loadgen.fleet.Serve.Loadgen.throughput_rps b.Serve.Loadgen.speedup
-
-(* ---------- scheduler arena benchmark (--arena FILE) ---------- *)
-
-(* the E13 regret matrix as a machine-readable artifact, identical to
-   `hslb_cli arena --out` (see docs/ARENA.md): every scheduler family
-   raced over the full scenario zoo at the canonical seed *)
-let write_arena_bench path =
-  let t = Arena.Race.run ~seed:42 Arena.Scenario.all_classes in
-  Arena.Race.write_bench path t;
-  Format.printf "%a@." Arena.Race.pp t;
-  Format.printf "arena benchmark written to %s@." path
-
 (* ---------- re-solve policy benchmark (--resolve FILE) ---------- *)
 
 (* the E12 drift-rate × re-solve-policy frontier as a machine-readable
-   artifact (validated by `hslb obs --resolve-bench`) *)
+   artifact (checked by `hslb obs --bench`) *)
 let write_resolve_bench ~quick path =
   let t = Experiments.Resolve_frontier.run ~quick ~seed:42 () in
   Experiments.Resolve_frontier.write_bench path t;
@@ -694,94 +513,45 @@ let write_resolve_bench ~quick path =
 (* ---------- placement benchmark (--place FILE) ---------- *)
 
 (* the E14 comm-blind × comm-aware placement frontier as a
-   machine-readable artifact (validated by `hslb obs --place-bench`) *)
+   machine-readable artifact (checked by `hslb obs --bench`) *)
 let write_place_bench ~quick path =
   let t = Experiments.Place_bench.run ~quick ~seed:42 () in
   Experiments.Place_bench.write_bench path t;
   Format.printf "%a@." Experiments.Place_bench.pp t;
   Format.printf "place benchmark written to %s@." path
 
-let pretty_time ns =
-  if ns < 1e3 then Printf.sprintf "%.1f ns" ns
-  else if ns < 1e6 then Printf.sprintf "%.2f us" (ns /. 1e3)
-  else if ns < 1e9 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-  else Printf.sprintf "%.2f s" (ns /. 1e9)
-
-let run_microbenches fmt =
-  Format.fprintf fmt
-    "@.########## Bechamel micro-benchmarks (per-call cost of each kernel) ##########@.";
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  List.iter
-    (fun (name, fn) ->
-      let test = Test.make ~name (Staged.stage fn) in
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg Instance.[ monotonic_clock ] elt in
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> Format.fprintf fmt "%-28s %s/call@." name (pretty_time t)
-          | Some _ | None -> Format.fprintf fmt "%-28s (no estimate)@." name)
-        (Test.elements test);
-      Format.pp_print_flush fmt ())
-    micro_tests
-
 let () =
-  let args = Array.to_list Sys.argv in
+  let args =
+    match Cli_common.Argv.parse (List.tl (Array.to_list Sys.argv)) with
+    | Ok parsed -> parsed
+    | Error msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2
+  in
   let quick = Cli_common.Argv.flag args "quick" in
-  let no_bechamel = Cli_common.Argv.flag args "no-bechamel" in
   let find_opt = Cli_common.Argv.find_opt args in
-  let only = find_opt "only" in
-  let report = Cli_common.Argv.report args in
-  (match find_opt "jobs" with
-  | Some n -> Runtime.Config.set_jobs (int_of_string n)
-  | None -> ());
+  Option.iter Runtime.Config.set_jobs (Cli_common.Argv.int_opt args "jobs");
   let fmt = Format.std_formatter in
-  (match find_opt "portfolio" with
-  | Some path ->
-    write_portfolio_bench path;
-    exit 0
-  | None -> ());
-  (match find_opt "kernels" with
-  | Some path ->
-    write_kernels_bench path;
-    exit 0
-  | None -> ());
-  (match find_opt "obs-bench" with
-  | Some path ->
-    write_obs_bench path;
-    exit 0
-  | None -> ());
-  (match find_opt "fleet" with
-  | Some path ->
-    write_fleet_bench path;
-    exit 0
-  | None -> ());
-  (match find_opt "arena" with
-  | Some path ->
-    write_arena_bench path;
-    exit 0
-  | None -> ());
-  (match find_opt "resolve" with
-  | Some path ->
-    write_resolve_bench ~quick path;
-    exit 0
-  | None -> ());
-  (match find_opt "place" with
-  | Some path ->
-    write_place_bench ~quick path;
-    exit 0
-  | None -> ());
+  let artifact flag write =
+    match find_opt flag with
+    | Some path ->
+      write path;
+      exit 0
+    | None -> ()
+  in
+  artifact "portfolio" write_portfolio_bench;
+  artifact "kernels" write_kernels_bench;
+  artifact "obs-bench" write_obs_bench;
+  artifact "resolve" (write_resolve_bench ~quick);
+  artifact "place" (write_place_bench ~quick);
   let trace = find_opt "trace" in
-  (* tracing covers the experiment run (and --report solves) below;
-     it is switched off again before the Bechamel microbenches, whose
-     thousands of repetitions would drown the timeline *)
+  (* tracing covers the experiment run (and --report solves) below *)
   if trace <> None then Obs.Control.enable ();
-  if Cli_common.Argv.audit args then begin
-    let seed = Option.value ~default:42 (Option.map int_of_string (find_opt "seed")) in
-    let trials = Option.value ~default:50 (Option.map int_of_string (find_opt "trials")) in
-    let ok = run_bench_audit ~seed ~trials in
-    if ok then begin
+  if Cli_common.Argv.flag args "audit" then begin
+    let int_or name default =
+      Option.value ~default (Cli_common.Argv.int_opt args name)
+    in
+    if run_bench_audit ~seed:(int_or "seed" 42) ~trials:(int_or "trials" 50) then begin
       Format.printf "bench audit: clean@.";
       exit 0
     end
@@ -790,8 +560,8 @@ let () =
       exit 1
     end
   end;
-  (match report with None -> () | Some path -> write_solver_reports path);
-  (match only with
+  Option.iter write_solver_reports (find_opt "report");
+  (match find_opt "only" with
   | Some id -> (
     match Experiments.Registry.find_result id with
     | Ok e -> e.Experiments.Registry.run ~quick fmt
@@ -799,10 +569,9 @@ let () =
       Format.eprintf "%s@." msg;
       exit 1)
   | None -> Experiments.Registry.run_all ~quick fmt);
-  (match trace with
+  match trace with
   | Some path ->
     Obs.Control.disable ();
     Obs.Export.write_chrome_trace path (Obs.Span.drain ());
     Format.fprintf fmt "chrome trace written to %s@." path
-  | None -> ());
-  if not no_bechamel then run_microbenches fmt
+  | None -> ()

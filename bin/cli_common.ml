@@ -1,7 +1,6 @@
 (* Shared command-line plumbing for the hslb CLI and the benchmark
-   harness, so `--report`, `--strategy` and `--audit` parse (and mean)
-   exactly the same thing in `hslb solve`, `hslb minlp` and
-   `bench/main.exe`. *)
+   harness: cmdliner converters and arguments, the audit verdict
+   format both print, and bench/main.exe's argv scan ([Argv]). *)
 
 open Cmdliner
 
@@ -159,30 +158,56 @@ let audit_minlp problem (cert : Engine.Certificate.t option) =
 
 let audit_outcome_string = function Ok s -> s | Error s -> s
 
-(* ---------- string-level parsing for non-cmdliner harnesses ---------- *)
+(* ---------- the benchmark executable's command line ---------- *)
 
-(* the benchmark executable hand-rolls its argv scan; these helpers keep
-   its flag spellings and value syntax identical to the cmdliner ones *)
+(* bench/main.exe hand-rolls its argv scan; this keeps its flag
+   spellings identical to the cmdliner ones and rejects what it does
+   not accept instead of ignoring it *)
 module Argv = struct
-  let flag args name = List.mem ("--" ^ name) args
+  let switches = [ "quick"; "audit" ]
 
-  let find_opt args name =
-    let key = "--" ^ name in
-    let rec find = function
-      | k :: v :: _ when k = key -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
+  (* value-taking options and their metavariables; "N" is an integer *)
+  let options =
+    [
+      ("only", "ID");
+      ("report", "FILE");
+      ("trace", "FILE");
+      ("jobs", "N");
+      ("seed", "N");
+      ("trials", "N");
+      ("portfolio", "FILE");
+      ("kernels", "FILE");
+      ("obs-bench", "FILE");
+      ("resolve", "FILE");
+      ("place", "FILE");
+    ]
+
+  let accepted =
+    String.concat ", "
+      (List.map (( ^ ) "--") switches
+      @ List.map (fun (o, v) -> Printf.sprintf "--%s %s" o v) options)
+
+  (* [parse args] (program name excluded) — each given switch and option
+     with its value; [Error] names the first malformed flag *)
+  let parse args =
+    let dashed s = String.starts_with ~prefix:"--" s in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | arg :: rest -> (
+        let n = if dashed arg then String.sub arg 2 (String.length arg - 2) else "" in
+        match (List.mem n switches, List.assoc_opt n options, rest) with
+        | true, _, _ -> go ((n, "") :: acc) rest
+        | false, Some docv, v :: rest when not (dashed v) ->
+          if docv = "N" && int_of_string_opt v = None then
+            Error (Printf.sprintf "--%s: expected an integer, got %S" n v)
+          else go ((n, v) :: acc) rest
+        | false, Some docv, _ -> Error (Printf.sprintf "--%s: missing %s" n docv)
+        | false, None, _ ->
+          Error (Printf.sprintf "unknown argument %S (accepted: %s)" arg accepted))
     in
-    find args
+    go [] args
 
-  let audit args = flag args "audit"
-  let report args = find_opt args "report"
-
-  let strategy args =
-    match find_opt args "strategy" with
-    | None -> `Auto
-    | Some s -> (
-      match Runtime.Portfolio.strategy_of_string s with
-      | Ok v -> v
-      | Error msg -> failwith ("--strategy: " ^ msg))
+  let flag parsed name = List.mem_assoc name parsed
+  let find_opt parsed name = List.assoc_opt name parsed
+  let int_opt parsed name = Option.map int_of_string (find_opt parsed name)
 end

@@ -29,6 +29,15 @@ let schema_version = "hslb-bench-arena-v1"
 let phase_hist =
   lazy (Obs.Metrics.histogram ~lo:1e-4 ~hi:1e4 "arena_phase_makespan_s")
 
+(* the first cell of minimal regret: the row's winner *)
+let argmin cells =
+  List.fold_left
+    (fun best c ->
+      match best with
+      | Some b when b.regret_vs_dynamic <= c.regret_vs_dynamic -> best
+      | _ -> Some c)
+    None cells
+
 let run ?(phases = 8) ?(tasks_per_phase = 48) ?(groups = 8) ?(nodes_per_group = 4)
     ?(balancers = Balancer.all) ~seed classes =
   if not (List.mem Balancer.Dynamic balancers) then
@@ -68,15 +77,7 @@ let run ?(phases = 8) ?(tasks_per_phase = 48) ?(groups = 8) ?(nodes_per_group = 
           })
         outcomes
     in
-    let winner =
-      List.fold_left
-        (fun best c ->
-          match best with
-          | Some b when b.regret_vs_dynamic <= c.regret_vs_dynamic -> best
-          | _ -> Some c)
-        None cells
-      |> Option.get
-    in
+    let winner = Option.get (argmin cells) in
     { scenario = sc.Scenario.name; cls; cells; winner = winner.scheduler }
   in
   {
@@ -129,67 +130,68 @@ let to_json t =
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let get what f key obj =
-    match Option.bind (Json.member key obj) f with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "field %S: expected %s" key what)
-  in
-  let int_f = get "an integer" Json.int_ in
-  let num_f = get "a number" Json.num in
-  let str_f = get "a string" Json.str in
-  let arr_f = get "an array" Json.arr in
-  let* schema = str_f "schema" j in
+  let* schema = Json.str_field "schema" j in
   if schema <> schema_version then
     Error (Printf.sprintf "unsupported schema %S (expected %S)" schema schema_version)
   else
-    let* seed = int_f "seed" j in
-    let* phases = int_f "phases" j in
-    let* tasks_per_phase = int_f "tasks_per_phase" j in
-    let* groups = int_f "groups" j in
-    let* nodes_per_group = int_f "nodes_per_group" j in
-    let* scheds = arr_f "schedulers" j in
+    let* seed = Json.int_field "seed" j in
+    let* phases = Json.int_field "phases" j in
+    let* tasks_per_phase = Json.int_field "tasks_per_phase" j in
+    let* groups = Json.int_field "groups" j in
+    let* nodes_per_group = Json.int_field "nodes_per_group" j in
     let* schedulers =
-      List.fold_right
-        (fun v acc ->
-          let* acc = acc in
-          match Json.str v with
-          | Some s -> Ok (s :: acc)
-          | None -> Error "field \"schedulers\": expected an array of strings")
-        scheds (Ok [])
+      Json.list_field "schedulers"
+        (fun v -> Option.to_result ~none:"expected a string" (Json.str v))
+        j
     in
     let parse_cell c =
-      let* scheduler = str_f "scheduler" c in
-      let* total_makespan_s = num_f "total_makespan_s" c in
-      let* mean_utilization = num_f "mean_utilization" c in
-      let* regret_vs_dynamic = num_f "regret_vs_dynamic" c in
+      let* scheduler = Json.str_field "scheduler" c in
+      let* total_makespan_s = Json.num_field "total_makespan_s" c in
+      let* mean_utilization = Json.num_field "mean_utilization" c in
+      let* regret_vs_dynamic = Json.num_field "regret_vs_dynamic" c in
       Ok { scheduler; total_makespan_s; mean_utilization; regret_vs_dynamic }
     in
     let parse_row r =
-      let* scenario = str_f "scenario" r in
-      let* cls_s = str_f "class" r in
+      let* scenario = Json.str_field "scenario" r in
+      let* cls_s = Json.str_field "class" r in
       let* cls = Scenario.class_of_string cls_s in
-      let* winner = str_f "winner" r in
-      let* cells_j = arr_f "cells" r in
-      let* cells =
-        List.fold_right
-          (fun c acc ->
-            let* acc = acc in
-            let* cell = parse_cell c in
-            Ok (cell :: acc))
-          cells_j (Ok [])
-      in
+      let* winner = Json.str_field "winner" r in
+      let* cells = Json.list_field "cells" parse_cell r in
       Ok { scenario; cls; cells; winner }
     in
-    let* rows_j = arr_f "rows" j in
-    let* rows =
-      List.fold_right
-        (fun r acc ->
-          let* acc = acc in
-          let* row = parse_row r in
-          Ok (row :: acc))
-        rows_j (Ok [])
-    in
+    let* rows = Json.list_field "rows" parse_row j in
     Ok { seed; phases; tasks_per_phase; groups; nodes_per_group; schedulers; rows }
+
+let regret r scheduler =
+  match List.find_opt (fun c -> c.scheduler = scheduler) r.cells with
+  | Some c -> c.regret_vs_dynamic
+  | None -> Float.nan
+
+let gates =
+  let open Obs.Gate in
+  let families = [ "dynamic"; "static"; "stealing"; "hybrid"; "diffusive" ] in
+  [
+    gate "missing_families" Eq 0. (fun t ->
+        count (fun s -> not (List.mem s t.schedulers)) families);
+    gate "classes" Ge 3. (fun t -> length t.rows);
+    gate "rows_off_roster" Eq 0. (fun t ->
+        count (fun r -> List.map (fun c -> c.scheduler) r.cells <> t.schedulers) t.rows);
+    gate "dynamic_abs_regret" Le 1e-9 (fun t ->
+        max_of
+          (fun c -> if c.scheduler = "dynamic" then Float.abs c.regret_vs_dynamic else 0.)
+          (List.concat_map (fun r -> r.cells) t.rows));
+    gate "winners_not_argmin" Eq 0. (fun t ->
+        count
+          (fun r ->
+            match argmin r.cells with Some b -> b.scheduler <> r.winner | None -> true)
+          t.rows);
+    (* the E13 claim: when group speeds decay mid-run, rebalancing
+       beats the stale static map *)
+    gate "drifting_hybrid_minus_static_regret" Lt 0. (fun t ->
+        match List.find_opt (fun r -> r.cls = Scenario.Drifting) t.rows with
+        | Some r -> regret r "hybrid" -. regret r "static"
+        | None -> Float.nan);
+  ]
 
 let write_bench path t =
   Out_channel.with_open_text path (fun oc ->

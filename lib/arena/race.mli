@@ -48,11 +48,17 @@ val run :
 val schema_version : string
 
 (** Bench-artifact JSON (schema [hslb-bench-arena-v1]) — the
-    BENCH_arena.json payload that [hslb obs --arena-bench]
-    validates. *)
+    BENCH_arena.json payload that [hslb obs --bench] checks. *)
 val to_json : t -> Obs.Json.t
 
+(** Field-by-field decode; [Error] names the offending field. *)
 val of_json : Obs.Json.t -> (t, string) result
+
+(** The artifact's claims: all five families raced over at least 3
+    classes, every row complete with its winner the regret argmin and
+    the dynamic baseline at zero regret, and hybrid rebalancing beating
+    the static map on the drifting class. *)
+val gates : t Obs.Gate.t list
 
 val write_bench : string -> t -> unit
 

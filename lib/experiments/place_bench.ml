@@ -191,63 +191,80 @@ let to_json t =
     ]
 
 let of_json j =
+  let open Obs.Json in
   let ( let* ) = Result.bind in
-  let get what f key obj =
-    match Option.bind (Obs.Json.member key obj) f with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "field %S: expected %s" key what)
-  in
-  let int_f = get "an integer" Obs.Json.int_ in
-  let num_f = get "a number" Obs.Json.num in
-  let str_f = get "a string" Obs.Json.str in
-  let arr_f = get "an array" Obs.Json.arr in
-  let bool_f = get "a boolean" Obs.Json.bool_ in
-  let list_of parse items =
-    List.fold_right
-      (fun item acc ->
-        let* acc = acc in
-        let* v = parse item in
-        Ok (v :: acc))
-      items (Ok [])
-  in
-  let* schema = str_f "schema" j in
+  let* schema = str_field "schema" j in
   if schema <> schema_version then
     Error (Printf.sprintf "unsupported schema %S (expected %S)" schema schema_version)
   else
-    let* seed = int_f "seed" j in
-    let* hop_cost_s_per_mb = num_f "hop_cost_s_per_mb" j in
+    let* seed = int_field "seed" j in
+    let* hop_cost_s_per_mb = num_field "hop_cost_s_per_mb" j in
     let parse_cell c =
-      let* strategy = str_f "strategy" c in
-      let* makespan_s = num_f "makespan_s" c in
-      let* comm_cost_s = num_f "comm_cost_s" c in
-      let* total_s = num_f "total_s" c in
+      let* strategy = str_field "strategy" c in
+      let* makespan_s = num_field "makespan_s" c in
+      let* comm_cost_s = num_field "comm_cost_s" c in
+      let* total_s = num_field "total_s" c in
       Ok { strategy; makespan_s; comm_cost_s; total_s }
     in
     let parse_row r =
-      let* x = int_f "dim_x" r in
-      let* y = int_f "dim_y" r in
-      let* z = int_f "dim_z" r in
-      let* tasks = int_f "tasks" r in
-      let* groups = int_f "groups" r in
-      let* cells_j = arr_f "cells" r in
-      let* cells = list_of parse_cell cells_j in
+      let* x = int_field "dim_x" r in
+      let* y = int_field "dim_y" r in
+      let* z = int_field "dim_z" r in
+      let* tasks = int_field "tasks" r in
+      let* groups = int_field "groups" r in
+      let* cells = list_field "cells" parse_cell r in
       Ok { dims = (x, y, z); tasks; groups; cells }
     in
     let parse_exact e =
-      let* solver = str_f "solver" e in
-      let* xtasks = int_f "tasks" e in
-      let* xgroups = int_f "groups" e in
-      let* status = str_f "status" e in
-      let* audited = bool_f "audited" e in
-      let* minlp_total_s = num_f "minlp_total_s" e in
-      let* heuristic_total_s = num_f "heuristic_total_s" e in
+      let* solver = str_field "solver" e in
+      let* xtasks = int_field "tasks" e in
+      let* xgroups = int_field "groups" e in
+      let* status = str_field "status" e in
+      let* audited = bool_field "audited" e in
+      let* minlp_total_s = num_field "minlp_total_s" e in
+      let* heuristic_total_s = num_field "heuristic_total_s" e in
       Ok { solver; xtasks; xgroups; status; audited; minlp_total_s; heuristic_total_s }
     in
-    let* rows_j = arr_f "rows" j in
-    let* rows = list_of parse_row rows_j in
-    let* exact_j = arr_f "exact" j in
-    let* exact = list_of parse_exact exact_j in
+    let* rows = list_field "rows" parse_row j in
+    let* exact = list_field "exact" parse_exact j in
     Ok { seed; hop_cost_s_per_mb; rows; exact }
+
+(* aware's [f] over blind's in row [r]; NaN (a failing gate) when
+   either strategy is absent *)
+let aware_over_blind f r =
+  let get s =
+    match List.find_opt (fun c -> c.strategy = s) r.cells with
+    | Some c -> f c
+    | None -> Float.nan
+  in
+  get "aware" /. get "blind"
+
+let gates =
+  let open Obs.Gate in
+  let cells t = List.concat_map (fun r -> r.cells) t.rows in
+  [
+    gate "scenarios" Ge 1. (fun t -> length t.rows);
+    gate "exact_rows" Ge 1. (fun t -> length t.exact);
+    gate "missing_strategies" Eq 0. (fun t ->
+        sum_of
+          (fun r ->
+            count
+              (fun s -> not (List.exists (fun c -> c.strategy = s) r.cells))
+              [ "blind"; "aware" ])
+          t.rows);
+    gate "min_makespan_s" Gt 0. (fun t -> min_of (fun c -> c.makespan_s) (cells t));
+    gate "min_comm_cost_s" Ge 0. (fun t -> min_of (fun c -> c.comm_cost_s) (cells t));
+    (* the E14 claims: comm-aware strictly cheaper on the wire in every
+       scenario within the 5% makespan leash *)
+    gate "aware_over_blind_comm" Lt 1. (fun t ->
+        max_of (aware_over_blind (fun c -> c.comm_cost_s)) t.rows);
+    gate "aware_over_blind_makespan" Le 1.05 (fun t ->
+        max_of (aware_over_blind (fun c -> c.makespan_s)) t.rows);
+    gate "exact_not_optimal" Eq 0. (fun t -> count (fun e -> e.status <> "optimal") t.exact);
+    gate "exact_unaudited" Eq 0. (fun t -> count (fun e -> not e.audited) t.exact);
+    gate "exact_minlp_minus_heuristic_s" Le 1e-6 (fun t ->
+        max_of (fun e -> e.minlp_total_s -. e.heuristic_total_s) t.exact);
+  ]
 
 let write_bench path t =
   Out_channel.with_open_text path (fun oc ->

@@ -65,6 +65,12 @@ val to_json : t -> Obs.Json.t
 (** Field-by-field decode; [Error] names the offending field. *)
 val of_json : Obs.Json.t -> (t, string) result
 
+(** The artifact's claims: every torus scenario carries both
+    strategies, comm-aware strictly cheaper on modeled communication
+    with makespan within 5% of comm-blind, and every exact row solved
+    to audited optimality no worse than the heuristic. *)
+val gates : t Obs.Gate.t list
+
 (** Write the artifact (one JSON object + newline). *)
 val write_bench : string -> t -> unit
 

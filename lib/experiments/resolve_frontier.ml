@@ -245,55 +245,66 @@ let to_json t =
     ]
 
 let of_json j =
+  let open Obs.Json in
   let ( let* ) = Result.bind in
-  let get what f key obj =
-    match Option.bind (Obs.Json.member key obj) f with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "field %S: expected %s" key what)
-  in
-  let int_f = get "an integer" Obs.Json.int_ in
-  let num_f = get "a number" Obs.Json.num in
-  let str_f = get "a string" Obs.Json.str in
-  let arr_f = get "an array" Obs.Json.arr in
-  let* schema = str_f "schema" j in
+  let* schema = str_field "schema" j in
   if schema <> schema_version then
     Error (Printf.sprintf "unsupported schema %S (expected %S)" schema schema_version)
   else
-    let* seed = int_f "seed" j in
-    let* rounds = int_f "rounds" j in
-    let* classes = int_f "classes" j in
-    let* nodes = int_f "nodes" j in
-    let* epsilon = num_f "epsilon" j in
+    let* seed = int_field "seed" j in
+    let* rounds = int_field "rounds" j in
+    let* classes = int_field "classes" j in
+    let* nodes = int_field "nodes" j in
+    let* epsilon = num_field "epsilon" j in
     let parse_cell c =
-      let* policy = str_f "policy" c in
-      let* makespan_avg = num_f "makespan_avg" c in
-      let* solves = int_f "solves" c in
-      let* skipped = int_f "skipped" c in
+      let* policy = str_field "policy" c in
+      let* makespan_avg = num_field "makespan_avg" c in
+      let* solves = int_field "solves" c in
+      let* skipped = int_field "skipped" c in
       Ok { policy; makespan_avg; solves; skipped }
     in
     let parse_row r =
-      let* drift_rate = num_f "drift_rate" r in
-      let* cells_j = arr_f "cells" r in
-      let* cells =
-        List.fold_right
-          (fun c acc ->
-            let* acc = acc in
-            let* cell = parse_cell c in
-            Ok (cell :: acc))
-          cells_j (Ok [])
-      in
+      let* drift_rate = num_field "drift_rate" r in
+      let* cells = list_field "cells" parse_cell r in
       Ok { drift_rate; cells }
     in
-    let* rows_j = arr_f "rows" j in
-    let* rows =
-      List.fold_right
-        (fun r acc ->
-          let* acc = acc in
-          let* row = parse_row r in
-          Ok (row :: acc))
-        rows_j (Ok [])
-    in
+    let* rows = list_field "rows" parse_row j in
     Ok { seed; rounds; classes; nodes; epsilon; rows }
+
+(* [f] of [policy]'s cell in row [r]; NaN (a failing gate) when absent *)
+let policy_value policy f r =
+  match List.find_opt (fun c -> c.policy = policy) r.cells with
+  | Some c -> f c
+  | None -> Float.nan
+
+let gates =
+  let open Obs.Gate in
+  let solves c = float_of_int c.solves and makespan c = c.makespan_avg in
+  let total policy f t = sum_of (policy_value policy f) t.rows in
+  [
+    gate "drift_rates" Ge 1. (fun t -> length t.rows);
+    gate "missing_policies" Eq 0. (fun t ->
+        sum_of
+          (fun r ->
+            count
+              (fun p -> not (List.exists (fun c -> c.policy = p) r.cells))
+              [ "always"; "never"; "certified" ])
+          t.rows);
+    gate "min_makespan" Gt 0. (fun t ->
+        min_of makespan (List.concat_map (fun r -> r.cells) t.rows));
+    gate "never_rows_not_one_solve" Eq 0. (fun t ->
+        count (fun r -> policy_value "never" solves r <> 1.) t.rows);
+    (* the E12 claims: certified tracks always-resolve makespan within
+       5% on strictly fewer MINLP solves, its certificate firing at
+       least once *)
+    gate "certified_over_always_makespan" Le 1.05 (fun t ->
+        max_of
+          (fun r -> policy_value "certified" makespan r /. policy_value "always" makespan r)
+          t.rows);
+    gate "certified_over_always_solves" Lt 1. (fun t ->
+        total "certified" solves t /. total "always" solves t);
+    gate "certified_skips" Ge 1. (total "certified" (fun c -> float_of_int c.skipped));
+  ]
 
 let write_bench path t =
   Out_channel.with_open_text path (fun oc ->

@@ -39,6 +39,12 @@ val to_json : t -> Obs.Json.t
 (** Field-by-field decode; [Error] names the offending field. *)
 val of_json : Obs.Json.t -> (t, string) result
 
+(** The artifact's claims: every drift rate carries the three
+    policies with positive makespans, never-resolve solved exactly
+    once, and certified within 5% of always-resolve makespan on
+    strictly fewer MINLP solves with at least one certificate skip. *)
+val gates : t Obs.Gate.t list
+
 (** Write the artifact (one JSON object + newline). *)
 val write_bench : string -> t -> unit
 

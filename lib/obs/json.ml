@@ -253,3 +253,33 @@ let type_name = function
   | Str _ -> "a string"
   | Arr _ -> "an array"
   | Obj _ -> "an object"
+
+(* ---------- field decoding ---------- *)
+
+let field what get k v =
+  match Option.bind (member k v) get with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "field %S: expected %s" k what)
+
+let int_field = field "an integer" int_
+
+let num_field =
+  field "a finite number" (function Num f when Float.is_finite f -> Some f | _ -> None)
+
+let str_field = field "a string" str
+let bool_field = field "a boolean" bool_
+
+let obj_field k parse v =
+  match member k v with
+  | Some (Obj _ as o) -> Result.map_error (Printf.sprintf "%s: %s" k) (parse o)
+  | Some _ | None -> Error (Printf.sprintf "field %S: expected an object" k)
+
+let list_field k parse v =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match parse x with
+      | Ok y -> go (i + 1) (y :: acc) rest
+      | Error e -> Error (Printf.sprintf "%s[%d]: %s" k i e))
+  in
+  Result.bind (field "an array" arr k v) (go 0 [])

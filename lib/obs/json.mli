@@ -47,3 +47,22 @@ val arr : t -> t list option
 (** The value's JSON type with an article (["a string"], ["null"], …) —
     for protocol error messages that name what was actually sent. *)
 val type_name : t -> string
+
+(** {2 Field decoding} — for artifacts read field by field. An [Error]
+    names the field, ["field \"k\": expected <type>"], behind the path
+    of the enclosing fields, e.g. ["rows[2]: field \"k\": ..."]. *)
+
+val int_field : string -> t -> (int, string) result
+
+(** Finite numbers only: a decoded artifact never carries an infinity. *)
+val num_field : string -> t -> (float, string) result
+
+val str_field : string -> t -> (string, string) result
+val bool_field : string -> t -> (bool, string) result
+
+(** [obj_field k parse v] — decode member [k], an object, with [parse]. *)
+val obj_field : string -> (t -> ('a, string) result) -> t -> ('a, string) result
+
+(** [list_field k parse v] — decode member [k], an array, element by
+    element with [parse]; stops at the first [Error]. *)
+val list_field : string -> (t -> ('a, string) result) -> t -> ('a list, string) result

@@ -383,10 +383,12 @@ let fleet_bench ?(spec = default_spec ()) ?rate_rps ?window ?timeout_s ~prog
   in
   { spec; backends; single; fleet; speedup }
 
+let schema_version = "hslb-bench-fleet-v1"
+
 let bench_json b =
   Json.Obj
     [
-      ("bench", Json.Str "fleet");
+      ("schema", Json.Str schema_version);
       ("backends", Json.Num (float_of_int b.backends));
       ("trace", spec_json b.spec);
       ("single", result_json b.single);

@@ -107,6 +107,9 @@ val fleet_bench :
   unit ->
   bench
 
+val schema_version : string
+
+(** The BENCH_fleet.json document (schema [hslb-bench-fleet-v1]). *)
 val bench_json : bench -> Json.t
 
 (** Write [bench_json] (one line) to [path] — BENCH_fleet.json. *)

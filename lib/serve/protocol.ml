@@ -37,7 +37,12 @@ type request =
   | Stats
   | Drain
 
-type parsed = { id : Json.t; v : int; req : (request, string) result }
+type parsed = {
+  id : Json.t;
+  v : int;
+  req : (request, string) result;
+  fields : (string * Json.t) list;
+}
 
 let ( let* ) = Result.bind
 
@@ -316,13 +321,20 @@ let parse_request ~v:version v =
 
 let parse_line line =
   match Json.parse line with
-  | Error msg -> { id = Json.Null; v = min_version; req = Error ("bad JSON: " ^ msg) }
-  | Ok (Json.Obj _ as obj) -> (
+  | Error msg ->
+    { id = Json.Null; v = min_version; req = Error ("bad JSON: " ^ msg); fields = [] }
+  | Ok (Json.Obj fields as obj) -> (
     let id = Option.value (Json.member "id" obj) ~default:Json.Null in
     match parse_version obj with
-    | Error msg -> { id; v = min_version; req = Error msg }
-    | Ok v -> { id; v; req = parse_request ~v obj })
-  | Ok _ -> { id = Json.Null; v = min_version; req = Error "request must be a JSON object" }
+    | Error msg -> { id; v = min_version; req = Error msg; fields }
+    | Ok v -> { id; v; req = parse_request ~v obj; fields })
+  | Ok _ ->
+    {
+      id = Json.Null;
+      v = min_version;
+      req = Error "request must be a JSON object";
+      fields = [];
+    }
 
 (* shared by the server (to solve) and the router (to shard): turn a
    solve request's model reference into concrete specs. Kept here, next

@@ -91,9 +91,15 @@ type request =
 (** A parsed request line: the echoed [id] (Null when the line was not
     parseable JSON), the negotiated protocol version [v] ([min_version]
     when absent or invalid — an invalid ["v"] also puts its exact
-    diagnostic in [req]), and the request or a protocol error
-    message. *)
-type parsed = { id : Json.t; v : int; req : (request, string) result }
+    diagnostic in [req]), the request or a protocol error message, and
+    the line's decoded members in wire order ([[]] unless the line is a
+    JSON object) — what the router forwards without parsing again. *)
+type parsed = {
+  id : Json.t;
+  v : int;
+  req : (request, string) result;
+  fields : (string * Json.t) list;
+}
 
 val parse_line : string -> parsed
 

@@ -518,13 +518,10 @@ let backend_named t name = List.find_opt (fun b -> b.bname = name) t.backends
 
 let submit t ~reply line =
   locked t (fun () -> t.n_requests <- t.n_requests + 1);
-  let { Protocol.id; v; req } = Protocol.parse_line line in
-  (* the raw object, for forwarding with only the id rewritten — the
-     "v" field rides along untouched, so each backend answers in the
-     client's own dialect *)
-  let fields =
-    match Json.parse line with Ok (Json.Obj fs) -> fs | Ok _ | Error _ -> []
-  in
+  (* [fields] is the raw object, forwarded with only the id rewritten —
+     the "v" field rides along untouched, so each backend answers in
+     the client's own dialect *)
+  let { Protocol.id; v; req; fields } = Protocol.parse_line line in
   let refusing = locked t (fun () -> t.refusing) in
   match req with
   | Error msg ->

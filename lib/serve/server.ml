@@ -916,7 +916,7 @@ let protocol_obj =
 
 let submit ?reply t line =
   let reply = Option.value reply ~default:t.emit in
-  let { Protocol.id; v; req } = Protocol.parse_line line in
+  let { Protocol.id; v; req; _ } = Protocol.parse_line line in
   match req with
   | Error msg ->
     locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);

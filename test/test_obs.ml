@@ -452,6 +452,272 @@ let test_run_report_hists () =
     (cols Engine.Run_report.csv_header)
     (cols (Engine.Run_report.to_csv_row with_hists))
 
+(* ---------- bench gates (hslb obs --bench) ---------- *)
+
+(* the committed BENCH_*.json files at the project root; test/dune
+   copies them into the build tree one level up *)
+let committed_artifacts () =
+  Sys.readdir ".." |> Array.to_list
+  |> List.filter (fun f ->
+         String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let path = Filename.concat ".." f in
+         let text = In_channel.with_open_bin path In_channel.input_all in
+         match Obs.Json.parse text with
+         | Ok j -> (f, j)
+         | Error e -> Alcotest.failf "%s: %s" f e)
+
+let check_bench = Obs.Gate.check Experiments.Bench_gates.checkers
+
+let gated_schemas =
+  List.map
+    (fun (c : Obs.Gate.checker) -> c.Obs.Gate.schema)
+    Experiments.Bench_gates.checkers
+
+(* a path into a JSON document: an object key, an array index, or the
+   array element whose string member [k] is [v] *)
+type step = K of string | I of int | W of string * string
+
+let rec edit path f (j : Obs.Json.t) : Obs.Json.t =
+  let missing () = Alcotest.fail "corruption path not in the artifact" in
+  match (path, j) with
+  | [], _ -> f j
+  | K k :: rest, Obj kvs ->
+    if not (List.mem_assoc k kvs) then missing ();
+    Obj (List.map (fun (k', v) -> if k' = k then (k', edit rest f v) else (k', v)) kvs)
+  | I i :: rest, Arr vs ->
+    if i >= List.length vs then missing ();
+    Arr (List.mapi (fun i' v -> if i' = i then edit rest f v else v) vs)
+  | W (k, want) :: rest, Arr vs ->
+    let hit v = Obs.Json.member k v = Some (Obs.Json.Str want) in
+    if not (List.exists hit vs) then missing ();
+    Arr (List.map (fun v -> if hit v then edit rest f v else v) vs)
+  | _ -> missing ()
+
+let set path v = edit path (fun _ -> v)
+
+(* one row per declared gate: the committed artifact, the gate, and a
+   corruption of the raw field that gate reads *)
+let gate_corruptions =
+  let open Obs.Json in
+  let row0 = [ K "rows"; I 0 ] in
+  let arena_cell cls sched =
+    [ K "rows"; W ("class", cls); K "cells"; W ("scheduler", sched); K "regret_vs_dynamic" ]
+  in
+  let policy p = row0 @ [ K "cells"; W ("policy", p) ] in
+  let strategy s = row0 @ [ K "cells"; W ("strategy", s) ] in
+  let exact0 = [ K "exact"; I 0 ] in
+  let kernel0 = [ K "kernels"; I 0 ] in
+  let inst0 = [ K "instances"; I 0 ] in
+  let registry = [ K "registry_quick" ] in
+  let take n = function Arr vs -> Arr (List.filteri (fun i _ -> i < n) vs) | v -> v in
+  [
+    ("BENCH_arena.json", "missing_families", set [ K "schedulers"; I 0 ] (Str "fifo"));
+    ("BENCH_arena.json", "classes", edit [ K "rows" ] (take 2));
+    ( "BENCH_arena.json",
+      "rows_off_roster",
+      set (row0 @ [ K "cells"; I 1; K "scheduler" ]) (Str "fifo") );
+    ( "BENCH_arena.json",
+      "dynamic_abs_regret",
+      set
+        (row0 @ [ K "cells"; W ("scheduler", "dynamic"); K "regret_vs_dynamic" ])
+        (Num 0.5) );
+    ("BENCH_arena.json", "winners_not_argmin", set (row0 @ [ K "winner" ]) (Str "fifo"));
+    ( "BENCH_arena.json",
+      "drifting_hybrid_minus_static_regret",
+      set (arena_cell "drifting" "hybrid") (Num 10.) );
+    ("BENCH_resolve.json", "drift_rates", set [ K "rows" ] (Arr []));
+    ( "BENCH_resolve.json",
+      "missing_policies",
+      set (policy "certified" @ [ K "policy" ]) (Str "x") );
+    ( "BENCH_resolve.json",
+      "min_makespan",
+      set (policy "never" @ [ K "makespan_avg" ]) (Num 0.) );
+    ( "BENCH_resolve.json",
+      "never_rows_not_one_solve",
+      set (policy "never" @ [ K "solves" ]) (Num 2.) );
+    ( "BENCH_resolve.json",
+      "certified_over_always_makespan",
+      set (policy "certified" @ [ K "makespan_avg" ]) (Num 1e6) );
+    ( "BENCH_resolve.json",
+      "certified_over_always_solves",
+      set (policy "certified" @ [ K "solves" ]) (Num 1e6) );
+    ( "BENCH_resolve.json",
+      "certified_skips",
+      set (policy "certified" @ [ K "skipped" ]) (Num (-1e6)) );
+    ("BENCH_place.json", "scenarios", set [ K "rows" ] (Arr []));
+    ("BENCH_place.json", "exact_rows", set [ K "exact" ] (Arr []));
+    ( "BENCH_place.json",
+      "missing_strategies",
+      set (strategy "aware" @ [ K "strategy" ]) (Str "random") );
+    ("BENCH_place.json", "min_makespan_s", set (strategy "blind" @ [ K "makespan_s" ]) (Num 0.));
+    ( "BENCH_place.json",
+      "min_comm_cost_s",
+      set (strategy "blind" @ [ K "comm_cost_s" ]) (Num (-1.)) );
+    ( "BENCH_place.json",
+      "aware_over_blind_comm",
+      set (strategy "aware" @ [ K "comm_cost_s" ]) (Num 1e6) );
+    ( "BENCH_place.json",
+      "aware_over_blind_makespan",
+      set (strategy "aware" @ [ K "makespan_s" ]) (Num 1e6) );
+    ("BENCH_place.json", "exact_not_optimal", set (exact0 @ [ K "status" ]) (Str "feasible"));
+    ("BENCH_place.json", "exact_unaudited", set (exact0 @ [ K "audited" ]) (Bool false));
+    ( "BENCH_place.json",
+      "exact_minlp_minus_heuristic_s",
+      set (exact0 @ [ K "minlp_total_s" ]) (Num 1e6) );
+    ("BENCH_kernels.json", "cores", set [ K "cores" ] (Num 0.));
+    ("BENCH_kernels.json", "kernels", set [ K "kernels" ] (Arr []));
+    ("BENCH_kernels.json", "min_reps", set (kernel0 @ [ K "reps" ]) (Num 0.));
+    ("BENCH_kernels.json", "min_wall_s", set (kernel0 @ [ K "candidate_wall_s" ]) (Num (-1.)));
+    ("BENCH_kernels.json", "speedup_rel_error", set (kernel0 @ [ K "speedup" ]) (Num 100.));
+    ("BENCH_kernels.json", "not_identical", set (kernel0 @ [ K "identical" ]) (Bool false));
+    ("BENCH_portfolio.json", "instances", set [ K "instances" ] (Arr []));
+    ("BENCH_portfolio.json", "min_singles", set (inst0 @ [ K "singles" ]) (Arr []));
+    ( "BENCH_portfolio.json",
+      "objective_mismatches",
+      set (inst0 @ [ K "objective_match" ]) (Bool false) );
+    ( "BENCH_portfolio.json",
+      "race_wall_over_allowance_s",
+      set (inst0 @ [ K "portfolio"; K "wall_s" ]) (Num 100.) );
+    ("BENCH_portfolio.json", "registry_speedup", set (registry @ [ K "speedup" ]) (Num 0.5));
+    ( "BENCH_portfolio.json",
+      "registry_core_starved",
+      set (registry @ [ K "core_starved" ]) (Bool true) );
+    ( "BENCH_portfolio.json",
+      "registry_jobs_over_clamp",
+      set (registry @ [ K "effective_jobs" ]) (Num 99.) );
+    ("BENCH_fleet.json", "backends", set [ K "backends" ] (Num 1.));
+    ("BENCH_fleet.json", "answers_over_requests", set [ K "single"; K "answered" ] (Num 1e6));
+    ("BENCH_fleet.json", "speedup", set [ K "fleet"; K "throughput_rps" ] (Num 1.));
+  ]
+
+(* decoder errors: shapes no gate can read, each with its exact message *)
+let decode_corruptions =
+  let open Obs.Json in
+  [
+    ( "BENCH_fleet.json",
+      set [ K "speedup" ] Null,
+      {|field "speedup": expected a finite number|} );
+    ( "BENCH_fleet.json",
+      set [ K "single"; K "latency_ms"; K "p50" ] (Str "x"),
+      {|single: latency_ms: field "p50": expected a number or null|} );
+    ( "BENCH_kernels.json",
+      set [ K "kernels"; I 1; K "identical" ] (Str "yes"),
+      {|kernels[1]: field "identical": expected a boolean|} );
+    ( "BENCH_arena.json",
+      set [ K "rows"; I 0; K "cells"; I 2; K "regret_vs_dynamic" ] (Num Float.infinity),
+      {|rows[0]: cells[2]: field "regret_vs_dynamic": expected a finite number|} );
+    ( "BENCH_portfolio.json",
+      set [ K "registry_quick" ] (Arr []),
+      {|field "registry_quick": expected an object|} );
+  ]
+
+let test_bench_gates () =
+  let artifacts = committed_artifacts () in
+  let verdicts f j =
+    match check_bench j with
+    | Ok (schema, vs) -> (schema, vs)
+    | Error e -> Alcotest.failf "%s: %s" f e
+  in
+  (* (a) every committed artifact whose schema has gates passes them
+     all, and each of those gates has a corruption case below *)
+  let gated =
+    List.filter_map
+      (fun (f, j) ->
+        match Option.bind (Obs.Json.member "schema" j) Obs.Json.str with
+        | Some s when List.mem s gated_schemas -> Some (s, f, snd (verdicts f j))
+        | Some _ | None -> None)
+      artifacts
+  in
+  List.iter
+    (fun s ->
+      if not (List.exists (fun (s', _, _) -> s' = s) gated) then
+        Alcotest.failf "no committed artifact of schema %s" s)
+    gated_schemas;
+  List.iter
+    (fun (_, f, vs) ->
+      List.iter
+        (fun (v : Obs.Gate.verdict) ->
+          let g = v.Obs.Gate.gate in
+          if not v.Obs.Gate.ok then Alcotest.failf "%s: gate %s failed" f g;
+          if not (List.exists (fun (f', g', _) -> f' = f && g' = g) gate_corruptions) then
+            Alcotest.failf "%s: gate %s has no corruption case" f g)
+        vs)
+    gated;
+  (* (b) each declared gate rejects a corruption of the field it reads *)
+  List.iter
+    (fun (f, gate, corrupt) ->
+      let schema, vs = verdicts f (corrupt (List.assoc f artifacts)) in
+      match List.find_opt (fun (v : Obs.Gate.verdict) -> v.Obs.Gate.gate = gate) vs with
+      | None -> Alcotest.failf "%s declares no gate %s" f gate
+      | Some v ->
+        let line = Obs.Gate.line ~schema v in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s rejects via %S" f line)
+          true
+          (String.starts_with ~prefix:(Printf.sprintf "gate %s %s: " schema gate) line
+          && String.ends_with ~suffix:" FAIL" line))
+    gate_corruptions;
+  (* the fleet gate recomputes the speedup instead of trusting the
+     stored one *)
+  let fleet = List.assoc "BENCH_fleet.json" artifacts in
+  List.iter
+    (fun (v : Obs.Gate.verdict) ->
+      if not v.Obs.Gate.ok then
+        Alcotest.failf "stored speedup consulted by %s" v.Obs.Gate.gate)
+    (snd (verdicts "fleet" (set [ K "speedup" ] (Obs.Json.Num 0.1) fleet)));
+  List.iter
+    (fun (f, corrupt, msg) ->
+      Alcotest.(check (result pass string))
+        (f ^ " decoder error") (Error msg)
+        (Result.map ignore (check_bench (corrupt (List.assoc f artifacts)))))
+    decode_corruptions;
+  (* (c) an unknown schema names the known ones *)
+  let known =
+    "hslb-bench-arena-v1, hslb-bench-resolve-v1, hslb-bench-place-v1, \
+     hslb-bench-kernels-v1, hslb-bench-portfolio-v2, hslb-bench-fleet-v1"
+  in
+  Alcotest.(check (result pass string))
+    "unknown schema"
+    (Error ({|unknown schema "hslb-bench-obs-v0" (known: |} ^ known ^ ")"))
+    (Result.map ignore
+       (check_bench
+          (Obs.Json.Obj [ ("schema", Obs.Json.Str "hslb-bench-obs-v0") ])));
+  Alcotest.(check (result pass string))
+    "missing schema"
+    (Error ({|field "schema": expected one of |} ^ known))
+    (Result.map ignore (check_bench (Obs.Json.Obj [])))
+
+(* bench/main.exe's argv scan: malformed flags are named, never ignored *)
+let test_bench_argv () =
+  let accepted =
+    "--quick, --audit, --only ID, --report FILE, --trace FILE, --jobs N, --seed N, \
+     --trials N, --portfolio FILE, --kernels FILE, --obs-bench FILE, --resolve FILE, \
+     --place FILE"
+  in
+  let parse = Cli_common.Argv.parse in
+  let error args msg =
+    Alcotest.(check (result pass string)) (String.concat " " args) (Error msg)
+      (Result.map ignore (parse args))
+  in
+  let unknown arg = Printf.sprintf "unknown argument %S (accepted: %s)" arg accepted in
+  error [ "--kernel"; "out.json" ] (unknown "--kernel");
+  error [ "--quick"; "E4" ] (unknown "E4");
+  error [ "--no-bechamel" ] (unknown "--no-bechamel");
+  error [ "--jobs"; "x" ] {|--jobs: expected an integer, got "x"|};
+  error [ "--seed"; "4.5" ] {|--seed: expected an integer, got "4.5"|};
+  error [ "--trials"; "x" ] {|--trials: expected an integer, got "x"|};
+  error [ "--audit"; "--seed" ] "--seed: missing N";
+  error [ "--report"; "--quick" ] "--report: missing FILE";
+  match parse [ "--quick"; "--only"; "E4"; "--jobs"; "2" ] with
+  | Error e -> Alcotest.fail e
+  | Ok args ->
+    Alcotest.(check bool) "quick" true (Cli_common.Argv.flag args "quick");
+    Alcotest.(check bool) "no audit" false (Cli_common.Argv.flag args "audit");
+    Alcotest.(check (option string)) "only" (Some "E4") (Cli_common.Argv.find_opt args "only");
+    Alcotest.(check (option int)) "jobs" (Some 2) (Cli_common.Argv.int_opt args "jobs")
+
 let () =
   Alcotest.run "obs"
     [
@@ -493,5 +759,10 @@ let () =
           Alcotest.test_case "ndjson stream" `Quick test_ndjson_stream;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "prometheus validator rejects" `Quick test_check_prometheus_rejects;
+        ] );
+      ( "bench",
+        [
+          Alcotest.test_case "gates: committed pass, corruptions fail" `Quick test_bench_gates;
+          Alcotest.test_case "bench argv rejects malformed flags" `Quick test_bench_argv;
         ] );
     ]
