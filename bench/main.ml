@@ -17,7 +17,7 @@
    ([--seed N], [--trials N] to override); any certificate rejection
    or soundness violation makes the executable exit non-zero.
 
-   [--portfolio FILE], [--kernels FILE], [--obs-bench FILE],
+   [--runtime FILE], [--kernels FILE], [--obs-bench FILE],
    [--resolve FILE] and [--place FILE] each write one BENCH artifact
    and exit; `hslb obs --bench FILE` checks it against its gates. The
    flag spellings are shared with the hslb CLI via [Cli_common.Argv],
@@ -37,14 +37,15 @@ let fitted_specs =
          Hslb.Alloc_model.spec_of
            (List.hd (Hslb.Classes.gather_and_fit ~rng ~sizes:[ 1; 4; 16; 64 ] ~reps:1 [ cls ]))))
 
+(* the E6-style sweet-spotted instance (alloc4_sweet_n64) *)
+let e6_specs () =
+  List.map
+    (fun s -> { s with Hslb.Alloc_model.allowed = Some [ 1; 2; 4; 8; 16; 32 ] })
+    (Lazy.force fitted_specs)
+
 let e6_problem () =
-  let specs =
-    List.map
-      (fun s -> { s with Hslb.Alloc_model.allowed = Some [ 1; 2; 4; 8; 16; 32 ] })
-      (Lazy.force fitted_specs)
-  in
   let problem, _, _ =
-    Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total:64 specs
+    Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total:64 (e6_specs ())
   in
   problem
 
@@ -104,103 +105,25 @@ let run_bench_audit ~seed ~trials =
   Format.printf "%a@." Audit.Stress.pp outcome;
   solver_ok && Audit.Stress.clean outcome
 
-(* ---------- portfolio / runtime benchmark (BENCH_portfolio.json) ---------- *)
+(* ---------- runtime benchmark (BENCH_runtime.json) ---------- *)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let result_objective = function
-  | Ok a -> a.Hslb.Alloc_model.predicted_makespan
-  | Error _ -> nan
-
-let result_status = function
-  | Ok a -> Minlp.Solution.status_to_string a.Hslb.Alloc_model.status
-  | Error st -> Minlp.Solution.status_to_string st
-
 let json_num x = if Float.is_nan x then "null" else Printf.sprintf "%.6f" x
 
-(* Per-instance wall clock of every single-solver run vs the racing
-   portfolio, a cold-vs-hit cache measurement, and the quick registry at
+(* A cold-vs-hit solve-cache measurement and the quick registry at
    jobs=1 vs parallel — the machine-readable evidence behind
    docs/RUNTIME.md. *)
-let write_portfolio_bench path =
-  let base = Lazy.force fitted_specs in
-  let sweet allowed =
-    List.map (fun s -> { s with Hslb.Alloc_model.allowed = Some allowed }) base
-  in
-  let instances =
-    [
-      ("alloc4_plain_n64", base, 64);
-      ("alloc4_sweet_n64", sweet [ 1; 2; 4; 8; 16; 32 ], 64);
-      ("alloc4_plain_n256", base, 256);
-      ("alloc4_sweet_n256", sweet [ 1; 2; 4; 8; 16; 32; 64; 128 ], 256);
-    ]
-  in
-  let b = Buffer.create 8192 in
+let write_runtime_bench path =
+  let b = Buffer.create 1024 in
   Buffer.add_string b
-    (Printf.sprintf "{\n  \"schema\": %S,\n  \"instances\": [\n"
-       Experiments.Bench_gates.portfolio_schema);
-  List.iteri
-    (fun i (name, specs, n_total) ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let singles =
-        List.map
-          (fun choice ->
-            let r, w =
-              wall (fun () ->
-                  Hslb.Alloc_model.solve ~strategy:(`Single choice) ~n_total specs)
-            in
-            (Engine.Solver_choice.to_string choice, r, w))
-          Engine.Solver_choice.all
-      in
-      let race_report = ref None in
-      let pr, pw =
-        wall (fun () ->
-            Hslb.Alloc_model.solve ~strategy:`Portfolio ~race_report ~n_total specs)
-      in
-      let winner =
-        match !race_report with Some r -> r.Engine.Run_report.winner | None -> ""
-      in
-      let best_single_wall =
-        List.fold_left (fun acc (_, _, w) -> Float.min acc w) infinity singles
-      in
-      let best_single_obj =
-        List.fold_left
-          (fun acc (_, r, _) ->
-            let o = result_objective r in
-            if Float.is_nan o then acc else Float.min acc o)
-          infinity singles
-      in
-      let p_obj = result_objective pr in
-      let objective_match =
-        (not (Float.is_nan p_obj))
-        && Float.abs (p_obj -. best_single_obj) <= 1e-6 *. Float.max 1. best_single_obj
-      in
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": %S, \"n_total\": %d,\n     \"singles\": [" name
-           n_total);
-      List.iteri
-        (fun j (solver, r, w) ->
-          if j > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b
-            (Printf.sprintf "{\"solver\": %S, \"status\": %S, \"objective\": %s, \"wall_s\": %s}"
-               solver (result_status r) (json_num (result_objective r)) (json_num w)))
-        singles;
-      Buffer.add_string b
-        (Printf.sprintf
-           "],\n\
-           \     \"portfolio\": {\"winner\": %S, \"status\": %S, \"objective\": %s, \
-            \"wall_s\": %s},\n\
-           \     \"best_single_wall_s\": %s, \"objective_match\": %b}" winner
-           (result_status pr) (json_num p_obj) (json_num pw) (json_num best_single_wall)
-           objective_match))
-    instances;
-  Buffer.add_string b "\n  ],\n";
+    (Printf.sprintf "{\n  \"schema\": %S,\n" Experiments.Bench_gates.runtime_schema);
   (* cache: same instance solved cold then memoized *)
   let cache = Runtime.Cache.create () in
-  let cache_specs = sweet [ 1; 2; 4; 8; 16; 32 ] in
+  let cache_specs = e6_specs () in
   let _, cold = wall (fun () -> Hslb.Alloc_model.solve ~cache ~n_total:64 cache_specs) in
   let _, hit = wall (fun () -> Hslb.Alloc_model.solve ~cache ~n_total:64 cache_specs) in
   Buffer.add_string b
@@ -236,7 +159,7 @@ let write_portfolio_bench path =
   let oc = open_out path in
   output_string oc (Buffer.contents b);
   close_out oc;
-  Format.printf "portfolio benchmark written to %s@." path
+  Format.printf "runtime benchmark written to %s@." path
 
 (* ---------- hot-path kernel benchmark (BENCH_kernels.json) ---------- *)
 
@@ -456,16 +379,9 @@ let median xs =
    medians of the same deterministic solve measure exactly what the
    subsystem costs — and what "disabled is effectively free" means. *)
 let write_obs_bench path =
-  let specs =
-    List.map
-      (fun s -> { s with Hslb.Alloc_model.allowed = Some [ 1; 2; 4; 8; 16; 32 ] })
-      (Lazy.force fitted_specs)
-  in
+  let specs = e6_specs () in
   let solve () =
-    ignore
-      (Hslb.Alloc_model.solve
-         ~strategy:(`Single Engine.Solver_choice.Oa)
-         ~n_total:64 specs)
+    ignore (Hslb.Alloc_model.solve ~solver:Engine.Solver_choice.Oa ~n_total:64 specs)
   in
   let reps = 9 in
   let time_reps () =
@@ -539,7 +455,7 @@ let () =
       exit 0
     | None -> ()
   in
-  artifact "portfolio" write_portfolio_bench;
+  artifact "runtime" write_runtime_bench;
   artifact "kernels" write_kernels_bench;
   artifact "obs-bench" write_obs_bench;
   artifact "resolve" (write_resolve_bench ~quick);

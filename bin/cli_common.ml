@@ -23,15 +23,6 @@ let solver_conv =
   in
   Arg.conv (parse, Engine.Solver_choice.pp)
 
-let strategy_conv =
-  let parse s =
-    match Runtime.Portfolio.strategy_of_string s with
-    | Ok v -> Ok v
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv
-    (parse, fun fmt s -> Format.pp_print_string fmt (Runtime.Portfolio.strategy_to_string s))
-
 (* the same validation the HSLB_JOBS environment path goes through
    (Runtime.Config.parse), so "--jobs 8x" and "HSLB_JOBS=8x" report the
    bad value with identical wording *)
@@ -52,15 +43,6 @@ let addr_conv =
       fun fmt a -> Format.pp_print_string fmt (Serve.Transport_socket.addr_to_string a) )
 
 (* ---------- shared argument definitions ---------- *)
-
-let strategy_arg =
-  Arg.(
-    value
-    & opt strategy_conv `Auto
-    & info [ "strategy" ]
-        ~doc:
-          "auto (default: honour --solver) | portfolio (race all solvers on parallel \
-           domains) | a solver name to force it.")
 
 let deadline_ms_arg =
   Arg.(
@@ -175,7 +157,7 @@ module Argv = struct
       ("jobs", "N");
       ("seed", "N");
       ("trials", "N");
-      ("portfolio", "FILE");
+      ("runtime", "FILE");
       ("kernels", "FILE");
       ("obs-bench", "FILE");
       ("resolve", "FILE");

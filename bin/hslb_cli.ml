@@ -16,7 +16,7 @@
      experiment regenerate one or all of the paper's tables/figures
      list       list available experiments
 
-   Shared flags (--report, --strategy, --audit, budget knobs) live in
+   Shared flags (--report, --audit, budget knobs) live in
    Cli_common so they parse identically here and in bench/main.exe. *)
 
 open Cmdliner
@@ -125,7 +125,6 @@ let solve_cmd =
       & opt solver_conv Engine.Solver_choice.Oa
       & info [ "solver" ] ~doc:"oa (default) | bnb | oa-multi.")
   in
-  let strategy = Cli_common.strategy_arg in
   let repeat =
     Arg.(
       value
@@ -136,22 +135,21 @@ let solve_cmd =
              service-traffic demo: the first solve is computed, later ones are memoized \
              when the result is proven optimal).")
   in
-  let run file nodes objective solver strategy repeat deadline_ms max_nodes report audit =
+  let run file nodes objective solver repeat deadline_ms max_nodes report audit =
     let specs =
       Hslb.Model_store.specs_of_csv
         (String.concat "\n" (read_csv_lines file))
     in
     let repeat = Stdlib.max 1 repeat in
     let cache = Runtime.Cache.create () in
-    let race_report = ref None in
     let tally = Engine.Telemetry.create () in
     let last = ref None in
     for i = 1 to repeat do
       let budget = arm_budget deadline_ms max_nodes in
       let hits0 = Runtime.Cache.hits cache in
       let result =
-        Hslb.Alloc_model.solve ~strategy ~solver ~objective ~budget ~trace:tally ~cache
-          ~race_report ~n_total:nodes specs
+        Hslb.Alloc_model.solve ~solver ~objective ~budget ~trace:tally ~cache ~n_total:nodes
+          specs
       in
       let wall_s = Engine.Budget.elapsed_s budget in
       let cache_hit = Runtime.Cache.hits cache > hits0 in
@@ -168,23 +166,6 @@ let solve_cmd =
       | Ok alloc -> alloc.Hslb.Alloc_model.status
       | Error st -> st
     in
-    let solver_label =
-      match strategy with
-      | `Auto -> Engine.Solver_choice.to_string solver
-      | (`Portfolio | `Single _) as s -> Runtime.Portfolio.strategy_to_string s
-    in
-    (match !race_report with
-    | None -> ()
-    | Some race ->
-      Format.printf "portfolio race won by %s in %.2f ms@." race.Engine.Run_report.winner
-        (race.Engine.Run_report.race_wall_s *. 1000.);
-      List.iter
-        (fun (l : Engine.Run_report.lane) ->
-          Format.printf "  lane %-10s %-22s %8.2f ms  %d nodes, %d LPs@."
-            l.Engine.Run_report.lane_solver l.Engine.Run_report.lane_status
-            (l.Engine.Run_report.lane_wall_s *. 1000.)
-            l.Engine.Run_report.lane_nodes_expanded l.Engine.Run_report.lane_lp_solves)
-        race.Engine.Run_report.lanes);
     (* independent re-verification of the certificate the solve carried.
        The exact customized paths (bisection, greedy) certify in the
        nodes-per-class space, so only the Min_max MINLP path has a raw
@@ -226,9 +207,10 @@ let solve_cmd =
         | Error _ -> None
       in
       Engine.Run_report.write_json path
-        (Engine.Run_report.make ~solver:solver_label
+        (Engine.Run_report.make
+           ~solver:(Engine.Solver_choice.to_string solver)
            ~status:(Minlp.Solution.status_to_string status)
-           ?objective:objective_value ~cache_hit ?race:!race_report ?certificate
+           ?objective:objective_value ~cache_hit ?certificate
            ?audit:(Option.map Cli_common.audit_outcome_string audit_verdict)
            ~wall_s tally);
       Format.printf "run report written to %s@." path);
@@ -266,7 +248,7 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve the allocation MINLP for fitted task classes.")
     Term.(
-      const run $ file $ nodes $ objective $ solver $ strategy $ repeat $ deadline_ms_arg
+      const run $ file $ nodes $ objective $ solver $ repeat $ deadline_ms_arg
       $ max_nodes_arg $ report_arg $ audit_arg)
 
 (* ---------- fmo ---------- *)
@@ -526,7 +508,7 @@ let serve_cmd =
       & info [ "telemetry" ] ~docv:"FILE"
           ~doc:
             "Append one JSON line per finished request (queue wait, solve wall, cache \
-             hit, dedup, lane winner) to FILE — a replayable request trace.")
+             hit, dedup) to FILE — a replayable request trace.")
   in
   let metrics_out =
     Arg.(
@@ -561,7 +543,6 @@ let serve_cmd =
       & opt solver_conv Engine.Solver_choice.Oa
       & info [ "solver" ] ~doc:"Default solver for requests that don't name one.")
   in
-  let strategy = Cli_common.strategy_arg in
   let policy_from =
     Arg.(
       value
@@ -573,7 +554,7 @@ let serve_cmd =
              instead of the built-in table.")
   in
   let run jobs queue_limit cache_capacity drain_grace_ms telemetry metrics_out
-      metrics_interval_ms no_audit solver strategy policy_from listen report =
+      metrics_interval_ms no_audit solver policy_from listen report =
     (match jobs with Some j -> Runtime.Config.set_jobs j | None -> ());
     if metrics_interval_ms <= 0. then begin
       Format.eprintf "hslb serve: --metrics-interval-ms must be positive@.";
@@ -596,7 +577,6 @@ let serve_cmd =
         cache_capacity;
         drain_grace_s = drain_grace_ms /. 1000.;
         default_solver = solver;
-        default_strategy = strategy;
         audit = not no_audit;
         policy;
       }
@@ -663,7 +643,7 @@ let serve_cmd =
           deduped, proven optima are cached, and SIGTERM drains gracefully.")
     Term.(
       const run $ jobs $ queue_limit $ cache_capacity $ drain_grace_ms $ telemetry
-      $ metrics_out $ metrics_interval_ms $ no_audit $ solver $ strategy $ policy_from
+      $ metrics_out $ metrics_interval_ms $ no_audit $ solver $ policy_from
       $ listen_arg $ report_arg)
 
 (* ---------- arena: scheduler race over the workload-scenario zoo ---------- *)

@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI entry point: format check (when ocamlformat is available), then
 # build, run the full test suite twice — once fully sequential and
-# once with 4-way parallelism in the runtime layer, so the pool,
-# portfolio and cache code is exercised under both widths — and
+# once with 4-way parallelism in the runtime layer, so the pool and
+# cache code is exercised under both widths — and
 # finally the seeded fault-injection audit sweep, which fails the
 # build on any certificate rejection or soundness violation (see
 # docs/AUDIT.md).
@@ -40,10 +40,10 @@
 #   (exact unsupported-version diagnostic) — with the counters asserted
 #   on the terminal drained event, then `bench --resolve` writes
 #   BENCH_resolve.json (see docs/SERVE.md and docs/ALGORITHM.md);
-# - kernels and portfolio: BENCH_kernels.json (every optimized kernel
-#   reproduces its reference bit-for-bit) and BENCH_portfolio.json
-#   (race within 1.2x of the best single solver, clamped pool never
-#   slower than sequential; see docs/ENGINE.md and docs/RUNTIME.md);
+# - kernels and runtime: BENCH_kernels.json (every optimized kernel
+#   reproduces its reference bit-for-bit) and BENCH_runtime.json
+#   (clamped pool never slower than sequential nor wider than the
+#   cores; see docs/ENGINE.md and docs/RUNTIME.md);
 # - place: BENCH_place.json (comm-aware strictly cheaper than
 #   comm-blind within the 5% makespan leash, exact rows audited
 #   optimal), then a v2 placed solve over the wire.
@@ -149,7 +149,7 @@ grep -q '^serve_solve_ms_count ' "$SMOKE_DIR/metrics.prom" || {
 }
 
 # a traced bench run: one experiment — enough to exercise the
-# portfolio/pool span paths and produce a real trace
+# pool span paths and produce a real trace
 dune exec bench/main.exe -- --quick --only E4 \
   --trace "$SMOKE_DIR/e4_trace.json" > /dev/null
 [ -s "$SMOKE_DIR/e4_trace.json" ] || {
@@ -379,11 +379,11 @@ dune exec bench/main.exe -- --kernels "$SMOKE_DIR/BENCH_kernels.json" \
 cat "$SMOKE_DIR/kernels.out"
 "$SERVE_BIN" obs --bench "$SMOKE_DIR/BENCH_kernels.json"
 
-echo "== portfolio bench: staggered race + core-adaptive pool (BENCH_portfolio.json) =="
-dune exec bench/main.exe -- --portfolio "$SMOKE_DIR/BENCH_portfolio.json" \
-  > "$SMOKE_DIR/portfolio.out"
-cat "$SMOKE_DIR/portfolio.out"
-"$SERVE_BIN" obs --bench "$SMOKE_DIR/BENCH_portfolio.json"
+echo "== runtime bench: solve cache + core-adaptive pool (BENCH_runtime.json) =="
+dune exec bench/main.exe -- --runtime "$SMOKE_DIR/BENCH_runtime.json" \
+  > "$SMOKE_DIR/runtime.out"
+cat "$SMOKE_DIR/runtime.out"
+"$SERVE_BIN" obs --bench "$SMOKE_DIR/BENCH_runtime.json"
 
 echo "== place bench: comm-aware vs comm-blind placement (BENCH_place.json) =="
 dune exec bench/main.exe -- --quick --place "$SMOKE_DIR/BENCH_place.json" > /dev/null

@@ -22,9 +22,10 @@ let make ?deadline_s ?max_nodes ?max_iters ?cancel ?poll_fuse () =
 
 let unlimited = make ()
 
-(* counters are atomic so one armed budget can be shared by portfolio
-   lanes running in separate domains: every lane charges the same node
-   and iteration pools, and a deadline covers the whole race *)
+(* counters are atomic so an armed budget stays sound when a solver on
+   another domain charges it (a solve spawned onto a worker domain while
+   its caller keeps the budget), and a deadline covers every solver
+   layer of the run *)
 type armed = {
   spec : t;
   start : float;
@@ -32,8 +33,6 @@ type armed = {
   counted_iters : int Atomic.t;
   counted_polls : int Atomic.t;
   cancel : Cancel.t option;  (** effective token; see [with_extra_cancel] *)
-  poll_hook : (unit -> unit) option;
-      (** fired at the top of every [check]; see [with_poll_hook] *)
 }
 
 let arm spec =
@@ -44,7 +43,6 @@ let arm spec =
     counted_iters = Atomic.make 0;
     counted_polls = Atomic.make 0;
     cancel = spec.cancel;
-    poll_hook = None;
   }
 
 let with_extra_cancel a tok =
@@ -52,8 +50,6 @@ let with_extra_cancel a tok =
     a with
     cancel = Some (match a.cancel with None -> tok | Some c -> Cancel.link [ tok; c ]);
   }
-
-let with_poll_hook a hook = { a with poll_hook = Some hook }
 
 let add_nodes a n = ignore (Atomic.fetch_and_add a.counted_nodes n)
 let add_iters a n = ignore (Atomic.fetch_and_add a.counted_iters n)
@@ -89,7 +85,6 @@ let verdict a ~polls:np =
 let polls_total = Obs.Metrics.counter "engine_budget_polls_total"
 
 let check a =
-  (match a.poll_hook with Some h -> h () | None -> ());
   if Obs.Control.enabled () then Obs.Metrics.Counter.incr polls_total;
   let np = Atomic.fetch_and_add a.counted_polls 1 + 1 in
   verdict a ~polls:np

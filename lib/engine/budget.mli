@@ -53,19 +53,9 @@ val arm : t -> armed
 (** [with_extra_cancel a tok] — a view of the same run: shared clock and
     shared (atomic) counters, but additionally stopped once [tok] is
     cancelled. Cancelling [tok] does not affect [a] itself or the
-    caller's own token. This is the portfolio-racing primitive: every
-    lane polls such a view, and the first final answer cancels the
-    rest through [tok] while deadlines and node/iteration pools stay
-    race-wide. *)
+    caller's own token. {!Solver_intf.join_budget} uses it to stop a
+    caller's budget with a separate cancel token. *)
 val with_extra_cancel : armed -> Cancel.t -> armed
-
-(** [with_poll_hook a hook] — the same run, with [hook] fired at the top
-    of every [check] made through {e this} view (views derived earlier,
-    or with [with_extra_cancel] from [a], keep their own hook, if any).
-    The hook runs on the polling domain and must be cheap and
-    non-raising; the portfolio uses one to start laggard lanes once the
-    leader has run for the stagger window. *)
-val with_poll_hook : armed -> (unit -> unit) -> armed
 
 val add_nodes : armed -> int -> unit
 val add_iters : armed -> int -> unit

@@ -1,9 +1,8 @@
 (* The flag is atomic so a token can be triggered from one domain and
-   observed from another (the portfolio racer cancels losing lanes from
-   whichever domain finishes first). A linked token also reports
-   cancelled when any of its parents is, letting a race combine its own
-   first-winner token with a caller-supplied one without mutating
-   either. *)
+   observed from another (the serve drain watchdog cancels solves
+   running on worker domains). A linked token also reports cancelled
+   when any of its parents is, letting a budget combine an extra token
+   with a caller-supplied one without mutating either. *)
 
 type t = { flag : bool Atomic.t; parents : t list }
 

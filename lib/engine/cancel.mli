@@ -21,6 +21,7 @@ val cancelled : t -> bool
 
 (** [link parents] — a fresh token that reports cancelled when it
     itself or any of [parents] is cancelled. Cancelling the linked
-    token does not propagate to the parents. Used by the portfolio
-    racer to combine its first-winner token with the caller's. *)
+    token does not propagate to the parents. Used by
+    {!Budget.with_extra_cancel} to combine an extra token with the
+    budget's own. *)
 val link : t list -> t

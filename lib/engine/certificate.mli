@@ -7,8 +7,7 @@
     data: it never references solver internals, so an independent
     checker ([Audit.check] in lib/audit) can re-verify the claim from
     the raw model alone. Certificates ride in {!Run_report} and are what
-    the runtime portfolio audits before a racing lane's answer is
-    returned.
+    [hslb serve] and [--audit] re-verify before an answer is trusted.
 
     All objective-like fields are in the {e problem's own sense} except
     [claimed_bound], which is min-sense (smaller = better), matching the

@@ -1,14 +1,3 @@
-type lane = {
-  lane_solver : string;
-  lane_status : string;
-  lane_objective : float;
-  lane_wall_s : float;
-  lane_nodes_expanded : int;
-  lane_lp_solves : int;
-}
-
-type race = { winner : string; race_wall_s : float; lanes : lane list }
-
 type t = {
   solver : string;
   status : string;
@@ -26,7 +15,6 @@ type t = {
   incumbent_updates : int;
   warm_start_used : bool;
   cache_hit : bool;
-  race : race option;
   certificate : Certificate.t option;
   audit : string option;
   phases : (string * float) list;
@@ -34,7 +22,7 @@ type t = {
 }
 
 let make ~solver ~status ?(objective = nan) ?(bound = nan) ?(cache_hit = false)
-    ?race ?certificate ?audit ?(hists = []) ~wall_s (tally : Telemetry.t) =
+    ?certificate ?audit ?(hists = []) ~wall_s (tally : Telemetry.t) =
   {
     solver;
     status;
@@ -42,7 +30,6 @@ let make ~solver ~status ?(objective = nan) ?(bound = nan) ?(cache_hit = false)
     bound;
     wall_s;
     cache_hit;
-    race;
     certificate;
     audit;
     hists;
@@ -116,25 +103,6 @@ let to_json r =
     (Printf.sprintf "\"warm_start_used\":%b" r.warm_start_used);
   sep ();
   Buffer.add_string b (Printf.sprintf "\"cache_hit\":%b" r.cache_hit);
-  sep ();
-  (match r.race with
-  | None -> Buffer.add_string b "\"race\":null"
-  | Some race ->
-    Buffer.add_string b
-      (Printf.sprintf "\"race\":{\"winner\":\"%s\",\"race_wall_s\":%s,\"lanes\":["
-         (json_escape race.winner) (json_float race.race_wall_s));
-    List.iteri
-      (fun i l ->
-        if i > 0 then sep ();
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"solver\":\"%s\",\"status\":\"%s\",\"objective\":%s,\"wall_s\":%s,\
-              \"nodes_expanded\":%d,\"lp_solves\":%d}"
-             (json_escape l.lane_solver) (json_escape l.lane_status)
-             (json_float l.lane_objective) (json_float l.lane_wall_s)
-             l.lane_nodes_expanded l.lane_lp_solves))
-      race.lanes;
-    Buffer.add_string b "]}");
   sep ();
   (match r.certificate with
   | None -> Buffer.add_string b "\"certificate\":null"
@@ -212,9 +180,6 @@ let pp fmt r =
        [
          (if r.warm_start_used then ", warm-started" else "");
          (if r.cache_hit then ", cache hit" else "");
-         (match r.race with
-         | Some race -> Printf.sprintf ", race won by %s" race.winner
-         | None -> "");
        ])
 
 let write_string path s =

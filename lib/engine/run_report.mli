@@ -6,22 +6,6 @@
     bench harness emit so solver comparisons (E6 in docs/ALGORITHM.md)
     can be made from data rather than printf archaeology. *)
 
-(** One lane of a portfolio race: a solver strategy that ran in its own
-    domain against the shared budget. For losing lanes the counters show
-    the progress they had made when the winner cancelled them. *)
-type lane = {
-  lane_solver : string;
-  lane_status : string;
-  lane_objective : float;  (** lane incumbent; [nan] when none *)
-  lane_wall_s : float;  (** lane wall time from race start to unwind *)
-  lane_nodes_expanded : int;
-  lane_lp_solves : int;
-}
-
-(** Portfolio-race telemetry: who won, how long the race took, and each
-    lane's progress at the moment it stopped. *)
-type race = { winner : string; race_wall_s : float; lanes : lane list }
-
 type t = {
   solver : string;
   status : string;
@@ -39,7 +23,6 @@ type t = {
   incumbent_updates : int;
   warm_start_used : bool;
   cache_hit : bool;  (** the result came from the memoized solve cache *)
-  race : race option;  (** present when a portfolio race produced it *)
   certificate : Certificate.t option;
       (** machine-checkable claim backing [status]; see lib/audit *)
   audit : string option;
@@ -60,7 +43,6 @@ val make :
   ?objective:float ->
   ?bound:float ->
   ?cache_hit:bool ->
-  ?race:race ->
   ?certificate:Certificate.t ->
   ?audit:string ->
   ?hists:(string * Obs.Metrics.Histogram.summary) list ->

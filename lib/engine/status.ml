@@ -1,4 +1,4 @@
-type reason = Node_limit | Iter_limit | Round_limit | Deadline | Cancelled | Audit_failed
+type reason = Node_limit | Iter_limit | Round_limit | Deadline | Cancelled
 
 type t =
   | Optimal
@@ -13,7 +13,6 @@ let reason_to_string = function
   | Round_limit -> "round-limit"
   | Deadline -> "deadline"
   | Cancelled -> "cancelled"
-  | Audit_failed -> "audit-failed"
 
 let to_string = function
   | Optimal -> "optimal"
@@ -28,7 +27,6 @@ let reason_of_string = function
   | "round-limit" -> Some Round_limit
   | "deadline" -> Some Deadline
   | "cancelled" -> Some Cancelled
-  | "audit-failed" -> Some Audit_failed
   | _ -> None
 
 let of_string s =

@@ -3,7 +3,7 @@
     Before this module each solver family kept its own variant
     ([Lp.Simplex.status], [Minlp.Solution.status], ad-hoc [converged]
     booleans in the NLP layer); {!t} replaces them all so results can
-    flow through the engine, the runtime portfolio and the audit layer
+    flow through the engine, the model layers and the audit layer
     without lossy translation. [Minlp.Solution.status] is re-exported as
     an equation on this type, so existing pattern matches keep working.
 
@@ -22,9 +22,6 @@ type reason =
   | Round_limit  (** OA alternation round cap *)
   | Deadline  (** engine budget: wall-clock deadline elapsed *)
   | Cancelled  (** engine budget: cancel token triggered *)
-  | Audit_failed
-      (** an optimality claim was demoted because its certificate failed
-          the independent audit *)
 
 type t =
   | Optimal
@@ -43,8 +40,7 @@ val reason_of_string : string -> reason option
 val of_string : string -> t option
 
 (** A status that proves something about the model: [Optimal],
-    [Infeasible] or [Unbounded]. The portfolio racer cancels the other
-    lanes when a lane reaches a final status. *)
+    [Infeasible] or [Unbounded]. *)
 val is_final : t -> bool
 
 (** Map an engine budget-stop reason into a status reason. *)

@@ -1,6 +1,6 @@
 (* The schema -> gates table behind `hslb obs --bench`, plus the
    decoders and gates of the three artifacts whose writers have no
-   decoder of their own (BENCH_kernels.json and BENCH_portfolio.json
+   decoder of their own (BENCH_kernels.json and BENCH_runtime.json
    from bench/main.exe, BENCH_fleet.json from `hslb loadgen
    --bench-out`). *)
 
@@ -61,16 +61,9 @@ let kernels_gates : kernels Obs.Gate.t list =
         count (fun (k : kernel) -> not k.identical) t.kernels);
   ]
 
-(* ---------- BENCH_portfolio.json ---------- *)
+(* ---------- BENCH_runtime.json ---------- *)
 
-let portfolio_schema = "hslb-bench-portfolio-v2"
-
-type instance = {
-  singles : int;
-  race_wall_s : float;
-  best_single_wall_s : float;
-  objective_match : bool;
-}
+let runtime_schema = "hslb-bench-runtime-v1"
 
 type registry = {
   speedup : float;
@@ -80,21 +73,7 @@ type registry = {
   effective_jobs : int;
 }
 
-type portfolio = { instances : instance list; registry : registry }
-
-let decode_portfolio j =
-  let single s =
-    let* (_ : string) = str_field "solver" s in
-    num_field "wall_s" s
-  in
-  let instance i =
-    let* (_ : string) = str_field "name" i in
-    let* singles = list_field "singles" single i in
-    let* race_wall_s = obj_field "portfolio" (num_field "wall_s") i in
-    let* best_single_wall_s = num_field "best_single_wall_s" i in
-    let* objective_match = bool_field "objective_match" i in
-    Ok { singles = List.length singles; race_wall_s; best_single_wall_s; objective_match }
-  in
+let decode_runtime j =
   let registry r =
     let* speedup = num_field "speedup" r in
     let* core_starved = bool_field "core_starved" r in
@@ -103,29 +82,17 @@ let decode_portfolio j =
     let* effective_jobs = int_field "effective_jobs" r in
     Ok { speedup; core_starved; cores; requested_jobs; effective_jobs }
   in
-  let* instances = list_field "instances" instance j in
-  let* registry = obj_field "registry_quick" registry j in
-  Ok { instances; registry }
+  let* () = obj_field "cache" (fun _ -> Ok ()) j in
+  obj_field "registry_quick" registry j
 
-(* the gates of the portfolio-tax and core-starvation fixes: the race
-   costs at most 20% over the best single solver on every instance
-   (plus 50 ms, so micro-instances are not gated on timer noise), and
-   the clamped pool never runs slower than sequential *)
-let portfolio_gates : portfolio Obs.Gate.t list =
+(* the gates of the core-starvation fix: the clamped pool never runs
+   slower than sequential and never oversubscribes the cores *)
+let runtime_gates : registry Obs.Gate.t list =
   let open Obs.Gate in
   [
-    gate "instances" Ge 1. (fun t -> length t.instances);
-    gate "min_singles" Ge 1. (fun t -> min_of (fun i -> float_of_int i.singles) t.instances);
-    gate "objective_mismatches" Eq 0. (fun t ->
-        count (fun i -> not i.objective_match) t.instances);
-    gate "race_wall_over_allowance_s" Le 0. (fun t ->
-        max_of
-          (fun i -> i.race_wall_s -. ((1.2 *. i.best_single_wall_s) +. 0.05))
-          t.instances);
-    gate "registry_speedup" Ge 0.95 (fun t -> t.registry.speedup);
-    gate "registry_core_starved" Eq 0. (fun t -> if t.registry.core_starved then 1. else 0.);
-    gate "registry_jobs_over_clamp" Le 0. (fun t ->
-        let r = t.registry in
+    gate "registry_speedup" Ge 0.95 (fun r -> r.speedup);
+    gate "registry_core_starved" Eq 0. (fun r -> if r.core_starved then 1. else 0.);
+    gate "registry_jobs_over_clamp" Le 0. (fun r ->
         float_of_int (r.effective_jobs - Stdlib.min r.requested_jobs r.cores));
   ]
 
@@ -191,6 +158,6 @@ let checkers =
       checker ~schema:Place_bench.schema_version ~decode:Place_bench.of_json
         Place_bench.gates;
       checker ~schema:kernels_schema ~decode:decode_kernels kernels_gates;
-      checker ~schema:portfolio_schema ~decode:decode_portfolio portfolio_gates;
+      checker ~schema:runtime_schema ~decode:decode_runtime runtime_gates;
       checker ~schema:Serve.Loadgen.schema_version ~decode:decode_fleet fleet_gates;
     ]

@@ -91,7 +91,7 @@ let polyalanine n =
   if n <= 0 then invalid_arg "Molecule.polyalanine: n must be positive";
   chain (Printf.sprintf "(Ala)%d" n) (List.init n (fun _ -> Ala))
 
-let polypeptide ~rng:_ residues =
+let polypeptide residues =
   if residues = [] then invalid_arg "Molecule.polypeptide: empty sequence";
   let name = String.concat "" (List.map residue_name residues) in
   chain name residues

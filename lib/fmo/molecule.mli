@@ -30,9 +30,8 @@ val residue_atoms : residue -> Element.t list
     placement, 3.8 Å spacing). *)
 val polyalanine : int -> t
 
-(** [polypeptide ~rng residues] — chain with the given residue
-    sequence. *)
-val polypeptide : rng:Numerics.Rng.t -> residue list -> t
+(** [polypeptide residues] — chain with the given residue sequence. *)
+val polypeptide : residue list -> t
 
 (** [random_peptide ~rng n] — n residues drawn from all types;
     the heterogeneous workload for experiment E5. *)

@@ -391,14 +391,16 @@ let min_sum_greedy ~n_total specs =
     }
   end
 
-(* canonical, injective instance fingerprint: length-prefixed names,
-   round-tripping float formats, sorted-deduplicated allowed lists (the
-   model dedups them too). Equal fingerprints imply equal instances. *)
-let fingerprint ~objective ~n_total specs =
+(* canonical, injective solve fingerprint: the solver, then the
+   instance with length-prefixed names, round-tripping float formats and
+   sorted-deduplicated allowed lists (the model dedups them too). Equal
+   fingerprints imply equal instances solved by the same solver. *)
+let fingerprint ~solver ~objective ~n_total specs =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (Printf.sprintf "alloc-v1|%s|%d|%d" (Objective.to_string objective) n_total
-       (List.length specs));
+    (Printf.sprintf "alloc-v2|%s|%s|%d|%d"
+       (Engine.Solver_choice.to_string solver)
+       (Objective.to_string objective) n_total (List.length specs));
   List.iter
     (fun spec ->
       let law = spec.fc.Classes.fit.Fitting.law in
@@ -457,105 +459,11 @@ let run_minlp_solver solver ?budget ?tally ?warm problem =
        ?budget ?tally problem)
       .Minlp.Oa_multi.solution
 
-(* race all three MINLP strategies on one shared budget; the first
-   Optimal cancels the rest, and on exhaustion the best incumbent across
-   lanes wins. Per-lane telemetry is folded into the caller's tally and
-   exposed through [race_report]. *)
-let portfolio_minlp ?budget ?tally ?race_report problem n_vars specs warm =
-  let lane choice =
-    ( Engine.Solver_choice.to_string choice,
-      fun shared_budget ->
-        let lane_tally = Engine.Telemetry.create () in
-        let warm = Option.map Array.copy warm in
-        let sol = run_minlp_solver choice ~budget:shared_budget ~tally:lane_tally ?warm problem in
-        (sol, lane_tally) )
-  in
-  let outcome =
-    Runtime.Portfolio.race ?budget
-      ~final:(fun ((sol : Minlp.Solution.t), _) ->
-        sol.Minlp.Solution.status = Minlp.Solution.Optimal)
-      ~better:(fun ((a : Minlp.Solution.t), _) ((b : Minlp.Solution.t), _) ->
-        match (Minlp.Solution.has_incumbent a, Minlp.Solution.has_incumbent b) with
-        | true, false -> true
-        | false, (true | false) -> false
-        | true, true -> a.Minlp.Solution.obj < b.Minlp.Solution.obj)
-      (List.map lane Engine.Solver_choice.all)
-  in
-  (* fold the whole race's work into the caller's tally: the shared
-     budget charged all lanes, so the counters should agree with it *)
-  (match tally with
-  | None -> ()
-  | Some t ->
-    List.iter
-      (fun (l : _ Runtime.Portfolio.lane) ->
-        match l.Runtime.Portfolio.outcome with
-        | Ok (_, lane_tally) -> Engine.Telemetry.merge_into t lane_tally
-        | Error _ -> ())
-      outcome.Runtime.Portfolio.lanes);
-  (match race_report with
-  | None -> ()
-  | Some r ->
-    let lanes =
-      List.map
-        (fun (l : _ Runtime.Portfolio.lane) ->
-          let status, objective, nodes, lps =
-            match l.Runtime.Portfolio.outcome with
-            | Ok ((sol : Minlp.Solution.t), (lt : Engine.Telemetry.t)) ->
-              ( Minlp.Solution.status_to_string sol.Minlp.Solution.status,
-                (if Minlp.Solution.has_incumbent sol then sol.Minlp.Solution.obj else nan),
-                lt.Engine.Telemetry.nodes_expanded,
-                lt.Engine.Telemetry.lp_solves )
-            | Error Runtime.Portfolio.Skipped -> ("skipped", nan, 0, 0)
-            | Error e -> (Printf.sprintf "raised: %s" (Printexc.to_string e), nan, 0, 0)
-          in
-          {
-            Engine.Run_report.lane_solver = l.Runtime.Portfolio.lane_name;
-            lane_status = status;
-            lane_objective = objective;
-            lane_wall_s = l.Runtime.Portfolio.lane_wall_s;
-            lane_nodes_expanded = nodes;
-            lane_lp_solves = lps;
-          })
-        outcome.Runtime.Portfolio.lanes
-    in
-    r :=
-      Some
-        {
-          Engine.Run_report.winner = outcome.Runtime.Portfolio.winner;
-          race_wall_s = outcome.Runtime.Portfolio.race_wall_s;
-          lanes;
-        });
-  (* the racing winner does not get the benefit of the doubt: its
-     certificate is re-verified against the raw model before the answer
-     leaves the portfolio, and a rejected optimality proof is demoted
-     to a (still feasibility-checked) incumbent *)
-  let producer = "portfolio:" ^ outcome.Runtime.Portfolio.winner in
-  match
-    decode_solution ~producer ?budget ~problem specs n_vars
-      (fst outcome.Runtime.Portfolio.value)
-  with
-  | Error _ as e -> e
-  | Ok alloc -> (
-    match alloc.certificate with
-    | None -> Ok alloc
-    | Some cert -> (
-      match Audit.check_minlp problem cert with
-      | Ok () -> Ok alloc
-      | Error _ -> (
-        match alloc.status with
-        | Minlp.Solution.Optimal ->
-          Ok { alloc with status = Minlp.Solution.Feasible Minlp.Solution.Audit_failed }
-        | Minlp.Solution.Feasible _ | Minlp.Solution.Budget_exhausted _
-        | Minlp.Solution.Infeasible | Minlp.Solution.Unbounded ->
-          Ok alloc)))
-
-let solve ?(strategy = `Auto) ?(solver = Engine.Solver_choice.Oa)
-    ?(objective = Objective.Min_max) ?budget ?cancel ?warm_start ?trace ?cache
-    ?race_report ~n_total specs =
+let solve ?(solver = Engine.Solver_choice.Oa) ?(objective = Objective.Min_max) ?budget
+    ?cancel ?warm_start ?trace ?cache ~n_total specs =
   if specs = [] then invalid_arg "Alloc_model.solve: no classes";
   let budget = Engine.Solver_intf.join_budget ?budget ?cancel () in
-  (match race_report with Some r -> r := None | None -> ());
-  let key = lazy (fingerprint ~objective ~n_total specs) in
+  let key = lazy (fingerprint ~solver ~objective ~n_total specs) in
   let cached =
     match cache with Some c -> Runtime.Cache.find c (Lazy.force key) | None -> None
   in
@@ -581,15 +489,10 @@ let solve ?(strategy = `Auto) ?(solver = Engine.Solver_choice.Oa)
             | Ok a -> Some (lift a.nodes_per_task)
             | Error _ | (exception Invalid_argument _) -> None)
         in
-        (match strategy with
-        | `Portfolio ->
-          portfolio_minlp ?budget ?tally:trace ?race_report problem n_vars specs warm
-        | `Auto | `Single _ ->
-          let solver = match strategy with `Single s -> s | `Auto | `Portfolio -> solver in
-          decode_solution
-            ~producer:(Engine.Solver_choice.to_string solver)
-            ?budget ~problem specs n_vars
-            (run_minlp_solver solver ?budget ?tally:trace ?warm problem))
+        decode_solution
+          ~producer:(Engine.Solver_choice.to_string solver)
+          ?budget ~problem specs n_vars
+          (run_minlp_solver solver ?budget ?tally:trace ?warm problem)
     in
     (* memoize only proven optima: budget-exhausted incumbents depend on
        wall-clock luck and must not be replayed as answers *)

@@ -35,9 +35,7 @@ type allocation = {
   predicted_times : float array;  (** fitted per-class times *)
   status : Minlp.Solution.status;
       (** how the solve ended; [Optimal] for the exact
-          bisection/greedy paths. [Feasible Audit_failed] marks a
-          solver answer whose optimality certificate the independent
-          auditor rejected (the point itself re-verified feasible) *)
+          bisection/greedy paths *)
   stats : Minlp.Solution.stats;  (** zero for the bisection path *)
   certificate : Engine.Certificate.t option;
       (** machine-checkable claim backing [status]: solver-emitted for
@@ -68,20 +66,21 @@ val build_minlp :
   spec list ->
   Minlp.Problem.t * int array * (int array -> float array)
 
-(** [fingerprint ~objective ~n_total specs] — a canonical, injective
-    serialization of the allocation instance, suitable as a
-    {!Runtime.Cache} key. Class names are length-prefixed, law
+(** [fingerprint ~solver ~objective ~n_total specs] — a canonical,
+    injective serialization of the solve, suitable as a
+    {!Runtime.Cache} key: the solver that answers it, then the
+    allocation instance. Class names are length-prefixed, law
     coefficients are printed round-trippably ([%.17g]), and [allowed]
     lists are sorted and deduplicated first (matching what the model
     does), so equal fingerprints imply instances the solver cannot tell
-    apart. *)
-val fingerprint : objective:Objective.t -> n_total:int -> spec list -> string
+    apart, solved by the same solver. *)
+val fingerprint :
+  solver:Engine.Solver_choice.t -> objective:Objective.t -> n_total:int -> spec list -> string
 
-(** [solve ?strategy ?solver ?objective ?budget ?cancel ?warm_start
-    ?trace ?cache ?race_report ~n_total specs] — full solve + decode,
-    following the {!Engine.Solver_intf.S} labelled-argument convention
-    ([?budget ?cancel ?warm_start ?trace]) with the model-layer knobs
-    around it. Infeasibility (e.g. a node budget below one group per
+(** [solve ?solver ?objective ?budget ?cancel ?warm_start ?trace ?cache
+    ~n_total specs] — full solve + decode, following the
+    {!Engine.Solver_intf.S} labelled-argument convention ([?budget
+    ?cancel ?warm_start ?trace]) with the model-layer knobs around it. Infeasibility (e.g. a node budget below one group per
     task) is returned as [Error], not raised.
 
     For [Min_max], a greedy min-sum allocation is computed automatically
@@ -91,30 +90,15 @@ val fingerprint : objective:Objective.t -> n_total:int -> spec list -> string
     returned with status [Budget_exhausted _]; without one, [Error
     (Budget_exhausted _)].
 
-    [strategy] (default [`Auto]) selects how the [Min_max] MINLP is
-    attacked. [`Auto] and [`Single s] run one solver ([`Auto] keeps the
-    deterministic [?solver] default). [`Portfolio] races all of
-    {!Engine.Solver_choice.all} in parallel domains over one shared
-    budget: the first proven-optimal lane cancels the rest, and on
-    budget exhaustion the best incumbent across lanes is returned. The
-    portfolio's objective value matches the best single-solver run, but
-    the winning {e point} may differ between timings — see
-    docs/RUNTIME.md. [Max_min]/[Min_sum] always use their exact
-    customized paths, whatever the strategy. When [race_report] is
-    supplied, [`Portfolio] stores per-lane telemetry in it (it is reset
-    to [None] by the non-racing paths).
-
-    Every solver-path allocation carries a certificate; the [`Portfolio]
-    path additionally runs the independent auditor on the winning lane's
-    certificate before returning and demotes a rejected [Optimal] claim
-    to [Feasible Audit_failed].
+    [solver] (default [Oa]) is the one solver the [Min_max] MINLP runs;
+    [Max_min]/[Min_sum] always use their exact customized paths. Every
+    solver-path allocation carries a certificate.
 
     [cache] memoizes solves across calls, keyed by {!fingerprint}. Only
     proven-[Optimal] results are stored (budget-exhausted incumbents are
     timing-dependent); a hit bypasses the solver entirely and returns
     the allocation bit-for-bit. *)
 val solve :
-  ?strategy:Runtime.Portfolio.strategy ->
   ?solver:Engine.Solver_choice.t ->
   ?objective:Objective.t ->
   ?budget:Engine.Budget.armed ->
@@ -122,7 +106,6 @@ val solve :
   ?warm_start:int array ->
   ?trace:Engine.Telemetry.t ->
   ?cache:allocation Runtime.Cache.t ->
-  ?race_report:Engine.Run_report.race option ref ->
   n_total:int ->
   spec list ->
   (allocation, Minlp.Solution.status) result

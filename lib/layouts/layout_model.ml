@@ -167,78 +167,19 @@ let decode ~producer ?budget layout inputs problem (vi, vl, va, vo)
       }
   | status -> Error status
 
-let solve ?(strategy = `Auto) ?budget ?cancel ?trace layout config inputs =
+let solve ?budget ?cancel ?trace layout config inputs =
   let budget = Engine.Solver_intf.join_budget ?budget ?cancel () in
-  let tally = trace in
   let problem, vars = build layout config inputs in
   (* the nonconvex tsync constraint invalidates OA cuts; only the
      NLP-based tree (local relaxations) is sound there, so tsync models
-     never race — there is exactly one applicable solver *)
-  match (config.tsync, strategy) with
-  | Some _, _ ->
-    decode
-      ~producer:(Engine.Solver_choice.to_string Engine.Solver_choice.Bnb)
-      ?budget layout inputs problem vars
-      (run_solver Engine.Solver_choice.Bnb ?budget ?tally problem)
-  | None, `Single s ->
-    decode
-      ~producer:(Engine.Solver_choice.to_string s)
-      ?budget layout inputs problem vars
-      (run_solver s ?budget ?tally problem)
-  | None, `Auto ->
-    decode
-      ~producer:(Engine.Solver_choice.to_string config.solver)
-      ?budget layout inputs problem vars
-      (run_solver config.solver ?budget ?tally problem)
-  | None, `Portfolio -> (
-    let lane choice =
-      ( Engine.Solver_choice.to_string choice,
-        fun shared ->
-          let lane_tally = Engine.Telemetry.create () in
-          (run_solver choice ~budget:shared ~tally:lane_tally problem, lane_tally) )
-    in
-    let outcome =
-      Runtime.Portfolio.race ?budget
-        ~final:(fun ((s : Minlp.Solution.t), _) ->
-          s.Minlp.Solution.status = Minlp.Solution.Optimal)
-        ~better:(fun ((a : Minlp.Solution.t), _) ((b : Minlp.Solution.t), _) ->
-          match (Minlp.Solution.has_incumbent a, Minlp.Solution.has_incumbent b) with
-          | true, false -> true
-          | false, (true | false) -> false
-          | true, true -> a.Minlp.Solution.obj < b.Minlp.Solution.obj)
-        (List.map lane Engine.Solver_choice.all)
-    in
-    (match tally with
-    | None -> ()
-    | Some t ->
-      List.iter
-        (fun (l : _ Runtime.Portfolio.lane) ->
-          match l.Runtime.Portfolio.outcome with
-          | Ok (_, lane_tally) -> Engine.Telemetry.merge_into t lane_tally
-          | Error _ -> ())
-        outcome.Runtime.Portfolio.lanes);
-    (* same policy as Alloc_model: the winning lane's certificate is
-       re-verified against the raw model before the answer leaves the
-       race, and a rejected optimality proof is demoted *)
-    let producer = "portfolio:" ^ outcome.Runtime.Portfolio.winner in
-    match
-      decode ~producer ?budget layout inputs problem vars
-        (fst outcome.Runtime.Portfolio.value)
-    with
-    | Error _ as e -> e
-    | Ok alloc -> (
-      match alloc.certificate with
-      | None -> Ok alloc
-      | Some cert -> (
-        match Audit.check_minlp problem cert with
-        | Ok () -> Ok alloc
-        | Error _ -> (
-          match alloc.status with
-          | Minlp.Solution.Optimal ->
-            Ok { alloc with status = Minlp.Solution.Feasible Minlp.Solution.Audit_failed }
-          | Minlp.Solution.Feasible _ | Minlp.Solution.Budget_exhausted _
-          | Minlp.Solution.Infeasible | Minlp.Solution.Unbounded ->
-            Ok alloc))))
+     always run Bnb, whatever [config.solver] says *)
+  let solver =
+    match config.tsync with Some _ -> Engine.Solver_choice.Bnb | None -> config.solver
+  in
+  decode
+    ~producer:(Engine.Solver_choice.to_string solver)
+    ?budget layout inputs problem vars
+    (run_solver solver ?budget ?tally:trace problem)
 
 let fail_on_error layout config = function
   | Ok alloc -> alloc

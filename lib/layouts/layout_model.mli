@@ -46,10 +46,7 @@ type alloc = {
   nodes : (string * int) list;  (** component name → nodes *)
   times : (string * float) list;  (** predicted per-component times *)
   total : float;  (** predicted total time under the layout formula *)
-  status : Minlp.Solution.status;
-      (** how the solve ended; [Feasible Audit_failed] marks a
-          portfolio winner whose optimality certificate the independent
-          auditor rejected (the point itself re-verified feasible) *)
+  status : Minlp.Solution.status;  (** how the solve ended *)
   stats : Minlp.Solution.stats;
   certificate : Engine.Certificate.t option;
       (** solver-emitted claim backing [status], verifiable with
@@ -64,21 +61,13 @@ val layout_total : layout -> ice:float -> lnd:float -> atm:float -> ocn:float ->
     the variable indices of [(n_ice, n_lnd, n_atm, n_ocn)]. *)
 val build : layout -> config -> inputs -> Minlp.Problem.t * (int * int * int * int)
 
-(** [solve ?strategy ?budget ?cancel ?trace layout config inputs] —
-    build, solve and decode, following the {!Engine.Solver_intf.S}
-    labelled-argument convention. Infeasibility or an empty-handed
-    budget stop is returned as [Error], not raised.
-
-    [strategy] (default [`Auto], which honours [config.solver]) selects
-    the solver as in {!Hslb.Alloc_model.solve}: [`Portfolio] races all
-    of {!Engine.Solver_choice.all} in parallel domains on one shared
-    budget; the winning lane's certificate is re-verified by the
-    independent auditor before the answer is returned, and a rejected
-    [Optimal] claim is demoted to [Feasible Audit_failed]. Models with
-    a [tsync] tolerance are nonconvex and always use the NLP-based
-    branch and bound alone, whatever the strategy. *)
+(** [solve ?budget ?cancel ?trace layout config inputs] — build, solve
+    with [config.solver] and decode, following the
+    {!Engine.Solver_intf.S} labelled-argument convention. Infeasibility
+    or an empty-handed budget stop is returned as [Error], not raised.
+    Models with a [tsync] tolerance are nonconvex and always use the
+    NLP-based branch and bound, whatever [config.solver] says. *)
 val solve :
-  ?strategy:Runtime.Portfolio.strategy ->
   ?budget:Engine.Budget.armed ->
   ?cancel:Engine.Cancel.t ->
   ?trace:Engine.Telemetry.t ->

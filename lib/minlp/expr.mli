@@ -70,8 +70,8 @@ val compile_gradient : t -> float array -> float array
     form.
 
     Compiled programs are immutable closures with no scratch state, so
-    they are domain-safe: one program may be shared by every portfolio
-    lane. *)
+    they are domain-safe: one program may be shared by solver runs on
+    several domains. *)
 module Compiled : sig
   type program
 

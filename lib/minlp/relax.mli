@@ -16,8 +16,8 @@ type nlp_result = {
     lowered to closure programs, plus the linear-row LP skeleton, built
     once per solver run instead of once per node. The context is
     immutable (compiled programs hold no scratch state) and may be
-    shared across domains, though each solver run / portfolio lane
-    already builds its own. *)
+    shared across domains, though each solver run already builds its
+    own. *)
 type ctx
 
 (** [context p] — compile [p]'s hot-path evaluators once. *)

@@ -4,7 +4,6 @@ type reason = Engine.Status.reason =
   | Round_limit
   | Deadline
   | Cancelled
-  | Audit_failed
 
 type status = Engine.Status.t =
   | Optimal

@@ -13,9 +13,6 @@ type reason = Engine.Status.reason =
   | Round_limit  (** OA alternation round cap *)
   | Deadline  (** engine budget: wall-clock deadline elapsed *)
   | Cancelled  (** engine budget: cancel token triggered *)
-  | Audit_failed
-      (** the independent auditor rejected the solver's certificate, so
-          a proven claim was demoted (see lib/audit) *)
 
 type status = Engine.Status.t =
   | Optimal  (** proven optimal within the gap tolerance *)

@@ -1,7 +1,7 @@
 (** Global observability switch.
 
-    Every instrumentation site in the stack (engine phases, portfolio
-    lanes, pool tasks, serve requests) checks this single atomic flag
+    Every instrumentation site in the stack (engine phases, pool
+    tasks, serve requests) checks this single atomic flag
     before doing any work, so a disabled process pays one atomic load
     per site and nothing else — no allocation, no clock read, no lock.
     The flag is process-wide and safe to flip from any domain; spans

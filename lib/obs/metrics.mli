@@ -1,11 +1,11 @@
 (** Process-wide metrics: counters, gauges and log-linear histograms.
 
     Every update path is lock-free (atomic increments; CAS retry loops
-    for float sums), so pool workers, portfolio lanes and serve
-    domains can update the same metric concurrently without
-    coordination. Reads ([value], [summary], [snapshot]) are
-    approximate under concurrent writes — each component is atomically
-    read, the tuple is not — which is the standard metrics trade-off.
+    for float sums), so pool workers and serve domains can update the
+    same metric concurrently without coordination. Reads ([value],
+    [summary], [snapshot]) are approximate under concurrent writes —
+    each component is atomically read, the tuple is not — which is the
+    standard metrics trade-off.
 
     Metrics can be used standalone ([Counter.create] etc.) or through
     the registry ([counter name] get-or-create), which {!Export} turns

@@ -16,7 +16,7 @@ let next_id = Atomic.make 1
 (* Completed spans accumulate under a mutex; an optional streaming sink
    additionally sees each span as it closes (NDJSON export). Spans are
    few and long-lived relative to the work they measure (a solver
-   phase, a racing lane, a request), so a plain mutex is fine here —
+   phase, a pool task, a request), so a plain mutex is fine here —
    the hot counters live in Metrics, not in the span sink. *)
 let sink_lock = Mutex.create ()
 let sink : t list ref = ref []
@@ -24,8 +24,8 @@ let stream : (t -> unit) option ref = ref None
 
 (* The "current span" is domain-local: nesting on one domain builds the
    parent chain implicitly, and [context]/[in_context] carry it across
-   Domain.spawn so a lane running on a worker domain still parents to
-   the race span that launched it. *)
+   Domain.spawn so a pool task running on a worker domain still parents
+   to the span that launched it. *)
 let current : id option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let context () = Domain.DLS.get current
 

@@ -1,11 +1,11 @@
 (** Hierarchical span tracing on a monotonized clock.
 
-    A span is one timed scope — a solver phase, a racing lane, a pool
-    task, a serve request. Spans nest: within {!with_span} the current
+    A span is one timed scope — a solver phase, a pool task, a serve
+    request. Spans nest: within {!with_span} the current
     span is the implicit parent of any span opened below it on the
     same domain, and {!context}/{!in_context} carry that parentage
-    across [Domain.spawn], so a portfolio race shows one root span
-    with per-lane children even though lanes run on worker domains.
+    across [Domain.spawn], so a pool fan-out shows one root span with
+    per-task children even though tasks run on worker domains.
 
     When {!Control.enabled} is off, {!with_span} is a single atomic
     load plus a direct call of the body — no allocation, no clock

@@ -30,28 +30,3 @@ let recommended () = Stdlib.max 1 (Domain.recommended_domain_count () - 1)
 (* cores the runtime can actually use; the pool clamps its width here
    so an oversubscribed --jobs never time-slices domains on a small box *)
 let cores () = Stdlib.max 1 (Domain.recommended_domain_count ())
-
-let stagger_env_var = "HSLB_STAGGER_S"
-let default_stagger_s = 0.2
-
-let parse_stagger s =
-  match float_of_string_opt (String.trim s) with
-  | Some f when f >= 0. && Float.is_finite f -> Ok f
-  | Some _ | None ->
-    Error
-      (Printf.sprintf "invalid stagger value %S (expected a non-negative number of seconds)" s)
-
-let stagger_from_env ?(warn = fun msg -> Printf.eprintf "warning: %s\n%!" msg) () =
-  match Sys.getenv_opt stagger_env_var with
-  | None -> default_stagger_s
-  | Some s -> (
-    match parse_stagger s with
-    | Ok f -> f
-    | Error msg ->
-      warn
-        (Printf.sprintf "%s: %s; defaulting to %gs" stagger_env_var msg default_stagger_s);
-      default_stagger_s)
-
-let stagger_current = Atomic.make (stagger_from_env ())
-let stagger_s () = Atomic.get stagger_current
-let set_stagger_s v = Atomic.set stagger_current (Float.max 0. v)

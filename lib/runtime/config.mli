@@ -1,6 +1,6 @@
 (** Global parallelism setting for the runtime subsystem.
 
-    Every pool and racer defaults its width to [jobs ()]. The value is
+    Every pool defaults its width to [jobs ()]. The value is
     initialised from the [HSLB_JOBS] environment variable (so CI can run
     the whole suite under different widths without touching flags) and
     may be overridden by the [--jobs] command-line flags. [1] — the
@@ -34,27 +34,3 @@ val recommended : unit -> int
 (** Cores the runtime can actually use ({!Domain.recommended_domain_count},
     at least 1). {!Pool} clamps its effective width here. *)
 val cores : unit -> int
-
-(** {2 Portfolio stagger}
-
-    How long the predicted-fastest portfolio lane runs alone before the
-    laggard lanes are spawned; see {!Portfolio.race}. Initialised from
-    [HSLB_STAGGER_S] (seconds, default 0.2). *)
-
-(** ["HSLB_STAGGER_S"]. *)
-val stagger_env_var : string
-
-val default_stagger_s : float
-
-(** Non-negative finite seconds, or an error naming the bad value. *)
-val parse_stagger : string -> (float, string) result
-
-(** Read [stagger_env_var]; invalid values mean the default {e after}
-    reporting through [warn]. *)
-val stagger_from_env : ?warn:(string -> unit) -> unit -> float
-
-(** Current stagger window, [>= 0]. *)
-val stagger_s : unit -> float
-
-(** Override the window; negative values clamp to 0. *)
-val set_stagger_s : float -> unit

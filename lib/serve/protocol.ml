@@ -15,7 +15,6 @@ type solve_params = {
   n_total : int;
   objective : Hslb.Objective.t;
   solver : Engine.Solver_choice.t option;
-  strategy : Runtime.Portfolio.strategy option;
   deadline_ms : float option;
   allowed : int list option;
   policy : Arena.Scenario.cls option;
@@ -194,7 +193,6 @@ let parse_solve_params ~v:version v =
   let* objective = opt_str_field v "objective" objective_of_string in
   let objective = Option.value objective ~default:Hslb.Objective.Min_max in
   let* solver = opt_str_field v "solver" Engine.Solver_choice.of_string in
-  let* strategy = opt_str_field v "strategy" Runtime.Portfolio.strategy_of_string in
   let* deadline_ms =
     let* d = opt_field v "deadline_ms" Json.num "a number" in
     match d with
@@ -214,7 +212,7 @@ let parse_solve_params ~v:version v =
   in
   let* policy = opt_str_field v "policy" Arena.Scenario.class_of_string in
   let* place = parse_place ~v:version v in
-  Ok { model; n_total; objective; solver; strategy; deadline_ms; allowed; policy; place }
+  Ok { model; n_total; objective; solver; deadline_ms; allowed; policy; place }
 
 let parse_solve ~v obj =
   let* p = parse_solve_params ~v obj in
@@ -416,12 +414,17 @@ let spec_names specs =
        specs)
 
 (* the dedupe/cache key for a solve whose specs are already resolved:
-   the pure allocation fingerprint, wrapped by the placement
-   fingerprint when a place section rides along — two requests
-   differing only in topology (or memory, or traffic) must never share
-   a cached allocation *)
+   the allocation fingerprint under the request's solver (oa, the serve
+   default, when it names none), wrapped by the placement fingerprint
+   when a place section rides along — two requests naming different
+   solvers, or differing only in topology (or memory, or traffic), must
+   never share a cached allocation *)
 let solve_key (p : solve_params) specs =
-  let base = Hslb.Alloc_model.fingerprint ~objective:p.objective ~n_total:p.n_total specs in
+  let base =
+    Hslb.Alloc_model.fingerprint
+      ~solver:(Option.value p.solver ~default:Engine.Solver_choice.Oa)
+      ~objective:p.objective ~n_total:p.n_total specs
+  in
   match p.place with
   | None -> Ok base
   | Some pl ->

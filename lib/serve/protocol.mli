@@ -48,7 +48,6 @@ type solve_params = {
   n_total : int;  (** ["nodes"] — total node budget, >= 1 *)
   objective : Hslb.Objective.t;  (** ["objective"], default min-max *)
   solver : Engine.Solver_choice.t option;  (** ["solver"], server default otherwise *)
-  strategy : Runtime.Portfolio.strategy option;  (** ["strategy"] *)
   deadline_ms : float option;
       (** ["deadline_ms"] — end-to-end (queue wait included), mapped to
           an {!Engine.Budget} wall-clock deadline for the solve *)
@@ -129,10 +128,13 @@ val place_instance :
 val spec_names : Hslb.Alloc_model.spec list -> string array
 
 (** [solve_key p specs] — the dedupe/cache key for a solve whose specs
-    are already resolved: the pure {!Hslb.Alloc_model.fingerprint},
-    wrapped by {!Place.Model.fingerprint} when a place section rides
-    along, so requests differing only in topology, memory or traffic
-    never share a cached allocation. *)
+    are already resolved: the {!Hslb.Alloc_model.fingerprint} of the
+    instance under [p.solver] ([Oa], the serve default, when absent; a
+    server fills in its own default before keying), wrapped by
+    {!Place.Model.fingerprint} when a place section rides along.
+    Requests naming different solvers, or differing only in topology,
+    memory or traffic, never share a cached allocation or a dedupe
+    leader. *)
 val solve_key : solve_params -> Hslb.Alloc_model.spec list -> (string, string) result
 
 (** [fingerprint p] — {!solve_key} after {!resolve_specs}: the

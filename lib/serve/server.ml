@@ -12,7 +12,6 @@ type config = {
   cache_capacity : int;
   drain_grace_s : float;
   default_solver : Engine.Solver_choice.t;
-  default_strategy : Runtime.Portfolio.strategy;
   audit : bool;
   policy : Arena.Policy.t;
 }
@@ -24,21 +23,21 @@ let default_config () =
     cache_capacity = 128;
     drain_grace_s = 2.0;
     default_solver = Engine.Solver_choice.Oa;
-    default_strategy = `Auto;
     audit = true;
     policy = Arena.Policy.builtin;
   }
 
 (* a solve admitted to the queue; [followers] are later identical
-   requests (same fingerprint) that attached instead of queueing their
-   own solve — they get the leader's result when it lands *)
+   requests (same key: instance and solver) that attached instead of
+   queueing their own solve — they get the leader's result when it
+   lands *)
 type solve_job = {
   params : Protocol.solve_params;
   specs : Hslb.Alloc_model.spec list;
   key : string;
   (* (request id, arrival time, that request's reply sink, that
      request's own policy hint, that request's protocol version). The
-     dedupe key is the pure solve fingerprint — the policy hint is
+     dedupe key is the pure solve key ({!solve_key}) — the policy hint is
      advisory and must not fragment the cache — so each follower keeps
      its own hint and gets its own recommendation back, not the
      leader's; likewise each follower is answered in its own protocol
@@ -118,7 +117,6 @@ type request_tele = {
   solve_wall_ms : float;
   cache_hit : bool;
   dedup : bool;
-  lane_winner : string option;
 }
 
 let tele_fields r =
@@ -127,8 +125,6 @@ let tele_fields r =
     ("solve_wall_ms", Json.Num (r.solve_wall_ms));
     ("cache_hit", Json.Bool r.cache_hit);
     ("dedup", Json.Bool r.dedup);
-    ( "lane_winner",
-      match r.lane_winner with Some w -> Json.Str w | None -> Json.Null );
   ]
 
 let telemetry_line t ~id ~op ~outcome ~status r =
@@ -155,7 +151,7 @@ let telemetry_line t ~id ~op ~outcome ~status r =
             @ tele_fields r)))
 
 let zero_tele ~queue_wait_ms =
-  { queue_wait_ms; solve_wall_ms = 0.; cache_hit = false; dedup = false; lane_winner = None }
+  { queue_wait_ms; solve_wall_ms = 0.; cache_hit = false; dedup = false }
 
 (* ---------- the certified envelope ---------- *)
 
@@ -230,6 +226,51 @@ let failed_response ~v ~id status r =
 
 (* ---------- workers ---------- *)
 
+(* the solver that answers a request: its own [solver], else this
+   server's default *)
+let solver_of t (p : Protocol.solve_params) =
+  Option.value p.Protocol.solver ~default:t.cfg.default_solver
+
+(* the cache/dedupe key of a solve: the instance under [solver_of] *)
+let solve_key t (p : Protocol.solve_params) specs =
+  Protocol.solve_key { p with Protocol.solver = Some (solver_of t p) } specs
+
+(* the one memoized solve step behind both workers: arm the request's
+   budget (its deadline less the queue wait, stopped by the drain
+   token), answer from the cache or run the solver, and charge the
+   solve histogram and the server's counters. The server owns the
+   memoization (one find, one put) so its hit/miss counters stay exact;
+   as in Alloc_model's own cache, only proven optima are stored. [key]
+   names the solver, so no request is answered from another solver's
+   entry. *)
+let cached_solve t ~key ~queue_wait ?warm_start (p : Protocol.solve_params) specs =
+  let deadline_s = Option.map (fun ms -> (ms /. 1000.) -. queue_wait) p.Protocol.deadline_ms in
+  let budget = Engine.Budget.arm (Engine.Budget.make ?deadline_s ~cancel:t.drain_tok ()) in
+  let trace = Engine.Telemetry.create () in
+  let outcome =
+    match Runtime.Cache.find t.cache key with
+    | Some alloc -> `Solved (Ok alloc, true)
+    | None -> (
+      match
+        Hslb.Alloc_model.solve ~solver:(solver_of t p) ~objective:p.Protocol.objective ?warm_start ~budget ~trace
+          ~n_total:p.Protocol.n_total specs
+      with
+      | r ->
+        (match r with
+        | Ok alloc when alloc.Hslb.Alloc_model.status = Minlp.Solution.Optimal ->
+          Runtime.Cache.put t.cache key alloc
+        | Ok _ | Error _ -> ());
+        `Solved (r, false)
+      | exception e ->
+        (* a solver crash must still answer the request and every
+           attached follower, or admitted requests would be lost *)
+        `Crashed (Printexc.to_string e))
+  in
+  let solve_wall = Engine.Budget.elapsed_s budget in
+  Obs.Metrics.Histogram.observe t.solve_h (solve_wall *. 1000.);
+  locked t (fun () -> Engine.Telemetry.merge_into t.tally trace);
+  (outcome, solve_wall)
+
 let respond_solve t ~v ~id ~reply ~op ?extra result ~audit ~policy r =
   (match result with
   | Ok alloc -> reply_line t reply (ok_response ~v ~id ?extra alloc ~audit ~policy r)
@@ -284,36 +325,7 @@ let process_solve t (job : job) (sj : solve_job) =
         t.n_served <- t.n_served + 1 + List.length followers)
   end
   else begin
-    let deadline_s = Option.map (fun ms -> (ms /. 1000.) -. queue_wait) p.Protocol.deadline_ms in
-    let budget = Engine.Budget.arm (Engine.Budget.make ?deadline_s ~cancel:t.drain_tok ()) in
-    let solver = Option.value p.Protocol.solver ~default:t.cfg.default_solver in
-    let strategy = Option.value p.Protocol.strategy ~default:t.cfg.default_strategy in
-    let race_report = ref None in
-    let req_tally = Engine.Telemetry.create () in
-    (* the server owns the memoization (one find, one put) so its
-       hit/miss counters stay exact; the rule matches Alloc_model's
-       internal one — only proven optima are replayable *)
-    let outcome =
-      match Runtime.Cache.find t.cache sj.key with
-      | Some alloc -> `Solved (Ok alloc, true)
-      | None -> (
-        match
-          Hslb.Alloc_model.solve ~strategy ~solver ~objective:p.Protocol.objective
-            ~budget ~trace:req_tally ~race_report ~n_total:p.Protocol.n_total sj.specs
-        with
-        | r ->
-          (match r with
-          | Ok alloc when alloc.Hslb.Alloc_model.status = Minlp.Solution.Optimal ->
-            Runtime.Cache.put t.cache sj.key alloc
-          | Ok _ | Error _ -> ());
-          `Solved (r, false)
-        | exception e ->
-          (* a solver crash must still answer the leader AND every
-             attached follower, or admitted requests would be lost *)
-          `Crashed (Printexc.to_string e))
-    in
-    let solve_wall = Engine.Budget.elapsed_s budget in
-    Obs.Metrics.Histogram.observe t.solve_h (solve_wall *. 1000.);
+    let outcome, solve_wall = cached_solve t ~key:sj.key ~queue_wait p sj.specs in
     Obs.Metrics.Histogram.observe t.qwait_h (queue_wait *. 1000.);
     List.iter
       (fun (_, arr, _, _, _) ->
@@ -326,7 +338,6 @@ let process_solve t (job : job) (sj : solve_job) =
         solve_wall_ms = solve_wall *. 1000.;
         cache_hit;
         dedup = false;
-        lane_winner = Option.map (fun r -> r.Engine.Run_report.winner) !race_report;
       }
     in
     (match outcome with
@@ -393,9 +404,7 @@ let process_solve t (job : job) (sj : solve_job) =
       List.iter
         (fun (fid, arr, freply, _, fv) -> answer ~v:fv fid freply (follower_tele arr tele))
         followers);
-    locked t (fun () ->
-        Engine.Telemetry.merge_into t.tally req_tally;
-        t.n_served <- t.n_served + 1 + List.length followers)
+    locked t (fun () -> t.n_served <- t.n_served + 1 + List.length followers)
   end
 
 (* ---------- resolve: online update, certificate, warm re-solve ---------- *)
@@ -477,18 +486,24 @@ let process_resolve t (job : job) (rj : resolve_job) =
   else begin
     let specs = updated_specs rj in
     let k = List.length specs in
-    if Array.length rp.Protocol.prev <> k then begin
+    (* keyed like a place-free solve of the UPDATED model (a resolve
+       answers no placement), so a later solve or resolve of the drifted
+       model with the same solver replays the answer *)
+    let key =
+      if Array.length rp.Protocol.prev <> k then
+        Error
+          (Printf.sprintf "field \"prev\": expected %d entries (one per model class), got %d"
+             k (Array.length rp.Protocol.prev))
+      else solve_key t { p with Protocol.place = None } specs
+    in
+    match key with
+    | Error msg ->
       let tele = zero_tele ~queue_wait_ms:(queue_wait *. 1000.) in
       finish_tele tele;
-      reply_line t job.reply
-        (Protocol.error_response ~v ~id:job.jid ~outcome:"error"
-           (Printf.sprintf
-              "field \"prev\": expected %d entries (one per model class), got %d" k
-              (Array.length rp.Protocol.prev)));
+      reply_line t job.reply (Protocol.error_response ~v ~id:job.jid ~outcome:"error" msg);
       telemetry_line t ~id:job.jid ~op:"resolve" ~outcome:"error" ~status:None tele;
       locked t (fun () -> t.n_served <- t.n_served + 1)
-    end
-    else begin
+    | Ok key -> (
       let eps = Option.value rp.Protocol.epsilon ~default:default_epsilon in
       let verdict =
         match p.Protocol.objective with
@@ -541,42 +556,10 @@ let process_resolve t (job : job) (rj : resolve_job) =
             t.n_resolve_skipped <- t.n_resolve_skipped + 1;
             t.n_served <- t.n_served + 1)
       | Audit.Sensitivity.Rejected { certificate; reason = _ } ->
-        let deadline_s =
-          Option.map (fun ms -> (ms /. 1000.) -. queue_wait) p.Protocol.deadline_ms
-        in
-        let budget = Engine.Budget.arm (Engine.Budget.make ?deadline_s ~cancel:t.drain_tok ()) in
-        let solver = Option.value p.Protocol.solver ~default:t.cfg.default_solver in
-        let strategy = Option.value p.Protocol.strategy ~default:t.cfg.default_strategy in
-        let race_report = ref None in
-        let req_tally = Engine.Telemetry.create () in
-        (* memoized under the UPDATED model's fingerprint — a later
-           solve (or resolve) of the drifted model replays it *)
-        let key =
-          Hslb.Alloc_model.fingerprint ~objective:p.Protocol.objective
-            ~n_total:p.Protocol.n_total specs
-        in
         (* warm-start from the incumbent only when it is feasible under
            the new model (a certificate record was computed at all) *)
         let warm_start = if certificate <> None then Some rp.Protocol.prev else None in
-        let outcome =
-          match Runtime.Cache.find t.cache key with
-          | Some alloc -> `Solved (Ok alloc, true)
-          | None -> (
-            match
-              Hslb.Alloc_model.solve ~strategy ~solver ~objective:p.Protocol.objective
-                ?warm_start ~budget ~trace:req_tally ~race_report
-                ~n_total:p.Protocol.n_total specs
-            with
-            | r ->
-              (match r with
-              | Ok alloc when alloc.Hslb.Alloc_model.status = Minlp.Solution.Optimal ->
-                Runtime.Cache.put t.cache key alloc
-              | Ok _ | Error _ -> ());
-              `Solved (r, false)
-            | exception e -> `Crashed (Printexc.to_string e))
-        in
-        let solve_wall = Engine.Budget.elapsed_s budget in
-        Obs.Metrics.Histogram.observe t.solve_h (solve_wall *. 1000.);
+        let outcome, solve_wall = cached_solve t ~key ~queue_wait ?warm_start p specs in
         finish_tele (zero_tele ~queue_wait_ms:(queue_wait *. 1000.));
         let tele =
           {
@@ -584,7 +567,6 @@ let process_resolve t (job : job) (rj : resolve_job) =
             solve_wall_ms = solve_wall *. 1000.;
             cache_hit = (match outcome with `Solved (_, hit) -> hit | `Crashed _ -> false);
             dedup = false;
-            lane_winner = Option.map (fun r -> r.Engine.Run_report.winner) !race_report;
           }
         in
         (match outcome with
@@ -605,10 +587,8 @@ let process_resolve t (job : job) (rj : resolve_job) =
                ("internal error: " ^ msg));
           telemetry_line t ~id:job.jid ~op:"resolve" ~outcome:"error" ~status:None tele);
         locked t (fun () ->
-            Engine.Telemetry.merge_into t.tally req_tally;
             t.n_resolved <- t.n_resolved + 1;
-            t.n_served <- t.n_served + 1)
-    end
+            t.n_served <- t.n_served + 1))
   end
 
 let process_sleep t (job : job) dur =
@@ -948,7 +928,7 @@ let submit ?reply t line =
          fingerprint when a place section rides along; a malformed
          place section (wrong arity, asymmetric traffic, memory
          infeasibility) is rejected here, before any solver work *)
-      match Protocol.solve_key p specs with
+      match solve_key t p specs with
       | Error msg ->
         locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);
         reply_line t reply (Protocol.error_response ~v ~id ~outcome:"error" msg)

@@ -2,8 +2,9 @@
 
     One {!t} owns a bounded request queue, a {!Runtime.Pool} worker set
     of solver domains, a {!Runtime.Cache} of proven-optimal allocations
-    keyed by {!Hslb.Alloc_model.fingerprint}, and an in-flight dedupe
-    table over the same key. The core is transport-agnostic: a
+    keyed by {!Protocol.solve_key} (the instance and the solver that
+    answers it: the request's [solver], else [default_solver]), and an
+    in-flight dedupe table over the same key. The core is transport-agnostic: a
     transport ({!Transport_stdio}, {!Transport_socket}, or a test
     harness) feeds raw request lines to {!submit} together with the
     reply sink of the connection each line arrived on; every response
@@ -20,7 +21,7 @@
     malformed requests ([outcome "error"]), for requests arriving past
     the queue high-water mark ([outcome "overloaded"]; the queue never
     grows unboundedly), and for requests arriving after drain started
-    ([outcome "draining"]). Identical solves (equal fingerprints) still
+    ([outcome "draining"]). Identical solves (equal keys) still
     waiting in the queue are deduped: followers attach to the queued
     leader and receive its result when it completes, marked
     [dedup true]. Once a solve has {e started} an identical request
@@ -58,7 +59,7 @@ type config = {
       (** how long after drain starts in-flight/queued solves may keep
           running before the drain token budget-cancels them *)
   default_solver : Engine.Solver_choice.t;
-  default_strategy : Runtime.Portfolio.strategy;
+      (** the solver for requests that name none; part of their key *)
   audit : bool;
       (** re-verify each solve's certificate with the independent
           auditor and include the verdict in the response envelope *)
@@ -72,7 +73,7 @@ type config = {
 }
 
 (** jobs from {!Runtime.Config.jobs}, queue limit 64, cache capacity
-    128, grace 2 s, solver oa, strategy auto, audit on, policy
+    128, grace 2 s, solver oa, audit on, policy
     {!Arena.Policy.builtin}. *)
 val default_config : unit -> config
 
@@ -85,7 +86,7 @@ type t
     newline and is called from worker domains and from [submit]'s
     caller under an internal lock, so it needs no locking of its own.
     [telemetry], when given, receives one JSON line per finished
-    request (queue wait, solve wall, cache hit, dedup, lane winner) —
+    request (queue wait, solve wall, cache hit, dedup) —
     the replayable trace.
     @raise Invalid_argument on a non-positive [jobs]/[queue_limit]. *)
 val create : ?telemetry:(string -> unit) -> config -> emit:(string -> unit) -> t

@@ -154,7 +154,7 @@ let test_residue_sizes_ordered () =
 
 let test_polypeptide_sequence () =
   let open Fmo.Molecule in
-  let m = polypeptide ~rng:(Numerics.Rng.create 1) [ Gly; Trp; Ala ] in
+  let m = polypeptide [ Gly; Trp; Ala ] in
   Alcotest.(check int) "3 residues" 3 m.num_monomers;
   let counts = List.map (fun i -> List.length (monomer_atoms m i)) [ 0; 1; 2 ] in
   Alcotest.(check (list int)) "per-residue atoms"

@@ -42,7 +42,6 @@ let test_ring_deterministic () =
         objective = Hslb.Objective.Min_max;
         deadline_ms = None;
         solver = None;
-        strategy = None;
         allowed = None;
         policy = None;
         place = None;
@@ -173,7 +172,6 @@ let start_backend ?(jobs = 1) ?(cache_capacity = 8) () =
       cache_capacity;
       drain_grace_s = 5.0;
       default_solver = Engine.Solver_choice.Oa;
-      default_strategy = `Single Engine.Solver_choice.Oa;
       audit = false;
       policy = Arena.Policy.builtin;
     }

@@ -1,7 +1,7 @@
 (* Observability subsystem tests: span scoping and cross-domain
-   stitching (the portfolio-race acceptance criterion), the metrics
-   registry under concurrent update, the exporters, and the engine /
-   runtime / report integration points. *)
+   stitching (pool tasks parent to the span that launched them), the
+   metrics registry under concurrent update, the exporters, and the
+   engine / runtime / report integration points. *)
 
 let contains_substring s sub =
   let n = String.length s and m = String.length sub in
@@ -79,111 +79,7 @@ let test_span_context_across_domains () =
   Alcotest.(check bool) "child parented across domain boundary" true
     (child.Obs.Span.parent = Some root.Obs.Span.id)
 
-(* ---------- the acceptance criterion: portfolio race stitching ---------- *)
-
-let fitted_of_law ~name ~count law =
-  let cls =
-    Hslb.Classes.make ~name ~count (fun ~nodes -> Scaling_law.eval_int law nodes)
-  in
-  List.hd
-    (Hslb.Classes.gather_and_fit ~rng:(Numerics.Rng.create 11)
-       ~sizes:[ 1; 2; 4; 8; 16; 64 ] ~reps:1 [ cls ])
-
-let race_specs () =
-  List.init 3 (fun i ->
-      let law =
-        Scaling_law.make
-          ~a:(120. +. (60. *. float_of_int i))
-          ~b:1e-6 ~c:0.9
-          ~d:(0.5 +. float_of_int i)
-      in
-      Hslb.Alloc_model.spec_of ~allowed:[ 1; 2; 4; 8; 16 ]
-        (fitted_of_law ~name:(Printf.sprintf "k%d" i) ~count:1 law))
-
-let test_portfolio_race_stitching () =
-  let spans =
-    traced @@ fun () ->
-    (match Hslb.Alloc_model.solve ~strategy:`Portfolio ~n_total:32 (race_specs ()) with
-    | Ok _ -> ()
-    | Error st ->
-      Alcotest.failf "portfolio solve failed: %s" (Minlp.Solution.status_to_string st));
-    Obs.Span.drain ()
-  in
-  let roots = List.filter (fun s -> s.Obs.Span.name = "portfolio.race") spans in
-  Alcotest.(check int) "exactly one race root span" 1 (List.length roots);
-  let root = List.hd roots in
-  Alcotest.(check bool) "race root has no parent" true (root.Obs.Span.parent = None);
-  let lanes =
-    List.filter
-      (fun s ->
-        String.length s.Obs.Span.name >= 5 && String.sub s.Obs.Span.name 0 5 = "lane:")
-      spans
-  in
-  let lane_names = List.sort compare (List.map (fun s -> s.Obs.Span.name) lanes) in
-  Alcotest.(check (list string))
-    "one child span per racing lane"
-    [ "lane:bnb"; "lane:oa"; "lane:oa-multi" ]
-    lane_names;
-  List.iter
-    (fun l ->
-      Alcotest.(check bool)
-        (l.Obs.Span.name ^ " parented to the race root")
-        true
-        (l.Obs.Span.parent = Some root.Obs.Span.id))
-    lanes
-
-(* the staggered-lazy race skips the laggards when the leader wins
-   inside the window, so forcing cross-domain stitching needs a slow,
-   non-final leader: with a zero stagger the laggards spawn at the
-   leader's first budget-poll window and their spans must still parent
-   to the race root across the domain boundary *)
-let test_race_cross_domain_stitching () =
-  let spans =
-    traced @@ fun () ->
-    let lane name finish_s =
-      ( name,
-        fun b ->
-          let t0 = Unix.gettimeofday () in
-          let rec loop () =
-            if Engine.Budget.check b <> None then `Cancelled
-            else if Unix.gettimeofday () -. t0 >= finish_s then `Done
-            else begin
-              Unix.sleepf 0.002;
-              loop ()
-            end
-          in
-          loop () )
-    in
-    let outcome =
-      Runtime.Portfolio.race ~stagger_s:0.
-        ~final:(fun v -> v = `Done)
-        ~better:(fun _ _ -> false)
-        [ lane "slow-leader" 10.; lane "quick" 0.05 ]
-    in
-    Alcotest.(check string) "laggard wins" "quick" outcome.Runtime.Portfolio.winner;
-    Obs.Span.drain ()
-  in
-  let root = List.find (fun s -> s.Obs.Span.name = "portfolio.race") spans in
-  let lanes =
-    List.filter
-      (fun s ->
-        String.length s.Obs.Span.name >= 5 && String.sub s.Obs.Span.name 0 5 = "lane:")
-      spans
-  in
-  Alcotest.(check int) "both lanes emitted spans" 2 (List.length lanes);
-  List.iter
-    (fun l ->
-      Alcotest.(check bool)
-        (l.Obs.Span.name ^ " parented to the race root")
-        true
-        (l.Obs.Span.parent = Some root.Obs.Span.id))
-    lanes;
-  (* the laggard really ran on a worker domain, i.e. the parent link
-     survived a domain boundary, not just lexical nesting *)
-  let domains =
-    List.sort_uniq compare (List.map (fun l -> l.Obs.Span.domain) lanes)
-  in
-  Alcotest.(check bool) "lanes span more than one domain" true (List.length domains > 1)
+(* ---------- cross-domain stitching: pool tasks ---------- *)
 
 let test_pool_task_spans () =
   let spans =
@@ -509,7 +405,6 @@ let gate_corruptions =
   let strategy s = row0 @ [ K "cells"; W ("strategy", s) ] in
   let exact0 = [ K "exact"; I 0 ] in
   let kernel0 = [ K "kernels"; I 0 ] in
-  let inst0 = [ K "instances"; I 0 ] in
   let registry = [ K "registry_quick" ] in
   let take n = function Arr vs -> Arr (List.filteri (fun i _ -> i < n) vs) | v -> v in
   [
@@ -572,19 +467,11 @@ let gate_corruptions =
     ("BENCH_kernels.json", "min_wall_s", set (kernel0 @ [ K "candidate_wall_s" ]) (Num (-1.)));
     ("BENCH_kernels.json", "speedup_rel_error", set (kernel0 @ [ K "speedup" ]) (Num 100.));
     ("BENCH_kernels.json", "not_identical", set (kernel0 @ [ K "identical" ]) (Bool false));
-    ("BENCH_portfolio.json", "instances", set [ K "instances" ] (Arr []));
-    ("BENCH_portfolio.json", "min_singles", set (inst0 @ [ K "singles" ]) (Arr []));
-    ( "BENCH_portfolio.json",
-      "objective_mismatches",
-      set (inst0 @ [ K "objective_match" ]) (Bool false) );
-    ( "BENCH_portfolio.json",
-      "race_wall_over_allowance_s",
-      set (inst0 @ [ K "portfolio"; K "wall_s" ]) (Num 100.) );
-    ("BENCH_portfolio.json", "registry_speedup", set (registry @ [ K "speedup" ]) (Num 0.5));
-    ( "BENCH_portfolio.json",
+    ("BENCH_runtime.json", "registry_speedup", set (registry @ [ K "speedup" ]) (Num 0.5));
+    ( "BENCH_runtime.json",
       "registry_core_starved",
       set (registry @ [ K "core_starved" ]) (Bool true) );
-    ( "BENCH_portfolio.json",
+    ( "BENCH_runtime.json",
       "registry_jobs_over_clamp",
       set (registry @ [ K "effective_jobs" ]) (Num 99.) );
     ("BENCH_fleet.json", "backends", set [ K "backends" ] (Num 1.));
@@ -608,9 +495,10 @@ let decode_corruptions =
     ( "BENCH_arena.json",
       set [ K "rows"; I 0; K "cells"; I 2; K "regret_vs_dynamic" ] (Num Float.infinity),
       {|rows[0]: cells[2]: field "regret_vs_dynamic": expected a finite number|} );
-    ( "BENCH_portfolio.json",
+    ( "BENCH_runtime.json",
       set [ K "registry_quick" ] (Arr []),
       {|field "registry_quick": expected an object|} );
+    ("BENCH_runtime.json", set [ K "cache" ] Null, {|field "cache": expected an object|});
   ]
 
 let test_bench_gates () =
@@ -676,7 +564,7 @@ let test_bench_gates () =
   (* (c) an unknown schema names the known ones *)
   let known =
     "hslb-bench-arena-v1, hslb-bench-resolve-v1, hslb-bench-place-v1, \
-     hslb-bench-kernels-v1, hslb-bench-portfolio-v2, hslb-bench-fleet-v1"
+     hslb-bench-kernels-v1, hslb-bench-runtime-v1, hslb-bench-fleet-v1"
   in
   Alcotest.(check (result pass string))
     "unknown schema"
@@ -693,7 +581,7 @@ let test_bench_gates () =
 let test_bench_argv () =
   let accepted =
     "--quick, --audit, --only ID, --report FILE, --trace FILE, --jobs N, --seed N, \
-     --trials N, --portfolio FILE, --kernels FILE, --obs-bench FILE, --resolve FILE, \
+     --trials N, --runtime FILE, --kernels FILE, --obs-bench FILE, --resolve FILE, \
      --place FILE"
   in
   let parse = Cli_common.Argv.parse in
@@ -732,9 +620,6 @@ let () =
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception passthrough" `Quick test_span_exception_passthrough;
           Alcotest.test_case "context across domains" `Quick test_span_context_across_domains;
-          Alcotest.test_case "portfolio race stitching" `Quick test_portfolio_race_stitching;
-          Alcotest.test_case "race cross-domain stitching" `Quick
-            test_race_cross_domain_stitching;
           Alcotest.test_case "pool task spans" `Quick test_pool_task_spans;
         ] );
       ( "engine",

@@ -1,6 +1,6 @@
 (* Runtime subsystem tests: worker pool, solve cache + fingerprints,
-   portfolio racing, cross-domain cancellation, and the model-store
-   error-reporting satellite. *)
+   cross-domain cancellation, and the model-store error-reporting
+   satellite. *)
 
 let check_float ?(eps = 1e-6) msg expected actual =
   if Float.abs (expected -. actual) > eps *. (1. +. Float.abs expected) then
@@ -185,12 +185,18 @@ let e6_specs ?allowed ?(classes = 6) () =
 (* ---------- fingerprints ---------- *)
 
 let test_fingerprint_injective () =
-  let fp = Hslb.Alloc_model.fingerprint in
+  let fp = Hslb.Alloc_model.fingerprint ~solver:Engine.Solver_choice.Oa in
   let specs = e6_specs ~classes:2 () in
   let with_allowed vals =
     List.map (fun s -> { s with Hslb.Alloc_model.allowed = Some vals }) specs
   in
   let base = fp ~objective:Hslb.Objective.Min_max ~n_total:64 specs in
+  (* a cached answer is only ever replayed to requests for the solver
+     that produced it *)
+  Alcotest.(check bool) "solver distinguishes" true
+    (base
+    <> Hslb.Alloc_model.fingerprint ~solver:Engine.Solver_choice.Bnb
+         ~objective:Hslb.Objective.Min_max ~n_total:64 specs);
   Alcotest.(check bool) "objective distinguishes" true
     (base <> fp ~objective:Hslb.Objective.Min_sum ~n_total:64 specs);
   Alcotest.(check bool) "n_total distinguishes" true
@@ -261,7 +267,7 @@ let test_cache_skips_unproven () =
   | Error _ -> ());
   Alcotest.(check int) "nothing stored" 0 (Runtime.Cache.length cache)
 
-(* ---------- shared-budget racing primitives ---------- *)
+(* ---------- shared-budget cancellation primitives ---------- *)
 
 let test_with_extra_cancel () =
   let tok = Engine.Cancel.create () in
@@ -338,333 +344,6 @@ let test_cross_domain_cancel () =
       (Float.is_finite alloc.Hslb.Alloc_model.predicted_makespan)
   | Error st ->
     Alcotest.failf "incumbent lost: %s" (Minlp.Solution.status_to_string st)
-
-(* ---------- portfolio racing ---------- *)
-
-let test_strategy_strings () =
-  Alcotest.(check bool) "auto" true (Runtime.Portfolio.strategy_of_string "auto" = Ok `Auto);
-  Alcotest.(check bool) "portfolio" true
-    (Runtime.Portfolio.strategy_of_string "portfolio" = Ok `Portfolio);
-  Alcotest.(check bool) "race alias" true
-    (Runtime.Portfolio.strategy_of_string "race" = Ok `Portfolio);
-  Alcotest.(check bool) "solver name" true
-    (Runtime.Portfolio.strategy_of_string "bnb" = Ok (`Single Engine.Solver_choice.Bnb));
-  Alcotest.(check bool) "garbage" true
-    (match Runtime.Portfolio.strategy_of_string "quantum" with
-    | Error _ -> true
-    | Ok _ -> false);
-  List.iter
-    (fun s ->
-      match Runtime.Portfolio.strategy_of_string (Runtime.Portfolio.strategy_to_string s) with
-      | Ok s' -> Alcotest.(check bool) "roundtrip" true (s = s')
-      | Error e -> Alcotest.fail e)
-    [ `Auto; `Portfolio; `Single Engine.Solver_choice.Oa_multi ]
-
-let test_race_first_final_wins () =
-  (* a slow lane polls the shared budget; the fast lane's final answer
-     must cancel it long before its 10 s of sleeping is up *)
-  let slow budget =
-    let i = ref 0 in
-    while Engine.Budget.check budget = None && !i < 1000 do
-      incr i;
-      Unix.sleepf 0.01
-    done;
-    if !i >= 1000 then "slow-finished" else "slow-cancelled"
-  in
-  let fast _budget = "fast" in
-  let t0 = Unix.gettimeofday () in
-  let outcome =
-    Runtime.Portfolio.race
-      ~final:(fun v -> v = "fast")
-      ~better:(fun _ _ -> false)
-      [ ("slow", slow); ("fast", fast) ]
-  in
-  Alcotest.(check string) "final lane wins" "fast" outcome.Runtime.Portfolio.winner;
-  Alcotest.(check int) "winner index" 1 outcome.Runtime.Portfolio.winner_index;
-  Alcotest.(check bool) "race returned promptly" true (Unix.gettimeofday () -. t0 < 5.);
-  Alcotest.(check int) "both lanes reported" 2
-    (List.length outcome.Runtime.Portfolio.lanes);
-  match outcome.Runtime.Portfolio.lanes with
-  | [ l_slow; l_fast ] ->
-    Alcotest.(check bool) "slow lane unwound via the race token" true
-      (l_slow.Runtime.Portfolio.outcome = Ok "slow-cancelled");
-    Alcotest.(check bool) "fast lane final" true l_fast.Runtime.Portfolio.is_final
-  | _ -> Alcotest.fail "lane list shape"
-
-let test_race_best_incumbent_on_exhaustion () =
-  (* nobody final: the better incumbent wins, ties keep the earlier lane *)
-  let outcome =
-    Runtime.Portfolio.race
-      ~final:(fun _ -> false)
-      ~better:(fun a b -> a > b)
-      [ ("one", fun _ -> 1); ("three", fun _ -> 3); ("two", fun _ -> 2) ]
-  in
-  Alcotest.(check string) "best incumbent" "three" outcome.Runtime.Portfolio.winner;
-  Alcotest.(check int) "value" 3 outcome.Runtime.Portfolio.value;
-  (* a raising lane loses but its exception is preserved in the lanes *)
-  let outcome2 =
-    Runtime.Portfolio.race
-      ~final:(fun _ -> false)
-      ~better:(fun a b -> a > b)
-      [ ("bad", fun _ -> failwith "lane-raised"); ("ok", fun _ -> 7) ]
-  in
-  Alcotest.(check string) "survivor wins" "ok" outcome2.Runtime.Portfolio.winner;
-  (match (List.hd outcome2.Runtime.Portfolio.lanes).Runtime.Portfolio.outcome with
-  | Error (Failure m) -> Alcotest.(check string) "exn kept" "lane-raised" m
-  | _ -> Alcotest.fail "expected the first lane to carry its exception");
-  (* every lane raising re-raises the first lane's exception *)
-  match
-    Runtime.Portfolio.race
-      ~final:(fun _ -> false)
-      ~better:(fun _ _ -> false)
-      [ ("a", fun _ -> failwith "first"); ("b", fun _ -> failwith "second") ]
-  with
-  | (_ : int Runtime.Portfolio.outcome) -> Alcotest.fail "expected a re-raise"
-  | exception Failure m -> Alcotest.(check string) "first lane's exception" "first" m
-
-let test_race_leader_runs_on_caller () =
-  (* the spawn-tax fix: the predicted-fastest lane must run inline on
-     the calling domain, and a leader that proves its answer inside the
-     stagger window must keep the other lanes from ever starting *)
-  let caller = Domain.self () in
-  let leader_domain = ref None in
-  let laggard_ran = Atomic.make false in
-  let outcome =
-    Runtime.Portfolio.race ~stagger_s:3600.
-      ~final:(fun _ -> true)
-      ~better:(fun _ _ -> false)
-      [
-        ( "lead",
-          fun _ ->
-            leader_domain := Some (Domain.self ());
-            42 );
-        ( "laggard",
-          fun _ ->
-            Atomic.set laggard_ran true;
-            0 );
-      ]
-  in
-  Alcotest.(check int) "leader's value" 42 outcome.Runtime.Portfolio.value;
-  Alcotest.(check string) "leader wins" "lead" outcome.Runtime.Portfolio.winner;
-  Alcotest.(check bool) "leader ran on the calling domain" true
-    (!leader_domain = Some caller);
-  Alcotest.(check bool) "laggard never started" false (Atomic.get laggard_ran);
-  (match outcome.Runtime.Portfolio.lanes with
-  | [ _; l ] ->
-    Alcotest.(check bool) "skipped outcome" true
-      (l.Runtime.Portfolio.outcome = Error Runtime.Portfolio.Skipped);
-    Alcotest.(check bool) "skipped lane has zero wall" true
-      (l.Runtime.Portfolio.lane_wall_s = 0.)
-  | _ -> Alcotest.fail "lane list shape");
-  (* a 1-entrant race is just a call on the caller's domain *)
-  let solo_domain = ref None in
-  let solo =
-    Runtime.Portfolio.race
-      ~final:(fun _ -> false)
-      ~better:(fun _ _ -> false)
-      [
-        ( "solo",
-          fun _ ->
-            solo_domain := Some (Domain.self ());
-            7 );
-      ]
-  in
-  Alcotest.(check int) "solo value" 7 solo.Runtime.Portfolio.value;
-  Alcotest.(check bool) "solo lane on the calling domain" true (!solo_domain = Some caller)
-
-let test_race_nonfinal_leader_spawns_laggards () =
-  (* a leader that returns without a proven answer must hand over to
-     the remaining lanes even when the stagger window never elapsed *)
-  let outcome =
-    Runtime.Portfolio.race ~stagger_s:3600.
-      ~final:(fun v -> v = 9)
-      ~better:(fun a b -> a > b)
-      [ ("lead", fun _ -> 1); ("closer", fun _ -> 9) ]
-  in
-  Alcotest.(check string) "laggard finishes the job" "closer"
-    outcome.Runtime.Portfolio.winner;
-  Alcotest.(check int) "laggard's value" 9 outcome.Runtime.Portfolio.value;
-  List.iter
-    (fun (l : int Runtime.Portfolio.lane) ->
-      Alcotest.(check bool)
-        (l.Runtime.Portfolio.lane_name ^ " actually ran")
-        true
-        (match l.Runtime.Portfolio.outcome with Ok _ -> true | Error _ -> false))
-    outcome.Runtime.Portfolio.lanes
-
-let test_portfolio_leader_byte_identical_to_single () =
-  (* with the laggards held back by a huge stagger window, a portfolio
-     whose leader proves optimality is the leader: same allocation and
-     objective down to the last bit as the `Single run of that solver *)
-  let specs = e6_specs ~allowed:[ 1; 2; 4; 8; 16; 32 ] () in
-  let n_total = 256 in
-  let leader =
-    match Engine.Solver_choice.all with
-    | s :: _ -> s
-    | [] -> Alcotest.fail "no solvers"
-  in
-  let single =
-    match Hslb.Alloc_model.solve ~strategy:(`Single leader) ~n_total specs with
-    | Ok a -> a
-    | Error st -> Alcotest.failf "single failed: %s" (Minlp.Solution.status_to_string st)
-  in
-  let before = Runtime.Config.stagger_s () in
-  Runtime.Config.set_stagger_s 3600.;
-  Fun.protect ~finally:(fun () -> Runtime.Config.set_stagger_s before) @@ fun () ->
-  let report = ref None in
-  let portfolio =
-    match Hslb.Alloc_model.solve ~strategy:`Portfolio ~race_report:report ~n_total specs with
-    | Ok a -> a
-    | Error st -> Alcotest.failf "portfolio failed: %s" (Minlp.Solution.status_to_string st)
-  in
-  Alcotest.(check bool) "same allocation" true
-    (single.Hslb.Alloc_model.nodes_per_task = portfolio.Hslb.Alloc_model.nodes_per_task);
-  Alcotest.(check bool) "same makespan bits" true
-    (Int64.bits_of_float single.Hslb.Alloc_model.predicted_makespan
-    = Int64.bits_of_float portfolio.Hslb.Alloc_model.predicted_makespan);
-  match !report with
-  | None -> Alcotest.fail "race report missing"
-  | Some race ->
-    Alcotest.(check string) "leader won" (Engine.Solver_choice.to_string leader)
-      race.Engine.Run_report.winner;
-    (match race.Engine.Run_report.lanes with
-    | winner :: rest ->
-      Alcotest.(check bool) "winner not skipped" true
-        (winner.Engine.Run_report.lane_status <> "skipped");
-      List.iter
-        (fun (l : Engine.Run_report.lane) ->
-          Alcotest.(check string)
-            (l.Engine.Run_report.lane_solver ^ " skipped")
-            "skipped" l.Engine.Run_report.lane_status)
-        rest
-    | [] -> Alcotest.fail "no lanes")
-
-let test_portfolio_matches_best_single () =
-  (* acceptance criterion: on an E6-style workload the racing portfolio
-     returns the same objective as the best single-solver run *)
-  let specs = e6_specs ~allowed:[ 1; 2; 4; 8; 16; 32 ] () in
-  let n_total = 256 in
-  let single =
-    match
-      Hslb.Alloc_model.solve ~strategy:(`Single Engine.Solver_choice.Oa) ~n_total specs
-    with
-    | Ok a -> a
-    | Error st -> Alcotest.failf "single failed: %s" (Minlp.Solution.status_to_string st)
-  in
-  Alcotest.(check bool) "single optimal" true
-    (single.Hslb.Alloc_model.status = Minlp.Solution.Optimal);
-  let race_report = ref None in
-  let tally = Engine.Telemetry.create () in
-  let portfolio =
-    match Hslb.Alloc_model.solve ~strategy:`Portfolio ~trace:tally ~race_report ~n_total specs with
-    | Ok a -> a
-    | Error st ->
-      Alcotest.failf "portfolio failed: %s" (Minlp.Solution.status_to_string st)
-  in
-  Alcotest.(check bool) "portfolio optimal" true
-    (portfolio.Hslb.Alloc_model.status = Minlp.Solution.Optimal);
-  check_float ~eps:1e-4 "same objective" single.Hslb.Alloc_model.predicted_makespan
-    portfolio.Hslb.Alloc_model.predicted_makespan;
-  Alcotest.(check bool) "race work tallied" true (tally.Engine.Telemetry.lp_solves > 0);
-  match !race_report with
-  | None -> Alcotest.fail "race report missing"
-  | Some race ->
-    Alcotest.(check int) "three lanes" 3 (List.length race.Engine.Run_report.lanes);
-    Alcotest.(check bool) "winner is a lane" true
-      (List.exists
-         (fun (l : Engine.Run_report.lane) ->
-           l.Engine.Run_report.lane_solver = race.Engine.Run_report.winner)
-         race.Engine.Run_report.lanes);
-    List.iter
-      (fun (l : Engine.Run_report.lane) ->
-        Alcotest.(check bool) "lane wall clock sane" true
-          (l.Engine.Run_report.lane_wall_s >= 0.
-          && l.Engine.Run_report.lane_wall_s <= race.Engine.Run_report.race_wall_s +. 1.))
-      race.Engine.Run_report.lanes
-
-let test_run_report_race_json () =
-  let t = Engine.Telemetry.create () in
-  let race =
-    {
-      Engine.Run_report.winner = "oa";
-      race_wall_s = 0.5;
-      lanes =
-        [
-          {
-            Engine.Run_report.lane_solver = "oa";
-            lane_status = "optimal";
-            lane_objective = 1.25;
-            lane_wall_s = 0.5;
-            lane_nodes_expanded = 3;
-            lane_lp_solves = 9;
-          };
-        ];
-    }
-  in
-  let r =
-    Engine.Run_report.make ~solver:"portfolio" ~status:"optimal" ~objective:1.25
-      ~cache_hit:true ~race ~wall_s:0.5 t
-  in
-  let json = Engine.Run_report.to_json r in
-  List.iter
-    (fun key ->
-      if not (contains_substring json key) then
-        Alcotest.failf "JSON missing %s in %s" key json)
-    [ "\"cache_hit\":true"; "\"race\":{"; "\"winner\":\"oa\""; "\"lanes\":["; "\"nodes_expanded\":3" ];
-  (* no race -> explicit null, and the csv row stays aligned *)
-  let plain = Engine.Run_report.make ~solver:"oa" ~status:"optimal" ~wall_s:0.1 t in
-  Alcotest.(check bool) "race null" true
-    (contains_substring (Engine.Run_report.to_json plain) "\"race\":null");
-  let header_cols = List.length (String.split_on_char ',' Engine.Run_report.csv_header) in
-  let row_cols = List.length (String.split_on_char ',' (Engine.Run_report.to_csv_row r)) in
-  Alcotest.(check int) "csv arity" header_cols row_cols
-
-(* ---------- layout portfolio ---------- *)
-
-let layout_inputs =
-  lazy
-    (let rng = Numerics.Rng.create 9 in
-     let classes = Layouts.Cesm_data.benchmark_classes ~rng Layouts.Cesm_data.Deg1 in
-     let fits =
-       Hslb.Classes.gather_and_fit ~rng
-         ~sizes:(Hslb.Fitting.recommended_sizes ~n_min:8 ~n_max:1024 ~points:5)
-         ~reps:1 classes
-     in
-     let comp name =
-       Layouts.Component.of_fit ~name
-         (List.find
-            (fun (fc : Hslb.Classes.fitted) -> fc.Hslb.Classes.cls.Hslb.Classes.name = name)
-            fits)
-           .Hslb.Classes.fit
-     in
-     {
-       Layouts.Layout_model.ice = comp "ice";
-       lnd = comp "lnd";
-       atm = comp "atm";
-       ocn = comp "ocn";
-     })
-
-let test_layout_portfolio_matches_single () =
-  let inputs = Lazy.force layout_inputs in
-  let config = Layouts.Layout_model.default_config ~n_total:128 in
-  let layout_ok = function
-    | Ok (a : Layouts.Layout_model.alloc) -> a
-    | Error st ->
-      Alcotest.failf "layout solve failed: %s" (Minlp.Solution.status_to_string st)
-  in
-  let single =
-    layout_ok (Layouts.Layout_model.solve Layouts.Layout_model.Hybrid config inputs)
-  in
-  let raced =
-    layout_ok
-      (Layouts.Layout_model.solve ~strategy:`Portfolio Layouts.Layout_model.Hybrid config
-         inputs)
-  in
-  check_float ~eps:1e-4 "same predicted total" single.Layouts.Layout_model.total
-    raced.Layouts.Layout_model.total;
-  (* the racing path must hand back an auditable certificate *)
-  Alcotest.(check bool) "portfolio certificate present" true
-    (raced.Layouts.Layout_model.certificate <> None)
 
 (* ---------- model store diagnostics ---------- *)
 
@@ -825,23 +504,6 @@ let () =
           Alcotest.test_case "extra cancel view" `Quick test_with_extra_cancel;
           Alcotest.test_case "linked tokens" `Quick test_cancel_link;
           Alcotest.test_case "cross-domain cancel" `Quick test_cross_domain_cancel;
-        ] );
-      ( "portfolio",
-        [
-          Alcotest.test_case "strategy strings" `Quick test_strategy_strings;
-          Alcotest.test_case "first final cancels" `Quick test_race_first_final_wins;
-          Alcotest.test_case "leader on caller, laggards skipped" `Quick
-            test_race_leader_runs_on_caller;
-          Alcotest.test_case "non-final leader spawns laggards" `Quick
-            test_race_nonfinal_leader_spawns_laggards;
-          Alcotest.test_case "leader-won portfolio = single" `Quick
-            test_portfolio_leader_byte_identical_to_single;
-          Alcotest.test_case "best incumbent on exhaustion" `Quick
-            test_race_best_incumbent_on_exhaustion;
-          Alcotest.test_case "matches best single solver" `Quick
-            test_portfolio_matches_best_single;
-          Alcotest.test_case "race in run report" `Quick test_run_report_race_json;
-          Alcotest.test_case "layout race parity" `Quick test_layout_portfolio_matches_single;
         ] );
       ( "model store",
         [

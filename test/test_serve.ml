@@ -220,7 +220,6 @@ let make_harness ?(jobs = 1) ?(queue_limit = 4) ?(drain_grace_s = 5.0) ?telemetr
       cache_capacity = 8;
       drain_grace_s;
       default_solver = Engine.Solver_choice.Oa;
-      default_strategy = `Single Engine.Solver_choice.Oa;
       audit = true;
       policy = Arena.Policy.builtin;
     }
@@ -870,6 +869,87 @@ let test_serve_place_annotation () =
     | Some n -> Alcotest.(check int) "placed counter" 1 n
     | None -> Alcotest.fail "stats missing placed counter")
 
+(* ---------- answers are keyed by the solver that produced them ---------- *)
+
+(* E6a's 4-class model at 512 nodes: Bnb stops above the optimum and
+   still stamps its answer optimal (the audit accepts its certificate),
+   while OA, the server default here, proves 17.880457 *)
+let e6a4_line ~id ?solver () =
+  let csv =
+    Hslb.Model_store.to_csv
+      (List.map
+         (fun (s : Hslb.Alloc_model.spec) -> s.Hslb.Alloc_model.fc)
+         (Experiments.E6_solver.synthetic_specs ~classes:4 ()))
+  in
+  Printf.sprintf {|{"id":%d,"model_csv":%s,"nodes":512%s}|} id
+    (Serve.Json.to_string (Serve.Json.Str csv))
+    (match solver with Some s -> Printf.sprintf {|,"solver":%S|} s | None -> "")
+
+let e6a4_oa_makespan = 17.880457
+
+let audit_of v = Option.bind (Serve.Json.member "audit" v) Serve.Json.str
+
+let tele_flag key v =
+  Option.bind (Serve.Json.member "telemetry" v) (fun t ->
+      Option.bind (Serve.Json.member key t) Serve.Json.bool_)
+
+let check_oa_answer what v =
+  Alcotest.(check string) (what ^ " ok") "ok" (outcome_of v);
+  Alcotest.(check (option string)) (what ^ " answered by oa") (Some "verified (oa)") (audit_of v);
+  Alcotest.(check (option (float 1e-6)))
+    (what ^ " makespan is OA's optimum")
+    (Some e6a4_oa_makespan)
+    (Option.bind (Serve.Json.member "makespan" v) Serve.Json.num)
+
+let test_serve_solver_keyed () =
+  (* (a) the cache: a proven Bnb answer must not be replayed to a
+     request the default solver answers *)
+  let h = make_harness ~jobs:1 () in
+  Serve.Server.submit h.server (e6a4_line ~id:1 ~solver:"bnb" ());
+  wait_until ~timeout:120. "the bnb solve" (fun () -> find_by_id h 1 <> None);
+  Serve.Server.submit h.server (e6a4_line ~id:2 ());
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  let bnb = Option.get (find_by_id h 1) and dflt = Option.get (find_by_id h 2) in
+  Alcotest.(check (option string)) "bnb answered by bnb" (Some "verified (bnb)") (audit_of bnb);
+  Alcotest.(check (option bool)) "default request misses the bnb entry" (Some false)
+    (tele_flag "cache_hit" dflt);
+  check_oa_answer "cache: default request" dflt;
+  (* (b) dedupe: with the one worker held by a sleep, a queued default
+     request must not attach to a queued bnb request *)
+  let h = make_harness ~jobs:1 ~queue_limit:8 () in
+  Serve.Server.submit h.server {|{"id":1,"op":"sleep","ms":150}|};
+  Serve.Server.submit h.server (e6a4_line ~id:2 ~solver:"bnb" ());
+  Serve.Server.submit h.server (e6a4_line ~id:3 ());
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  let bnb = Option.get (find_by_id h 2) and dflt = Option.get (find_by_id h 3) in
+  Alcotest.(check (option string)) "queued bnb answered by bnb" (Some "verified (bnb)")
+    (audit_of bnb);
+  Alcotest.(check (option bool)) "default request not a dedupe follower" (Some false)
+    (tele_flag "dedup" dflt);
+  check_oa_answer "dedupe: default request" dflt
+
+(* unknown request members are ignored in both dialects, "strategy"
+   included (older clients still send it): the request is answered by
+   its solver or the server default *)
+let test_serve_strategy_ignored () =
+  let h = make_harness ~jobs:1 () in
+  Serve.Server.submit h.server (solve_line ~id:1 ~extra:{|,"strategy":"portfolio"|} ());
+  Serve.Server.submit h.server
+    (solve_line ~id:2 ~nodes:24 ~extra:{|,"v":2,"strategy":"portfolio"|} ());
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  List.iter
+    (fun id ->
+      match find_by_id h id with
+      | None -> Alcotest.failf "request %d never answered" id
+      | Some v ->
+        Alcotest.(check string) (Printf.sprintf "id %d ok" id) "ok" (outcome_of v);
+        Alcotest.(check (option string))
+          (Printf.sprintf "id %d answered by the default solver" id)
+          (Some "verified (oa)") (audit_of v))
+    [ 1; 2 ];
+  Alcotest.(check bool) "v2 reply echoes v" true
+    (Option.bind (find_by_id h 2) (Serve.Json.member "v") = Some (Serve.Json.Num 2.))
+
 let () =
   Alcotest.run "serve"
     [
@@ -908,5 +988,7 @@ let () =
           Alcotest.test_case "resolve prev mismatch" `Quick test_serve_resolve_prev_mismatch;
           Alcotest.test_case "version compat" `Quick test_serve_version_compat;
           Alcotest.test_case "place annotation" `Quick test_serve_place_annotation;
+          Alcotest.test_case "answers keyed by solver" `Quick test_serve_solver_keyed;
+          Alcotest.test_case "strategy member ignored" `Quick test_serve_strategy_ignored;
         ] );
     ]
