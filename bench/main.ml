@@ -55,19 +55,7 @@ let e6_problem () =
 let solver_report problem choice =
   let tally = Engine.Telemetry.create () in
   let budget = Engine.Budget.arm Engine.Budget.unlimited in
-  let sol =
-    match choice with
-    | Engine.Solver_choice.Oa -> Minlp.Oa.run ~budget ~tally problem
-    | Engine.Solver_choice.Bnb -> Minlp.Bnb.run ~budget ~tally problem
-    | Engine.Solver_choice.Oa_multi ->
-      (Minlp.Oa_multi.run ~budget ~tally problem).Minlp.Oa_multi.solution
-  in
-  let certificate =
-    Minlp.Solution.certify
-      ~producer:(Engine.Solver_choice.to_string choice)
-      ~budget ~minimize:problem.Minlp.Problem.minimize
-      ~pruned:tally.Engine.Telemetry.nodes_pruned sol
-  in
+  let sol, certificate = Minlp.Solver.run ~budget ~tally choice problem in
   let verdict = Cli_common.audit_minlp problem (Some certificate) in
   let report =
     Engine.Run_report.make

@@ -428,20 +428,8 @@ let minlp_cmd =
     let p = Minlp.Model_text.parse_file file in
     let budget = arm_budget deadline_ms max_nodes in
     let tally = Engine.Telemetry.create () in
-    let sol =
-      match solver with
-      | Engine.Solver_choice.Oa -> Minlp.Oa.run ~budget ~tally p
-      | Engine.Solver_choice.Oa_multi ->
-        (Minlp.Oa_multi.run ~budget ~tally p).Minlp.Oa_multi.solution
-      | Engine.Solver_choice.Bnb -> Minlp.Bnb.run ~budget ~tally p
-    in
+    let sol, certificate = Minlp.Solver.run ~budget ~tally solver p in
     let wall_s = Engine.Budget.elapsed_s budget in
-    let certificate =
-      Minlp.Solution.certify
-        ~producer:(Engine.Solver_choice.to_string solver)
-        ~budget ~minimize:p.Minlp.Problem.minimize
-        ~pruned:tally.Engine.Telemetry.nodes_pruned sol
-    in
     let audit_verdict =
       if audit then Some (Cli_common.audit_minlp p (Some certificate)) else None
     in

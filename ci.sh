@@ -2,7 +2,10 @@
 # CI entry point: format check (when ocamlformat is available), then
 # build, run the full test suite twice — once fully sequential and
 # once with 4-way parallelism in the runtime layer, so the pool and
-# cache code is exercised under both widths — and
+# cache code is exercised under both widths — then the benchmark's own
+# checks (`perfbench/main.exe --self-test`: it builds against the
+# library API and re-runs its per-op correctness checks, so an API or
+# answer break fails here, not in a benchmark run), and
 # finally the seeded fault-injection audit sweep, which fails the
 # build on any certificate rejection or soundness violation (see
 # docs/AUDIT.md).
@@ -70,6 +73,9 @@ HSLB_JOBS=1 dune runtest --force
 
 echo "== dune runtest (HSLB_JOBS=4) =="
 HSLB_JOBS=4 dune runtest --force
+
+echo "== perfbench self-test =="
+dune exec perfbench/main.exe -- --self-test
 
 echo "== audit stress sweep (seed 42, 200 trials) =="
 dune exec bin/hslb_cli.exe -- audit --stress --seed 42 --trials 200 --quiet

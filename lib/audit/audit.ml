@@ -1,5 +1,5 @@
 (** Independent solution auditing: re-verify solver certificates from
-    the raw model ({!Checker}, included below as [Audit.check_*]), and
+    the raw model ({!Checker}, included below as [Audit.check_minlp]), and
     hunt unsound claims with deterministic fault injection
     ({!Stress}). See docs/AUDIT.md. *)
 

@@ -38,59 +38,7 @@ let summary = function
 
 let rel v = 1. +. Float.abs v
 
-(* Claim checking shared by the three model classes: the model enters
-   only through its dimension, a witness-feasibility walk and an
-   objective evaluator, so the status/evidence logic is audited once. *)
-let check_gen ~tol ~dim ~witness_violations ~objective (cert : Engine.Certificate.t) =
-  let acc = ref [] in
-  let add v = acc := v :: !acc in
-  (match cert.Engine.Certificate.witness with
-  | None -> (
-    match cert.claimed_status with
-    | Engine.Status.Optimal | Engine.Status.Feasible _ -> add Missing_witness
-    | Engine.Status.Infeasible | Engine.Status.Unbounded | Engine.Status.Budget_exhausted _
-      -> ())
-  | Some x ->
-    if Array.length x <> dim then
-      add (Witness_dimension { expected = dim; got = Array.length x })
-    else begin
-      List.iter add (witness_violations x);
-      let actual = objective x in
-      if Float.abs (actual -. cert.claimed_obj) > tol *. rel actual then
-        add (Objective_mismatch { claimed = cert.claimed_obj; actual });
-      let key = Engine.Certificate.key cert cert.claimed_obj in
-      if Float.is_finite cert.claimed_bound && cert.claimed_bound > key +. (tol *. rel key)
-      then add (Bound_above_incumbent { bound = cert.claimed_bound; incumbent = key })
-    end);
-  (match cert.claimed_status with
-  | Engine.Status.Optimal -> (
-    match cert.evidence with
-    | Engine.Certificate.Gap_closed ->
-      if not (Float.is_finite cert.claimed_bound) then
-        add (Evidence_mismatch "gap-closed evidence without a finite bound")
-      else
-        let key = Engine.Certificate.key cert cert.claimed_obj in
-        let allowed = (cert.tol +. tol) *. rel key in
-        let gap = key -. cert.claimed_bound in
-        if gap > allowed then add (Gap_open { gap; allowed })
-    | Engine.Certificate.Cover_exhausted c ->
-      if c.open_branches > 0 then add (Open_branches c.open_branches);
-      if c.explored < 1 then add (Evidence_mismatch "cover-exhausted with an empty cover")
-    | Engine.Certificate.Exact_method _ -> ()
-    | Engine.Certificate.Incumbent_only ->
-      add (Evidence_mismatch "optimal claimed on incumbent-only evidence")
-    | Engine.Certificate.No_witness ->
-      add (Evidence_mismatch "optimal claimed on no-witness evidence"))
-  | Engine.Status.Infeasible | Engine.Status.Unbounded -> (
-    match cert.evidence with
-    | Engine.Certificate.No_witness -> ()
-    | Engine.Certificate.Gap_closed | Engine.Certificate.Cover_exhausted _
-    | Engine.Certificate.Exact_method _ | Engine.Certificate.Incumbent_only ->
-      add (Evidence_mismatch "empty-handed final status must carry no-witness evidence"))
-  | Engine.Status.Feasible _ | Engine.Status.Budget_exhausted _ -> ());
-  match List.rev !acc with [] -> Ok () | vs -> Error vs
-
-let minlp_witness_violations ~tol (p : Minlp.Problem.t) x =
+let witness_violations ~tol (p : Minlp.Problem.t) x =
   let acc = ref [] in
   let add v = acc := v :: !acc in
   for j = 0 to p.num_vars - 1 do
@@ -125,61 +73,51 @@ let minlp_witness_violations ~tol (p : Minlp.Problem.t) x =
     p.sos1;
   List.rev !acc
 
-let check_minlp ?(tol = 1e-5) (p : Minlp.Problem.t) cert =
-  check_gen ~tol ~dim:p.num_vars
-    ~witness_violations:(minlp_witness_violations ~tol p)
-    ~objective:(Minlp.Problem.objective_value p) cert
-
-let lp_witness_violations ~tol (p : Lp.Lp_problem.t) x =
+let check_minlp ?(tol = 1e-5) (p : Minlp.Problem.t) (cert : Engine.Certificate.t) =
   let acc = ref [] in
   let add v = acc := v :: !acc in
-  for j = 0 to p.num_vars - 1 do
-    let v = x.(j) in
-    let slack = tol *. rel v in
-    if v < p.lower.(j) -. slack || v > p.upper.(j) +. slack then
-      add (Bound_violated { var = j; value = v; lo = p.lower.(j); hi = p.upper.(j) })
-  done;
-  Array.iteri
-    (fun i (row : Lp.Lp_problem.constr) ->
-      let lhs = Lp.Lp_problem.eval_constraint row x in
-      let viol =
-        match row.sense with
-        | Lp.Lp_problem.Le -> lhs -. row.rhs
-        | Lp.Lp_problem.Ge -> row.rhs -. lhs
-        | Lp.Lp_problem.Eq -> Float.abs (lhs -. row.rhs)
-      in
-      if viol > tol *. rel row.rhs then
-        add (Constraint_violated { name = Printf.sprintf "row %d" i; violation = viol }))
-    p.constraints;
-  List.rev !acc
-
-let check_lp ?(tol = 1e-5) (p : Lp.Lp_problem.t) cert =
-  check_gen ~tol ~dim:p.num_vars
-    ~witness_violations:(lp_witness_violations ~tol p)
-    ~objective:(Lp.Lp_problem.objective_value p) cert
-
-let nlp_witness_violations ~tol (p : Nlp.Nlp_problem.t) x =
-  let acc = ref [] in
-  let add v = acc := v :: !acc in
-  for j = 0 to p.dim - 1 do
-    let v = x.(j) in
-    let slack = tol *. rel v in
-    if v < p.lo.(j) -. slack || v > p.hi.(j) +. slack then
-      add (Bound_violated { var = j; value = v; lo = p.lo.(j); hi = p.hi.(j) })
-  done;
-  List.iter
-    (fun (c : Nlp.Nlp_problem.constr) ->
-      let gx = c.g x in
-      let viol =
-        match c.kind with
-        | Nlp.Nlp_problem.Ineq -> gx
-        | Nlp.Nlp_problem.Eq -> Float.abs gx
-      in
-      if viol > tol then add (Constraint_violated { name = c.label; violation = viol }))
-    p.constraints;
-  List.rev !acc
-
-let check_nlp ?(tol = 1e-5) (p : Nlp.Nlp_problem.t) cert =
-  check_gen ~tol ~dim:p.dim
-    ~witness_violations:(nlp_witness_violations ~tol p)
-    ~objective:p.f cert
+  (match cert.Engine.Certificate.witness with
+  | None -> (
+    match cert.claimed_status with
+    | Engine.Status.Optimal | Engine.Status.Feasible _ -> add Missing_witness
+    | Engine.Status.Infeasible | Engine.Status.Unbounded | Engine.Status.Budget_exhausted _
+      -> ())
+  | Some x ->
+    if Array.length x <> p.num_vars then
+      add (Witness_dimension { expected = p.num_vars; got = Array.length x })
+    else begin
+      List.iter add (witness_violations ~tol p x);
+      let actual = Minlp.Problem.objective_value p x in
+      if Float.abs (actual -. cert.claimed_obj) > tol *. rel actual then
+        add (Objective_mismatch { claimed = cert.claimed_obj; actual });
+      let key = Engine.Certificate.key cert cert.claimed_obj in
+      if Float.is_finite cert.claimed_bound && cert.claimed_bound > key +. (tol *. rel key)
+      then add (Bound_above_incumbent { bound = cert.claimed_bound; incumbent = key })
+    end);
+  (match cert.claimed_status with
+  | Engine.Status.Optimal -> (
+    match cert.evidence with
+    | Engine.Certificate.Gap_closed ->
+      if not (Float.is_finite cert.claimed_bound) then
+        add (Evidence_mismatch "gap-closed evidence without a finite bound")
+      else
+        let key = Engine.Certificate.key cert cert.claimed_obj in
+        let allowed = (cert.tol +. tol) *. rel key in
+        let gap = key -. cert.claimed_bound in
+        if gap > allowed then add (Gap_open { gap; allowed })
+    | Engine.Certificate.Cover_exhausted c ->
+      if c.open_branches > 0 then add (Open_branches c.open_branches);
+      if c.explored < 1 then add (Evidence_mismatch "cover-exhausted with an empty cover")
+    | Engine.Certificate.Exact_method _ -> ()
+    | Engine.Certificate.Incumbent_only ->
+      add (Evidence_mismatch "optimal claimed on incumbent-only evidence")
+    | Engine.Certificate.No_witness ->
+      add (Evidence_mismatch "optimal claimed on no-witness evidence"))
+  | Engine.Status.Infeasible | Engine.Status.Unbounded -> (
+    match cert.evidence with
+    | Engine.Certificate.No_witness -> ()
+    | Engine.Certificate.Gap_closed | Engine.Certificate.Cover_exhausted _
+    | Engine.Certificate.Exact_method _ | Engine.Certificate.Incumbent_only ->
+      add (Evidence_mismatch "empty-handed final status must carry no-witness evidence"))
+  | Engine.Status.Feasible _ | Engine.Status.Budget_exhausted _ -> ());
+  match List.rev !acc with [] -> Ok () | vs -> Error vs

@@ -1,7 +1,7 @@
 (** The independent certificate checker.
 
-    [check_*] re-verifies a solver's {!Engine.Certificate.t} against the
-    {e raw model} — walking the model's own constraint expressions,
+    {!check_minlp} re-verifies a solver's {!Engine.Certificate.t} against
+    the {e raw model} — walking the model's own constraint expressions,
     bounds, integrality and SOS1 sets — never against solver internals.
     A solver bug therefore cannot vouch for itself: the only shared code
     between producer and checker is the model representation and
@@ -48,10 +48,3 @@ val summary : verdict -> string
     [tol] is the checker's own feasibility slack (default [1e-5],
     relative where the quantity has a scale). *)
 val check_minlp : ?tol:float -> Minlp.Problem.t -> Engine.Certificate.t -> verdict
-
-(** [check_lp ?tol p cert] — verify [cert] against LP model [p]. *)
-val check_lp : ?tol:float -> Lp.Lp_problem.t -> Engine.Certificate.t -> verdict
-
-(** [check_nlp ?tol p cert] — verify [cert] against NLP model [p]
-    (box bounds and [g <= 0] / [h = 0] constraints). *)
-val check_nlp : ?tol:float -> Nlp.Nlp_problem.t -> Engine.Certificate.t -> verdict

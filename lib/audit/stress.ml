@@ -18,16 +18,9 @@ let pp fmt o =
     o.trials o.optimal_claims o.cert_failures o.soundness_violations
     o.differential_failures o.differential_runs
 
-let solver_name = function
-  | `Bnb -> "minlp.bnb"
-  | `Oa -> "minlp.oa"
-  | `Oa_multi -> "minlp.oa-multi"
-
-let solve_with solver ?budget p =
-  match solver with
-  | `Bnb -> Minlp.Bnb.solve ?budget p
-  | `Oa -> Minlp.Oa.solve ?budget p
-  | `Oa_multi -> Minlp.Oa_multi.solve ?budget p
+(* trial i runs solver i mod 3 of this list; the order fixes what a
+   seed reports *)
+let trial_order = Engine.Solver_choice.[ Bnb; Oa; Oa_multi ]
 
 let run ?(log = fun _ -> ()) ?(differential_every = 10) ?(differential_rtol = 0.01) ~seed
     ~trials () =
@@ -45,7 +38,7 @@ let run ?(log = fun _ -> ()) ?(differential_every = 10) ?(differential_rtol = 0.
   for i = 0 to trials - 1 do
     let tseed = Numerics.Rng.int rng 1_000_000_000 in
     let p = Instances.generate ~seed:tseed in
-    let solver = match i mod 3 with 0 -> `Bnb | 1 -> `Oa | _ -> `Oa_multi in
+    let solver = List.nth trial_order (i mod 3) in
     let fuse_at = 1 + Numerics.Rng.int rng 500 in
     let fuse_reason =
       match Numerics.Rng.int rng 4 with
@@ -57,10 +50,10 @@ let run ?(log = fun _ -> ()) ?(differential_every = 10) ?(differential_rtol = 0.
     let budget =
       Engine.Budget.arm (Engine.Budget.make ~poll_fuse:(fuse_at, fuse_reason) ())
     in
-    let result = solve_with solver ~budget p in
+    let sol, cert = Minlp.Solver.run ~budget solver p in
+    let name = Engine.Solver_choice.to_string solver in
     let tripped = Engine.Budget.fuse_tripped budget in
-    (match result with
-    | Ok { Engine.Solver_intf.value = _; cert } ->
+    (if Minlp.Solution.has_incumbent sol then begin
       let claimed_optimal = cert.Engine.Certificate.claimed_status = Engine.Status.Optimal in
       if claimed_optimal then incr optimal_claims;
       (* the exact check: the fuse trips AT a poll the solver made, so a
@@ -72,28 +65,28 @@ let run ?(log = fun _ -> ()) ?(differential_every = 10) ?(differential_rtol = 0.
           (Printf.sprintf
              "trial %d (%s, seed %d): optimal claimed although the budget fuse tripped at \
               poll %d"
-             i (solver_name solver) tseed fuse_at)
+             i name tseed fuse_at)
       end;
-      (match Checker.check_minlp p cert with
+      match Checker.check_minlp p cert with
       | Ok () -> ()
       | Error _ as verdict ->
         incr cert_failures;
         fail
-          (Printf.sprintf "trial %d (%s, seed %d): certificate rejected: %s" i
-             (solver_name solver) tseed (Checker.summary verdict)))
-    | Error status ->
-      (* an empty-handed stop is always sound; claiming Optimal through
-         the Error arm is impossible by type, but a final Infeasible /
-         Unbounded verdict after a tripped fuse is the same bug class *)
+          (Printf.sprintf "trial %d (%s, seed %d): certificate rejected: %s" i name tseed
+             (Checker.summary verdict))
+    end
+    else
+      (* an empty-handed stop is always sound, but a final status
+         (Infeasible, Unbounded) claimed after a tripped fuse is the
+         same bug class *)
+      let status = sol.Minlp.Solution.status in
       if tripped && Engine.Status.is_final status then begin
         incr soundness_violations;
         fail
           (Printf.sprintf
              "trial %d (%s, seed %d): final status %s claimed although the budget fuse \
               tripped at poll %d"
-             i (solver_name solver) tseed
-             (Engine.Status.to_string status)
-             fuse_at)
+             i name tseed (Engine.Status.to_string status) fuse_at)
       end);
     (* cross-solver differential on unlimited budgets *)
     if i mod differential_every = 0 then begin
@@ -101,21 +94,23 @@ let run ?(log = fun _ -> ()) ?(differential_every = 10) ?(differential_rtol = 0.
       let proved =
         List.filter_map
           (fun solver ->
-            match solve_with solver p with
-            | Ok { Engine.Solver_intf.value = _; cert } ->
+            let sol, cert = Minlp.Solver.run solver p in
+            let name = Engine.Solver_choice.to_string solver in
+            if Minlp.Solution.has_incumbent sol then begin
               (match Checker.check_minlp p cert with
               | Ok () -> ()
               | Error _ as verdict ->
                 incr cert_failures;
                 fail
                   (Printf.sprintf
-                     "trial %d differential (%s, seed %d): certificate rejected: %s" i
-                     (solver_name solver) tseed (Checker.summary verdict)));
+                     "trial %d differential (%s, seed %d): certificate rejected: %s" i name
+                     tseed (Checker.summary verdict)));
               if cert.Engine.Certificate.claimed_status = Engine.Status.Optimal then
-                Some (solver_name solver, cert.Engine.Certificate.claimed_obj)
+                Some (name, cert.Engine.Certificate.claimed_obj)
               else None
-            | Error _ -> None)
-          [ `Bnb; `Oa; `Oa_multi ]
+            end
+            else None)
+          trial_order
       in
       match proved with
       | [] | [ _ ] -> ()

@@ -51,6 +51,13 @@ let with_extra_cancel a tok =
     cancel = Some (match a.cancel with None -> tok | Some c -> Cancel.link [ tok; c ]);
   }
 
+let join ?budget ?cancel () =
+  match (budget, cancel) with
+  | None, None -> None
+  | Some b, None -> Some b
+  | Some b, Some c -> Some (with_extra_cancel b c)
+  | None, Some c -> Some (arm (make ~cancel:c ()))
+
 let add_nodes a n = ignore (Atomic.fetch_and_add a.counted_nodes n)
 let add_iters a n = ignore (Atomic.fetch_and_add a.counted_iters n)
 let nodes a = Atomic.get a.counted_nodes

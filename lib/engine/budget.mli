@@ -53,9 +53,14 @@ val arm : t -> armed
 (** [with_extra_cancel a tok] — a view of the same run: shared clock and
     shared (atomic) counters, but additionally stopped once [tok] is
     cancelled. Cancelling [tok] does not affect [a] itself or the
-    caller's own token. {!Solver_intf.join_budget} uses it to stop a
-    caller's budget with a separate cancel token. *)
+    caller's own token. *)
 val with_extra_cancel : armed -> Cancel.t -> armed
+
+(** [join ?budget ?cancel ()] — the single stopping authority a solver
+    polls: the caller's armed budget, additionally stopped by [cancel]
+    when one is given ({!with_extra_cancel}). [None] only when neither
+    is given. *)
+val join : ?budget:armed -> ?cancel:Cancel.t -> unit -> armed option
 
 val add_nodes : armed -> int -> unit
 val add_iters : armed -> int -> unit

@@ -30,7 +30,7 @@ type evidence =
   | No_witness  (** no usable point (infeasible / nothing found) *)
 
 type t = {
-  producer : string;  (** solver name, e.g. "minlp.oa" *)
+  producer : string;  (** solver name, e.g. "oa" or "hslb.bisection" *)
   claimed_status : Status.t;
   witness : float array option;  (** incumbent in the original variable space *)
   claimed_obj : float;  (** objective the producer claims at the witness *)

@@ -186,6 +186,28 @@ let predicted_of specs nodes =
   in
   (Array.fold_left Float.max 0. times, times)
 
+(* the smallest admissible size of every class: the least member of its
+   box [n_min, min n_max N], or of its sweet-spot list inside that box.
+   [Error Infeasible] when some class has none, or when those sizes
+   already overflow the node budget: no objective has an allocation
+   then. *)
+let smallest_sizes ~n_total specs =
+  let smallest spec =
+    let lo = Stdlib.max 1 spec.n_min and hi = Stdlib.min spec.n_max n_total in
+    let admissible = match spec.allowed with None -> [ lo ] | Some values -> values in
+    List.find_opt (fun v -> v >= lo && v <= hi) (List.sort compare admissible)
+  in
+  let sizes = List.map smallest specs in
+  if List.mem None sizes then Error Minlp.Solution.Infeasible
+  else
+    let sizes = List.map Option.get sizes in
+    let used =
+      List.fold_left2
+        (fun acc spec n -> acc + (spec.fc.Classes.cls.Classes.count * n))
+        0 specs sizes
+    in
+    if used > n_total then Error Minlp.Solution.Infeasible else Ok (Array.of_list sizes)
+
 (* --- Max_min: customized bisection over the achievable minimum time --- *)
 
 let max_min_solve ~n_total specs =
@@ -206,13 +228,10 @@ let max_min_solve ~n_total specs =
     | None -> List.init (Stdlib.max 0 (cap - lo + 1)) (fun i -> lo + i)
   in
   let values = Array.map value_list specs_arr in
-  Array.iteri
-    (fun i vs ->
-      if vs = [] then
-        invalid_arg
-          (Printf.sprintf "Alloc_model.max_min: class %s has no feasible size"
-             specs_arr.(i).fc.Classes.cls.Classes.name))
-    values;
+  (* a class whose admissible sizes all lie past its curve's minimum
+     has no size on the decreasing branch *)
+  if Array.mem [] values then Error Minlp.Solution.Infeasible
+  else begin
   let time spec n = Scaling_law.eval_int spec.fc.Classes.fit.Fitting.law n in
   (* cap_i(t): largest feasible size with time >= t *)
   let cap_at i t =
@@ -281,64 +300,53 @@ let max_min_solve ~n_total specs =
       order
   done;
   let predicted_makespan, predicted_times = predicted_of specs nodes in
-  {
-    nodes_per_task = nodes;
-    predicted_makespan;
-    predicted_times;
-    status = Minlp.Solution.Optimal;
-    stats = Minlp.Solution.empty_stats;
-    certificate =
-      Some
-        (Engine.Certificate.make ~producer:"hslb.bisection"
-           ~claimed_status:Minlp.Solution.Optimal
-           ~witness:(Array.map float_of_int nodes)
-           ~claimed_obj:predicted_makespan ~minimize:false
-           ~evidence:
-             (Engine.Certificate.Exact_method
-                "bisection over monotone per-class time curves")
-           ());
-  }
+  Ok
+    {
+      nodes_per_task = nodes;
+      predicted_makespan;
+      predicted_times;
+      status = Minlp.Solution.Optimal;
+      stats = Minlp.Solution.empty_stats;
+      certificate =
+        Some
+          (Engine.Certificate.make ~producer:"hslb.bisection"
+             ~claimed_status:Minlp.Solution.Optimal
+             ~witness:(Array.map float_of_int nodes)
+             ~claimed_obj:predicted_makespan ~minimize:false
+             ~evidence:
+               (Engine.Certificate.Exact_method
+                  "bisection over monotone per-class time curves")
+             ());
+    }
+  end
 
 (* Min_sum is a separable convex resource-allocation problem, solvable
    exactly by greedy marginal allocation (Ibaraki & Katoh — the paper's
    reference [11] for customized polynomial-time solvers): start at the
    minimum sizes and repeatedly give a node to the class with the best
    total-time decrease. Greedy is optimal because each class cost is
-   convex in its (integer) node count. *)
-let min_sum_greedy ~n_total specs =
+   convex in its (integer) node count. [start] holds the smallest
+   admissible sizes (smallest_sizes). *)
+let min_sum_greedy ~n_total ~start specs =
   let specs_arr = Array.of_list specs in
   let k = Array.length specs_arr in
   let counts = Array.map (fun s -> s.fc.Classes.cls.Classes.count) specs_arr in
   let time i n = Scaling_law.eval_int specs_arr.(i).fc.Classes.fit.Fitting.law n in
-  let lo_hi = Array.map (effective_range ~n_total) specs_arr in
+  let hi = Array.map (fun s -> Stdlib.min s.n_max n_total) specs_arr in
   let allowed_next i cur =
     match specs_arr.(i).allowed with
-    | None -> if cur + 1 <= snd lo_hi.(i) then Some (cur + 1) else None
+    | None -> if cur + 1 <= hi.(i) then Some (cur + 1) else None
     | Some values ->
       List.fold_left
         (fun acc v ->
-          if v > cur && v <= snd lo_hi.(i) then
+          if v > cur && v <= hi.(i) then
             match acc with Some best when best <= v -> acc | Some _ | None -> Some v
           else acc)
         None values
   in
-  let start i =
-    match specs_arr.(i).allowed with
-    | None -> fst lo_hi.(i)
-    | Some values ->
-      List.fold_left
-        (fun acc v ->
-          if v >= fst lo_hi.(i) && v <= snd lo_hi.(i) then
-            match acc with Some best when best <= v -> acc | Some _ | None -> Some v
-          else acc)
-        None values
-      |> Option.value ~default:(fst lo_hi.(i))
-  in
-  let nodes = Array.init k start in
+  let nodes = Array.copy start in
   let used = ref 0 in
   Array.iteri (fun i n -> used := !used + (counts.(i) * n)) nodes;
-  if !used > n_total then Error Minlp.Solution.Infeasible
-  else begin
   let progress = ref true in
   while !progress do
     progress := false;
@@ -370,26 +378,24 @@ let min_sum_greedy ~n_total specs =
   Array.iteri
     (fun i n -> total_time := !total_time +. (float_of_int counts.(i) *. time i n))
     nodes;
-  Ok
-    {
-      nodes_per_task = nodes;
-      predicted_makespan;
-      predicted_times;
-      status = Minlp.Solution.Optimal;
-      stats = Minlp.Solution.empty_stats;
-      certificate =
-        Some
-          (Engine.Certificate.make ~producer:"hslb.greedy"
-             ~claimed_status:Minlp.Solution.Optimal
-             ~witness:(Array.map float_of_int nodes)
-             ~claimed_obj:!total_time ~claimed_bound:!total_time
-             ~evidence:
-               (Engine.Certificate.Exact_method
-                  "greedy marginal allocation on a separable convex objective \
-                   (Ibaraki-Katoh)")
-             ());
-    }
-  end
+  {
+    nodes_per_task = nodes;
+    predicted_makespan;
+    predicted_times;
+    status = Minlp.Solution.Optimal;
+    stats = Minlp.Solution.empty_stats;
+    certificate =
+      Some
+        (Engine.Certificate.make ~producer:"hslb.greedy"
+           ~claimed_status:Minlp.Solution.Optimal
+           ~witness:(Array.map float_of_int nodes)
+           ~claimed_obj:!total_time ~claimed_bound:!total_time
+           ~evidence:
+             (Engine.Certificate.Exact_method
+                "greedy marginal allocation on a separable convex objective \
+                 (Ibaraki-Katoh)")
+           ());
+  }
 
 (* canonical, injective solve fingerprint: the solver, then the
    instance with length-prefixed names, round-tripping float formats and
@@ -418,18 +424,25 @@ let fingerprint ~solver ~objective ~n_total specs =
     specs;
   Buffer.contents b
 
-let decode_solution ~producer ?budget ~problem specs n_vars (sol : Minlp.Solution.t) =
-  match sol.Minlp.Solution.status with
-  | (Minlp.Solution.Optimal | Minlp.Solution.Feasible _ | Minlp.Solution.Budget_exhausted _)
-    when Array.length sol.Minlp.Solution.x > 0 ->
-    let nodes =
-      Array.map (fun v -> int_of_float (Float.round sol.Minlp.Solution.x.(v))) n_vars
-    in
+(* Min_max: the MINLP, warm-started from the caller's nodes-per-class
+   vector or the greedy min-sum allocation (it respects the budget row,
+   the boxes and the sweet-spot lists, so it lifts to a feasible point).
+   Priming the incumbent both prunes the tree and guarantees a usable
+   answer when the budget runs out. *)
+let min_max_solve ~solver ?budget ?warm_start ?trace ~n_total ~start specs =
+  let problem, n_vars, lift = build_minlp ~objective:Objective.Min_max ~n_total specs in
+  let warm =
+    match warm_start with
+    | Some nodes -> nodes
+    | None -> (min_sum_greedy ~n_total ~start specs).nodes_per_task
+  in
+  let sol, cert =
+    Minlp.Solver.run ~rel_gap:Minlp.Solver.model_rel_gap ?budget ?tally:trace
+      ~warm_start:(lift warm) solver problem
+  in
+  if Minlp.Solution.has_incumbent sol then
+    let nodes = Array.map (fun v -> int_of_float (Float.round sol.Minlp.Solution.x.(v))) n_vars in
     let predicted_makespan, predicted_times = predicted_of specs nodes in
-    let cert =
-      Minlp.Solution.certify ~producer ?budget
-        ~minimize:problem.Minlp.Problem.minimize ~tol:1e-4 sol
-    in
     Ok
       {
         nodes_per_task = nodes;
@@ -439,30 +452,12 @@ let decode_solution ~producer ?budget ~problem specs n_vars (sol : Minlp.Solutio
         stats = sol.Minlp.Solution.stats;
         certificate = Some cert;
       }
-  | st -> Error st
-
-(* a 1e-4 relative gap is far below benchmark noise; demanding more
-   makes the tree crawl on near-flat fitted curves *)
-let run_minlp_solver solver ?budget ?tally ?warm problem =
-  match solver with
-  | Engine.Solver_choice.Oa ->
-    Minlp.Oa.run
-      ~options:{ Minlp.Oa.default_options with rel_gap = 1e-4 }
-      ?budget ?tally ?warm_start:warm problem
-  | Engine.Solver_choice.Bnb ->
-    Minlp.Bnb.run
-      ~options:{ Minlp.Bnb.default_options with rel_gap = 1e-4 }
-      ?budget ?tally ?warm_start:warm problem
-  | Engine.Solver_choice.Oa_multi ->
-    (Minlp.Oa_multi.run
-       ~options:{ Minlp.Oa_multi.default_options with rel_gap = 1e-4 }
-       ?budget ?tally problem)
-      .Minlp.Oa_multi.solution
+  else Error sol.Minlp.Solution.status
 
 let solve ?(solver = Engine.Solver_choice.Oa) ?(objective = Objective.Min_max) ?budget
     ?cancel ?warm_start ?trace ?cache ~n_total specs =
   if specs = [] then invalid_arg "Alloc_model.solve: no classes";
-  let budget = Engine.Solver_intf.join_budget ?budget ?cancel () in
+  let budget = Engine.Budget.join ?budget ?cancel () in
   let key = lazy (fingerprint ~solver ~objective ~n_total specs) in
   let cached =
     match cache with Some c -> Runtime.Cache.find c (Lazy.force key) | None -> None
@@ -471,28 +466,12 @@ let solve ?(solver = Engine.Solver_choice.Oa) ?(objective = Objective.Min_max) ?
   | Some alloc -> Ok alloc
   | None ->
     let result =
-      match objective with
-      | Objective.Max_min -> Ok (max_min_solve ~n_total specs)
-      | Objective.Min_sum -> min_sum_greedy ~n_total specs
-      | Objective.Min_max ->
-        let problem, n_vars, lift = build_minlp ~objective ~n_total specs in
-        (* Warm start: the caller's nodes-per-class vector, or the greedy
-           min-sum allocation (it respects the budget row, the boxes and the
-           sweet-spot lists, so it lifts to a feasible point). Priming the
-           incumbent both prunes the tree and guarantees a usable answer
-           when the budget runs out. *)
-        let warm =
-          match warm_start with
-          | Some nodes -> Some (lift nodes)
-          | None -> (
-            match min_sum_greedy ~n_total specs with
-            | Ok a -> Some (lift a.nodes_per_task)
-            | Error _ | (exception Invalid_argument _) -> None)
-        in
-        decode_solution
-          ~producer:(Engine.Solver_choice.to_string solver)
-          ?budget ~problem specs n_vars
-          (run_minlp_solver solver ?budget ?tally:trace ?warm problem)
+      Result.bind (smallest_sizes ~n_total specs) (fun start ->
+          match objective with
+          | Objective.Max_min -> max_min_solve ~n_total specs
+          | Objective.Min_sum -> Ok (min_sum_greedy ~n_total ~start specs)
+          | Objective.Min_max ->
+            min_max_solve ~solver ?budget ?warm_start ?trace ~n_total ~start specs)
     in
     (* memoize only proven optima: budget-exhausted incumbents depend on
        wall-clock luck and must not be replayed as answers *)
@@ -501,70 +480,3 @@ let solve ?(solver = Engine.Solver_choice.Oa) ?(objective = Objective.Min_max) ?
       Runtime.Cache.put c (Lazy.force key) alloc
     | (Ok _ | Error _), _ -> ());
     result
-
-let assignment_milp ?(max_nodes = 20_000) ~group_sizes ~duration ~num_tasks () =
-  let ngroups = Array.length group_sizes in
-  if ngroups = 0 then invalid_arg "Alloc_model.assignment_milp: no groups";
-  let lpt () =
-    let order = Array.init num_tasks Fun.id in
-    Array.sort (fun t1 t2 -> compare (duration ~task:t2 ~group:0) (duration ~task:t1 ~group:0)) order;
-    let load = Array.make ngroups 0. in
-    let assign = Array.make num_tasks (-1) in
-    Array.iter
-      (fun task ->
-        let best = ref 0 and best_f = ref infinity in
-        for g = 0 to ngroups - 1 do
-          let f = load.(g) +. duration ~task ~group:g in
-          if f < !best_f then begin
-            best_f := f;
-            best := g
-          end
-        done;
-        load.(!best) <- !best_f;
-        assign.(task) <- !best)
-      order;
-    (assign, Array.fold_left Float.max 0. load)
-  in
-  if num_tasks = 0 then ([||], 0.)
-  else begin
-    let b = Minlp.Problem.Builder.create () in
-    let t_var = Minlp.Problem.Builder.add_var b ~name:"T" ~lo:0. ~hi:1e12 Minlp.Problem.Continuous in
-    let x = Array.make_matrix num_tasks ngroups 0 in
-    for t = 0 to num_tasks - 1 do
-      for g = 0 to ngroups - 1 do
-        x.(t).(g) <-
-          Minlp.Problem.Builder.add_var b ~name:(Printf.sprintf "x_%d_%d" t g)
-            Minlp.Problem.Binary
-      done
-    done;
-    Minlp.Problem.Builder.set_objective b (Minlp.Expr.var t_var);
-    for t = 0 to num_tasks - 1 do
-      Minlp.Problem.Builder.add_constr b
-        (Minlp.Expr.linear (List.init ngroups (fun g -> (x.(t).(g), 1.))))
-        Lp.Lp_problem.Eq 1.
-    done;
-    for g = 0 to ngroups - 1 do
-      Minlp.Problem.Builder.add_constr b
-        (Minlp.Expr.add
-           (Minlp.Expr.neg (Minlp.Expr.var t_var)
-           :: List.init num_tasks (fun t ->
-                  Minlp.Expr.scale (duration ~task:t ~group:g) (Minlp.Expr.var x.(t).(g)))))
-        Lp.Lp_problem.Le 0.
-    done;
-    let options = { Minlp.Milp.default_options with max_nodes } in
-    let sol = Minlp.Milp.run ~options (Minlp.Problem.Builder.build b) in
-    match sol.Minlp.Solution.status with
-    | Minlp.Solution.Optimal ->
-      let assign = Array.make num_tasks (-1) in
-      for t = 0 to num_tasks - 1 do
-        let best = ref 0 in
-        for g = 1 to ngroups - 1 do
-          if sol.Minlp.Solution.x.(x.(t).(g)) > sol.Minlp.Solution.x.(x.(t).(!best)) then best := g
-        done;
-        assign.(t) <- !best
-      done;
-      (assign, sol.Minlp.Solution.obj)
-    | Minlp.Solution.Feasible _ | Minlp.Solution.Budget_exhausted _ | Minlp.Solution.Infeasible
-    | Minlp.Solution.Unbounded ->
-      lpt ()
-  end

@@ -78,10 +78,14 @@ val fingerprint :
   solver:Engine.Solver_choice.t -> objective:Objective.t -> n_total:int -> spec list -> string
 
 (** [solve ?solver ?objective ?budget ?cancel ?warm_start ?trace ?cache
-    ~n_total specs] — full solve + decode, following the
-    {!Engine.Solver_intf.S} labelled-argument convention ([?budget
-    ?cancel ?warm_start ?trace]) with the model-layer knobs around it. Infeasibility (e.g. a node budget below one group per
-    task) is returned as [Error], not raised.
+    ~n_total specs] — full solve + decode. [cancel] additionally stops
+    [budget] ({!Engine.Budget.join}); [trace] accumulates the solver's
+    counters. An instance with no admissible allocation — some class
+    has no size in [[n_min, min n_max n_total]] (or none of its sweet
+    spots lies there), or the smallest admissible sizes overflow
+    [n_total] — is [Error Infeasible] under every objective, never
+    raised. [Max_min] is also [Error Infeasible] when some class has no
+    admissible size on the decreasing branch of its curve.
 
     For [Min_max], a greedy min-sum allocation is computed automatically
     and used to warm-start the solver unless [warm_start] (a
@@ -90,7 +94,8 @@ val fingerprint :
     returned with status [Budget_exhausted _]; without one, [Error
     (Budget_exhausted _)].
 
-    [solver] (default [Oa]) is the one solver the [Min_max] MINLP runs;
+    [solver] (default [Oa]) is the one solver the [Min_max] MINLP runs
+    ({!Minlp.Solver.run} at {!Minlp.Solver.model_rel_gap});
     [Max_min]/[Min_sum] always use their exact customized paths. Every
     solver-path allocation carries a certificate.
 
@@ -109,16 +114,3 @@ val solve :
   n_total:int ->
   spec list ->
   (allocation, Minlp.Solution.status) result
-
-(** [assignment_milp ~group_sizes ~duration ~num_tasks] — the second
-    model family: groups fixed, assign tasks to groups minimizing
-    predicted makespan (a pure MILP). Falls back to LPT when the node
-    budget of the branch-and-bound is exhausted. Returns (task→group,
-    predicted makespan). *)
-val assignment_milp :
-  ?max_nodes:int ->
-  group_sizes:int array ->
-  duration:(task:int -> group:int -> float) ->
-  num_tasks:int ->
-  unit ->
-  int array * float

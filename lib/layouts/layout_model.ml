@@ -112,63 +112,37 @@ let build layout config inputs =
     ignore (Hslb.Alloc_model.restrict_to_values b ~var:n_a vals));
   (Minlp.Problem.Builder.build b, (n_i, n_l, n_a, n_o))
 
-let run_solver choice ?budget ?tally problem =
-  match choice with
-  | Engine.Solver_choice.Oa ->
-    Minlp.Oa.run
-      ~options:{ Minlp.Oa.default_options with rel_gap = 1e-4 }
-      ?budget ?tally problem
-  | Engine.Solver_choice.Bnb ->
-    Minlp.Bnb.run
-      ~options:{ Minlp.Bnb.default_options with rel_gap = 1e-4 }
-      ?budget ?tally problem
-  | Engine.Solver_choice.Oa_multi ->
-    (Minlp.Oa_multi.run
-       ~options:{ Minlp.Oa_multi.default_options with rel_gap = 1e-4 }
-       ?budget ?tally problem)
-      .Minlp.Oa_multi.solution
-
-let decode ~producer ?budget layout inputs problem (vi, vl, va, vo)
-    (sol : Minlp.Solution.t) =
-  match sol.Minlp.Solution.status with
-  | (Minlp.Solution.Optimal | Minlp.Solution.Feasible _ | Minlp.Solution.Budget_exhausted _)
-    when Array.length sol.Minlp.Solution.x > 0 ->
-    let node v = int_of_float (Float.round sol.Minlp.Solution.x.(v)) in
-    let n_ice = node vi and n_lnd = node vl and n_atm = node va and n_ocn = node vo in
-    let t_of c nn = Component.time c nn in
-    let ice = t_of inputs.ice n_ice
-    and lnd = t_of inputs.lnd n_lnd
-    and atm = t_of inputs.atm n_atm
-    and ocn = t_of inputs.ocn n_ocn in
-    let cert =
-      Minlp.Solution.certify ~producer ?budget
-        ~minimize:problem.Minlp.Problem.minimize ~tol:1e-4 sol
-    in
-    Ok
-      {
-        nodes =
-          [
-            (inputs.ice.Component.cname, n_ice);
-            (inputs.lnd.Component.cname, n_lnd);
-            (inputs.atm.Component.cname, n_atm);
-            (inputs.ocn.Component.cname, n_ocn);
-          ];
-        times =
-          [
-            (inputs.ice.Component.cname, ice);
-            (inputs.lnd.Component.cname, lnd);
-            (inputs.atm.Component.cname, atm);
-            (inputs.ocn.Component.cname, ocn);
-          ];
-        total = layout_total layout ~ice ~lnd ~atm ~ocn;
-        status = sol.Minlp.Solution.status;
-        stats = sol.Minlp.Solution.stats;
-        certificate = Some cert;
-      }
-  | status -> Error status
+let decode layout inputs (vi, vl, va, vo) (sol : Minlp.Solution.t) cert =
+  let node v = int_of_float (Float.round sol.Minlp.Solution.x.(v)) in
+  let n_ice = node vi and n_lnd = node vl and n_atm = node va and n_ocn = node vo in
+  let t_of c nn = Component.time c nn in
+  let ice = t_of inputs.ice n_ice
+  and lnd = t_of inputs.lnd n_lnd
+  and atm = t_of inputs.atm n_atm
+  and ocn = t_of inputs.ocn n_ocn in
+  {
+    nodes =
+      [
+        (inputs.ice.Component.cname, n_ice);
+        (inputs.lnd.Component.cname, n_lnd);
+        (inputs.atm.Component.cname, n_atm);
+        (inputs.ocn.Component.cname, n_ocn);
+      ];
+    times =
+      [
+        (inputs.ice.Component.cname, ice);
+        (inputs.lnd.Component.cname, lnd);
+        (inputs.atm.Component.cname, atm);
+        (inputs.ocn.Component.cname, ocn);
+      ];
+    total = layout_total layout ~ice ~lnd ~atm ~ocn;
+    status = sol.Minlp.Solution.status;
+    stats = sol.Minlp.Solution.stats;
+    certificate = Some cert;
+  }
 
 let solve ?budget ?cancel ?trace layout config inputs =
-  let budget = Engine.Solver_intf.join_budget ?budget ?cancel () in
+  let budget = Engine.Budget.join ?budget ?cancel () in
   let problem, vars = build layout config inputs in
   (* the nonconvex tsync constraint invalidates OA cuts; only the
      NLP-based tree (local relaxations) is sound there, so tsync models
@@ -176,10 +150,11 @@ let solve ?budget ?cancel ?trace layout config inputs =
   let solver =
     match config.tsync with Some _ -> Engine.Solver_choice.Bnb | None -> config.solver
   in
-  decode
-    ~producer:(Engine.Solver_choice.to_string solver)
-    ?budget layout inputs problem vars
-    (run_solver solver ?budget ?tally:trace problem)
+  let sol, cert =
+    Minlp.Solver.run ~rel_gap:Minlp.Solver.model_rel_gap ?budget ?tally:trace solver problem
+  in
+  if Minlp.Solution.has_incumbent sol then Ok (decode layout inputs vars sol cert)
+  else Error sol.Minlp.Solution.status
 
 let fail_on_error layout config = function
   | Ok alloc -> alloc

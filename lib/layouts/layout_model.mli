@@ -62,9 +62,11 @@ val layout_total : layout -> ice:float -> lnd:float -> atm:float -> ocn:float ->
 val build : layout -> config -> inputs -> Minlp.Problem.t * (int * int * int * int)
 
 (** [solve ?budget ?cancel ?trace layout config inputs] — build, solve
-    with [config.solver] and decode, following the
-    {!Engine.Solver_intf.S} labelled-argument convention. Infeasibility
-    or an empty-handed budget stop is returned as [Error], not raised.
+    with [config.solver] ({!Minlp.Solver.run} at
+    {!Minlp.Solver.model_rel_gap}) and decode. [cancel] additionally
+    stops [budget]; [trace] accumulates the solver's counters.
+    Infeasibility or an empty-handed budget stop is returned as
+    [Error], not raised.
     Models with a [tsync] tolerance are nonconvex and always use the
     NLP-based branch and bound, whatever [config.solver] says. *)
 val solve :

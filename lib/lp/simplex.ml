@@ -318,35 +318,3 @@ let run ?(max_iter = 200_000) ?budget ?tally ?pivot_log (p : Lp_problem.t) =
         in
         finish { status = Optimal; x; obj = Lp_problem.objective_value p x }
     end
-
-
-let solve ?budget ?cancel ?warm_start:_ ?trace p =
-  let budget = Engine.Solver_intf.join_budget ?budget ?cancel () in
-  let s = run ?budget ?tally:trace p in
-  let budget_stop =
-    match Engine.Budget.inspected budget with
-    | Some r -> Some (Engine.Budget.reason_to_string r)
-    | None -> None
-  in
-  match s.status with
-  | Optimal ->
-    (* the simplex is an exact method: at a proven-optimal basis the
-       objective value is its own bound *)
-    let key = if p.Lp_problem.minimize then s.obj else -.s.obj in
-    let cert =
-      Engine.Certificate.make ~producer:"lp.simplex"
-        ~claimed_status:Engine.Status.Optimal ~witness:s.x ~claimed_obj:s.obj
-        ~claimed_bound:key ~minimize:p.Lp_problem.minimize ~tol:1e-6
-        ~evidence:(Engine.Certificate.Exact_method "two-phase primal simplex")
-        ?budget_stop ()
-    in
-    Ok { Engine.Solver_intf.value = s; cert }
-  | Infeasible -> Error Engine.Status.Infeasible
-  | Unbounded -> Error Engine.Status.Unbounded
-  | Iteration_limit ->
-    let reason =
-      match Engine.Budget.inspected budget with
-      | Some r -> Engine.Status.reason_of_budget r
-      | None -> Engine.Status.Iter_limit
-    in
-    Error (Engine.Status.Budget_exhausted reason)

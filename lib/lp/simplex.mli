@@ -42,18 +42,3 @@ val run :
   ?pivot_log:(int * int) list ref ->
   Lp_problem.t ->
   solution
-
-(** The unified entry point ({!Engine.Solver_intf.S} convention): [Ok]
-    carries the proven-optimal solution plus its certificate
-    ([Exact_method] evidence — the simplex terminates only at an optimal
-    basis), [Error] the {!Engine.Status.t} explaining why there is no
-    usable point. [warm_start] is accepted for signature uniformity and
-    ignored (the two-phase simplex builds its own starting basis). *)
-val solve :
-  ?budget:Engine.Budget.armed ->
-  ?cancel:Engine.Cancel.t ->
-  ?warm_start:float array ->
-  ?trace:Engine.Telemetry.t ->
-  Lp_problem.t ->
-  (solution Engine.Solver_intf.certified, Engine.Status.t) result
-

@@ -203,12 +203,3 @@ let run ?(options = default_options) ?budget ?tally ?warm_start (p0 : Problem.t)
     in
     { Solution.status; x = [||]; obj = nan; bound; stats }
   end
-
-
-let solve ?budget ?cancel ?warm_start ?trace p =
-  let budget = Engine.Solver_intf.join_budget ?budget ?cancel () in
-  let sol = run ?budget ?tally:trace ?warm_start p in
-  Solution.to_result ~producer:"minlp.bnb" ?budget ~minimize:p.Problem.minimize
-    ~tol:default_options.rel_gap
-    ~pruned:(match trace with Some t -> t.Engine.Telemetry.nodes_pruned | None -> 0)
-    sol

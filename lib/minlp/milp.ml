@@ -359,12 +359,3 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
       in
       { Solution.status; x = [||]; obj = nan; bound; stats }
   end
-
-
-let solve ?budget ?cancel ?warm_start ?trace p =
-  let budget = Engine.Solver_intf.join_budget ?budget ?cancel () in
-  let sol = run ?budget ?tally:trace ?warm_start p in
-  Solution.to_result ~producer:"minlp.milp" ?budget ~minimize:p.Problem.minimize
-    ~tol:default_options.rel_gap
-    ~pruned:(match trace with Some t -> t.Engine.Telemetry.nodes_pruned | None -> 0)
-    sol

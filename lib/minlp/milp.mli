@@ -69,15 +69,3 @@ val run :
   ?warm_start:float array ->
   Problem.t ->
   Solution.t
-
-(** The unified entry point ({!Engine.Solver_intf.S} convention):
-    {!run} under default options with no extra rows or callback (those
-    stay on {!run}, which the OA solvers drive). *)
-val solve :
-  ?budget:Engine.Budget.armed ->
-  ?cancel:Engine.Cancel.t ->
-  ?warm_start:float array ->
-  ?trace:Engine.Telemetry.t ->
-  Problem.t ->
-  (Solution.t Engine.Solver_intf.certified, Engine.Status.t) result
-

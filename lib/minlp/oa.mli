@@ -45,15 +45,3 @@ val run :
   ?warm_start:float array ->
   Problem.t ->
   Solution.t
-
-(** The unified entry point ({!Engine.Solver_intf.S} convention):
-    {!run} under default options, returning the incumbent plus its
-    certificate, or the failure status. Solver knobs stay on {!run}. *)
-val solve :
-  ?budget:Engine.Budget.armed ->
-  ?cancel:Engine.Cancel.t ->
-  ?warm_start:float array ->
-  ?trace:Engine.Telemetry.t ->
-  Problem.t ->
-  (Solution.t Engine.Solver_intf.certified, Engine.Status.t) result
-

@@ -204,10 +204,3 @@ let run ?(options = default_options) ?budget ?tally (p0 : Problem.t) =
       { solution; iterations = !iterations }
     end
   end
-
-
-let solve ?budget ?cancel ?warm_start:_ ?trace p =
-  let budget = Engine.Solver_intf.join_budget ?budget ?cancel () in
-  let info = run ?budget ?tally:trace p in
-  Solution.to_result ~producer:"minlp.oa-multi" ?budget ~minimize:p.Problem.minimize
-    ~tol:default_options.rel_gap info.solution

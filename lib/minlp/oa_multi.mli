@@ -37,17 +37,3 @@ val run :
   ?tally:Engine.Telemetry.t ->
   Problem.t ->
   info
-
-(** The unified entry point ({!Engine.Solver_intf.S} convention):
-    {!run} under default options. The iteration count is dropped — use
-    {!run} when it matters. [warm_start] is accepted for signature
-    uniformity and ignored (the alternation always starts from its own
-    root relaxation). *)
-val solve :
-  ?budget:Engine.Budget.armed ->
-  ?cancel:Engine.Cancel.t ->
-  ?warm_start:float array ->
-  ?trace:Engine.Telemetry.t ->
-  Problem.t ->
-  (Solution.t Engine.Solver_intf.certified, Engine.Status.t) result
-

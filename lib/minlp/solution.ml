@@ -53,15 +53,6 @@ let certify ~producer ?budget ?(minimize = true) ?(tol = 1e-6) ?(pruned = 0) s =
       | None -> None)
     ()
 
-let to_result ~producer ?budget ?minimize ?tol ?pruned s =
-  if has_incumbent s then
-    Ok
-      {
-        Engine.Solver_intf.value = s;
-        cert = certify ~producer ?budget ?minimize ?tol ?pruned s;
-      }
-  else Error s.status
-
 let pp fmt s =
   Format.fprintf fmt "@[<h>%s obj=%g bound=%g nodes=%d lp=%d nlp=%d cuts=%d@]"
     (status_to_string s.status) s.obj s.bound s.stats.nodes s.stats.lp_solves s.stats.nlp_solves

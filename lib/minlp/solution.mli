@@ -71,16 +71,4 @@ val certify :
   t ->
   Engine.Certificate.t
 
-(** [to_result ~producer ... s] — the {!Engine.Solver_intf.S}-shaped
-    view of a solution: [Ok] with a {!certify}-built certificate when
-    [s] carries a usable incumbent, [Error s.status] otherwise. *)
-val to_result :
-  producer:string ->
-  ?budget:Engine.Budget.armed ->
-  ?minimize:bool ->
-  ?tol:float ->
-  ?pruned:int ->
-  t ->
-  (t Engine.Solver_intf.certified, status) result
-
 val pp : Format.formatter -> t -> unit

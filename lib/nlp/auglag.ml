@@ -120,54 +120,3 @@ let run ?(max_outer = 50) ?(tol_feas = 1e-7) ?(tol_opt = 1e-7) ?budget ?tally
     outer_iterations = !outer;
     converged = !converged && Nlp_problem.violation p !x <= tol_feas *. 10.;
   }
-
-
-let solve ?budget ?cancel ?warm_start ?trace (p : Nlp_problem.t) =
-  let budget = Engine.Solver_intf.join_budget ?budget ?cancel () in
-  let tol_feas = 1e-7 in
-  let x0 =
-    match warm_start with
-    | Some x -> x
-    | None ->
-      (* box midpoint, with free directions started at 0 *)
-      Array.init p.Nlp_problem.dim (fun j ->
-          let lo = p.Nlp_problem.lo.(j) and hi = p.Nlp_problem.hi.(j) in
-          if Float.is_finite lo && Float.is_finite hi then 0.5 *. (lo +. hi)
-          else if Float.is_finite lo then lo
-          else if Float.is_finite hi then hi
-          else 0.)
-  in
-  let r = run ~tol_feas ?budget ?tally:trace p x0 in
-  let budget_stop =
-    match Engine.Budget.inspected budget with
-    | Some reason -> Some (Engine.Budget.reason_to_string reason)
-    | None -> None
-  in
-  if r.converged then
-    (* first-order stationary and feasible; the MINLP layer only feeds
-       this solver convex relaxations, where stationary = optimal *)
-    let cert =
-      Engine.Certificate.make ~producer:"nlp.auglag"
-        ~claimed_status:Engine.Status.Optimal ~witness:(Array.copy r.x)
-        ~claimed_obj:r.f ~claimed_bound:r.f ~tol:tol_feas
-        ~evidence:
-          (Engine.Certificate.Exact_method
-             "augmented Lagrangian: first-order stationary point of a convex model")
-        ?budget_stop ()
-    in
-    Ok { Engine.Solver_intf.value = r; cert }
-  else
-    let reason =
-      match Engine.Budget.inspected budget with
-      | Some stop -> Engine.Status.reason_of_budget stop
-      | None -> Engine.Status.Iter_limit
-    in
-    if r.violation <= tol_feas then
-      let cert =
-        Engine.Certificate.make ~producer:"nlp.auglag"
-          ~claimed_status:(Engine.Status.Feasible reason) ~witness:(Array.copy r.x)
-          ~claimed_obj:r.f ~tol:tol_feas ~evidence:Engine.Certificate.Incumbent_only
-          ?budget_stop ()
-      in
-      Ok { Engine.Solver_intf.value = r; cert }
-    else Error (Engine.Status.Budget_exhausted reason)

@@ -29,20 +29,3 @@ val run :
   Nlp_problem.t ->
   Numerics.Vec.t ->
   result
-
-(** The unified entry point ({!Engine.Solver_intf.S} convention).
-    [warm_start] is the starting iterate (box midpoint when absent).
-    A converged run claims [Optimal] with [Exact_method] evidence —
-    valid because the MINLP layer only feeds this solver convex models,
-    where a feasible first-order stationary point is globally optimal; a
-    run that stalled at a feasible iterate is [Ok] with a
-    [Feasible _]-status [Incumbent_only] certificate; an infeasible
-    stall is [Error]. *)
-val solve :
-  ?budget:Engine.Budget.armed ->
-  ?cancel:Engine.Cancel.t ->
-  ?warm_start:Numerics.Vec.t ->
-  ?trace:Engine.Telemetry.t ->
-  Nlp_problem.t ->
-  (result Engine.Solver_intf.certified, Engine.Status.t) Stdlib.result
-

@@ -353,7 +353,7 @@ let build_milp inst =
   in
   (problem, lift)
 
-(* ---------- the unified solve path ---------- *)
+(* ---------- the MINLP solve path ---------- *)
 
 type solved = {
   assignment : int array;
@@ -363,32 +363,14 @@ type solved = {
   certificate : Engine.Certificate.t option;
 }
 
-(* same gap discipline as Alloc_model: 1e-4 relative is far below
-   benchmark noise, tighter makes the tree crawl *)
-let run_solver solver ?budget ?tally ?warm problem =
-  match solver with
-  | Engine.Solver_choice.Oa ->
-    Minlp.Oa.run
-      ~options:{ Minlp.Oa.default_options with rel_gap = 1e-4 }
-      ?budget ?tally ?warm_start:warm problem
-  | Engine.Solver_choice.Bnb ->
-    Minlp.Bnb.run
-      ~options:{ Minlp.Bnb.default_options with rel_gap = 1e-4 }
-      ?budget ?tally ?warm_start:warm problem
-  | Engine.Solver_choice.Oa_multi ->
-    (Minlp.Oa_multi.run
-       ~options:{ Minlp.Oa_multi.default_options with rel_gap = 1e-4 }
-       ?budget ?tally problem)
-      .Minlp.Oa_multi.solution
-
 let solve_minlp ?(solver = Engine.Solver_choice.Oa) ?budget ?cancel ?warm_start ?trace inst =
-  let budget = Engine.Solver_intf.join_budget ?budget ?cancel () in
+  let budget = Engine.Budget.join ?budget ?cancel () in
   let problem, lift = build_milp inst in
-  let warm = Option.map lift warm_start in
-  let sol = run_solver solver ?budget ?tally:trace ?warm problem in
-  match sol.Minlp.Solution.status with
-  | (Minlp.Solution.Optimal | Minlp.Solution.Feasible _ | Minlp.Solution.Budget_exhausted _)
-    when Array.length sol.Minlp.Solution.x > 0 ->
+  let sol, cert =
+    Minlp.Solver.run ~rel_gap:Minlp.Solver.model_rel_gap ?budget ?tally:trace
+      ?warm_start:(Option.map lift warm_start) solver problem
+  in
+  if Minlp.Solution.has_incumbent sol then begin
     let nt = num_tasks inst and ng = num_groups inst in
     let assignment = Array.make nt 0 in
     for t = 0 to nt - 1 do
@@ -400,11 +382,6 @@ let solve_minlp ?(solver = Engine.Solver_choice.Oa) ?budget ?cancel ?warm_start 
       done;
       assignment.(t) <- !best
     done;
-    let cert =
-      Minlp.Solution.certify
-        ~producer:("place." ^ Engine.Solver_choice.to_string solver)
-        ?budget ~minimize:true ~tol:1e-4 sol
-    in
     Ok
       {
         assignment;
@@ -413,4 +390,5 @@ let solve_minlp ?(solver = Engine.Solver_choice.Oa) ?budget ?cancel ?warm_start 
         stats = sol.Minlp.Solution.stats;
         certificate = Some cert;
       }
-  | st -> Error st
+  end
+  else Error sol.Minlp.Solution.status

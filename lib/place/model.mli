@@ -95,13 +95,13 @@ type solved = {
 }
 
 (** [solve_minlp ?solver ?budget ?cancel ?warm_start ?trace inst] — the
-    full MINLP path under the unified solve convention: Bnb/Oa/Oa_multi
-    via [solver] (default Oa), engine budgets and cooperative
-    cancellation, [warm_start] a task→group assignment priming the
-    incumbent (the heuristic's answer, typically), [trace] accumulating
-    solver counters. Returns the audited-checkable certificate alongside
-    the decoded assignment; [Error status] when no usable incumbent was
-    found. *)
+    full MINLP path through {!Minlp.Solver.run} at
+    {!Minlp.Solver.model_rel_gap}: Bnb/Oa/Oa_multi via [solver] (default
+    Oa), engine budgets and cooperative cancellation, [warm_start] a
+    task→group assignment priming the incumbent (the heuristic's answer,
+    typically; Oa_multi has none), [trace] accumulating solver counters.
+    Returns the audited-checkable certificate alongside the decoded
+    assignment; [Error status] when no usable incumbent was found. *)
 val solve_minlp :
   ?solver:Engine.Solver_choice.t ->
   ?budget:Engine.Budget.armed ->

@@ -14,9 +14,11 @@ let check_rejects msg pred verdict =
 let solved =
   lazy
     (let p = Audit.Instances.generate ~seed:11 in
-     match Minlp.Oa.solve p with
-     | Ok c -> (p, c.Engine.Solver_intf.cert)
-     | Error st -> Alcotest.failf "solve failed: %s" (Minlp.Solution.status_to_string st))
+     let sol, cert = Minlp.Solver.run Engine.Solver_choice.Oa p in
+     if Minlp.Solution.has_incumbent sol then (p, cert)
+     else
+       Alcotest.failf "solve failed: %s"
+         (Minlp.Solution.status_to_string sol.Minlp.Solution.status))
 
 let witness cert =
   match cert.Engine.Certificate.witness with
@@ -147,16 +149,14 @@ let test_fused_solve_not_optimal () =
   let budget =
     Engine.Budget.arm (Engine.Budget.make ~poll_fuse:(5, Engine.Budget.Deadline) ())
   in
-  (match Minlp.Oa.solve ~budget p with
-  | Ok c -> (
-    (match c.Engine.Solver_intf.value.Minlp.Solution.status with
-    | Minlp.Solution.Optimal -> Alcotest.fail "optimal claimed although the fuse tripped"
-    | _ -> ());
-    match Audit.check_minlp p c.Engine.Solver_intf.cert with
-    | Ok () -> ()
-    | Error _ as v ->
-      Alcotest.failf "fused certificate rejected: %s" (Audit.summary v))
-  | Error _ -> ())
+  let sol, cert = Minlp.Solver.run ~budget Engine.Solver_choice.Oa p in
+  if sol.Minlp.Solution.status = Minlp.Solution.Optimal then
+    Alcotest.fail "optimal claimed although the fuse tripped";
+  Alcotest.(check (option string)) "certificate records the budget stop" (Some "deadline")
+    cert.Engine.Certificate.budget_stop;
+  match Audit.check_minlp p cert with
+  | Ok () -> ()
+  | Error _ as v -> Alcotest.failf "fused certificate rejected: %s" (Audit.summary v)
 
 (* ---------- mini stress sweep ---------- *)
 
@@ -174,59 +174,30 @@ let test_stress_deterministic () =
   Alcotest.(check int) "same differential runs" a.Audit.Stress.differential_runs
     b.Audit.Stress.differential_runs
 
-(* ---------- unified solver API smoke ---------- *)
-
-let test_unified_lp () =
-  let p = Lp.Lp_problem.make ~num_vars:2 () in
-  let p = Lp.Lp_problem.set_objective p [| 1.; 1. |] in
-  let p =
-    Lp.Lp_problem.add_constraints p
-      [
-        { Lp.Lp_problem.coeffs = [ (0, 1.); (1, 2.) ]; sense = Lp.Lp_problem.Ge; rhs = 4. };
-        { Lp.Lp_problem.coeffs = [ (0, 3.); (1, 1.) ]; sense = Lp.Lp_problem.Ge; rhs = 6. };
-      ]
-  in
-  match Lp.Simplex.solve p with
-  | Ok c -> (
-    match Audit.check_lp p c.Engine.Solver_intf.cert with
-    | Ok () -> ()
-    | Error _ as v -> Alcotest.failf "lp certificate rejected: %s" (Audit.summary v))
-  | Error st -> Alcotest.failf "lp solve failed: %s" (Engine.Status.to_string st)
-
-let test_unified_nlp () =
-  let p =
-    Nlp.Nlp_problem.make ~dim:2
-      ~f:(fun x -> (x.(0) *. x.(0)) +. (x.(1) *. x.(1)))
-      ~lo:[| -5.; -5. |] ~hi:[| 5.; 5. |]
-      ~constraints:[ Nlp.Nlp_problem.eq (fun x -> x.(0) +. x.(1) -. 2.) ]
-      ()
-  in
-  match Nlp.Auglag.solve p with
-  | Ok c -> (
-    match Audit.check_nlp p c.Engine.Solver_intf.cert with
-    | Ok () -> ()
-    | Error _ as v -> Alcotest.failf "nlp certificate rejected: %s" (Audit.summary v))
-  | Error st -> Alcotest.failf "nlp solve failed: %s" (Engine.Status.to_string st)
+(* ---------- the one MINLP dispatch ---------- *)
 
 let test_unified_minlp_agree () =
   let p = Audit.Instances.generate ~seed:21 in
-  let solve name f =
-    match f () with
-    | Ok c ->
-      (match Audit.check_minlp p c.Engine.Solver_intf.cert with
-      | Ok () -> ()
-      | Error _ as v ->
-        Alcotest.failf "%s certificate rejected: %s" name (Audit.summary v));
-      c.Engine.Solver_intf.value.Minlp.Solution.obj
-    | Error st ->
-      Alcotest.failf "%s solve failed: %s" name (Minlp.Solution.status_to_string st)
+  let objs =
+    List.map
+      (fun choice ->
+        let name = Engine.Solver_choice.to_string choice in
+        let sol, cert = Minlp.Solver.run choice p in
+        if not (Minlp.Solution.has_incumbent sol) then
+          Alcotest.failf "%s solve failed: %s" name
+            (Minlp.Solution.status_to_string sol.Minlp.Solution.status);
+        Alcotest.(check string) "certificate names the solver" name
+          cert.Engine.Certificate.producer;
+        (match Audit.check_minlp p cert with
+        | Ok () -> ()
+        | Error _ as v -> Alcotest.failf "%s certificate rejected: %s" name (Audit.summary v));
+        sol.Minlp.Solution.obj)
+      Engine.Solver_choice.all
   in
-  let oa = solve "oa" (fun () -> Minlp.Oa.solve p) in
-  let bnb = solve "bnb" (fun () -> Minlp.Bnb.solve p) in
-  let multi = solve "oa-multi" (fun () -> Minlp.Oa_multi.solve p) in
   let close a b = Float.abs (a -. b) <= 0.01 *. (1. +. Float.abs a) in
-  Alcotest.(check bool) "oa vs bnb agree" true (close oa bnb);
-  Alcotest.(check bool) "oa vs oa-multi agree" true (close oa multi)
+  List.iter
+    (fun obj -> Alcotest.(check bool) "solvers agree" true (close (List.hd objs) obj))
+    objs
 
 (* ---------- ε-reoptimality certificates ---------- *)
 
@@ -359,8 +330,6 @@ let () =
         ] );
       ( "unified api",
         [
-          Alcotest.test_case "lp solve certified" `Quick test_unified_lp;
-          Alcotest.test_case "nlp solve certified" `Quick test_unified_nlp;
           Alcotest.test_case "minlp solvers certified and agree" `Quick
             test_unified_minlp_agree;
         ] );

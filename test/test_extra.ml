@@ -1,6 +1,6 @@
 (* Second-round coverage: edge cases and cross-validation between
-   independent implementations (greedy vs MINLP, LPT vs assignment MILP,
-   pretty-printers, solver limit statuses). *)
+   independent implementations (greedy vs MINLP, pretty-printers,
+   solver limit statuses). *)
 
 let check_float ?(eps = 1e-6) msg expected actual =
   if Float.abs (expected -. actual) > eps *. (1. +. Float.abs expected) then
@@ -125,23 +125,6 @@ let test_min_sum_greedy_matches_minlp () =
   check_float ~eps:1e-4 "same min-sum value"
     (min_sum_value specs minlp_nodes)
     (min_sum_value specs greedy.Hslb.Alloc_model.nodes_per_task)
-
-let test_assignment_milp_optimal_vs_brute_force () =
-  (* 5 tasks, 2 groups: MILP makespan equals exhaustive optimum *)
-  let durations = [| 7.; 5.; 4.; 3.; 3. |] in
-  let duration ~task ~group:_ = durations.(task) in
-  let _, milp_ms =
-    Hslb.Alloc_model.assignment_milp ~group_sizes:[| 1; 1 |] ~duration ~num_tasks:5 ()
-  in
-  let best = ref infinity in
-  for mask = 0 to 31 do
-    let l0 = ref 0. and l1 = ref 0. in
-    Array.iteri
-      (fun t d -> if mask land (1 lsl t) <> 0 then l0 := !l0 +. d else l1 := !l1 +. d)
-      durations;
-    best := Float.min !best (Float.max !l0 !l1)
-  done;
-  check_float "optimal makespan" !best milp_ms
 
 (* ---------- molecule / fragment extras ---------- *)
 
@@ -467,8 +450,6 @@ let () =
       ( "alloc cross-validation",
         [
           Alcotest.test_case "greedy = MINLP (min-sum)" `Quick test_min_sum_greedy_matches_minlp;
-          Alcotest.test_case "assignment MILP optimal" `Quick
-            test_assignment_milp_optimal_vs_brute_force;
         ] );
       ( "fmo extras",
         [

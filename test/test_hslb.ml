@@ -214,12 +214,61 @@ let test_max_min_uses_all_nodes () =
   in
   Alcotest.(check bool) "uses (almost) all nodes" true (used >= 23)
 
+(* every solver answers the same makespan, and its certificate names
+   it and passes the independent checker against the model's own
+   problem *)
 let test_solver_choice_agrees () =
   let specs = two_class_specs () in
-  let a = solve_ok ~solver:Engine.Solver_choice.Oa ~n_total:30 specs in
-  let b = solve_ok ~solver:Engine.Solver_choice.Bnb ~n_total:30 specs in
-  check_float ~eps:1e-3 "same makespan" a.Hslb.Alloc_model.predicted_makespan
-    b.Hslb.Alloc_model.predicted_makespan
+  let problem, _, _ =
+    Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total:30 specs
+  in
+  let makespans =
+    List.map
+      (fun solver ->
+        let a = solve_ok ~solver ~n_total:30 specs in
+        let name = Engine.Solver_choice.to_string solver in
+        match a.Hslb.Alloc_model.certificate with
+        | None -> Alcotest.failf "%s: no certificate" name
+        | Some cert ->
+          Alcotest.(check string) "certificate names the solver" name
+            cert.Engine.Certificate.producer;
+          (match Audit.check_minlp problem cert with
+          | Ok () -> ()
+          | Error _ as v -> Alcotest.failf "%s certificate rejected: %s" name (Audit.summary v));
+          a.Hslb.Alloc_model.predicted_makespan)
+      Engine.Solver_choice.all
+  in
+  List.iter (check_float ~eps:1e-3 "same makespan" (List.hd makespans)) makespans
+
+(* an instance with no admissible allocation is [Error Infeasible] under
+   every objective: A's smallest sizes need 8 of 5 nodes, B's only
+   sweet spot lies past the budget, and in C (B with room) 64 lies past
+   both curves' minima, where max-min admits no size *)
+let test_no_admissible_allocation () =
+  let csv count = Printf.sprintf "a,%d,100,0.1,1,1\nb,%d,50,0.1,1,1" count count in
+  let a = Hslb.Model_store.specs_of_csv (csv 4) in
+  let b = Hslb.Model_store.specs_of_csv ~allowed:[ 64 ] (csv 1) in
+  let answer objective ~n_total specs =
+    match Hslb.Alloc_model.solve ~objective ~n_total specs with
+    | Ok alloc -> Ok alloc.Hslb.Alloc_model.nodes_per_task
+    | Error st -> Error (Minlp.Solution.status_to_string st)
+  in
+  let answers = Alcotest.(result (array int) string) in
+  List.iter
+    (fun objective ->
+      let name = Hslb.Objective.to_string objective in
+      Alcotest.check answers ("A " ^ name) (Error "infeasible") (answer objective ~n_total:5 a);
+      Alcotest.check answers ("B " ^ name) (Error "infeasible") (answer objective ~n_total:50 b))
+    Hslb.Objective.[ Min_max; Max_min; Min_sum ];
+  Alcotest.check answers "C max-min" (Error "infeasible")
+    (answer Hslb.Objective.Max_min ~n_total:200 b);
+  List.iter
+    (fun objective ->
+      Alcotest.check answers
+        ("C " ^ Hslb.Objective.to_string objective)
+        (Ok [| 64; 64 |])
+        (answer objective ~n_total:200 b))
+    Hslb.Objective.[ Min_max; Min_sum ]
 
 (* restrict_to_values: builder-level edge cases for the sweet-spot
    encoding *)
@@ -258,28 +307,6 @@ let test_restrict_spec_allowed_singleton () =
     solve_ok ~n_total:32 [ { (Hslb.Alloc_model.spec_of fc) with allowed = Some [ 6 ] } ]
   in
   Alcotest.(check int) "forced to 6" 6 alloc.Hslb.Alloc_model.nodes_per_task.(0)
-
-let test_assignment_milp_small () =
-  (* 4 tasks (3,3,2,2) on 2 identical groups -> makespan 5 *)
-  let durations = [| 3.; 3.; 2.; 2. |] in
-  let assignment, predicted =
-    Hslb.Alloc_model.assignment_milp ~group_sizes:[| 4; 4 |]
-      ~duration:(fun ~task ~group:_ -> durations.(task))
-      ~num_tasks:4 ()
-  in
-  check_float "makespan" 5. predicted;
-  Alcotest.(check int) "assigned all" 4 (Array.length assignment)
-
-let test_assignment_milp_fallback_lpt () =
-  (* node budget 0 forces the LPT fallback; still a valid assignment *)
-  let durations = [| 5.; 4.; 3.; 3.; 3. |] in
-  let assignment, predicted =
-    Hslb.Alloc_model.assignment_milp ~max_nodes:0 ~group_sizes:[| 1; 1 |]
-      ~duration:(fun ~task ~group:_ -> durations.(task))
-      ~num_tasks:5 ()
-  in
-  Alcotest.(check int) "assigned all" 5 (Array.length assignment);
-  Alcotest.(check bool) "reasonable" true (predicted <= 11.)
 
 (* ---------- Fmo_app pipeline ---------- *)
 
@@ -534,8 +561,8 @@ let () =
           Alcotest.test_case "restrict out-of-range" `Quick test_restrict_out_of_range_value;
           Alcotest.test_case "allowed singleton end-to-end" `Quick
             test_restrict_spec_allowed_singleton;
-          Alcotest.test_case "assignment milp" `Quick test_assignment_milp_small;
-          Alcotest.test_case "assignment fallback" `Quick test_assignment_milp_fallback_lpt;
+          Alcotest.test_case "no admissible allocation is infeasible" `Quick
+            test_no_admissible_allocation;
         ] );
       ( "fmo_app",
         [

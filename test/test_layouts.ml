@@ -117,6 +117,26 @@ let test_tsync_uses_bnb_and_tightens () =
   Alcotest.(check bool) "no better than unconstrained" true
     (a.Layout_model.total >= b.Layout_model.total -. 1e-6)
 
+(* every solver's certificate names it and passes the independent
+   checker against the layout's own problem *)
+let test_every_solver_certified () =
+  let inputs = fitted_inputs Cesm_data.Deg1 in
+  List.iter
+    (fun solver ->
+      let name = Engine.Solver_choice.to_string solver in
+      let config = { (Layout_model.default_config ~n_total:128) with Layout_model.solver } in
+      let a = solve_ok Layout_model.Sequential_group config inputs in
+      let problem, _ = Layout_model.build Layout_model.Sequential_group config inputs in
+      match a.Layout_model.certificate with
+      | None -> Alcotest.failf "%s: no certificate" name
+      | Some cert -> (
+        Alcotest.(check string) "certificate names the solver" name
+          cert.Engine.Certificate.producer;
+        match Audit.check_minlp problem cert with
+        | Ok () -> ()
+        | Error _ as v -> Alcotest.failf "%s certificate rejected: %s" name (Audit.summary v)))
+    Engine.Solver_choice.all
+
 (* ---------- Cesm_data ---------- *)
 
 let test_truth_magnitudes () =
@@ -196,6 +216,7 @@ let () =
           Alcotest.test_case "beats manual" `Quick test_solution_beats_manual_baseline;
           Alcotest.test_case "scaling prediction" `Quick test_predict_scaling_monotone;
           Alcotest.test_case "tsync" `Slow test_tsync_uses_bnb_and_tightens;
+          Alcotest.test_case "every solver certified" `Quick test_every_solver_certified;
         ] );
       ( "cesm_data",
         [

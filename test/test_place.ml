@@ -198,6 +198,52 @@ let test_minlp_budget_and_warm_start () =
     Alcotest.failf "warm-started cancelled solve lost its incumbent: %s"
       (Minlp.Solution.status_to_string st)
 
+(* tasks 7,5,4,3,3 on two 1-node groups of a 2x1x1 torus, with no
+   traffic and ample memory: placement reduces to two-machine
+   scheduling, whose exhaustive optimum is 11 *)
+let two_group_durations = [| 7.; 5.; 4.; 3.; 3. |]
+
+let two_group_instance () =
+  let durations = two_group_durations in
+  Place.Model.make ~topology:(Topology.make ~x:2 ~y:1 ~z:1) ~groups:[| [| 0 |]; [| 1 |] |]
+    ~names:(Array.init 5 (Printf.sprintf "t%d"))
+    ~duration_s:(Array.map (fun d -> [| d; d |]) durations)
+    ~mem_gb:(Array.make 5 0.1) ~mem_per_node_gb:1.0
+    ~comm_mb:(Array.make_matrix 5 5 0.) ~hop_cost_s_per_mb:0.01 ()
+
+(* every solver reaches the exhaustive optimum, and its certificate
+   names it and passes the independent checker against the model's own
+   problem *)
+let test_minlp_vs_brute_force () =
+  let best = ref infinity in
+  for mask = 0 to 31 do
+    let l0 = ref 0. and l1 = ref 0. in
+    Array.iteri
+      (fun t d -> if mask land (1 lsl t) <> 0 then l0 := !l0 +. d else l1 := !l1 +. d)
+      two_group_durations;
+    best := Float.min !best (Float.max !l0 !l1)
+  done;
+  Alcotest.(check (float 1e-9)) "exhaustive optimum" 11. !best;
+  let inst = two_group_instance () in
+  let problem, _ = Place.Model.build_milp inst in
+  List.iter
+    (fun solver ->
+      let name = Engine.Solver_choice.to_string solver in
+      match Place.Model.solve_minlp ~solver inst with
+      | Error st -> Alcotest.failf "%s: %s" name (Minlp.Solution.status_to_string st)
+      | Ok solved -> (
+        Alcotest.(check (float 1e-6)) (name ^ " makespan") !best
+          solved.Place.Model.evaluation.Place.Model.makespan_s;
+        match solved.Place.Model.certificate with
+        | None -> Alcotest.failf "%s: no certificate" name
+        | Some cert -> (
+          Alcotest.(check string) "certificate names the solver" name
+            cert.Engine.Certificate.producer;
+          match Audit.check_minlp problem cert with
+          | Ok () -> ()
+          | Error _ as v -> Alcotest.failf "%s certificate rejected: %s" name (Audit.summary v))))
+    Engine.Solver_choice.all
+
 (* ---------- E11 golden: byte-stable under the pinned comm seed ---------- *)
 
 let test_e11_golden () =
@@ -264,6 +310,7 @@ let () =
         [
           Alcotest.test_case "audited optimal" `Quick test_minlp_audited_optimal;
           Alcotest.test_case "budget and warm start" `Quick test_minlp_budget_and_warm_start;
+          Alcotest.test_case "every solver vs brute force" `Quick test_minlp_vs_brute_force;
         ] );
       ( "experiments",
         [

@@ -950,6 +950,28 @@ let test_serve_strategy_ignored () =
   Alcotest.(check bool) "v2 reply echoes v" true
     (Option.bind (find_by_id h 2) (Serve.Json.member "v") = Some (Serve.Json.Num 2.))
 
+(* instances with no admissible allocation answer infeasible on the
+   wire, never "optimal" or an internal error: A's smallest sizes need 8
+   of 5 nodes; B's only sweet spot, 64, lies past the 50-node budget *)
+let test_serve_no_admissible_allocation () =
+  let h = make_harness ~jobs:1 () in
+  Serve.Server.submit h.server
+    {|{"id":1,"model_csv":"a,4,100,0.1,1,1\nb,4,50,0.1,1,1","nodes":5,"objective":"max-min"}|};
+  Serve.Server.submit h.server
+    {|{"id":2,"model_csv":"a,1,100,0.1,1,1\nb,1,50,0.1,1,1","nodes":50,"allowed":[64],"objective":"min-max"}|};
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  List.iter
+    (fun id ->
+      match find_by_id h id with
+      | None -> Alcotest.failf "request %d never answered" id
+      | Some v ->
+        Alcotest.(check string) (Printf.sprintf "id %d outcome" id) "error" (outcome_of v);
+        Alcotest.(check (option string))
+          (Printf.sprintf "id %d error" id)
+          (Some "no allocation: infeasible")
+          (Option.bind (Serve.Json.member "error" v) Serve.Json.str))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -990,5 +1012,7 @@ let () =
           Alcotest.test_case "place annotation" `Quick test_serve_place_annotation;
           Alcotest.test_case "answers keyed by solver" `Quick test_serve_solver_keyed;
           Alcotest.test_case "strategy member ignored" `Quick test_serve_strategy_ignored;
+          Alcotest.test_case "no admissible allocation is infeasible" `Quick
+            test_serve_no_admissible_allocation;
         ] );
     ]
