@@ -484,6 +484,13 @@ let listen_arg =
            announced with a $(i,listening) event line on stdout). Many concurrent \
            connections, same NDJSON framing per connection.")
 
+(* a [Unix_error] out of [Service.run]: the [--listen] address would
+   not bind, or stdin could not be read *)
+let listen_failed cmd listen e arg =
+  Format.eprintf "hslb %s: cannot listen on %s: %s %s@." cmd
+    (Option.fold ~none:"stdio" ~some:Serve.Transport_socket.addr_to_string listen)
+    (Unix.error_message e) arg
+
 let serve_cmd =
   let jobs = Cli_common.jobs_arg in
   let queue_limit = Cli_common.queue_limit_arg in
@@ -569,57 +576,28 @@ let serve_cmd =
         policy;
       }
     in
-    match listen with
-    | None ->
-      Serve.Transport_stdio.run ?telemetry_path:telemetry ?report_path:report
-        ?metrics_out
+    let telemetry_oc =
+      Option.map (fun p -> open_out_gen [ Open_append; Open_creat ] 0o644 p) telemetry
+    in
+    let telemetry =
+      Option.map
+        (fun oc line ->
+          output_string oc line;
+          output_char oc '\n';
+          flush oc)
+        telemetry_oc
+    in
+    let server = Serve.Server.create ?telemetry cfg ~emit:Serve.Service.stdout_line in
+    match
+      Serve.Service.run ?report_path:report ?metrics_out
         ~metrics_interval_s:(metrics_interval_ms /. 1000.)
-        cfg
-    | Some addr ->
-      let telemetry_oc =
-        Option.map
-          (fun p -> open_out_gen [ Open_append; Open_creat ] 0o644 p)
-          telemetry
-      in
-      let telemetry =
-        Option.map
-          (fun oc line ->
-            output_string oc line;
-            output_char oc '\n';
-            flush oc)
-          telemetry_oc
-      in
-      let events line =
-        print_string line;
-        print_newline ();
-        flush stdout
-      in
-      let server = Serve.Server.create ?telemetry cfg ~emit:events in
-      (match
-         Serve.Service.run ?report_path:report ?metrics_out
-           ~metrics_interval_s:(metrics_interval_ms /. 1000.)
-           ~events
-           (Serve.Service.core_of_server server)
-           ~make_listener:(fun ~stop ->
-             let l = Serve.Transport_socket.listen ~stop addr in
-             events
-               (Serve.Json.to_string
-                  (Serve.Json.Obj
-                     [
-                       ("event", Serve.Json.Str "listening");
-                       ( "addr",
-                         Serve.Json.Str
-                           (Serve.Transport_socket.addr_to_string
-                              (Serve.Transport_socket.bound_addr l)) );
-                     ]));
-             Serve.Transport_socket.listener l)
-       with
-      | _report -> Option.iter close_out telemetry_oc
-      | exception Unix.Unix_error (e, _, arg) ->
-        Format.eprintf "hslb serve: cannot listen on %s: %s %s@."
-          (Serve.Transport_socket.addr_to_string addr)
-          (Unix.error_message e) arg;
-        exit 1)
+        ~listen
+        (Serve.Service.core_of_server server)
+    with
+    | _report -> Option.iter close_out telemetry_oc
+    | exception Unix.Unix_error (e, _, arg) ->
+      listen_failed "serve" listen e arg;
+      exit 1
   in
   Cmd.v
     (Cmd.info "serve"
@@ -793,14 +771,9 @@ let route_cmd =
         drain_grace_s = (drain_grace_ms /. 1000.) +. 3.;
       }
     in
-    let events line =
-      print_string line;
-      print_newline ();
-      flush stdout
-    in
     let router =
       try
-        Serve.Router.create ~cfg ~events
+        Serve.Router.create ~cfg
           (Serve.Router.spawn_targets ~prog:Sys.executable_name ~args:backend_args
              ~dir ~count:backends)
       with Failure msg ->
@@ -808,28 +781,13 @@ let route_cmd =
         exit 1
     in
     match
-      Serve.Service.run ?report_path:report ?metrics_out ~events
-        (Serve.Router.core router)
-        ~make_listener:(fun ~stop ->
-          let l = Serve.Transport_socket.listen ~stop listen in
-          events
-            (Serve.Json.to_string
-               (Serve.Json.Obj
-                  [
-                    ("event", Serve.Json.Str "listening");
-                    ( "addr",
-                      Serve.Json.Str
-                        (Serve.Transport_socket.addr_to_string
-                           (Serve.Transport_socket.bound_addr l)) );
-                    ("backends", Serve.Json.Num (float_of_int backends));
-                  ]));
-          Serve.Transport_socket.listener l)
+      Serve.Service.run ?report_path:report ?metrics_out
+        ~listening:[ ("backends", Serve.Json.Num (float_of_int backends)) ]
+        ~listen:(Some listen) (Serve.Router.core router)
     with
     | _report -> ()
     | exception Unix.Unix_error (e, _, arg) ->
-      Format.eprintf "hslb route: cannot listen on %s: %s %s@."
-        (Serve.Transport_socket.addr_to_string listen)
-        (Unix.error_message e) arg;
+      listen_failed "route" (Some listen) e arg;
       Serve.Router.initiate_drain router;
       ignore (Serve.Router.await_drain router : Engine.Run_report.t);
       exit 1

@@ -14,7 +14,9 @@
 # `hslb serve` is driven with a ~50-request scripted trace (mixed
 # valid, malformed and over-deadline requests against a deliberately
 # tiny queue) to pin the overload and expiry paths, and then once more
-# through a fifo with SIGTERM to pin the graceful-drain path.
+# through a fifo with SIGTERM to pin the graceful-drain path. Both runs
+# assert exactly-once on the live process: the terminal drained event
+# must report as many requests served as it accepted.
 #
 # The observability stage then produces both exporter artifacts for
 # real — a Prometheus exposition from a serve run under --metrics-out
@@ -85,6 +87,18 @@ SERVE_BIN=./_build/default/bin/hslb_cli.exe
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
+# exactly once: the drained event of serve output FILE must count every
+# accepted request as served
+assert_exactly_once() {
+  drained=$(grep '"event":"drained"' "$1")
+  accepted=$(printf '%s' "$drained" | grep -o '"accepted":[0-9]*' | head -1 | cut -d: -f2)
+  served=$(printf '%s' "$drained" | grep -o '"served":[0-9]*' | head -1 | cut -d: -f2)
+  if [ -z "$accepted" ] || [ "$accepted" != "$served" ]; then
+    echo "$2: accepted ${accepted:-?} requests but served ${served:-?}" >&2
+    exit 1
+  fi
+}
+
 # a single worker and a tiny queue against a 50-request burst: the
 # trace must provoke every admission outcome, and every request line
 # must be answered exactly once before the final drained event
@@ -107,6 +121,7 @@ grep -q '"event":"drained"' "$SMOKE_DIR/trace.out" || {
   echo "serve smoke: missing drained event" >&2
   exit 1
 }
+assert_exactly_once "$SMOKE_DIR/trace.out" "serve smoke"
 
 echo "== serve smoke: SIGTERM graceful drain =="
 mkfifo "$SMOKE_DIR/serve.fifo"
@@ -138,6 +153,7 @@ grep -q '"event":"drained"' "$SMOKE_DIR/sigterm.out" || {
   echo "serve smoke: missing drained event after SIGTERM" >&2
   exit 1
 }
+assert_exactly_once "$SMOKE_DIR/sigterm.out" "serve smoke (SIGTERM)"
 
 echo "== observability: serve --metrics-out + bench --trace artifacts =="
 # a short serve run flushing metrics fast enough that the periodic

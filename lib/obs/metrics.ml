@@ -134,6 +134,17 @@ module Histogram = struct
         p99 = quantile 0.99;
       }
     end
+
+  (* NaN quantiles of an empty histogram render as JSON null *)
+  let summary_json (s : summary) =
+    Json.Obj
+      [
+        ("count", Json.Num (float_of_int s.count));
+        ("p50", Json.Num s.p50);
+        ("p90", Json.Num s.p90);
+        ("p99", Json.Num s.p99);
+        ("max", Json.Num s.max);
+      ]
 end
 
 type metric =

@@ -62,6 +62,11 @@ module Histogram : sig
   val count : t -> int
   val name : t -> string
   val summary : t -> summary
+
+  (** [{"count","p50","p90","p99","max"}] — the quantile summary the
+      serve [stats] replies and the fleet benchmark report; quantiles
+      of an empty histogram print as [null]. *)
+  val summary_json : summary -> Json.t
 end
 
 type metric =

@@ -290,18 +290,6 @@ let run ?(label = "run") ?rate_rps ?(window = 16) ?(timeout_s = 120.)
 
 (* ---------- JSON ---------- *)
 
-let num_or_null v = if Float.is_nan v then Json.Null else Json.Num v
-
-let summary_json (s : Obs.Metrics.Histogram.summary) =
-  Json.Obj
-    [
-      ("count", Json.Num (float_of_int s.count));
-      ("p50", num_or_null s.p50);
-      ("p90", num_or_null s.p90);
-      ("p99", num_or_null s.p99);
-      ("max", num_or_null s.max);
-    ]
-
 let result_json r =
   Json.Obj
     [
@@ -315,7 +303,7 @@ let result_json r =
       );
       ("cache_hits", Json.Num (float_of_int r.cache_hits));
       ("dedups", Json.Num (float_of_int r.dedups));
-      ("latency_ms", summary_json r.latency);
+      ("latency_ms", Obs.Metrics.Histogram.summary_json r.latency);
       ("server_stats", r.server_stats);
     ]
 
@@ -393,7 +381,7 @@ let bench_json b =
       ("trace", spec_json b.spec);
       ("single", result_json b.single);
       ("fleet", result_json b.fleet);
-      ("speedup", num_or_null b.speedup);
+      ("speedup", Json.Num b.speedup);
     ]
 
 let write_bench path b =

@@ -1,6 +1,13 @@
 let min_version = 1
 let current_version = 2
 
+let version_range =
+  Json.Obj
+    [
+      ("min", Json.Num (float_of_int min_version));
+      ("max", Json.Num (float_of_int current_version));
+    ]
+
 type place_params = {
   torus : int * int * int;
   place_groups : int;

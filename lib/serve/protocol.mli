@@ -23,6 +23,10 @@ val min_version : int
     [>= 2]. *)
 val current_version : int
 
+(** [{"min":1,"max":2}] — the supported range, as v2 [ping] and
+    [stats] replies advertise it under ["protocol"]. *)
+val version_range : Json.t
+
 (** The optional ["place"] section of a solve (v2+): where the classes
     should land once the allocator has sized them. The torus is carved
     into [place_groups] even compact node groups and each model class

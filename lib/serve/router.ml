@@ -57,6 +57,7 @@ type backend = {
 (* one fan-out in flight: every live backend owes one answer *)
 type agg = {
   aorig : Json.t;
+  av : int;  (* the client's protocol version *)
   areply : (string -> unit) option;  (* None: internal drain fan-out *)
   akind : [ `Ping | `Stats | `Drain ];
   mutable waiting : int;
@@ -65,7 +66,7 @@ type agg = {
 }
 
 type pending =
-  | Single of { orig : Json.t; reply : string -> unit; sent_at : float }
+  | Single of { orig : Json.t; v : int; reply : string -> unit; sent_at : float }
   | Member of agg
 
 type t = {
@@ -177,16 +178,6 @@ let connect_target ~timeout_s (target : target) =
 
 (* ---------- stats ---------- *)
 
-let summary_json (s : Obs.Metrics.Histogram.summary) =
-  Json.Obj
-    [
-      ("count", Json.Num (float_of_int s.count));
-      ("p50", Json.Num s.p50);
-      ("p90", Json.Num s.p90);
-      ("p99", Json.Num s.p99);
-      ("max", Json.Num s.max);
-    ]
-
 let stats_obj t =
   locked t (fun () ->
       Json.Obj
@@ -200,7 +191,7 @@ let stats_obj t =
           ("respawns", Json.Num (float_of_int t.n_respawns));
           ("protocol_errors", Json.Num (float_of_int t.n_protocol_errors));
           ("inflight", Json.Num (float_of_int (Hashtbl.length t.inflight)));
-          ("rtt_ms", summary_json (Obs.Metrics.Histogram.summary t.rtt_h));
+          ("rtt_ms", Obs.Metrics.Histogram.(summary_json (summary t.rtt_h)));
           ( "backends",
             Json.Arr
               (List.map
@@ -220,51 +211,67 @@ let stats_json t = Json.to_string (stats_obj t)
 
 (* ---------- answering ---------- *)
 
-let answer_error ?v t ~id ~reply msg =
+(* every reply the router writes itself is in the client's version [v] *)
+let answer_error t ~v ~id ~reply msg =
   locked t (fun () -> t.n_errors <- t.n_errors + 1);
-  reply_line t reply (Protocol.error_response ?v ~id ~outcome:"error" msg)
+  reply_line t reply (Protocol.error_response ~v ~id ~outcome:"error" msg)
 
 let finish_agg t (a : agg) =
   match a.areply with
   | None -> ()  (* internal drain fan-out: nobody to answer *)
   | Some reply -> (
     let total = List.length t.backends in
+    let respond fields =
+      reply_line t reply
+        (Protocol.response ~v:a.av ~id:a.aorig (("outcome", Json.Str "ok") :: fields))
+    in
+    (* v2 discovers the protocol range through the fleet, as from one backend *)
+    let advertised = if a.av >= 2 then [ ("protocol", Protocol.version_range) ] else [] in
     match a.akind with
     | `Ping ->
-      reply_line t reply
-        (Protocol.response ~id:a.aorig
-           [
-             ("outcome", Json.Str "ok");
-             ("pong", Json.Bool true);
-             ( "backends",
-               Json.Obj
-                 [
-                   ("total", Json.Num (float_of_int total));
-                   ("ok", Json.Num (float_of_int a.oks));
-                 ] );
-           ])
+      respond
+        ([
+           ("pong", Json.Bool true);
+           ( "backends",
+             Json.Obj
+               [
+                 ("total", Json.Num (float_of_int total));
+                 ("ok", Json.Num (float_of_int a.oks));
+               ] );
+         ]
+        @ advertised)
     | `Stats ->
-      reply_line t reply
-        (Protocol.response ~id:a.aorig
-           [
-             ("outcome", Json.Str "ok");
-             ( "stats",
-               Json.Obj
-                 [
-                   ("router", stats_obj t);
-                   ("backends", Json.Obj (List.rev a.payloads));
-                 ] );
-           ])
+      respond
+        (( "stats",
+           Json.Obj [ ("router", stats_obj t); ("backends", Json.Obj (List.rev a.payloads)) ] )
+        :: advertised)
     | `Drain ->
-      reply_line t reply
-        (Protocol.response ~id:a.aorig
-           [
-             ("outcome", Json.Str "ok");
-             ("draining", Json.Bool true);
-             ("backends", Json.Num (float_of_int total));
-           ]);
+      respond [ ("draining", Json.Bool true); ("backends", Json.Num (float_of_int total)) ];
       (* the ack is out; now the router itself may unwind *)
       locked t (fun () -> t.is_draining <- true))
+
+(* Answer in-flight entries that will never get a backend reply
+   (already taken out of [inflight]): a single request is answered
+   "backend OWNER [why]"; a fan-out member stops being waited for, and a
+   fan-out left owing nothing is answered last. *)
+let settle t entries why =
+  let finished =
+    List.filter_map
+      (fun (owner, p) ->
+        match p with
+        | Single { orig; v; reply; _ } ->
+          answer_error t ~v ~id:orig ~reply (Printf.sprintf "backend %s %s" owner why);
+          None
+        | Member a ->
+          if
+            locked t (fun () ->
+                a.waiting <- a.waiting - 1;
+                a.waiting = 0)
+          then Some a
+          else None)
+      entries
+  in
+  List.iter (finish_agg t) finished
 
 (* ---------- backend responses ---------- *)
 
@@ -295,7 +302,7 @@ let handle_backend_line t (b : backend) line =
     | Some iid -> (
       match take_inflight t iid with
       | None -> ()  (* already errored out (death race): drop the late answer *)
-      | Some (_, Single { orig; reply; sent_at }) ->
+      | Some (_, Single { orig; reply; sent_at; v = _ }) ->
         Obs.Metrics.Histogram.observe t.rtt_h ((now () -. sent_at) *. 1000.);
         reply_line t reply (rewrite_response ~orig ~backend:b.bname fields)
       | Some (_, Member a) ->
@@ -337,31 +344,16 @@ let on_backend_down t (b : backend) ~graceful =
         end;
         let mine =
           Hashtbl.fold
-            (fun iid (owner, p) acc ->
-              if owner = b.bname then (iid, p) :: acc else acc)
+            (fun iid ((owner, _) as entry) acc ->
+              if owner = b.bname then (iid, entry) :: acc else acc)
             t.inflight []
         in
         List.iter (fun (iid, _) -> Hashtbl.remove t.inflight iid) mine;
-        mine)
+        List.map snd mine)
   in
   if not graceful then
     event t [ ("event", Json.Str "backend_death"); ("backend", Json.Str b.bname) ];
-  let finished = ref [] in
-  List.iter
-    (fun (_, p) ->
-      match p with
-      | Single { orig; reply; _ } ->
-        answer_error t ~id:orig ~reply
-          (Printf.sprintf "backend %s died before answering" b.bname)
-      | Member a ->
-        let f =
-          locked t (fun () ->
-              a.waiting <- a.waiting - 1;
-              a.waiting = 0)
-        in
-        if f then finished := a :: !finished)
-    orphans;
-  List.iter (finish_agg t) !finished
+  settle t orphans "died before answering"
 
 let rec reader_loop t (b : backend) =
   match b.client with
@@ -426,44 +418,37 @@ let rewrite_request ~iid fields =
        (("id", Json.Num (float_of_int iid))
        :: List.filter (fun (k, _) -> k <> "id") fields))
 
-let forward_single t (b : backend) ~orig ~reply fields =
+(* a failed send is a death the reader has not seen yet; its sweep may
+   have settled the entry already *)
+let send_or_settle t c iid fields =
+  if not (Transport_socket.Client.send c (rewrite_request ~iid fields)) then
+    settle t (Option.to_list (take_inflight t iid)) "died"
+
+let forward_single t (b : backend) ~orig ~v ~reply fields =
   let slot =
     locked t (fun () ->
         match b.client with
         | Some c when b.alive ->
           let iid = fresh_id t in
           Hashtbl.replace t.inflight iid
-            (b.bname, Single { orig; reply; sent_at = now () });
+            (b.bname, Single { orig; v; reply; sent_at = now () });
           b.forwarded <- b.forwarded + 1;
           t.n_forwarded <- t.n_forwarded + 1;
           Some (c, iid)
         | Some _ | None -> None)
   in
   match slot with
-  | None ->
-    answer_error t ~id:orig ~reply (Printf.sprintf "backend %s unavailable" b.bname)
-  | Some (c, iid) ->
-    if not (Transport_socket.Client.send c (rewrite_request ~iid fields)) then begin
-      (* the reader's death sweep may have answered already *)
-      let owed =
-        locked t (fun () ->
-            if Hashtbl.mem t.inflight iid then begin
-              Hashtbl.remove t.inflight iid;
-              true
-            end
-            else false)
-      in
-      if owed then
-        answer_error t ~id:orig ~reply (Printf.sprintf "backend %s died" b.bname)
-    end
+  | None -> answer_error t ~v ~id:orig ~reply (Printf.sprintf "backend %s unavailable" b.bname)
+  | Some (c, iid) -> send_or_settle t c iid fields
 
-let fan_out t ~orig ~reply akind fields =
+let fan_out t ~orig ~v ~reply akind fields =
   let a, sends =
     locked t (fun () ->
         let live = List.filter (fun b -> b.alive && b.client <> None) t.backends in
         let a =
           {
             aorig = orig;
+            av = v;
             areply = reply;
             akind;
             waiting = List.length live;
@@ -478,29 +463,13 @@ let fan_out t ~orig ~reply akind fields =
               Hashtbl.replace t.inflight iid (b.bname, Member a);
               b.forwarded <- b.forwarded + 1;
               t.n_forwarded <- t.n_forwarded + 1;
-              (b, Option.get b.client, iid))
+              (Option.get b.client, iid))
             live
         in
         (a, sends))
   in
   if sends = [] then finish_agg t a
-  else
-    List.iter
-      (fun ((b : backend), c, iid) ->
-        if not (Transport_socket.Client.send c (rewrite_request ~iid fields)) then begin
-          ignore (b : backend);
-          let finished =
-            locked t (fun () ->
-                if Hashtbl.mem t.inflight iid then begin
-                  Hashtbl.remove t.inflight iid;
-                  a.waiting <- a.waiting - 1;
-                  a.waiting = 0
-                end
-                else false)
-          in
-          if finished then finish_agg t a
-        end)
-      sends
+  else List.iter (fun (c, iid) -> send_or_settle t c iid fields) sends
 
 (* ---------- the request path ---------- *)
 
@@ -536,26 +505,25 @@ let submit t ~reply line =
     in
     if first then begin
       event t [ ("event", Json.Str "fleet_drain") ];
-      fan_out t ~orig:id ~reply:(Some reply) `Drain [ ("op", Json.Str "drain") ]
+      fan_out t ~orig:id ~v ~reply:(Some reply) `Drain [ ("op", Json.Str "drain") ]
     end
     else begin
       (* idempotent: ack again without a second fan-out *)
       reply_line t reply
-        (Protocol.response ~id
-           [ ("outcome", Json.Str "ok"); ("draining", Json.Bool true) ]);
+        (Protocol.response ~v ~id [ ("outcome", Json.Str "ok"); ("draining", Json.Bool true) ]);
       locked t (fun () -> t.is_draining <- true)
     end
-  | Ok Protocol.Ping -> fan_out t ~orig:id ~reply:(Some reply) `Ping [ ("op", Json.Str "ping") ]
+  | Ok Protocol.Ping -> fan_out t ~orig:id ~v ~reply:(Some reply) `Ping [ ("op", Json.Str "ping") ]
   | Ok Protocol.Stats ->
-    fan_out t ~orig:id ~reply:(Some reply) `Stats [ ("op", Json.Str "stats") ]
+    fan_out t ~orig:id ~v ~reply:(Some reply) `Stats [ ("op", Json.Str "stats") ]
   | Ok (Protocol.Sleep _ | Protocol.Solve _ | Protocol.Resolve _) when refusing ->
     reply_line t reply
       (Protocol.error_response ~v ~id ~outcome:"draining"
          "router is draining; not accepting work")
   | Ok (Protocol.Sleep _) -> (
     match pick_round_robin t with
-    | None -> answer_error ~v t ~id ~reply "no live backends"
-    | Some b -> forward_single t b ~orig:id ~reply fields)
+    | None -> answer_error t ~v ~id ~reply "no live backends"
+    | Some b -> forward_single t b ~orig:id ~v ~reply fields)
   | Ok (Protocol.Solve _ | Protocol.Resolve _) -> (
     (* solve and resolve shard identically: a resolve must land on the
        backend whose cache holds that instance's history, so both hash
@@ -573,11 +541,11 @@ let submit t ~reply line =
     | Ok key -> (
       let shard = locked t (fun () -> if Ring.is_empty t.ring then None else Some (Ring.shard t.ring key)) in
       match shard with
-      | None -> answer_error ~v t ~id ~reply "no live backends"
+      | None -> answer_error t ~v ~id ~reply "no live backends"
       | Some name -> (
         match backend_named t name with
-        | None -> answer_error ~v t ~id ~reply (Printf.sprintf "backend %s unavailable" name)
-        | Some b -> forward_single t b ~orig:id ~reply fields)))
+        | None -> answer_error t ~v ~id ~reply (Printf.sprintf "backend %s unavailable" name)
+        | Some b -> forward_single t b ~orig:id ~v ~reply fields)))
 
 (* ---------- lifecycle ---------- *)
 
@@ -593,7 +561,8 @@ let initiate_drain t =
   in
   if first then begin
     event t [ ("event", Json.Str "fleet_drain") ];
-    fan_out t ~orig:Json.Null ~reply:None `Drain [ ("op", Json.Str "drain") ]
+    fan_out t ~orig:Json.Null ~v:Protocol.min_version ~reply:None `Drain
+      [ ("op", Json.Str "drain") ]
   end
 
 let await_drain t =
@@ -604,33 +573,13 @@ let await_drain t =
   let rec wait () =
     let n = locked t (fun () -> Hashtbl.length t.inflight) in
     if n = 0 then ()
-    else if now () > deadline then begin
-      let leftovers =
-        locked t (fun () ->
-            let l =
-              Hashtbl.fold (fun _ (owner, p) acc -> (owner, p) :: acc) t.inflight []
-            in
-            Hashtbl.reset t.inflight;
-            l)
-      in
-      let finished = ref [] in
-      List.iter
-        (fun (owner, p) ->
-          match p with
-          | Single { orig; reply; _ } ->
-            answer_error t ~id:orig ~reply
-              (Printf.sprintf "backend %s did not answer before the drain deadline"
-                 owner)
-          | Member a ->
-            let f =
-              locked t (fun () ->
-                  a.waiting <- a.waiting - 1;
-                  a.waiting = 0)
-            in
-            if f then finished := a :: !finished)
-        leftovers;
-      List.iter (finish_agg t) !finished
-    end
+    else if now () > deadline then
+      settle t
+        (locked t (fun () ->
+             let l = Hashtbl.fold (fun _ entry acc -> entry :: acc) t.inflight [] in
+             Hashtbl.reset t.inflight;
+             l))
+        "did not answer before the drain deadline"
     else begin
       Unix.sleepf 0.02;
       wait ()
@@ -675,12 +624,7 @@ let metrics t =
 
 (* ---------- construction ---------- *)
 
-let stdout_events line =
-  print_string line;
-  print_newline ();
-  flush stdout
-
-let create ?(cfg = default_config ()) ?(events = stdout_events) targets =
+let create ?(cfg = default_config ()) ?(events = Service.stdout_line) targets =
   if targets = [] then invalid_arg "Router.create: need at least one backend";
   let names = List.map target_name targets in
   let distinct = List.sort_uniq String.compare names in
@@ -763,11 +707,7 @@ let create ?(cfg = default_config ()) ?(events = stdout_events) targets =
 
 let core t =
   {
-    Service.handler =
-      {
-        Transport.submit = (fun ~reply line -> submit t ~reply line);
-        draining = (fun () -> draining t);
-      };
+    Service.submit = (fun ~reply line -> submit t ~reply line);
     initiate_drain = (fun () -> initiate_drain t);
     draining = (fun () -> draining t);
     await_drain = (fun () -> await_drain t);

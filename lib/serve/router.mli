@@ -10,7 +10,9 @@
 
     Client ids are never forwarded — each forwarded request gets a
     fresh internal integer id, mapped back (with a ["backend"] field
-    added to the envelope) when the answer returns. If a backend dies,
+    added to the envelope) when the answer returns. Replies the router
+    writes itself (fan-out aggregates, errors) answer in the client's
+    protocol version, as a backend would. If a backend dies,
     its in-flight requests are answered [outcome "error"] and a
     router-spawned backend is re-spawned in place under the same name,
     leaving the ring — and every other shard's cache locality —

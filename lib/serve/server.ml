@@ -27,22 +27,26 @@ let default_config () =
     policy = Arena.Policy.builtin;
   }
 
+(* one admitted request: what [finish] needs to answer it *)
+type requester = {
+  id : Json.t;
+  v : int;  (* answered in this protocol version *)
+  arrival : float;
+  reply : string -> unit;
+  hint : Arena.Scenario.cls option;  (* its own policy hint *)
+}
+
 (* a solve admitted to the queue; [followers] are later identical
    requests (same key: instance and solver) that attached instead of
    queueing their own solve — they get the leader's result when it
-   lands *)
+   lands. The key leaves out the policy hint (advisory; it must not
+   fragment the cache), so each follower gets the recommendation for
+   its own hint, in its own protocol version. *)
 type solve_job = {
   params : Protocol.solve_params;
   specs : Hslb.Alloc_model.spec list;
   key : string;
-  (* (request id, arrival time, that request's reply sink, that
-     request's own policy hint, that request's protocol version). The
-     dedupe key is the pure solve key ({!solve_key}) — the policy hint is
-     advisory and must not fragment the cache — so each follower keeps
-     its own hint and gets its own recommendation back, not the
-     leader's; likewise each follower is answered in its own protocol
-     dialect. *)
-  mutable followers : (Json.t * float * (string -> unit) * Arena.Scenario.cls option * int) list;
+  mutable followers : requester list;
 }
 
 (* a resolve admitted to the queue: the incumbent allocation plus
@@ -55,11 +59,13 @@ type resolve_job = { rparams : Protocol.resolve_params; rspecs : Hslb.Alloc_mode
 
 type work = W_solve of solve_job | W_resolve of resolve_job | W_sleep of float
 
-type job = { jid : Json.t; v : int; arrival : float; reply : string -> unit; work : work }
+type job = { rq : requester; work : work }
+
+let op_name = function W_solve _ -> "solve" | W_resolve _ -> "resolve" | W_sleep _ -> "sleep"
 
 type t = {
   cfg : config;
-  emit : string -> unit;  (* event lines + default reply sink; see [reply_line] *)
+  emit : string -> unit;  (* the default reply sink; see [reply_line] *)
   emit_lock : Mutex.t;
   telemetry : (string -> unit) option;
   lock : Mutex.t;
@@ -150,8 +156,28 @@ let telemetry_line t ~id ~op ~outcome ~status r =
              ]
             @ tele_fields r)))
 
-let zero_tele ~queue_wait_ms =
-  { queue_wait_ms; solve_wall_ms = 0.; cache_hit = false; dedup = false }
+let telemetry_member r = ("telemetry", Json.Obj (tele_fields r))
+
+(* a request's numbers once a worker picked it up at [start] *)
+let tele_of ~start ?(solve_wall_ms = 0.) ?(cache_hit = false) ?(dedup = false) rq =
+  {
+    queue_wait_ms = Float.max 0. ((start -. rq.arrival) *. 1000.);
+    solve_wall_ms;
+    cache_hit;
+    dedup;
+  }
+
+(* The one exit of an admitted request: its terminal reply in its own
+   protocol version, then the queue-wait observation, the telemetry
+   line and the [served] count. *)
+let finish t ~op rq ~outcome ?status fields tele =
+  reply_line t rq.reply
+    (Protocol.response ~v:rq.v ~id:rq.id (("outcome", Json.Str outcome) :: fields));
+  Obs.Metrics.Histogram.observe t.qwait_h tele.queue_wait_ms;
+  telemetry_line t ~id:rq.id ~op ~outcome ~status tele;
+  locked t (fun () -> t.n_served <- t.n_served + 1)
+
+let fail t ~op rq ~outcome msg tele = finish t ~op rq ~outcome [ ("error", Json.Str msg) ] tele
 
 (* ---------- the certified envelope ---------- *)
 
@@ -191,37 +217,6 @@ let policy_fields t = function
             ("scenario", Json.Str (Arena.Scenario.class_to_string cls));
             ("scheduler", Json.Str (Arena.Policy.recommend t.cfg.policy cls));
           ] );
-    ]
-
-let ok_response ~v ~id ?(extra = []) (alloc : Hslb.Alloc_model.allocation) ~audit ~policy r =
-  Protocol.response ~v ~id
-    ([
-      ("outcome", Json.Str "ok");
-      ( "status",
-        Json.Str (Minlp.Solution.status_to_string alloc.Hslb.Alloc_model.status) );
-      ("makespan", Json.Num alloc.Hslb.Alloc_model.predicted_makespan);
-      ( "nodes_per_task",
-        Json.Arr
-          (Array.to_list
-             (Array.map (fun n -> Json.Num (float_of_int n))
-                alloc.Hslb.Alloc_model.nodes_per_task)) );
-      ( "predicted_times",
-        Json.Arr
-          (Array.to_list
-             (Array.map (fun v -> Json.Num v) alloc.Hslb.Alloc_model.predicted_times)) );
-      ("audit", match audit with Some s -> Json.Str s | None -> Json.Null);
-    ]
-    @ extra @ policy
-    @ [ ("telemetry", Json.Obj (tele_fields r)) ])
-
-let failed_response ~v ~id status r =
-  Protocol.response ~v ~id
-    [
-      ("outcome", Json.Str "error");
-      ( "error",
-        Json.Str ("no allocation: " ^ Minlp.Solution.status_to_string status) );
-      ("status", Json.Str (Minlp.Solution.status_to_string status));
-      ("telemetry", Json.Obj (tele_fields r));
     ]
 
 (* ---------- workers ---------- *)
@@ -271,21 +266,108 @@ let cached_solve t ~key ~queue_wait ?warm_start (p : Protocol.solve_params) spec
   locked t (fun () -> Engine.Telemetry.merge_into t.tally trace);
   (outcome, solve_wall)
 
-let respond_solve t ~v ~id ~reply ~op ?extra result ~audit ~policy r =
-  (match result with
-  | Ok alloc -> reply_line t reply (ok_response ~v ~id ?extra alloc ~audit ~policy r)
-  | Error st -> reply_line t reply (failed_response ~v ~id st r));
-  let outcome, status =
-    match result with
-    | Ok (alloc : Hslb.Alloc_model.allocation) ->
-      ("ok", Some (Minlp.Solution.status_to_string alloc.Hslb.Alloc_model.status))
-    | Error st -> ("error", Some (Minlp.Solution.status_to_string st))
-  in
-  telemetry_line t ~id ~op ~outcome ~status r
+(* the placement annotation: rebuild the instance with the solved
+   predicted times as durations (the request-level zero-duration shape
+   was already validated at submit) and run the comm-aware search *)
+let place_section t (p : Protocol.solve_params) specs (alloc : Hslb.Alloc_model.allocation) =
+  match p.Protocol.place with
+  | None -> []
+  | Some pl ->
+    let names = Protocol.spec_names specs in
+    let duration_s =
+      Array.init (Array.length names) (fun c ->
+          Array.make pl.Protocol.place_groups alloc.Hslb.Alloc_model.predicted_times.(c))
+    in
+    let section =
+      match Protocol.place_instance ~duration_s ~names pl with
+      | Error msg -> Json.Obj [ ("error", Json.Str msg) ]
+      | Ok inst -> (
+        match Place.Optimizer.optimize inst with
+        | assignment ->
+          let e = Place.Model.eval inst assignment in
+          locked t (fun () -> t.n_placed <- t.n_placed + 1);
+          Json.Obj
+            [
+              ( "assignment",
+                Json.Arr
+                  (Array.to_list (Array.map (fun g -> Json.Num (float_of_int g)) assignment))
+              );
+              ("groups", Json.Num (float_of_int (Place.Model.num_groups inst)));
+              ("makespan_s", Json.Num e.Place.Model.makespan_s);
+              ("comm_cost_s", Json.Num e.Place.Model.comm_cost_s);
+              ("total_s", Json.Num e.Place.Model.total_s);
+            ]
+        | exception Place.Optimizer.No_feasible msg -> Json.Obj [ ("error", Json.Str msg) ])
+    in
+    [ ("place", section) ]
 
-let process_solve t (job : job) (sj : solve_job) =
-  let start = now () in
-  let queue_wait = start -. job.arrival in
+(* One solve outcome, answered to every requester sharing it — a leader
+   first, then its deduped followers — each in its own version and with
+   its own policy hint. The audit verdict and [extra] members are
+   computed once. *)
+let answer_solve t ~op ~start ~extra (p : Protocol.solve_params) specs (outcome, solve_wall)
+    rqs =
+  let answer =
+    match outcome with
+    | `Solved (Ok (alloc : Hslb.Alloc_model.allocation), _) ->
+      let status = Minlp.Solution.status_to_string alloc.Hslb.Alloc_model.status in
+      let nums f a = Json.Arr (Array.to_list (Array.map f a)) in
+      `Allocated
+        ( status,
+          [
+            ("status", Json.Str status);
+            ("makespan", Json.Num alloc.Hslb.Alloc_model.predicted_makespan);
+            ( "nodes_per_task",
+              nums (fun n -> Json.Num (float_of_int n)) alloc.Hslb.Alloc_model.nodes_per_task );
+            ("predicted_times", nums (fun x -> Json.Num x) alloc.Hslb.Alloc_model.predicted_times);
+            ( "audit",
+              if t.cfg.audit then Json.Str (audit_verdict p specs alloc) else Json.Null );
+          ]
+          @ extra alloc )
+    | `Solved (Error st, _) -> `No_allocation (Minlp.Solution.status_to_string st)
+    | `Crashed msg -> `Crashed msg
+  in
+  let cache_hit = match outcome with `Solved (_, hit) -> hit | `Crashed _ -> false in
+  List.iteri
+    (fun i rq ->
+      let tele =
+        tele_of ~start ~solve_wall_ms:(solve_wall *. 1000.) ~cache_hit ~dedup:(i > 0) rq
+      in
+      match answer with
+      | `Allocated (status, fields) ->
+        finish t ~op rq ~outcome:"ok" ~status
+          (fields @ policy_fields t rq.hint @ [ telemetry_member tele ])
+          tele
+      | `No_allocation status ->
+        finish t ~op rq ~outcome:"error" ~status
+          [
+            ("error", Json.Str ("no allocation: " ^ status));
+            ("status", Json.Str status);
+            telemetry_member tele;
+          ]
+          tele
+      | `Crashed msg -> fail t ~op rq ~outcome:"error" ("internal error: " ^ msg) tele)
+    rqs
+
+(* the deadline a request's queue wait consumed, if it did *)
+let expired_deadline (p : Protocol.solve_params) ~start rq =
+  match p.Protocol.deadline_ms with
+  | Some ms when (start -. rq.arrival) *. 1000. >= ms -> Some ms
+  | Some _ | None -> None
+
+(* answered without solving; followers share their leader's verdict *)
+let expire t ~op ~start ms rqs =
+  locked t (fun () -> t.n_expired <- t.n_expired + List.length rqs);
+  List.iteri
+    (fun i rq ->
+      let tele = tele_of ~start ~dedup:(i > 0) rq in
+      fail t ~op rq ~outcome:"expired"
+        (Printf.sprintf "deadline (%.0f ms) consumed by %.0f ms of queue wait" ms
+           tele.queue_wait_ms)
+        tele)
+    rqs
+
+let process_solve t ~start rq (sj : solve_job) =
   let p = sj.params in
   (* detach from the dedupe table first: once the solve begins, a new
      identical request queues its own rather than waiting behind a
@@ -297,115 +379,12 @@ let process_solve t (job : job) (sj : solve_job) =
         sj.followers <- [];
         fs)
   in
-  let follower_tele (arr : float) tele =
-    { tele with dedup = true; queue_wait_ms = Float.max 0. ((start -. arr) *. 1000.) }
-  in
-  let expired =
-    match p.Protocol.deadline_ms with
-    | Some ms -> queue_wait *. 1000. >= ms
-    | None -> false
-  in
-  if expired then begin
-    let answer ~v id reply tele =
-      Obs.Metrics.Histogram.observe t.qwait_h tele.queue_wait_ms;
-      reply_line t reply
-        (Protocol.error_response ~v ~id ~outcome:"expired"
-           (Printf.sprintf "deadline (%.0f ms) consumed by %.0f ms of queue wait"
-              (Option.get p.Protocol.deadline_ms)
-              tele.queue_wait_ms));
-      telemetry_line t ~id ~op:"solve" ~outcome:"expired" ~status:None tele
-    in
-    answer ~v:job.v job.jid job.reply (zero_tele ~queue_wait_ms:(queue_wait *. 1000.));
-    List.iter
-      (fun (fid, arr, freply, _, fv) ->
-        answer ~v:fv fid freply (follower_tele arr (zero_tele ~queue_wait_ms:0.)))
-      followers;
-    locked t (fun () ->
-        t.n_expired <- t.n_expired + 1 + List.length followers;
-        t.n_served <- t.n_served + 1 + List.length followers)
-  end
-  else begin
-    let outcome, solve_wall = cached_solve t ~key:sj.key ~queue_wait p sj.specs in
-    Obs.Metrics.Histogram.observe t.qwait_h (queue_wait *. 1000.);
-    List.iter
-      (fun (_, arr, _, _, _) ->
-        Obs.Metrics.Histogram.observe t.qwait_h
-          (Float.max 0. ((start -. arr) *. 1000.)))
-      followers;
-    let tele_of cache_hit =
-      {
-        queue_wait_ms = queue_wait *. 1000.;
-        solve_wall_ms = solve_wall *. 1000.;
-        cache_hit;
-        dedup = false;
-      }
-    in
-    (match outcome with
-    | `Solved (result, cache_hit) ->
-      let audit =
-        match result with
-        | Ok alloc when t.cfg.audit -> Some (audit_verdict p sj.specs alloc)
-        | Ok _ | Error _ -> None
-      in
-      (* the placement annotation: rebuild the instance with the solved
-         predicted times as durations (the request-level zero-duration
-         shape was already validated at submit) and run the comm-aware
-         search. Computed once; followers carry the same section. *)
-      let place_extra =
-        match (result, p.Protocol.place) with
-        | Ok alloc, Some pl -> (
-          let names = Protocol.spec_names sj.specs in
-          let duration_s =
-            Array.init (Array.length names) (fun c ->
-                Array.make pl.Protocol.place_groups
-                  alloc.Hslb.Alloc_model.predicted_times.(c))
-          in
-          match Protocol.place_instance ~duration_s ~names pl with
-          | Error msg -> [ ("place", Json.Obj [ ("error", Json.Str msg) ]) ]
-          | Ok inst -> (
-            match Place.Optimizer.optimize inst with
-            | assignment ->
-              let e = Place.Model.eval inst assignment in
-              locked t (fun () -> t.n_placed <- t.n_placed + 1);
-              [
-                ( "place",
-                  Json.Obj
-                    [
-                      ( "assignment",
-                        Json.Arr
-                          (Array.to_list
-                             (Array.map (fun g -> Json.Num (float_of_int g)) assignment)) );
-                      ("groups", Json.Num (float_of_int (Place.Model.num_groups inst)));
-                      ("makespan_s", Json.Num e.Place.Model.makespan_s);
-                      ("comm_cost_s", Json.Num e.Place.Model.comm_cost_s);
-                      ("total_s", Json.Num e.Place.Model.total_s);
-                    ] );
-              ]
-            | exception Place.Optimizer.No_feasible msg ->
-              [ ("place", Json.Obj [ ("error", Json.Str msg) ]) ]))
-        | (Ok _ | Error _), _ -> []
-      in
-      let tele = tele_of cache_hit in
-      respond_solve t ~v:job.v ~id:job.jid ~reply:job.reply ~op:"solve" ~extra:place_extra
-        result ~audit ~policy:(policy_fields t p.Protocol.policy) tele;
-      List.iter
-        (fun (fid, arr, freply, fpolicy, fv) ->
-          respond_solve t ~v:fv ~id:fid ~reply:freply ~op:"solve" ~extra:place_extra result
-            ~audit ~policy:(policy_fields t fpolicy) (follower_tele arr tele))
-        followers
-    | `Crashed msg ->
-      let answer ~v id reply tele =
-        reply_line t reply
-          (Protocol.error_response ~v ~id ~outcome:"error" ("internal error: " ^ msg));
-        telemetry_line t ~id ~op:"solve" ~outcome:"error" ~status:None tele
-      in
-      let tele = tele_of false in
-      answer ~v:job.v job.jid job.reply tele;
-      List.iter
-        (fun (fid, arr, freply, _, fv) -> answer ~v:fv fid freply (follower_tele arr tele))
-        followers);
-    locked t (fun () -> t.n_served <- t.n_served + 1 + List.length followers)
-  end
+  match expired_deadline p ~start rq with
+  | Some ms -> expire t ~op:"solve" ~start ms (rq :: followers)
+  | None ->
+    answer_solve t ~op:"solve" ~start ~extra:(place_section t p sj.specs) p sj.specs
+      (cached_solve t ~key:sj.key ~queue_wait:(start -. rq.arrival) p sj.specs)
+      (rq :: followers)
 
 (* ---------- resolve: online update, certificate, warm re-solve ---------- *)
 
@@ -458,32 +437,12 @@ let certificate_fields = function
           ] );
     ]
 
-let process_resolve t (job : job) (rj : resolve_job) =
-  let start = now () in
-  let queue_wait = start -. job.arrival in
+let process_resolve t ~start rq (rj : resolve_job) =
   let rp = rj.rparams in
   let p = rp.Protocol.base in
-  let v = job.v in
-  let expired =
-    match p.Protocol.deadline_ms with
-    | Some ms -> queue_wait *. 1000. >= ms
-    | None -> false
-  in
-  let finish_tele tele = Obs.Metrics.Histogram.observe t.qwait_h tele.queue_wait_ms in
-  if expired then begin
-    let tele = zero_tele ~queue_wait_ms:(queue_wait *. 1000.) in
-    finish_tele tele;
-    reply_line t job.reply
-      (Protocol.error_response ~v ~id:job.jid ~outcome:"expired"
-         (Printf.sprintf "deadline (%.0f ms) consumed by %.0f ms of queue wait"
-            (Option.get p.Protocol.deadline_ms)
-            tele.queue_wait_ms));
-    telemetry_line t ~id:job.jid ~op:"resolve" ~outcome:"expired" ~status:None tele;
-    locked t (fun () ->
-        t.n_expired <- t.n_expired + 1;
-        t.n_served <- t.n_served + 1)
-  end
-  else begin
+  match expired_deadline p ~start rq with
+  | Some ms -> expire t ~op:"resolve" ~start ms [ rq ]
+  | None -> (
     let specs = updated_specs rj in
     let k = List.length specs in
     (* keyed like a place-free solve of the UPDATED model (a resolve
@@ -497,12 +456,7 @@ let process_resolve t (job : job) (rj : resolve_job) =
       else solve_key t { p with Protocol.place = None } specs
     in
     match key with
-    | Error msg ->
-      let tele = zero_tele ~queue_wait_ms:(queue_wait *. 1000.) in
-      finish_tele tele;
-      reply_line t job.reply (Protocol.error_response ~v ~id:job.jid ~outcome:"error" msg);
-      telemetry_line t ~id:job.jid ~op:"resolve" ~outcome:"error" ~status:None tele;
-      locked t (fun () -> t.n_served <- t.n_served + 1)
+    | Error msg -> fail t ~op:"resolve" rq ~outcome:"error" msg (tele_of ~start rq)
     | Ok key -> (
       let eps = Option.value rp.Protocol.epsilon ~default:default_epsilon in
       let verdict =
@@ -529,72 +483,33 @@ let process_resolve t (job : job) (rj : resolve_job) =
             specs
             (Array.to_list rp.Protocol.prev)
         in
-        let tele =
-          {
-            (zero_tele ~queue_wait_ms:(queue_wait *. 1000.)) with
-            solve_wall_ms = (now () -. start) *. 1000.;
-          }
-        in
-        finish_tele tele;
-        reply_line t job.reply
-          (Protocol.response ~v ~id:job.jid
-             ([
-                ("outcome", Json.Str "ok");
-                ("resolve", Json.Str "unchanged");
-                ("makespan", Json.Num cert.Audit.Sensitivity.incumbent_obj);
-                ( "nodes_per_task",
-                  Json.Arr
-                    (Array.to_list
-                       (Array.map (fun n -> Json.Num (float_of_int n)) rp.Protocol.prev)) );
-                ("predicted_times", Json.Arr predicted_times);
-              ]
-             @ certificate_fields (Some cert)
-             @ policy_fields t p.Protocol.policy
-             @ [ ("telemetry", Json.Obj (tele_fields tele)) ]));
-        telemetry_line t ~id:job.jid ~op:"resolve" ~outcome:"ok" ~status:(Some "unchanged") tele;
-        locked t (fun () ->
-            t.n_resolve_skipped <- t.n_resolve_skipped + 1;
-            t.n_served <- t.n_served + 1)
+        let tele = tele_of ~start ~solve_wall_ms:((now () -. start) *. 1000.) rq in
+        locked t (fun () -> t.n_resolve_skipped <- t.n_resolve_skipped + 1);
+        finish t ~op:"resolve" rq ~outcome:"ok" ~status:"unchanged"
+          ([
+             ("resolve", Json.Str "unchanged");
+             ("makespan", Json.Num cert.Audit.Sensitivity.incumbent_obj);
+             ( "nodes_per_task",
+               Json.Arr
+                 (Array.to_list
+                    (Array.map (fun n -> Json.Num (float_of_int n)) rp.Protocol.prev)) );
+             ("predicted_times", Json.Arr predicted_times);
+           ]
+          @ certificate_fields (Some cert)
+          @ policy_fields t rq.hint
+          @ [ telemetry_member tele ])
+          tele
       | Audit.Sensitivity.Rejected { certificate; reason = _ } ->
         (* warm-start from the incumbent only when it is feasible under
            the new model (a certificate record was computed at all) *)
         let warm_start = if certificate <> None then Some rp.Protocol.prev else None in
-        let outcome, solve_wall = cached_solve t ~key ~queue_wait ?warm_start p specs in
-        finish_tele (zero_tele ~queue_wait_ms:(queue_wait *. 1000.));
-        let tele =
-          {
-            queue_wait_ms = queue_wait *. 1000.;
-            solve_wall_ms = solve_wall *. 1000.;
-            cache_hit = (match outcome with `Solved (_, hit) -> hit | `Crashed _ -> false);
-            dedup = false;
-          }
-        in
-        (match outcome with
-        | `Solved (result, _) ->
-          let audit =
-            match result with
-            | Ok alloc when t.cfg.audit -> Some (audit_verdict p specs alloc)
-            | Ok _ | Error _ -> None
-          in
-          respond_solve t ~v ~id:job.jid ~reply:job.reply ~op:"resolve"
-            ~extra:(("resolve", Json.Str "resolved") :: certificate_fields certificate)
-            result ~audit
-            ~policy:(policy_fields t p.Protocol.policy)
-            tele
-        | `Crashed msg ->
-          reply_line t job.reply
-            (Protocol.error_response ~v ~id:job.jid ~outcome:"error"
-               ("internal error: " ^ msg));
-          telemetry_line t ~id:job.jid ~op:"resolve" ~outcome:"error" ~status:None tele);
-        locked t (fun () ->
-            t.n_resolved <- t.n_resolved + 1;
-            t.n_served <- t.n_served + 1))
-  end
+        let solved = cached_solve t ~key ~queue_wait:(start -. rq.arrival) ?warm_start p specs in
+        locked t (fun () -> t.n_resolved <- t.n_resolved + 1);
+        answer_solve t ~op:"resolve" ~start
+          ~extra:(fun _ -> ("resolve", Json.Str "resolved") :: certificate_fields certificate)
+          p specs solved [ rq ]))
 
-let process_sleep t (job : job) dur =
-  let start = now () in
-  let queue_wait = start -. job.arrival in
-  Obs.Metrics.Histogram.observe t.qwait_h (queue_wait *. 1000.);
+let process_sleep t ~start rq dur =
   (* cooperative nap: polls the drain token so a graceful shutdown can
      budget-cancel it like any solve *)
   let rec nap () =
@@ -605,36 +520,25 @@ let process_sleep t (job : job) dur =
     end
   in
   nap ();
-  let tele =
-    {
-      (zero_tele ~queue_wait_ms:(queue_wait *. 1000.)) with
-      solve_wall_ms = (now () -. start) *. 1000.;
-    }
-  in
-  reply_line t job.reply
-    (Protocol.response ~id:job.jid
-       [
-         ("outcome", Json.Str "ok");
-         ("slept_ms", Json.Num tele.solve_wall_ms);
-         ("cancelled", Json.Bool (Engine.Cancel.cancelled t.drain_tok));
-         ("telemetry", Json.Obj (tele_fields tele));
-       ]);
-  telemetry_line t ~id:job.jid ~op:"sleep" ~outcome:"ok" ~status:None tele;
-  locked t (fun () -> t.n_served <- t.n_served + 1)
+  let tele = tele_of ~start ~solve_wall_ms:((now () -. start) *. 1000.) rq in
+  finish t ~op:"sleep" rq ~outcome:"ok"
+    [
+      ("slept_ms", Json.Num tele.solve_wall_ms);
+      ("cancelled", Json.Bool (Engine.Cancel.cancelled t.drain_tok));
+      telemetry_member tele;
+    ]
+    tele
 
 let process t job =
   let body () =
+    let start = now () in
     match job.work with
-    | W_solve sj -> process_solve t job sj
-    | W_resolve rj -> process_resolve t job rj
-    | W_sleep dur -> process_sleep t job dur
+    | W_solve sj -> process_solve t ~start job.rq sj
+    | W_resolve rj -> process_resolve t ~start job.rq rj
+    | W_sleep dur -> process_sleep t ~start job.rq dur
   in
   if not (Obs.Control.enabled ()) then body ()
-  else
-    let op =
-      match job.work with W_solve _ -> "solve" | W_resolve _ -> "resolve" | W_sleep _ -> "sleep"
-    in
-    Obs.Span.with_span ~cat:"serve" ~args:[ ("op", op) ] "serve.request" body
+  else Obs.Span.with_span ~cat:"serve" ~args:[ ("op", op_name job.work) ] "serve.request" body
 
 let worker_body t _i =
   let rec loop () =
@@ -650,9 +554,9 @@ let worker_body t _i =
       | () -> ()
       | exception e ->
         (* a worker must survive anything a request throws at it *)
-        reply_line t job.reply
-          (Protocol.error_response ~id:job.jid ~outcome:"error"
-             ("internal error: " ^ Printexc.to_string e)));
+        fail t ~op:(op_name job.work) job.rq ~outcome:"error"
+          ("internal error: " ^ Printexc.to_string e)
+          (tele_of ~start:(now ()) job.rq));
       loop ()
     end
   in
@@ -702,23 +606,9 @@ let create ?telemetry cfg ~emit =
 
 let draining t = locked t (fun () -> t.is_draining)
 
-let summary_json (s : Obs.Metrics.Histogram.summary) =
-  (* NaN quantiles of an empty histogram render as JSON null *)
-  Json.Obj
-    [
-      ("count", Json.Num (float_of_int s.count));
-      ("p50", Json.Num s.p50);
-      ("p90", Json.Num s.p90);
-      ("p99", Json.Num s.p99);
-      ("max", Json.Num s.max);
-    ]
-
 let latency_obj t =
-  Json.Obj
-    [
-      ("queue_wait_ms", summary_json (Obs.Metrics.Histogram.summary t.qwait_h));
-      ("solve_ms", summary_json (Obs.Metrics.Histogram.summary t.solve_h));
-    ]
+  let summary h = Obs.Metrics.Histogram.(summary_json (summary h)) in
+  Json.Obj [ ("queue_wait_ms", summary t.qwait_h); ("solve_ms", summary t.solve_h) ]
 
 let metrics t =
   Obs.Metrics.snapshot ()
@@ -747,12 +637,7 @@ let stats_obj t =
              ("resolved", Json.Num (float_of_int t.n_resolved));
              ("resolve_skipped", Json.Num (float_of_int t.n_resolve_skipped));
              ("placed", Json.Num (float_of_int t.n_placed));
-             ( "protocol",
-               Json.Obj
-                 [
-                   ("min", Json.Num (float_of_int Protocol.min_version));
-                   ("max", Json.Num (float_of_int Protocol.current_version));
-                 ] );
+             ("protocol", Protocol.version_range);
              ("latency", latency_obj t);
              ( "cache",
                Json.Obj
@@ -824,11 +709,7 @@ let await_drain t =
 
 (* ---------- admission ---------- *)
 
-let admit t ~id ~v ~reply work =
-  let job = { jid = id; v; arrival = now (); reply; work } in
-  let op =
-    match work with W_solve _ -> "solve" | W_resolve _ -> "resolve" | W_sleep _ -> "sleep"
-  in
+let admit t rq work =
   let verdict =
     locked t (fun () ->
         if t.is_draining then begin
@@ -840,102 +721,79 @@ let admit t ~id ~v ~reply work =
           `Overloaded
         end
         else begin
-          match work with
+          t.n_accepted <- t.n_accepted + 1;
+          if rq.hint <> None then t.n_policy_hints <- t.n_policy_hints + 1;
+          let enqueue () =
+            Queue.push { rq; work } t.queue;
+            Condition.signal t.nonempty
+          in
+          (match work with
           | W_solve sj -> (
-            if sj.params.Protocol.policy <> None then
-              t.n_policy_hints <- t.n_policy_hints + 1;
             match Hashtbl.find_opt t.pending sj.key with
             | Some leader ->
-              (* identical instance already queued or solving: attach,
-                 carrying this request's own policy hint *)
-              leader.followers <-
-                (id, job.arrival, reply, sj.params.Protocol.policy, v) :: leader.followers;
-              t.n_accepted <- t.n_accepted + 1;
-              t.n_deduped <- t.n_deduped + 1;
-              `Attached
+              (* identical instance already queued or solving: attach *)
+              leader.followers <- rq :: leader.followers;
+              t.n_deduped <- t.n_deduped + 1
             | None ->
               Hashtbl.replace t.pending sj.key sj;
-              Queue.push job t.queue;
-              t.n_accepted <- t.n_accepted + 1;
-              Condition.signal t.nonempty;
-              `Queued)
-          | W_resolve rj ->
-            (* never deduped: the observations ride with the request,
-               and the certificate decides per-request what they mean *)
-            if rj.rparams.Protocol.base.Protocol.policy <> None then
-              t.n_policy_hints <- t.n_policy_hints + 1;
-            Queue.push job t.queue;
-            t.n_accepted <- t.n_accepted + 1;
-            Condition.signal t.nonempty;
-            `Queued
-          | W_sleep _ ->
-            Queue.push job t.queue;
-            t.n_accepted <- t.n_accepted + 1;
-            Condition.signal t.nonempty;
-            `Queued
+              enqueue ())
+          | W_resolve _ | W_sleep _ ->
+            (* resolves are never deduped: the observations ride with
+               the request, and the certificate decides per-request
+               what they mean *)
+            enqueue ());
+          `Admitted
         end)
   in
   match verdict with
-  | `Queued | `Attached -> ()
+  | `Admitted -> ()
   | `Overloaded ->
-    reply_line t reply
-      (Protocol.error_response ~v ~id ~outcome:"overloaded"
+    reply_line t rq.reply
+      (Protocol.error_response ~v:rq.v ~id:rq.id ~outcome:"overloaded"
          (Printf.sprintf "queue at high-water mark (%d); retry later" t.cfg.queue_limit));
-    telemetry_line t ~id ~op ~outcome:"overloaded" ~status:None (zero_tele ~queue_wait_ms:0.)
+    telemetry_line t ~id:rq.id ~op:(op_name work) ~outcome:"overloaded" ~status:None
+      (tele_of ~start:rq.arrival rq)
   | `Draining ->
-    reply_line t reply
-      (Protocol.error_response ~v ~id ~outcome:"draining"
+    reply_line t rq.reply
+      (Protocol.error_response ~v:rq.v ~id:rq.id ~outcome:"draining"
          "server is draining; not accepting work")
-
-let protocol_obj =
-  Json.Obj
-    [
-      ("min", Json.Num (float_of_int Protocol.min_version));
-      ("max", Json.Num (float_of_int Protocol.current_version));
-    ]
 
 let submit ?reply t line =
   let reply = Option.value reply ~default:t.emit in
   let { Protocol.id; v; req; _ } = Protocol.parse_line line in
-  match req with
-  | Error msg ->
-    locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);
-    reply_line t reply (Protocol.error_response ~v ~id ~outcome:"error" msg)
-  | Ok Protocol.Ping ->
-    (* the v1 ping reply is pinned byte-for-byte by tests; the v2
-       dialect adds the protocol advertisement *)
-    let extra = if v >= 2 then [ ("protocol", protocol_obj) ] else [] in
-    reply_line t reply
-      (Protocol.response ~v ~id
-         ([ ("outcome", Json.Str "ok"); ("pong", Json.Bool true) ] @ extra))
-  | Ok Protocol.Stats ->
-    let extra = if v >= 2 then [ ("protocol", protocol_obj) ] else [] in
-    reply_line t reply
-      (Protocol.response ~v ~id
-         ([ ("outcome", Json.Str "ok"); ("stats", stats_obj t) ] @ extra))
-  | Ok Protocol.Drain ->
-    initiate_drain t;
-    reply_line t reply
-      (Protocol.response ~v ~id [ ("outcome", Json.Str "ok"); ("draining", Json.Bool true) ])
-  | Ok (Protocol.Sleep dur) -> admit t ~id ~v ~reply (W_sleep dur)
-  | Ok (Protocol.Solve p) -> (
-    match Protocol.resolve_specs p with
-    | Error msg ->
-      locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);
-      reply_line t reply (Protocol.error_response ~v ~id ~outcome:"error" msg)
-    | Ok specs -> (
+  (* ping, stats and drain are answered inline, without a worker; the
+     v1 ping reply is pinned byte-for-byte by tests, and v2 adds the
+     protocol advertisement *)
+  let inline fields =
+    reply_line t reply (Protocol.response ~v ~id (("outcome", Json.Str "ok") :: fields));
+    Ok None
+  in
+  let advertised = if v >= 2 then [ ("protocol", Protocol.version_range) ] else [] in
+  let work =
+    let ( let* ) = Result.bind in
+    let* req = req in
+    match req with
+    | Protocol.Ping -> inline (("pong", Json.Bool true) :: advertised)
+    | Protocol.Stats -> inline (("stats", stats_obj t) :: advertised)
+    | Protocol.Drain ->
+      initiate_drain t;
+      inline [ ("draining", Json.Bool true) ]
+    | Protocol.Sleep dur -> Ok (Some (W_sleep dur, None))
+    | Protocol.Solve p ->
+      let* specs = Protocol.resolve_specs p in
       (* the key wraps the allocation fingerprint with the placement
          fingerprint when a place section rides along; a malformed
          place section (wrong arity, asymmetric traffic, memory
          infeasibility) is rejected here, before any solver work *)
-      match solve_key t p specs with
-      | Error msg ->
-        locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);
-        reply_line t reply (Protocol.error_response ~v ~id ~outcome:"error" msg)
-      | Ok key -> admit t ~id ~v ~reply (W_solve { params = p; specs; key; followers = [] })))
-  | Ok (Protocol.Resolve rp) -> (
-    match Protocol.resolve_specs rp.Protocol.base with
-    | Error msg ->
-      locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);
-      reply_line t reply (Protocol.error_response ~v ~id ~outcome:"error" msg)
-    | Ok specs -> admit t ~id ~v ~reply (W_resolve { rparams = rp; rspecs = specs }))
+      let* key = solve_key t p specs in
+      Ok (Some (W_solve { params = p; specs; key; followers = [] }, p.Protocol.policy))
+    | Protocol.Resolve rp ->
+      let* specs = Protocol.resolve_specs rp.Protocol.base in
+      Ok (Some (W_resolve { rparams = rp; rspecs = specs }, rp.Protocol.base.Protocol.policy))
+  in
+  match work with
+  | Ok None -> ()
+  | Ok (Some (work, hint)) -> admit t { id; v; arrival = now (); reply; hint } work
+  | Error msg ->
+    locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);
+    reply_line t reply (Protocol.error_response ~v ~id ~outcome:"error" msg)

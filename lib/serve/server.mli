@@ -10,10 +10,12 @@
     reply sink of the connection each line arrived on; every response
     goes out through that sink, one JSON line per admitted or rejected
     request, in completion order (responses carry the request [id], so
-    ordering is not part of the contract). Sinks from different
-    connections may be called concurrently from worker domains but
-    never interleave mid-line — all of them are serialized under one
-    internal emit lock.
+    ordering is not part of the contract). Each admitted request is
+    answered in its own protocol version through one internal exit,
+    which also records its queue wait and telemetry line and counts it
+    [served]. Sinks from different connections may be called
+    concurrently from worker domains but never interleave mid-line —
+    all of them are serialized under one internal emit lock.
 
     {2 Admission control}
 
@@ -80,11 +82,11 @@ val default_config : unit -> config
 type t
 
 (** [create ?telemetry config ~emit] — start the worker domains.
-    [emit] is the {e default} reply sink (used when {!submit} is called
-    without [?reply] — the single-connection transports) and the sink
-    for server-level event lines; it receives lines without a trailing
-    newline and is called from worker domains and from [submit]'s
-    caller under an internal lock, so it needs no locking of its own.
+    [emit] is only the {e default} reply sink, used when {!submit} is
+    called without [?reply]; the server writes no event lines through
+    it. It receives lines without a trailing newline and is called
+    from worker domains and from [submit]'s caller under an internal
+    lock, so it needs no locking of its own.
     [telemetry], when given, receives one JSON line per finished
     request (queue wait, solve wall, cache hit, dedup) —
     the replayable trace.

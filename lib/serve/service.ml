@@ -1,12 +1,12 @@
 (* The lifecycle runner shared by every serving process. [Server.t]
    (one solve backend) and [Router.t] (a fleet front-end) both reduce
    to a [core]; [run] wraps one core with the machinery every
-   deployment shape needs — SIGTERM → drain, the periodic Prometheus
-   flusher, the final run report and the terminal drained event — and
-   pumps requests through whatever transport [make_listener] builds. *)
+   deployment shape needs — the transport, SIGTERM → drain, the
+   periodic Prometheus flusher, the final run report and the terminal
+   drained event. *)
 
 type core = {
-  handler : Transport.handler;
+  submit : Transport.submit;
   initiate_drain : unit -> unit;
   draining : unit -> bool;
   await_drain : unit -> Engine.Run_report.t;
@@ -16,11 +16,7 @@ type core = {
 
 let core_of_server s =
   {
-    handler =
-      {
-        Transport.submit = (fun ~reply line -> Server.submit ~reply s line);
-        draining = (fun () -> Server.draining s);
-      };
+    submit = (fun ~reply line -> Server.submit ~reply s line);
     initiate_drain = (fun () -> Server.initiate_drain s);
     draining = (fun () -> Server.draining s);
     await_drain = (fun () -> Server.await_drain s);
@@ -28,16 +24,44 @@ let core_of_server s =
     metrics = (fun () -> Server.metrics s);
   }
 
-let stdout_events line =
+let stdout_line line =
   print_string line;
   print_newline ();
   flush stdout
 
-let run ?report_path ?metrics_out ?(metrics_interval_s = 1.0) ?events
-    ?(eof_drains = false) core ~make_listener =
+let run ?report_path ?metrics_out ?(metrics_interval_s = 1.0) ?(events = stdout_line)
+    ?(listening = []) ~listen core =
   if metrics_interval_s <= 0. then
     invalid_arg "Service.run: metrics_interval_s must be > 0";
-  let events = Option.value events ~default:stdout_events in
+  let sigterm = Atomic.make false in
+  let previous =
+    Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set sigterm true))
+  in
+  (* the handler only sets a flag: [initiate_drain] takes mutexes, so
+     it must never run inside a signal handler. Transports poll [stop],
+     notice the flag, unwind, and the drain proper happens below. *)
+  let stop () = Atomic.get sigterm || core.draining () in
+  let listener, on_disconnect =
+    match listen with
+    | None ->
+      (* one stream: its end is the end of the service *)
+      (Transport_stdio.listener ~stop, Some (fun _ -> core.initiate_drain ()))
+    | Some addr ->
+      let l =
+        try Transport_socket.listen ~stop addr
+        with e ->
+          Sys.set_signal Sys.sigterm previous;
+          raise e
+      in
+      events
+        (Json.to_string
+           (Json.Obj
+              (("event", Json.Str "listening")
+              :: ( "addr",
+                   Json.Str (Transport_socket.addr_to_string (Transport_socket.bound_addr l)) )
+              :: listening)));
+      (Transport_socket.listener l, None)
+  in
   (* periodic Prometheus flush: write-then-rename so scrapers never see
      a half-written exposition *)
   let flush_metrics path =
@@ -70,22 +94,8 @@ let run ?report_path ?metrics_out ?(metrics_interval_s = 1.0) ?events
             loop ()))
       metrics_out
   in
-  let sigterm = Atomic.make false in
-  let previous =
-    Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set sigterm true))
-  in
-  (* the handler only sets a flag: [initiate_drain] takes mutexes, so
-     it must never run inside a signal handler. Transports poll [stop],
-     notice the flag, unwind, and the drain proper happens below. *)
-  let stop () = Atomic.get sigterm || core.draining () in
-  let listener = make_listener ~stop in
-  let hooks =
-    if eof_drains then
-      { Transport.no_hooks with on_disconnect = (fun _ -> core.initiate_drain ()) }
-    else Transport.no_hooks
-  in
-  Transport.drive ~hooks listener core.handler;
-  Transport.shutdown listener;
+  Transport.drive ?on_disconnect listener core.submit;
+  listener.Transport.shutdown ();
   core.initiate_drain ();
   let report = core.await_drain () in
   Atomic.set metrics_stop true;

@@ -1,15 +1,16 @@
 (** The serving lifecycle, shared by one-backend ([hslb serve]) and
     fleet ([hslb route]) processes.
 
-    Both {!Server.t} and {!Router.t} reduce to a {!core} — the handler
-    a transport pumps lines into, plus drain/stats/metrics hooks —
-    and {!run} wraps any core with the machinery every deployment
-    shape needs: SIGTERM handling, the periodic [--metrics-out]
-    Prometheus flusher, the final {!Engine.Run_report} and the
-    terminal [{"event":"drained",...}] line. *)
+    Both {!Server.t} and {!Router.t} reduce to a {!core} — the
+    {!Transport.submit} a transport pumps lines into, plus
+    drain/stats/metrics hooks — and {!run} wraps any core with the
+    machinery every deployment shape needs: the transport, SIGTERM
+    handling, the periodic [--metrics-out] Prometheus flusher, the
+    final {!Engine.Run_report} and the terminal
+    [{"event":"drained",...}] line. *)
 
 type core = {
-  handler : Transport.handler;  (** where the transport pumps request lines *)
+  submit : Transport.submit;  (** where the transport pumps request lines *)
   initiate_drain : unit -> unit;  (** idempotent; stops admission *)
   draining : unit -> bool;
   await_drain : unit -> Engine.Run_report.t;
@@ -21,24 +22,34 @@ type core = {
 
 val core_of_server : Server.t -> core
 
-(** [run core ~make_listener] — serve until shutdown, then return the
-    final drain report. The listener is built with a [stop] predicate
-    that transports must poll while blocked: it fires on SIGTERM and
-    once the core starts draining (a [drain] op, or — with
-    [~eof_drains:true], the single-connection stdio shape — the
-    connection ending). Shutdown sequence: transports unwind, the
-    listener is shut down, the core drains (grace timer, then
-    budget-cancel), [report_path]/[metrics_out] are written, and the
-    [{"event":"drained","stats":...,"report":...}] line goes to
-    [events] (default: stdout).
+(** One line to stdout, newline-terminated and flushed — the default
+    event sink of {!run} and {!Router.create}. *)
+val stdout_line : string -> unit
 
-    @raise Invalid_argument if [metrics_interval_s <= 0]. *)
+(** [run ~listen core] — serve until shutdown, then return the final
+    drain report.
+
+    - [listen = None] serves stdin/stdout ({!Transport_stdio}) and
+      starts the drain when that stream ends.
+    - [listen = Some addr] binds a {!Transport_socket} listener, then
+      announces [{"event":"listening","addr":...}] followed by the
+      [listening] members (default none) on [events].
+
+    Transports stop on SIGTERM and once the core starts draining (a
+    [drain] op). Shutdown sequence: transports unwind, the listener is
+    shut down, the core drains (grace timer, then budget-cancel),
+    [report_path]/[metrics_out] are written, and the
+    [{"event":"drained","stats":...,"report":...}] line goes to
+    [events] (default {!stdout_line}).
+
+    @raise Invalid_argument if [metrics_interval_s <= 0].
+    @raise Unix.Unix_error when [addr] cannot be bound. *)
 val run :
   ?report_path:string ->
   ?metrics_out:string ->
   ?metrics_interval_s:float ->
   ?events:(string -> unit) ->
-  ?eof_drains:bool ->
+  ?listening:(string * Json.t) list ->
+  listen:Transport_socket.addr option ->
   core ->
-  make_listener:(stop:(unit -> bool) -> Transport.listener) ->
   Engine.Run_report.t

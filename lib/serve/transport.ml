@@ -1,13 +1,13 @@
 (* The transport interface the serve core is written against. A
    transport owns connections; the core owns request semantics. The
-   two meet at exactly two points: [handler.submit] (a raw line plus
-   the reply sink of the connection it arrived on) and [conn]
+   two meet at exactly two points: [submit] (a raw line plus the reply
+   sink of the connection it arrived on) and [conn]
    (read-line/write-line/close). Everything else — admission, dedupe,
-   deadlines, drain — lives behind the handler and never learns what
-   fd, pipe or buffer the bytes crossed. *)
+   deadlines, drain — lives behind [submit] and never learns what fd,
+   pipe or buffer the bytes crossed. *)
 
 type conn = {
-  peer : string;  (* human-readable endpoint, for logs and hooks *)
+  peer : string;  (* human-readable endpoint, for logs *)
   read_line : unit -> string option;
       (* Blocking. [Some line] is the next complete frame (no
          terminator). [None] is final: the peer closed, or the
@@ -21,49 +21,25 @@ type conn = {
   close : unit -> unit;  (* idempotent *)
 }
 
-module type S = sig
-  type t
-
-  val name : t -> string
-
-  (* Block until the next connection, or [None] once the listener is
-     shut down or its stop condition fired. [None] is final. *)
-  val accept : t -> conn option
-
-  (* Stop producing connections and unblock a blocked [accept].
-     Idempotent. Existing connections are not touched — the drain
-     machinery finishes them. *)
-  val shutdown : t -> unit
-end
-
-type listener = Listener : (module S with type t = 'a) * 'a -> listener
-
-let listener_name (Listener ((module T), l)) = T.name l
-let accept (Listener ((module T), l)) = T.accept l
-let shutdown (Listener ((module T), l)) = T.shutdown l
-
-(* ---------- the service side ---------- *)
-
-(* what a transport pumps lines into: the server core ({!Server}) and
-   the fleet router ({!Router}) both provide one *)
-type handler = {
-  submit : reply:(string -> unit) -> string -> unit;
-  draining : unit -> bool;
+type listener = {
+  accept : unit -> conn option;
+      (* Block until the next connection, or [None] once the listener
+         is shut down or its stop condition fired. [None] is final. *)
+  shutdown : unit -> unit;
+      (* Stop producing connections and unblock a blocked [accept].
+         Idempotent. Existing connections are not touched — the drain
+         machinery finishes them. *)
 }
 
-(* lifecycle hooks, fired from the accept loop ([on_connect]) and the
-   connection's own domain ([on_disconnect]) *)
-type hooks = { on_connect : conn -> unit; on_disconnect : conn -> unit }
-
-let no_hooks = { on_connect = (fun _ -> ()); on_disconnect = (fun _ -> ()) }
+type submit = reply:(string -> unit) -> string -> unit
 
 (* serve one connection to completion on the calling domain *)
-let serve_conn handler conn =
+let serve_conn submit conn =
   let rec loop () =
     match conn.read_line () with
     | None -> ()
     | Some line ->
-      if String.trim line <> "" then handler.submit ~reply:conn.write_line line;
+      if String.trim line <> "" then submit ~reply:conn.write_line line;
       loop ()
   in
   Fun.protect ~finally:conn.close loop
@@ -71,18 +47,17 @@ let serve_conn handler conn =
 (* Accept loop: one domain per connection, joined before returning so
    a completed drive leaves no orphaned readers. Returns when [accept]
    answers [None] — the transport was shut down (the runner does that
-   once the handler starts draining) or ran out of connections. *)
-let drive ?(hooks = no_hooks) listener handler =
+   once the service starts draining) or ran out of connections. *)
+let drive ?(on_disconnect = ignore) listener submit =
   let readers = ref [] in
   let rec accept_loop () =
-    match accept listener with
+    match listener.accept () with
     | None -> ()
     | Some conn ->
-      hooks.on_connect conn;
       let d =
         Domain.spawn (fun () ->
-            serve_conn handler conn;
-            hooks.on_disconnect conn)
+            serve_conn submit conn;
+            on_disconnect conn)
       in
       readers := d :: !readers;
       accept_loop ()

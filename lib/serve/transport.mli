@@ -3,13 +3,13 @@
     The serve core ({!Server}) and the fleet router ({!Router}) are
     written against exactly two types here: {!conn} — a framed,
     line-oriented connection (read-line / write-line / close) — and
-    {!handler} — where a transport pumps incoming lines, each paired
+    {!submit} — where a transport pumps incoming lines, each paired
     with the reply sink of the connection it arrived on. Two
     implementations ship: {!Transport_stdio} (the original stdin/stdout
     NDJSON path, byte-compatible with the pre-split server) and
     {!Transport_socket} (Unix-domain and TCP listeners with the same
-    newline framing). New transports implement {!S} and plug into
-    {!Service.run} without touching the core.
+    newline framing); {!Service.run} picks one from its [~listen]
+    argument.
 
     {2 Framing contract}
 
@@ -21,7 +21,7 @@
     worker domains never interleave bytes mid-line. *)
 
 type conn = {
-  peer : string;  (** human-readable endpoint, for logs and hooks *)
+  peer : string;  (** human-readable endpoint, for logs *)
   read_line : unit -> string option;
       (** blocking; [None] is final: peer EOF or the transport's stop
           condition (drain) fired. Implementations poll their stop
@@ -32,51 +32,23 @@ type conn = {
   close : unit -> unit;  (** idempotent *)
 }
 
-module type S = sig
-  type t
-
-  val name : t -> string
-
-  (** Block until the next connection; [None] (final) once the
-      listener was {!shutdown} or its stop condition fired. *)
-  val accept : t -> conn option
-
-  (** Stop producing connections, unblock a blocked {!accept}.
-      Idempotent; existing connections are left to drain. *)
-  val shutdown : t -> unit
-end
-
-(** A listener packed with its implementation — what {!Service.run}
-    and {!drive} consume. *)
-type listener = Listener : (module S with type t = 'a) * 'a -> listener
-
-val listener_name : listener -> string
-val accept : listener -> conn option
-val shutdown : listener -> unit
-
-(** The service side of the interface: {!Server.t} and {!Router.t}
-    both reduce to one of these (see {!Service.core}), which is all a
-    transport knows about them. *)
-type handler = {
-  submit : reply:(string -> unit) -> string -> unit;
-      (** one raw request line from [reply]'s connection *)
-  draining : unit -> bool;  (** true once the service stops accepting *)
+type listener = {
+  accept : unit -> conn option;
+      (** block until the next connection; [None] (final) once the
+          listener was shut down or its stop condition fired *)
+  shutdown : unit -> unit;
+      (** stop producing connections, unblock a blocked [accept].
+          Idempotent; existing connections are left to drain. *)
 }
 
-(** Connection lifecycle hooks: [on_connect] fires on the accept loop's
-    domain before the first read, [on_disconnect] on the connection's
-    domain after its last. *)
-type hooks = { on_connect : conn -> unit; on_disconnect : conn -> unit }
+(** The service side of the interface: one raw request line from
+    [reply]'s connection. {!Server.t} and {!Router.t} both provide one
+    (see {!Service.core}), which is all a transport knows about them. *)
+type submit = reply:(string -> unit) -> string -> unit
 
-val no_hooks : hooks
-
-(** [serve_conn handler conn] — pump one connection to completion on
-    the calling domain: read lines, submit each with [conn.write_line]
-    as the reply sink, close when the stream ends. *)
-val serve_conn : handler -> conn -> unit
-
-(** [drive ?hooks listener handler] — the generic accept loop: one
-    spawned domain per connection, every domain joined before
-    returning. Returns once [accept] answers [None]; the runner
-    triggers that by {!shutdown} when the handler starts draining. *)
-val drive : ?hooks:hooks -> listener -> handler -> unit
+(** [drive ?on_disconnect listener submit] — the accept loop: one
+    spawned domain per connection pumps its lines into [submit] with
+    [conn.write_line] as the reply sink, closes it when the stream
+    ends, then calls [on_disconnect]. Every domain is joined before
+    returning, which happens once [accept] answers [None]. *)
+val drive : ?on_disconnect:(conn -> unit) -> listener -> submit -> unit

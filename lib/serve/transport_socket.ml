@@ -204,8 +204,6 @@ let conn_of_fd ~peer ~stop fd =
           try Unix.close fd with Unix.Unix_error _ -> ());
   }
 
-let name t = addr_to_string t.addr
-
 let rec accept t =
   if Atomic.get t.shut || t.stop () then None
   else
@@ -217,7 +215,7 @@ let rec accept t =
         t.n_conns <- t.n_conns + 1;
         Some
           (conn_of_fd
-             ~peer:(Printf.sprintf "%s#%d" (name t) t.n_conns)
+             ~peer:(Printf.sprintf "%s#%d" (addr_to_string t.addr) t.n_conns)
              ~stop:(fun () -> Atomic.get t.shut || t.stop ())
              fd)
       | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> accept t
@@ -237,15 +235,7 @@ let shutdown t =
   end
 
 let listener t =
-  Transport.Listener
-    ( (module struct
-        type nonrec t = t
-
-        let name = name
-        let accept = accept
-        let shutdown = shutdown
-      end),
-      t )
+  { Transport.accept = (fun () -> accept t); shutdown = (fun () -> shutdown t) }
 
 (* ---------- the client half ---------- *)
 

@@ -3,10 +3,10 @@
     per [\n]-terminated line; CR trimmed; a final unterminated line at
     EOF is processed).
 
-    The listener half plugs into {!Service.run}; the {!Client} half is
-    what the router's backend links and [hslb loadgen] speak. SIGPIPE
-    is ignored process-wide on first use — a reply racing a
-    disconnecting peer must be a no-op, not a crash. *)
+    The listener half is what {!Service.run} serves with [~listen];
+    the {!Client} half is what the router's backend links and [hslb
+    loadgen] speak. SIGPIPE is ignored process-wide on first use — a
+    reply racing a disconnecting peer must be a no-op, not a crash. *)
 
 type addr =
   | Unix_path of string  (** [unix:PATH] *)
@@ -29,7 +29,7 @@ val listen : ?backlog:int -> stop:(unit -> bool) -> addr -> t
     to the kernel-assigned one. *)
 val bound_addr : t -> addr
 
-(** Pack for {!Service.run} / {!Transport.drive}. *)
+(** The {!Transport.drive} view: [accept] and {!shutdown}. *)
 val listener : t -> Transport.listener
 
 (** Close the listening fd and unlink a Unix socket path. Idempotent;

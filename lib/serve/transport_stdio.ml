@@ -5,15 +5,7 @@
    writes — so the PR 4/5 fixtures drive the refactored core
    unchanged. *)
 
-type t = {
-  stop : unit -> bool;
-  mutable handed_out : bool;
-  shut : bool Atomic.t;
-}
-
-let name _ = "stdio"
-
-let make_conn t =
+let make_conn ~stop =
   let buf = Buffer.create 4096 in
   let chunk = Bytes.create 4096 in
   let lines = Queue.create () in
@@ -36,7 +28,7 @@ let make_conn t =
   let rec read_line () =
     if not (Queue.is_empty lines) then Some (Queue.pop lines)
     else if !eof then None
-    else if t.stop () then
+    else if stop () then
       (* drain/SIGTERM: stop reading; an unterminated partial stays
          unprocessed, exactly as before the split *)
       None
@@ -65,64 +57,18 @@ let make_conn t =
   in
   { Transport.peer = "stdio"; read_line; write_line; close = (fun () -> ()) }
 
-let accept t =
-  if t.shut |> Atomic.get then None
-  else if not t.handed_out then begin
-    t.handed_out <- true;
-    Some (make_conn t)
-  end
-  else begin
-    (* the one connection is out: block until drain/shutdown *)
-    let rec wait () =
-      if Atomic.get t.shut || t.stop () then None
-      else begin
-        Unix.sleepf 0.05;
-        wait ()
-      end
-    in
-    wait ()
-  end
-
-let shutdown t = Atomic.set t.shut true
-
-let listener ~stop () =
-  Transport.Listener
-    ( (module struct
-        type nonrec t = t
-
-        let name = name
-        let accept = accept
-        let shutdown = shutdown
-      end),
-      { stop; handed_out = false; shut = Atomic.make false } )
-
-(* the [hslb serve] stdio entry point: NDJSON requests on stdin,
-   responses and the final drained event on stdout *)
-let run ?telemetry_path ?report_path ?metrics_out ?metrics_interval_s cfg =
-  let telemetry_oc =
-    Option.map
-      (fun p -> open_out_gen [ Open_append; Open_creat ] 0o644 p)
-      telemetry_path
+(* hands out the one connection, then blocks until drain/shutdown *)
+let listener ~stop =
+  let handed_out = ref false and shut = Atomic.make false in
+  let rec accept () =
+    if Atomic.get shut || (!handed_out && stop ()) then None
+    else if not !handed_out then begin
+      handed_out := true;
+      Some (make_conn ~stop)
+    end
+    else begin
+      Unix.sleepf 0.05;
+      accept ()
+    end
   in
-  let telemetry =
-    Option.map
-      (fun oc line ->
-        output_string oc line;
-        output_char oc '\n';
-        flush oc)
-      telemetry_oc
-  in
-  let events line =
-    print_string line;
-    print_newline ();
-    flush stdout
-  in
-  let server = Server.create ?telemetry cfg ~emit:events in
-  let report =
-    Service.run ?report_path ?metrics_out ?metrics_interval_s ~events
-      ~eof_drains:true
-      (Service.core_of_server server)
-      ~make_listener:(fun ~stop -> listener ~stop ())
-  in
-  Option.iter close_out telemetry_oc;
-  ignore (report : Engine.Run_report.t)
+  { Transport.accept; shutdown = (fun () -> Atomic.set shut true) }

@@ -6,24 +6,10 @@
     0.05 s select cadence, same buffered line splitting (lines already
     buffered when a drain lands are still submitted), a final
     unterminated line at EOF is processed, every reply line is written
-    and flushed atomically. *)
+    and flushed atomically. {!Service.run} with [~listen:None] serves
+    it and drains when the stream ends. *)
 
-(** [listener ~stop ()] — hands out the stdin/stdout connection once;
-    further accepts block until [stop] fires or {!Transport.shutdown}. *)
-val listener : stop:(unit -> bool) -> unit -> Transport.listener
-
-(** [run cfg] — the [hslb serve] stdio entry point: create a
-    {!Server} with [cfg], serve stdin until EOF / SIGTERM / a [drain]
-    op, drain, then emit the final
-    [{"event":"drained","stats":...,"report":...}] line on stdout.
-    [telemetry_path] appends one JSON line per finished request;
-    [report_path] writes the final {!Engine.Run_report};
-    [metrics_out] enables the periodic Prometheus flusher
-    (every [metrics_interval_s], default 1 s, write-then-rename). *)
-val run :
-  ?telemetry_path:string ->
-  ?report_path:string ->
-  ?metrics_out:string ->
-  ?metrics_interval_s:float ->
-  Server.config ->
-  unit
+(** [listener ~stop] — hands out the stdin/stdout connection once;
+    further accepts block until [stop] fires or the listener is shut
+    down. *)
+val listener : stop:(unit -> bool) -> Transport.listener

@@ -154,6 +154,20 @@ let fresh_sock () =
     (Printf.sprintf "hslb-fleet-%d-%d.sock" (Unix.getpid ())
        (Atomic.fetch_and_add sock_counter 1))
 
+let backend_core () =
+  Serve.Service.core_of_server
+    (Serve.Server.create
+       {
+         Serve.Server.jobs = 1;
+         queue_limit = 16;
+         cache_capacity = 8;
+         drain_grace_s = 5.0;
+         default_solver = Engine.Solver_choice.Oa;
+         audit = false;
+         policy = Arena.Policy.builtin;
+       }
+       ~emit:(fun _ -> ()))
+
 (* one in-process serve backend behind a unix socket: Server core +
    Transport_socket listener + Transport.drive on its own domain —
    the same wiring `hslb serve --listen` uses, minus Service.run's
@@ -164,20 +178,8 @@ type backend = {
   driver : unit Domain.t;
 }
 
-let start_backend ?(jobs = 1) ?(cache_capacity = 8) () =
-  let cfg =
-    {
-      Serve.Server.jobs;
-      queue_limit = 16;
-      cache_capacity;
-      drain_grace_s = 5.0;
-      default_solver = Engine.Solver_choice.Oa;
-      audit = false;
-      policy = Arena.Policy.builtin;
-    }
-  in
-  let server = Serve.Server.create cfg ~emit:(fun _ -> ()) in
-  let core = Serve.Service.core_of_server server in
+let start_backend () =
+  let core = backend_core () in
   let sock = fresh_sock () in
   let listener =
     Serve.Transport_socket.listen
@@ -188,7 +190,7 @@ let start_backend ?(jobs = 1) ?(cache_capacity = 8) () =
     Domain.spawn (fun () ->
         Serve.Transport.drive
           (Serve.Transport_socket.listener listener)
-          core.Serve.Service.handler;
+          core.Serve.Service.submit;
         Serve.Transport_socket.shutdown listener)
   in
   { core; sock; driver }
@@ -299,8 +301,10 @@ let make_sink () = { mutex = Mutex.create (); lines = ref [] }
 
 let sink_reply s l = Mutex.protect s.mutex (fun () -> s.lines := l :: !(s.lines))
 
-let sink_values s =
-  List.rev_map parse_json (Mutex.protect s.mutex (fun () -> !(s.lines)))
+let sink_lines s = List.rev (Mutex.protect s.mutex (fun () -> !(s.lines)))
+let sink_values s = List.map parse_json (sink_lines s)
+
+let int_member key v = Option.bind (Serve.Json.member key v) Serve.Json.int_
 
 let with_two_backend_router f =
   let b0 = start_backend () and b1 = start_backend () in
@@ -515,6 +519,107 @@ let test_router_drain_report () =
   ignore (stop_backend b1);
   Alcotest.(check bool) "draining after await" true (Serve.Router.draining router)
 
+(* every reply the router writes itself answers in the client's
+   version: at v2 "v" is the second member *)
+let test_router_versioned_replies () =
+  let b = start_backend () in
+  let router =
+    Serve.Router.create
+      ~events:(fun _ -> ())
+      [ Attach { name = "backend-0"; addr = Serve.Transport_socket.Unix_path b.sock } ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Serve.Router.await_drain router);
+      ignore (stop_backend b))
+    (fun () ->
+      let s = make_sink () in
+      let answer line id =
+        Serve.Router.submit router ~reply:(sink_reply s) line;
+        wait_until (Printf.sprintf "answer %d" id) (fun () ->
+            List.exists
+              (fun v -> Serve.Json.member "id" v = Some (Serve.Json.Num (float_of_int id)))
+              (sink_values s));
+        find_by_id (sink_values s) id
+      in
+      let check_v2 what = function
+        | Serve.Json.Obj (_ :: ("v", Serve.Json.Num 2.) :: _) -> ()
+        | r -> Alcotest.failf "%s: \"v\":2 is not the second member of %s" what
+                 (Serve.Json.to_string r)
+      in
+      let check_range what r =
+        Alcotest.(check (option string))
+          (what ^ " advertises the protocol range")
+          (Some {|{"min":1,"max":2}|})
+          (Option.map Serve.Json.to_string (Serve.Json.member "protocol" r))
+      in
+      ignore (answer {|{"id":1,"op":"ping"}|} 1);
+      Alcotest.(check bool) "v1 ping bytes through the router" true
+        (List.mem {|{"id":1,"outcome":"ok","pong":true,"backends":{"total":1,"ok":1}}|}
+           (sink_lines s));
+      let ping = answer {|{"id":2,"v":2,"op":"ping"}|} 2 in
+      check_v2 "ping" ping;
+      check_range "ping" ping;
+      let stats = answer {|{"id":3,"v":2,"op":"stats"}|} 3 in
+      check_v2 "stats" stats;
+      check_range "stats" stats;
+      (* the backend dies (drains, closing its link) with the sleep
+         still running: the router answers for it *)
+      Serve.Router.submit router ~reply:(sink_reply s) {|{"id":4,"v":2,"op":"sleep","ms":1000}|};
+      wait_until "backend admitted the sleep" (fun () ->
+          int_member "accepted" (parse_json (b.core.Serve.Service.stats_json ())) = Some 1);
+      b.core.Serve.Service.initiate_drain ();
+      wait_until "orphaned sleep answered" (fun () ->
+          List.exists
+            (fun v -> Serve.Json.member "id" v = Some (Serve.Json.Num 4.))
+            (sink_values s));
+      let orphan = find_by_id (sink_values s) 4 in
+      check_v2 "orphaned sleep" orphan;
+      Alcotest.(check string) "orphaned sleep outcome" "error" (outcome_of orphan);
+      Alcotest.(check (option string)) "orphaned sleep error"
+        (Some "backend backend-0 died before answering")
+        (Option.bind (Serve.Json.member "error" orphan) Serve.Json.str);
+      check_v2 "drain" (answer {|{"id":5,"v":2,"op":"drain"}|} 5))
+
+(* ---------- Service.run ---------- *)
+
+(* the process lifecycle in-process: bind, announce, serve one
+   connection, drain on a drain op, report *)
+let test_service_run_listen () =
+  let sock = fresh_sock () in
+  let events = make_sink () in
+  let run =
+    Domain.spawn (fun () ->
+        Serve.Service.run ~events:(sink_reply events)
+          ~listen:(Some (Serve.Transport_socket.Unix_path sock))
+          (backend_core ()))
+  in
+  wait_until "listening event" (fun () -> sink_lines events <> []);
+  Alcotest.(check (list string)) "listening event names the bound address"
+    [ Printf.sprintf {|{"event":"listening","addr":"unix:%s"}|} sock ]
+    (sink_lines events);
+  let client = Serve.Transport_socket.Client.connect (Serve.Transport_socket.Unix_path sock) in
+  let send l =
+    Alcotest.(check bool) ("send " ^ l) true (Serve.Transport_socket.Client.send client l)
+  in
+  send {|{"id":1,"op":"sleep","ms":1}|};
+  Alcotest.(check string) "reply arrives" "ok"
+    (outcome_of (find_by_id (recv_lines client 1) 1));
+  send {|{"id":2,"op":"drain"}|};
+  Alcotest.(check string) "drain acked" "ok" (outcome_of (find_by_id (recv_lines client 1) 2));
+  let report = Domain.join run in
+  Serve.Transport_socket.Client.close client;
+  Alcotest.(check string) "run returns the drain report" "drained"
+    report.Engine.Run_report.status;
+  match List.rev (sink_values events) with
+  | drained :: _ ->
+    Alcotest.(check (option string)) "drained event last" (Some "drained")
+      (Option.bind (Serve.Json.member "event" drained) Serve.Json.str);
+    let counter k = Option.bind (Serve.Json.member "stats" drained) (int_member k) in
+    Alcotest.(check (option int)) "accepted" (Some 1) (counter "accepted");
+    Alcotest.(check (option int)) "served" (Some 1) (counter "served")
+  | [] -> Alcotest.fail "no events"
+
 let () =
   Alcotest.run "fleet"
     [
@@ -542,5 +647,8 @@ let () =
           Alcotest.test_case "attached death shrinks ring" `Quick
             test_router_attached_death_shrinks_ring;
           Alcotest.test_case "drain report" `Quick test_router_drain_report;
+          Alcotest.test_case "versioned replies" `Quick test_router_versioned_replies;
         ] );
+      ( "service",
+        [ Alcotest.test_case "run over a socket" `Quick test_service_run_listen ] );
     ]

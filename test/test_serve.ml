@@ -681,7 +681,72 @@ let test_serve_resolve_prev_mismatch () =
       (Some {|field "prev": expected 2 entries (one per model class), got 1|})
       (Option.bind (Serve.Json.member "error" r) Serve.Json.str)
 
+(* Every reply kind at protocol version [v], each answered exactly
+   once: at v2 "v" is the second member, with value 2; at v1 no reply
+   has one. The worker naps on a sleep while the rest queue behind it
+   (a 5 ms deadline expires there), fillers overflow the queue, and a
+   sleep after the drain is turned away. *)
+let check_every_reply_kind v =
+  let h = make_harness ~jobs:1 ~queue_limit:8 () in
+  let vf = if v >= 2 then Printf.sprintf {|,"v":%d|} v else "" in
+  let submit = Serve.Server.submit h.server in
+  let op id name extra = submit (Printf.sprintf {|{"id":%d,"op":"%s"%s%s}|} id name extra vf) in
+  op 1 "sleep" {|,"ms":300|};
+  submit (solve_line ~id:2 ~nodes:16 ~deadline_ms:5. ~extra:vf ());
+  submit (solve_line ~id:3 ~nodes:24 ~extra:vf ());
+  submit
+    (Printf.sprintf
+       {|{"id":4,"model_csv":"a,4,100,0.1,1,1\nb,4,50,0.1,1,1","nodes":5,"objective":"max-min"%s}|}
+       vf);
+  if v >= 2 then submit (resolve_line ~id:5 ~v ~model:single_model ~prev:"[8]" ());
+  op 6 "ping" "";
+  op 7 "stats" "";
+  op 8 "nope" "";
+  let rec overflow id =
+    if id > 120 then Alcotest.fail "queue never overflowed"
+    else begin
+      op id "sleep" {|,"ms":1|};
+      match find_by_id h id with
+      | Some r when outcome_of r = "overloaded" -> id
+      | Some _ | None -> overflow (id + 1)
+    end
+  in
+  let overloaded = overflow 100 in
+  op 9 "drain" "";
+  op 10 "sleep" {|,"ms":1|};
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  List.iter
+    (fun (id, kind, outcome) ->
+      let what = Printf.sprintf "v%d %s" v kind in
+      match
+        List.filter
+          (fun r -> Serve.Json.member "id" r = Some (Serve.Json.Num (float_of_int id)))
+          (responses h)
+      with
+      | [ r ] -> (
+        Alcotest.(check string) (what ^ " outcome") outcome (outcome_of r);
+        match r with
+        | Serve.Json.Obj (_ :: ("v", Serve.Json.Num 2.) :: _) when v >= 2 -> ()
+        | Serve.Json.Obj fields when v < 2 && not (List.mem_assoc "v" fields) -> ()
+        | _ -> Alcotest.failf "%s: wrong version echo in %s" what (Serve.Json.to_string r))
+      | rs -> Alcotest.failf "%s: %d replies" what (List.length rs))
+    ([
+       (1, "sleep", "ok");
+       (2, "expired solve", "expired");
+       (3, "ok solve", "ok");
+       (4, "no-allocation error", "error");
+       (6, "ping", "ok");
+       (7, "stats", "ok");
+       (8, "protocol error", "error");
+       (overloaded, "overloaded", "overloaded");
+       (9, "drain", "ok");
+       (10, "draining", "draining");
+     ]
+    @ if v >= 2 then [ (5, "resolve", "ok") ] else [])
+
 let test_serve_version_compat () =
+  check_every_reply_kind 1;
+  check_every_reply_kind 2;
   let h = make_harness ~jobs:1 () in
   Serve.Server.submit h.server {|{"id":5,"op":"ping"}|};
   Serve.Server.submit h.server {|{"id":6,"v":2,"op":"ping"}|};
