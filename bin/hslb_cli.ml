@@ -122,8 +122,11 @@ let solve_cmd =
   let solver =
     Arg.(
       value
-      & opt solver_conv Engine.Solver_choice.Oa
-      & info [ "solver" ] ~doc:"oa (default) | bnb | oa-multi.")
+      & opt solver_conv Hslb.Alloc_model.default_solver
+      & info [ "solver" ]
+          ~doc:
+            "exact (default; threshold search, min-max only) | oa | bnb | oa-multi. \
+             max-min and min-sum always use their own exact paths.")
   in
   let repeat =
     Arg.(
@@ -422,13 +425,19 @@ let minlp_cmd =
     Arg.(
       value
       & opt solver_conv Engine.Solver_choice.Oa
-      & info [ "solver" ] ~doc:"oa (default) | bnb | oa-multi (alias: multi).")
+      & info [ "solver" ]
+          ~doc:"oa (default) | bnb | oa-multi (alias: multi); exact is refused.")
   in
   let run file solver deadline_ms max_nodes report audit =
     let p = Minlp.Model_text.parse_file file in
     let budget = arm_budget deadline_ms max_nodes in
     let tally = Engine.Telemetry.create () in
-    let sol, certificate = Minlp.Solver.run ~budget ~tally solver p in
+    let sol, certificate =
+      try Minlp.Solver.run ~budget ~tally solver p
+      with Invalid_argument msg ->
+        Format.eprintf "hslb minlp: %s@." msg;
+        exit 2
+    in
     let wall_s = Engine.Budget.elapsed_s budget in
     let audit_verdict =
       if audit then Some (Cli_common.audit_minlp p (Some certificate)) else None
@@ -535,8 +544,9 @@ let serve_cmd =
   let solver =
     Arg.(
       value
-      & opt solver_conv Engine.Solver_choice.Oa
-      & info [ "solver" ] ~doc:"Default solver for requests that don't name one.")
+      & opt solver_conv Hslb.Alloc_model.default_solver
+      & info [ "solver" ]
+          ~doc:"Default solver for requests that don't name one (exact by default).")
   in
   let policy_from =
     Arg.(
@@ -1233,6 +1243,9 @@ let place_cmd =
        if minlp then begin
          let budget = arm_budget deadline_ms max_nodes in
          match Place.Model.solve_minlp ~solver ~budget ~warm_start:aware inst with
+         | exception Invalid_argument msg ->
+           Format.eprintf "hslb place: %s@." msg;
+           exit 2
          | Error st ->
            Format.eprintf "place minlp: no usable incumbent (%s)@."
              (Minlp.Solution.status_to_string st);

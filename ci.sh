@@ -8,12 +8,14 @@
 # answer break fails here, not in a benchmark run), and
 # finally the seeded fault-injection audit sweep, which fails the
 # build on any certificate rejection or soundness violation (see
-# docs/AUDIT.md).
+# docs/AUDIT.md). `hslb minlp --solver exact` must then exit non-zero
+# with its one refusal message.
 #
 # After the test suites, the serving layer gets an end-to-end smoke:
 # `hslb serve` is driven with a ~50-request scripted trace (mixed
 # valid, malformed and over-deadline requests against a deliberately
-# tiny queue) to pin the overload and expiry paths, and then once more
+# tiny queue) to pin the overload and expiry paths and the exact
+# default's audited answers, and then once more
 # through a fifo with SIGTERM to pin the graceful-drain path. Both runs
 # assert exactly-once on the live process: the terminal drained event
 # must report as many requests served as it accepted.
@@ -32,7 +34,8 @@
 #   replays a 200-request `hslb loadgen` trace (asserting overload,
 #   expiry, shard-local cache hits and a clean fleet drain), then the
 #   1-vs-2-backend locality benchmark writes BENCH_fleet.json (gate:
-#   speedup >= 1.5x; see docs/SERVE.md);
+#   speedup >= 1.5x; see docs/SERVE.md). The trace's solves name oa:
+#   the bench measures LRU locality under expensive solves;
 # - arena: all five scheduler families raced over a quick four-class
 #   zoo write BENCH_arena.json (gates include hybrid beating the stale
 #   static map on the drifting class); `hslb serve --policy-from` must
@@ -82,10 +85,25 @@ dune exec perfbench/main.exe -- --self-test
 echo "== audit stress sweep (seed 42, 200 trials) =="
 dune exec bin/hslb_cli.exe -- audit --stress --seed 42 --trials 200 --quiet
 
-echo "== serve smoke: scripted trace (overload + expiry + drain) =="
 SERVE_BIN=./_build/default/bin/hslb_cli.exe
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+echo "== minlp: the exact solver is refused on a model file =="
+# exact needs the separable allocation structure; a general model
+# must name a MINLP solver, and the refusal is one message
+if "$SERVE_BIN" minlp --solver exact examples/models/allocation.mod \
+  > "$SMOKE_DIR/minlp_exact.out" 2>&1; then
+  echo "minlp: --solver exact exited 0" >&2
+  exit 1
+fi
+grep -q 'solver exact solves separable min-max allocations only' \
+  "$SMOKE_DIR/minlp_exact.out" || {
+  echo "minlp: --solver exact did not print the refusal" >&2
+  exit 1
+}
+
+echo "== serve smoke: scripted trace (overload + expiry + drain) =="
 
 # exactly once: the drained event of serve output FILE must count every
 # accepted request as served
@@ -117,6 +135,12 @@ for outcome in ok error overloaded expired; do
     exit 1
   fi
 done
+# the fixture's solves name no solver: the default, exact, answers
+# them and the auditor re-checks its threshold witness
+grep -q '"audit":"verified (exact)"' "$SMOKE_DIR/trace.out" || {
+  echo "serve smoke: no \"verified (exact)\" audit in trace output" >&2
+  exit 1
+}
 grep -q '"event":"drained"' "$SMOKE_DIR/trace.out" || {
   echo "serve smoke: missing drained event" >&2
   exit 1

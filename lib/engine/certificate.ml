@@ -1,8 +1,10 @@
 type cover = { explored : int; pruned : int; open_branches : int }
+type side = Below of int | Floor of int
 
 type evidence =
   | Gap_closed
   | Cover_exhausted of cover
+  | Threshold of side array
   | Exact_method of string
   | Incumbent_only
   | No_witness
@@ -29,6 +31,13 @@ let evidence_to_string = function
   | Cover_exhausted c ->
     Printf.sprintf "cover-exhausted (%d explored, %d pruned, %d open)" c.explored c.pruned
       c.open_branches
+  | Threshold sides ->
+    Printf.sprintf "threshold (%s)"
+      (String.concat ", "
+         (Array.to_list
+            (Array.map
+               (function Below v -> string_of_int v | Floor v -> "floor " ^ string_of_int v)
+               sides)))
   | Exact_method m -> Printf.sprintf "exact (%s)" m
   | Incumbent_only -> "incumbent-only"
   | No_witness -> "no-witness"

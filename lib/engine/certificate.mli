@@ -18,14 +18,30 @@
     as good as its assertion that no branch remains open. *)
 type cover = { explored : int; pruned : int; open_branches : int }
 
+(** One class's part of a threshold witness for a separable min-max
+    model at the claimed optimum [T*] (sizes are values of the class's
+    size variable). *)
+type side =
+  | Below of int
+      (** the least admissible size whose time row is negative at [T*] *)
+  | Floor of int
+      (** no admissible size is: this one minimizes the class's time,
+          which is [T*] or more *)
+
 type evidence =
   | Gap_closed  (** [claimed_bound >= key claimed_obj - tol·scale] *)
   | Cover_exhausted of cover
       (** the branch-and-bound cover was fully explored
           ([open_branches] must be 0 for the claim to stand) *)
+  | Threshold of side array
+      (** one side per time row of a min-max model, in row order: no
+          allocation beats [T*] because some class has a [Floor], or
+          because every class at its [Below] size overflows the budget
+          row (docs/AUDIT.md) *)
   | Exact_method of string
       (** a customized exact path (greedy marginal allocation,
-          bisection, closed form) whose optimality is structural *)
+          bisection) whose optimality is structural; it names nothing
+          a model can re-check *)
   | Incumbent_only  (** no optimality claim: best point found so far *)
   | No_witness  (** no usable point (infeasible / nothing found) *)
 

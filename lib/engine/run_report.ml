@@ -163,6 +163,7 @@ let to_csv_row r =
       match c.Certificate.evidence with
       | Certificate.Gap_closed -> "gap-closed"
       | Certificate.Cover_exhausted _ -> "cover-exhausted"
+      | Certificate.Threshold _ -> "threshold"
       | Certificate.Exact_method _ -> "exact"
       | Certificate.Incumbent_only -> "incumbent-only"
       | Certificate.No_witness -> "no-witness"))

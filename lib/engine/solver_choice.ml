@@ -1,14 +1,17 @@
-type t = Oa | Bnb | Oa_multi
+type t = Exact | Oa | Bnb | Oa_multi
 
-let all = [ Oa; Bnb; Oa_multi ]
+let all = [ Exact; Oa; Bnb; Oa_multi ]
+let minlp = [ Oa; Bnb; Oa_multi ]
 
 let to_string = function
+  | Exact -> "exact"
   | Oa -> "oa"
   | Bnb -> "bnb"
   | Oa_multi -> "oa-multi"
 
 let of_string s =
   match String.lowercase_ascii s with
+  | "exact" -> Ok Exact
   | "oa" -> Ok Oa
   | "bnb" -> Ok Bnb
   | "oa-multi" | "oa_multi" | "multi" -> Ok Oa_multi

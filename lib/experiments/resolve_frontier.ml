@@ -6,7 +6,7 @@
    maintain an allocation against noisy benchmark observations of the
    drifting truth:
 
-   - always: full batch refit + MINLP solve every round;
+   - always: full batch refit + re-solve every round;
    - never: solve once, keep the incumbent forever;
    - certified: fold observations in with rank-one online updates
      (Fitting.Online) and re-solve only when the ε-reoptimality
@@ -88,14 +88,6 @@ let solve_alloc ~nodes fitted =
     failwith
       (Printf.sprintf "Resolve_frontier: solve failed: %s" (Minlp.Solution.status_to_string st))
 
-let warm_solve_alloc ~nodes ~warm fitted =
-  match Hslb.Alloc_model.solve ~warm_start:warm ~n_total:nodes (specs_of ~nodes fitted) with
-  | Ok a -> a.Hslb.Alloc_model.nodes_per_task
-  | Error st ->
-    failwith
-      (Printf.sprintf "Resolve_frontier: re-solve failed: %s"
-         (Minlp.Solution.status_to_string st))
-
 let true_makespan truths alloc =
   List.fold_left
     (fun (acc, i) tr -> (Float.max acc (Scaling_law.eval_int tr.law alloc.(i)), i + 1))
@@ -173,7 +165,7 @@ let run_rate ~seed ~rounds ~classes ~nodes ~eps drift_rate =
      with
     | Audit.Sensitivity.Certified _ -> incr skipped_cert
     | Audit.Sensitivity.Rejected _ ->
-      alloc_cert := warm_solve_alloc ~nodes ~warm:!alloc_cert online_fitted;
+      alloc_cert := solve_alloc ~nodes online_fitted;
       incr solves_cert);
     (* everyone pays the true cost of whatever they currently run *)
     score_always := !score_always +. true_makespan truths !alloc_always;

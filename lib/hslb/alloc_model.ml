@@ -397,6 +397,227 @@ let min_sum_greedy ~n_total ~start specs =
            ());
   }
 
+(* --- Min_max: exact threshold search --- *)
+
+(* least i in [lo, hi] with [p i], or hi + 1 when none; [p] is false
+   then true. Even where [p] is not monotone the answer is a boundary:
+   [p i] holds and [p (i - 1)] does not (or i = lo). *)
+let first_true lo hi p =
+  let lo = ref lo and hi = ref (hi + 1) in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if p mid then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* One class on its admissible sizes, addressed by index in increasing
+   size: the box [max 1 n_min, min n_max N], or the sweet spots inside
+   it. [bottom] is the least index minimizing [time]: the law is convex,
+   so the step time (i + 1) - time i only grows and its sign bisects
+   (exactly on the integers, where Scaling_law.optimal_nodes is a
+   tolerance-bound real minimizer). No size range is ever enumerated;
+   every lookup is a bisection. *)
+type ladder = {
+  count : int;
+  size : int -> int;
+  time : int -> float;
+  last : int;
+  bottom : int;
+}
+
+let ladder ~n_total spec =
+  let lo = Stdlib.max 1 spec.n_min and hi = Stdlib.min spec.n_max n_total in
+  let last, size =
+    match spec.allowed with
+    | None -> (hi - lo, fun i -> lo + i)
+    | Some values ->
+      let inside = List.filter (fun v -> v >= lo && v <= hi) (List.sort_uniq compare values) in
+      let a = Array.of_list inside in
+      (Array.length a - 1, Array.get a)
+  in
+  let law = spec.fc.Classes.fit.Fitting.law in
+  let time i = Scaling_law.eval_int law (size i) in
+  let bottom = first_true 0 last (fun i -> i = last || time (i + 1) >= time i) in
+  { count = spec.fc.Classes.cls.Classes.count; size; time; last; bottom }
+
+(* The allocation: from the smallest sizes, repeatedly give the slowest
+   class (lowest index among ties) one admissible step while that
+   strictly lowers its time and fits the budget. A class whose step
+   does not fit is done, for the budget only shrinks. Taken in order,
+   the steps form one sequence of falling times; the first step that
+   does not fit fixes the makespan at the optimum T* (no allocation
+   brings every class under it), and the rest spends the leftover
+   nodes. The sequence is replayed in at most k + 1 rounds: each finds
+   by bisection the lowest level L at which every step above L still
+   fits, takes them, then offers the classes tied at L their steps in
+   index order, and at least one of those does not fit. *)
+let descend ~n_total ls =
+  let k = Array.length ls in
+  let cur = Array.make k 0 in
+  let active = Array.map (fun l -> l.bottom > 0) ls in
+  let left = ref n_total in
+  Array.iter (fun l -> left := !left - (l.count * l.size 0)) ls;
+  let move c i =
+    let l = ls.(c) in
+    left := !left - (l.count * (l.size i - l.size cur.(c)));
+    cur.(c) <- i;
+    if i = l.bottom then active.(c) <- false
+  in
+  (* where class [c] stops once every step above [level] is taken *)
+  let reach c level =
+    let l = ls.(c) in
+    Stdlib.min l.bottom (first_true cur.(c) l.bottom (fun i -> l.time i <= level))
+  in
+  let fits level =
+    let rec go c left =
+      c = k
+      ||
+      if not active.(c) then go (c + 1) left
+      else
+        let l = ls.(c) in
+        let d = l.size (reach c level) - l.size cur.(c) in
+        d <= left / l.count && go (c + 1) (left - (l.count * d))
+    in
+    go 0 !left
+  in
+  (* the largest [f c] over the active classes that have one *)
+  let over f =
+    let best = ref neg_infinity in
+    Array.iteri
+      (fun c a -> if a then Option.iter (fun t -> best := Float.max !best t) (f c))
+      active;
+    !best
+  in
+  (* the lowest level taking the same steps as [level] *)
+  let settle level =
+    over (fun c ->
+        let t = ls.(c).time (reach c level) in
+        if t <= level then Some t else None)
+  in
+  (* the highest level under [level] that takes one more step *)
+  let next level =
+    over (fun c ->
+        let l = ls.(c) in
+        let i = first_true cur.(c) l.bottom (fun i -> l.time i < level) in
+        if i <= l.bottom then Some (l.time i) else None)
+  in
+  (* the lowest level that fits, given that [hi] fits and [lo] does not *)
+  let rec lowest lo hi =
+    let t = next hi in
+    if t <= lo || not (fits t) then hi
+    else
+      let hi = settle t in
+      let mid = lo +. ((hi -. lo) /. 2.) in
+      if not (lo < mid && mid < hi) then lowest lo hi
+      else if fits mid then lowest lo (settle mid)
+      else lowest mid hi
+  in
+  let rec round () =
+    if Array.exists Fun.id active then
+      if fits neg_infinity then Array.iteri (fun c a -> if a then move c ls.(c).bottom) active
+      else begin
+        (* under every active class's bottom time nothing fits *)
+        let under = Float.pred (-.over (fun c -> Some (-.ls.(c).time ls.(c).bottom))) in
+        let level = lowest under (over (fun c -> Some (ls.(c).time cur.(c)))) in
+        Array.iteri (fun c a -> if a then move c (reach c level)) active;
+        let top = over (fun c -> Some (ls.(c).time cur.(c))) in
+        Array.iteri
+          (fun c a ->
+            let l = ls.(c) in
+            if a && l.time cur.(c) = top then
+              if l.size (cur.(c) + 1) - l.size cur.(c) <= !left / l.count then
+                move c (cur.(c) + 1)
+              else active.(c) <- false)
+          active;
+        round ()
+      end
+  in
+  round ();
+  cur
+
+(* The certificate's tolerance: the witness proves no allocation
+   finishes before T* (1 - 1e-9) or so, which absorbs the last-bit
+   differences between the fitted law and the model row evaluating it *)
+let threshold_tol = 1e-9
+
+(* The optimality witness, computed on the rows of the MINLP the
+   auditor rebuilds and in its arithmetic (docs/AUDIT.md): for each
+   time row, the least admissible size beating T* (reading below
+   -eta), or, when none does, the size minimizing the row. *)
+let threshold_sides (problem : Minlp.Problem.t) n_vars ls t_star =
+  let t = match problem.objective with Minlp.Expr.Var t -> t | _ -> assert false in
+  let rows =
+    Array.of_list
+      (List.filter
+         (fun (c : Minlp.Problem.constr) -> List.mem t (Minlp.Expr.vars c.expr))
+         problem.constraints)
+  in
+  let eta = threshold_tol *. (1. +. Float.abs t_star) in
+  let pt = Array.make problem.num_vars 0. in
+  Array.mapi
+    (fun c (l : ladder) ->
+      let row i =
+        pt.(n_vars.(c)) <- float_of_int (l.size i);
+        pt.(t) <- t_star;
+        Minlp.Expr.eval rows.(c).expr pt -. rows.(c).rhs
+      in
+      let m = first_true 0 l.last (fun i -> i = l.last || row (i + 1) >= row i) in
+      if row m < -.eta then
+        Engine.Certificate.Below (l.size (first_true 0 m (fun i -> row i < -.eta)))
+      else Engine.Certificate.Floor (l.size m))
+    ls
+
+let exact_solve ?budget ~n_total specs =
+  (* past 2^53 consecutive sizes share one float, and no time step is
+     strict any more *)
+  if n_total > 1 lsl 53 then
+    invalid_arg "Alloc_model.solve: solver exact needs n_total <= 2^53";
+  List.iter
+    (fun spec ->
+      if not (Scaling_law.is_convex spec.fc.Classes.fit.Fitting.law) then
+        invalid_arg
+          (Printf.sprintf
+             "Alloc_model.solve: solver exact needs convex laws; class %s has a negative \
+              coefficient"
+             spec.fc.Classes.cls.Classes.name))
+    specs;
+  match Engine.Budget.stopped budget with
+  | Some r -> Error (Minlp.Solution.Budget_exhausted (Minlp.Solution.reason_of_budget r))
+  | None ->
+    let ls = Array.of_list (List.map (ladder ~n_total) specs) in
+    let cur = descend ~n_total ls in
+    let nodes = Array.mapi (fun c i -> ls.(c).size i) cur in
+    let problem, n_vars, lift = build_minlp ~objective:Objective.Min_max ~n_total specs in
+    let x = lift nodes in
+    let predicted_makespan, predicted_times = predicted_of specs nodes in
+    let sides = threshold_sides problem n_vars ls predicted_makespan in
+    (* some class has a floor, or the below sizes overflow the budget *)
+    let rec proven c used =
+      c < Array.length sides
+      &&
+      match sides.(c) with
+      | Engine.Certificate.Floor _ -> true
+      | Below v ->
+        v > (n_total - used) / ls.(c).count || proven (c + 1) (used + (ls.(c).count * v))
+    in
+    if not (proven 0 0) then
+      failwith "Alloc_model.solve: the threshold witness does not close";
+    Ok
+      {
+        nodes_per_task = nodes;
+        predicted_makespan;
+        predicted_times;
+        status = Minlp.Solution.Optimal;
+        stats = Minlp.Solution.empty_stats;
+        certificate =
+          Some
+            (Engine.Certificate.make
+               ~producer:(Engine.Solver_choice.to_string Engine.Solver_choice.Exact)
+               ~claimed_status:Minlp.Solution.Optimal ~witness:x
+               ~claimed_obj:predicted_makespan ~claimed_bound:predicted_makespan
+               ~tol:threshold_tol ~evidence:(Engine.Certificate.Threshold sides) ());
+      }
+
 (* canonical, injective solve fingerprint: the solver, then the
    instance with length-prefixed names, round-tripping float formats and
    sorted-deduplicated allowed lists (the model dedups them too). Equal
@@ -454,7 +675,22 @@ let min_max_solve ~solver ?budget ?warm_start ?trace ~n_total ~start specs =
       }
   else Error sol.Minlp.Solution.status
 
-let solve ?(solver = Engine.Solver_choice.Oa) ?(objective = Objective.Min_max) ?budget
+let default_solver = Engine.Solver_choice.Exact
+
+(* Budget-exhausted incumbents depend on wall-clock luck and must not
+   be replayed as answers. An exact min-max answer takes tens of
+   microseconds, about what storing it takes: stored at once, an
+   instance stream that never repeats within the cache's reach pushed
+   thousands of entries a second through the LRU and grew the serve
+   backend's peak RSS by a tenth, so it waits for its key to recur. *)
+let memoize ~solver ~objective cache key result =
+  match result with
+  | Ok alloc when alloc.status = Minlp.Solution.Optimal ->
+    let recurring = objective = Objective.Min_max && solver = Engine.Solver_choice.Exact in
+    Runtime.Cache.put ~recurring cache key alloc
+  | Ok _ | Error _ -> ()
+
+let solve ?(solver = default_solver) ?(objective = Objective.Min_max) ?budget
     ?cancel ?warm_start ?trace ?cache ~n_total specs =
   if specs = [] then invalid_arg "Alloc_model.solve: no classes";
   let budget = Engine.Budget.join ?budget ?cancel () in
@@ -470,13 +706,12 @@ let solve ?(solver = Engine.Solver_choice.Oa) ?(objective = Objective.Min_max) ?
           match objective with
           | Objective.Max_min -> max_min_solve ~n_total specs
           | Objective.Min_sum -> Ok (min_sum_greedy ~n_total ~start specs)
-          | Objective.Min_max ->
-            min_max_solve ~solver ?budget ?warm_start ?trace ~n_total ~start specs)
+          | Objective.Min_max -> (
+            match solver with
+            | Engine.Solver_choice.Exact -> exact_solve ?budget ~n_total specs
+            | Engine.Solver_choice.Oa | Engine.Solver_choice.Bnb
+            | Engine.Solver_choice.Oa_multi ->
+              min_max_solve ~solver ?budget ?warm_start ?trace ~n_total ~start specs))
     in
-    (* memoize only proven optima: budget-exhausted incumbents depend on
-       wall-clock luck and must not be replayed as answers *)
-    (match (result, cache) with
-    | Ok alloc, Some c when alloc.status = Minlp.Solution.Optimal ->
-      Runtime.Cache.put c (Lazy.force key) alloc
-    | (Ok _ | Error _), _ -> ());
+    Option.iter (fun c -> memoize ~solver ~objective c (Lazy.force key) result) cache;
     result

@@ -9,7 +9,12 @@
     the paper does for the ocean and atmosphere components), and the
     chosen objective.
 
-    [Min_max] is a convex MINLP solved by {!Minlp.Oa} (or {!Minlp.Bnb}).
+    [Min_max] is separable: its optimum is the least time T at which
+    every class's smallest admissible size meeting T fits the budget.
+    The default solver ([Exact]) finds it by threshold search and
+    certifies it with a witness the auditor re-checks; the model is
+    also a convex MINLP that {!Minlp.Oa} (or {!Minlp.Bnb}) solves, and
+    OA stays the paper's method and the differential oracle.
     [Max_min] is nonconvex in epigraph form, so it is solved by the
     customized bisection its structure admits (the time curves are
     decreasing in [n] up to their minimum). [Min_sum] is a separable
@@ -34,15 +39,15 @@ type allocation = {
   predicted_makespan : float;  (** max over classes of fitted time *)
   predicted_times : float array;  (** fitted per-class times *)
   status : Minlp.Solution.status;
-      (** how the solve ended; [Optimal] for the exact
-          bisection/greedy paths *)
-  stats : Minlp.Solution.stats;  (** zero for the bisection path *)
+      (** how the solve ended; [Optimal] for the threshold,
+          bisection and greedy paths *)
+  stats : Minlp.Solution.stats;  (** zero for those paths *)
   certificate : Engine.Certificate.t option;
-      (** machine-checkable claim backing [status]: solver-emitted for
-          the [Min_max] MINLP path ([Audit.check_minlp]-verifiable
-          against {!build_minlp}'s problem), [Exact_method] for the
-          bisection/greedy paths, [None] only for cache hits stored by
-          older versions *)
+      (** machine-checkable claim backing [status]: for [Min_max]
+          ([Audit.check_minlp]-verifiable against {!build_minlp}'s
+          problem) a threshold witness or the MINLP solver's own,
+          [Exact_method] for the bisection/greedy paths, [None] only
+          for cache hits stored by older versions *)
 }
 
 (** [restrict_to_values b ~var values] — restrict an integer variable
@@ -77,6 +82,11 @@ val build_minlp :
 val fingerprint :
   solver:Engine.Solver_choice.t -> objective:Objective.t -> n_total:int -> spec list -> string
 
+(** The solver every allocation solve uses unless told otherwise:
+    [Exact]. [hslb solve], [hslb serve] and the wire's cache key default
+    to it as well. *)
+val default_solver : Engine.Solver_choice.t
+
 (** [solve ?solver ?objective ?budget ?cancel ?warm_start ?trace ?cache
     ~n_total specs] — full solve + decode. [cancel] additionally stops
     [budget] ({!Engine.Budget.join}); [trace] accumulates the solver's
@@ -87,22 +97,33 @@ val fingerprint :
     raised. [Max_min] is also [Error Infeasible] when some class has no
     admissible size on the decreasing branch of its curve.
 
-    For [Min_max], a greedy min-sum allocation is computed automatically
-    and used to warm-start the solver unless [warm_start] (a
-    nodes-per-class vector) is given. The armed [budget] makes the solve
-    interruptible: on exhaustion with an incumbent the allocation is
-    returned with status [Budget_exhausted _]; without one, [Error
-    (Budget_exhausted _)].
+    For [Min_max] under a MINLP solver, a greedy min-sum allocation is
+    computed automatically and used to warm-start the solver unless
+    [warm_start] (a nodes-per-class vector) is given; [Exact] ignores
+    [warm_start]. The armed [budget] makes the solve interruptible: on
+    exhaustion with an incumbent the allocation is returned with status
+    [Budget_exhausted _]; without one, [Error (Budget_exhausted _)].
 
-    [solver] (default [Oa]) is the one solver the [Min_max] MINLP runs
-    ({!Minlp.Solver.run} at {!Minlp.Solver.model_rel_gap});
-    [Max_min]/[Min_sum] always use their exact customized paths. Every
-    solver-path allocation carries a certificate.
+    [solver] (default {!default_solver}) answers [Min_max]. [Exact] is
+    the threshold search: every class's least admissible size meeting
+    the optimum T*, then the leftover nodes one admissible step at a
+    time to the slowest class whose time the step strictly lowers
+    (lowest index among ties) while it fits. Its work is O(k log N)
+    bisections and its memory O(k) besides the sweet-spot lists: no
+    node range is enumerated. It checks the budget once, on entry, and
+    records no B&B, LP or NLP counters. It raises [Invalid_argument]
+    on a law outside the convex family ({!Scaling_law.is_convex}) or
+    on [n_total > 2^53]. Its certificate carries the allocation lifted
+    into {!build_minlp}'s variables and [Threshold] evidence
+    ([Audit.check_minlp] re-checks both). [Oa], [Bnb] and [Oa_multi]
+    run the MINLP ({!Minlp.Solver.run} at
+    {!Minlp.Solver.model_rel_gap}). [Max_min]/[Min_sum] always use
+    their exact customized paths. Every allocation carries a
+    certificate.
 
-    [cache] memoizes solves across calls, keyed by {!fingerprint}. Only
-    proven-[Optimal] results are stored (budget-exhausted incumbents are
-    timing-dependent); a hit bypasses the solver entirely and returns
-    the allocation bit-for-bit. *)
+    [cache] memoizes solves across calls, keyed by {!fingerprint}, as
+    {!memoize} stores them; a hit bypasses the solver entirely and
+    returns the allocation bit-for-bit. *)
 val solve :
   ?solver:Engine.Solver_choice.t ->
   ?objective:Objective.t ->
@@ -114,3 +135,17 @@ val solve :
   n_total:int ->
   spec list ->
   (allocation, Minlp.Solution.status) result
+
+(** [memoize ~solver ~objective cache key result] — store [result]
+    under [key], the one rule for {!solve}'s [cache] and [hslb serve]'s:
+    proven-[Optimal] allocations only (budget-exhausted incumbents are
+    timing-dependent). An [Exact] [Min_max] answer costs about as much
+    to recompute as to store, so it is stored only once its key recurs
+    ({!Runtime.Cache.put} [~recurring]); every other one at once. *)
+val memoize :
+  solver:Engine.Solver_choice.t ->
+  objective:Objective.t ->
+  allocation Runtime.Cache.t ->
+  string ->
+  (allocation, Minlp.Solution.status) result ->
+  unit

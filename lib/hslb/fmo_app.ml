@@ -11,6 +11,10 @@ let default_config =
     benchmark_points = 5;
     benchmark_reps = 2;
     objective = Objective.Min_max;
+    (* OA, not Alloc_model.default_solver: perfbench's fmo workload
+       keeps every op's plan until its run ends, so a faster plan reads
+       there as a peak-RSS regression; the switch waits for a benchmark
+       change that stops retaining plans *)
     solver = Engine.Solver_choice.Oa;
     sweet_spots = None;
   }

@@ -12,6 +12,9 @@
     tree crawl on near-flat fitted curves. *)
 val model_rel_gap : float
 
+(** The refusal {!run} raises for [Exact]. *)
+val exact_refused : string
+
 (** [run ?rel_gap ?budget ?tally ?warm_start choice p] — solve [p] with
     [choice] under its default options, returning the raw solution and
     the certificate backing its status claim ({!Solution.certify},
@@ -23,7 +26,12 @@ val model_rel_gap : float
     [tally] accumulates the solver's counters and supplies the
     certificate's [pruned] count. [warm_start], a feasible point of [p],
     primes the incumbent of [Oa] and [Bnb]; [Oa_multi] has no warm start
-    and ignores it. Test {!Solution.has_incumbent} before using [x]. *)
+    and ignores it. Test {!Solution.has_incumbent} before using [x].
+
+    @raise Invalid_argument with {!exact_refused} when [choice] is
+    [Exact]: the threshold search needs the separable allocation
+    structure only [Hslb.Alloc_model] knows, so the layout and placement
+    models, [hslb minlp] and [hslb place] all refuse it here. *)
 val run :
   ?rel_gap:float ->
   ?budget:Engine.Budget.armed ->

@@ -1,7 +1,8 @@
 (* LRU cache: hash table for lookup, doubly-linked list for recency
-   (head = most recent, tail = eviction candidate). All operations are
-   mutex-protected so pool workers in different domains can share one
-   cache. *)
+   (head = most recent, tail = eviction candidate), and a ring of the
+   hashes of the last [cap] keys a [~recurring] put declined. All
+   operations are mutex-protected so pool workers in different domains
+   can share one cache. *)
 
 type 'v node = {
   key : string;
@@ -17,6 +18,8 @@ type 'v t = {
   mutable tail : 'v node option;
   mutable hit_count : int;
   mutable miss_count : int;
+  declined : int array;  (* key hashes, -1 when empty; a ring *)
+  mutable next_declined : int;
   lock : Mutex.t;
 }
 
@@ -29,6 +32,8 @@ let create ?(capacity = 128) () =
     tail = None;
     hit_count = 0;
     miss_count = 0;
+    declined = Array.make capacity (-1);
+    next_declined = 0;
     lock = Mutex.create ();
   }
 
@@ -60,13 +65,23 @@ let find t key =
         t.miss_count <- t.miss_count + 1;
         None)
 
-let put t key value =
+(* whether the ring holds [h]; if not, [h] replaces its oldest hash *)
+let declined_before t h =
+  if Array.exists (Int.equal h) t.declined then true
+  else begin
+    t.declined.(t.next_declined) <- h;
+    t.next_declined <- (t.next_declined + 1) mod t.cap;
+    false
+  end
+
+let put ?(recurring = false) t key value =
   locked t (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some node ->
         node.value <- value;
         unlink t node;
         push_front t node
+      | None when recurring && not (declined_before t (Hashtbl.hash key)) -> ()
       | None ->
         if Hashtbl.length t.table >= t.cap then (
           match t.tail with
@@ -94,5 +109,6 @@ let keys_by_recency t =
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.table;
+      Array.fill t.declined 0 t.cap (-1);
       t.head <- None;
       t.tail <- None)

@@ -22,8 +22,15 @@ val create : ?capacity:int -> unit -> 'v t
     Counts toward {!hits} / {!misses}. *)
 val find : 'v t -> string -> 'v option
 
-(** [put t key v] — insert or refresh; evicts the LRU entry when full. *)
-val put : 'v t -> string -> 'v -> unit
+(** [put ?recurring t key v] — insert or refresh; evicts the LRU entry
+    when full. With [~recurring:true] a key not yet cached is inserted
+    only when a [~recurring] put already declined it among the last
+    [capacity] declines, and is declined (and remembered) otherwise:
+    for values about as cheap to recompute as to store, so that keys
+    which do not come back while the cache could still hold them evict
+    nothing. The declines are remembered as key hashes in a fixed ring
+    that such a put scans: O(capacity) work, and the ring never grows. *)
+val put : ?recurring:bool -> 'v t -> string -> 'v -> unit
 
 val capacity : 'v t -> int
 val length : 'v t -> int
@@ -33,5 +40,5 @@ val misses : 'v t -> int
 (** Keys from most to least recently touched (for tests/inspection). *)
 val keys_by_recency : 'v t -> string list
 
-(** Drop all entries (hit/miss counters are kept). *)
+(** Drop all entries and declined keys (hit/miss counters are kept). *)
 val clear : 'v t -> unit

@@ -56,7 +56,9 @@ let instance_csv spec k =
          let d = float_of_int (lcg state mod 10) /. 10. in
          Printf.sprintf "class%d-%d,%d,%g,%g,%g,%g" k c count a b c_ d))
 
-(* the request lines, ids left to [run] *)
+(* the request lines, ids left to [run]. Every solve names oa: the
+   trace measures cache locality and admission under expensive solves,
+   which the microsecond default solver would not exercise. *)
 let make_trace spec =
   if spec.requests < 1 then invalid_arg "Loadgen.make_trace: requests must be >= 1";
   if spec.distinct < 1 then invalid_arg "Loadgen.make_trace: distinct must be >= 1";
@@ -76,6 +78,7 @@ let make_trace spec =
              ("op", Json.Str "solve");
              ("model_csv", Json.Str csvs.(k));
              ("nodes", Json.Num (float_of_int spec.nodes));
+             ("solver", Json.Str "oa");
            ]
           @ match deadline with Some d -> [ ("deadline_ms", Json.Num d) ] | None -> []
           )

@@ -38,7 +38,10 @@ type trace_spec = {
 val default_spec : unit -> trace_spec
 
 (** The request objects, in order, without ids ({!run} assigns
-    positions). @raise Invalid_argument on non-positive counts. *)
+    positions). Every solve names ["solver":"oa"]: the trace measures
+    locality and admission under expensive solves, which the
+    microsecond default would not. @raise Invalid_argument on
+    non-positive counts. *)
 val make_trace : trace_spec -> Json.t list
 
 (** [trace_of_scenario sc] — turn an arena workload scenario into a

@@ -421,15 +421,15 @@ let spec_names specs =
        specs)
 
 (* the dedupe/cache key for a solve whose specs are already resolved:
-   the allocation fingerprint under the request's solver (oa, the serve
-   default, when it names none), wrapped by the placement fingerprint
+   the allocation fingerprint under the request's solver (the serve
+   default, exact, when it names none), wrapped by the placement fingerprint
    when a place section rides along — two requests naming different
    solvers, or differing only in topology (or memory, or traffic), must
    never share a cached allocation *)
 let solve_key (p : solve_params) specs =
   let base =
     Hslb.Alloc_model.fingerprint
-      ~solver:(Option.value p.solver ~default:Engine.Solver_choice.Oa)
+      ~solver:(Option.value p.solver ~default:Hslb.Alloc_model.default_solver)
       ~objective:p.objective ~n_total:p.n_total specs
   in
   match p.place with

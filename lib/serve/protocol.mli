@@ -133,7 +133,8 @@ val spec_names : Hslb.Alloc_model.spec list -> string array
 
 (** [solve_key p specs] — the dedupe/cache key for a solve whose specs
     are already resolved: the {!Hslb.Alloc_model.fingerprint} of the
-    instance under [p.solver] ([Oa], the serve default, when absent; a
+    instance under [p.solver] ({!Hslb.Alloc_model.default_solver}, the
+    serve default, when absent; a
     server fills in its own default before keying), wrapped by
     {!Place.Model.fingerprint} when a place section rides along.
     Requests naming different solvers, or differing only in topology,

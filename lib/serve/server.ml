@@ -22,7 +22,7 @@ let default_config () =
     queue_limit = 64;
     cache_capacity = 128;
     drain_grace_s = 2.0;
-    default_solver = Engine.Solver_choice.Oa;
+    default_solver = Hslb.Alloc_model.default_solver;
     audit = true;
     policy = Arena.Policy.builtin;
   }
@@ -235,26 +235,24 @@ let solve_key t (p : Protocol.solve_params) specs =
    token), answer from the cache or run the solver, and charge the
    solve histogram and the server's counters. The server owns the
    memoization (one find, one put) so its hit/miss counters stay exact;
-   as in Alloc_model's own cache, only proven optima are stored. [key]
-   names the solver, so no request is answered from another solver's
-   entry. *)
+   what is stored follows Alloc_model.memoize, the rule of its own
+   cache. [key] names the solver, so no request is answered from
+   another solver's entry. *)
 let cached_solve t ~key ~queue_wait ?warm_start (p : Protocol.solve_params) specs =
   let deadline_s = Option.map (fun ms -> (ms /. 1000.) -. queue_wait) p.Protocol.deadline_ms in
   let budget = Engine.Budget.arm (Engine.Budget.make ?deadline_s ~cancel:t.drain_tok ()) in
   let trace = Engine.Telemetry.create () in
+  let solver = solver_of t p and objective = p.Protocol.objective in
   let outcome =
     match Runtime.Cache.find t.cache key with
     | Some alloc -> `Solved (Ok alloc, true)
     | None -> (
       match
-        Hslb.Alloc_model.solve ~solver:(solver_of t p) ~objective:p.Protocol.objective ?warm_start ~budget ~trace
+        Hslb.Alloc_model.solve ~solver ~objective ?warm_start ~budget ~trace
           ~n_total:p.Protocol.n_total specs
       with
       | r ->
-        (match r with
-        | Ok alloc when alloc.Hslb.Alloc_model.status = Minlp.Solution.Optimal ->
-          Runtime.Cache.put t.cache key alloc
-        | Ok _ | Error _ -> ());
+        Hslb.Alloc_model.memoize ~solver ~objective t.cache key r;
         `Solved (r, false)
       | exception e ->
         (* a solver crash must still answer the request and every

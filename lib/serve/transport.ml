@@ -33,16 +33,30 @@ type listener = {
 
 type submit = reply:(string -> unit) -> string -> unit
 
-(* serve one connection to completion on the calling domain *)
+(* Serve one connection on the calling domain. It closes once its
+   reader has ended and every request it submitted has been answered:
+   a drain ends the reader while replies may still be owed, and they
+   must not go to a closed fd. Each submitted line gets exactly one
+   reply (the serving cores' one-exit rule), so a count suffices. *)
 let serve_conn submit conn =
+  (* replies owed, plus one while the reader runs *)
+  let owed = Atomic.make 1 in
+  let settle () = if Atomic.fetch_and_add owed (-1) = 1 then conn.close () in
+  let reply line =
+    conn.write_line line;
+    settle ()
+  in
   let rec loop () =
     match conn.read_line () with
     | None -> ()
     | Some line ->
-      if String.trim line <> "" then submit ~reply:conn.write_line line;
+      if String.trim line <> "" then begin
+        Atomic.incr owed;
+        submit ~reply line
+      end;
       loop ()
   in
-  Fun.protect ~finally:conn.close loop
+  Fun.protect ~finally:settle loop
 
 (* Accept loop: one domain per connection, joined before returning so
    a completed drive leaves no orphaned readers. Returns when [accept]

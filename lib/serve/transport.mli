@@ -47,8 +47,11 @@ type listener = {
 type submit = reply:(string -> unit) -> string -> unit
 
 (** [drive ?on_disconnect listener submit] — the accept loop: one
-    spawned domain per connection pumps its lines into [submit] with
-    [conn.write_line] as the reply sink, closes it when the stream
-    ends, then calls [on_disconnect]. Every domain is joined before
+    spawned domain per connection pumps its lines into [submit] with a
+    reply sink over [conn.write_line], then calls [on_disconnect] when
+    the stream ends. [submit] must answer every line it is given
+    exactly once: the connection closes only after its stream has
+    ended and every line has been answered, so a drain never drops a
+    reply still in flight. Every reader domain is joined before
     returning, which happens once [accept] answers [None]. *)
 val drive : ?on_disconnect:(conn -> unit) -> listener -> submit -> unit

@@ -192,7 +192,7 @@ let test_unified_minlp_agree () =
         | Ok () -> ()
         | Error _ as v -> Alcotest.failf "%s certificate rejected: %s" name (Audit.summary v));
         sol.Minlp.Solution.obj)
-      Engine.Solver_choice.all
+      Engine.Solver_choice.minlp
   in
   let close a b = Float.abs (a -. b) <= 0.01 *. (1. +. Float.abs a) in
   List.iter
@@ -299,6 +299,126 @@ let test_sensitivity_validation () =
         (Audit.Sensitivity.relaxation_bound ~n_total:8
            [ sens_cls ~n_min:5 ~n_max:2 ~count:1 alpha_law ]))
 
+(* ---------- threshold evidence (the exact solver's witness) ---------- *)
+
+let exact_specs = Hslb.Model_store.specs_of_csv "alpha,4,100,0.001,1,0.5\nbeta,2,50,0.001,1,0.2"
+
+(* the exact solve at [n_total], its certificate and the rebuilt model *)
+let exact_cert n_total =
+  match Hslb.Alloc_model.solve ~solver:Engine.Solver_choice.Exact ~n_total exact_specs with
+  | Error st -> Alcotest.failf "exact solve: %s" (Minlp.Solution.status_to_string st)
+  | Ok a ->
+    let problem, _, _ =
+      Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total exact_specs
+    in
+    (a, Option.get a.Hslb.Alloc_model.certificate, problem)
+
+let check_summary what expected problem cert =
+  Alcotest.(check string) what expected (Audit.summary (Audit.check_minlp problem cert))
+
+let with_sides (cert : Engine.Certificate.t) f =
+  match cert.Engine.Certificate.evidence with
+  | Engine.Certificate.Threshold sides ->
+    let sides = Array.copy sides in
+    f sides;
+    { cert with Engine.Certificate.evidence = Engine.Certificate.Threshold sides }
+  | e -> Alcotest.failf "not threshold evidence: %s" (Engine.Certificate.evidence_to_string e)
+
+(* 32 nodes: alpha 6 (binding, 17.172667) and beta 4 fill the budget;
+   alpha first beats T* at 7, beta at 3, and 4*7 + 2*3 > 32 *)
+let test_threshold_corruptions () =
+  let a, cert, problem = exact_cert 32 in
+  Alcotest.(check (array int)) "allocation" [| 6; 4 |] a.Hslb.Alloc_model.nodes_per_task;
+  Alcotest.(check string) "evidence" "threshold (7, 3)"
+    (Engine.Certificate.evidence_to_string cert.Engine.Certificate.evidence);
+  check_summary "pristine" "ok" problem cert;
+  let x = witness cert in
+  (* T* moved with the witness's T, so objective and feasibility agree *)
+  let t_star f =
+    let x = Array.copy x in
+    x.(0) <- x.(0) *. f;
+    { cert with Engine.Certificate.witness = Some x; claimed_obj = x.(0); claimed_bound = x.(0) }
+  in
+  check_summary "T* raised"
+    "threshold: row time_alpha already beats T* at size 6, under its below size 7" problem
+    (t_star (1. +. 1e-4));
+  check_summary "T* lowered" "constraint time_alpha violated by 0.00171727" problem
+    (t_star (1. -. 1e-4));
+  check_summary "below raised"
+    "threshold: row time_beta already beats T* at size 3, under its below size 4" problem
+    (with_sides cert (fun s -> s.(1) <- Engine.Certificate.Below 4));
+  check_summary "below lowered" "threshold: row time_alpha does not beat T* at its below size 6"
+    problem
+    (with_sides cert (fun s -> s.(0) <- Engine.Certificate.Below 6));
+  let x' = Array.copy x in
+  x'.(1) <- 5.;
+  check_summary "lifted n_alpha lowered" "constraint time_alpha violated by 3.33233" problem
+    { cert with Engine.Certificate.witness = Some x' };
+  check_summary "evidence swapped for exact-method"
+    "exact-method evidence names nothing the model can re-check" problem
+    { cert with Engine.Certificate.evidence = Engine.Certificate.Exact_method "bisection" };
+  (* the same model with alpha's a*n^-c term negated: concave in n, so
+     its sides prove nothing *)
+  let concave =
+    let open Minlp.Problem in
+    let b = Builder.create () in
+    Array.iteri
+      (fun j kind ->
+        let lo = problem.lo.(j) and hi = problem.hi.(j) in
+        ignore (Builder.add_var b ~name:problem.names.(j) ~lo ~hi kind : int))
+      problem.kinds;
+    Builder.set_objective b problem.objective;
+    List.iter
+      (fun (c : constr) ->
+        let negate = function
+          | Minlp.Expr.Mul (Const a, (Pow _ as q)) -> Minlp.Expr.Mul (Const (-.a), q)
+          | e -> e
+        in
+        let expr =
+          match c.expr with
+          | Minlp.Expr.Add es when c.cname = "time_alpha" -> Minlp.Expr.Add (List.map negate es)
+          | e -> e
+        in
+        Builder.add_constr b ~name:c.cname expr c.sense c.rhs)
+      problem.constraints;
+    List.iter (Builder.add_sos1 b) problem.sos1;
+    Builder.build b
+  in
+  check_summary "concave time row"
+    "threshold: row time_alpha is not a*n^-c + b*n + d - T with a, b, c, d >= 0" concave cert
+
+(* a million nodes: alpha bottoms out at 316 nodes, so its floor is the
+   proof and neighbouring sizes are not minimizers *)
+let test_threshold_floor () =
+  let a, cert, problem = exact_cert 1_000_000 in
+  Alcotest.(check (array int)) "allocation" [| 316; 224 |] a.Hslb.Alloc_model.nodes_per_task;
+  Alcotest.(check string) "evidence" "threshold (floor 316, 58)"
+    (Engine.Certificate.evidence_to_string cert.Engine.Certificate.evidence);
+  check_summary "pristine" "ok" problem cert;
+  check_summary "floor raised"
+    "threshold: row time_alpha reads lower at size 316 than at its floor size 317" problem
+    (with_sides cert (fun s -> s.(0) <- Engine.Certificate.Floor 317));
+  check_summary "floor on a beaten size" "threshold: row time_beta beats T* at its floor size 58"
+    problem
+    (with_sides cert (fun s -> s.(1) <- Engine.Certificate.Floor 58))
+
+let test_threshold_refusals () =
+  let bad = { Scaling_law.a = 100.; b = -0.001; c = 1.; d = 0.5 } in
+  let cls = Hslb.Classes.make ~name:"bad" ~count:1 (fun ~nodes -> Scaling_law.eval_int bad nodes) in
+  let spec =
+    Hslb.Alloc_model.spec_of
+      { Hslb.Classes.cls; fit = { Hslb.Fitting.law = bad; r2 = 1.; rmse = 0.; observations = [||] } }
+  in
+  Alcotest.check_raises "non-convex law"
+    (Invalid_argument
+       "Alloc_model.solve: solver exact needs convex laws; class bad has a negative coefficient")
+    (fun () -> ignore (Hslb.Alloc_model.solve ~n_total:8 [ spec ]));
+  let problem, _, _ =
+    Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total:32 exact_specs
+  in
+  Alcotest.check_raises "minlp dispatch" (Invalid_argument Minlp.Solver.exact_refused)
+    (fun () -> ignore (Minlp.Solver.run Engine.Solver_choice.Exact problem))
+
 let () =
   Alcotest.run "audit"
     [
@@ -316,6 +436,9 @@ let () =
           Alcotest.test_case "evidence mismatch" `Quick test_mutation_evidence_mismatch;
           Alcotest.test_case "missing witness" `Quick test_mutation_missing_witness;
           Alcotest.test_case "witness dimension" `Quick test_mutation_witness_dimension;
+          Alcotest.test_case "threshold corruptions" `Quick test_threshold_corruptions;
+          Alcotest.test_case "threshold floor" `Quick test_threshold_floor;
+          Alcotest.test_case "threshold refusals" `Quick test_threshold_refusals;
         ] );
       ( "fault injection",
         [

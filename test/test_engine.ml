@@ -171,13 +171,13 @@ let e6_specs ?allowed () =
       | Some vals -> Hslb.Alloc_model.spec_of ~allowed:vals fc)
 
 let test_deadline_returns_incumbent () =
-  (* 1 ms wall budget on a workload whose full solve takes far longer:
-     the solve must neither raise nor come back empty — the greedy warm
-     start guarantees a feasible incumbent *)
+  (* 1 ms wall budget on a workload whose full OA solve takes far
+     longer: the solve must neither raise nor come back empty — OA's
+     greedy warm start guarantees a feasible incumbent *)
   let specs = e6_specs ~allowed:[ 1; 2; 4; 8; 16; 32; 64; 128 ] () in
   let n_total = 512 in
   let budget = Engine.Budget.arm (Engine.Budget.make ~deadline_s:0.001 ()) in
-  match Hslb.Alloc_model.solve ~budget ~n_total specs with
+  match Hslb.Alloc_model.solve ~solver:Engine.Solver_choice.Oa ~budget ~n_total specs with
   | Error st ->
     Alcotest.failf "expected an incumbent, got %s" (Minlp.Solution.status_to_string st)
   | Ok alloc ->
@@ -203,7 +203,7 @@ let test_cancel_stops_solve () =
   Engine.Cancel.cancel token;
   let specs = e6_specs () in
   let budget = Engine.Budget.arm (Engine.Budget.make ~cancel:token ()) in
-  match Hslb.Alloc_model.solve ~budget ~n_total:256 specs with
+  match Hslb.Alloc_model.solve ~solver:Engine.Solver_choice.Oa ~budget ~n_total:256 specs with
   | Ok alloc -> (
     match alloc.Hslb.Alloc_model.status with
     | Minlp.Solution.Budget_exhausted Minlp.Solution.Cancelled -> ()
@@ -218,7 +218,10 @@ let test_node_budget_respected () =
   let specs = e6_specs ~allowed:[ 1; 2; 4; 8; 16; 32 ] () in
   let budget = Engine.Budget.arm (Engine.Budget.make ~max_nodes:5 ()) in
   let tally = Engine.Telemetry.create () in
-  (match Hslb.Alloc_model.solve ~budget ~trace:tally ~n_total:256 specs with
+  (match
+     Hslb.Alloc_model.solve ~solver:Engine.Solver_choice.Oa ~budget ~trace:tally
+       ~n_total:256 specs
+   with
   | Ok alloc -> (
     match alloc.Hslb.Alloc_model.status with
     | Minlp.Solution.Budget_exhausted Minlp.Solution.Node_limit
@@ -231,7 +234,9 @@ let test_node_budget_respected () =
 let test_telemetry_counters_nonzero_on_solve () =
   let specs = e6_specs () in
   let tally = Engine.Telemetry.create () in
-  (match Hslb.Alloc_model.solve ~trace:tally ~n_total:256 specs with
+  (match
+     Hslb.Alloc_model.solve ~solver:Engine.Solver_choice.Oa ~trace:tally ~n_total:256 specs
+   with
   | Ok _ -> ()
   | Error st -> Alcotest.failf "solve failed: %s" (Minlp.Solution.status_to_string st));
   Alcotest.(check bool) "lp solves counted" true (tally.Engine.Telemetry.lp_solves > 0);

@@ -195,6 +195,37 @@ let start_backend () =
   in
   { core; sock; driver }
 
+(* a backend whose link dies with a request in flight, as a crashed
+   process's would: it serves pings and stats through a real core, and
+   closes the connection unanswered when a sleep arrives *)
+let start_mortal_backend () =
+  let core = backend_core () in
+  let sock = fresh_sock () in
+  let listener =
+    Serve.Transport_socket.listen
+      ~stop:(fun () -> core.Serve.Service.draining ())
+      (Serve.Transport_socket.Unix_path sock)
+  in
+  let driver =
+    Domain.spawn (fun () ->
+        (match (Serve.Transport_socket.listener listener).Serve.Transport.accept () with
+        | None -> ()
+        | Some conn ->
+          let rec loop () =
+            match conn.Serve.Transport.read_line () with
+            | None -> ()
+            | Some line -> (
+              match (Serve.Protocol.parse_line line).Serve.Protocol.req with
+              | Ok (Serve.Protocol.Sleep _) -> conn.Serve.Transport.close ()
+              | Ok _ | Error _ ->
+                core.Serve.Service.submit ~reply:conn.Serve.Transport.write_line line;
+                loop ())
+          in
+          loop ());
+        Serve.Transport_socket.shutdown listener)
+  in
+  { core; sock; driver }
+
 let stop_backend b =
   b.core.Serve.Service.initiate_drain ();
   let report = b.core.Serve.Service.await_drain () in
@@ -462,13 +493,16 @@ let test_router_attached_death_shrinks_ring () =
       (* kill backend-1 out from under the router: an attached death
          shrinks the ring instead of respawning *)
       ignore (stop_backend b1);
-      let next_id = ref 100 in
+      (* pings answer asynchronously, so any pong may carry the news;
+         their ids stay clear of the solves' below *)
+      let next_id = ref 1000 in
       wait_until "router notices the death" (fun () ->
           incr next_id;
           submit (Printf.sprintf {|{"id":%d,"op":"ping"}|} !next_id);
           List.exists
             (fun v ->
-              Serve.Json.member "id" v = Some (Serve.Json.Num (float_of_int !next_id))
+              Option.bind (Serve.Json.member "id" v) Serve.Json.int_
+              |> Option.fold ~none:false ~some:(fun id -> id > 1000)
               &&
               match Serve.Json.member "backends" v with
               | Some bs ->
@@ -522,7 +556,7 @@ let test_router_drain_report () =
 (* every reply the router writes itself answers in the client's
    version: at v2 "v" is the second member *)
 let test_router_versioned_replies () =
-  let b = start_backend () in
+  let b = start_mortal_backend () in
   let router =
     Serve.Router.create
       ~events:(fun _ -> ())
@@ -563,12 +597,9 @@ let test_router_versioned_replies () =
       let stats = answer {|{"id":3,"v":2,"op":"stats"}|} 3 in
       check_v2 "stats" stats;
       check_range "stats" stats;
-      (* the backend dies (drains, closing its link) with the sleep
-         still running: the router answers for it *)
+      (* the backend dies (its link closes) with the sleep unanswered:
+         the router answers for it *)
       Serve.Router.submit router ~reply:(sink_reply s) {|{"id":4,"v":2,"op":"sleep","ms":1000}|};
-      wait_until "backend admitted the sleep" (fun () ->
-          int_member "accepted" (parse_json (b.core.Serve.Service.stats_json ())) = Some 1);
-      b.core.Serve.Service.initiate_drain ();
       wait_until "orphaned sleep answered" (fun () ->
           List.exists
             (fun v -> Serve.Json.member "id" v = Some (Serve.Json.Num 4.))
@@ -620,6 +651,34 @@ let test_service_run_listen () =
     Alcotest.(check (option int)) "served" (Some 1) (counter "served")
   | [] -> Alcotest.fail "no events"
 
+(* a drain that ends the reader while a reply is still owed: the
+   connection stays open until the sleep's reply is written *)
+let test_service_drain_keeps_owed_replies () =
+  let sock = fresh_sock () in
+  let events = make_sink () in
+  let run =
+    Domain.spawn (fun () ->
+        Serve.Service.run ~events:(sink_reply events)
+          ~listen:(Some (Serve.Transport_socket.Unix_path sock))
+          (backend_core ()))
+  in
+  wait_until "listening event" (fun () -> sink_lines events <> []);
+  let client = Serve.Transport_socket.Client.connect (Serve.Transport_socket.Unix_path sock) in
+  let send l =
+    Alcotest.(check bool) ("send " ^ l) true (Serve.Transport_socket.Client.send client l)
+  in
+  send {|{"id":1,"op":"sleep","ms":300}|};
+  send {|{"id":2,"op":"drain"}|};
+  let vs = recv_lines client 2 in
+  Alcotest.(check string) "sleep answered" "ok" (outcome_of (find_by_id vs 1));
+  Alcotest.(check string) "drain acked" "ok" (outcome_of (find_by_id vs 2));
+  wait_until "eof after the owed replies" (fun () ->
+      match Serve.Transport_socket.Client.recv client with
+      | `Eof -> true
+      | `Line _ | `Timeout -> false);
+  ignore (Domain.join run : Engine.Run_report.t);
+  Serve.Transport_socket.Client.close client
+
 let () =
   Alcotest.run "fleet"
     [
@@ -650,5 +709,9 @@ let () =
           Alcotest.test_case "versioned replies" `Quick test_router_versioned_replies;
         ] );
       ( "service",
-        [ Alcotest.test_case "run over a socket" `Quick test_service_run_listen ] );
+        [
+          Alcotest.test_case "run over a socket" `Quick test_service_run_listen;
+          Alcotest.test_case "drain keeps owed replies" `Quick
+            test_service_drain_keeps_owed_replies;
+        ] );
     ]

@@ -523,10 +523,98 @@ let prop_allocation_within_budget =
       used <= n_total
       && Array.for_all (fun n -> n >= 1) alloc.Hslb.Alloc_model.nodes_per_task)
 
+(* ---------- exact threshold search vs OA ---------- *)
+
+let spec_of_law ?n_min ?n_max ?allowed ~name ~count law =
+  let cls = Hslb.Classes.make ~name ~count (fun ~nodes -> Scaling_law.eval_int law nodes) in
+  Hslb.Alloc_model.spec_of ?n_min ?n_max ?allowed
+    { Hslb.Classes.cls; fit = { Hslb.Fitting.law; r2 = 1.; rmse = 0.; observations = [||] } }
+
+(* 1-6 classes, counts 1-5, budgets 4-255, random boxes and sweet-spot
+   lists: a share of the instances has no admissible allocation *)
+let random_instance rng =
+  let k = 1 + Numerics.Rng.int rng 6 in
+  let n_total = 4 + Numerics.Rng.int rng 252 in
+  let specs =
+    List.init k (fun i ->
+        let law =
+          Scaling_law.make
+            ~a:(Numerics.Rng.uniform rng ~lo:1. ~hi:500.)
+            ~b:(if Numerics.Rng.int rng 3 = 0 then 0. else Numerics.Rng.uniform rng ~lo:0. ~hi:0.05)
+            ~c:(Numerics.Rng.uniform rng ~lo:0.5 ~hi:1.2)
+            ~d:(Numerics.Rng.uniform rng ~lo:0. ~hi:5.)
+        in
+        let n_min = if Numerics.Rng.int rng 3 = 0 then Some (1 + Numerics.Rng.int rng 8) else None in
+        let n_max =
+          if Numerics.Rng.int rng 3 = 0 then Some (Option.value n_min ~default:1 + Numerics.Rng.int rng 64)
+          else None
+        in
+        let allowed =
+          if Numerics.Rng.int rng 3 = 0 then
+            Some (List.init (1 + Numerics.Rng.int rng 6) (fun _ -> 1 + Numerics.Rng.int rng 96))
+          else None
+        in
+        spec_of_law ?n_min ?n_max ?allowed ~name:(Printf.sprintf "c%d" i)
+          ~count:(1 + Numerics.Rng.int rng 5) law)
+  in
+  (n_total, specs)
+
+(* leftover nodes go one admissible step at a time to the slowest
+   class whose time the step strictly lowers, while it fits; the lower
+   index wins a tie, and a class whose step does not fit is done *)
+let test_exact_leftover_rule () =
+  let l = Scaling_law.make ~a:100. ~b:0. ~c:1. ~d:0. in
+  let nodes ~n_total specs =
+    (solve_ok ~solver:Engine.Solver_choice.Exact ~n_total specs).Hslb.Alloc_model.nodes_per_task
+  in
+  Alcotest.(check (array int)) "tie: lower index first" [| 2; 1 |]
+    (nodes ~n_total:3 [ spec_of_law ~name:"x" ~count:1 l; spec_of_law ~name:"y" ~count:1 l ]);
+  (* a stops at 2 (its next step costs 3 of the last 2 nodes); b, no
+     longer the slowest, takes them *)
+  Alcotest.(check (array int)) "the next slowest takes what the slowest cannot" [| 2; 4 |]
+    (nodes ~n_total:10 [ spec_of_law ~name:"a" ~count:3 l; spec_of_law ~name:"b" ~count:1 l ]);
+  Alcotest.(check (array int)) "sweet-spot steps" [| 2; 3 |]
+    (nodes ~n_total:10
+       [ spec_of_law ~name:"a" ~count:3 l; spec_of_law ~allowed:[ 1; 3; 8 ] ~name:"b" ~count:1 l ]);
+  (* b bottoms out at 7 nodes (28.29 s, its floor and the makespan);
+     a spends the rest *)
+  Alcotest.(check (array int)) "a floor stops its class" [| 11; 7 |]
+    (nodes ~n_total:40
+       [
+         spec_of_law ~name:"a" ~count:3 l;
+         spec_of_law ~name:"b" ~count:1 (Scaling_law.make ~a:100. ~b:2. ~c:1. ~d:0.);
+       ])
+
+let prop_exact_matches_oa =
+  QCheck.Test.make ~name:"exact = oa (feasibility, makespan, audit)" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let n_total, specs = random_instance (Numerics.Rng.create seed) in
+      let solve solver = Hslb.Alloc_model.solve ~solver ~n_total specs in
+      match (solve Engine.Solver_choice.Exact, solve Engine.Solver_choice.Oa) with
+      | Error Minlp.Solution.Infeasible, Error Minlp.Solution.Infeasible -> true
+      | Ok exact, Ok oa ->
+        let e = exact.Hslb.Alloc_model.predicted_makespan
+        and o = oa.Hslb.Alloc_model.predicted_makespan in
+        let problem, _, _ =
+          Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total specs
+        in
+        (match Audit.check_minlp problem (Option.get exact.Hslb.Alloc_model.certificate) with
+        | Ok () -> ()
+        | Error _ as v -> QCheck.Test.fail_reportf "seed %d: audit: %s" seed (Audit.summary v));
+        if e <= o && e >= o /. (1. +. 1e-4) then true
+        else QCheck.Test.fail_reportf "seed %d: exact %.17g, oa %.17g" seed e o
+      | r, r' ->
+        let show = function
+          | Ok _ -> "ok"
+          | Error st -> Minlp.Solution.status_to_string st
+        in
+        QCheck.Test.fail_reportf "seed %d: exact %s, oa %s" seed (show r) (show r'))
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_allocation_within_budget; prop_online_matches_batch ]
+      [ prop_allocation_within_budget; prop_online_matches_batch; prop_exact_matches_oa ]
   in
   Alcotest.run "hslb"
     [
@@ -563,6 +651,7 @@ let () =
             test_restrict_spec_allowed_singleton;
           Alcotest.test_case "no admissible allocation is infeasible" `Quick
             test_no_admissible_allocation;
+          Alcotest.test_case "exact leftover rule" `Quick test_exact_leftover_rule;
         ] );
       ( "fmo_app",
         [

@@ -135,7 +135,7 @@ let test_every_solver_certified () =
         match Audit.check_minlp problem cert with
         | Ok () -> ()
         | Error _ as v -> Alcotest.failf "%s certificate rejected: %s" name (Audit.summary v)))
-    Engine.Solver_choice.all
+    Engine.Solver_choice.minlp
 
 (* ---------- Cesm_data ---------- *)
 

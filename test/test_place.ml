@@ -242,7 +242,7 @@ let test_minlp_vs_brute_force () =
           match Audit.check_minlp problem cert with
           | Ok () -> ()
           | Error _ as v -> Alcotest.failf "%s certificate rejected: %s" name (Audit.summary v))))
-    Engine.Solver_choice.all
+    Engine.Solver_choice.minlp
 
 (* ---------- E11 golden: byte-stable under the pinned comm seed ---------- *)
 

@@ -148,6 +148,24 @@ let test_cache_lru_eviction () =
   | _ -> Alcotest.fail "capacity 0 accepted"
   | exception Invalid_argument _ -> ()
 
+let test_cache_recurring_put () =
+  let c = Runtime.Cache.create ~capacity:2 () in
+  Runtime.Cache.put ~recurring:true c "a" 1;
+  Alcotest.(check int) "first sight declined" 0 (Runtime.Cache.length c);
+  Runtime.Cache.put ~recurring:true c "a" 1;
+  Alcotest.(check (option int)) "second sight stored" (Some 1) (Runtime.Cache.find c "a");
+  (* the ring holds the last [capacity] declines: "b" is forgotten *)
+  List.iter (fun k -> Runtime.Cache.put ~recurring:true c k 2) [ "b"; "x"; "y"; "b" ];
+  Alcotest.(check (option int)) "forgotten key declined again" None (Runtime.Cache.find c "b");
+  Runtime.Cache.put ~recurring:true c "b" 2;
+  Alcotest.(check (option int)) "then stored" (Some 2) (Runtime.Cache.find c "b");
+  (* a cached key is refreshed as by a plain put *)
+  Runtime.Cache.put ~recurring:true c "a" 10;
+  Alcotest.(check (option int)) "refreshed" (Some 10) (Runtime.Cache.find c "a");
+  Runtime.Cache.clear c;
+  Runtime.Cache.put ~recurring:true c "b" 2;
+  Alcotest.(check int) "clear forgets declines" 0 (Runtime.Cache.length c)
+
 let test_cache_refresh_on_put () =
   let c = Runtime.Cache.create ~capacity:2 () in
   Runtime.Cache.put c "a" 1;
@@ -223,18 +241,21 @@ let test_cached_solve_identical () =
   let specs = e6_specs ~allowed:[ 1; 2; 4; 8; 16; 32 ] () in
   let n_total = 256 in
   let cache = Runtime.Cache.create () in
+  (* oa, whose answer is stored on first sight (an exact one waits for
+     its key to recur: test_cached_exact_on_recurrence) *)
+  let solver = Engine.Solver_choice.Oa in
   let fresh =
-    match Hslb.Alloc_model.solve ~n_total specs with
+    match Hslb.Alloc_model.solve ~solver ~n_total specs with
     | Ok a -> a
     | Error st -> Alcotest.failf "fresh failed: %s" (Minlp.Solution.status_to_string st)
   in
   let first =
-    match Hslb.Alloc_model.solve ~cache ~n_total specs with
+    match Hslb.Alloc_model.solve ~solver ~cache ~n_total specs with
     | Ok a -> a
     | Error st -> Alcotest.failf "first failed: %s" (Minlp.Solution.status_to_string st)
   in
   let second =
-    match Hslb.Alloc_model.solve ~cache ~n_total specs with
+    match Hslb.Alloc_model.solve ~solver ~cache ~n_total specs with
     | Ok a -> a
     | Error st -> Alcotest.failf "second failed: %s" (Minlp.Solution.status_to_string st)
   in
@@ -252,13 +273,39 @@ let test_cached_solve_identical () =
   Alcotest.(check bool) "optimal cached" true
     (second.Hslb.Alloc_model.status = Minlp.Solution.Optimal)
 
+let test_cached_exact_on_recurrence () =
+  (* an exact min-max answer costs about what storing it costs: it is
+     stored on the second sight of its key and replayed from the third *)
+  let specs = e6_specs ~allowed:[ 1; 2; 4; 8; 16; 32 ] () in
+  let cache = Runtime.Cache.create () in
+  let solve ?objective () =
+    match Hslb.Alloc_model.solve ?objective ~cache ~n_total:256 specs with
+    | Ok a -> a
+    | Error st -> Alcotest.failf "solve failed: %s" (Minlp.Solution.status_to_string st)
+  in
+  let first = solve () in
+  Alcotest.(check int) "first sight not stored" 0 (Runtime.Cache.length cache);
+  let second = solve () in
+  Alcotest.(check int) "second sight stored" 1 (Runtime.Cache.length cache);
+  let third = solve () in
+  Alcotest.(check bool) "third replays the stored record" true (third == second);
+  Alcotest.(check (array int)) "same nodes" first.Hslb.Alloc_model.nodes_per_task
+    third.Hslb.Alloc_model.nodes_per_task;
+  Alcotest.(check int) "two misses" 2 (Runtime.Cache.misses cache);
+  Alcotest.(check int) "one hit" 1 (Runtime.Cache.hits cache);
+  (* the customized exact paths are stored at once, as before *)
+  ignore (solve ~objective:Hslb.Objective.Min_sum () : Hslb.Alloc_model.allocation);
+  Alcotest.(check int) "min-sum stored at once" 2 (Runtime.Cache.length cache)
+
 let test_cache_skips_unproven () =
   (* budget-exhausted incumbents are timing luck; they must not be
      memoized as answers *)
   let specs = e6_specs ~allowed:[ 1; 2; 4; 8; 16; 32; 64; 128 ] () in
   let cache = Runtime.Cache.create () in
   let budget = Engine.Budget.arm (Engine.Budget.make ~deadline_s:0.001 ()) in
-  (match Hslb.Alloc_model.solve ~cache ~budget ~n_total:512 specs with
+  (match
+     Hslb.Alloc_model.solve ~solver:Engine.Solver_choice.Oa ~cache ~budget ~n_total:512 specs
+   with
   | Ok a ->
     Alcotest.(check bool) "exhausted as expected" true
       (match a.Hslb.Alloc_model.status with
@@ -494,8 +541,11 @@ let () =
         [
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "refresh on put" `Quick test_cache_refresh_on_put;
+          Alcotest.test_case "recurring put" `Quick test_cache_recurring_put;
           Alcotest.test_case "fingerprint injective" `Quick test_fingerprint_injective;
           Alcotest.test_case "cached solve identical" `Quick test_cached_solve_identical;
+          Alcotest.test_case "exact stored once it recurs" `Quick
+            test_cached_exact_on_recurrence;
           Alcotest.test_case "unproven not stored" `Quick test_cache_skips_unproven;
           Alcotest.test_case "concurrent torture" `Quick test_cache_torture;
         ] );

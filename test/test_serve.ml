@@ -219,7 +219,7 @@ let make_harness ?(jobs = 1) ?(queue_limit = 4) ?(drain_grace_s = 5.0) ?telemetr
       queue_limit;
       cache_capacity = 8;
       drain_grace_s;
-      default_solver = Engine.Solver_choice.Oa;
+      default_solver = Hslb.Alloc_model.default_solver;
       audit = true;
       policy = Arena.Policy.builtin;
     }
@@ -352,23 +352,37 @@ let test_serve_dedupe () =
   Alcotest.(check (option bool)) "leader not deduped" (Some false) (dedup v2);
   Alcotest.(check (option bool)) "follower deduped" (Some true) (dedup v3)
 
+(* the cache stores a MINLP answer at once, and an answer of the exact
+   default (about as cheap to recompute as to store) once its key
+   recurs *)
 let test_serve_cache_hit () =
   let h = make_harness ~jobs:1 () in
   let cache_hit v =
     Option.bind (Serve.Json.member "telemetry" v) (fun t ->
         Option.bind (Serve.Json.member "cache_hit" t) Serve.Json.bool_)
   in
-  Serve.Server.submit h.server (solve_line ~id:1 ~nodes:28 ());
+  let oa = {|,"solver":"oa"|} in
+  Serve.Server.submit h.server (solve_line ~id:1 ~nodes:28 ~extra:oa ());
   (* wait for completion so the second identical request is a cache
      hit, not an in-flight dedupe *)
   wait_until "first solve" (fun () -> find_by_id h 1 <> None);
-  Serve.Server.submit h.server (solve_line ~id:2 ~nodes:28 ());
+  Serve.Server.submit h.server (solve_line ~id:2 ~nodes:28 ~extra:oa ());
+  Serve.Server.submit h.server (solve_line ~id:3 ~nodes:28 ());
+  wait_until "first default solve" (fun () -> find_by_id h 3 <> None);
+  Serve.Server.submit h.server (solve_line ~id:4 ~nodes:28 ());
+  wait_until "second default solve" (fun () -> find_by_id h 4 <> None);
+  Serve.Server.submit h.server (solve_line ~id:5 ~nodes:28 ());
   ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
-  let v1 = Option.get (find_by_id h 1) and v2 = Option.get (find_by_id h 2) in
-  Alcotest.(check (option bool)) "first is a miss" (Some false) (cache_hit v1);
-  Alcotest.(check (option bool)) "second is a hit" (Some true) (cache_hit v2);
+  let v id = Option.get (find_by_id h id) in
+  Alcotest.(check (option bool)) "first is a miss" (Some false) (cache_hit (v 1));
+  Alcotest.(check (option bool)) "second is a hit" (Some true) (cache_hit (v 2));
   Alcotest.(check bool) "identical allocation" true
-    (Serve.Json.member "nodes_per_task" v1 = Serve.Json.member "nodes_per_task" v2)
+    (Serve.Json.member "nodes_per_task" (v 1) = Serve.Json.member "nodes_per_task" (v 2));
+  Alcotest.(check (option bool)) "exact: second sight recomputed" (Some false)
+    (cache_hit (v 4));
+  Alcotest.(check (option bool)) "exact: third sight a hit" (Some true) (cache_hit (v 5));
+  Alcotest.(check bool) "exact twins agree" true
+    (Serve.Json.member "nodes_per_task" (v 3) = Serve.Json.member "nodes_per_task" (v 5))
 
 let test_protocol_policy () =
   let open Serve.Protocol in
@@ -881,9 +895,12 @@ let test_protocol_place_fingerprint () =
 
 let test_serve_place_annotation () =
   let h = make_harness ~jobs:1 ~queue_limit:8 () in
-  Serve.Server.submit h.server (solve_line ~id:1 ~extra:({|,"v":2|} ^ place_extra) ());
+  (* oa: its answer is stored at once, so a shared key would show as a
+     hit on the twin *)
+  Serve.Server.submit h.server
+    (solve_line ~id:1 ~extra:({|,"v":2,"solver":"oa"|} ^ place_extra) ());
   (* same model, no place: must not share the placed request's cache row *)
-  Serve.Server.submit h.server (solve_line ~id:2 ());
+  Serve.Server.submit h.server (solve_line ~id:2 ~extra:{|,"solver":"oa"|} ());
   ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
   (match find_by_id h 1 with
   | None -> Alcotest.fail "placed solve unanswered"
@@ -938,7 +955,8 @@ let test_serve_place_annotation () =
 
 (* E6a's 4-class model at 512 nodes: Bnb stops above the optimum and
    still stamps its answer optimal (the audit accepts its certificate),
-   while OA, the server default here, proves 17.880457 *)
+   while OA proves 17.880457 at its 1e-4 gap and exact, the server
+   default, certifies the optimum itself *)
 let e6a4_line ~id ?solver () =
   let csv =
     Hslb.Model_store.to_csv
@@ -958,13 +976,17 @@ let tele_flag key v =
   Option.bind (Serve.Json.member "telemetry" v) (fun t ->
       Option.bind (Serve.Json.member key t) Serve.Json.bool_)
 
-let check_oa_answer what v =
+let check_default_answer what v =
   Alcotest.(check string) (what ^ " ok") "ok" (outcome_of v);
-  Alcotest.(check (option string)) (what ^ " answered by oa") (Some "verified (oa)") (audit_of v);
-  Alcotest.(check (option (float 1e-6)))
-    (what ^ " makespan is OA's optimum")
-    (Some e6a4_oa_makespan)
-    (Option.bind (Serve.Json.member "makespan" v) Serve.Json.num)
+  Alcotest.(check (option string))
+    (what ^ " answered by exact")
+    (Some "verified (exact)") (audit_of v);
+  match Option.bind (Serve.Json.member "makespan" v) Serve.Json.num with
+  | None -> Alcotest.failf "%s: no makespan" what
+  | Some m ->
+    (* never above OA's answer, and within OA's 1e-4 gap of it *)
+    if m > e6a4_oa_makespan || m < e6a4_oa_makespan /. (1. +. 1e-4) then
+      Alcotest.failf "%s: makespan %.9f, OA proves %.6f" what m e6a4_oa_makespan
 
 let test_serve_solver_keyed () =
   (* (a) the cache: a proven Bnb answer must not be replayed to a
@@ -978,7 +1000,7 @@ let test_serve_solver_keyed () =
   Alcotest.(check (option string)) "bnb answered by bnb" (Some "verified (bnb)") (audit_of bnb);
   Alcotest.(check (option bool)) "default request misses the bnb entry" (Some false)
     (tele_flag "cache_hit" dflt);
-  check_oa_answer "cache: default request" dflt;
+  check_default_answer "cache: default request" dflt;
   (* (b) dedupe: with the one worker held by a sleep, a queued default
      request must not attach to a queued bnb request *)
   let h = make_harness ~jobs:1 ~queue_limit:8 () in
@@ -991,7 +1013,7 @@ let test_serve_solver_keyed () =
     (audit_of bnb);
   Alcotest.(check (option bool)) "default request not a dedupe follower" (Some false)
     (tele_flag "dedup" dflt);
-  check_oa_answer "dedupe: default request" dflt
+  check_default_answer "dedupe: default request" dflt
 
 (* unknown request members are ignored in both dialects, "strategy"
    included (older clients still send it): the request is answered by
@@ -1010,7 +1032,7 @@ let test_serve_strategy_ignored () =
         Alcotest.(check string) (Printf.sprintf "id %d ok" id) "ok" (outcome_of v);
         Alcotest.(check (option string))
           (Printf.sprintf "id %d answered by the default solver" id)
-          (Some "verified (oa)") (audit_of v))
+          (Some "verified (exact)") (audit_of v))
     [ 1; 2 ];
   Alcotest.(check bool) "v2 reply echoes v" true
     (Option.bind (find_by_id h 2) (Serve.Json.member "v") = Some (Serve.Json.Num 2.))
@@ -1036,6 +1058,32 @@ let test_serve_no_admissible_allocation () =
           (Some "no allocation: infeasible")
           (Option.bind (Serve.Json.member "error" v) Serve.Json.str))
     [ 1; 2 ]
+
+(* the wire puts no upper bound on "nodes", and the exact default never
+   walks a size range: a billion-node solve is answered, certified,
+   within milliseconds, and the same solve allocates kilobytes *)
+let test_serve_huge_budget () =
+  let h = make_harness ~jobs:1 () in
+  Serve.Server.submit h.server (solve_line ~id:1 ~nodes:1_000_000_000 ());
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  let v = Option.get (find_by_id h 1) in
+  Alcotest.(check string) "ok" "ok" (outcome_of v);
+  Alcotest.(check (option string)) "certified" (Some "verified (exact)") (audit_of v);
+  let solve_ms =
+    Option.bind (Serve.Json.member "telemetry" v) (fun t ->
+        Option.bind (Serve.Json.member "solve_wall_ms" t) Serve.Json.num)
+  in
+  (match solve_ms with
+  | Some ms when ms < 100. -> ()
+  | Some ms -> Alcotest.failf "billion-node solve took %.1f ms" ms
+  | None -> Alcotest.fail "no solve_wall_ms");
+  let specs = Hslb.Model_store.specs_of_csv model_csv in
+  let before = Gc.allocated_bytes () in
+  (match Hslb.Alloc_model.solve ~n_total:1_000_000_000 specs with
+  | Ok _ -> ()
+  | Error st -> Alcotest.failf "in-process solve: %s" (Minlp.Solution.status_to_string st));
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  if mb > 16. then Alcotest.failf "billion-node solve allocated %.1f MB" mb
 
 let () =
   Alcotest.run "serve"
@@ -1079,5 +1127,6 @@ let () =
           Alcotest.test_case "strategy member ignored" `Quick test_serve_strategy_ignored;
           Alcotest.test_case "no admissible allocation is infeasible" `Quick
             test_serve_no_admissible_allocation;
+          Alcotest.test_case "billion-node budget" `Quick test_serve_huge_budget;
         ] );
     ]
