@@ -18,7 +18,9 @@
 # default's audited answers, and then once more
 # through a fifo with SIGTERM to pin the graceful-drain path. Both runs
 # assert exactly-once on the live process: the terminal drained event
-# must report as many requests served as it accepted.
+# must report as many requests served as it accepted. A max-min and a
+# min-sum request for a billion nodes must then both answer ok within
+# 10 s: no objective's solve grows with the node budget.
 #
 # The observability stage then produces both exporter artifacts for
 # real — a Prometheus exposition from a serve run under --metrics-out
@@ -178,6 +180,23 @@ grep -q '"event":"drained"' "$SMOKE_DIR/sigterm.out" || {
   exit 1
 }
 assert_exactly_once "$SMOKE_DIR/sigterm.out" "serve smoke (SIGTERM)"
+
+echo "== serve smoke: billion-node max-min and min-sum =="
+# a b = 0 model: both curves fall all the way to the budget, so the
+# decreasing branches and the greedy run out to a billion nodes
+printf '%s\n' \
+  '{"id":1,"model_csv":"alpha,4,100,0,1,0.5\nbeta,2,50,0,1,0.2","nodes":1000000000,"objective":"max-min"}' \
+  '{"id":2,"model_csv":"alpha,4,100,0,1,0.5\nbeta,2,50,0,1,0.2","nodes":1000000000,"objective":"min-sum"}' \
+  | timeout 10 "$SERVE_BIN" serve --jobs 1 > "$SMOKE_DIR/billion.out" || {
+  echo "serve smoke: billion-node max-min/min-sum not answered within 10 s" >&2
+  exit 1
+}
+for id in 1 2; do
+  grep "\"id\":$id," "$SMOKE_DIR/billion.out" | grep -q '"outcome":"ok"' || {
+    echo "serve smoke: billion-node request $id did not answer ok" >&2
+    exit 1
+  }
+done
 
 echo "== observability: serve --metrics-out + bench --trace artifacts =="
 # a short serve run flushing metrics fast enough that the periodic

@@ -186,218 +186,7 @@ let predicted_of specs nodes =
   in
   (Array.fold_left Float.max 0. times, times)
 
-(* the smallest admissible size of every class: the least member of its
-   box [n_min, min n_max N], or of its sweet-spot list inside that box.
-   [Error Infeasible] when some class has none, or when those sizes
-   already overflow the node budget: no objective has an allocation
-   then. *)
-let smallest_sizes ~n_total specs =
-  let smallest spec =
-    let lo = Stdlib.max 1 spec.n_min and hi = Stdlib.min spec.n_max n_total in
-    let admissible = match spec.allowed with None -> [ lo ] | Some values -> values in
-    List.find_opt (fun v -> v >= lo && v <= hi) (List.sort compare admissible)
-  in
-  let sizes = List.map smallest specs in
-  if List.mem None sizes then Error Minlp.Solution.Infeasible
-  else
-    let sizes = List.map Option.get sizes in
-    let used =
-      List.fold_left2
-        (fun acc spec n -> acc + (spec.fc.Classes.cls.Classes.count * n))
-        0 specs sizes
-    in
-    if used > n_total then Error Minlp.Solution.Infeasible else Ok (Array.of_list sizes)
-
-(* --- Max_min: customized bisection over the achievable minimum time --- *)
-
-let max_min_solve ~n_total specs =
-  let specs_arr = Array.of_list specs in
-  let k = Array.length specs_arr in
-  (* restrict to the decreasing region of each fitted curve *)
-  let decreasing_cap spec =
-    let _, hi = effective_range ~n_total spec in
-    let law = spec.fc.Classes.fit.Fitting.law in
-    let opt = Scaling_law.optimal_nodes law ~max_nodes:(float_of_int hi) in
-    Stdlib.max 1 (int_of_float (Float.floor opt))
-  in
-  let value_list spec =
-    let lo, _ = effective_range ~n_total spec in
-    let cap = decreasing_cap spec in
-    match spec.allowed with
-    | Some values -> List.sort compare (List.filter (fun v -> v >= lo && v <= cap) values)
-    | None -> List.init (Stdlib.max 0 (cap - lo + 1)) (fun i -> lo + i)
-  in
-  let values = Array.map value_list specs_arr in
-  (* a class whose admissible sizes all lie past its curve's minimum
-     has no size on the decreasing branch *)
-  if Array.mem [] values then Error Minlp.Solution.Infeasible
-  else begin
-  let time spec n = Scaling_law.eval_int spec.fc.Classes.fit.Fitting.law n in
-  (* cap_i(t): largest feasible size with time >= t *)
-  let cap_at i t =
-    let spec = specs_arr.(i) in
-    List.fold_left (fun acc v -> if time spec v >= t then Stdlib.max acc v else acc) (-1) values.(i)
-  in
-  let budget_ok t =
-    let total = ref 0 in
-    let ok = ref true in
-    for i = 0 to k - 1 do
-      let cap = cap_at i t in
-      if cap < 0 then ok := false
-      else total := !total + (specs_arr.(i).fc.Classes.cls.Classes.count * cap)
-    done;
-    !ok && !total >= n_total
-  in
-  (* the minimum time cannot exceed any class's time at its smallest size *)
-  let t_hi =
-    Array.fold_left
-      (fun acc (spec, vs) -> Float.min acc (time spec (List.hd vs)))
-      infinity
-      (Array.map2 (fun s v -> (s, v)) specs_arr values)
-  in
-  let t_star =
-    if budget_ok t_hi then t_hi
-    else begin
-      let lo = ref 0. and hi = ref t_hi in
-      for _ = 1 to 60 do
-        let mid = 0.5 *. (!lo +. !hi) in
-        if budget_ok mid then lo := mid else hi := mid
-      done;
-      !lo
-    end
-  in
-  (* realize an allocation: start from the smallest sizes, grow toward the
-     caps, spending remaining budget on the slowest class first *)
-  let caps = Array.init k (fun i -> Stdlib.max (cap_at i t_star) (List.hd values.(i))) in
-  let nodes = Array.map List.hd values in
-  let counts = Array.map (fun s -> s.fc.Classes.cls.Classes.count) specs_arr in
-  let used = ref 0 in
-  Array.iteri (fun i n -> used := !used + (counts.(i) * n)) nodes;
-  let next_value i cur =
-    let rec go = function
-      | [] -> None
-      | v :: rest -> if v > cur then Some v else go rest
-    in
-    go values.(i)
-  in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    (* slowest class first *)
-    let order = Array.init k Fun.id in
-    Array.sort
-      (fun i j -> compare (time specs_arr.(j) nodes.(j)) (time specs_arr.(i) nodes.(i)))
-      order;
-    Array.iter
-      (fun i ->
-        if not !progress then
-          match next_value i nodes.(i) with
-          | Some v when v <= caps.(i) && !used + (counts.(i) * (v - nodes.(i))) <= n_total ->
-            used := !used + (counts.(i) * (v - nodes.(i)));
-            nodes.(i) <- v;
-            progress := true
-          | Some _ | None -> ())
-      order
-  done;
-  let predicted_makespan, predicted_times = predicted_of specs nodes in
-  Ok
-    {
-      nodes_per_task = nodes;
-      predicted_makespan;
-      predicted_times;
-      status = Minlp.Solution.Optimal;
-      stats = Minlp.Solution.empty_stats;
-      certificate =
-        Some
-          (Engine.Certificate.make ~producer:"hslb.bisection"
-             ~claimed_status:Minlp.Solution.Optimal
-             ~witness:(Array.map float_of_int nodes)
-             ~claimed_obj:predicted_makespan ~minimize:false
-             ~evidence:
-               (Engine.Certificate.Exact_method
-                  "bisection over monotone per-class time curves")
-             ());
-    }
-  end
-
-(* Min_sum is a separable convex resource-allocation problem, solvable
-   exactly by greedy marginal allocation (Ibaraki & Katoh — the paper's
-   reference [11] for customized polynomial-time solvers): start at the
-   minimum sizes and repeatedly give a node to the class with the best
-   total-time decrease. Greedy is optimal because each class cost is
-   convex in its (integer) node count. [start] holds the smallest
-   admissible sizes (smallest_sizes). *)
-let min_sum_greedy ~n_total ~start specs =
-  let specs_arr = Array.of_list specs in
-  let k = Array.length specs_arr in
-  let counts = Array.map (fun s -> s.fc.Classes.cls.Classes.count) specs_arr in
-  let time i n = Scaling_law.eval_int specs_arr.(i).fc.Classes.fit.Fitting.law n in
-  let hi = Array.map (fun s -> Stdlib.min s.n_max n_total) specs_arr in
-  let allowed_next i cur =
-    match specs_arr.(i).allowed with
-    | None -> if cur + 1 <= hi.(i) then Some (cur + 1) else None
-    | Some values ->
-      List.fold_left
-        (fun acc v ->
-          if v > cur && v <= hi.(i) then
-            match acc with Some best when best <= v -> acc | Some _ | None -> Some v
-          else acc)
-        None values
-  in
-  let nodes = Array.copy start in
-  let used = ref 0 in
-  Array.iteri (fun i n -> used := !used + (counts.(i) * n)) nodes;
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    (* best marginal improvement per node spent *)
-    let best = ref (-1) and best_gain = ref 0. and best_next = ref 0 in
-    for i = 0 to k - 1 do
-      match allowed_next i nodes.(i) with
-      | Some next when !used + (counts.(i) * (next - nodes.(i))) <= n_total ->
-        let gain =
-          float_of_int counts.(i)
-          *. (time i nodes.(i) -. time i next)
-          /. float_of_int (counts.(i) * (next - nodes.(i)))
-        in
-        if gain > !best_gain then begin
-          best := i;
-          best_gain := gain;
-          best_next := next
-        end
-      | Some _ | None -> ()
-    done;
-    if !best >= 0 && !best_gain > 0. then begin
-      used := !used + (counts.(!best) * (!best_next - nodes.(!best)));
-      nodes.(!best) <- !best_next;
-      progress := true
-    end
-  done;
-  let predicted_makespan, predicted_times = predicted_of specs nodes in
-  let total_time = ref 0. in
-  Array.iteri
-    (fun i n -> total_time := !total_time +. (float_of_int counts.(i) *. time i n))
-    nodes;
-  {
-    nodes_per_task = nodes;
-    predicted_makespan;
-    predicted_times;
-    status = Minlp.Solution.Optimal;
-    stats = Minlp.Solution.empty_stats;
-    certificate =
-      Some
-        (Engine.Certificate.make ~producer:"hslb.greedy"
-           ~claimed_status:Minlp.Solution.Optimal
-           ~witness:(Array.map float_of_int nodes)
-           ~claimed_obj:!total_time ~claimed_bound:!total_time
-           ~evidence:
-             (Engine.Certificate.Exact_method
-                "greedy marginal allocation on a separable convex objective \
-                 (Ibaraki-Katoh)")
-           ());
-  }
-
-(* --- Min_max: exact threshold search --- *)
+(* --- Ladders: one class's admissible sizes, walked by bisection --- *)
 
 (* least i in [lo, hi] with [p i], or hi + 1 when none; [p] is false
    then true. Even where [p] is not monotone the answer is a boundary:
@@ -440,33 +229,36 @@ let ladder ~n_total spec =
   let bottom = first_true 0 last (fun i -> i = last || time (i + 1) >= time i) in
   { count = spec.fc.Classes.cls.Classes.count; size; time; last; bottom }
 
-(* The allocation: from the smallest sizes, repeatedly give the slowest
-   class (lowest index among ties) one admissible step while that
-   strictly lowers its time and fits the budget. A class whose step
-   does not fit is done, for the budget only shrinks. Taken in order,
-   the steps form one sequence of falling times; the first step that
-   does not fit fixes the makespan at the optimum T* (no allocation
-   brings every class under it), and the rest spends the leftover
-   nodes. The sequence is replayed in at most k + 1 rounds: each finds
-   by bisection the lowest level L at which every step above L still
-   fits, takes them, then offers the classes tied at L their steps in
-   index order, and at least one of those does not fit. *)
-let descend ~n_total ls =
+(* The walk every objective's allocation comes from: from the smallest
+   sizes, repeatedly give the class whose next step ranks highest by
+   [key] (lowest index among ties) that step, while the class is short
+   of its [stop] index and the step fits the budget. A class whose step
+   does not fit is done, for the budget only shrinks. [key l i] ranks
+   the step from index i of ladder l and must not rise along
+   [0, stop]. Taken in order, the steps form one sequence of keys that
+   never rise, replayed in at most k + 1 rounds: each finds by
+   bisection the lowest level L at which every step above L still
+   fits, takes them, then gives the classes at L, in index order, their
+   steps keyed L while they fit, and at least one class runs out of
+   budget there. Where rounding makes a key rise (consecutive sizes
+   past ~10^8 nodes), the walk may leave that order, but it still never
+   overdraws the budget. Returns the sizes reached. *)
+let descend ~n_total ~key ~stop ls =
   let k = Array.length ls in
   let cur = Array.make k 0 in
-  let active = Array.map (fun l -> l.bottom > 0) ls in
+  let active = Array.map (fun s -> s > 0) stop in
   let left = ref n_total in
   Array.iter (fun l -> left := !left - (l.count * l.size 0)) ls;
+  let key c i = key ls.(c) i in
   let move c i =
     let l = ls.(c) in
     left := !left - (l.count * (l.size i - l.size cur.(c)));
     cur.(c) <- i;
-    if i = l.bottom then active.(c) <- false
+    if i = stop.(c) then active.(c) <- false
   in
   (* where class [c] stops once every step above [level] is taken *)
   let reach c level =
-    let l = ls.(c) in
-    Stdlib.min l.bottom (first_true cur.(c) l.bottom (fun i -> l.time i <= level))
+    Stdlib.min stop.(c) (first_true cur.(c) stop.(c) (fun i -> key c i <= level))
   in
   let fits level =
     let rec go c left =
@@ -488,52 +280,177 @@ let descend ~n_total ls =
       active;
     !best
   in
-  (* the lowest level taking the same steps as [level] *)
-  let settle level =
-    over (fun c ->
-        let t = ls.(c).time (reach c level) in
-        if t <= level then Some t else None)
-  in
-  (* the highest level under [level] that takes one more step *)
+  (* the lowest level taking the same steps as the levels just under
+     [level] *)
   let next level =
     over (fun c ->
-        let l = ls.(c) in
-        let i = first_true cur.(c) l.bottom (fun i -> l.time i < level) in
-        if i <= l.bottom then Some (l.time i) else None)
+        let i = first_true cur.(c) stop.(c) (fun i -> key c i < level) in
+        if i <= stop.(c) then Some (key c i) else None)
   in
-  (* the lowest level that fits, given that [hi] fits and [lo] does not *)
+  (* the lowest level that fits, given that [hi] fits and [lo] does not.
+     It returns only levels [fits] passed: where a key rises, bisections
+     at nearby levels can land on different boundaries. *)
   let rec lowest lo hi =
     let t = next hi in
     if t <= lo || not (fits t) then hi
     else
-      let hi = settle t in
-      let mid = lo +. ((hi -. lo) /. 2.) in
-      if not (lo < mid && mid < hi) then lowest lo hi
-      else if fits mid then lowest lo (settle mid)
-      else lowest mid hi
+      let mid = lo +. ((t -. lo) /. 2.) in
+      if not (lo < mid && mid < t) then lowest lo t
+      else if fits mid then lowest lo mid
+      else lowest mid t
   in
+  (* the highest key at the current sizes *)
+  let current () = over (fun c -> Some (key c cur.(c))) in
   let rec round () =
     if Array.exists Fun.id active then
-      if fits neg_infinity then Array.iteri (fun c a -> if a then move c ls.(c).bottom) active
+      if fits neg_infinity then Array.iteri (fun c a -> if a then move c stop.(c)) active
       else begin
-        (* under every active class's bottom time nothing fits *)
-        let under = Float.pred (-.over (fun c -> Some (-.ls.(c).time ls.(c).bottom))) in
-        let level = lowest under (over (fun c -> Some (ls.(c).time cur.(c)))) in
-        Array.iteri (fun c a -> if a then move c (reach c level)) active;
-        let top = over (fun c -> Some (ls.(c).time cur.(c))) in
+        (* under every active class's key at its stop nothing fits *)
+        let under = Float.pred (-.over (fun c -> Some (-.key c stop.(c)))) in
+        (* the level of the current sizes takes no step, unless a key
+           rises *)
+        let hi = current () in
+        if fits hi then begin
+          let level = lowest under hi in
+          Array.iteri (fun c a -> if a then move c (reach c level)) active
+        end;
+        let top = current () in
         Array.iteri
           (fun c a ->
             let l = ls.(c) in
-            if a && l.time cur.(c) = top then
-              if l.size (cur.(c) + 1) - l.size cur.(c) <= !left / l.count then
-                move c (cur.(c) + 1)
-              else active.(c) <- false)
+            if a && key c cur.(c) = top then begin
+              (* its steps keyed [top], as many as fit *)
+              let j = reach c (Float.pred top) in
+              let i =
+                first_true cur.(c) j (fun i -> l.size i - l.size cur.(c) > !left / l.count) - 1
+              in
+              move c i;
+              if i < j then active.(c) <- false
+            end)
           active;
         round ()
       end
   in
   round ();
-  cur
+  Array.mapi (fun c i -> ls.(c).size i) cur
+
+let bottoms ls = Array.map (fun l -> l.bottom) ls
+
+(* --- Max_min: customized bisection over the achievable minimum time --- *)
+
+(* Each class keeps to the decreasing branch of its curve, up to
+   ⌊Scaling_law.optimal_nodes⌋. There its largest size with time >= t
+   bisects, and so does the greatest t* at which those sizes cover the
+   budget. The allocation is the walk with the slowest class first,
+   capped at those sizes for t*. *)
+let max_min ~n_total ls specs =
+  (* the last index on each class's decreasing branch *)
+  let ends =
+    Array.map2
+      (fun l spec ->
+        let opt =
+          Scaling_law.optimal_nodes spec.fc.Classes.fit.Fitting.law
+            ~max_nodes:(float_of_int (Stdlib.min spec.n_max n_total))
+        in
+        let cap = Stdlib.max 1 (int_of_float (Float.floor opt)) in
+        first_true 0 l.last (fun i -> l.size i > cap) - 1)
+      ls (Array.of_list specs)
+  in
+  (* a class whose admissible sizes all lie past its curve's minimum
+     has no size on the decreasing branch *)
+  if Array.exists (fun e -> e < 0) ends then Error Minlp.Solution.Infeasible
+  else begin
+    (* the largest index with time >= t, or -1 *)
+    let cap c t = first_true 0 ends.(c) (fun i -> ls.(c).time i < t) - 1 in
+    let covers t =
+      let rec go c total =
+        if c = Array.length ls then total >= n_total
+        else
+          let i = cap c t in
+          i >= 0 && go (c + 1) (total + (ls.(c).count * ls.(c).size i))
+      in
+      go 0 0
+    in
+    (* the minimum time cannot exceed any class's time at its smallest size *)
+    let t_hi = Array.fold_left (fun acc l -> Float.min acc (l.time 0)) infinity ls in
+    let t_star =
+      if covers t_hi then t_hi
+      else begin
+        let lo = ref 0. and hi = ref t_hi in
+        for _ = 1 to 60 do
+          let mid = 0.5 *. (!lo +. !hi) in
+          if covers mid then lo := mid else hi := mid
+        done;
+        !lo
+      end
+    in
+    let stop = Array.mapi (fun c _ -> Stdlib.max 0 (cap c t_star)) ls in
+    let nodes = descend ~n_total ~key:(fun l -> l.time) ~stop ls in
+    let predicted_makespan, predicted_times = predicted_of specs nodes in
+    Ok
+      {
+        nodes_per_task = nodes;
+        predicted_makespan;
+        predicted_times;
+        status = Minlp.Solution.Optimal;
+        stats = Minlp.Solution.empty_stats;
+        certificate =
+          Some
+            (Engine.Certificate.make ~producer:"hslb.bisection"
+               ~claimed_status:Minlp.Solution.Optimal
+               ~witness:(Array.map float_of_int nodes)
+               ~claimed_obj:predicted_makespan ~minimize:false
+               ~evidence:
+                 (Engine.Certificate.Exact_method
+                    "bisection over monotone per-class time curves")
+               ());
+      }
+  end
+
+(* --- Min_sum: greedy marginal allocation --- *)
+
+(* Min_sum is a separable convex resource-allocation problem, solvable
+   exactly by greedy marginal allocation (Ibaraki & Katoh — the paper's
+   reference [11] for customized polynomial-time solvers): from the
+   smallest sizes, repeatedly give the class with the best total-time
+   decrease per node spent its next step. Greedy is optimal because
+   each class cost is convex in its (integer) node count; convexity
+   also makes that gain fall along each ladder, so the greedy is the
+   walk keyed by [gain], down to each class's bottom. No step leaves
+   the last size. *)
+let gain l i =
+  if i = l.last then 0.
+  else
+    float_of_int l.count *. (l.time i -. l.time (i + 1))
+    /. float_of_int (l.count * (l.size (i + 1) - l.size i))
+
+let min_sum ~n_total ls specs =
+  let nodes = descend ~n_total ~key:gain ~stop:(bottoms ls) ls in
+  let predicted_makespan, predicted_times = predicted_of specs nodes in
+  let total_time = ref 0. in
+  Array.iteri
+    (fun c t -> total_time := !total_time +. (float_of_int ls.(c).count *. t))
+    predicted_times;
+  {
+    nodes_per_task = nodes;
+    predicted_makespan;
+    predicted_times;
+    status = Minlp.Solution.Optimal;
+    stats = Minlp.Solution.empty_stats;
+    certificate =
+      Some
+        (Engine.Certificate.make ~producer:"hslb.greedy"
+           ~claimed_status:Minlp.Solution.Optimal
+           ~witness:(Array.map float_of_int nodes)
+           ~claimed_obj:!total_time ~claimed_bound:!total_time
+           ~evidence:
+             (Engine.Certificate.Exact_method
+                "greedy marginal allocation on a separable convex objective \
+                 (Ibaraki-Katoh)")
+           ());
+  }
+
+(* --- Min_max: exact threshold search --- *)
 
 (* The certificate's tolerance: the witness proves no allocation
    finishes before T* (1 - 1e-9) or so, which absorbs the last-bit
@@ -567,7 +484,12 @@ let threshold_sides (problem : Minlp.Problem.t) n_vars ls t_star =
       else Engine.Certificate.Floor (l.size m))
     ls
 
-let exact_solve ?budget ~n_total specs =
+(* The walk keyed by time, down to each class's bottom, steps the
+   slowest class while that strictly lowers its time. The first step
+   that does not fit fixes the makespan at the optimum T* (no
+   allocation brings every class under it), and the rest spends the
+   leftover nodes. *)
+let exact_solve ~n_total ls specs =
   (* past 2^53 consecutive sizes share one float, and no time step is
      strict any more *)
   if n_total > 1 lsl 53 then
@@ -581,42 +503,36 @@ let exact_solve ?budget ~n_total specs =
               coefficient"
              spec.fc.Classes.cls.Classes.name))
     specs;
-  match Engine.Budget.stopped budget with
-  | Some r -> Error (Minlp.Solution.Budget_exhausted (Minlp.Solution.reason_of_budget r))
-  | None ->
-    let ls = Array.of_list (List.map (ladder ~n_total) specs) in
-    let cur = descend ~n_total ls in
-    let nodes = Array.mapi (fun c i -> ls.(c).size i) cur in
-    let problem, n_vars, lift = build_minlp ~objective:Objective.Min_max ~n_total specs in
-    let x = lift nodes in
-    let predicted_makespan, predicted_times = predicted_of specs nodes in
-    let sides = threshold_sides problem n_vars ls predicted_makespan in
-    (* some class has a floor, or the below sizes overflow the budget *)
-    let rec proven c used =
-      c < Array.length sides
-      &&
-      match sides.(c) with
-      | Engine.Certificate.Floor _ -> true
-      | Below v ->
-        v > (n_total - used) / ls.(c).count || proven (c + 1) (used + (ls.(c).count * v))
-    in
-    if not (proven 0 0) then
-      failwith "Alloc_model.solve: the threshold witness does not close";
-    Ok
-      {
-        nodes_per_task = nodes;
-        predicted_makespan;
-        predicted_times;
-        status = Minlp.Solution.Optimal;
-        stats = Minlp.Solution.empty_stats;
-        certificate =
-          Some
-            (Engine.Certificate.make
-               ~producer:(Engine.Solver_choice.to_string Engine.Solver_choice.Exact)
-               ~claimed_status:Minlp.Solution.Optimal ~witness:x
-               ~claimed_obj:predicted_makespan ~claimed_bound:predicted_makespan
-               ~tol:threshold_tol ~evidence:(Engine.Certificate.Threshold sides) ());
-      }
+  let nodes = descend ~n_total ~key:(fun l -> l.time) ~stop:(bottoms ls) ls in
+  let problem, n_vars, lift = build_minlp ~objective:Objective.Min_max ~n_total specs in
+  let x = lift nodes in
+  let predicted_makespan, predicted_times = predicted_of specs nodes in
+  let sides = threshold_sides problem n_vars ls predicted_makespan in
+  (* some class has a floor, or the below sizes overflow the budget *)
+  let rec proven c used =
+    c < Array.length sides
+    &&
+    match sides.(c) with
+    | Engine.Certificate.Floor _ -> true
+    | Below v ->
+      v > (n_total - used) / ls.(c).count || proven (c + 1) (used + (ls.(c).count * v))
+  in
+  if not (proven 0 0) then failwith "Alloc_model.solve: the threshold witness does not close";
+  Ok
+    {
+      nodes_per_task = nodes;
+      predicted_makespan;
+      predicted_times;
+      status = Minlp.Solution.Optimal;
+      stats = Minlp.Solution.empty_stats;
+      certificate =
+        Some
+          (Engine.Certificate.make
+             ~producer:(Engine.Solver_choice.to_string Engine.Solver_choice.Exact)
+             ~claimed_status:Minlp.Solution.Optimal ~witness:x
+             ~claimed_obj:predicted_makespan ~claimed_bound:predicted_makespan
+             ~tol:threshold_tol ~evidence:(Engine.Certificate.Threshold sides) ());
+    }
 
 (* canonical, injective solve fingerprint: the solver, then the
    instance with length-prefixed names, round-tripping float formats and
@@ -650,12 +566,12 @@ let fingerprint ~solver ~objective ~n_total specs =
    the boxes and the sweet-spot lists, so it lifts to a feasible point).
    Priming the incumbent both prunes the tree and guarantees a usable
    answer when the budget runs out. *)
-let min_max_solve ~solver ?budget ?warm_start ?trace ~n_total ~start specs =
+let min_max_solve ~solver ?budget ?warm_start ?trace ~n_total ls specs =
   let problem, n_vars, lift = build_minlp ~objective:Objective.Min_max ~n_total specs in
   let warm =
     match warm_start with
     | Some nodes -> nodes
-    | None -> (min_sum_greedy ~n_total ~start specs).nodes_per_task
+    | None -> (min_sum ~n_total ls specs).nodes_per_task
   in
   let sol, cert =
     Minlp.Solver.run ~rel_gap:Minlp.Solver.model_rel_gap ?budget ?tally:trace
@@ -701,17 +617,28 @@ let solve ?(solver = default_solver) ?(objective = Objective.Min_max) ?budget
   match cached with
   | Some alloc -> Ok alloc
   | None ->
+    let ls = Array.of_list (List.map (ladder ~n_total) specs) in
     let result =
-      Result.bind (smallest_sizes ~n_total specs) (fun start ->
-          match objective with
-          | Objective.Max_min -> max_min_solve ~n_total specs
-          | Objective.Min_sum -> Ok (min_sum_greedy ~n_total ~start specs)
-          | Objective.Min_max -> (
-            match solver with
-            | Engine.Solver_choice.Exact -> exact_solve ?budget ~n_total specs
-            | Engine.Solver_choice.Oa | Engine.Solver_choice.Bnb
-            | Engine.Solver_choice.Oa_multi ->
-              min_max_solve ~solver ?budget ?warm_start ?trace ~n_total ~start specs))
+      (* no objective has an allocation when some class has no
+         admissible size, or when the smallest ones overflow the budget *)
+      if
+        Array.exists (fun l -> l.last < 0) ls
+        || Array.fold_left (fun used l -> used + (l.count * l.size 0)) 0 ls > n_total
+      then Error Minlp.Solution.Infeasible
+      else
+        match (objective, solver) with
+        | Objective.Min_max, (Engine.Solver_choice.Oa | Bnb | Oa_multi) ->
+          min_max_solve ~solver ?budget ?warm_start ?trace ~n_total ls specs
+        | _ -> (
+          (* the customized paths check the budget once, on entry *)
+          match Engine.Budget.stopped budget with
+          | Some r ->
+            Error (Minlp.Solution.Budget_exhausted (Minlp.Solution.reason_of_budget r))
+          | None -> (
+            match objective with
+            | Objective.Max_min -> max_min ~n_total ls specs
+            | Objective.Min_sum -> Ok (min_sum ~n_total ls specs)
+            | Objective.Min_max -> exact_solve ~n_total ls specs))
     in
     Option.iter (fun c -> memoize ~solver ~objective c (Lazy.force key) result) cache;
     result

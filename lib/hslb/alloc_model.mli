@@ -108,18 +108,32 @@ val default_solver : Engine.Solver_choice.t
     the threshold search: every class's least admissible size meeting
     the optimum T*, then the leftover nodes one admissible step at a
     time to the slowest class whose time the step strictly lowers
-    (lowest index among ties) while it fits. Its work is O(k log N)
-    bisections and its memory O(k) besides the sweet-spot lists: no
-    node range is enumerated. It checks the budget once, on entry, and
-    records no B&B, LP or NLP counters. It raises [Invalid_argument]
-    on a law outside the convex family ({!Scaling_law.is_convex}) or
-    on [n_total > 2^53]. Its certificate carries the allocation lifted
-    into {!build_minlp}'s variables and [Threshold] evidence
-    ([Audit.check_minlp] re-checks both). [Oa], [Bnb] and [Oa_multi]
-    run the MINLP ({!Minlp.Solver.run} at
+    (lowest index among ties) while it fits. It raises
+    [Invalid_argument] on a law outside the convex family
+    ({!Scaling_law.is_convex}) or on [n_total > 2^53]. Its certificate
+    carries the allocation lifted into {!build_minlp}'s variables and
+    [Threshold] evidence ([Audit.check_minlp] re-checks both). [Oa],
+    [Bnb] and [Oa_multi] run the MINLP ({!Minlp.Solver.run} at
     {!Minlp.Solver.model_rel_gap}). [Max_min]/[Min_sum] always use
-    their exact customized paths. Every allocation carries a
-    certificate.
+    their exact customized paths, under every [solver]. [Max_min]
+    keeps each class on the decreasing branch of its curve (up to the
+    floor of {!Scaling_law.optimal_nodes}) and bisects for the greatest
+    time t* at which the classes' largest sizes still taking t* or
+    longer cover the budget together; it then gives the slowest class
+    (lowest index among ties) one admissible step at a time, up to that
+    size, while it fits. [Min_sum] gives the class whose next admissible
+    step lowers its total time most per node (lowest index among ties)
+    that step, while it lowers and fits.
+
+    The three customized paths ([Exact], [Max_min], [Min_sum]) check
+    the budget once, on entry — a cancelled token or a spent deadline
+    is [Error (Budget_exhausted _)] — and record no B&B, LP or NLP
+    counters. Each walks every class's admissible sizes by bisection:
+    O(k log N) work per level test and at most k + 1 rounds of level
+    bisections, after [Max_min]'s 60 halvings for t* at O(k log N)
+    each, in O(k) memory besides the sweet-spot lists. No node range
+    is enumerated and nothing steps once per node. Every allocation
+    carries a certificate.
 
     [cache] memoizes solves across calls, keyed by {!fingerprint}, as
     {!memoize} stores them; a hit bypasses the solver entirely and

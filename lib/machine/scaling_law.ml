@@ -1,6 +1,8 @@
 type t = { a : float; b : float; c : float; d : float }
 
 let make ~a ~b ~c ~d =
+  if not (Float.is_finite a && Float.is_finite b && Float.is_finite c && Float.is_finite d) then
+    invalid_arg "Scaling_law.make: coefficients must be finite";
   if a < 0. || b < 0. || c < 0. || d < 0. then
     invalid_arg "Scaling_law.make: coefficients must be non-negative";
   { a; b; c; d }

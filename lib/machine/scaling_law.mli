@@ -13,8 +13,9 @@ type t = {
   d : float;  (** serial floor *)
 }
 
-(** [make ~a ~b ~c ~d] — validates non-negativity (the convexity
-    condition the MINLP solvers rely on). *)
+(** [make ~a ~b ~c ~d] — rejects NaN and infinite coefficients, then
+    negative ones (non-negativity is the convexity condition the MINLP
+    solvers rely on), each with its own [Invalid_argument] message. *)
 val make : a:float -> b:float -> c:float -> d:float -> t
 
 (** [eval law n] — predicted time on [n] nodes ([n >= 1]). *)
@@ -28,7 +29,9 @@ val eval_int : t -> int -> float
 val derivative : t -> float -> float
 
 (** [optimal_nodes law ~max_nodes] — the real-valued n in
-    [1, max_nodes] minimizing [eval] (golden-section; T is convex). *)
+    [1, max_nodes] minimizing [eval]: [max_nodes] when [b <= 0] (T only
+    falls), else {!Numerics.Scalar_opt.brent_min}'s tolerance-bound
+    minimizer (T is convex). *)
 val optimal_nodes : t -> max_nodes:float -> float
 
 (** [is_convex law] — all coefficients non-negative. *)

@@ -203,16 +203,24 @@ let test_cancel_stops_solve () =
   Engine.Cancel.cancel token;
   let specs = e6_specs () in
   let budget = Engine.Budget.arm (Engine.Budget.make ~cancel:token ()) in
-  match Hslb.Alloc_model.solve ~solver:Engine.Solver_choice.Oa ~budget ~n_total:256 specs with
-  | Ok alloc -> (
-    match alloc.Hslb.Alloc_model.status with
-    | Minlp.Solution.Budget_exhausted Minlp.Solution.Cancelled -> ()
-    | st ->
-      Alcotest.failf "expected budget-exhausted(cancelled), got %s"
-        (Minlp.Solution.status_to_string st))
-  | Error (Minlp.Solution.Budget_exhausted Minlp.Solution.Cancelled) -> ()
-  | Error st ->
-    Alcotest.failf "expected cancelled, got %s" (Minlp.Solution.status_to_string st)
+  List.iter
+    (fun objective ->
+      match
+        Hslb.Alloc_model.solve ~solver:Engine.Solver_choice.Oa ~objective ~budget ~n_total:256
+          specs
+      with
+      | Ok alloc -> (
+        match alloc.Hslb.Alloc_model.status with
+        | Minlp.Solution.Budget_exhausted Minlp.Solution.Cancelled -> ()
+        | st ->
+          Alcotest.failf "%s: expected budget-exhausted(cancelled), got %s"
+            (Hslb.Objective.to_string objective)
+            (Minlp.Solution.status_to_string st))
+      | Error (Minlp.Solution.Budget_exhausted Minlp.Solution.Cancelled) -> ()
+      | Error st ->
+        Alcotest.failf "%s: expected cancelled, got %s" (Hslb.Objective.to_string objective)
+          (Minlp.Solution.status_to_string st))
+    Hslb.Objective.[ Min_max; Max_min; Min_sum ]
 
 let test_node_budget_respected () =
   let specs = e6_specs ~allowed:[ 1; 2; 4; 8; 16; 32 ] () in

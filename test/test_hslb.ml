@@ -507,21 +507,28 @@ let prop_allocation_within_budget =
         List.fold_left (fun acc s -> acc + s.Hslb.Alloc_model.fc.Hslb.Classes.cls.Hslb.Classes.count) 0 specs
         * (2 + Numerics.Rng.int rng 8)
       in
-      match Hslb.Alloc_model.solve ~n_total specs with
-      | Error _ -> false
-      | Ok alloc ->
-      let used =
-        List.fold_left
-          (fun (acc, i) s ->
-            ( acc
-              + (s.Hslb.Alloc_model.fc.Hslb.Classes.cls.Hslb.Classes.count
-                * alloc.Hslb.Alloc_model.nodes_per_task.(i)),
-              i + 1 ))
-          (0, 0) specs
-        |> fst
-      in
-      used <= n_total
-      && Array.for_all (fun n -> n >= 1) alloc.Hslb.Alloc_model.nodes_per_task)
+      (* every objective, and also ~10^9 nodes, where rounding makes
+         consecutive sizes' times and gains tie or rise *)
+      List.for_all
+        (fun (objective, n_total) ->
+          match Hslb.Alloc_model.solve ~objective ~n_total specs with
+          | Error _ -> false
+          | Ok alloc ->
+          let used =
+            List.fold_left
+              (fun (acc, i) s ->
+                ( acc
+                  + (s.Hslb.Alloc_model.fc.Hslb.Classes.cls.Hslb.Classes.count
+                    * alloc.Hslb.Alloc_model.nodes_per_task.(i)),
+                  i + 1 ))
+              (0, 0) specs
+            |> fst
+          in
+          used <= n_total
+          && Array.for_all (fun n -> n >= 1) alloc.Hslb.Alloc_model.nodes_per_task)
+        (List.concat_map
+           (fun objective -> [ (objective, n_total); (objective, n_total * 100_000_000) ])
+           Hslb.Objective.[ Min_max; Max_min; Min_sum ]))
 
 (* ---------- exact threshold search vs OA ---------- *)
 
@@ -530,11 +537,12 @@ let spec_of_law ?n_min ?n_max ?allowed ~name ~count law =
   Hslb.Alloc_model.spec_of ?n_min ?n_max ?allowed
     { Hslb.Classes.cls; fit = { Hslb.Fitting.law; r2 = 1.; rmse = 0.; observations = [||] } }
 
-(* 1-6 classes, counts 1-5, budgets 4-255, random boxes and sweet-spot
-   lists: a share of the instances has no admissible allocation *)
-let random_instance rng =
+(* 1-6 classes, counts 1-5, budgets 4 to budgets + 3 (4-255 by
+   default), random boxes and sweet-spot lists: a share of the
+   instances has no admissible allocation *)
+let random_instance ?(budgets = 252) rng =
   let k = 1 + Numerics.Rng.int rng 6 in
-  let n_total = 4 + Numerics.Rng.int rng 252 in
+  let n_total = 4 + Numerics.Rng.int rng budgets in
   let specs =
     List.init k (fun i ->
         let law =
@@ -611,10 +619,49 @@ let prop_exact_matches_oa =
         in
         QCheck.Test.fail_reportf "seed %d: exact %s, oa %s" seed (show r) (show r'))
 
+(* the ladder walks allocate max-min and min-sum node for node as the
+   size-enumerating oracles (Alloc_oracle) do, feasibility included *)
+let prop_ladders_match_oracles ~name ~count ~budgets =
+  QCheck.Test.make ~name ~count
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let n_total, specs = random_instance ~budgets (Numerics.Rng.create seed) in
+      List.for_all
+        (fun objective ->
+          let show = function
+            | Ok a ->
+              Printf.sprintf "[%s] %.17g"
+                (String.concat ";"
+                   (Array.to_list (Array.map string_of_int a.Hslb.Alloc_model.nodes_per_task)))
+                a.Hslb.Alloc_model.predicted_makespan
+            | Error st -> Minlp.Solution.status_to_string st
+          in
+          let same (a : Hslb.Alloc_model.allocation) (o : Hslb.Alloc_model.allocation) =
+            a.nodes_per_task = o.nodes_per_task && a.predicted_makespan = o.predicted_makespan
+          in
+          match
+            ( Hslb.Alloc_model.solve ~objective ~n_total specs,
+              Alloc_oracle.solve ~objective ~n_total specs )
+          with
+          | Ok a, Ok o when same a o -> true
+          | Error st, Error st' when st = st' -> true
+          | r, r' ->
+            QCheck.Test.fail_reportf "seed %d, %s, n_total %d: ladder %s, oracle %s" seed
+              (Hslb.Objective.to_string objective) n_total (show r) (show r'))
+        Hslb.Objective.[ Max_min; Min_sum ])
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_allocation_within_budget; prop_online_matches_batch; prop_exact_matches_oa ]
+      [
+        prop_allocation_within_budget;
+        prop_online_matches_batch;
+        prop_exact_matches_oa;
+        prop_ladders_match_oracles ~name:"max-min, min-sum ladders = oracles" ~count:300
+          ~budgets:252;
+        prop_ladders_match_oracles ~name:"ladders = oracles, budgets to 5003" ~count:100
+          ~budgets:5000;
+      ]
   in
   Alcotest.run "hslb"
     [

@@ -197,7 +197,7 @@ let test_protocol_resolve () =
     {|field "observe": expected an array of {class, samples} objects|};
   expect_exact
     (resolve_line ~extra:{|,"observe":[{"class":"alpha","samples":[[0,5.0]]}]|} ())
-    {|field "observe": class "alpha": samples must be an array of [nodes, seconds] pairs (nodes >= 1, seconds >= 0)|};
+    {|field "observe": class "alpha": samples must be an array of [nodes, seconds] pairs of finite numbers (nodes >= 1, seconds >= 0)|};
   expect_exact (resolve_line ~extra:{|,"epsilon":0|} ()) {|field "epsilon": must be > 0|}
 
 (* ---------- Server harness ---------- *)
@@ -1059,31 +1059,94 @@ let test_serve_no_admissible_allocation () =
           (Option.bind (Serve.Json.member "error" v) Serve.Json.str))
     [ 1; 2 ]
 
-(* the wire puts no upper bound on "nodes", and the exact default never
-   walks a size range: a billion-node solve is answered, certified,
-   within milliseconds, and the same solve allocates kilobytes *)
-let test_serve_huge_budget () =
-  let h = make_harness ~jobs:1 () in
-  Serve.Server.submit h.server (solve_line ~id:1 ~nodes:1_000_000_000 ());
-  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
-  let v = Option.get (find_by_id h 1) in
-  Alcotest.(check string) "ok" "ok" (outcome_of v);
-  Alcotest.(check (option string)) "certified" (Some "verified (exact)") (audit_of v);
-  let solve_ms =
-    Option.bind (Serve.Json.member "telemetry" v) (fun t ->
-        Option.bind (Serve.Json.member "solve_wall_ms" t) Serve.Json.num)
+(* non-finite numbers are refused where they enter, each with an exact
+   diagnostic: NaN and infinite law coefficients in a model CSV, and an
+   observed sample of a resolve (1e999 reads as infinity) *)
+let test_serve_non_finite_inputs () =
+  let cases =
+    [
+      ( {|{"id":1,"model_csv":"a,1,nan,0,1,1","nodes":8}|},
+        "Model_store.of_csv: line 1: Scaling_law.make: coefficients must be finite: a,1,nan,0,1,1"
+      );
+      ( {|{"id":2,"model_csv":"a,1,inf,0,1,1","nodes":8}|},
+        "Model_store.of_csv: line 1: Scaling_law.make: coefficients must be finite: a,1,inf,0,1,1"
+      );
+      ( resolve_line ~id:3 ~model:"a,1,100,0,1,1" ~prev:"[8]"
+          ~extra:{|,"observe":[{"class":"a","samples":[[8,1e999]]}]|} (),
+        {|field "observe": class "a": samples must be an array of [nodes, seconds] pairs of finite numbers (nodes >= 1, seconds >= 0)|}
+      );
+    ]
   in
-  (match solve_ms with
-  | Some ms when ms < 100. -> ()
-  | Some ms -> Alcotest.failf "billion-node solve took %.1f ms" ms
-  | None -> Alcotest.fail "no solve_wall_ms");
-  let specs = Hslb.Model_store.specs_of_csv model_csv in
-  let before = Gc.allocated_bytes () in
-  (match Hslb.Alloc_model.solve ~n_total:1_000_000_000 specs with
-  | Ok _ -> ()
-  | Error st -> Alcotest.failf "in-process solve: %s" (Minlp.Solution.status_to_string st));
-  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
-  if mb > 16. then Alcotest.failf "billion-node solve allocated %.1f MB" mb
+  let h = make_harness ~jobs:1 () in
+  List.iter (fun (line, _) -> Serve.Server.submit h.server line) cases;
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  List.iteri
+    (fun i (_, msg) ->
+      match find_by_id h (i + 1) with
+      | None -> Alcotest.failf "request %d never answered" (i + 1)
+      | Some v ->
+        Alcotest.(check string) (Printf.sprintf "id %d outcome" (i + 1)) "error" (outcome_of v);
+        Alcotest.(check (option string))
+          (Printf.sprintf "id %d error" (i + 1))
+          (Some msg)
+          (Option.bind (Serve.Json.member "error" v) Serve.Json.str))
+    cases
+
+(* the wire takes up to a billion "nodes", and no objective walks a
+   size range: a billion-node solve is answered within milliseconds,
+   and the same solve allocates a few MB at most. Max-min and min-sum
+   run on a b = 0 model, whose curves fall all the way to the budget. *)
+let test_serve_huge_budget () =
+  let flat_csv = "alpha,4,100,0,1,0.5\nbeta,2,50,0,1,0.2" in
+  let cases =
+    [
+      (Hslb.Objective.Min_max, model_csv, Some "verified (exact)");
+      (Hslb.Objective.Max_min, flat_csv, Some "exact-method (hslb.bisection)");
+      (Hslb.Objective.Min_sum, flat_csv, Some "exact-method (hslb.greedy)");
+    ]
+  in
+  let h = make_harness ~jobs:1 () in
+  List.iteri
+    (fun id (objective, csv, _) ->
+      Serve.Server.submit h.server
+        (Printf.sprintf {|{"id":%d,"model_csv":%s,"nodes":1000000000,"objective":%S}|} id
+           (Serve.Json.to_string (Serve.Json.Str csv))
+           (Hslb.Objective.to_string objective)))
+    cases;
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  List.iteri
+    (fun id (objective, csv, audit) ->
+      let name = Hslb.Objective.to_string objective in
+      let v = Option.get (find_by_id h id) in
+      Alcotest.(check string) (name ^ " ok") "ok" (outcome_of v);
+      Alcotest.(check (option string)) (name ^ " certified") audit (audit_of v);
+      let solve_ms =
+        Option.bind (Serve.Json.member "telemetry" v) (fun t ->
+            Option.bind (Serve.Json.member "solve_wall_ms" t) Serve.Json.num)
+      in
+      (match solve_ms with
+      | Some ms when ms < 100. -> ()
+      | Some ms -> Alcotest.failf "billion-node %s solve took %.1f ms" name ms
+      | None -> Alcotest.fail "no solve_wall_ms");
+      let specs = Hslb.Model_store.specs_of_csv csv in
+      let before = Gc.allocated_bytes () in
+      (match Hslb.Alloc_model.solve ~objective ~n_total:1_000_000_000 specs with
+      | Ok a ->
+        (* rounding makes consecutive sizes' keys tie or rise out here;
+           the walk must still stay inside the budget *)
+        let used =
+          List.fold_left2
+            (fun acc (s : Hslb.Alloc_model.spec) n ->
+              acc + (s.fc.Hslb.Classes.cls.Hslb.Classes.count * n))
+            0 specs
+            (Array.to_list a.Hslb.Alloc_model.nodes_per_task)
+        in
+        if used > 1_000_000_000 then Alcotest.failf "%s allocation uses %d nodes" name used
+      | Error st ->
+        Alcotest.failf "in-process %s solve: %s" name (Minlp.Solution.status_to_string st));
+      let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+      if mb > 16. then Alcotest.failf "billion-node %s solve allocated %.1f MB" name mb)
+    cases
 
 let () =
   Alcotest.run "serve"
@@ -1127,6 +1190,7 @@ let () =
           Alcotest.test_case "strategy member ignored" `Quick test_serve_strategy_ignored;
           Alcotest.test_case "no admissible allocation is infeasible" `Quick
             test_serve_no_admissible_allocation;
+          Alcotest.test_case "non-finite inputs" `Quick test_serve_non_finite_inputs;
           Alcotest.test_case "billion-node budget" `Quick test_serve_huge_budget;
         ] );
     ]
