@@ -151,8 +151,12 @@ let solve_cmd =
       let budget = arm_budget deadline_ms max_nodes in
       let hits0 = Runtime.Cache.hits cache in
       let result =
-        Hslb.Alloc_model.solve ~solver ~objective ~budget ~trace:tally ~cache ~n_total:nodes
-          specs
+        try
+          Hslb.Alloc_model.solve ~solver ~objective ~budget ~trace:tally ~cache ~n_total:nodes
+            specs
+        with Invalid_argument msg ->
+          Format.eprintf "hslb solve: %s@." msg;
+          exit 2
       in
       let wall_s = Engine.Budget.elapsed_s budget in
       let cache_hit = Runtime.Cache.hits cache > hits0 in

@@ -45,11 +45,16 @@
 #   replays end-to-end through `hslb loadgen --scenario` (see
 #   docs/ARENA.md);
 # - resolve: a live server walks a drift fixture — a v1 solve, a
-#   certified v2 `resolve` (answered "unchanged" without entering the
-#   solver), a drifted v2 `resolve` (genuine re-solve), a v3 probe
-#   (exact unsupported-version diagnostic) — with the counters asserted
-#   on the terminal drained event, then `bench --resolve` writes
-#   BENCH_resolve.json (see docs/SERVE.md and docs/ALGORITHM.md);
+#   kept v2 `resolve` (answered "unchanged": the incumbent is within ε
+#   of the exact optimum), a drifted v2 `resolve` (genuine re-solve), a
+#   v3 probe (exact unsupported-version diagnostic) — with the counters
+#   asserted on the terminal drained event. An integer optimum that a
+#   relaxation bound would call 6.7% off must also answer "unchanged",
+#   `hslb solve -n 4000000000000000000` must exit 2 with the exact
+#   solver's refusal, and an overflowing place torus must get its
+#   diagnostic with the server answering the ping behind it. Then
+#   `bench --resolve` writes BENCH_resolve.json (see docs/SERVE.md and
+#   docs/ALGORITHM.md);
 # - kernels and runtime: BENCH_kernels.json (every optimized kernel
 #   reproduces its reference bit-for-bit) and BENCH_runtime.json
 #   (clamped pool never slower than sequential nor wider than the
@@ -380,11 +385,12 @@ grep -o '"outcomes":{[^}]*}' "$SMOKE_DIR/arena_replay.json" \
 echo "== resolve smoke: drift fixture through a live server (v1/v2 mix) =="
 # the fixture walks the whole version surface: id 1 is a v1 solve
 # (its response must stay byte-free of any "v" field), id 2 re-solves
-# with the incumbent already optimal (the ε-certificate must answer
-# "unchanged" without entering the solver), id 3 feeds drifted
-# observations of a 2x-slower law (the certificate must fail and a
-# genuine re-solve run), id 4 probes v3 (exact diagnostic), id 5 asks
-# a v2 stats (which must advertise the protocol range). Counters are
+# with the incumbent already optimal (it is within ε of the exact
+# optimum and must answer "unchanged"), id 3 feeds drifted
+# observations of a 2x-slower law (the incumbent falls more than ε
+# behind and a genuine re-solve runs), id 4 probes v3 (exact
+# diagnostic), id 5 asks a v2 stats (which must advertise the protocol
+# range). Counters are
 # asserted on the terminal drained event — emitted only after the
 # queue empties, so they cannot race the in-flight resolves.
 printf '%s\n' \
@@ -399,7 +405,7 @@ if grep '"id":1' "$SMOKE_DIR/resolve.out" | grep -q '"v":'; then
   exit 1
 fi
 grep '"id":2' "$SMOKE_DIR/resolve.out" | grep -q '"resolve":"unchanged"' || {
-  echo "resolve smoke: certified resolve did not answer \"unchanged\"" >&2
+  echo "resolve smoke: optimal incumbent did not answer \"unchanged\"" >&2
   exit 1
 }
 grep '"id":3' "$SMOKE_DIR/resolve.out" | grep -q '"resolve":"resolved"' || {
@@ -419,7 +425,7 @@ drained=$(grep '"event":"drained"' "$SMOKE_DIR/resolve.out")
 case "$drained" in
 *'"resolve_skipped":1'*) ;;
 *)
-  echo "resolve smoke: expected exactly one certificate-skipped resolve" >&2
+  echo "resolve smoke: expected exactly one kept incumbent" >&2
   exit 1
   ;;
 esac
@@ -430,6 +436,48 @@ case "$drained" in
   exit 1
   ;;
 esac
+
+echo "== resolve smoke: an integral optimum is kept (exact optimum, not a relaxation) =="
+# 3 tasks of 100/n on 32 nodes: [10] is the integer optimum, 6.7% above
+# the continuous relaxation; priced against the exact optimum it stays
+printf '%s\n' \
+  '{"id":1,"v":2,"op":"resolve","model_csv":"alpha,3,100,0,1,0","nodes":32,"prev":[10]}' \
+  | "$SERVE_BIN" serve --jobs 1 > "$SMOKE_DIR/resolve_gap.out"
+grep '"id":1' "$SMOKE_DIR/resolve_gap.out" | grep -q '"resolve":"unchanged"' || {
+  echo "resolve smoke: the optimal incumbent was not kept" >&2
+  exit 1
+}
+
+echo "== solve: a budget past 2^53 is a usage error under the exact solver =="
+status=0
+"$SERVE_BIN" solve examples/models/e6_classes.csv -n 4000000000000000000 \
+  > "$SMOKE_DIR/solve_huge.out" 2>&1 || status=$?
+[ "$status" -eq 2 ] || {
+  echo "solve: -n 4000000000000000000 exited $status, not 2" >&2
+  exit 1
+}
+grep -qx 'hslb solve: Alloc_model.solve: solver exact needs n_total <= 2^53' \
+  "$SMOKE_DIR/solve_huge.out" || {
+  echo "solve: -n 4000000000000000000 did not print the refusal" >&2
+  exit 1
+}
+
+echo "== serve smoke: an overflowing torus is refused, the server lives on =="
+# x*y*z overflows to 0 here; the place section is refused with its
+# exact diagnostic and the ping behind it is answered
+printf '%s\n' \
+  '{"id":1,"v":2,"model_csv":"alpha,4,100,0.001,1,0.5\nbeta,2,50,0.001,1,0.2","nodes":32,"place":{"topology":[2097152,2097152,2097152],"groups":4,"mem_per_node_gb":1.0,"mem_gb":[0.6,0.5],"comm_mb":[[0,3.5],[3.5,0]]}}' \
+  '{"id":2,"op":"ping"}' \
+  | "$SERVE_BIN" serve --jobs 1 > "$SMOKE_DIR/place_cap.out"
+grep '"id":1' "$SMOKE_DIR/place_cap.out" \
+  | grep -q 'must have at most 262144 nodes, got 2097152x2097152x2097152' || {
+  echo "place cap: the overflowing torus did not get its diagnostic" >&2
+  exit 1
+}
+grep '"id":2' "$SMOKE_DIR/place_cap.out" | grep -q '"pong":true' || {
+  echo "place cap: the ping behind the overflowing torus went unanswered" >&2
+  exit 1
+}
 
 echo "== resolve bench: re-solve policy frontier (BENCH_resolve.json) =="
 # the quick frontier (4 rounds, drift 0 and 0.15)

@@ -6,4 +6,3 @@
 include Checker
 module Instances = Instances
 module Stress = Stress
-module Sensitivity = Sensitivity

@@ -3,10 +3,11 @@
    The paper fits once and solves once; E12 asks what a long-lived
    balancer should do when the coefficients drift. Three policies run
    against the same drifting ground truth: always re-solve, never
-   re-solve, and re-solve only when the ε-reoptimality certificate
-   fails (the serve layer's `resolve` op). The interesting cell is
-   certified-at-low-drift: nearly the makespan of always, at a fraction
-   of the MINLP solves. *)
+   re-solve, and adopt the exact optimum only when the incumbent is
+   more than ε above it (the serve layer's `resolve` op). The
+   interesting cell is certified-at-low-drift: nearly the makespan of
+   always, on a fraction of the allocation changes. The solves column
+   counts allocations adopted, the initial one included. *)
 
 let name = "E12_resolve"
 let describes = "Re-solve policy frontier: always / never / eps-certified under drift"
@@ -36,4 +37,4 @@ let run ?(quick = false) fmt =
     ~header rows;
   Format.fprintf fmt
     "expected shape: never decays as drift grows; certified stays within eps of always while \
-     skipping most solves at low drift@."
+     keeping its incumbent most rounds at low drift@."

@@ -518,21 +518,20 @@ let exact_solve ~n_total ls specs =
       v > (n_total - used) / ls.(c).count || proven (c + 1) (used + (ls.(c).count * v))
   in
   if not (proven 0 0) then failwith "Alloc_model.solve: the threshold witness does not close";
-  Ok
-    {
-      nodes_per_task = nodes;
-      predicted_makespan;
-      predicted_times;
-      status = Minlp.Solution.Optimal;
-      stats = Minlp.Solution.empty_stats;
-      certificate =
-        Some
-          (Engine.Certificate.make
-             ~producer:(Engine.Solver_choice.to_string Engine.Solver_choice.Exact)
-             ~claimed_status:Minlp.Solution.Optimal ~witness:x
-             ~claimed_obj:predicted_makespan ~claimed_bound:predicted_makespan
-             ~tol:threshold_tol ~evidence:(Engine.Certificate.Threshold sides) ());
-    }
+  {
+    nodes_per_task = nodes;
+    predicted_makespan;
+    predicted_times;
+    status = Minlp.Solution.Optimal;
+    stats = Minlp.Solution.empty_stats;
+    certificate =
+      Some
+        (Engine.Certificate.make
+           ~producer:(Engine.Solver_choice.to_string Engine.Solver_choice.Exact)
+           ~claimed_status:Minlp.Solution.Optimal ~witness:x
+           ~claimed_obj:predicted_makespan ~claimed_bound:predicted_makespan
+           ~tol:threshold_tol ~evidence:(Engine.Certificate.Threshold sides) ());
+  }
 
 (* canonical, injective solve fingerprint: the solver, then the
    instance with length-prefixed names, round-tripping float formats and
@@ -638,7 +637,42 @@ let solve ?(solver = default_solver) ?(objective = Objective.Min_max) ?budget
             match objective with
             | Objective.Max_min -> max_min ~n_total ls specs
             | Objective.Min_sum -> Ok (min_sum ~n_total ls specs)
-            | Objective.Min_max -> exact_solve ~n_total ls specs))
+            | Objective.Min_max -> Ok (exact_solve ~n_total ls specs)))
     in
     Option.iter (fun c -> memoize ~solver ~objective c (Lazy.force key) result) cache;
     result
+
+type reoptimality = {
+  incumbent_makespan : float;
+  optimum : allocation;
+  gap_rel : float;
+  keep : bool;
+}
+
+(* An incumbent is admissible when each class's size is on its ladder
+   (inside the box, and among the sweet spots when there are any) and
+   the sizes fit the budget; then the instance is feasible and the
+   threshold search has an optimum to price it against. *)
+let reoptimality ~eps ~n_total ~incumbent specs =
+  if specs = [] then invalid_arg "Alloc_model.reoptimality: no classes";
+  let ls = Array.of_list (List.map (ladder ~n_total) specs) in
+  let k = Array.length ls in
+  let on_ladder l x =
+    let i = first_true 0 l.last (fun i -> l.size i >= x) in
+    i <= l.last && l.size i = x
+  in
+  let rec admissible c left =
+    c = k
+    ||
+    let l = ls.(c) and x = incumbent.(c) in
+    on_ladder l x && x <= left / l.count && admissible (c + 1) (left - (l.count * x))
+  in
+  if Array.length incumbent <> k || not (admissible 0 n_total) then None
+  else
+    let optimum = exact_solve ~n_total ls specs in
+    let incumbent_makespan, _ = predicted_of specs incumbent in
+    let gap_rel =
+      (incumbent_makespan -. optimum.predicted_makespan)
+      /. Float.max optimum.predicted_makespan 1e-12
+    in
+    Some { incumbent_makespan; optimum; gap_rel; keep = gap_rel <= eps }

@@ -150,6 +150,30 @@ val solve :
   spec list ->
   (allocation, Minlp.Solution.status) result
 
+(** How far an incumbent allocation is from the exact [Min_max]
+    optimum of the specs it is priced under. *)
+type reoptimality = {
+  incumbent_makespan : float;  (** [U]: the incumbent's makespan under the specs' laws *)
+  optimum : allocation;
+      (** the default ([Exact]) min-max solve; its makespan is the
+          optimum [OPT], a lower bound on every allocation's *)
+  gap_rel : float;  (** [(U − OPT) / max OPT 1e-12] *)
+  keep : bool;  (** [gap_rel <= eps]: the incumbent stays *)
+}
+
+(** [reoptimality ~eps ~n_total ~incumbent specs] — the one rule for
+    keeping an incumbent (one node count per spec, in spec order) after
+    the specs' laws moved: keep it iff its makespan is within a factor
+    [1 + eps] of the optimum. [None] when the incumbent is not an
+    admissible allocation of [specs]: wrong length, a size outside its
+    class's box [\[max 1 n_min, min n_max n_total\]] or not among its
+    sweet spots, or over the node budget. Otherwise the exact optimum is
+    computed (the threshold search; no MINLP runs, whatever solver the
+    caller would re-solve with). It raises what the [Exact] solve raises
+    (see {!solve}), and [Invalid_argument] on an empty spec list. *)
+val reoptimality :
+  eps:float -> n_total:int -> incumbent:int array -> spec list -> reoptimality option
+
 (** [memoize ~solver ~objective cache key result] — store [result]
     under [key], the one rule for {!solve}'s [cache] and [hslb serve]'s:
     proven-[Optimal] allocations only (budget-exhausted incumbents are

@@ -239,8 +239,11 @@ let member k = function
 let str = function Str s -> Some s | _ -> None
 let num = function Num f -> Some f | _ -> None
 
+let int_limit = 1_000_000_000
+
 let int_ = function
-  | Num f when Float.is_integer f && Float.abs f <= 1e9 -> Some (int_of_float f)
+  | Num f when Float.is_integer f && Float.abs f <= float_of_int int_limit ->
+    Some (int_of_float f)
   | _ -> None
 
 let bool_ = function Bool b -> Some b | _ -> None

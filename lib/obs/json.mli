@@ -38,7 +38,10 @@ val member : string -> t -> t option
 val str : t -> string option
 val num : t -> float option
 
-(** Integral {!Num} within [int] range. *)
+(** The largest magnitude {!int_} accepts: 10{^9}. *)
+val int_limit : int
+
+(** Integral {!Num} of magnitude at most {!int_limit}. *)
 val int_ : t -> int option
 
 val bool_ : t -> bool option

@@ -16,6 +16,7 @@ val to_string : t -> string
 val member : string -> t -> t option
 val str : t -> string option
 val num : t -> float option
+val int_limit : int
 val int_ : t -> int option
 val bool_ : t -> bool option
 val arr : t -> t list option

@@ -92,6 +92,15 @@ let parse_version v =
            min_version current_version)
     | None -> Error "field \"v\": expected an integer")
 
+(* The largest placement a request may ask for: a torus of the paper's
+   largest run, 262,144 nodes, carved into at most 1,024 groups. At both
+   caps the instance behind the cache key takes ~0.1 s and ~10 MB to
+   build on one core. The comm-aware search that follows measures every
+   node pair across groups (Place.Model's hop matrix), so its time grows
+   with the square of the torus. *)
+let max_torus_nodes = 262_144
+let max_place_groups = 1_024
+
 (* the optional v2 "place" section: a torus, an even group carve, and
    the class-level memory/communication data the placement model needs.
    Shape errors are protocol errors with exact field paths; the deeper
@@ -110,7 +119,18 @@ let parse_place ~v:version v =
         match Json.arr f with
         | Some [ a; b; c ] -> (
           match (Json.int_ a, Json.int_ b, Json.int_ c) with
-          | Some x, Some y, Some z when x >= 1 && y >= 1 && z >= 1 -> Ok (x, y, z)
+          | Some x, Some y, Some z when x >= 1 && y >= 1 && z >= 1 ->
+            (* x·y·z <= cap, checked without forming the product *)
+            if
+              x <= max_torus_nodes
+              && y <= max_torus_nodes / x
+              && z <= max_torus_nodes / (x * y)
+            then Ok (x, y, z)
+            else
+              Error
+                (Printf.sprintf
+                   "field \"place.topology\": must have at most %d nodes, got %dx%dx%d"
+                   max_torus_nodes x y z)
           | _ -> Error bad_topology)
         | Some _ | None -> Error bad_topology)
     in
@@ -119,6 +139,9 @@ let parse_place ~v:version v =
       | None | Some Json.Null -> Error "missing field \"place.groups\" (how many node groups)"
       | Some f -> (
         match Json.int_ f with
+        | Some g when g > max_place_groups ->
+          Error
+            (Printf.sprintf "field \"place.groups\": must be <= %d, got %d" max_place_groups g)
         | Some g when g >= 1 -> Ok g
         | Some _ | None -> Error "field \"place.groups\": expected a positive integer")
     in
@@ -192,10 +215,12 @@ let parse_solve_params ~v:version v =
     match Json.member "nodes" v with
     | None -> Error "missing field \"nodes\" (total node budget)"
     | Some f -> (
-      match Json.int_ f with
-      | Some n when n >= 1 -> Ok n
-      | Some n -> Error (Printf.sprintf "field \"nodes\": must be >= 1, got %d" n)
-      | None -> Error "field \"nodes\": expected a positive integer")
+      match (Json.int_ f, Json.num f) with
+      | Some n, _ when n >= 1 -> Ok n
+      | Some n, _ -> Error (Printf.sprintf "field \"nodes\": must be >= 1, got %d" n)
+      | None, Some x when Float.is_integer x && x > 0. ->
+        Error (Printf.sprintf "field \"nodes\": must be <= %d, got %.0f" Json.int_limit x)
+      | None, _ -> Error "field \"nodes\": expected a positive integer")
   in
   let* objective = opt_str_field v "objective" objective_of_string in
   let objective = Option.value objective ~default:Hslb.Objective.Min_max in
@@ -397,19 +422,17 @@ let place_instance ?duration_s ~names (pl : place_params) =
          "field \"place.comm_mb\": expected a %dx%d matrix (one row per model class), got %d rows"
          k k (Array.length pl.comm_mb))
   else
-    let topology = Topology.make ~x ~y ~z in
-    let size = nodes / pl.place_groups in
-    let groups =
-      Array.of_list
-        (Topology.place topology ~placement:Topology.Compact
-           ~sizes:(List.init pl.place_groups (fun _ -> size)))
-    in
     let duration_s =
       match duration_s with Some d -> d | None -> Array.make_matrix k pl.place_groups 0.
     in
     match
-      Place.Model.make ~topology ~groups ~names ~duration_s ~mem_gb:pl.mem_gb
-        ~mem_per_node_gb:pl.mem_per_node_gb ~comm_mb:pl.comm_mb
+      let topology = Topology.make ~x ~y ~z in
+      let groups =
+        Topology.place topology ~placement:Topology.Compact
+          ~sizes:(List.init pl.place_groups (fun _ -> nodes / pl.place_groups))
+      in
+      Place.Model.make ~topology ~groups:(Array.of_list groups) ~names ~duration_s
+        ~mem_gb:pl.mem_gb ~mem_per_node_gb:pl.mem_per_node_gb ~comm_mb:pl.comm_mb
         ~hop_cost_s_per_mb:pl.hop_cost_s_per_mb ()
     with
     | inst -> Ok inst

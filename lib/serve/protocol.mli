@@ -68,9 +68,9 @@ type solve_params = {
 
 (** The ["resolve"] op (v2+): re-solve an instance the client solved
     before, folding fresh benchmark observations into the model online
-    and skipping the MINLP when an ε-reoptimality certificate
-    ({!Audit.Sensitivity}) proves the previous allocation still
-    near-optimal. *)
+    and keeping the previous allocation while its makespan is within a
+    factor [1 + epsilon] of the updated model's exact optimum
+    ({!Hslb.Alloc_model.reoptimality}); no MINLP runs to decide. *)
 type resolve_params = {
   base : solve_params;  (** same model/budget fields as ["solve"] *)
   prev : int array;
@@ -80,7 +80,7 @@ type resolve_params = {
       (** ["observe"] — fresh benchmark points per class:
           [\[{"class": name, "samples": \[\[nodes, seconds\], ...\]}\]] *)
   epsilon : float option;
-      (** ["epsilon"] — certificate threshold, server default otherwise *)
+      (** ["epsilon"] — the keep threshold, server default otherwise *)
 }
 
 type request =

@@ -407,31 +407,18 @@ let updated_specs (rj : resolve_job) =
         { spec with Hslb.Alloc_model.fc = { fc with Hslb.Classes.fit } })
     rj.rspecs
 
-let sensitivity_classes ~n_total specs =
-  List.map
-    (fun (s : Hslb.Alloc_model.spec) ->
-      {
-        Audit.Sensitivity.law = s.Hslb.Alloc_model.fc.Hslb.Classes.fit.Hslb.Fitting.law;
-        count = s.Hslb.Alloc_model.fc.Hslb.Classes.cls.Hslb.Classes.count;
-        n_min = s.Hslb.Alloc_model.n_min;
-        (* clamp the open-ended default box to the budget: no class can
-           be allocated more than n_total, so this stays a relaxation *)
-        n_max = min s.Hslb.Alloc_model.n_max n_total;
-        allowed = s.Hslb.Alloc_model.allowed;
-      })
-    specs
-
-let certificate_fields = function
+let certificate_fields ~eps = function
   | None -> []
-  | Some (c : Audit.Sensitivity.certificate) ->
+  | Some (r : Hslb.Alloc_model.reoptimality) ->
     [
       ( "certificate",
         Json.Obj
           [
-            ("incumbent", Json.Num c.Audit.Sensitivity.incumbent_obj);
-            ("bound", Json.Num c.Audit.Sensitivity.relaxation_bound);
-            ("gap_rel", Json.Num c.Audit.Sensitivity.gap_rel);
-            ("eps", Json.Num c.Audit.Sensitivity.eps);
+            ("incumbent", Json.Num r.Hslb.Alloc_model.incumbent_makespan);
+            ( "bound",
+              Json.Num r.Hslb.Alloc_model.optimum.Hslb.Alloc_model.predicted_makespan );
+            ("gap_rel", Json.Num r.Hslb.Alloc_model.gap_rel);
+            ("eps", Json.Num eps);
           ] );
     ]
 
@@ -457,23 +444,19 @@ let process_resolve t ~start rq (rj : resolve_job) =
     | Error msg -> fail t ~op:"resolve" rq ~outcome:"error" msg (tele_of ~start rq)
     | Ok key -> (
       let eps = Option.value rp.Protocol.epsilon ~default:default_epsilon in
-      let verdict =
+      (* the exact optimum decides, whatever solver a re-solve would
+         run; the other objectives always pay for the re-solve *)
+      let check =
         match p.Protocol.objective with
         | Hslb.Objective.Min_max ->
-          Audit.Sensitivity.check ~eps ~n_total:p.Protocol.n_total
-            ~incumbent:rp.Protocol.prev
-            (sensitivity_classes ~n_total:p.Protocol.n_total specs)
-        | Hslb.Objective.Max_min | Hslb.Objective.Min_sum ->
-          (* the relaxation bound is a min-max construction; other
-             objectives always pay for the re-solve *)
-          Audit.Sensitivity.Rejected
-            { certificate = None; reason = "certificate requires the min-max objective" }
+          Hslb.Alloc_model.reoptimality ~eps ~n_total:p.Protocol.n_total
+            ~incumbent:rp.Protocol.prev specs
+        | Hslb.Objective.Max_min | Hslb.Objective.Min_sum -> None
       in
-      match verdict with
-      | Audit.Sensitivity.Certified cert ->
-        (* the incumbent is provably within eps of the best any
-           allocation can do under the updated coefficients: answer
-           from it without entering the solver *)
+      match check with
+      | Some r when r.Hslb.Alloc_model.keep ->
+        (* the incumbent is within eps of the optimum under the updated
+           coefficients: answer from it *)
         let predicted_times =
           List.map2
             (fun (s : Hslb.Alloc_model.spec) n ->
@@ -486,25 +469,25 @@ let process_resolve t ~start rq (rj : resolve_job) =
         finish t ~op:"resolve" rq ~outcome:"ok" ~status:"unchanged"
           ([
              ("resolve", Json.Str "unchanged");
-             ("makespan", Json.Num cert.Audit.Sensitivity.incumbent_obj);
+             ("makespan", Json.Num r.Hslb.Alloc_model.incumbent_makespan);
              ( "nodes_per_task",
                Json.Arr
                  (Array.to_list
                     (Array.map (fun n -> Json.Num (float_of_int n)) rp.Protocol.prev)) );
              ("predicted_times", Json.Arr predicted_times);
            ]
-          @ certificate_fields (Some cert)
+          @ certificate_fields ~eps check
           @ policy_fields t rq.hint
           @ [ telemetry_member tele ])
           tele
-      | Audit.Sensitivity.Rejected { certificate; reason = _ } ->
-        (* warm-start from the incumbent only when it is feasible under
-           the new model (a certificate record was computed at all) *)
-        let warm_start = if certificate <> None then Some rp.Protocol.prev else None in
+      | Some _ | None ->
+        (* warm-start from the incumbent only when it is admissible
+           under the updated model *)
+        let warm_start = Option.map (fun _ -> rp.Protocol.prev) check in
         let solved = cached_solve t ~key ~queue_wait:(start -. rq.arrival) ?warm_start p specs in
         locked t (fun () -> t.n_resolved <- t.n_resolved + 1);
         answer_solve t ~op:"resolve" ~start
-          ~extra:(fun _ -> ("resolve", Json.Str "resolved") :: certificate_fields certificate)
+          ~extra:(fun _ -> ("resolve", Json.Str "resolved") :: certificate_fields ~eps check)
           p specs solved [ rq ]))
 
 let process_sleep t ~start rq dur =

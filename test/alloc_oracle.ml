@@ -1,7 +1,9 @@
-(* The max-min bisection and min-sum greedy that Hslb.Alloc_model ran
-   before both moved onto its ladder walk, kept verbatim as oracles for
-   test_hslb's property: they enumerate every size and give one step
-   per loop turn, so they are only fit for small budgets. *)
+(* Oracles for test_hslb's properties. The max-min bisection and
+   min-sum greedy that Hslb.Alloc_model ran before both moved onto its
+   ladder walk, kept verbatim: they enumerate every size and give one
+   step per loop turn, so they are only fit for small budgets. And the
+   continuous min-max relaxation bound, a lower bound on every
+   allocation's makespan that no exact optimum may undercut. *)
 open Hslb
 open Alloc_model
 
@@ -235,3 +237,62 @@ let solve ~objective ~n_total specs =
       | Objective.Max_min -> max_min_solve ~n_total specs
       | Objective.Min_sum -> Ok (min_sum_greedy ~n_total ~start specs)
       | Objective.Min_max -> invalid_arg "Alloc_oracle.solve: max-min and min-sum only")
+
+(* --- The continuous min-max relaxation bound --- *)
+
+(* Drop integrality and the sweet spots, keep each class's box and the
+   budget: the optimum L of what is left bounds every allocation's
+   makespan from below. L is found by bisection on the target T. Each
+   class's time is convex, so the least real size meeting T is itself
+   a bisection on the decreasing branch of its curve, and T is
+   reachable iff those sizes fit the budget. [infinity] when even the
+   smallest sizes overflow it. *)
+let relaxation_bound ~n_total specs =
+  let classes =
+    List.map
+      (fun spec ->
+        let law = spec.fc.Classes.fit.Fitting.law in
+        let lo, hi = effective_range ~n_total spec in
+        let lo = float_of_int lo and hi = float_of_int hi in
+        let xstar = Float.max lo (Float.min hi (Scaling_law.optimal_nodes law ~max_nodes:hi)) in
+        (law, float_of_int spec.fc.Classes.cls.Classes.count, lo, xstar))
+      specs
+  in
+  (* the least x in [lo, xstar] meeting [target], or None *)
+  let xmin (law, _, lo, xstar) target =
+    if Scaling_law.eval law lo <= target then Some lo
+    else if Scaling_law.eval law xstar > target then None
+    else begin
+      let a = ref lo and b = ref xstar in
+      for _ = 1 to 60 do
+        let mid = 0.5 *. (!a +. !b) in
+        if Scaling_law.eval law mid <= target then b := mid else a := mid
+      done;
+      Some !b
+    end
+  in
+  let feasible target =
+    let need =
+      List.fold_left
+        (fun acc ((_, count, _, _) as c) ->
+          match xmin c target with None -> infinity | Some x -> acc +. (count *. x))
+        0. classes
+    in
+    need <= float_of_int n_total +. 1e-9
+  in
+  let worst f = List.fold_left (fun acc c -> Float.max acc (f c)) neg_infinity classes in
+  (* below t_lo some class meets the target at no size; at t_hi every
+     class meets it at its smallest *)
+  let t_lo = worst (fun (law, _, _, xstar) -> Scaling_law.eval law xstar) in
+  let t_hi = worst (fun (law, _, lo, _) -> Scaling_law.eval law lo) in
+  if not (feasible t_hi) then infinity
+  else if feasible t_lo then t_lo
+  else begin
+    let a = ref t_lo and b = ref t_hi in
+    for _ = 1 to 60 do
+      let mid = 0.5 *. (!a +. !b) in
+      if feasible mid then b := mid else a := mid
+    done;
+    (* the infeasible end: no allocation beats it *)
+    !a
+  end

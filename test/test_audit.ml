@@ -199,106 +199,6 @@ let test_unified_minlp_agree () =
     (fun obj -> Alcotest.(check bool) "solvers agree" true (close (List.hd objs) obj))
     objs
 
-(* ---------- ε-reoptimality certificates ---------- *)
-
-let sens_cls ?allowed ?(n_min = 1) ?(n_max = 32) ~count law =
-  { Audit.Sensitivity.law; count; n_min; n_max; allowed }
-
-let alpha_law = Scaling_law.make ~a:100. ~b:0.001 ~c:1. ~d:0.5
-
-let test_sensitivity_certifies_optimal () =
-  (* 4 tasks on 32 nodes: 8 each is the continuous optimum too, so the
-     gap against the relaxation bound is essentially zero *)
-  let clss = [ sens_cls ~count:4 alpha_law ] in
-  match Audit.Sensitivity.check ~n_total:32 ~incumbent:[| 8 |] clss with
-  | Audit.Sensitivity.Certified cert ->
-    let open Audit.Sensitivity in
-    Alcotest.(check bool) "bound below incumbent" true
-      (cert.relaxation_bound <= cert.incumbent_obj +. 1e-9);
-    Alcotest.(check bool) "tiny gap" true (cert.gap_rel < 1e-6);
-    Alcotest.(check (float 1e-6)) "incumbent makespan" 13.008 cert.incumbent_obj
-  | Audit.Sensitivity.Rejected { reason; _ } ->
-    Alcotest.failf "optimal incumbent rejected: %s" reason
-
-let test_sensitivity_rejects_stale () =
-  (* 4 nodes per task doubles the makespan; the certificate must come
-     back with the gap spelled out, not just a refusal *)
-  let clss = [ sens_cls ~count:4 alpha_law ] in
-  match Audit.Sensitivity.check ~n_total:32 ~incumbent:[| 4 |] clss with
-  | Audit.Sensitivity.Certified _ -> Alcotest.fail "stale incumbent certified"
-  | Audit.Sensitivity.Rejected { certificate = None; reason } ->
-    Alcotest.failf "rejection lost its certificate: %s" reason
-  | Audit.Sensitivity.Rejected { certificate = Some cert; reason } ->
-    Alcotest.(check bool) "reason names the gap" true
-      (String.length reason > 0
-      && String.sub reason 0 3 = "gap");
-    Alcotest.(check bool) "gap well above eps" true
-      (cert.Audit.Sensitivity.gap_rel > cert.Audit.Sensitivity.eps)
-
-let test_sensitivity_bound_below_minlp () =
-  (* the relaxation bound must stay below what the integer solver
-     achieves, on a genuinely multi-class instance *)
-  let beta_law = Scaling_law.make ~a:50. ~b:0.002 ~c:0.9 ~d:0.2 in
-  let clss = [ sens_cls ~count:4 alpha_law; sens_cls ~count:2 beta_law ] in
-  let bound = Audit.Sensitivity.relaxation_bound ~n_total:48 clss in
-  let specs =
-    List.map
-      (fun (name, count, law) ->
-        let cls = Hslb.Classes.make ~name ~count (fun ~nodes -> Scaling_law.eval_int law nodes) in
-        let fit =
-          { Hslb.Fitting.law; r2 = 1.0; rmse = 0.0; observations = [||] }
-        in
-        Hslb.Alloc_model.spec_of ~n_max:32 { Hslb.Classes.cls; fit })
-      [ ("alpha", 4, alpha_law); ("beta", 2, beta_law) ]
-  in
-  match Hslb.Alloc_model.solve ~n_total:48 specs with
-  | Error st -> Alcotest.failf "minlp failed: %s" (Minlp.Solution.status_to_string st)
-  | Ok alloc ->
-    Alcotest.(check bool)
-      (Printf.sprintf "bound %.6f <= minlp %.6f" bound alloc.Hslb.Alloc_model.predicted_makespan)
-      true
-      (bound <= alloc.Hslb.Alloc_model.predicted_makespan +. 1e-9)
-
-let test_sensitivity_rejects_infeasible () =
-  let check_reason msg incumbent clss ~n_total expect =
-    match Audit.Sensitivity.check ~n_total ~incumbent clss with
-    | Audit.Sensitivity.Certified _ -> Alcotest.failf "%s: certified" msg
-    | Audit.Sensitivity.Rejected { certificate = Some _; _ } ->
-      Alcotest.failf "%s: infeasible incumbent got a certificate" msg
-    | Audit.Sensitivity.Rejected { certificate = None; reason } ->
-      Alcotest.(check string) msg expect reason
-  in
-  check_reason "box violation" [| 40 |]
-    [ sens_cls ~count:4 alpha_law ]
-    ~n_total:200 "incumbent class 0 uses 40 nodes outside [1, 32]";
-  check_reason "budget violation" [| 16 |]
-    [ sens_cls ~count:4 alpha_law ]
-    ~n_total:32 "incumbent uses 64 nodes, budget is 32";
-  check_reason "allowed violation" [| 8 |]
-    [ sens_cls ~allowed:[ 2; 4; 16 ] ~count:4 alpha_law ]
-    ~n_total:64 "incumbent class 0 uses 8 nodes not in allowed list"
-
-let test_sensitivity_validation () =
-  Alcotest.check_raises "empty classes"
-    (Invalid_argument "Audit.Sensitivity: empty class list") (fun () ->
-      ignore (Audit.Sensitivity.relaxation_bound ~n_total:8 []));
-  Alcotest.check_raises "negative eps"
-    (Invalid_argument "Audit.Sensitivity.check: eps must be >= 0") (fun () ->
-      ignore
-        (Audit.Sensitivity.check ~eps:(-0.1) ~n_total:8 ~incumbent:[| 1 |]
-           [ sens_cls ~count:1 alpha_law ]));
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Audit.Sensitivity.check: incumbent has 2 entries for 1 classes")
-    (fun () ->
-      ignore
-        (Audit.Sensitivity.check ~n_total:8 ~incumbent:[| 1; 1 |]
-           [ sens_cls ~count:1 alpha_law ]));
-  Alcotest.check_raises "bad class box"
-    (Invalid_argument "Audit.Sensitivity: class 0 has n_min 5 > n_max 2") (fun () ->
-      ignore
-        (Audit.Sensitivity.relaxation_bound ~n_total:8
-           [ sens_cls ~n_min:5 ~n_max:2 ~count:1 alpha_law ]))
-
 (* ---------- threshold evidence (the exact solver's witness) ---------- *)
 
 let exact_specs = Hslb.Model_store.specs_of_csv "alpha,4,100,0.001,1,0.5\nbeta,2,50,0.001,1,0.2"
@@ -455,15 +355,5 @@ let () =
         [
           Alcotest.test_case "minlp solvers certified and agree" `Quick
             test_unified_minlp_agree;
-        ] );
-      ( "sensitivity",
-        [
-          Alcotest.test_case "certifies optimal incumbent" `Quick
-            test_sensitivity_certifies_optimal;
-          Alcotest.test_case "rejects stale incumbent" `Quick test_sensitivity_rejects_stale;
-          Alcotest.test_case "bound below minlp" `Quick test_sensitivity_bound_below_minlp;
-          Alcotest.test_case "rejects infeasible incumbent" `Quick
-            test_sensitivity_rejects_infeasible;
-          Alcotest.test_case "validation messages" `Quick test_sensitivity_validation;
         ] );
     ]

@@ -610,6 +610,17 @@ let test_router_versioned_replies () =
       Alcotest.(check (option string)) "orphaned sleep error"
         (Some "backend backend-0 died before answering")
         (Option.bind (Serve.Json.member "error" orphan) Serve.Json.str);
+      (* a torus whose x*y*z overflows is refused where the router
+         parses it, before it fingerprints the instance *)
+      let torus =
+        answer
+          {|{"id":6,"v":2,"model_csv":"a,1,1,0,1,0","nodes":8,"place":{"topology":[2097152,2097152,2097152],"groups":4,"mem_per_node_gb":1.0,"mem_gb":[0.5],"comm_mb":[[0]]}}|}
+          6
+      in
+      check_v2 "oversize torus" torus;
+      Alcotest.(check (option string)) "oversize torus error"
+        (Some {|field "place.topology": must have at most 262144 nodes, got 2097152x2097152x2097152|})
+        (Option.bind (Serve.Json.member "error" torus) Serve.Json.str);
       check_v2 "drain" (answer {|{"id":5,"v":2,"op":"drain"}|} 5))
 
 (* ---------- Service.run ---------- *)

@@ -650,6 +650,90 @@ let prop_ladders_match_oracles ~name ~count ~budgets =
               (Hslb.Objective.to_string objective) n_total (show r) (show r'))
         Hslb.Objective.[ Max_min; Min_sum ])
 
+(* ---------- keep or re-solve: the incumbent against the exact optimum ---------- *)
+
+let alpha_law = Scaling_law.make ~a:100. ~b:0.001 ~c:1. ~d:0.5
+
+(* 4 tasks of alpha, at most 32 nodes each *)
+let reopt ?allowed ~n_total incumbent =
+  Hslb.Alloc_model.reoptimality ~eps:0.05 ~n_total ~incumbent
+    [ spec_of_law ?allowed ~n_max:32 ~name:"alpha" ~count:4 alpha_law ]
+
+let test_reopt_keeps_optimal () =
+  (* 4 tasks of 8 nodes on 32 is the exact optimum: gap 0 *)
+  match reopt ~n_total:32 [| 8 |] with
+  | None -> Alcotest.fail "optimal incumbent found inadmissible"
+  | Some r ->
+    Alcotest.(check bool) "kept" true r.keep;
+    Alcotest.(check (float 0.)) "gap" 0. r.gap_rel;
+    Alcotest.(check (float 1e-9)) "incumbent makespan" 13.008 r.incumbent_makespan;
+    Alcotest.(check (array int)) "the optimum" [| 8 |] r.optimum.nodes_per_task
+
+let test_reopt_rejects_stale () =
+  (* 4 nodes per task nearly doubles the makespan *)
+  match reopt ~n_total:32 [| 4 |] with
+  | None -> Alcotest.fail "stale incumbent found inadmissible"
+  | Some r ->
+    Alcotest.(check bool) "not kept" false r.keep;
+    Alcotest.(check bool) "gap well above eps" true (r.gap_rel > 0.9);
+    Alcotest.(check (float 1e-9)) "incumbent makespan" 25.504 r.incumbent_makespan;
+    Alcotest.(check (float 1e-9)) "the optimum's makespan" 13.008
+      r.optimum.predicted_makespan
+
+(* the continuous relaxation bound stays below the exact optimum on a
+   two-class instance *)
+let test_relaxation_below_exact () =
+  let beta_law = Scaling_law.make ~a:50. ~b:0.002 ~c:0.9 ~d:0.2 in
+  let specs =
+    [
+      spec_of_law ~n_max:32 ~name:"alpha" ~count:4 alpha_law;
+      spec_of_law ~n_max:32 ~name:"beta" ~count:2 beta_law;
+    ]
+  in
+  let bound = Alloc_oracle.relaxation_bound ~n_total:48 specs in
+  let opt = (solve_ok ~n_total:48 specs).predicted_makespan in
+  Alcotest.(check bool) (Printf.sprintf "bound %.6f <= exact %.6f" bound opt) true (bound <= opt)
+
+let test_reopt_inadmissible () =
+  let none msg r = Alcotest.(check bool) msg true (Option.is_none r) in
+  none "outside the box" (reopt ~n_total:200 [| 40 |]);
+  none "over budget" (reopt ~n_total:32 [| 16 |]);
+  none "not a sweet spot" (reopt ~allowed:[ 2; 4; 16 ] ~n_total:64 [| 8 |]);
+  none "wrong length" (reopt ~n_total:32 [| 8; 8 |])
+
+let test_reopt_messages () =
+  Alcotest.check_raises "no classes" (Invalid_argument "Alloc_model.reoptimality: no classes")
+    (fun () ->
+      ignore (Hslb.Alloc_model.reoptimality ~eps:0.05 ~n_total:8 ~incumbent:[||] []));
+  (* an admissible incumbent is priced by the exact solve, which keeps
+     its own refusals *)
+  Alcotest.check_raises "budget past 2^53"
+    (Invalid_argument "Alloc_model.solve: solver exact needs n_total <= 2^53") (fun () ->
+      ignore (reopt ~n_total:(1 lsl 60) [| 8 |]))
+
+(* a relaxation never undercuts the exact optimum, so every incumbent
+   the relaxation bound kept within eps, the optimum keeps too; and an
+   optimum is kept as its own incumbent, at gap 0 *)
+let prop_relaxation_below_exact ~name ~count ~budgets =
+  QCheck.Test.make ~name ~count
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let n_total, specs = random_instance ~budgets (Numerics.Rng.create seed) in
+      match Hslb.Alloc_model.solve ~n_total specs with
+      | Error _ -> true
+      | Ok a -> (
+        let bound = Alloc_oracle.relaxation_bound ~n_total specs in
+        if bound > a.predicted_makespan *. (1. +. 1e-9) then
+          QCheck.Test.fail_reportf "seed %d: bound %.17g above exact %.17g" seed bound
+            a.predicted_makespan
+        else
+          match
+            Hslb.Alloc_model.reoptimality ~eps:0. ~n_total ~incumbent:a.nodes_per_task specs
+          with
+          | Some r when r.keep && r.gap_rel = 0. -> true
+          | Some r -> QCheck.Test.fail_reportf "seed %d: optimum at gap %.17g" seed r.gap_rel
+          | None -> QCheck.Test.fail_reportf "seed %d: optimum found inadmissible" seed))
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -661,6 +745,10 @@ let () =
           ~budgets:252;
         prop_ladders_match_oracles ~name:"ladders = oracles, budgets to 5003" ~count:100
           ~budgets:5000;
+        prop_relaxation_below_exact ~name:"relaxation bound <= exact optimum" ~count:300
+          ~budgets:252;
+        prop_relaxation_below_exact ~name:"relaxation bound <= exact, budgets to 5003"
+          ~count:100 ~budgets:5000;
       ]
   in
   Alcotest.run "hslb"
@@ -699,6 +787,14 @@ let () =
           Alcotest.test_case "no admissible allocation is infeasible" `Quick
             test_no_admissible_allocation;
           Alcotest.test_case "exact leftover rule" `Quick test_exact_leftover_rule;
+        ] );
+      ( "sensitivity",
+        [
+          Alcotest.test_case "certifies optimal incumbent" `Quick test_reopt_keeps_optimal;
+          Alcotest.test_case "rejects stale incumbent" `Quick test_reopt_rejects_stale;
+          Alcotest.test_case "bound below minlp" `Quick test_relaxation_below_exact;
+          Alcotest.test_case "rejects infeasible incumbent" `Quick test_reopt_inadmissible;
+          Alcotest.test_case "validation messages" `Quick test_reopt_messages;
         ] );
       ( "fmo_app",
         [

@@ -619,38 +619,48 @@ let stat_counter h key =
     | Some n -> n
     | None -> Alcotest.failf "stats missing %s" key)
 
+(* incumbents already optimal are kept and answered as they are, at gap
+   0 with the exact optimum as their bound: 4 tasks of 8 nodes on 32,
+   and 3 tasks of 100/n at 10 nodes each on 32 (the two leftover nodes
+   cannot all go to a task of 3), which is 6.7% above the continuous
+   relaxation's 9.375 *)
 let test_serve_resolve_unchanged () =
-  (* 4 tasks of 8 nodes on 32 is already optimal: the ε-certificate
-     must answer without entering the solver *)
+  let cases = [ (single_model, 8, 13.008); ("alpha,3,100,0,1,0", 10, 10.) ] in
   let h = make_harness ~jobs:1 () in
-  Serve.Server.submit h.server (resolve_line ~id:1 ~model:single_model ~prev:"[8]" ());
+  List.iteri
+    (fun i (model, n, _) ->
+      Serve.Server.submit h.server
+        (resolve_line ~id:(i + 1) ~model ~prev:(Printf.sprintf "[%d]" n) ()))
+    cases;
   ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
-  (match find_by_id h 1 with
-  | None -> Alcotest.fail "resolve unanswered"
-  | Some r ->
-    Alcotest.(check string) "ok" "ok" (outcome_of r);
-    Alcotest.(check (option string)) "unchanged" (Some "unchanged")
-      (Option.bind (Serve.Json.member "resolve" r) Serve.Json.str);
-    Alcotest.(check bool) "response is v2" true
-      (Serve.Json.member "v" r = Some (Serve.Json.Num 2.));
-    Alcotest.(check bool) "incumbent allocation echoed" true
-      (Serve.Json.member "nodes_per_task" r
-      = Some (Serve.Json.Arr [ Serve.Json.Num 8. ]));
-    (match Serve.Json.member "certificate" r with
-    | Some cert -> (
-      match
-        ( Option.bind (Serve.Json.member "gap_rel" cert) Serve.Json.num,
-          Option.bind (Serve.Json.member "eps" cert) Serve.Json.num )
-      with
-      | Some gap, Some eps -> Alcotest.(check bool) "gap within eps" true (gap <= eps)
-      | _ -> Alcotest.fail "certificate missing gap_rel/eps")
-    | None -> Alcotest.fail "unchanged reply carries no certificate"));
-  Alcotest.(check int) "resolve_skipped counted" 1 (stat_counter h "resolve_skipped");
+  List.iteri
+    (fun i (model, n, opt) ->
+      match find_by_id h (i + 1) with
+      | None -> Alcotest.failf "resolve of %s unanswered" model
+      | Some r ->
+        Alcotest.(check string) "ok" "ok" (outcome_of r);
+        Alcotest.(check (option string)) "unchanged" (Some "unchanged")
+          (Option.bind (Serve.Json.member "resolve" r) Serve.Json.str);
+        Alcotest.(check bool) "response is v2" true
+          (Serve.Json.member "v" r = Some (Serve.Json.Num 2.));
+        Alcotest.(check bool) "incumbent allocation echoed" true
+          (Serve.Json.member "nodes_per_task" r
+          = Some (Serve.Json.Arr [ Serve.Json.Num (float_of_int n) ]));
+        let cert k =
+          Option.bind (Serve.Json.member "certificate" r) (fun c ->
+              Option.bind (Serve.Json.member k c) Serve.Json.num)
+        in
+        Alcotest.(check (option (float 0.))) "gap_rel" (Some 0.) (cert "gap_rel");
+        Alcotest.(check (option (float 1e-9))) "bound is the optimum" (Some opt) (cert "bound");
+        Alcotest.(check (option (float 0.))) "eps" (Some 0.05) (cert "eps"))
+    cases;
+  Alcotest.(check int) "resolve_skipped counted" 2 (stat_counter h "resolve_skipped");
   Alcotest.(check int) "no genuine re-solve" 0 (stat_counter h "resolved")
 
 let test_serve_resolve_resolved () =
-  (* observations of a 2x slower law: the certificate must fail and a
-     genuine (warm-started) re-solve run under the updated fit *)
+  (* observations of a 2x slower law: the incumbent falls more than
+     eps behind the updated optimum and a genuine (warm-started)
+     re-solve runs under the updated fit *)
   let h = make_harness ~jobs:1 () in
   Serve.Server.submit h.server
     (resolve_line ~id:1 ~model:single_model ~prev:"[4]"
@@ -1092,10 +1102,11 @@ let test_serve_non_finite_inputs () =
           (Option.bind (Serve.Json.member "error" v) Serve.Json.str))
     cases
 
-(* the wire takes up to a billion "nodes", and no objective walks a
-   size range: a billion-node solve is answered within milliseconds,
-   and the same solve allocates a few MB at most. Max-min and min-sum
-   run on a b = 0 model, whose curves fall all the way to the budget. *)
+(* the wire takes up to a billion "nodes" (Json.int_limit, the cap on
+   every integer field), and no objective walks a size range: a
+   billion-node solve is answered within milliseconds, and the same
+   solve allocates a few MB at most. Max-min and min-sum run on a b = 0
+   model, whose curves fall all the way to the budget. *)
 let test_serve_huge_budget () =
   let flat_csv = "alpha,4,100,0,1,0.5\nbeta,2,50,0,1,0.2" in
   let cases =
@@ -1148,6 +1159,58 @@ let test_serve_huge_budget () =
       if mb > 16. then Alcotest.failf "billion-node %s solve allocated %.1f MB" name mb)
     cases
 
+(* inputs past the wire's caps are refused where they are parsed, each
+   with an exact diagnostic, and the server goes on to answer the ping
+   behind them. An integral "nodes" past the integer cap is told the
+   cap (a non-integer keeps the type diagnostic). A place section is
+   refused before any torus is built: x·y·z overflowing to 0, an array
+   too large to allocate, a torus needing tens of GB, and a group count
+   past 1,024. *)
+let test_serve_input_caps () =
+  let nodes n id = Printf.sprintf {|{"id":%d,"model_csv":"a,1,1,0,1,0","nodes":%s}|} id n in
+  let place topology groups id =
+    solve_line ~id
+      ~extra:
+        (Printf.sprintf
+           {|,"v":2,"place":{"topology":%s,"groups":%d,"mem_per_node_gb":1.0,"mem_gb":[0.6,0.5],"comm_mb":[[0,3.5],[3.5,0]]}|}
+           topology groups)
+      ()
+  in
+  let torus_error dims =
+    Printf.sprintf {|field "place.topology": must have at most 262144 nodes, got %s|} dims
+  in
+  let cases =
+    [
+      (nodes "10000000000", {|field "nodes": must be <= 1000000000, got 10000000000|});
+      (nodes "9007199254740992", {|field "nodes": must be <= 1000000000, got 9007199254740992|});
+      ( nodes "1000000000000000000",
+        {|field "nodes": must be <= 1000000000, got 1000000000000000000|} );
+      (nodes "1.5", {|field "nodes": expected a positive integer|});
+      (place "[2097152,2097152,2097152]" 4, torus_error "2097152x2097152x2097152");
+      ( place "[1000000000,1000000000,1000000000]" 4,
+        torus_error "1000000000x1000000000x1000000000" );
+      (place "[1000,1000,1000]" 4, torus_error "1000x1000x1000");
+      (place "[64,64,64]" 2048, {|field "place.groups": must be <= 1024, got 2048|});
+    ]
+  in
+  let h = make_harness ~jobs:1 () in
+  List.iteri (fun i (line, _) -> Serve.Server.submit h.server (line (i + 1))) cases;
+  Serve.Server.submit h.server {|{"id":99,"op":"ping"}|};
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  List.iteri
+    (fun i (_, msg) ->
+      match find_by_id h (i + 1) with
+      | None -> Alcotest.failf "request %d unanswered" (i + 1)
+      | Some v ->
+        Alcotest.(check string) (Printf.sprintf "id %d outcome" (i + 1)) "error" (outcome_of v);
+        Alcotest.(check (option string)) msg (Some msg)
+          (Option.bind (Serve.Json.member "error" v) Serve.Json.str))
+    cases;
+  match find_by_id h 99 with
+  | Some v ->
+    Alcotest.(check bool) "pong" true (Serve.Json.member "pong" v = Some (Serve.Json.Bool true))
+  | None -> Alcotest.fail "ping behind the refused inputs unanswered"
+
 let () =
   Alcotest.run "serve"
     [
@@ -1192,5 +1255,6 @@ let () =
             test_serve_no_admissible_allocation;
           Alcotest.test_case "non-finite inputs" `Quick test_serve_non_finite_inputs;
           Alcotest.test_case "billion-node budget" `Quick test_serve_huge_budget;
+          Alcotest.test_case "input caps" `Quick test_serve_input_caps;
         ] );
     ]
