@@ -56,7 +56,7 @@ let solver_report problem choice =
   let tally = Engine.Telemetry.create () in
   let budget = Engine.Budget.arm Engine.Budget.unlimited in
   let sol, certificate = Minlp.Solver.run ~budget ~tally choice problem in
-  let verdict = Cli_common.audit_minlp problem (Some certificate) in
+  let verdict = Cli_common.audit_with (Audit.check_minlp problem) (Some certificate) in
   let report =
     Engine.Run_report.make
       ~solver:(Engine.Solver_choice.to_string choice)

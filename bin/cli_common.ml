@@ -124,17 +124,24 @@ let arm_budget deadline_ms max_nodes =
 (* ---------- auditing ---------- *)
 
 (* one verdict format everywhere: `Ok line` to print, `Error line` to
-   print before exiting non-zero *)
-let audit_minlp problem (cert : Engine.Certificate.t option) =
+   print before exiting non-zero. [check] is the auditor's check for
+   the certificate's space. *)
+let audit_with check (cert : Engine.Certificate.t option) =
   match cert with
   | None -> Error "audit: no certificate emitted"
   | Some cert -> (
-    match Audit.check_minlp problem cert with
+    let producer = cert.Engine.Certificate.producer in
+    match check cert with
+    | Ok () when Audit.optimality_checked cert ->
+      Ok
+        (Printf.sprintf "audit: certificate verified (%s, %s)" producer
+           (Engine.Certificate.evidence_to_string cert.Engine.Certificate.evidence))
     | Ok () ->
       Ok
-        (Printf.sprintf "audit: certificate verified (%s, %s)"
-           cert.Engine.Certificate.producer
-           (Engine.Certificate.evidence_to_string cert.Engine.Certificate.evidence))
+        (Printf.sprintf
+           "audit: exact-method certificate (%s): witness and objective verified, optimality \
+            not re-checked"
+           producer)
     | Error _ as verdict ->
       Error (Printf.sprintf "audit: certificate REJECTED: %s" (Audit.summary verdict)))
 

@@ -173,10 +173,8 @@ let solve_cmd =
       | Ok alloc -> alloc.Hslb.Alloc_model.status
       | Error st -> st
     in
-    (* independent re-verification of the certificate the solve carried.
-       The exact customized paths (bisection, greedy) certify in the
-       nodes-per-class space, so only the Min_max MINLP path has a raw
-       model to re-check against. *)
+    (* independent re-verification of the certificate the solve
+       carried, from the specs it was solved for *)
     let audit_verdict =
       if not audit then None
       else
@@ -184,21 +182,10 @@ let solve_cmd =
           (match result with
           | Error st ->
             Error ("audit: nothing to audit: " ^ Minlp.Solution.status_to_string st)
-          | Ok alloc -> (
-            match objective with
-            | Hslb.Objective.Min_max ->
-              let problem, _, _ =
-                Hslb.Alloc_model.build_minlp ~objective ~n_total:nodes specs
-              in
-              Cli_common.audit_minlp problem alloc.Hslb.Alloc_model.certificate
-            | Hslb.Objective.Max_min | Hslb.Objective.Min_sum -> (
-              match alloc.Hslb.Alloc_model.certificate with
-              | Some c ->
-                Ok
-                  (Printf.sprintf
-                     "audit: exact-method certificate (%s) — no MINLP to re-check"
-                     c.Engine.Certificate.producer)
-              | None -> Error "audit: no certificate emitted")))
+          | Ok alloc ->
+            Cli_common.audit_with
+              (Audit.check_allocation ~objective ~n_total:nodes specs)
+              alloc.Hslb.Alloc_model.certificate)
     in
     (match report with
     | None -> ()
@@ -444,7 +431,8 @@ let minlp_cmd =
     in
     let wall_s = Engine.Budget.elapsed_s budget in
     let audit_verdict =
-      if audit then Some (Cli_common.audit_minlp p (Some certificate)) else None
+      if audit then Some (Cli_common.audit_with (Audit.check_minlp p) (Some certificate))
+      else None
     in
     (match report with
     | None -> ()

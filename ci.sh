@@ -20,7 +20,10 @@
 # assert exactly-once on the live process: the terminal drained event
 # must report as many requests served as it accepted. A max-min and a
 # min-sum request for a billion nodes must then both answer ok within
-# 10 s: no objective's solve grows with the node budget.
+# 10 s, each with its exact-method audit verdict: no objective's solve
+# or audit grows with the node budget. `hslb solve --audit` on the
+# 6-class example must print the exact default's verified threshold
+# witness, and max-min's and min-sum's exact-method lines.
 #
 # The observability stage then produces both exporter artifacts for
 # real — a Prometheus exposition from a serve run under --metrics-out
@@ -109,6 +112,36 @@ grep -q 'solver exact solves separable min-max allocations only' \
   echo "minlp: --solver exact did not print the refusal" >&2
   exit 1
 }
+
+echo "== solve --audit: the exact default's threshold witness =="
+# the auditor re-derives the witness from the model's specs; the line
+# names the sides it checked
+"$SERVE_BIN" solve examples/models/e6_classes.csv -n 256 --audit \
+  > "$SMOKE_DIR/solve_audit.out" || {
+  echo "solve --audit: exited non-zero" >&2
+  exit 1
+}
+grep -qx 'audit: certificate verified (exact, threshold (6, 13, 19, 24, 27, 30))' \
+  "$SMOKE_DIR/solve_audit.out" || {
+  echo "solve --audit: no verified threshold line" >&2
+  exit 1
+}
+# max-min and min-sum pass on their witness and objective; their
+# optimality rests on the method
+for pair in max-min:hslb.bisection min-sum:hslb.greedy; do
+  objective=${pair%%:*}
+  producer=${pair#*:}
+  "$SERVE_BIN" solve examples/models/e6_classes.csv -n 256 --objective "$objective" \
+    --audit > "$SMOKE_DIR/solve_audit_$objective.out" || {
+    echo "solve --audit --objective $objective: exited non-zero" >&2
+    exit 1
+  }
+  grep -qx "audit: exact-method certificate ($producer): witness and objective verified, optimality not re-checked" \
+    "$SMOKE_DIR/solve_audit_$objective.out" || {
+    echo "solve --audit --objective $objective: no exact-method line" >&2
+    exit 1
+  }
+done
 
 echo "== serve smoke: scripted trace (overload + expiry + drain) =="
 
@@ -202,6 +235,18 @@ for id in 1 2; do
     exit 1
   }
 done
+# both answers are audited from their specs (admissible sizes, budget,
+# claimed objective) without walking a billion sizes
+grep '"id":1,' "$SMOKE_DIR/billion.out" \
+  | grep -q '"audit":"exact-method (hslb.bisection)"' || {
+  echo "serve smoke: billion-node max-min not audited \"exact-method (hslb.bisection)\"" >&2
+  exit 1
+}
+grep '"id":2,' "$SMOKE_DIR/billion.out" \
+  | grep -q '"audit":"exact-method (hslb.greedy)"' || {
+  echo "serve smoke: billion-node min-sum not audited \"exact-method (hslb.greedy)\"" >&2
+  exit 1
+}
 
 echo "== observability: serve --metrics-out + bench --trace artifacts =="
 # a short serve run flushing metrics fast enough that the periodic

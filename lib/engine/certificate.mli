@@ -5,8 +5,9 @@
     it claims for it, the best relaxation bound it proved, and — for
     proven-[Optimal] claims — the gap evidence. The certificate is pure
     data: it never references solver internals, so an independent
-    checker ([Audit.check] in lib/audit) can re-verify the claim from
-    the raw model alone. Certificates ride in {!Run_report} and are what
+    checker ([Audit.check_minlp] and [Audit.check_allocation] in
+    lib/audit) can re-verify the claim from the raw model or the
+    allocation's specs alone. Certificates ride in {!Run_report} and are what
     [hslb serve] and [--audit] re-verify before an answer is trusted.
 
     All objective-like fields are in the {e problem's own sense} except
@@ -19,11 +20,11 @@
 type cover = { explored : int; pruned : int; open_branches : int }
 
 (** One class's part of a threshold witness for a separable min-max
-    model at the claimed optimum [T*] (sizes are values of the class's
-    size variable). *)
+    allocation at the claimed optimum [T*]; sizes are in nodes per
+    task. *)
 type side =
   | Below of int
-      (** the least admissible size whose time row is negative at [T*] *)
+      (** the least admissible size whose time is under [T*] *)
   | Floor of int
       (** no admissible size is: this one minimizes the class's time,
           which is [T*] or more *)
@@ -34,21 +35,22 @@ type evidence =
       (** the branch-and-bound cover was fully explored
           ([open_branches] must be 0 for the claim to stand) *)
   | Threshold of side array
-      (** one side per time row of a min-max model, in row order: no
-          allocation beats [T*] because some class has a [Floor], or
-          because every class at its [Below] size overflows the budget
-          row (docs/AUDIT.md) *)
+      (** one side per class of a min-max allocation, in class order,
+          with the witness in nodes per task: no allocation beats [T*]
+          because some class has a [Floor], or because every class at
+          its [Below] size overflows the node budget (docs/AUDIT.md) *)
   | Exact_method of string
-      (** a customized exact path (greedy marginal allocation,
-          bisection) whose optimality is structural; it names nothing
-          a model can re-check *)
+      (** a customized path (greedy marginal allocation, bisection):
+          its witness and objective are checked, its optimality claim
+          names nothing a checker can re-check *)
   | Incumbent_only  (** no optimality claim: best point found so far *)
   | No_witness  (** no usable point (infeasible / nothing found) *)
 
 type t = {
   producer : string;  (** solver name, e.g. "oa" or "hslb.bisection" *)
   claimed_status : Status.t;
-  witness : float array option;  (** incumbent in the original variable space *)
+  witness : float array option;
+      (** incumbent in the model's original variables, or nodes per task *)
   claimed_obj : float;  (** objective the producer claims at the witness *)
   claimed_bound : float;  (** best proven relaxation bound, min-sense *)
   minimize : bool;

@@ -399,7 +399,8 @@ let max_min ~n_total ls specs =
             (Engine.Certificate.make ~producer:"hslb.bisection"
                ~claimed_status:Minlp.Solution.Optimal
                ~witness:(Array.map float_of_int nodes)
-               ~claimed_obj:predicted_makespan ~minimize:false
+               ~claimed_obj:(Array.fold_left Float.min infinity predicted_times)
+               ~minimize:false
                ~evidence:
                  (Engine.Certificate.Exact_method
                     "bisection over monotone per-class time curves")
@@ -409,15 +410,15 @@ let max_min ~n_total ls specs =
 
 (* --- Min_sum: greedy marginal allocation --- *)
 
-(* Min_sum is a separable convex resource-allocation problem, solvable
-   exactly by greedy marginal allocation (Ibaraki & Katoh — the paper's
-   reference [11] for customized polynomial-time solvers): from the
-   smallest sizes, repeatedly give the class with the best total-time
-   decrease per node spent its next step. Greedy is optimal because
-   each class cost is convex in its (integer) node count; convexity
-   also makes that gain fall along each ladder, so the greedy is the
-   walk keyed by [gain], down to each class's bottom. No step leaves
-   the last size. *)
+(* Min_sum by greedy marginal allocation (Ibaraki & Katoh — the
+   paper's reference [11] for customized polynomial-time solvers): from
+   the smallest sizes, repeatedly give the class with the best
+   total-time decrease per node spent its next step. Each class cost is
+   convex in its node count, so that gain falls along each ladder, and
+   the greedy is the walk keyed by [gain], down to each class's bottom.
+   It is exact when every step costs one node (count 1, no sweet
+   spots); steps of several nodes make the budget a knapsack, where it
+   can stop above the optimum. No step leaves the last size. *)
 let gain l i =
   if i = l.last then 0.
   else
@@ -453,35 +454,21 @@ let min_sum ~n_total ls specs =
 (* --- Min_max: exact threshold search --- *)
 
 (* The certificate's tolerance: the witness proves no allocation
-   finishes before T* (1 - 1e-9) or so, which absorbs the last-bit
-   differences between the fitted law and the model row evaluating it *)
+   finishes before T* (1 - 1e-9) or so, a margin that keeps the proof
+   clear of the rounding in time - T* *)
 let threshold_tol = 1e-9
 
-(* The optimality witness, computed on the rows of the MINLP the
-   auditor rebuilds and in its arithmetic (docs/AUDIT.md): for each
-   time row, the least admissible size beating T* (reading below
-   -eta), or, when none does, the size minimizing the row. *)
-let threshold_sides (problem : Minlp.Problem.t) n_vars ls t_star =
-  let t = match problem.objective with Minlp.Expr.Var t -> t | _ -> assert false in
-  let rows =
-    Array.of_list
-      (List.filter
-         (fun (c : Minlp.Problem.constr) -> List.mem t (Minlp.Expr.vars c.expr))
-         problem.constraints)
-  in
+(* The optimality witness (docs/AUDIT.md), in the arithmetic the
+   auditor re-derives it in, Scaling_law.eval_int: for each class, the
+   least admissible size whose time is under T* by more than eta, or,
+   when none is, its bottom, the least size minimizing its time. *)
+let threshold_sides ls t_star =
   let eta = threshold_tol *. (1. +. Float.abs t_star) in
-  let pt = Array.make problem.num_vars 0. in
-  Array.mapi
-    (fun c (l : ladder) ->
-      let row i =
-        pt.(n_vars.(c)) <- float_of_int (l.size i);
-        pt.(t) <- t_star;
-        Minlp.Expr.eval rows.(c).expr pt -. rows.(c).rhs
-      in
-      let m = first_true 0 l.last (fun i -> i = l.last || row (i + 1) >= row i) in
-      if row m < -.eta then
-        Engine.Certificate.Below (l.size (first_true 0 m (fun i -> row i < -.eta)))
-      else Engine.Certificate.Floor (l.size m))
+  Array.map
+    (fun l ->
+      let beats i = l.time i -. t_star < -.eta in
+      if beats l.bottom then Engine.Certificate.Below (l.size (first_true 0 l.bottom beats))
+      else Engine.Certificate.Floor (l.size l.bottom))
     ls
 
 (* The walk keyed by time, down to each class's bottom, steps the
@@ -504,10 +491,8 @@ let exact_solve ~n_total ls specs =
              spec.fc.Classes.cls.Classes.name))
     specs;
   let nodes = descend ~n_total ~key:(fun l -> l.time) ~stop:(bottoms ls) ls in
-  let problem, n_vars, lift = build_minlp ~objective:Objective.Min_max ~n_total specs in
-  let x = lift nodes in
   let predicted_makespan, predicted_times = predicted_of specs nodes in
-  let sides = threshold_sides problem n_vars ls predicted_makespan in
+  let sides = threshold_sides ls predicted_makespan in
   (* some class has a floor, or the below sizes overflow the budget *)
   let rec proven c used =
     c < Array.length sides
@@ -528,7 +513,8 @@ let exact_solve ~n_total ls specs =
       Some
         (Engine.Certificate.make
            ~producer:(Engine.Solver_choice.to_string Engine.Solver_choice.Exact)
-           ~claimed_status:Minlp.Solution.Optimal ~witness:x
+           ~claimed_status:Minlp.Solution.Optimal
+           ~witness:(Array.map float_of_int nodes)
            ~claimed_obj:predicted_makespan ~claimed_bound:predicted_makespan
            ~tol:threshold_tol ~evidence:(Engine.Certificate.Threshold sides) ());
   }

@@ -12,16 +12,18 @@
     [Min_max] is separable: its optimum is the least time T at which
     every class's smallest admissible size meeting T fits the budget.
     The default solver ([Exact]) finds it by threshold search and
-    certifies it with a witness the auditor re-checks; the model is
-    also a convex MINLP that {!Minlp.Oa} (or {!Minlp.Bnb}) solves, and
-    OA stays the paper's method and the differential oracle.
-    [Max_min] is nonconvex in epigraph form, so it is solved by the
-    customized bisection its structure admits (the time curves are
-    decreasing in [n] up to their minimum). [Min_sum] is a separable
-    convex resource-allocation problem and is solved exactly by greedy
-    marginal allocation — the customized polynomial-time route the paper
-    cites (Ibaraki & Katoh); its MINLP form remains available through
-    {!build_minlp} for the solver benchmarks. *)
+    certifies it with a witness the auditor re-checks from the specs;
+    the model is also a convex MINLP that {!Minlp.Oa} (or {!Minlp.Bnb})
+    solves, and OA stays the paper's method and the differential
+    oracle. [Max_min] is nonconvex in epigraph form, so it is answered
+    by the customized bisection its structure admits (the time curves
+    are decreasing in [n] up to their minimum). [Min_sum] is answered
+    by greedy marginal allocation, the customized polynomial-time route
+    the paper cites (Ibaraki & Katoh). That greedy is exact when every
+    class has count 1 and no sweet spots; with larger counts or sweet
+    spots it can stop above the optimum (ROADMAP.md), though it still
+    stamps [Optimal]. The min-sum MINLP remains available through
+    {!build_minlp}. *)
 
 type spec = {
   fc : Classes.fitted;
@@ -43,11 +45,12 @@ type allocation = {
           bisection and greedy paths *)
   stats : Minlp.Solution.stats;  (** zero for those paths *)
   certificate : Engine.Certificate.t option;
-      (** machine-checkable claim backing [status]: for [Min_max]
-          ([Audit.check_minlp]-verifiable against {!build_minlp}'s
-          problem) a threshold witness or the MINLP solver's own,
-          [Exact_method] for the bisection/greedy paths, [None] only
-          for cache hits stored by older versions *)
+      (** machine-checkable claim backing [status], which
+          [Audit.check_allocation] re-checks from the specs: a MINLP
+          solver's own, in {!build_minlp}'s variables; otherwise a
+          witness in nodes per task, with [Threshold] evidence for
+          [Exact] and [Exact_method] for the bisection/greedy paths.
+          [None] only for cache hits stored by older versions *)
 }
 
 (** [restrict_to_values b ~var values] — restrict an integer variable
@@ -111,8 +114,9 @@ val default_solver : Engine.Solver_choice.t
     (lowest index among ties) while it fits. It raises
     [Invalid_argument] on a law outside the convex family
     ({!Scaling_law.is_convex}) or on [n_total > 2^53]. Its certificate
-    carries the allocation lifted into {!build_minlp}'s variables and
-    [Threshold] evidence ([Audit.check_minlp] re-checks both). [Oa],
+    carries the allocation in nodes per task and [Threshold] evidence
+    computed with {!Scaling_law.eval_int} ([Audit.check_allocation]
+    re-checks both from the specs); no MINLP is built. [Oa],
     [Bnb] and [Oa_multi] run the MINLP ({!Minlp.Solver.run} at
     {!Minlp.Solver.model_rel_gap}). [Max_min]/[Min_sum] always use
     their exact customized paths, under every [solver]. [Max_min]
@@ -121,9 +125,13 @@ val default_solver : Engine.Solver_choice.t
     time t* at which the classes' largest sizes still taking t* or
     longer cover the budget together; it then gives the slowest class
     (lowest index among ties) one admissible step at a time, up to that
-    size, while it fits. [Min_sum] gives the class whose next admissible
-    step lowers its total time most per node (lowest index among ties)
-    that step, while it lowers and fits.
+    size, while it fits; its certificate claims the fastest class's
+    time. [Min_sum] gives the class whose next admissible step lowers
+    its total time most per node (lowest index among ties) that step,
+    while it lowers and fits; its certificate claims the count-weighted
+    total. Both carry [Exact_method] evidence, which proves no
+    optimality: neither answer is checked for it, and the greedy's is
+    not always optimal (see the header).
 
     The three customized paths ([Exact], [Max_min], [Min_sum]) check
     the budget once, on entry — a cancelled token or a spent deadline

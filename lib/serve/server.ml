@@ -181,28 +181,24 @@ let fail t ~op rq ~outcome msg tele = finish t ~op rq ~outcome [ ("error", Json.
 
 (* ---------- the certified envelope ---------- *)
 
-(* same verdict the CLI's --audit prints: Min_max allocations carry a
-   MINLP certificate re-checkable against the rebuilt model; the exact
-   customized paths certify in the nodes-per-class space, so there is
-   no raw model to re-check *)
+(* the independent auditor's verdict on an allocation, from the
+   request's own specs: "verified (producer)", "exact-method
+   (producer)" when the pass left optimality unchecked
+   ([Audit.optimality_checked]), or "REJECTED: ..." *)
 let audit_verdict (p : Protocol.solve_params) specs
     (alloc : Hslb.Alloc_model.allocation) =
   match alloc.Hslb.Alloc_model.certificate with
   | None -> "no certificate emitted"
   | Some cert -> (
-    match p.Protocol.objective with
-    | Hslb.Objective.Min_max -> (
-      let problem, _, _ =
-        Hslb.Alloc_model.build_minlp ~objective:p.Protocol.objective
-          ~n_total:p.Protocol.n_total specs
-      in
-      match Audit.check_minlp problem cert with
-      | Ok () ->
-        Printf.sprintf "verified (%s)" cert.Engine.Certificate.producer
-      | Error _ as verdict ->
-        Printf.sprintf "REJECTED: %s" (Audit.summary verdict))
-    | Hslb.Objective.Max_min | Hslb.Objective.Min_sum ->
-      Printf.sprintf "exact-method (%s)" cert.Engine.Certificate.producer)
+    match
+      Audit.check_allocation ~objective:p.Protocol.objective ~n_total:p.Protocol.n_total
+        specs cert
+    with
+    | Error _ as verdict -> Printf.sprintf "REJECTED: %s" (Audit.summary verdict)
+    | Ok () ->
+      Printf.sprintf "%s (%s)"
+        (if Audit.optimality_checked cert then "verified" else "exact-method")
+        cert.Engine.Certificate.producer)
 
 (* the policy annotation on an ok response: the scenario class the
    client declared, and the scheduler the arena's regret matrix crowned

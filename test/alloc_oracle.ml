@@ -1,9 +1,11 @@
 (* Oracles for test_hslb's properties. The max-min bisection and
    min-sum greedy that Hslb.Alloc_model ran before both moved onto its
-   ladder walk, kept verbatim: they enumerate every size and give one
-   step per loop turn, so they are only fit for small budgets. And the
-   continuous min-max relaxation bound, a lower bound on every
-   allocation's makespan that no exact optimum may undercut. *)
+   ladder walk, kept verbatim but for their certificates, which no
+   property reads: they enumerate every size and give one step per loop
+   turn, so they are only fit for small budgets. The exact min-sum
+   optimum, by dynamic programming over the budget, for small budgets
+   too. And the continuous min-max relaxation bound, a lower bound on
+   every allocation's makespan that no exact optimum may undercut. *)
 open Hslb
 open Alloc_model
 
@@ -140,16 +142,7 @@ let max_min_solve ~n_total specs =
       predicted_times;
       status = Minlp.Solution.Optimal;
       stats = Minlp.Solution.empty_stats;
-      certificate =
-        Some
-          (Engine.Certificate.make ~producer:"hslb.bisection"
-             ~claimed_status:Minlp.Solution.Optimal
-             ~witness:(Array.map float_of_int nodes)
-             ~claimed_obj:predicted_makespan ~minimize:false
-             ~evidence:
-               (Engine.Certificate.Exact_method
-                  "bisection over monotone per-class time curves")
-             ());
+      certificate = None;
     }
   end
 
@@ -207,27 +200,13 @@ let min_sum_greedy ~n_total ~start specs =
     end
   done;
   let predicted_makespan, predicted_times = predicted_of specs nodes in
-  let total_time = ref 0. in
-  Array.iteri
-    (fun i n -> total_time := !total_time +. (float_of_int counts.(i) *. time i n))
-    nodes;
   {
     nodes_per_task = nodes;
     predicted_makespan;
     predicted_times;
     status = Minlp.Solution.Optimal;
     stats = Minlp.Solution.empty_stats;
-    certificate =
-      Some
-        (Engine.Certificate.make ~producer:"hslb.greedy"
-           ~claimed_status:Minlp.Solution.Optimal
-           ~witness:(Array.map float_of_int nodes)
-           ~claimed_obj:!total_time ~claimed_bound:!total_time
-           ~evidence:
-             (Engine.Certificate.Exact_method
-                "greedy marginal allocation on a separable convex objective \
-                 (Ibaraki-Katoh)")
-           ());
+    certificate = None;
   }
 
 (* the dispatch Alloc_model.solve ran for the two objectives *)
@@ -237,6 +216,58 @@ let solve ~objective ~n_total specs =
       | Objective.Max_min -> max_min_solve ~n_total specs
       | Objective.Min_sum -> Ok (min_sum_greedy ~n_total ~start specs)
       | Objective.Min_max -> invalid_arg "Alloc_oracle.solve: max-min and min-sum only")
+
+(* --- Min_sum: the exact optimum by dynamic programming --- *)
+
+(* best.(b): the least count-weighted total time of the classes so far
+   on at most b nodes, summed in class order as the greedy sums it.
+   Every class tries each admissible size, so the work is O(k · N ·
+   sizes): small budgets only. Returns that least total over every
+   class and an allocation reaching it, or [None] when none exists. *)
+let min_sum_dp ~n_total specs =
+  let sizes spec =
+    let lo = Stdlib.max 1 spec.n_min and hi = Stdlib.min spec.n_max n_total in
+    match spec.allowed with
+    | Some values -> List.filter (fun v -> v >= lo && v <= hi) values
+    | None -> List.init (Stdlib.max 0 (hi - lo + 1)) (fun i -> lo + i)
+  in
+  let best = ref (Array.make (n_total + 1) 0.) in
+  let choices =
+    List.map
+      (fun spec ->
+        let count = spec.fc.Classes.cls.Classes.count in
+        let time = Scaling_law.eval_int spec.fc.Classes.fit.Fitting.law in
+        let sizes = List.map (fun v -> (v, float_of_int count *. time v)) (sizes spec) in
+        let prev = !best in
+        let next = Array.make (n_total + 1) infinity in
+        let choice = Array.make (n_total + 1) 0 in
+        for b = 0 to n_total do
+          List.iter
+            (fun (v, cost) ->
+              if count * v <= b then
+                let t = prev.(b - (count * v)) +. cost in
+                if t < next.(b) then begin
+                  next.(b) <- t;
+                  choice.(b) <- v
+                end)
+            sizes
+        done;
+        best := next;
+        (count, choice))
+      specs
+  in
+  if Float.is_finite !best.(n_total) then begin
+    (* walk the choices back from the last class *)
+    let nodes = ref [] and b = ref n_total in
+    List.iter
+      (fun (count, choice) ->
+        let v = choice.(!b) in
+        nodes := v :: !nodes;
+        b := !b - (count * v))
+      (List.rev choices);
+    Some (!best.(n_total), Array.of_list !nodes)
+  end
+  else None
 
 (* --- The continuous min-max relaxation bound --- *)
 

@@ -199,22 +199,20 @@ let test_unified_minlp_agree () =
     (fun obj -> Alcotest.(check bool) "solvers agree" true (close (List.hd objs) obj))
     objs
 
-(* ---------- threshold evidence (the exact solver's witness) ---------- *)
+(* ---------- allocations, audited from their specs ---------- *)
 
 let exact_specs = Hslb.Model_store.specs_of_csv "alpha,4,100,0.001,1,0.5\nbeta,2,50,0.001,1,0.2"
 
-(* the exact solve at [n_total], its certificate and the rebuilt model *)
-let exact_cert n_total =
-  match Hslb.Alloc_model.solve ~solver:Engine.Solver_choice.Exact ~n_total exact_specs with
-  | Error st -> Alcotest.failf "exact solve: %s" (Minlp.Solution.status_to_string st)
-  | Ok a ->
-    let problem, _, _ =
-      Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total exact_specs
-    in
-    (a, Option.get a.Hslb.Alloc_model.certificate, problem)
+(* the solve of [specs] at [n_total] and its certificate *)
+let solved_cert ?(objective = Hslb.Objective.Min_max) ?(specs = exact_specs) n_total =
+  match Hslb.Alloc_model.solve ~objective ~n_total specs with
+  | Error st -> Alcotest.failf "solve: %s" (Minlp.Solution.status_to_string st)
+  | Ok a -> (a, Option.get a.Hslb.Alloc_model.certificate)
 
-let check_summary what expected problem cert =
-  Alcotest.(check string) what expected (Audit.summary (Audit.check_minlp problem cert))
+let check_summary ?(objective = Hslb.Objective.Min_max) ?(specs = exact_specs) ~n_total what
+    expected cert =
+  Alcotest.(check string) what expected
+    (Audit.summary (Audit.check_allocation ~objective ~n_total specs cert))
 
 let with_sides (cert : Engine.Certificate.t) f =
   match cert.Engine.Certificate.evidence with
@@ -224,82 +222,100 @@ let with_sides (cert : Engine.Certificate.t) f =
     { cert with Engine.Certificate.evidence = Engine.Certificate.Threshold sides }
   | e -> Alcotest.failf "not threshold evidence: %s" (Engine.Certificate.evidence_to_string e)
 
+let with_witness (cert : Engine.Certificate.t) w =
+  { cert with Engine.Certificate.witness = Some (Array.map float_of_int w) }
+
 (* 32 nodes: alpha 6 (binding, 17.172667) and beta 4 fill the budget;
    alpha first beats T* at 7, beta at 3, and 4*7 + 2*3 > 32 *)
 let test_threshold_corruptions () =
-  let a, cert, problem = exact_cert 32 in
+  let n_total = 32 in
+  let a, cert = solved_cert n_total in
   Alcotest.(check (array int)) "allocation" [| 6; 4 |] a.Hslb.Alloc_model.nodes_per_task;
   Alcotest.(check string) "evidence" "threshold (7, 3)"
     (Engine.Certificate.evidence_to_string cert.Engine.Certificate.evidence);
-  check_summary "pristine" "ok" problem cert;
-  let x = witness cert in
-  (* T* moved with the witness's T, so objective and feasibility agree *)
+  Alcotest.(check (option (array (float 0.)))) "witness in nodes per task"
+    (Some [| 6.; 4. |]) cert.Engine.Certificate.witness;
+  let check = check_summary ~n_total in
+  check "pristine" "ok" cert;
   let t_star f =
-    let x = Array.copy x in
-    x.(0) <- x.(0) *. f;
-    { cert with Engine.Certificate.witness = Some x; claimed_obj = x.(0); claimed_bound = x.(0) }
+    let t = cert.Engine.Certificate.claimed_obj *. f in
+    { cert with Engine.Certificate.claimed_obj = t; claimed_bound = t }
   in
-  check_summary "T* raised"
-    "threshold: row time_alpha already beats T* at size 6, under its below size 7" problem
+  check "T* raised"
+    "claimed objective 17.1744, model evaluates 17.1727; threshold: class alpha already beats \
+     T* at size 6, under its below size 7"
     (t_star (1. +. 1e-4));
-  check_summary "T* lowered" "constraint time_alpha violated by 0.00171727" problem
-    (t_star (1. -. 1e-4));
-  check_summary "below raised"
-    "threshold: row time_beta already beats T* at size 3, under its below size 4" problem
+  check "T* lowered" "claimed objective 17.1709, model evaluates 17.1727" (t_star (1. -. 1e-4));
+  check "below raised"
+    "threshold: class beta already beats T* at size 3, under its below size 4"
     (with_sides cert (fun s -> s.(1) <- Engine.Certificate.Below 4));
-  check_summary "below lowered" "threshold: row time_alpha does not beat T* at its below size 6"
-    problem
+  check "below lowered" "threshold: class alpha does not beat T* at its below size 6"
     (with_sides cert (fun s -> s.(0) <- Engine.Certificate.Below 6));
-  let x' = Array.copy x in
-  x'.(1) <- 5.;
-  check_summary "lifted n_alpha lowered" "constraint time_alpha violated by 3.33233" problem
-    { cert with Engine.Certificate.witness = Some x' };
-  check_summary "evidence swapped for exact-method"
-    "exact-method evidence names nothing the model can re-check" problem
+  (* 4*7 + 2*3 = 34: on 34 nodes the below sizes fit, so they prove
+     nothing *)
+  check_summary ~n_total:34 "below sizes fit a larger budget"
+    "threshold: the below sizes fit the budget of 34 nodes" cert;
+  check "witness size lowered" "claimed objective 17.1727, model evaluates 20.505"
+    (with_witness cert [| 5; 4 |]);
+  check "witness over budget" "constraint budget violated by 2" (with_witness cert [| 6; 5 |]);
+  check "witness of the wrong length" "witness has 3 variables, model has 2"
+    (with_witness cert [| 6; 4; 1 |]);
+  (* a size off its box is not counted against the budget *)
+  check "witness outside its box" "x.(1) = 40 outside [1, 32]" (with_witness cert [| 6; 40 |]);
+  check "evidence swapped for exact-method"
+    "exact-method evidence on a min-max allocation, whose optimum has a threshold witness"
     { cert with Engine.Certificate.evidence = Engine.Certificate.Exact_method "bisection" };
-  (* the same model with alpha's a*n^-c term negated: concave in n, so
-     its sides prove nothing *)
-  let concave =
-    let open Minlp.Problem in
-    let b = Builder.create () in
-    Array.iteri
-      (fun j kind ->
-        let lo = problem.lo.(j) and hi = problem.hi.(j) in
-        ignore (Builder.add_var b ~name:problem.names.(j) ~lo ~hi kind : int))
-      problem.kinds;
-    Builder.set_objective b problem.objective;
-    List.iter
-      (fun (c : constr) ->
-        let negate = function
-          | Minlp.Expr.Mul (Const a, (Pow _ as q)) -> Minlp.Expr.Mul (Const (-.a), q)
-          | e -> e
-        in
-        let expr =
-          match c.expr with
-          | Minlp.Expr.Add es when c.cname = "time_alpha" -> Minlp.Expr.Add (List.map negate es)
-          | e -> e
-        in
-        Builder.add_constr b ~name:c.cname expr c.sense c.rhs)
-      problem.constraints;
-    List.iter (Builder.add_sos1 b) problem.sos1;
-    Builder.build b
+  (* the MINLP checker re-checks no threshold: lifted into the model's
+     variables, the witness passes and the evidence does not *)
+  let problem, _, lift =
+    Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total exact_specs
   in
-  check_summary "concave time row"
-    "threshold: row time_alpha is not a*n^-c + b*n + d - T with a, b, c, d >= 0" concave cert
+  Alcotest.(check string) "threshold evidence handed to check_minlp"
+    "threshold evidence is in nodes per task: the allocation's specs re-check it"
+    (Audit.summary
+       (Audit.check_minlp problem
+          {
+            cert with
+            Engine.Certificate.witness = Some (lift a.Hslb.Alloc_model.nodes_per_task);
+          }))
+
+(* sweet spots: a below size must be a sweet spot, and the sweet spot
+   under it must not beat T* *)
+let test_threshold_sweet_spots () =
+  let n_total = 32 in
+  let specs =
+    Hslb.Model_store.specs_of_csv ~allowed:[ 2; 3; 5; 8; 12 ]
+      "alpha,4,100,0.001,1,0.5\nbeta,2,50,0.001,1,0.2"
+  in
+  let a, cert = solved_cert ~specs n_total in
+  Alcotest.(check (array int)) "allocation" [| 5; 5 |] a.Hslb.Alloc_model.nodes_per_task;
+  Alcotest.(check string) "evidence" "threshold (8, 3)"
+    (Engine.Certificate.evidence_to_string cert.Engine.Certificate.evidence);
+  let check = check_summary ~specs ~n_total in
+  check "pristine" "ok" cert;
+  check "below not a sweet spot" "threshold: class alpha: below size 7 is not admissible"
+    (with_sides cert (fun s -> s.(0) <- Engine.Certificate.Below 7));
+  check "previous sweet spot beats T*"
+    "threshold: class beta already beats T* at size 3, under its below size 5"
+    (with_sides cert (fun s -> s.(1) <- Engine.Certificate.Below 5));
+  check "witness not a sweet spot"
+    "x.(1) = 4 is not one of its class's sweet spots"
+    (with_witness cert [| 5; 4 |])
 
 (* a million nodes: alpha bottoms out at 316 nodes, so its floor is the
    proof and neighbouring sizes are not minimizers *)
 let test_threshold_floor () =
-  let a, cert, problem = exact_cert 1_000_000 in
+  let n_total = 1_000_000 in
+  let a, cert = solved_cert n_total in
   Alcotest.(check (array int)) "allocation" [| 316; 224 |] a.Hslb.Alloc_model.nodes_per_task;
   Alcotest.(check string) "evidence" "threshold (floor 316, 58)"
     (Engine.Certificate.evidence_to_string cert.Engine.Certificate.evidence);
-  check_summary "pristine" "ok" problem cert;
-  check_summary "floor raised"
-    "threshold: row time_alpha reads lower at size 316 than at its floor size 317" problem
+  let check = check_summary ~n_total in
+  check "pristine" "ok" cert;
+  check "floor raised"
+    "threshold: class alpha reads lower at size 316 than at its floor size 317"
     (with_sides cert (fun s -> s.(0) <- Engine.Certificate.Floor 317));
-  check_summary "floor on a beaten size" "threshold: row time_beta beats T* at its floor size 58"
-    problem
+  check "floor on a beaten size" "threshold: class beta beats T* at its floor size 58"
     (with_sides cert (fun s -> s.(1) <- Engine.Certificate.Floor 58))
 
 let test_threshold_refusals () =
@@ -313,11 +329,60 @@ let test_threshold_refusals () =
     (Invalid_argument
        "Alloc_model.solve: solver exact needs convex laws; class bad has a negative coefficient")
     (fun () -> ignore (Hslb.Alloc_model.solve ~n_total:8 [ spec ]));
+  (* the checker takes no convexity on trust: a floor proves nothing on
+     a law with a negative coefficient *)
+  let t = Scaling_law.eval_int bad 8 in
+  check_summary ~specs:[ spec ] ~n_total:8 "non-convex law"
+    "threshold: class bad has a negative law coefficient, so its time is not convex"
+    (Engine.Certificate.make ~producer:"exact" ~claimed_status:Minlp.Solution.Optimal
+       ~witness:[| 8. |] ~claimed_obj:t ~claimed_bound:t ~tol:1e-9
+       ~evidence:(Engine.Certificate.Threshold [| Engine.Certificate.Floor 8 |])
+       ());
   let problem, _, _ =
     Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total:32 exact_specs
   in
   Alcotest.check_raises "minlp dispatch" (Invalid_argument Minlp.Solver.exact_refused)
     (fun () -> ignore (Minlp.Solver.run Engine.Solver_choice.Exact problem))
+
+(* max-min claims the fastest class's time, min-sum the count-weighted
+   total; both are checked for admissible sizes, budget and claimed
+   objective, not for optimality *)
+let test_exact_method_allocations () =
+  let specs = Hslb.Model_store.specs_of_csv "A,2,20,0,1,0\nB,3,18,0,1,0" in
+  let n_total = 8 in
+  let a, cert = solved_cert ~objective:Hslb.Objective.Max_min ~specs n_total in
+  Alcotest.(check (array int)) "max-min allocation" [| 2; 1 |]
+    a.Hslb.Alloc_model.nodes_per_task;
+  let check = check_summary ~objective:Hslb.Objective.Max_min ~specs ~n_total in
+  check "max-min pristine" "ok" cert;
+  check "max-min claims the makespan" "claimed objective 18, model evaluates 10"
+    { cert with Engine.Certificate.claimed_obj = a.Hslb.Alloc_model.predicted_makespan };
+  (* a size off its box has no time: no objective is evaluated *)
+  check "max-min witness off its box" "x.(0) = 0 outside [1, 8]" (with_witness cert [| 0; 1 |]);
+  let _, cert = solved_cert ~objective:Hslb.Objective.Min_sum ~specs n_total in
+  let check = check_summary ~objective:Hslb.Objective.Min_sum ~specs ~n_total in
+  check "min-sum pristine" "ok" cert;
+  check "min-sum witness off its box" "x.(1) = 9 outside [1, 8]" (with_witness cert [| 2; 9 |]);
+  check "threshold evidence on min-sum" "threshold evidence on a min-sum allocation"
+    (with_sides
+       { cert with Engine.Certificate.evidence = Engine.Certificate.Threshold [||] }
+       ignore)
+
+(* the budget is counted in ints: at 2^53 nodes a float sum of
+   [2^53 - 1; 2] rounds down onto the budget and hides the one node
+   it overdraws *)
+let test_budget_in_ints () =
+  let specs = Hslb.Model_store.specs_of_csv "A,1,20,0,1,0\nB,1,18,0,1,0" in
+  let n_total = 1 lsl 53 in
+  let _, cert = solved_cert ~objective:Hslb.Objective.Max_min ~specs n_total in
+  let sizes = [| n_total - 1; 2 |] in
+  let time c = Scaling_law.eval_int (List.nth specs c).Hslb.Alloc_model.fc.fit.law sizes.(c) in
+  check_summary ~objective:Hslb.Objective.Max_min ~specs ~n_total "one node over 2^53"
+    "constraint budget violated by 1"
+    {
+      (with_witness cert sizes) with
+      Engine.Certificate.claimed_obj = Float.min (time 0) (time 1);
+    }
 
 let () =
   Alcotest.run "audit"
@@ -337,8 +402,11 @@ let () =
           Alcotest.test_case "missing witness" `Quick test_mutation_missing_witness;
           Alcotest.test_case "witness dimension" `Quick test_mutation_witness_dimension;
           Alcotest.test_case "threshold corruptions" `Quick test_threshold_corruptions;
+          Alcotest.test_case "threshold sweet spots" `Quick test_threshold_sweet_spots;
           Alcotest.test_case "threshold floor" `Quick test_threshold_floor;
           Alcotest.test_case "threshold refusals" `Quick test_threshold_refusals;
+          Alcotest.test_case "exact-method allocations" `Quick test_exact_method_allocations;
+          Alcotest.test_case "budget counted in ints" `Quick test_budget_in_ints;
         ] );
       ( "fault injection",
         [

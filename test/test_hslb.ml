@@ -215,13 +215,9 @@ let test_max_min_uses_all_nodes () =
   Alcotest.(check bool) "uses (almost) all nodes" true (used >= 23)
 
 (* every solver answers the same makespan, and its certificate names
-   it and passes the independent checker against the model's own
-   problem *)
+   it and passes the independent checker, from the specs *)
 let test_solver_choice_agrees () =
   let specs = two_class_specs () in
-  let problem, _, _ =
-    Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total:30 specs
-  in
   let makespans =
     List.map
       (fun solver ->
@@ -232,7 +228,9 @@ let test_solver_choice_agrees () =
         | Some cert ->
           Alcotest.(check string) "certificate names the solver" name
             cert.Engine.Certificate.producer;
-          (match Audit.check_minlp problem cert with
+          (match
+             Audit.check_allocation ~objective:Hslb.Objective.Min_max ~n_total:30 specs cert
+           with
           | Ok () -> ()
           | Error _ as v -> Alcotest.failf "%s certificate rejected: %s" name (Audit.summary v));
           a.Hslb.Alloc_model.predicted_makespan)
@@ -537,10 +535,11 @@ let spec_of_law ?n_min ?n_max ?allowed ~name ~count law =
   Hslb.Alloc_model.spec_of ?n_min ?n_max ?allowed
     { Hslb.Classes.cls; fit = { Hslb.Fitting.law; r2 = 1.; rmse = 0.; observations = [||] } }
 
-(* 1-6 classes, counts 1-5, budgets 4 to budgets + 3 (4-255 by
-   default), random boxes and sweet-spot lists: a share of the
-   instances has no admissible allocation *)
-let random_instance ?(budgets = 252) rng =
+(* 1-6 classes, counts 1 to [max_count] (1-5 by default), budgets 4 to
+   budgets + 3 (4-255 by default), random boxes and, unless
+   [sweet_spots] is false, sweet-spot lists: a share of the instances
+   has no admissible allocation. The options draw the same numbers. *)
+let random_instance ?(budgets = 252) ?(max_count = 5) ?(sweet_spots = true) rng =
   let k = 1 + Numerics.Rng.int rng 6 in
   let n_total = 4 + Numerics.Rng.int rng budgets in
   let specs =
@@ -562,8 +561,9 @@ let random_instance ?(budgets = 252) rng =
             Some (List.init (1 + Numerics.Rng.int rng 6) (fun _ -> 1 + Numerics.Rng.int rng 96))
           else None
         in
+        let allowed = if sweet_spots then allowed else None in
         spec_of_law ?n_min ?n_max ?allowed ~name:(Printf.sprintf "c%d" i)
-          ~count:(1 + Numerics.Rng.int rng 5) law)
+          ~count:(1 + Numerics.Rng.int rng max_count) law)
   in
   (n_total, specs)
 
@@ -604,10 +604,10 @@ let prop_exact_matches_oa =
       | Ok exact, Ok oa ->
         let e = exact.Hslb.Alloc_model.predicted_makespan
         and o = oa.Hslb.Alloc_model.predicted_makespan in
-        let problem, _, _ =
-          Hslb.Alloc_model.build_minlp ~objective:Hslb.Objective.Min_max ~n_total specs
-        in
-        (match Audit.check_minlp problem (Option.get exact.Hslb.Alloc_model.certificate) with
+        (match
+           Audit.check_allocation ~objective:Hslb.Objective.Min_max ~n_total specs
+             (Option.get exact.Hslb.Alloc_model.certificate)
+         with
         | Ok () -> ()
         | Error _ as v -> QCheck.Test.fail_reportf "seed %d: audit: %s" seed (Audit.summary v));
         if e <= o && e >= o /. (1. +. 1e-4) then true
@@ -649,6 +649,83 @@ let prop_ladders_match_oracles ~name ~count ~budgets =
             QCheck.Test.fail_reportf "seed %d, %s, n_total %d: ladder %s, oracle %s" seed
               (Hslb.Objective.to_string objective) n_total (show r) (show r'))
         Hslb.Objective.[ Max_min; Min_sum ])
+
+(* every answer of every objective passes the independent checker,
+   from the specs it was solved for *)
+let prop_answers_audited =
+  QCheck.Test.make ~name:"every objective's answer passes check_allocation" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let n_total, specs = random_instance (Numerics.Rng.create seed) in
+      List.for_all
+        (fun objective ->
+          match Hslb.Alloc_model.solve ~objective ~n_total specs with
+          | Error _ -> true
+          | Ok a -> (
+            match
+              Audit.check_allocation ~objective ~n_total specs
+                (Option.get a.Hslb.Alloc_model.certificate)
+            with
+            | Ok () -> true
+            | Error _ as v ->
+              QCheck.Test.fail_reportf "seed %d, %s: %s" seed
+                (Hslb.Objective.to_string objective)
+                (Audit.summary v)))
+        Hslb.Objective.[ Min_max; Max_min; Min_sum ])
+
+(* the count-weighted total of an allocation, summed in class order *)
+let min_sum_total specs nodes =
+  List.fold_left
+    (fun (acc, i) (s : Hslb.Alloc_model.spec) ->
+      ( acc
+        +. float_of_int s.fc.Hslb.Classes.cls.Hslb.Classes.count
+           *. Scaling_law.eval_int s.fc.Hslb.Classes.fit.Hslb.Fitting.law nodes.(i),
+        i + 1 ))
+    (0., 0) specs
+  |> fst
+
+(* the min-sum greedy is never below the exact optimum, and reaches it
+   when every count is 1 and no class has sweet spots: there greedy
+   marginal allocation is exact (Ibaraki-Katoh). Elsewhere it is not *)
+let prop_greedy_vs_dp =
+  QCheck.Test.make ~name:"min-sum greedy >= dp optimum, = on unit counts" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let check ~exact (n_total, specs) =
+        match
+          ( Hslb.Alloc_model.solve ~objective:Hslb.Objective.Min_sum ~n_total specs,
+            Alloc_oracle.min_sum_dp ~n_total specs )
+        with
+        | Error _, None -> true
+        | Ok a, Some (opt, _) ->
+          let total = min_sum_total specs a.Hslb.Alloc_model.nodes_per_task in
+          if total < opt then
+            QCheck.Test.fail_reportf "seed %d: greedy %.17g below the optimum %.17g" seed total
+              opt
+          else if exact && total > opt *. (1. +. 1e-9) then
+            QCheck.Test.fail_reportf
+              "seed %d: unit counts, greedy %.17g above the optimum %.17g" seed total opt
+          else true
+        | Ok _, None | Error _, Some _ ->
+          QCheck.Test.fail_reportf "seed %d: greedy and dp disagree on feasibility" seed
+      in
+      check ~exact:false (random_instance (Numerics.Rng.create seed))
+      && check ~exact:true
+           (random_instance ~max_count:1 ~sweet_spots:false (Numerics.Rng.create seed)))
+
+(* counts 2 and 3: from [1;1] the greedy takes A's step (2 nodes, 10 s
+   saved per node) over B's (3 nodes, 9 s per node), and then B's step
+   no longer fits: a total of 74, where [1;2] reaches 67 *)
+let test_min_sum_dp_oracle () =
+  let specs = Hslb.Model_store.specs_of_csv "A,2,20,0,1,0\nB,3,18,0,1,0" in
+  (match Alloc_oracle.min_sum_dp ~n_total:8 specs with
+  | None -> Alcotest.fail "dp found no allocation"
+  | Some (opt, nodes) ->
+    Alcotest.(check (array int)) "dp allocation" [| 1; 2 |] nodes;
+    Alcotest.(check (float 1e-12)) "dp optimum" 67. opt);
+  let greedy = solve_ok ~objective:Hslb.Objective.Min_sum ~n_total:8 specs in
+  Alcotest.(check (array int)) "greedy allocation" [| 2; 1 |] greedy.nodes_per_task;
+  Alcotest.(check (float 1e-12)) "greedy total" 74. (min_sum_total specs greedy.nodes_per_task)
 
 (* ---------- keep or re-solve: the incumbent against the exact optimum ---------- *)
 
@@ -741,6 +818,8 @@ let () =
         prop_allocation_within_budget;
         prop_online_matches_batch;
         prop_exact_matches_oa;
+        prop_answers_audited;
+        prop_greedy_vs_dp;
         prop_ladders_match_oracles ~name:"max-min, min-sum ladders = oracles" ~count:300
           ~budgets:252;
         prop_ladders_match_oracles ~name:"ladders = oracles, budgets to 5003" ~count:100
@@ -787,6 +866,7 @@ let () =
           Alcotest.test_case "no admissible allocation is infeasible" `Quick
             test_no_admissible_allocation;
           Alcotest.test_case "exact leftover rule" `Quick test_exact_leftover_rule;
+          Alcotest.test_case "min-sum dp oracle" `Quick test_min_sum_dp_oracle;
         ] );
       ( "sensitivity",
         [
