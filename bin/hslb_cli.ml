@@ -190,10 +190,22 @@ let solve_cmd =
     (match report with
     | None -> ()
     | Some path ->
+      (* the value of the objective that was solved, as its
+         certificate claims it *)
       let objective_value =
         match result with
-        | Ok alloc -> Some alloc.Hslb.Alloc_model.predicted_makespan
         | Error _ -> None
+        | Ok alloc -> (
+          let times = alloc.Hslb.Alloc_model.predicted_times in
+          match objective with
+          | Hslb.Objective.Min_max -> Some alloc.Hslb.Alloc_model.predicted_makespan
+          | Hslb.Objective.Max_min -> Some (Array.fold_left Float.min infinity times)
+          | Hslb.Objective.Min_sum ->
+            Some
+              (List.fold_left2
+                 (fun acc (spec : Hslb.Alloc_model.spec) t ->
+                   acc +. (float_of_int spec.fc.Hslb.Classes.cls.Hslb.Classes.count *. t))
+                 0. specs (Array.to_list times)))
       in
       let certificate =
         match result with
@@ -504,7 +516,7 @@ let serve_cmd =
       & info [ "telemetry" ] ~docv:"FILE"
           ~doc:
             "Append one JSON line per finished request (queue wait, solve wall, cache \
-             hit, dedup) to FILE — a replayable request trace.")
+             hit) to FILE — a replayable request trace.")
   in
   let metrics_out =
     Arg.(
@@ -524,22 +536,6 @@ let serve_cmd =
       & info [ "metrics-interval-ms" ] ~docv:"MS"
           ~doc:"Flush period for $(b,--metrics-out) (must be positive).")
   in
-  let no_audit =
-    Arg.(
-      value
-      & flag
-      & info [ "no-audit" ]
-          ~doc:
-            "Skip the independent certificate re-verification that is otherwise run on \
-             every solve before its envelope is returned.")
-  in
-  let solver =
-    Arg.(
-      value
-      & opt solver_conv Hslb.Alloc_model.default_solver
-      & info [ "solver" ]
-          ~doc:"Default solver for requests that don't name one (exact by default).")
-  in
   let policy_from =
     Arg.(
       value
@@ -551,7 +547,7 @@ let serve_cmd =
              instead of the built-in table.")
   in
   let run jobs queue_limit cache_capacity drain_grace_ms telemetry metrics_out
-      metrics_interval_ms no_audit solver policy_from listen report =
+      metrics_interval_ms policy_from listen report =
     (match jobs with Some j -> Runtime.Config.set_jobs j | None -> ());
     if metrics_interval_ms <= 0. then begin
       Format.eprintf "hslb serve: --metrics-interval-ms must be positive@.";
@@ -573,8 +569,6 @@ let serve_cmd =
         queue_limit;
         cache_capacity;
         drain_grace_s = drain_grace_ms /. 1000.;
-        default_solver = solver;
-        audit = not no_audit;
         policy;
       }
     in
@@ -607,11 +601,11 @@ let serve_cmd =
          "Serve allocation solves as a long-lived service: newline-delimited JSON \
           requests on stdin (or over $(b,--listen)), one response line per request \
           (see docs/SERVE.md). Per-request deadlines map onto the engine budget, the \
-          queue rejects past its high-water mark, identical in-flight solves are \
-          deduped, proven optima are cached, and SIGTERM drains gracefully.")
+          queue rejects past its high-water mark, every answer is audited, proven \
+          optima are cached, and SIGTERM drains gracefully.")
     Term.(
       const run $ jobs $ queue_limit $ cache_capacity $ drain_grace_ms $ telemetry
-      $ metrics_out $ metrics_interval_ms $ no_audit $ solver $ policy_from
+      $ metrics_out $ metrics_interval_ms $ policy_from
       $ listen_arg $ report_arg)
 
 (* ---------- arena: scheduler race over the workload-scenario zoo ---------- *)
@@ -799,7 +793,7 @@ let route_cmd =
        ~doc:
          "Front a fleet of $(b,hslb serve) backends: spawn and supervise N solve \
           processes over Unix sockets, consistent-hash each solve request's instance \
-          fingerprint to its shard (so per-backend dedupe and caches stay hot), fan \
+          fingerprint to its shard (so per-backend caches stay hot), fan \
           ping/stats/drain out to every backend, respawn dead backends, and drain the \
           whole fleet gracefully on SIGTERM or a drain op.")
     Term.(
@@ -995,9 +989,6 @@ let loadgen_cmd =
           string_of_int queue_limit;
           "--cache-capacity";
           string_of_int cache_capacity;
-          (* the benchmark measures serving throughput, not the
-             auditor *)
-          "--no-audit";
         ]
       in
       let b =

@@ -88,8 +88,8 @@ let make_trace spec =
 
 (* a task cost becomes a solve instance by bucketing the cost to the
    nearest power of two: a scenario's hundreds of tasks then cycle a
-   bounded set of distinct fingerprints, so server-side dedupe and the
-   optimum cache see the same reuse pattern real traffic would *)
+   bounded set of distinct fingerprints, so the server's optimum cache
+   sees the same reuse pattern real traffic would *)
 let scenario_instance_csv cost =
   let b = int_of_float (Float.round (Float.log2 (Float.max 1e-3 cost))) in
   let scale = Float.pow 2. (float_of_int b) in
@@ -138,7 +138,6 @@ type run_result = {
   throughput_rps : float;
   outcomes : (string * int) list;  (* outcome -> count, sorted *)
   cache_hits : int;
-  dedups : int;
   latency : Obs.Metrics.Histogram.summary;  (* ms, send to answer *)
   server_stats : Json.t;  (* final stats op answer, Null if unavailable *)
 }
@@ -187,7 +186,6 @@ let run ?(label = "run") ?rate_rps ?(window = 16) ?(timeout_s = 120.)
   let lock = Mutex.create () in
   let outcomes : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let cache_hits = ref 0 in
-  let dedups = ref 0 in
   let n_done = Atomic.make 0 in
   let server_stats = ref Json.Null in
   let record line =
@@ -207,15 +205,9 @@ let run ?(label = "run") ?rate_rps ?(window = 16) ?(timeout_s = 120.)
           Hashtbl.replace outcomes o
             (1 + Option.value (Hashtbl.find_opt outcomes o) ~default:0)
         | Some _ | None -> ());
-        (match Json.member "telemetry" v with
-        | Some tele ->
-          (match Json.member "cache_hit" tele with
-          | Some (Json.Bool true) -> incr cache_hits
-          | _ -> ());
-          (match Json.member "dedup" tele with
-          | Some (Json.Bool true) -> incr dedups
-          | _ -> ())
-        | None -> ());
+        (match Option.bind (Json.member "telemetry" v) (Json.member "cache_hit") with
+        | Some (Json.Bool true) -> incr cache_hits
+        | _ -> ());
         Mutex.unlock lock;
         Atomic.incr n_done
       | Some i when i = n ->
@@ -286,7 +278,6 @@ let run ?(label = "run") ?rate_rps ?(window = 16) ?(timeout_s = 120.)
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcomes []
           |> List.sort (fun (a, _) (b, _) -> String.compare a b);
         cache_hits = !cache_hits;
-        dedups = !dedups;
         latency = Obs.Metrics.Histogram.summary lat_h;
         server_stats = !server_stats;
       })
@@ -305,7 +296,6 @@ let result_json r =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) r.outcomes)
       );
       ("cache_hits", Json.Num (float_of_int r.cache_hits));
-      ("dedups", Json.Num (float_of_int r.dedups));
       ("latency_ms", Obs.Metrics.Histogram.summary_json r.latency);
       ("server_stats", r.server_stats);
     ]

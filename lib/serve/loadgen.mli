@@ -7,8 +7,8 @@
     provoke [expired], and a per-solve [deadline_ms]. {!run} replays a
     trace against an {!endpoint} — a socket address or an in-process
     handler — pacing to [rate_rps], capping the in-flight [window],
-    and recording per-request latency, outcomes, and the cache-hit /
-    dedup telemetry of each answer. A [stats] request is appended
+    and recording per-request latency, outcomes, and the cache-hit
+    telemetry of each answer. A [stats] request is appended
     after the measured window closes, so [server_stats] carries the
     endpoint's own final counters (for a router: per-backend stats).
 
@@ -47,8 +47,8 @@ val make_trace : trace_spec -> Json.t list
 (** [trace_of_scenario sc] — turn an arena workload scenario into a
     replayable request trace (the [hslb loadgen --scenario] path):
     each phase gap becomes a [sleep] op, each task a [solve] whose
-    model is bucketed by task cost (nearest power of two, so dedupe
-    and the cache see bounded reuse) and which carries the scenario
+    model is bucketed by task cost (nearest power of two, so the cache
+    sees bounded reuse) and which carries the scenario
     class as its [policy] hint. *)
 val trace_of_scenario : Arena.Scenario.t -> Json.t list
 
@@ -64,7 +64,6 @@ type run_result = {
   throughput_rps : float;
   outcomes : (string * int) list;  (** outcome -> count, sorted *)
   cache_hits : int;
-  dedups : int;
   latency : Obs.Metrics.Histogram.summary;  (** ms, send to answer *)
   server_stats : Json.t;  (** the post-run [stats] answer; [Null] if lost *)
 }

@@ -150,7 +150,8 @@ let parse_place ~v:version v =
       | None | Some Json.Null -> Error "missing field \"place.mem_per_node_gb\""
       | Some f -> (
         match Json.num f with
-        | Some m when m > 0. -> Ok m
+        | Some m when m > 0. && Float.is_finite m -> Ok m
+        | Some m when m > 0. -> Error "field \"place.mem_per_node_gb\": must be finite and positive"
         | Some _ | None -> Error "field \"place.mem_per_node_gb\": expected a positive number")
     in
     let* mem_gb =
@@ -229,6 +230,7 @@ let parse_solve_params ~v:version v =
     let* d = opt_field v "deadline_ms" Json.num "a number" in
     match d with
     | Some d when d <= 0. -> Error "field \"deadline_ms\": must be > 0"
+    | Some d when not (Float.is_finite d) -> Error "field \"deadline_ms\": must be finite and > 0"
     | (Some _ | None) as d -> Ok d
   in
   let* allowed =
@@ -314,6 +316,7 @@ let parse_resolve ~v:version v =
     let* e = opt_field v "epsilon" Json.num "a number" in
     match e with
     | Some e when e <= 0. -> Error "field \"epsilon\": must be > 0"
+    | Some e when not (Float.is_finite e) -> Error "field \"epsilon\": must be finite and > 0"
     | (Some _ | None) as e -> Ok e
   in
   Ok (Resolve { base; prev; observe; epsilon })
@@ -339,7 +342,8 @@ let parse_request ~v:version v =
     match Json.member "ms" v with
     | Some f -> (
       match Json.num f with
-      | Some ms when ms >= 0. -> Ok (Sleep (ms /. 1000.))
+      | Some ms when ms >= 0. && Float.is_finite ms -> Ok (Sleep (ms /. 1000.))
+      | Some ms when ms >= 0. -> Error "field \"ms\": must be finite and non-negative"
       | Some _ | None -> Error "field \"ms\": expected a non-negative number")
     | None -> Error "op sleep: missing field \"ms\"")
   | "ping" -> Ok Ping
@@ -444,17 +448,17 @@ let spec_names specs =
        (fun (s : Hslb.Alloc_model.spec) -> s.Hslb.Alloc_model.fc.Hslb.Classes.cls.Hslb.Classes.name)
        specs)
 
-(* the dedupe/cache key for a solve whose specs are already resolved:
-   the allocation fingerprint under the request's solver (the serve
-   default, exact, when it names none), wrapped by the placement fingerprint
-   when a place section rides along — two requests naming different
-   solvers, or differing only in topology (or memory, or traffic), must
-   never share a cached allocation *)
+let request_solver p = Option.value p.solver ~default:Hslb.Alloc_model.default_solver
+
+(* the cache key for a solve whose specs are already resolved: the
+   allocation fingerprint under [request_solver], wrapped by the
+   placement fingerprint when a place section rides along — two
+   requests naming different solvers, or differing only in topology
+   (or memory, or traffic), must never share a cached allocation *)
 let solve_key (p : solve_params) specs =
   let base =
-    Hslb.Alloc_model.fingerprint
-      ~solver:(Option.value p.solver ~default:Hslb.Alloc_model.default_solver)
-      ~objective:p.objective ~n_total:p.n_total specs
+    Hslb.Alloc_model.fingerprint ~solver:(request_solver p) ~objective:p.objective
+      ~n_total:p.n_total specs
   in
   match p.place with
   | None -> Ok base

@@ -51,7 +51,8 @@ type solve_params = {
           or [model_path] (a {!Hslb.Model_store} file) *)
   n_total : int;  (** ["nodes"] — total node budget, >= 1 *)
   objective : Hslb.Objective.t;  (** ["objective"], default min-max *)
-  solver : Engine.Solver_choice.t option;  (** ["solver"], server default otherwise *)
+  solver : Engine.Solver_choice.t option;
+      (** ["solver"]; {!request_solver} fills in the default *)
   deadline_ms : float option;
       (** ["deadline_ms"] — end-to-end (queue wait included), mapped to
           an {!Engine.Budget} wall-clock deadline for the solve *)
@@ -131,19 +132,20 @@ val place_instance :
 (** Class names of already-resolved specs, in model order. *)
 val spec_names : Hslb.Alloc_model.spec list -> string array
 
-(** [solve_key p specs] — the dedupe/cache key for a solve whose specs
-    are already resolved: the {!Hslb.Alloc_model.fingerprint} of the
-    instance under [p.solver] ({!Hslb.Alloc_model.default_solver}, the
-    serve default, when absent; a
-    server fills in its own default before keying), wrapped by
+(** The solver that answers a solve: its ["solver"], else
+    {!Hslb.Alloc_model.default_solver}. *)
+val request_solver : solve_params -> Engine.Solver_choice.t
+
+(** [solve_key p specs] — the cache key for a solve whose specs are
+    already resolved: the {!Hslb.Alloc_model.fingerprint} of the
+    instance under {!request_solver}, wrapped by
     {!Place.Model.fingerprint} when a place section rides along.
     Requests naming different solvers, or differing only in topology,
-    memory or traffic, never share a cached allocation or a dedupe
-    leader. *)
+    memory or traffic, never share a cached allocation. *)
 val solve_key : solve_params -> Hslb.Alloc_model.spec list -> (string, string) result
 
-(** [fingerprint p] — {!solve_key} after {!resolve_specs}: the
-    dedupe/cache key, and the key the router's hash ring shards on. *)
+(** [fingerprint p] — {!solve_key} after {!resolve_specs}: the cache
+    key, and the key the router's hash ring shards on. *)
 val fingerprint : solve_params -> (string, string) result
 
 (** [response ?v ~id fields] — one NDJSON response line: an object

@@ -1,5 +1,5 @@
 (** Consistent-hash ring over backend names — how the router shards
-    solve requests by {!Hslb.Alloc_model.fingerprint}.
+    solve requests by {!Protocol.fingerprint}.
 
     Each backend contributes [vnodes] points on an unsigned 64-bit
     circle (MD5-derived); a key belongs to the owner of the first
@@ -7,7 +7,7 @@
     and {!remove} return new rings, so lookups need no lock, and a
     membership change remaps only ~1/N of the key space (the slices
     whose nearest point belonged to the changed backend) — the cache
-    and dedupe locality of every other shard survives. *)
+    locality of every other shard survives. *)
 
 type t
 

@@ -1,9 +1,9 @@
 (* The fleet front-end behind [hslb route]: one Service.core that owns
    N backend serve processes and shards solve requests across them by
    instance fingerprint on a consistent-hash ring. Equal instances
-   always land on the same backend, so each backend's dedupe table and
-   proven-optimal cache stay shard-local and hot; ping/stats/drain fan
-   out to every backend and aggregate.
+   always land on the same backend, which keys its proven-optimal
+   cache by the same fingerprint, so each cache stays shard-local and
+   hot; ping/stats/drain fan out to every backend and aggregate.
 
    Multiplexing: client ids are arbitrary JSON scalars and two
    connections may reuse one, so the router never forwards them. Each

@@ -1,10 +1,10 @@
 (** The fleet front-end behind [hslb route].
 
     One router owns N backend [hslb serve] processes and shards
-    [solve] requests across them by {!Hslb.Alloc_model.fingerprint} on
-    a consistent-hash {!Ring}: equal instances always reach the same
-    backend, so each backend's in-flight dedupe table and
-    proven-optimal LRU cache stay shard-local and hot. [ping], [stats]
+    [solve] requests across them by {!Protocol.fingerprint} on a
+    consistent-hash {!Ring}: equal instances always reach the same
+    backend, which keys its proven-optimal LRU cache by the same
+    fingerprint, so each cache stays shard-local and hot. [ping], [stats]
     and [drain] fan out to every live backend and aggregate; [sleep]
     round-robins.
 

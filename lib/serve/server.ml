@@ -1,18 +1,16 @@
 (* The long-lived solve service, transport-agnostic: every request
    carries its own reply sink (the connection it arrived on), so one
    server core can sit behind stdio, a socket listener, or an
-   in-process test harness unchanged. One mutex guards the queue, the
-   dedupe table and the counters; workers never hold it while solving
-   or emitting. All reply sinks share [emit_lock] so lines from
-   different domains cannot interleave even on the same fd. *)
+   in-process test harness unchanged. One mutex guards the queue and
+   the counters; workers never hold it while solving or emitting. All
+   reply sinks share [emit_lock] so lines from different domains
+   cannot interleave even on the same fd. *)
 
 type config = {
   jobs : int;
   queue_limit : int;
   cache_capacity : int;
   drain_grace_s : float;
-  default_solver : Engine.Solver_choice.t;
-  audit : bool;
   policy : Arena.Policy.t;
 }
 
@@ -22,8 +20,6 @@ let default_config () =
     queue_limit = 64;
     cache_capacity = 128;
     drain_grace_s = 2.0;
-    default_solver = Hslb.Alloc_model.default_solver;
-    audit = true;
     policy = Arena.Policy.builtin;
   }
 
@@ -36,25 +32,18 @@ type requester = {
   hint : Arena.Scenario.cls option;  (* its own policy hint *)
 }
 
-(* a solve admitted to the queue; [followers] are later identical
-   requests (same key: instance and solver) that attached instead of
-   queueing their own solve — they get the leader's result when it
-   lands. The key leaves out the policy hint (advisory; it must not
-   fragment the cache), so each follower gets the recommendation for
-   its own hint, in its own protocol version. *)
+(* a solve admitted to the queue, with its cache key
+   ([Protocol.solve_key]: the instance and the solver that answers it;
+   the policy hint stays out, so it cannot fragment the cache) *)
 type solve_job = {
   params : Protocol.solve_params;
   specs : Hslb.Alloc_model.spec list;
   key : string;
-  mutable followers : requester list;
 }
 
 (* a resolve admitted to the queue: the incumbent allocation plus
    fresh observations, against the specs as the model file/text gave
-   them (the online update is applied by the worker). Resolve requests
-   are never deduped: two resolves with identical models may carry
-   different observations, and the whole point is that their effect on
-   the answer is decided per-request by the certificate. *)
+   them (the online update is applied by the worker) *)
 type resolve_job = { rparams : Protocol.resolve_params; rspecs : Hslb.Alloc_model.spec list }
 
 type work = W_solve of solve_job | W_resolve of resolve_job | W_sleep of float
@@ -71,7 +60,6 @@ type t = {
   lock : Mutex.t;
   nonempty : Condition.t;
   queue : job Queue.t;
-  pending : (string, solve_job) Hashtbl.t;
   cache : Hslb.Alloc_model.allocation Runtime.Cache.t;
   tally : Engine.Telemetry.t;  (* merged under [lock] *)
   (* per-server latency distributions (standalone, not in the global
@@ -91,7 +79,6 @@ type t = {
   mutable n_served : int;
   mutable n_overloaded : int;
   mutable n_drain_rejected : int;
-  mutable n_deduped : int;
   mutable n_expired : int;
   mutable n_protocol_errors : int;
   mutable n_policy_hints : int;
@@ -122,7 +109,6 @@ type request_tele = {
   queue_wait_ms : float;
   solve_wall_ms : float;
   cache_hit : bool;
-  dedup : bool;
 }
 
 let tele_fields r =
@@ -130,7 +116,6 @@ let tele_fields r =
     ("queue_wait_ms", Json.Num (r.queue_wait_ms));
     ("solve_wall_ms", Json.Num (r.solve_wall_ms));
     ("cache_hit", Json.Bool r.cache_hit);
-    ("dedup", Json.Bool r.dedup);
   ]
 
 let telemetry_line t ~id ~op ~outcome ~status r =
@@ -159,13 +144,8 @@ let telemetry_line t ~id ~op ~outcome ~status r =
 let telemetry_member r = ("telemetry", Json.Obj (tele_fields r))
 
 (* a request's numbers once a worker picked it up at [start] *)
-let tele_of ~start ?(solve_wall_ms = 0.) ?(cache_hit = false) ?(dedup = false) rq =
-  {
-    queue_wait_ms = Float.max 0. ((start -. rq.arrival) *. 1000.);
-    solve_wall_ms;
-    cache_hit;
-    dedup;
-  }
+let tele_of ~start ?(solve_wall_ms = 0.) ?(cache_hit = false) rq =
+  { queue_wait_ms = Float.max 0. ((start -. rq.arrival) *. 1000.); solve_wall_ms; cache_hit }
 
 (* The one exit of an admitted request: its terminal reply in its own
    protocol version, then the queue-wait observation, the telemetry
@@ -217,28 +197,19 @@ let policy_fields t = function
 
 (* ---------- workers ---------- *)
 
-(* the solver that answers a request: its own [solver], else this
-   server's default *)
-let solver_of t (p : Protocol.solve_params) =
-  Option.value p.Protocol.solver ~default:t.cfg.default_solver
-
-(* the cache/dedupe key of a solve: the instance under [solver_of] *)
-let solve_key t (p : Protocol.solve_params) specs =
-  Protocol.solve_key { p with Protocol.solver = Some (solver_of t p) } specs
-
 (* the one memoized solve step behind both workers: arm the request's
    budget (its deadline less the queue wait, stopped by the drain
    token), answer from the cache or run the solver, and charge the
    solve histogram and the server's counters. The server owns the
    memoization (one find, one put) so its hit/miss counters stay exact;
    what is stored follows Alloc_model.memoize, the rule of its own
-   cache. [key] names the solver, so no request is answered from
-   another solver's entry. *)
+   cache. [Protocol.request_solver] answers it, and [key] names that
+   solver, so no request is answered from another solver's entry. *)
 let cached_solve t ~key ~queue_wait ?warm_start (p : Protocol.solve_params) specs =
   let deadline_s = Option.map (fun ms -> (ms /. 1000.) -. queue_wait) p.Protocol.deadline_ms in
   let budget = Engine.Budget.arm (Engine.Budget.make ?deadline_s ~cancel:t.drain_tok ()) in
   let trace = Engine.Telemetry.create () in
-  let solver = solver_of t p and objective = p.Protocol.objective in
+  let solver = Protocol.request_solver p and objective = p.Protocol.objective in
   let outcome =
     match Runtime.Cache.find t.cache key with
     | Some alloc -> `Solved (Ok alloc, true)
@@ -251,8 +222,8 @@ let cached_solve t ~key ~queue_wait ?warm_start (p : Protocol.solve_params) spec
         Hslb.Alloc_model.memoize ~solver ~objective t.cache key r;
         `Solved (r, false)
       | exception e ->
-        (* a solver crash must still answer the request and every
-           attached follower, or admitted requests would be lost *)
+        (* a solver crash must still answer the request, or an
+           admitted request would be lost *)
         `Crashed (Printexc.to_string e))
   in
   let solve_wall = Engine.Budget.elapsed_s budget in
@@ -295,53 +266,40 @@ let place_section t (p : Protocol.solve_params) specs (alloc : Hslb.Alloc_model.
     in
     [ ("place", section) ]
 
-(* One solve outcome, answered to every requester sharing it — a leader
-   first, then its deduped followers — each in its own version and with
-   its own policy hint. The audit verdict and [extra] members are
-   computed once. *)
+(* One solve outcome, answered to its requester in its own version and
+   with its own policy hint; every allocation carries its audit
+   verdict *)
 let answer_solve t ~op ~start ~extra (p : Protocol.solve_params) specs (outcome, solve_wall)
-    rqs =
-  let answer =
-    match outcome with
-    | `Solved (Ok (alloc : Hslb.Alloc_model.allocation), _) ->
-      let status = Minlp.Solution.status_to_string alloc.Hslb.Alloc_model.status in
-      let nums f a = Json.Arr (Array.to_list (Array.map f a)) in
-      `Allocated
-        ( status,
-          [
-            ("status", Json.Str status);
-            ("makespan", Json.Num alloc.Hslb.Alloc_model.predicted_makespan);
-            ( "nodes_per_task",
-              nums (fun n -> Json.Num (float_of_int n)) alloc.Hslb.Alloc_model.nodes_per_task );
-            ("predicted_times", nums (fun x -> Json.Num x) alloc.Hslb.Alloc_model.predicted_times);
-            ( "audit",
-              if t.cfg.audit then Json.Str (audit_verdict p specs alloc) else Json.Null );
-          ]
-          @ extra alloc )
-    | `Solved (Error st, _) -> `No_allocation (Minlp.Solution.status_to_string st)
-    | `Crashed msg -> `Crashed msg
-  in
+    rq =
   let cache_hit = match outcome with `Solved (_, hit) -> hit | `Crashed _ -> false in
-  List.iteri
-    (fun i rq ->
-      let tele =
-        tele_of ~start ~solve_wall_ms:(solve_wall *. 1000.) ~cache_hit ~dedup:(i > 0) rq
-      in
-      match answer with
-      | `Allocated (status, fields) ->
-        finish t ~op rq ~outcome:"ok" ~status
-          (fields @ policy_fields t rq.hint @ [ telemetry_member tele ])
-          tele
-      | `No_allocation status ->
-        finish t ~op rq ~outcome:"error" ~status
-          [
-            ("error", Json.Str ("no allocation: " ^ status));
-            ("status", Json.Str status);
-            telemetry_member tele;
-          ]
-          tele
-      | `Crashed msg -> fail t ~op rq ~outcome:"error" ("internal error: " ^ msg) tele)
-    rqs
+  let tele = tele_of ~start ~solve_wall_ms:(solve_wall *. 1000.) ~cache_hit rq in
+  match outcome with
+  | `Solved (Ok (alloc : Hslb.Alloc_model.allocation), _) ->
+    let status = Minlp.Solution.status_to_string alloc.Hslb.Alloc_model.status in
+    let nums f a = Json.Arr (Array.to_list (Array.map f a)) in
+    finish t ~op rq ~outcome:"ok" ~status
+      ([
+         ("status", Json.Str status);
+         ("makespan", Json.Num alloc.Hslb.Alloc_model.predicted_makespan);
+         ( "nodes_per_task",
+           nums (fun n -> Json.Num (float_of_int n)) alloc.Hslb.Alloc_model.nodes_per_task );
+         ("predicted_times", nums (fun x -> Json.Num x) alloc.Hslb.Alloc_model.predicted_times);
+         ("audit", Json.Str (audit_verdict p specs alloc));
+       ]
+      @ extra alloc
+      @ policy_fields t rq.hint
+      @ [ telemetry_member tele ])
+      tele
+  | `Solved (Error st, _) ->
+    let status = Minlp.Solution.status_to_string st in
+    finish t ~op rq ~outcome:"error" ~status
+      [
+        ("error", Json.Str ("no allocation: " ^ status));
+        ("status", Json.Str status);
+        telemetry_member tele;
+      ]
+      tele
+  | `Crashed msg -> fail t ~op rq ~outcome:"error" ("internal error: " ^ msg) tele
 
 (* the deadline a request's queue wait consumed, if it did *)
 let expired_deadline (p : Protocol.solve_params) ~start rq =
@@ -349,36 +307,22 @@ let expired_deadline (p : Protocol.solve_params) ~start rq =
   | Some ms when (start -. rq.arrival) *. 1000. >= ms -> Some ms
   | Some _ | None -> None
 
-(* answered without solving; followers share their leader's verdict *)
-let expire t ~op ~start ms rqs =
-  locked t (fun () -> t.n_expired <- t.n_expired + List.length rqs);
-  List.iteri
-    (fun i rq ->
-      let tele = tele_of ~start ~dedup:(i > 0) rq in
-      fail t ~op rq ~outcome:"expired"
-        (Printf.sprintf "deadline (%.0f ms) consumed by %.0f ms of queue wait" ms
-           tele.queue_wait_ms)
-        tele)
-    rqs
+(* answered without solving *)
+let expire t ~op ~start ms rq =
+  locked t (fun () -> t.n_expired <- t.n_expired + 1);
+  let tele = tele_of ~start rq in
+  fail t ~op rq ~outcome:"expired"
+    (Printf.sprintf "deadline (%.0f ms) consumed by %.0f ms of queue wait" ms tele.queue_wait_ms)
+    tele
 
 let process_solve t ~start rq (sj : solve_job) =
   let p = sj.params in
-  (* detach from the dedupe table first: once the solve begins, a new
-     identical request queues its own rather than waiting behind a
-     result that may already reflect an older deadline *)
-  let followers =
-    locked t (fun () ->
-        Hashtbl.remove t.pending sj.key;
-        let fs = sj.followers in
-        sj.followers <- [];
-        fs)
-  in
   match expired_deadline p ~start rq with
-  | Some ms -> expire t ~op:"solve" ~start ms (rq :: followers)
+  | Some ms -> expire t ~op:"solve" ~start ms rq
   | None ->
     answer_solve t ~op:"solve" ~start ~extra:(place_section t p sj.specs) p sj.specs
       (cached_solve t ~key:sj.key ~queue_wait:(start -. rq.arrival) p sj.specs)
-      (rq :: followers)
+      rq
 
 (* ---------- resolve: online update, certificate, warm re-solve ---------- *)
 
@@ -422,7 +366,7 @@ let process_resolve t ~start rq (rj : resolve_job) =
   let rp = rj.rparams in
   let p = rp.Protocol.base in
   match expired_deadline p ~start rq with
-  | Some ms -> expire t ~op:"resolve" ~start ms [ rq ]
+  | Some ms -> expire t ~op:"resolve" ~start ms rq
   | None -> (
     let specs = updated_specs rj in
     let k = List.length specs in
@@ -434,7 +378,7 @@ let process_resolve t ~start rq (rj : resolve_job) =
         Error
           (Printf.sprintf "field \"prev\": expected %d entries (one per model class), got %d"
              k (Array.length rp.Protocol.prev))
-      else solve_key t { p with Protocol.place = None } specs
+      else Protocol.solve_key { p with Protocol.place = None } specs
     in
     match key with
     | Error msg -> fail t ~op:"resolve" rq ~outcome:"error" msg (tele_of ~start rq)
@@ -484,7 +428,7 @@ let process_resolve t ~start rq (rj : resolve_job) =
         locked t (fun () -> t.n_resolved <- t.n_resolved + 1);
         answer_solve t ~op:"resolve" ~start
           ~extra:(fun _ -> ("resolve", Json.Str "resolved") :: certificate_fields ~eps check)
-          p specs solved [ rq ]))
+          p specs solved rq))
 
 let process_sleep t ~start rq dur =
   (* cooperative nap: polls the drain token so a graceful shutdown can
@@ -554,7 +498,6 @@ let create ?telemetry cfg ~emit =
       lock = Mutex.create ();
       nonempty = Condition.create ();
       queue = Queue.create ();
-      pending = Hashtbl.create 64;
       cache = Runtime.Cache.create ~capacity:cfg.cache_capacity ();
       tally = Engine.Telemetry.create ();
       qwait_h = Obs.Metrics.Histogram.create ~lo:1e-3 ~hi:1e7 "serve_queue_wait_ms";
@@ -569,7 +512,6 @@ let create ?telemetry cfg ~emit =
       n_served = 0;
       n_overloaded = 0;
       n_drain_rejected = 0;
-      n_deduped = 0;
       n_expired = 0;
       n_protocol_errors = 0;
       n_policy_hints = 0;
@@ -607,7 +549,6 @@ let stats_obj t =
              ("served", Json.Num (float_of_int t.n_served));
              ("overloaded", Json.Num (float_of_int t.n_overloaded));
              ("drain_rejected", Json.Num (float_of_int t.n_drain_rejected));
-             ("deduped", Json.Num (float_of_int t.n_deduped));
              ("expired", Json.Num (float_of_int t.n_expired));
              ("protocol_errors", Json.Num (float_of_int t.n_protocol_errors));
              ("policy_hints", Json.Num (float_of_int t.n_policy_hints));
@@ -700,25 +641,8 @@ let admit t rq work =
         else begin
           t.n_accepted <- t.n_accepted + 1;
           if rq.hint <> None then t.n_policy_hints <- t.n_policy_hints + 1;
-          let enqueue () =
-            Queue.push { rq; work } t.queue;
-            Condition.signal t.nonempty
-          in
-          (match work with
-          | W_solve sj -> (
-            match Hashtbl.find_opt t.pending sj.key with
-            | Some leader ->
-              (* identical instance already queued or solving: attach *)
-              leader.followers <- rq :: leader.followers;
-              t.n_deduped <- t.n_deduped + 1
-            | None ->
-              Hashtbl.replace t.pending sj.key sj;
-              enqueue ())
-          | W_resolve _ | W_sleep _ ->
-            (* resolves are never deduped: the observations ride with
-               the request, and the certificate decides per-request
-               what they mean *)
-            enqueue ());
+          Queue.push { rq; work } t.queue;
+          Condition.signal t.nonempty;
           `Admitted
         end)
   in
@@ -762,8 +686,8 @@ let submit ?reply t line =
          fingerprint when a place section rides along; a malformed
          place section (wrong arity, asymmetric traffic, memory
          infeasibility) is rejected here, before any solver work *)
-      let* key = solve_key t p specs in
-      Ok (Some (W_solve { params = p; specs; key; followers = [] }, p.Protocol.policy))
+      let* key = Protocol.solve_key p specs in
+      Ok (Some (W_solve { params = p; specs; key }, p.Protocol.policy))
     | Protocol.Resolve rp ->
       let* specs = Protocol.resolve_specs rp.Protocol.base in
       Ok (Some (W_resolve { rparams = rp; rspecs = specs }, rp.Protocol.base.Protocol.policy))

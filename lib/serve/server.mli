@@ -1,11 +1,10 @@
 (** The long-lived solve service behind [hslb serve].
 
     One {!t} owns a bounded request queue, a {!Runtime.Pool} worker set
-    of solver domains, a {!Runtime.Cache} of proven-optimal allocations
-    keyed by {!Protocol.solve_key} (the instance and the solver that
-    answers it: the request's [solver], else [default_solver]), and an
-    in-flight dedupe table over the same key. The core is transport-agnostic: a
-    transport ({!Transport_stdio}, {!Transport_socket}, or a test
+    of solver domains, and a {!Runtime.Cache} of proven-optimal
+    allocations keyed by {!Protocol.solve_key} (the instance and the
+    solver that answers it, {!Protocol.request_solver}). The core is
+    transport-agnostic: a transport ({!Transport_stdio}, {!Transport_socket}, or a test
     harness) feeds raw request lines to {!submit} together with the
     reply sink of the connection each line arrived on; every response
     goes out through that sink, one JSON line per admitted or rejected
@@ -13,7 +12,8 @@
     ordering is not part of the contract). Each admitted request is
     answered in its own protocol version through one internal exit,
     which also records its queue wait and telemetry line and counts it
-    [served]. Sinks from different connections may be called
+    [served]. Every allocation in an [ok] reply carries the independent
+    auditor's verdict. Sinks from different connections may be called
     concurrently from worker domains but never interleave mid-line —
     all of them are serialized under one internal emit lock.
 
@@ -23,14 +23,9 @@
     malformed requests ([outcome "error"]), for requests arriving past
     the queue high-water mark ([outcome "overloaded"]; the queue never
     grows unboundedly), and for requests arriving after drain started
-    ([outcome "draining"]). Identical solves (equal keys) still
-    waiting in the queue are deduped: followers attach to the queued
-    leader and receive its result when it completes, marked
-    [dedup true]. Once a solve has {e started} an identical request
-    queues its own — the running solve may be cut short by the original
-    request's deadline, so its answer is only shared with followers
-    attached before it began (proven optima reach later requests
-    through the cache instead).
+    ([outcome "draining"]). Every admitted request takes one queue
+    slot, identical ones included; a later identical request reaches a
+    proven optimum through the cache.
 
     {2 Deadlines}
 
@@ -39,7 +34,8 @@
     is mapped onto an {!Engine.Budget} wall-clock deadline (so the
     existing cooperative-cancellation machinery enforces it); a request
     whose deadline was fully consumed while queued is answered
-    [outcome "expired"] without solving.
+    [outcome "expired"] without solving. Each request is judged by its
+    own deadline only.
 
     {2 Drain}
 
@@ -60,23 +56,16 @@ type config = {
   drain_grace_s : float;
       (** how long after drain starts in-flight/queued solves may keep
           running before the drain token budget-cancels them *)
-  default_solver : Engine.Solver_choice.t;
-      (** the solver for requests that name none; part of their key *)
-  audit : bool;
-      (** re-verify each solve's certificate with the independent
-          auditor and include the verdict in the response envelope *)
   policy : Arena.Policy.t;
       (** scenario-class → scheduler table consulted when a solve
           carries a ["policy"] hint: the ok response then includes a
           [policy] object naming the declared scenario class and the
           recommended scheduler. Advisory only — it never changes the
-          solve or the dedupe/cache key, and every deduped follower
-          gets the recommendation for {e its own} hint. *)
+          solve or the cache key. *)
 }
 
 (** jobs from {!Runtime.Config.jobs}, queue limit 64, cache capacity
-    128, grace 2 s, solver oa, audit on, policy
-    {!Arena.Policy.builtin}. *)
+    128, grace 2 s, policy {!Arena.Policy.builtin}. *)
 val default_config : unit -> config
 
 type t
@@ -88,7 +77,7 @@ type t
     from worker domains and from [submit]'s caller under an internal
     lock, so it needs no locking of its own.
     [telemetry], when given, receives one JSON line per finished
-    request (queue wait, solve wall, cache hit, dedup) —
+    request (queue wait, solve wall, cache hit) —
     the replayable trace.
     @raise Invalid_argument on a non-positive [jobs]/[queue_limit]. *)
 val create : ?telemetry:(string -> unit) -> config -> emit:(string -> unit) -> t

@@ -2,7 +2,7 @@
    transport owns connections; the core owns request semantics. The
    two meet at exactly two points: [submit] (a raw line plus the reply
    sink of the connection it arrived on) and [conn]
-   (read-line/write-line/close). Everything else — admission, dedupe,
+   (read-line/write-line/close). Everything else — admission, caching,
    deadlines, drain — lives behind [submit] and never learns what fd,
    pipe or buffer the bytes crossed. *)
 

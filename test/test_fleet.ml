@@ -2,7 +2,7 @@
    ~1/N movement under membership change), the socket transport's wire
    behaviour (framing, the exact numeric-"op" diagnostic, drain), and
    the router end-to-end over two attached backends — sharding by
-   fingerprint, dedupe/cache locality, fan-out aggregation, fleet
+   fingerprint, cache locality, fan-out aggregation, fleet
    drain, and ring shrink when an attached backend dies. *)
 
 let wait_until ?(timeout = 20.0) msg f =
@@ -162,8 +162,6 @@ let backend_core () =
          queue_limit = 16;
          cache_capacity = 8;
          drain_grace_s = 5.0;
-         default_solver = Engine.Solver_choice.Oa;
-         audit = false;
          policy = Arena.Policy.builtin;
        }
        ~emit:(fun _ -> ()))
@@ -258,10 +256,10 @@ let recv_lines ?(timeout_s = 20.) client n =
 
 let model_csv = "alpha,4,100,0.001,1,0.5\nbeta,2,50,0.001,1,0.2"
 
-let solve_line ?(id = 1) ?(nodes = 32) () =
-  Printf.sprintf {|{"id":%d,"model_csv":%s,"nodes":%d}|} id
+let solve_line ?(id = 1) ?(nodes = 32) ?(extra = "") () =
+  Printf.sprintf {|{"id":%d,"model_csv":%s,"nodes":%d%s}|} id
     (Serve.Json.to_string (Serve.Json.Str model_csv))
-    nodes
+    nodes extra
 
 let find_by_id vs id =
   match
@@ -362,15 +360,18 @@ let backend_field v =
   | Some b -> b
   | None -> Alcotest.failf "response without backend field: %s" (Serve.Json.to_string v)
 
-let test_router_shards_and_dedupes () =
+let test_router_shards_and_caches () =
   with_two_backend_router (fun router _ ->
       let s = make_sink () in
       let submit l = Serve.Router.submit router ~reply:(sink_reply s) l in
       (* two requests for the same instance plus one distinct: the
-         twins must land on one backend and share its dedupe table or
-         cache; nothing reaches the other shard for that key *)
-      submit (solve_line ~id:1 ());
-      submit (solve_line ~id:2 ());
+         twins must land on one backend, whose one worker solves the
+         first and answers the second from its cache (an oa answer is
+         stored at once); nothing reaches the other shard for that
+         key *)
+      let oa = {|,"solver":"oa"|} in
+      submit (solve_line ~id:1 ~extra:oa ());
+      submit (solve_line ~id:2 ~extra:oa ());
       submit (solve_line ~id:3 ~nodes:16 ());
       wait_until "3 solve answers" (fun () -> List.length (sink_values s) >= 3);
       let vs = sink_values s in
@@ -384,17 +385,12 @@ let test_router_shards_and_dedupes () =
       let b1 = backend_field (find_by_id vs 1) in
       Alcotest.(check string) "equal instances, one shard" b1
         (backend_field (find_by_id vs 2));
-      let shared =
-        List.exists
-          (fun id ->
-            match Serve.Json.member "telemetry" (find_by_id vs id) with
-            | Some tele ->
-              Serve.Json.member "dedup" tele = Some (Serve.Json.Bool true)
-              || Serve.Json.member "cache_hit" tele = Some (Serve.Json.Bool true)
-            | None -> false)
-          [ 1; 2 ]
+      let cache_hit id =
+        Option.bind (Serve.Json.member "telemetry" (find_by_id vs id)) (fun tele ->
+            Option.bind (Serve.Json.member "cache_hit" tele) Serve.Json.bool_)
       in
-      Alcotest.(check bool) "twin deduped or cache-hit" true shared;
+      Alcotest.(check (option bool)) "first twin solved" (Some false) (cache_hit 1);
+      Alcotest.(check (option bool)) "second twin a cache hit" (Some true) (cache_hit 2);
       (* fan-outs aggregate over both backends *)
       submit {|{"id":10,"op":"ping"}|};
       wait_until "ping answer" (fun () -> List.length (sink_values s) >= 4);
@@ -709,8 +705,8 @@ let () =
         ] );
       ( "router",
         [
-          Alcotest.test_case "shards + dedupes + fan-out" `Quick
-            test_router_shards_and_dedupes;
+          Alcotest.test_case "shards + caches + fan-out" `Quick
+            test_router_shards_and_caches;
           Alcotest.test_case "policy passthrough" `Quick test_router_policy_passthrough;
           Alcotest.test_case "resolve passthrough" `Quick test_router_resolve_passthrough;
           Alcotest.test_case "drain rejects" `Quick test_router_drain_rejects;

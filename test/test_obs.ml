@@ -1,7 +1,8 @@
 (* Observability subsystem tests: span scoping and cross-domain
    stitching (pool tasks parent to the span that launched them), the
-   metrics registry under concurrent update, the exporters, and the
-   engine / runtime / report integration points. *)
+   metrics registry under concurrent update, the exporters, the JSON
+   codec's round trip (a property), and the engine / runtime / report
+   integration points. *)
 
 let contains_substring s sub =
   let n = String.length s and m = String.length sub in
@@ -273,6 +274,40 @@ let test_ndjson_stream () =
     | Ok _ -> Alcotest.fail "not an object"
     | Error msg -> Alcotest.failf "line does not parse: %s" msg)
   | l -> Alcotest.failf "expected 1 streamed line, got %d" (List.length l)
+
+(* the JSON codec round-trips every tree of finite numbers and
+   arbitrary byte strings (keys included): what the serve wire prints
+   it reads back unchanged *)
+let prop_json_roundtrip =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun x -> Obs.Json.Num (if Float.is_finite x then x else 0.)) float;
+        map (fun n -> Obs.Json.Num (float_of_int n)) int;
+        map (fun s -> Obs.Json.Str s) (string_size (0 -- 12));
+      ]
+  in
+  let tree =
+    sized_size (0 -- 4)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun vs -> Obs.Json.Arr vs) (list_size (0 -- 5) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun kvs -> Obs.Json.Obj kvs)
+                     (list_size (0 -- 5) (pair (string_size (0 -- 6)) (self (n - 1)))) );
+               ])
+  in
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:5000
+    (QCheck.make ~print:Obs.Json.to_string tree)
+    (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
 
 let test_prometheus_exposition () =
   let c = Obs.Metrics.Counter.create "t_prom_total" in
@@ -642,6 +677,7 @@ let () =
           Alcotest.test_case "chrome trace round-trip" `Quick test_chrome_trace_roundtrip;
           Alcotest.test_case "chrome validator rejects" `Quick test_check_chrome_trace_rejects;
           Alcotest.test_case "ndjson stream" `Quick test_ndjson_stream;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |]) prop_json_roundtrip;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "prometheus validator rejects" `Quick test_check_prometheus_rejects;
         ] );

@@ -1,7 +1,7 @@
-(* Serving-layer tests: JSON codec, wire protocol parsing, and the
-   server itself — admission control under overload, end-to-end
-   deadlines, in-flight dedupe, caching, and graceful drain (every
-   admitted request answered, every domain joined). *)
+(* Serving-layer tests: JSON codec, wire protocol parsing (fixtures
+   and properties), and the server itself — admission control under
+   overload, end-to-end per-request deadlines, caching, and graceful
+   drain (every admitted request answered, every domain joined). *)
 
 let contains_substring s sub =
   let n = String.length s and m = String.length sub in
@@ -200,6 +200,136 @@ let test_protocol_resolve () =
     {|field "observe": class "alpha": samples must be an array of [nodes, seconds] pairs of finite numbers (nodes >= 1, seconds >= 0)|};
   expect_exact (resolve_line ~extra:{|,"epsilon":0|} ()) {|field "epsilon": must be > 0|}
 
+(* ---------- Protocol properties ---------- *)
+
+module Gen = QCheck.Gen
+
+(* [parse_line] never raises; a line that is not a JSON object gets one
+   of the two diagnostics for it, with a null id *)
+let parses_totally line =
+  match Serve.Protocol.parse_line line with
+  | exception e -> QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) line
+  | { req; id; _ } -> (
+    match (Serve.Json.parse line, req) with
+    | Ok (Serve.Json.Obj _), _ -> true
+    | _, Error msg ->
+      id = Serve.Json.Null
+      && (msg = "request must be a JSON object" || String.starts_with ~prefix:"bad JSON: " msg)
+    | _, Ok _ -> false)
+
+(* arbitrary bytes, half of them drawn from JSON's own alphabet so the
+   parser gets past the first few characters *)
+let prop_parse_bytes =
+  let json_char = Gen.oneofl (List.of_seq (String.to_seq {|{}[]":,.-+eE0123456789 tfnrulasv\|})) in
+  QCheck.Test.make ~name:"parse_line: arbitrary bytes" ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       Gen.(string_size ~gen:(oneof [ char; json_char ]) (0 -- 120)))
+    parses_totally
+
+let request_fixtures =
+  [
+    solve_line ~deadline_ms:250. ~extra:{|,"solver":"oa","policy":"drifting"|} ();
+    {|{"id":1,"v":2,"op":"resolve","model_csv":"alpha,4,100,0.001,1,0.5","nodes":32,"prev":[8],"observe":[{"class":"alpha","samples":[[2,50.0]]}],"epsilon":0.1}|};
+    {|{"id":2,"v":2,"model_csv":"a,1,1,0,1,0","nodes":32,"place":{"topology":[2,2,2],"groups":4,"mem_per_node_gb":1.0,"mem_gb":[0.6],"comm_mb":[[0]]}}|};
+    {|{"id":"s","op":"sleep","ms":40}|};
+    {|{"id":3,"v":2,"op":"ping"}|};
+    {|{"op":"stats"}|};
+  ]
+
+(* a request line cut anywhere short of its end is never a complete
+   JSON text *)
+let prop_parse_truncated =
+  QCheck.Test.make ~name:"parse_line: truncated requests" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       Gen.(oneofl request_fixtures >>= fun l -> map (String.sub l 0) (0 -- (String.length l - 1))))
+    (fun line ->
+      parses_totally line
+      &&
+      match (Serve.Protocol.parse_line line).req with
+      | Error msg -> String.starts_with ~prefix:"bad JSON: " msg
+      | Ok _ -> false)
+
+(* objects built from the protocol's own field names, each usually
+   holding one of the shapes the protocol reads there and otherwise any
+   JSON value: the id echoes and the version stays in range, whatever
+   the request makes of the rest *)
+let field_examples =
+  List.map
+    (fun (k, texts) -> (k, List.map (fun t -> Result.get_ok (Serve.Json.parse t)) texts))
+    [
+      ("id", [ "1"; {|"s"|}; "null" ]);
+      ("v", [ "1"; "2"; "3"; {|"two"|} ]);
+      ("op", [ {|"solve"|}; {|"resolve"|}; {|"sleep"|}; {|"ping"|}; {|"stats"|}; {|"warp"|} ]);
+      ( "model_csv",
+        [ {|"alpha,4,100,0.001,1,0.5\nbeta,2,50,0.001,1,0.2"|}; {|"a,1,100,0,1,1"|}; {|"a,1,nan"|} ]
+      );
+      ("model_path", [ {|"/no/such/file"|} ]);
+      ("nodes", [ "32"; "8"; "0"; "1000000000"; "10000000000"; "1.5" ]);
+      ("objective", [ {|"min-max"|}; {|"max-min"|}; {|"min-sum"|}; {|"max"|} ]);
+      ("solver", [ {|"exact"|}; {|"oa"|}; {|"quantum"|} ]);
+      ("deadline_ms", [ "5"; "0"; "250.5" ]);
+      ("allowed", [ "[4,8,16]"; "[]"; "[1.5]" ]);
+      ("policy", [ {|"drifting"|}; {|"warp"|} ]);
+      ( "place",
+        [
+          {|{"topology":[2,2,2],"groups":4,"mem_per_node_gb":1.0,"mem_gb":[0.6,0.5],"comm_mb":[[0,3.5],[3.5,0]]}|};
+          {|{"groups":4}|};
+        ] );
+      ("topology", [ "[2,2,2]"; "[2,2]"; "[1000,1000,1000]" ]);
+      ("groups", [ "4"; "0"; "2048" ]);
+      ("mem_per_node_gb", [ "1.0"; "0" ]);
+      ("mem_gb", [ "[0.6,0.5]"; "[-1]" ]);
+      ("comm_mb", [ "[[0,1],[1,0]]"; "[1]" ]);
+      ("hop_cost_s_per_mb", [ "2.0"; "-1" ]);
+      ("prev", [ "[8]"; "[8,8]"; "[0]"; "[]" ]);
+      ("observe", [ {|[{"class":"alpha","samples":[[2,50.0]]}]|}; "[7]" ]);
+      ("class", [ {|"alpha"|} ]);
+      ("samples", [ "[[2,50.0]]"; "[[0,5]]" ]);
+      ("epsilon", [ "0.1"; "0" ]);
+      ("ms", [ "1"; "-1" ]);
+    ]
+
+let gen_object =
+  let open Gen in
+  let leaf =
+    oneof
+      [
+        return Serve.Json.Null;
+        map (fun b -> Serve.Json.Bool b) bool;
+        map (fun x -> Serve.Json.Num x) float;
+        map (fun s -> Serve.Json.Str s) (string_size (0 -- 8));
+      ]
+  in
+  let rec value n =
+    if n = 0 then leaf
+    else
+      frequency
+        [
+          (3, leaf);
+          (1, map (fun vs -> Serve.Json.Arr vs) (list_size (0 -- 4) (value (n - 1))));
+          (2, obj (n - 1));
+        ]
+  and obj n =
+    map
+      (fun kvs -> Serve.Json.Obj kvs)
+      (list_size (0 -- 8)
+         ( oneofl field_examples >>= fun (k, examples) ->
+           map (fun v -> (k, v)) (frequency [ (3, oneofl examples); (1, value n) ]) ))
+  in
+  sized_size (0 -- 3) obj
+
+let prop_parse_objects =
+  QCheck.Test.make ~name:"parse_line: protocol-shaped objects" ~count:5000
+    (QCheck.make ~print:Serve.Json.to_string gen_object)
+    (fun obj ->
+      let line = Serve.Json.to_string obj in
+      parses_totally line
+      &&
+      let { Serve.Protocol.id; v; _ } = Serve.Protocol.parse_line line in
+      id = Option.value (Serve.Json.member "id" obj) ~default:Serve.Json.Null
+      && v >= Serve.Protocol.min_version
+      && v <= Serve.Protocol.current_version)
+
 (* ---------- Server harness ---------- *)
 
 (* emit runs in worker domains; the mutex both serializes test-side
@@ -219,8 +349,6 @@ let make_harness ?(jobs = 1) ?(queue_limit = 4) ?(drain_grace_s = 5.0) ?telemetr
       queue_limit;
       cache_capacity = 8;
       drain_grace_s;
-      default_solver = Hslb.Alloc_model.default_solver;
-      audit = true;
       policy = Arena.Policy.builtin;
     }
   in
@@ -257,6 +385,14 @@ let wait_until ?(timeout = 20.0) msg f =
 
 let count_outcome h o =
   List.length (List.filter (fun v -> outcome_of v = o) (responses h))
+
+let stat_counter h key =
+  match Serve.Json.parse (Serve.Server.stats_json h.server) with
+  | Error e -> Alcotest.fail e
+  | Ok stats -> (
+    match Option.bind (Serve.Json.member key stats) Serve.Json.int_ with
+    | Some n -> n
+    | None -> Alcotest.failf "stats missing %s" key)
 
 (* ---------- Server tests ---------- *)
 
@@ -332,25 +468,43 @@ let test_serve_deadline_expired () =
   | None -> Alcotest.fail "expired request never answered"
   | Some v -> Alcotest.(check string) "expired outcome" "expired" (outcome_of v)
 
-let test_serve_dedupe () =
+(* each admitted request is judged by its own deadline, whatever an
+   identical request queued beside it asked for: with the worker held
+   by a sleep, a twin pair where the first carries a 5 ms deadline and
+   one where the second does *)
+let test_serve_own_deadlines () =
   let h = make_harness ~jobs:1 ~queue_limit:8 () in
   Serve.Server.submit h.server {|{"id":1,"op":"sleep","ms":150}|};
-  (* identical fingerprints while the first is still queued: the second
-     must attach to the first, not occupy a queue slot *)
-  Serve.Server.submit h.server (solve_line ~id:2 ~nodes:24 ());
+  Serve.Server.submit h.server (solve_line ~id:2 ~nodes:24 ~deadline_ms:5. ());
   Serve.Server.submit h.server (solve_line ~id:3 ~nodes:24 ());
+  Serve.Server.submit h.server (solve_line ~id:4 ~nodes:40 ());
+  Serve.Server.submit h.server (solve_line ~id:5 ~nodes:40 ~deadline_ms:5. ());
   ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
-  let v2 = Option.get (find_by_id h 2) and v3 = Option.get (find_by_id h 3) in
-  Alcotest.(check string) "leader ok" "ok" (outcome_of v2);
-  Alcotest.(check string) "follower ok" "ok" (outcome_of v3);
-  Alcotest.(check bool) "same answer" true
-    (Serve.Json.member "makespan" v2 = Serve.Json.member "makespan" v3);
-  let dedup v =
-    Option.bind (Serve.Json.member "telemetry" v) (fun t ->
-        Option.bind (Serve.Json.member "dedup" t) Serve.Json.bool_)
-  in
-  Alcotest.(check (option bool)) "leader not deduped" (Some false) (dedup v2);
-  Alcotest.(check (option bool)) "follower deduped" (Some true) (dedup v3)
+  List.iter
+    (fun (id, want) ->
+      match find_by_id h id with
+      | None -> Alcotest.failf "request %d never answered" id
+      | Some v -> Alcotest.(check string) (Printf.sprintf "id %d" id) want (outcome_of v))
+    [ (2, "expired"); (3, "ok"); (4, "ok"); (5, "expired") ]
+
+(* identical solves take a queue slot each: with the one worker held
+   by a sleep and two slots, two of ten twins are admitted and the rest
+   bounce, and every admitted request is served *)
+let test_serve_bounded_admission () =
+  let h = make_harness ~jobs:1 ~queue_limit:2 () in
+  Serve.Server.submit h.server {|{"id":1,"op":"sleep","ms":500}|};
+  wait_until "sleep picked up" (fun () -> stat_counter h "queue_depth" = 0);
+  for id = 2 to 11 do
+    Serve.Server.submit h.server (solve_line ~id ~nodes:24 ())
+  done;
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  let solves = List.filter_map (fun id -> find_by_id h id) (List.init 10 (fun i -> i + 2)) in
+  let count o = List.length (List.filter (fun v -> outcome_of v = o) solves) in
+  Alcotest.(check int) "every solve answered" 10 (List.length solves);
+  Alcotest.(check int) "two admitted" 2 (count "ok");
+  Alcotest.(check int) "eight overloaded" 8 (count "overloaded");
+  Alcotest.(check int) "accepted" 3 (stat_counter h "accepted");
+  Alcotest.(check int) "served" 3 (stat_counter h "served")
 
 (* the cache stores a MINLP answer at once, and an answer of the exact
    default (about as cheap to recompute as to store) once its key
@@ -363,8 +517,8 @@ let test_serve_cache_hit () =
   in
   let oa = {|,"solver":"oa"|} in
   Serve.Server.submit h.server (solve_line ~id:1 ~nodes:28 ~extra:oa ());
-  (* wait for completion so the second identical request is a cache
-     hit, not an in-flight dedupe *)
+  (* wait for completion so the second identical request finds the
+     first one's answer stored *)
   wait_until "first solve" (fun () -> find_by_id h 1 <> None);
   Serve.Server.submit h.server (solve_line ~id:2 ~nodes:28 ~extra:oa ());
   Serve.Server.submit h.server (solve_line ~id:3 ~nodes:28 ());
@@ -435,10 +589,10 @@ let test_serve_policy_hint () =
   in
   Alcotest.(check (option int)) "policy_hints counter" (Some 1) hints
 
-let test_serve_policy_per_follower () =
-  (* the dedupe key is the pure fingerprint: a hinted follower attaches
-     to an unhinted (or differently hinted) leader and still gets the
-     recommendation for its own declared class *)
+let test_serve_policy_per_request () =
+  (* the policy hint stays out of the cache key: identical solves with
+     different hints (or none) each get the recommendation for their
+     own declared class *)
   let h = make_harness ~jobs:1 ~queue_limit:8 () in
   Serve.Server.submit h.server {|{"id":1,"op":"sleep","ms":150}|};
   Serve.Server.submit h.server (solve_line ~id:2 ~nodes:24 ~extra:{|,"policy":"drifting"|} ());
@@ -449,15 +603,13 @@ let test_serve_policy_per_follower () =
   and v3 = Option.get (find_by_id h 3)
   and v4 = Option.get (find_by_id h 4) in
   List.iter (fun v -> Alcotest.(check string) "ok" "ok" (outcome_of v)) [ v2; v3; v4 ];
-  Alcotest.(check bool) "deduped into one solve" true
-    (Serve.Json.member "makespan" v2 = Serve.Json.member "makespan" v3);
   let scheduler v =
     Option.bind (policy_of v) (fun p ->
         Option.bind (Serve.Json.member "scheduler" p) Serve.Json.str)
   in
-  Alcotest.(check (option string)) "leader's own class" (Some "hybrid") (scheduler v2);
-  Alcotest.(check (option string)) "follower's own class" (Some "stealing") (scheduler v3);
-  Alcotest.(check bool) "unhinted follower unannotated" true (policy_of v4 = None)
+  Alcotest.(check (option string)) "first's own class" (Some "hybrid") (scheduler v2);
+  Alcotest.(check (option string)) "second's own class" (Some "stealing") (scheduler v3);
+  Alcotest.(check bool) "unhinted twin unannotated" true (policy_of v4 = None)
 
 let test_serve_drain_rejects_and_joins () =
   let h = make_harness ~jobs:2 ~queue_limit:8 () in
@@ -610,14 +762,6 @@ let test_serve_telemetry_fields () =
 let single_model = "alpha,4,100,0.001,1,0.5"
 
 let raw_responses h = Mutex.protect h.mutex (fun () -> List.rev !(h.lines))
-
-let stat_counter h key =
-  match Serve.Json.parse (Serve.Server.stats_json h.server) with
-  | Error e -> Alcotest.fail e
-  | Ok stats -> (
-    match Option.bind (Serve.Json.member key stats) Serve.Json.int_ with
-    | Some n -> n
-    | None -> Alcotest.failf "stats missing %s" key)
 
 (* incumbents already optimal are kept and answered as they are, at gap
    0 with the exact optimum as their bound: 4 tasks of 8 nodes on 32,
@@ -946,7 +1090,7 @@ let test_serve_place_annotation () =
     Alcotest.(check string) "ok" "ok" (outcome_of r);
     Alcotest.(check bool) "no place section without the request" true
       (Serve.Json.member "place" r = None);
-    (* distinct dedupe keys: the unplaced twin must have missed *)
+    (* distinct cache keys: the unplaced twin must have missed *)
     Alcotest.(check bool) "cache not shared across place boundary" true
       (match
          Option.bind (Serve.Json.member "telemetry" r) (fun t ->
@@ -1011,8 +1155,8 @@ let test_serve_solver_keyed () =
   Alcotest.(check (option bool)) "default request misses the bnb entry" (Some false)
     (tele_flag "cache_hit" dflt);
   check_default_answer "cache: default request" dflt;
-  (* (b) dedupe: with the one worker held by a sleep, a queued default
-     request must not attach to a queued bnb request *)
+  (* (b) the queue: with the one worker held by a sleep, a default
+     request queued behind a bnb twin gets its own exact answer *)
   let h = make_harness ~jobs:1 ~queue_limit:8 () in
   Serve.Server.submit h.server {|{"id":1,"op":"sleep","ms":150}|};
   Serve.Server.submit h.server (e6a4_line ~id:2 ~solver:"bnb" ());
@@ -1021,9 +1165,7 @@ let test_serve_solver_keyed () =
   let bnb = Option.get (find_by_id h 2) and dflt = Option.get (find_by_id h 3) in
   Alcotest.(check (option string)) "queued bnb answered by bnb" (Some "verified (bnb)")
     (audit_of bnb);
-  Alcotest.(check (option bool)) "default request not a dedupe follower" (Some false)
-    (tele_flag "dedup" dflt);
-  check_default_answer "dedupe: default request" dflt
+  check_default_answer "queue: default request" dflt
 
 (* unknown request members are ignored in both dialects, "strategy"
    included (older clients still send it): the request is answered by
@@ -1070,8 +1212,11 @@ let test_serve_no_admissible_allocation () =
     [ 1; 2 ]
 
 (* non-finite numbers are refused where they enter, each with an exact
-   diagnostic: NaN and infinite law coefficients in a model CSV, and an
-   observed sample of a resolve (1e999 reads as infinity) *)
+   diagnostic: NaN and infinite law coefficients in a model CSV, an
+   observed sample of a resolve, and each numeric request field that
+   would otherwise take infinity (1e999 reads as infinity): a resolve's
+   epsilon, a deadline (read as none), a sleep (a worker held until
+   drain) and a place section's memory per node *)
 let test_serve_non_finite_inputs () =
   let cases =
     [
@@ -1085,6 +1230,16 @@ let test_serve_non_finite_inputs () =
           ~extra:{|,"observe":[{"class":"a","samples":[[8,1e999]]}]|} (),
         {|field "observe": class "a": samples must be an array of [nodes, seconds] pairs of finite numbers (nodes >= 1, seconds >= 0)|}
       );
+      ( resolve_line ~id:4 ~model:"a,1,100,0,1,1" ~prev:"[8]" ~extra:{|,"epsilon":1e999|} (),
+        {|field "epsilon": must be finite and > 0|} );
+      ( {|{"id":5,"model_csv":"a,1,100,0,1,1","nodes":8,"deadline_ms":1e999}|},
+        {|field "deadline_ms": must be finite and > 0|} );
+      ({|{"id":6,"op":"sleep","ms":1e999}|}, {|field "ms": must be finite and non-negative|});
+      ( solve_line ~id:7
+          ~extra:
+            {|,"v":2,"place":{"topology":[2,2,2],"groups":4,"mem_per_node_gb":1e999,"mem_gb":[0.6,0.5],"comm_mb":[[0,3.5],[3.5,0]]}|}
+          (),
+        {|field "place.mem_per_node_gb": must be finite and positive|} );
     ]
   in
   let h = make_harness ~jobs:1 () in
@@ -1159,6 +1314,40 @@ let test_serve_huge_budget () =
       if mb > 16. then Alcotest.failf "billion-node %s solve allocated %.1f MB" name mb)
     cases
 
+(* the solves of an arena scenario replay (what `hslb loadgen
+   --scenario` sends for ci.sh's quick steady zoo) are each answered
+   ok, and each reply carries a verified audit *)
+let test_serve_scenario_replay_audited () =
+  let sc =
+    Arena.Scenario.generate ~phases:4 ~tasks_per_phase:24 Arena.Scenario.Steady ~seed:42
+  in
+  let solves =
+    List.filter
+      (fun r -> Serve.Json.member "op" r = Some (Serve.Json.Str "solve"))
+      (Serve.Loadgen.trace_of_scenario sc)
+  in
+  let h = make_harness ~jobs:1 ~queue_limit:(List.length solves) () in
+  List.iteri
+    (fun i r ->
+      match r with
+      | Serve.Json.Obj fs ->
+        Serve.Server.submit h.server
+          (Serve.Json.to_string (Serve.Json.Obj (("id", Serve.Json.Num (float_of_int i)) :: fs)))
+      | _ -> Alcotest.fail "trace element is not an object")
+    solves;
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  Alcotest.(check int) "every solve answered" (List.length solves) (List.length (responses h));
+  List.iter
+    (fun v ->
+      Alcotest.(check string) "ok" "ok" (outcome_of v);
+      match audit_of v with
+      | Some a when String.starts_with ~prefix:"verified (" a -> ()
+      | a ->
+        Alcotest.failf "audit %s in %s"
+          (Option.value a ~default:"missing")
+          (Serve.Json.to_string v))
+    (responses h)
+
 (* inputs past the wire's caps are refused where they are parsed, each
    with an exact diagnostic, and the server goes on to answer the ping
    behind them. An integral "nodes" past the integer cap is told the
@@ -1229,16 +1418,20 @@ let () =
           Alcotest.test_case "policy hint" `Quick test_protocol_policy;
           Alcotest.test_case "place section" `Quick test_protocol_place;
           Alcotest.test_case "place fingerprint" `Quick test_protocol_place_fingerprint;
-        ] );
+        ]
+        @ List.map
+            (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |]))
+            [ prop_parse_bytes; prop_parse_truncated; prop_parse_objects ] );
       ( "server",
         [
           Alcotest.test_case "concurrent solves" `Quick test_serve_concurrent_solves;
           Alcotest.test_case "overload admission" `Quick test_serve_overload;
           Alcotest.test_case "deadline expired in queue" `Quick test_serve_deadline_expired;
-          Alcotest.test_case "in-flight dedupe" `Quick test_serve_dedupe;
+          Alcotest.test_case "own deadlines" `Quick test_serve_own_deadlines;
+          Alcotest.test_case "bounded admission" `Quick test_serve_bounded_admission;
           Alcotest.test_case "cache hit" `Quick test_serve_cache_hit;
           Alcotest.test_case "policy hint answered" `Quick test_serve_policy_hint;
-          Alcotest.test_case "policy per follower" `Quick test_serve_policy_per_follower;
+          Alcotest.test_case "policy per request" `Quick test_serve_policy_per_request;
           Alcotest.test_case "drain rejects + joins" `Quick test_serve_drain_rejects_and_joins;
           Alcotest.test_case "drain grace cancels" `Quick test_serve_drain_grace_cancels;
           Alcotest.test_case "protocol error + ping" `Quick test_serve_protocol_error_and_ping;
@@ -1255,6 +1448,7 @@ let () =
             test_serve_no_admissible_allocation;
           Alcotest.test_case "non-finite inputs" `Quick test_serve_non_finite_inputs;
           Alcotest.test_case "billion-node budget" `Quick test_serve_huge_budget;
+          Alcotest.test_case "scenario replay audited" `Quick test_serve_scenario_replay_audited;
           Alcotest.test_case "input caps" `Quick test_serve_input_caps;
         ] );
     ]
