@@ -41,7 +41,8 @@
 #
 # - fleet: `hslb route` over two spawned backends on unix sockets
 #   replays a 200-request `hslb loadgen` trace (asserting overload,
-#   expiry, shard-local cache hits and a clean fleet drain), then the
+#   expiry, shard-local cache hits, replies that all parse and pass
+#   their audits, and a clean fleet drain), then the
 #   1-vs-2-backend locality benchmark writes BENCH_fleet.json (gate:
 #   speedup >= 1.5x; see docs/SERVE.md). The trace's solves name oa:
 #   the bench measures LRU locality under expensive solves;
@@ -49,8 +50,8 @@
 #   zoo write BENCH_arena.json (gates include hybrid beating the stale
 #   static map on the drifting class); `hslb serve --policy-from` must
 #   answer policy hints with the matrix's own winners, and a zoo trace
-#   replays end-to-end through `hslb loadgen --scenario` (see
-#   docs/ARENA.md);
+#   replays end-to-end through `hslb loadgen --scenario`, every reply
+#   parsed and audited ok (see docs/ARENA.md);
 # - resolve: a live server walks a drift fixture — a v1 solve, a
 #   kept v2 `resolve` (answered "unchanged": the incumbent is within ε
 #   of the exact optimum), a drifted v2 `resolve` (genuine re-solve), a
@@ -176,6 +177,21 @@ assert_exactly_once() {
     echo "$2: accepted ${accepted:-?} requests but served ${served:-?}" >&2
     exit 1
   fi
+}
+
+# every reply of the loadgen run in result FILE parsed and every
+# audited reply passed its audit: the result's "audits" tally must
+# read "rejected":0, and its "malformed" count 0
+assert_replies_sound() {
+  audits=$(grep -o '"audits":{[^}]*}' "$1" | head -1)
+  printf '%s' "$audits" | grep -Eq '"rejected":0[,}]' || {
+    echo "$2: a reply's audit was rejected (${audits:-no audits tally})" >&2
+    exit 1
+  }
+  grep -Eq '"malformed":0[,}]' "$1" || {
+    echo "$2: reply lines that do not parse" >&2
+    exit 1
+  }
 }
 
 # a single worker and a tiny queue against a 50-request burst: the
@@ -350,6 +366,9 @@ hits=$(grep -o '"cache_hits":[0-9]*' "$SMOKE_DIR/loadgen_blast.json" | head -1 |
   echo "fleet smoke: blast produced no cache hits" >&2
   exit 1
 }
+# the router hands each backend's reply bytes on with the client's id
+# spliced in: every one must still parse and carry a passing audit
+assert_replies_sound "$SMOKE_DIR/loadgen_blast.json" "fleet smoke (blast)"
 # phase 2 — near-serial (window 2): every request is admitted, every
 # repeated key is a shard-local cache hit, and a tiny-deadline solve
 # that lands behind the other in-flight request outlives its 10us
@@ -387,6 +406,7 @@ for b in backend-0 backend-1; do
     exit 1
   }
 done
+assert_replies_sound "$SMOKE_DIR/loadgen_serial.json" "fleet smoke (serial)"
 grep -q '"event":"fleet_drain"' "$SMOKE_DIR/route.out" || {
   echo "fleet smoke: router never logged fleet_drain" >&2
   exit 1
@@ -431,9 +451,10 @@ grep -q "\"policy\":{\"scenario\":\"drifting\",\"scheduler\":\"$winner\"}" \
 echo "== arena: scenario trace replay through a live server =="
 # the steady zoo trace back through loadgen --scenario: every task is
 # a policy-hinted, audited solve, and all of them must come home.
-# loadgen prints a summary, not the replies: test_serve's "scenario
-# replay audited" requires "audit":"verified (" on every reply of this
-# same quick steady zoo
+# loadgen tallies every reply's audit verdict and every line that does
+# not parse, and both must be clean (test_serve's "scenario replay
+# audited" also requires "audit":"verified (" on every reply of this
+# same quick steady zoo)
 "$SERVE_BIN" serve --jobs 2 \
   --listen "unix:$SMOKE_DIR/arena.sock" > "$SMOKE_DIR/arena_listen.out" &
 ARENA_PID=$!
@@ -464,6 +485,7 @@ grep -o '"outcomes":{[^}]*}' "$SMOKE_DIR/arena_replay.json" \
   echo "arena replay: no \"ok\" outcome in replay result" >&2
   exit 1
 }
+assert_replies_sound "$SMOKE_DIR/arena_replay.json" "arena replay"
 
 echo "== resolve smoke: drift fixture through a live server (v1/v2 mix) =="
 # the fixture walks the whole version surface: id 1 is a v1 solve

@@ -205,7 +205,10 @@ let first_true lo hi p =
    so the step time (i + 1) - time i only grows and its sign bisects
    (exactly on the integers, where Scaling_law.optimal_nodes is a
    tolerance-bound real minimizer). No size range is ever enumerated;
-   every lookup is a bisection. *)
+   every lookup is a bisection. [time] remembers its answers in
+   [memo_slots] direct-mapped slots: the walks revisit the same indices
+   from bisection to bisection, and a ladder of at most [memo_slots]
+   sizes evaluates each size's law at most once. *)
 type ladder = {
   count : int;
   size : int -> int;
@@ -213,6 +216,8 @@ type ladder = {
   last : int;
   bottom : int;
 }
+
+let memo_slots = 256
 
 let ladder ~n_total spec =
   let lo = Stdlib.max 1 spec.n_min and hi = Stdlib.min spec.n_max n_total in
@@ -225,7 +230,18 @@ let ladder ~n_total spec =
       (Array.length a - 1, Array.get a)
   in
   let law = spec.fc.Classes.fit.Fitting.law in
-  let time i = Scaling_law.eval_int law (size i) in
+  let slots = Stdlib.max 1 (Stdlib.min (last + 1) memo_slots) in
+  let seen = Array.make slots (-1) and times = Array.make slots 0. in
+  let time i =
+    let s = i mod slots in
+    if seen.(s) = i then times.(s)
+    else begin
+      let t = Scaling_law.eval_int law (size i) in
+      seen.(s) <- i;
+      times.(s) <- t;
+      t
+    end
+  in
   let bottom = first_true 0 last (fun i -> i = last || time (i + 1) >= time i) in
   { count = spec.fc.Classes.cls.Classes.count; size; time; last; bottom }
 
@@ -242,7 +258,8 @@ let ladder ~n_total spec =
    steps keyed L while they fit, and at least one class runs out of
    budget there. Where rounding makes a key rise (consecutive sizes
    past ~10^8 nodes), the walk may leave that order, but it still never
-   overdraws the budget. Returns the sizes reached. *)
+   overdraws the budget. Returns the sizes reached, the slowest of
+   their times and each one's time, read off the ladders. *)
 let descend ~n_total ~key ~stop ls =
   let k = Array.length ls in
   let cur = Array.make k 0 in
@@ -332,7 +349,8 @@ let descend ~n_total ~key ~stop ls =
       end
   in
   round ();
-  Array.mapi (fun c i -> ls.(c).size i) cur
+  let times = Array.mapi (fun c i -> ls.(c).time i) cur in
+  (Array.mapi (fun c i -> ls.(c).size i) cur, Array.fold_left Float.max 0. times, times)
 
 let bottoms ls = Array.map (fun l -> l.bottom) ls
 
@@ -385,8 +403,9 @@ let max_min ~n_total ls specs =
       end
     in
     let stop = Array.mapi (fun c _ -> Stdlib.max 0 (cap c t_star)) ls in
-    let nodes = descend ~n_total ~key:(fun l -> l.time) ~stop ls in
-    let predicted_makespan, predicted_times = predicted_of specs nodes in
+    let nodes, predicted_makespan, predicted_times =
+      descend ~n_total ~key:(fun l -> l.time) ~stop ls
+    in
     Ok
       {
         nodes_per_task = nodes;
@@ -425,9 +444,10 @@ let gain l i =
     float_of_int l.count *. (l.time i -. l.time (i + 1))
     /. float_of_int (l.count * (l.size (i + 1) - l.size i))
 
-let min_sum ~n_total ls specs =
-  let nodes = descend ~n_total ~key:gain ~stop:(bottoms ls) ls in
-  let predicted_makespan, predicted_times = predicted_of specs nodes in
+let min_sum ~n_total ls =
+  let nodes, predicted_makespan, predicted_times =
+    descend ~n_total ~key:gain ~stop:(bottoms ls) ls
+  in
   let total_time = ref 0. in
   Array.iteri
     (fun c t -> total_time := !total_time +. (float_of_int ls.(c).count *. t))
@@ -490,8 +510,9 @@ let exact_solve ~n_total ls specs =
               coefficient"
              spec.fc.Classes.cls.Classes.name))
     specs;
-  let nodes = descend ~n_total ~key:(fun l -> l.time) ~stop:(bottoms ls) ls in
-  let predicted_makespan, predicted_times = predicted_of specs nodes in
+  let nodes, predicted_makespan, predicted_times =
+    descend ~n_total ~key:(fun l -> l.time) ~stop:(bottoms ls) ls
+  in
   let sides = threshold_sides ls predicted_makespan in
   (* some class has a floor, or the below sizes overflow the budget *)
   let rec proven c used =
@@ -520,29 +541,42 @@ let exact_solve ~n_total ls specs =
   }
 
 (* canonical, injective solve fingerprint: the solver, then the
-   instance with length-prefixed names, round-tripping float formats and
-   sorted-deduplicated allowed lists (the model dedups them too). Equal
-   fingerprints imply equal instances solved by the same solver. *)
+   instance with length-prefixed names, each float as the 8 bytes of
+   its bit pattern (fixed width, exact) and sorted-deduplicated allowed
+   lists (the model dedups them too). Equal fingerprints imply equal
+   instances solved by the same solver. *)
 let fingerprint ~solver ~objective ~n_total specs =
   let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "alloc-v2|%s|%s|%d|%d"
-       (Engine.Solver_choice.to_string solver)
-       (Objective.to_string objective) n_total (List.length specs));
+  let str s = Buffer.add_string b s in
+  let int sep n =
+    Buffer.add_char b sep;
+    str (string_of_int n)
+  in
+  let float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
+  str "alloc-v3|";
+  str (Engine.Solver_choice.to_string solver);
+  str "|";
+  str (Objective.to_string objective);
+  int '|' n_total;
+  int '|' (List.length specs);
   List.iter
     (fun spec ->
       let law = spec.fc.Classes.fit.Fitting.law in
       let name = spec.fc.Classes.cls.Classes.name in
-      Buffer.add_string b
-        (Printf.sprintf "|%d:%s,%d,%d,%d,%.17g,%.17g,%.17g,%.17g," (String.length name)
-           name spec.fc.Classes.cls.Classes.count spec.n_min spec.n_max law.Scaling_law.a
-           law.Scaling_law.b law.Scaling_law.c law.Scaling_law.d);
+      int '|' (String.length name);
+      str ":";
+      str name;
+      int ',' spec.fc.Classes.cls.Classes.count;
+      int ',' spec.n_min;
+      int ',' spec.n_max;
+      str ",";
+      float law.Scaling_law.a;
+      float law.Scaling_law.b;
+      float law.Scaling_law.c;
+      float law.Scaling_law.d;
       match spec.allowed with
-      | None -> Buffer.add_char b '*'
-      | Some values ->
-        List.iter
-          (fun v -> Buffer.add_string b (Printf.sprintf "a%d" v))
-          (List.sort_uniq compare values))
+      | None -> str "*"
+      | Some values -> List.iter (int 'a') (List.sort_uniq compare values))
     specs;
   Buffer.contents b
 
@@ -556,7 +590,7 @@ let min_max_solve ~solver ?budget ?warm_start ?trace ~n_total ls specs =
   let warm =
     match warm_start with
     | Some nodes -> nodes
-    | None -> (min_sum ~n_total ls specs).nodes_per_task
+    | None -> (min_sum ~n_total ls).nodes_per_task
   in
   let sol, cert =
     Minlp.Solver.run ~rel_gap:Minlp.Solver.model_rel_gap ?budget ?tally:trace
@@ -622,7 +656,7 @@ let solve ?(solver = default_solver) ?(objective = Objective.Min_max) ?budget
           | None -> (
             match objective with
             | Objective.Max_min -> max_min ~n_total ls specs
-            | Objective.Min_sum -> Ok (min_sum ~n_total ls specs)
+            | Objective.Min_sum -> Ok (min_sum ~n_total ls)
             | Objective.Min_max -> Ok (exact_solve ~n_total ls specs)))
     in
     Option.iter (fun c -> memoize ~solver ~objective c (Lazy.force key) result) cache;

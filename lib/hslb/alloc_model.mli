@@ -77,11 +77,13 @@ val build_minlp :
 (** [fingerprint ~solver ~objective ~n_total specs] — a canonical,
     injective serialization of the solve, suitable as a
     {!Runtime.Cache} key: the solver that answers it, then the
-    allocation instance. Class names are length-prefixed, law
-    coefficients are printed round-trippably ([%.17g]), and [allowed]
-    lists are sorted and deduplicated first (matching what the model
-    does), so equal fingerprints imply instances the solver cannot tell
-    apart, solved by the same solver. *)
+    allocation instance. Class names are length-prefixed, each law
+    coefficient is the 8 bytes of its bit pattern
+    ([Int64.bits_of_float], little-endian; the key is binary, not
+    text), and [allowed] lists are sorted and deduplicated first
+    (matching what the model does), so equal fingerprints imply
+    instances the solver cannot tell apart, solved by the same
+    solver. *)
 val fingerprint :
   solver:Engine.Solver_choice.t -> objective:Objective.t -> n_total:int -> spec list -> string
 

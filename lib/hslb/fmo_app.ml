@@ -11,10 +11,14 @@ let default_config =
     benchmark_points = 5;
     benchmark_reps = 2;
     objective = Objective.Min_max;
-    (* OA, not Alloc_model.default_solver: perfbench's fmo workload
-       keeps every op's plan until its run ends, so a faster plan reads
-       there as a peak-RSS regression; the switch waits for a benchmark
-       change that stops retaining plans *)
+    (* OA, not Alloc_model.default_solver, for two reasons in
+       perfbench's fmo workload, so the switch waits for a change to
+       the benchmark (ROADMAP item 2): it audits every plan with
+       Audit.check_minlp against the rebuilt MINLP, which refuses the
+       exact solver's threshold witness (nodes per task, one variable
+       short of the model), so every op would fail; and it keeps every
+       op's plan until its run ends, so a faster plan, more ops a run,
+       reads as a peak-RSS regression *)
     solver = Engine.Solver_choice.Oa;
     sweet_spots = None;
   }

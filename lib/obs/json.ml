@@ -25,11 +25,17 @@ let escape_string b s =
     s;
   Buffer.add_char b '"'
 
+external format_float : string -> float -> string = "caml_format_float"
+
+(* the bytes of Printf's "%.0f" on integers under 1e16 (exact in an
+   int, so its digits; -0 keeps its sign) and of "%.17g" elsewhere,
+   without Printf's format interpreter *)
 let add_num b f =
-  if Float.is_nan f || Float.is_integer f = false || Float.abs f >= 1e16 then
-    if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-    else Buffer.add_string b "null"
-  else Buffer.add_string b (Printf.sprintf "%.0f" f)
+  if not (Float.is_finite f) then Buffer.add_string b "null"
+  else if Float.is_integer f && Float.abs f < 1e16 then
+    Buffer.add_string b
+      (if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
+  else Buffer.add_string b (format_float "%.17g" f)
 
 let to_string v =
   let b = Buffer.create 128 in

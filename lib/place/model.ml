@@ -216,8 +216,8 @@ let feasible_memory inst assignment =
   !ok
 
 (* ---------- fingerprint ----------
-   Same construction discipline as Alloc_model.fingerprint: a version
-   tag, every dimension, length-prefixed names, and %.17g floats so
+   Built like Alloc_model.fingerprint, a version tag, every dimension
+   and length-prefixed names, with round-tripping %.17g floats, so
    distinct instances cannot collide. The topology shape and the group
    carve are part of the key — two instances differing only in where
    their nodes sit must never share a cached answer. *)

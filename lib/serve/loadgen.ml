@@ -138,9 +138,21 @@ type run_result = {
   throughput_rps : float;
   outcomes : (string * int) list;  (* outcome -> count, sorted *)
   cache_hits : int;
+  audits : (string * int) list;  (* audit verdict -> replies, in [verdicts] order *)
+  malformed : int;  (* reply lines that do not parse *)
   latency : Obs.Metrics.Histogram.summary;  (* ms, send to answer *)
   server_stats : Json.t;  (* final stats op answer, Null if unavailable *)
 }
+
+let verdicts = [ "verified"; "exact-method"; "rejected" ]
+
+(* a reply's "audit" string by its verdict: a pass names its label
+   first ("verified (exact)", "exact-method (hslb.greedy)"); anything
+   else ("REJECTED: ...", "no certificate emitted") did not pass *)
+let verdict_of audit =
+  if String.starts_with ~prefix:"verified (" audit then "verified"
+  else if String.starts_with ~prefix:"exact-method (" audit then "exact-method"
+  else "rejected"
 
 let with_endpoint endpoint f =
   match endpoint with
@@ -186,11 +198,15 @@ let run ?(label = "run") ?rate_rps ?(window = 16) ?(timeout_s = 120.)
   let lock = Mutex.create () in
   let outcomes : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let cache_hits = ref 0 in
+  let audits = Hashtbl.create 4 and malformed = ref 0 in
   let n_done = Atomic.make 0 in
   let server_stats = ref Json.Null in
   let record line =
     match Json.parse line with
-    | Error _ -> ()
+    | Error _ ->
+      Mutex.lock lock;
+      incr malformed;
+      Mutex.unlock lock
     | Ok v -> (
       match Option.bind (Json.member "id" v) Json.int_ with
       | None -> ()  (* event line (e.g. drained) *)
@@ -208,6 +224,11 @@ let run ?(label = "run") ?rate_rps ?(window = 16) ?(timeout_s = 120.)
         (match Option.bind (Json.member "telemetry" v) (Json.member "cache_hit") with
         | Some (Json.Bool true) -> incr cache_hits
         | _ -> ());
+        Option.iter
+          (fun a ->
+            let k = verdict_of a in
+            Hashtbl.replace audits k (1 + Option.value (Hashtbl.find_opt audits k) ~default:0))
+          (Option.bind (Json.member "audit" v) Json.str);
         Mutex.unlock lock;
         Atomic.incr n_done
       | Some i when i = n ->
@@ -278,6 +299,9 @@ let run ?(label = "run") ?rate_rps ?(window = 16) ?(timeout_s = 120.)
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcomes []
           |> List.sort (fun (a, _) (b, _) -> String.compare a b);
         cache_hits = !cache_hits;
+        audits =
+          List.map (fun k -> (k, Option.value (Hashtbl.find_opt audits k) ~default:0)) verdicts;
+        malformed = !malformed;
         latency = Obs.Metrics.Histogram.summary lat_h;
         server_stats = !server_stats;
       })
@@ -296,6 +320,8 @@ let result_json r =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) r.outcomes)
       );
       ("cache_hits", Json.Num (float_of_int r.cache_hits));
+      ("audits", Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) r.audits));
+      ("malformed", Json.Num (float_of_int r.malformed));
       ("latency_ms", Obs.Metrics.Histogram.summary_json r.latency);
       ("server_stats", r.server_stats);
     ]

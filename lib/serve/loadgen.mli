@@ -64,6 +64,13 @@ type run_result = {
   throughput_rps : float;
   outcomes : (string * int) list;  (** outcome -> count, sorted *)
   cache_hits : int;
+  audits : (string * int) list;
+      (** the replies that carry an ["audit"], by its verdict, always
+          these three in order: ["verified"] and ["exact-method"] for a
+          ["verified (...)"] or ["exact-method (...)"] pass,
+          ["rejected"] for any other string (["REJECTED: ..."],
+          ["no certificate emitted"]) *)
+  malformed : int;  (** reply lines that are not JSON *)
   latency : Obs.Metrics.Histogram.summary;  (** ms, send to answer *)
   server_stats : Json.t;  (** the post-run [stats] answer; [Null] if lost *)
 }

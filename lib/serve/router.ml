@@ -9,10 +9,12 @@
    connections may reuse one, so the router never forwards them. Each
    forwarded request gets a fresh internal integer id; the inflight
    table maps it back to the original id and the reply sink of the
-   connection it came from. A backend death errors out that backend's
-   inflight entries and (for router-spawned backends) re-spawns the
-   process in place — the ring is untouched, so the shard map is
-   stable across restarts. *)
+   connection it came from. The answer to a single request is the
+   backend's own line, checked to be one JSON object, with the client's
+   id spliced in and the backend's name appended. A backend death
+   errors out that backend's inflight entries and (for router-spawned
+   backends) re-spawns the process in place — the ring is untouched, so
+   the shard map is stable across restarts. *)
 
 type target =
   | Spawn of { name : string; prog : string; args : string list; sock : string }
@@ -275,9 +277,33 @@ let settle t entries why =
 
 (* ---------- backend responses ---------- *)
 
-let rewrite_response ~orig ~backend fields =
-  let fields = List.filter (fun (k, _) -> k <> "id") fields in
-  Protocol.response ~id:orig (fields @ [ ("backend", Json.Str backend) ])
+(* Every backend answer opens with its internal id, {"id":N, the way
+   Protocol.response writes it: the id and the offset just past N's
+   digits, where a ',' or the closing '}' follows *)
+let answer_id line =
+  let head = "{\"id\":" in
+  let h = String.length head and n = String.length line in
+  let rec digits j = if j < n && line.[j] >= '0' && line.[j] <= '9' then digits (j + 1) else j in
+  let stop = digits h in
+  if String.starts_with ~prefix:head line && stop < n && (line.[stop] = ',' || line.[stop] = '}')
+  then Option.map (fun iid -> (iid, stop)) (int_of_string_opt (String.sub line h (stop - h)))
+  else None
+
+(* A single request's answer is the backend's own bytes with the
+   client's id in place of N and the backend named last: what the
+   parsed line, its id swapped and a "backend" member appended, prints
+   as, without building that tree *)
+let client_reply ~orig ~backend line stop =
+  let close = String.rindex line '}' in
+  String.concat ""
+    [
+      "{\"id\":";
+      Json.to_string orig;
+      String.sub line stop (close - stop);
+      ",\"backend\":";
+      Json.to_string (Json.Str backend);
+      "}";
+    ]
 
 let take_inflight t iid =
   locked t (fun () ->
@@ -287,24 +313,19 @@ let take_inflight t iid =
         Hashtbl.remove t.inflight iid;
         Some e)
 
+(* a line must be one JSON object (Json.parse) before any of it reaches
+   a client; anything else is garbage and answers nothing *)
 let handle_backend_line t (b : backend) line =
   match Json.parse line with
-  | Error _ ->
-    locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);
-    event t
-      [
-        ("event", Json.Str "backend_garbage");
-        ("backend", Json.Str b.bname);
-      ]
-  | Ok (Json.Obj fields as v) -> (
-    match Option.bind (Json.member "id" v) Json.int_ with
+  | Ok (Json.Obj _ as v) -> (
+    match answer_id line with
     | None -> ()  (* not an answer to anything we sent *)
-    | Some iid -> (
+    | Some (iid, stop) -> (
       match take_inflight t iid with
       | None -> ()  (* already errored out (death race): drop the late answer *)
       | Some (_, Single { orig; reply; sent_at; v = _ }) ->
         Obs.Metrics.Histogram.observe t.rtt_h ((now () -. sent_at) *. 1000.);
-        reply_line t reply (rewrite_response ~orig ~backend:b.bname fields)
+        reply_line t reply (client_reply ~orig ~backend:b.bname line stop)
       | Some (_, Member a) ->
         let finished =
           locked t (fun () ->
@@ -322,7 +343,13 @@ let handle_backend_line t (b : backend) line =
               a.waiting = 0)
         in
         if finished then finish_agg t a))
-  | Ok _ -> ()
+  | Ok _ | Error _ ->
+    locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);
+    event t
+      [
+        ("event", Json.Str "backend_garbage");
+        ("backend", Json.Str b.bname);
+      ]
 
 (* A backend's link dropped. [graceful] when it was told to drain —
    counters and events stay quiet; the inflight sweep still runs in

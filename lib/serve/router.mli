@@ -10,7 +10,12 @@
 
     Client ids are never forwarded — each forwarded request gets a
     fresh internal integer id, mapped back (with a ["backend"] field
-    added to the envelope) when the answer returns. Replies the router
+    added to the envelope) when the answer returns: a backend line that
+    is one JSON object opening with its id reaches the client as those
+    same bytes, the client's id spliced in for the internal one and
+    [,"backend":NAME] before the closing brace; any other line is a
+    [backend_garbage] event and a protocol error, and reaches no
+    client. Replies the router
     writes itself (fan-out aggregates, errors) answer in the client's
     protocol version, as a backend would. If a backend dies,
     its in-flight requests are answered [outcome "error"] and a
@@ -50,7 +55,7 @@ type t
 (** Bring every backend up (spawn and/or connect), then start one
     reader domain per backend. [events] (default stdout) receives
     router event lines: [fleet_drain], [backend_death],
-    [backend_respawn], [backend_respawn_failed].
+    [backend_respawn], [backend_respawn_failed], [backend_garbage].
     @raise Invalid_argument on empty or name-colliding targets.
     @raise Failure when a backend fails to come up (already-started
     backends are torn down first). *)

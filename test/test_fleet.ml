@@ -619,6 +619,231 @@ let test_router_versioned_replies () =
         (Option.bind (Serve.Json.member "error" torus) Serve.Json.str);
       check_v2 "drain" (answer {|{"id":5,"v":2,"op":"drain"}|} 5))
 
+(* ---------- Router replies: the backend's bytes, the client's id ---------- *)
+
+(* The reply a router wrote before it spliced bytes: the backend line
+   parsed, its id dropped, the client's id first and "backend" last,
+   printed again. Kept as the oracle the spliced reply must equal. *)
+let tree_reply ~orig ~backend line =
+  match Serve.Json.parse line with
+  | Ok (Serve.Json.Obj fields) ->
+    Serve.Protocol.response ~id:orig
+      (List.filter (fun (k, _) -> k <> "id") fields @ [ ("backend", Serve.Json.Str backend) ])
+  | Ok _ | Error _ -> Alcotest.failf "not a JSON object: %s" line
+
+(* Lines a real serve core writes, one per outcome and dialect: ok and
+   error in v1 and v2, expired and overloaded behind a sleep-held
+   worker, both resolve verdicts, and draining *)
+let server_replies () =
+  let server =
+    Serve.Server.create
+      {
+        Serve.Server.jobs = 1;
+        queue_limit = 1;
+        cache_capacity = 8;
+        drain_grace_s = 5.0;
+        policy = Arena.Policy.builtin;
+      }
+      ~emit:(fun _ -> ())
+  in
+  let s = make_sink () in
+  let submit l = Serve.Server.submit ~reply:(sink_reply s) server l in
+  let await n =
+    wait_until (Printf.sprintf "%d server replies" n) (fun () ->
+        List.length (sink_lines s) >= n)
+  in
+  let csv = Serve.Json.to_string (Serve.Json.Str model_csv) in
+  let single = Serve.Json.to_string (Serve.Json.Str "alpha,4,100,0.001,1,0.5") in
+  submit {|{"id":1,"op":"sleep","ms":200}|};
+  wait_until "sleep picked up" (fun () ->
+      int_member "queue_depth" (parse_json (Serve.Server.stats_json server)) = Some 0);
+  submit (Printf.sprintf {|{"id":2,"v":2,"model_csv":%s,"nodes":32,"deadline_ms":1}|} csv);
+  submit (solve_line ~id:3 ());
+  submit (Printf.sprintf {|{"id":4,"v":2,"model_csv":%s,"nodes":32}|} csv);
+  await 4;
+  List.iter submit
+    [
+      solve_line ~id:5 ();
+      Printf.sprintf {|{"id":6,"v":2,"model_csv":%s,"nodes":16,"policy":"failure"}|} csv;
+      solve_line ~id:7 ~nodes:0 ();
+    ];
+  await 7;
+  List.iter submit
+    [
+      Printf.sprintf {|{"id":8,"v":2,"model_csv":%s}|} csv;
+      Printf.sprintf {|{"id":9,"v":2,"op":"resolve","model_csv":%s,"nodes":32,"prev":[8]}|} single;
+    ];
+  await 9;
+  submit
+    (Printf.sprintf
+       {|{"id":10,"v":2,"op":"resolve","model_csv":%s,"nodes":32,"prev":[4],"observe":[{"class":"alpha","samples":[[2,100.5],[4,50.5],[8,25.5],[16,13.0]]}]}|}
+       single);
+  await 10;
+  Serve.Server.initiate_drain server;
+  submit (solve_line ~id:11 ());
+  submit (Printf.sprintf {|{"id":12,"v":2,"model_csv":%s,"nodes":32}|} csv);
+  await 12;
+  ignore (Serve.Server.await_drain server : Engine.Run_report.t);
+  let lines = sink_lines s in
+  let outcomes = List.sort_uniq compare (List.map (fun l -> outcome_of (parse_json l)) lines) in
+  Alcotest.(check (list string)) "every outcome captured"
+    [ "draining"; "error"; "expired"; "ok"; "overloaded" ] outcomes;
+  List.iter
+    (fun verdict ->
+      Alcotest.(check bool) ("a resolve " ^ verdict) true
+        (List.exists
+           (fun l -> Serve.Json.member "resolve" (parse_json l) = Some (Serve.Json.Str verdict))
+           lines))
+    [ "unchanged"; "resolved" ];
+  Array.of_list lines
+
+(* [line] with its leading {"id":N replaced by {"id":iid *)
+let with_id iid line =
+  let head = {|{"id":|} in
+  let rec digits j =
+    if j < String.length line && line.[j] >= '0' && line.[j] <= '9' then digits (j + 1) else j
+  in
+  let stop = digits (String.length head) in
+  head ^ string_of_int iid ^ String.sub line stop (String.length line - stop)
+
+(* A scripted backend: it answers each forwarded request with the raw
+   line in the request's "emit" member, under the request's internal
+   id; a request without one closes the link, as a crashed backend's
+   would *)
+let start_scripted_backend () =
+  let sock = fresh_sock () in
+  let listener =
+    Serve.Transport_socket.listen ~stop:(fun () -> false) (Serve.Transport_socket.Unix_path sock)
+  in
+  let driver =
+    Domain.spawn (fun () ->
+        (match (Serve.Transport_socket.listener listener).Serve.Transport.accept () with
+        | None -> ()
+        | Some conn ->
+          let rec loop () =
+            match conn.Serve.Transport.read_line () with
+            | None -> ()
+            | Some line -> (
+              let req = parse_json line in
+              let emit = Option.bind (Serve.Json.member "emit" req) Serve.Json.str in
+              match (int_member "id" req, emit) with
+              | Some iid, Some emit ->
+                conn.Serve.Transport.write_line (with_id iid emit);
+                loop ()
+              | _ -> conn.Serve.Transport.close ())
+          in
+          loop ());
+        Serve.Transport_socket.shutdown listener)
+  in
+  (sock, driver)
+
+let with_scripted_router f =
+  let sock, driver = start_scripted_backend () in
+  let events = make_sink () in
+  let router =
+    Serve.Router.create ~events:(sink_reply events)
+      [ Attach { name = "backend-0"; addr = Serve.Transport_socket.Unix_path sock } ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Serve.Router.await_drain router : Engine.Run_report.t);
+      Domain.join driver)
+    (fun () -> f router events)
+
+(* a sleep whose answer is [emit], under client id [id] *)
+let emit_request ~id emit =
+  Serve.Json.to_string
+    (Serve.Json.Obj
+       [
+         ("id", id);
+         ("op", Serve.Json.Str "sleep");
+         ("ms", Serve.Json.Num 0.);
+         ("emit", Serve.Json.Str emit);
+       ])
+
+let test_router_bad_backend_lines () =
+  let ok =
+    List.find (fun l -> int_member "id" (parse_json l) = Some 5) (Array.to_list (server_replies ()))
+  in
+  Alcotest.(check string) "captured an ok solve" "ok" (outcome_of (parse_json ok));
+  with_scripted_router (fun router events ->
+      let s = make_sink () in
+      let submit id emit =
+        Serve.Router.submit router ~reply:(sink_reply s) (emit_request ~id emit)
+      in
+      let num n = Serve.Json.Num (float_of_int n) in
+      (* (a) a well-formed answer: the old tree path's bytes *)
+      submit (num 1) ok;
+      wait_until "well-formed answer" (fun () -> sink_lines s <> []);
+      Alcotest.(check (list string)) "well-formed answer, byte for byte"
+        [ tree_reply ~orig:(num 1) ~backend:"backend-0" ok ]
+        (sink_lines s);
+      (* (b) an id prefix on a malformed body, (c) a line cut short *)
+      submit (num 2) {|{"id":0,"outcome":"ok","makespan":}|};
+      submit (num 3) (String.sub ok 0 (String.length ok / 2));
+      let garbage = {|{"event":"backend_garbage","backend":"backend-0"}|} in
+      wait_until "two garbage events" (fun () ->
+          List.length (List.filter (( = ) garbage) (sink_lines events)) = 2);
+      Alcotest.(check int) "garbage reached no client" 1 (List.length (sink_lines s));
+      Alcotest.(check (option int)) "counted as protocol errors" (Some 2)
+        (int_member "protocol_errors" (parse_json (Serve.Router.stats_json router)));
+      (* the link closes: the two requests still owed are answered *)
+      Serve.Router.submit router ~reply:(sink_reply s) {|{"id":4,"op":"sleep","ms":0}|};
+      wait_until "owed requests answered" (fun () -> List.length (sink_lines s) = 4);
+      let vs = sink_values s in
+      List.iter
+        (fun id ->
+          let v = find_by_id vs id in
+          Alcotest.(check string) (Printf.sprintf "id %d outcome" id) "error" (outcome_of v);
+          Alcotest.(check (option string)) (Printf.sprintf "id %d error" id)
+            (Some "backend backend-0 died before answering")
+            (Option.bind (Serve.Json.member "error" v) Serve.Json.str))
+        [ 2; 3; 4 ])
+
+(* the spliced reply equals the tree path's on every line a real serve
+   core writes, under client ids of every shape *)
+let test_router_reply_bytes () =
+  let replies = server_replies () in
+  with_scripted_router (fun router _ ->
+      let m = Mutex.create () and c = Condition.create () and got = ref None in
+      let sink line =
+        Mutex.protect m (fun () ->
+            got := Some line;
+            Condition.signal c)
+      in
+      let roundtrip line =
+        Serve.Router.submit router ~reply:sink line;
+        Mutex.protect m (fun () ->
+            while !got = None do
+              Condition.wait c m
+            done;
+            let l = Option.get !got in
+            got := None;
+            l)
+      in
+      let id_gen =
+        QCheck.Gen.(
+          oneof
+            [
+              map (fun n -> Serve.Json.Num (float_of_int n)) (-1_000_000 -- 1_000_000);
+              map (fun n -> Serve.Json.Num (float_of_int n /. 16.)) (-1_000_000 -- 1_000_000);
+              map (fun x -> Serve.Json.Num x) (float_range (-1e300) 1e300);
+              map (fun s -> Serve.Json.Str s) (string_size (0 -- 12));
+              map (fun s -> Serve.Json.Str s) (string_size ~gen:printable (0 -- 12));
+            ])
+      in
+      let prop =
+        QCheck.Test.make ~name:"router reply = tree reply" ~count:1000
+          (QCheck.make
+             ~print:(fun (id, k) ->
+               Printf.sprintf "id %s, reply %s" (Serve.Json.to_string id) replies.(k))
+             QCheck.Gen.(pair id_gen (0 -- (Array.length replies - 1))))
+          (fun (id, k) ->
+            roundtrip (emit_request ~id replies.(k))
+            = tree_reply ~orig:id ~backend:"backend-0" replies.(k))
+      in
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 23 |]) prop)
+
 (* ---------- Service.run ---------- *)
 
 (* the process lifecycle in-process: bind, announce, serve one
@@ -714,6 +939,8 @@ let () =
             test_router_attached_death_shrinks_ring;
           Alcotest.test_case "drain report" `Quick test_router_drain_report;
           Alcotest.test_case "versioned replies" `Quick test_router_versioned_replies;
+          Alcotest.test_case "bad backend lines" `Quick test_router_bad_backend_lines;
+          Alcotest.test_case "reply bytes" `Quick test_router_reply_bytes;
         ] );
       ( "service",
         [

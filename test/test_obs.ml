@@ -309,6 +309,35 @@ let prop_json_roundtrip =
     (QCheck.make ~print:Obs.Json.to_string tree)
     (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
 
+(* a JSON number's bytes are Printf's: "%.0f" for an integer under
+   1e16, "%.17g" for any other finite number, null otherwise. Drawn from
+   raw bit patterns, integers around +-1e16 and 2^53, signed zeros and
+   subnormals *)
+let printf_num f =
+  if Float.is_nan f || Float.is_integer f = false || Float.abs f >= 1e16 then
+    if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
+  else Printf.sprintf "%.0f" f
+
+let prop_num_bytes =
+  let open QCheck.Gen in
+  let near x = map (fun k -> x +. float_of_int k) (-2048 -- 2048) in
+  let num =
+    oneof
+      [
+        map Int64.float_of_bits ui64;
+        near 1e16;
+        near (-1e16);
+        near 9007199254740992.;
+        map float_of_int int;
+        map (fun k -> float_of_int k /. 8.) (-1_000_000 -- 1_000_000);
+        oneofl [ 0.; -0.; 1e16; -1e16; Float.succ 1e16; Float.pred 1e16; min_float; max_float ];
+        map (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)) ui64;
+      ]
+  in
+  QCheck.Test.make ~name:"number bytes = Printf's" ~count:100_000
+    (QCheck.make ~print:(Printf.sprintf "%h") num)
+    (fun f -> Obs.Json.to_string (Obs.Json.Num f) = printf_num f)
+
 let test_prometheus_exposition () =
   let c = Obs.Metrics.Counter.create "t_prom_total" in
   Obs.Metrics.Counter.incr ~by:3 c;
@@ -678,6 +707,7 @@ let () =
           Alcotest.test_case "chrome validator rejects" `Quick test_check_chrome_trace_rejects;
           Alcotest.test_case "ndjson stream" `Quick test_ndjson_stream;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |]) prop_json_roundtrip;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |]) prop_num_bytes;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "prometheus validator rejects" `Quick test_check_prometheus_rejects;
         ] );

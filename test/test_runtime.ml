@@ -235,6 +235,97 @@ let test_fingerprint_injective () =
     (fp ~objective:Hslb.Objective.Min_max ~n_total:64 [ named "ab"; named "c" ]
     <> fp ~objective:Hslb.Objective.Min_max ~n_total:64 [ named "a"; named "bc" ])
 
+(* The fingerprint is the cache key and the shard key: one ulp of a
+   coefficient, one name byte, a count, a node bound or an allowed size
+   must change it, and reordering or repeating allowed sizes (which the
+   model normalizes away) must not *)
+let prop_fingerprint_mutations =
+  let open QCheck.Gen in
+  let spec_gen =
+    let* name = string_size (0 -- 6) in
+    let* count = 1 -- 5 in
+    let* n_min = 1 -- 8 in
+    let* n_max = oneof [ return max_int; map (( + ) n_min) (0 -- 100) ] in
+    (* any finite non-negative coefficient, subnormals and huge ones
+       included *)
+    let coef =
+      oneof
+        [
+          return 0.;
+          float_bound_inclusive 1e3;
+          map (fun x -> if Float.is_finite x then Float.abs x else 1.) float;
+        ]
+    in
+    let* a = coef and* b = coef and* c = coef and* d = coef in
+    let law = { Scaling_law.a; b; c; d } in
+    let+ allowed = opt (list_size (1 -- 6) (1 -- 64)) in
+    {
+      Hslb.Alloc_model.fc =
+        {
+          Hslb.Classes.cls = Hslb.Classes.make ~name ~count (fun ~nodes:_ -> 0.);
+          fit = { Hslb.Fitting.law; r2 = 1.; rmse = 0.; observations = [||] };
+        };
+      n_min;
+      n_max;
+      allowed;
+    }
+  in
+  QCheck.Test.make ~name:"fingerprint one-field mutations" ~count:2000
+    (QCheck.make
+       ~print:(fun (specs, c, m) ->
+         Printf.sprintf "%d classes, class %d, mutation %d" (List.length specs) c m)
+       (let* specs = list_size (1 -- 4) spec_gen in
+        let* c = 0 -- (List.length specs - 1) in
+        let+ m = 0 -- 8 in
+        (specs, c, m)))
+    (fun (specs, c, m) ->
+      let fp =
+        Hslb.Alloc_model.fingerprint ~solver:Engine.Solver_choice.Exact
+          ~objective:Hslb.Objective.Min_max ~n_total:64
+      in
+      let with_law (s : Hslb.Alloc_model.spec) f =
+        let fc = s.Hslb.Alloc_model.fc in
+        { s with fc = { fc with fit = { fc.fit with law = f fc.fit.Hslb.Fitting.law } } }
+      in
+      let with_cls (s : Hslb.Alloc_model.spec) ~name ~count =
+        { s with fc = { s.fc with cls = Hslb.Classes.make ~name ~count (fun ~nodes:_ -> 0.) } }
+      in
+      let mutate (s : Hslb.Alloc_model.spec) =
+        let cls = s.Hslb.Alloc_model.fc.Hslb.Classes.cls in
+        let name = cls.Hslb.Classes.name and count = cls.Hslb.Classes.count in
+        match m with
+        | 0 -> with_law s (fun l -> { l with Scaling_law.a = Float.succ l.Scaling_law.a })
+        | 1 -> with_law s (fun l -> { l with Scaling_law.b = Float.succ l.Scaling_law.b })
+        | 2 -> with_law s (fun l -> { l with Scaling_law.c = Float.succ l.Scaling_law.c })
+        | 3 -> with_law s (fun l -> { l with Scaling_law.d = Float.succ l.Scaling_law.d })
+        | 4 ->
+          let name =
+            if name = "" then "x"
+            else
+              String.mapi
+                (fun i ch -> if i = 0 then Char.chr ((Char.code ch + 1) land 255) else ch)
+                name
+          in
+          with_cls s ~name ~count
+        | 5 -> with_cls s ~name ~count:(count + 1)
+        | 6 -> { s with n_min = s.n_min + 1 }
+        | 7 -> { s with n_max = (if s.n_max = max_int then s.n_max - 1 else s.n_max + 1) }
+        | _ -> (
+          match s.allowed with
+          | None -> { s with allowed = Some [ 1 ] }
+          | Some l -> { s with allowed = Some (List.fold_left max 0 l + 1 :: List.tl l) })
+      in
+      let mutated = List.mapi (fun i s -> if i = c then mutate s else s) specs in
+      let shuffled =
+        List.map
+          (fun (s : Hslb.Alloc_model.spec) ->
+            match s.allowed with
+            | Some (v :: _ as l) -> { s with allowed = Some (List.rev l @ [ v ]) }
+            | Some [] | None -> s)
+          specs
+      in
+      fp specs <> fp mutated && fp specs = fp shuffled)
+
 (* ---------- memoized solves ---------- *)
 
 let test_cached_solve_identical () =
@@ -543,6 +634,8 @@ let () =
           Alcotest.test_case "refresh on put" `Quick test_cache_refresh_on_put;
           Alcotest.test_case "recurring put" `Quick test_cache_recurring_put;
           Alcotest.test_case "fingerprint injective" `Quick test_fingerprint_injective;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |])
+            prop_fingerprint_mutations;
           Alcotest.test_case "cached solve identical" `Quick test_cached_solve_identical;
           Alcotest.test_case "exact stored once it recurs" `Quick
             test_cached_exact_on_recurrence;

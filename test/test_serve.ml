@@ -1348,6 +1348,37 @@ let test_serve_scenario_replay_audited () =
           (Serve.Json.to_string v))
     (responses h)
 
+(* loadgen's result tallies every reply's audit verdict and every line
+   that does not parse: a replay against scripted replies *)
+let test_loadgen_tallies_audits () =
+  let script = function
+    | 0 -> [ {|{"id":0,"outcome":"ok","audit":"verified (exact)"}|} ]
+    | 1 -> [ {|{"id":1,"outcome":"ok","audit":"exact-method (hslb.greedy)"}|} ]
+    | 2 -> [ {|{"id":2,"outcome":"ok","audit":"REJECTED: witness off its box"}|} ]
+    | 3 -> [ {|{"id":3,"outcome":"ok","aud|}; {|{"id":3,"outcome":"error","error":"x"}|} ]
+    | 4 -> [ {|{"id":4,"outcome":"ok","audit":"no certificate emitted"}|} ]
+    | id -> [ Printf.sprintf {|{"id":%d,"outcome":"ok","stats":{}}|} id ]
+  in
+  let submit ~reply line =
+    match Option.bind (Result.to_option (Serve.Json.parse line)) (Serve.Json.member "id") with
+    | Some (Serve.Json.Num id) -> List.iter reply (script (int_of_float id))
+    | _ -> Alcotest.failf "request without an id: %s" line
+  in
+  let trace = List.init 5 (fun _ -> Serve.Json.Obj [ ("op", Serve.Json.Str "ping") ]) in
+  let r = Serve.Loadgen.run (Serve.Loadgen.Inproc submit) trace in
+  Alcotest.(check int) "all answered" 5 r.Serve.Loadgen.answered;
+  Alcotest.(check (list (pair string int)))
+    "audits by verdict"
+    [ ("verified", 1); ("exact-method", 1); ("rejected", 2) ]
+    r.Serve.Loadgen.audits;
+  Alcotest.(check int) "malformed lines" 1 r.Serve.Loadgen.malformed;
+  let json = Serve.Json.to_string (Serve.Loadgen.result_json r) in
+  List.iter
+    (fun member ->
+      Alcotest.(check bool) ("result JSON carries " ^ member) true
+        (contains_substring json member))
+    [ {|"audits":{"verified":1,"exact-method":1,"rejected":2}|}; {|"malformed":1|} ]
+
 (* inputs past the wire's caps are refused where they are parsed, each
    with an exact diagnostic, and the server goes on to answer the ping
    behind them. An integral "nodes" past the integer cap is told the
@@ -1450,5 +1481,6 @@ let () =
           Alcotest.test_case "billion-node budget" `Quick test_serve_huge_budget;
           Alcotest.test_case "scenario replay audited" `Quick test_serve_scenario_replay_audited;
           Alcotest.test_case "input caps" `Quick test_serve_input_caps;
+          Alcotest.test_case "loadgen tallies audits" `Quick test_loadgen_tallies_audits;
         ] );
     ]
