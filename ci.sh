@@ -9,7 +9,11 @@
 # finally the seeded fault-injection audit sweep, which fails the
 # build on any certificate rejection or soundness violation (see
 # docs/AUDIT.md). `hslb minlp --solver exact` must then exit non-zero
-# with its one refusal message.
+# with its one refusal message, and `hslb minlp --audit` must solve the
+# example model under each MINLP solver (oa, bnb, oa-multi) and print
+# its verified gap-closed certificate; oa and oa-multi must agree on
+# the objective (Bnb's is not compared: its local NLP relaxations can
+# stop above the optimum, see lib/minlp/bnb.mli).
 #
 # After the test suites, the serving layer gets an end-to-end smoke:
 # `hslb serve` is driven with a ~50-request scripted trace (mixed
@@ -115,6 +119,26 @@ fi
 grep -q 'solver exact solves separable min-max allocations only' \
   "$SMOKE_DIR/minlp_exact.out" || {
   echo "minlp: --solver exact did not print the refusal" >&2
+  exit 1
+}
+
+echo "== minlp --audit: every MINLP solver on the example model =="
+for solver in oa bnb oa-multi; do
+  "$SERVE_BIN" minlp --solver "$solver" --audit examples/models/allocation.mod \
+    > "$SMOKE_DIR/minlp_$solver.out" || {
+    echo "minlp --solver $solver --audit: exited non-zero" >&2
+    exit 1
+  }
+  grep -qx "audit: certificate verified ($solver, gap-closed)" \
+    "$SMOKE_DIR/minlp_$solver.out" || {
+    echo "minlp --solver $solver --audit: no verified gap-closed line" >&2
+    exit 1
+  }
+done
+oa_obj=$(grep '^objective:' "$SMOKE_DIR/minlp_oa.out" | cut -d' ' -f2)
+multi_obj=$(grep '^objective:' "$SMOKE_DIR/minlp_oa-multi.out" | cut -d' ' -f2)
+[ -n "$oa_obj" ] && [ "$oa_obj" = "$multi_obj" ] || {
+  echo "minlp: oa objective ${oa_obj:-?} differs from oa-multi's ${multi_obj:-?}" >&2
   exit 1
 }
 

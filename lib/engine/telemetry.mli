@@ -6,9 +6,9 @@
     - [Lp.Simplex]: [lp_solves], [simplex_pivots]
     - [Nlp.Bounded]: [nlp_iterations], [line_search_steps]
     - [Minlp.Relax]: [nlp_solves]
-    - [Minlp.Milp] / [Minlp.Bnb]: [nodes_expanded], [nodes_pruned],
-      [incumbent_updates], [warm_start_used]
-    - [Minlp.Oa] / [Minlp.Oa_multi]: [oa_cuts]
+    - [Minlp.Milp]'s node loop, which [Minlp.Bnb] and the OA masters
+      run on: [nodes_expanded], [nodes_pruned], [incumbent_updates],
+      [warm_start_used], [oa_cuts]
 
     Phase timers accumulate wall-clock seconds under string labels
     ("presolve", "root-nlp", "master", ...). All entry points are

@@ -152,9 +152,9 @@ let run ?(quick = false) fmt =
     ~title:"E6a: exact threshold search vs OA vs NLP-based B&B, plain integer allocation models"
     ~header rows_a;
   Format.fprintf fmt
-    "note: the NLP-based tree bounds with a first-order local solver; on the larger models \
-     its result can sit a few percent above the exact optimum, which OA reaches within its \
-     gap@.";
+    "note: the NLP-based tree prunes on values from a first-order local solver, which are not \
+     lower bounds; on the larger models it stamps optimal up to ~20%% above the exact optimum, \
+     which OA reaches within its gap@.";
   (* part (b): SOS1 branching ablation on sweet-spotted models *)
   let sizes_b = if quick then [ 2; 4 ] else [ 2; 4; 8; 16 ] in
   let rows_b =

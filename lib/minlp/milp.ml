@@ -2,44 +2,42 @@ type branching = Most_fractional | Pseudocost
 
 type options = {
   max_nodes : int;
-  tol_int : float;
   rel_gap : float;
   branch_sos_first : bool;
-  depth_first : bool;
   branching : branching;
 }
 
 let default_options =
-  {
-    max_nodes = 100_000;
-    tol_int = 1e-6;
-    rel_gap = 1e-9;
-    branch_sos_first = true;
-    depth_first = false;
-    branching = Pseudocost;
-  }
+  { max_nodes = 100_000; rel_gap = 1e-9; branch_sos_first = true; branching = Pseudocost }
+
+(* integrality tolerance of every tree (Problem's default) *)
+let tol_int = 1e-6
 
 type callback =
+  lo:float array ->
+  hi:float array ->
   float array ->
   float ->
-  [ `Accept
-  | `Reject of Lp.Lp_problem.constr list
-  | `Reject_with_incumbent of Lp.Lp_problem.constr list * float array * float ]
+  [ `Accept of float array * float
+  | `Reject of Lp.Lp_problem.constr list * (float array * float) option ]
 
 (* provenance of a node: which variable/direction created it, the
-   parent's LP value and the fractional part — the data pseudocost
-   learning needs when the node is solved *)
+   parent's relaxation value and the fractional part — the data
+   pseudocost learning needs when the node is solved *)
 type origin = { bvar : int; up : bool; parent_obj : float; frac : float }
 
-type node = {
+(* [start] is what the node's relaxation starts from: unit for LP
+   nodes, so no node keeps a point alive that its relaxation ignores *)
+type 'a node = {
   nlo : float array;
   nhi : float array;
   depth : int;
   bound : float;
   origin : origin option;
+  start : 'a;
 }
 
-(* split a violated SOS1 set at the weighted average of the LP point *)
+(* split a violated SOS1 set at the weighted average of the relaxation point *)
 let sos_split members x =
   let sorted = List.sort (fun (_, w1) (_, w2) -> compare w1 w2) members in
   let wsum = List.fold_left (fun acc (j, _) -> acc +. Float.abs x.(j)) 0. sorted in
@@ -56,15 +54,9 @@ let sos_split members x =
   end
   else (s1, s2)
 
-let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?tally
-    ?warm_start (p : Problem.t) =
-  let lin_rows, nl = Problem.split_constraints p in
-  if nl <> [] then invalid_arg "Milp.run: problem has nonlinear constraints";
-  let obj = Problem.linear_objective p in
-  let base_rows = lin_rows @ extra_rows in
-  let cut_pool = ref [] in
+let search ~options ~relax ~root ~carry ~on_integral ~add_cuts ?budget ?tally ?warm_start
+    (p : Problem.t) =
   let num_cuts = ref 0 in
-  let lp_solves = ref 0 in
   let nodes_processed = ref 0 in
   (* min-sense key so pruning logic is uniform *)
   let key v = if p.minimize then v else -.v in
@@ -74,45 +66,30 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
      off everything above its value from the first node on. An
      infeasible point is silently ignored. *)
   (match warm_start with
-  | Some x0
-    when Array.length x0 = p.num_vars && Problem.feasible ~tol:options.tol_int p x0 ->
+  | Some x0 when Array.length x0 = p.num_vars && Problem.feasible ~tol:tol_int p x0 ->
     let x0 = Problem.round_integral p x0 in
     let obj0 = Problem.objective_value p x0 in
     incumbent := Some (x0, obj0);
     incumbent_key := key obj0;
     Engine.Telemetry.set_warm_start_used tally
   | Some _ | None -> ());
-  (* LP template cache: rows only change when the cut pool grows, so
-     rebuild the row skeleton per cut version and give each node a
-     single-copy bound swap instead of the old
-     make/set_objective/add_constraints/set_bounds-per-variable churn *)
-  let lp_template = ref None in
-  let lp_template_cuts = ref (-1) in
-  let solve_lp node =
-    incr lp_solves;
-    let base =
-      match !lp_template with
-      | Some t when !lp_template_cuts = !num_cuts -> t
-      | Some _ | None ->
-        let lp =
-          Lp.Lp_problem.make ~minimize:p.minimize ~names:p.names ~num_vars:p.num_vars ()
-        in
-        let lp = Lp.Lp_problem.set_objective lp obj in
-        let lp = Lp.Lp_problem.add_constraints lp (base_rows @ !cut_pool) in
-        lp_template := Some lp;
-        lp_template_cuts := !num_cuts;
-        lp
-    in
-    let lp = Lp.Lp_problem.with_bounds base ~lo:node.nlo ~hi:node.nhi in
-    Lp.Simplex.run ?budget ?tally lp
+  let offer (x, obj) =
+    if key obj < !incumbent_key then begin
+      incumbent_key := key obj;
+      incumbent := Some (Problem.round_integral p x, obj);
+      Engine.Telemetry.bump tally Engine.Telemetry.add_incumbent_updates 1
+    end
   in
-  let leq =
-    if options.depth_first then fun a b -> a.depth >= b.depth
-    else fun a b -> a.bound <= b.bound
-  in
-  let open_nodes = Ds.Heap.create ~leq in
+  let open_nodes = Ds.Heap.create ~leq:(fun a b -> a.bound <= b.bound) in
   Ds.Heap.push open_nodes
-    { nlo = Array.copy p.lo; nhi = Array.copy p.hi; depth = 0; bound = neg_infinity; origin = None };
+    {
+      nlo = Array.copy p.lo;
+      nhi = Array.copy p.hi;
+      depth = 0;
+      bound = neg_infinity;
+      origin = None;
+      start = root;
+    };
   let unbounded = ref false in
   (* why the search stopped early, if it did: a solver-internal cap or
      the engine budget *)
@@ -153,7 +130,7 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
      product score over all fractional candidates *)
   let pick_branch_var x =
     match options.branching with
-    | Most_fractional -> Problem.most_fractional ~tol:options.tol_int p x
+    | Most_fractional -> Problem.most_fractional ~tol:tol_int p x
     | Pseudocost ->
       let best = ref None and best_score = ref neg_infinity in
       Array.iteri
@@ -161,7 +138,7 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
           match kind with
           | Problem.Integer | Problem.Binary ->
             let f = Float.abs (x.(j) -. Float.round x.(j)) in
-            if f > options.tol_int then begin
+            if f > tol_int then begin
               let d = pc_estimate pc_sum_dn pc_n_dn j *. f in
               let u = pc_estimate pc_sum_up pc_n_up j *. (1. -. f) in
               let score = Float.max d 1e-9 *. Float.max u 1e-9 in
@@ -187,11 +164,12 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
           depth = node.depth + 1;
           bound = node.bound;
           origin = Some { bvar = j; up; parent_obj = obj; frac };
+          start = carry x;
         }
     end
   in
   (* fix every member of an SOS1 subset to zero in a child node *)
-  let push_sos_child node subset =
+  let push_sos_child node subset x =
     let nlo = Array.copy node.nlo and nhi = Array.copy node.nhi in
     let feasible = ref true in
     List.iter
@@ -204,19 +182,21 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
       subset;
     if !feasible then
       Ds.Heap.push open_nodes
-        { nlo; nhi; depth = node.depth + 1; bound = node.bound; origin = None }
+        { nlo; nhi; depth = node.depth + 1; bound = node.bound; origin = None; start = carry x }
+  in
+  let branch_sos node members x =
+    let s1, s2 = sos_split members x in
+    push_sos_child node s1 x;
+    push_sos_child node s2 x
   in
   let gap_closed () =
-    match Ds.Heap.peek_opt open_nodes with
-    | None -> true
-    | Some top ->
-      (not options.depth_first)
-      && !incumbent_key < infinity
-      && !incumbent_key -. top.bound <= options.rel_gap *. Float.max 1. (Float.abs !incumbent_key)
+    let top = Ds.Heap.peek open_nodes in
+    !incumbent_key < infinity
+    && !incumbent_key -. top.bound <= options.rel_gap *. Float.max 1. (Float.abs !incumbent_key)
   in
   let continue_loop = ref true in
   while !continue_loop && (not !unbounded) && not (Ds.Heap.is_empty open_nodes) do
-    if gap_closed () && !incumbent_key < infinity then continue_loop := false
+    if gap_closed () then continue_loop := false
     else
       match Engine.Budget.stopped budget with
       | Some r ->
@@ -235,7 +215,7 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
         incr nodes_processed;
         (match budget with Some b -> Engine.Budget.add_nodes b 1 | None -> ());
         Engine.Telemetry.bump tally Engine.Telemetry.add_nodes_expanded 1;
-        let s = solve_lp node in
+        let s = relax node.start ~lo:node.nlo ~hi:node.nhi in
         match s.Lp.Simplex.status with
         | Lp.Simplex.Infeasible -> Engine.Telemetry.bump tally Engine.Telemetry.add_nodes_pruned 1
         | Lp.Simplex.Iteration_limit ->
@@ -251,20 +231,15 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
           then ()
           else begin
             let x = s.Lp.Simplex.x in
+            let node = { node with bound = k } in
             let sos_viol =
-              if options.branch_sos_first then Problem.violated_sos1 ~tol:options.tol_int p x
-              else None
+              if options.branch_sos_first then Problem.violated_sos1 ~tol:tol_int p x else None
             in
             match sos_viol with
-            | Some members ->
-              let s1, s2 = sos_split members x in
-              let node = { node with bound = k } in
-              push_sos_child node s1;
-              push_sos_child node s2
+            | Some members -> branch_sos node members x
             | None -> (
               match pick_branch_var x with
               | Some j ->
-                let node = { node with bound = k } in
                 push_child node j ~lo:neg_infinity ~hi:(Float.floor x.(j)) ~x
                   ~obj:s.Lp.Simplex.obj ~up:false;
                 push_child node j ~lo:(Float.ceil x.(j)) ~hi:infinity ~x ~obj:s.Lp.Simplex.obj
@@ -273,43 +248,21 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
                 (* integral; SOS1 sets may still be violated when
                    branch_sos_first is off and members are continuous —
                    branch on the set in that case *)
-                match Problem.violated_sos1 ~tol:options.tol_int p x with
-                | Some members ->
-                  let s1, s2 = sos_split members x in
-                  let node = { node with bound = k } in
-                  push_sos_child node s1;
-                  push_sos_child node s2
+                match Problem.violated_sos1 ~tol:tol_int p x with
+                | Some members -> branch_sos node members x
                 | None -> (
-                  let x = Problem.round_integral p x in
-                  let verdict =
-                    match on_integral with
-                    | None -> `Accept
-                    | Some cb -> cb x s.Lp.Simplex.obj
-                  in
-                  match verdict with
-                  | `Accept ->
-                    if k < !incumbent_key then begin
-                      incumbent_key := k;
-                      incumbent := Some (x, s.Lp.Simplex.obj);
-                      Engine.Telemetry.bump tally Engine.Telemetry.add_incumbent_updates 1
-                    end
-                  | `Reject cuts ->
-                    cut_pool := cuts @ !cut_pool;
+                  match
+                    on_integral ~lo:node.nlo ~hi:node.nhi (Problem.round_integral p x)
+                      s.Lp.Simplex.obj
+                  with
+                  | `Accept point -> offer point
+                  | `Reject (cuts, point) ->
+                    add_cuts cuts;
                     num_cuts := !num_cuts + List.length cuts;
                     Engine.Telemetry.bump tally Engine.Telemetry.add_oa_cuts (List.length cuts);
-                    (* re-open this node: its LP must now respect the cuts *)
-                    Ds.Heap.push open_nodes { node with bound = k }
-                  | `Reject_with_incumbent (cuts, x', obj') ->
-                    cut_pool := cuts @ !cut_pool;
-                    num_cuts := !num_cuts + List.length cuts;
-                    Engine.Telemetry.bump tally Engine.Telemetry.add_oa_cuts (List.length cuts);
-                    let k' = key obj' in
-                    if k' < !incumbent_key then begin
-                      incumbent_key := k';
-                      incumbent := Some (Problem.round_integral p x', obj');
-                      Engine.Telemetry.bump tally Engine.Telemetry.add_incumbent_updates 1
-                    end;
-                    Ds.Heap.push open_nodes { node with bound = k })))
+                    Option.iter offer point;
+                    (* re-open this node: its relaxation must now respect the cuts *)
+                    Ds.Heap.push open_nodes node)))
           end
       end
     end
@@ -318,19 +271,18 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
     Ds.Heap.fold (fun acc n -> Float.min acc n.bound) infinity open_nodes
   in
   let bound = Float.min !incumbent_key best_open_bound in
-  let stats =
-    { Solution.nodes = !nodes_processed; lp_solves = !lp_solves; nlp_solves = 0; cuts = !num_cuts }
-  in
+  let stats = { Solution.empty_stats with nodes = !nodes_processed; cuts = !num_cuts } in
   if !unbounded then
     { Solution.status = Solution.Unbounded; x = [||]; obj = nan; bound = neg_infinity; stats }
   else begin
-    (* a budget stop can land inside a node's LP: the aborted simplex
-       reads as an iteration limit, the node's subtree is abandoned, and
-       the heap can drain to empty without the top-of-loop check ever
-       firing. Re-inspect the budget before classifying the result —
-       without charging a poll, since this is bookkeeping, not solving —
-       and let a budget stop take precedence over an internal label that
-       the abort may have masqueraded under. *)
+    (* a budget stop can land inside a node's relaxation: an aborted
+       simplex reads as an iteration limit, an aborted NLP as
+       infeasible, the node's subtree is abandoned, and the heap can
+       drain to empty without the top-of-loop check ever firing.
+       Re-inspect the budget before classifying the result — without
+       charging a poll, since this is bookkeeping, not solving — and let
+       a budget stop take precedence over an internal label that the
+       abort may have masqueraded under. *)
     (match !stopped with
     | Some (`Budget _) -> ()
     | None | Some (`Internal _) -> (
@@ -359,3 +311,41 @@ let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?ta
       in
       { Solution.status; x = [||]; obj = nan; bound; stats }
   end
+
+let run ?(options = default_options) ?(extra_rows = []) ?on_integral ?budget ?tally
+    ?warm_start (p : Problem.t) =
+  let lin_rows, nl = Problem.split_constraints p in
+  if nl <> [] then invalid_arg "Milp.run: problem has nonlinear constraints";
+  let obj = Problem.linear_objective p in
+  let base_rows = lin_rows @ extra_rows in
+  let cut_pool = ref [] in
+  let lp_solves = ref 0 in
+  (* LP template cache: rows change only when the cut pool grows, so the
+     row skeleton is rebuilt once per pool and each node swaps in its
+     bounds with a single copy *)
+  let lp_template = ref None in
+  let relax () ~lo ~hi =
+    incr lp_solves;
+    let base =
+      match !lp_template with
+      | Some (pool, lp) when pool == !cut_pool -> lp
+      | Some _ | None ->
+        let lp =
+          Lp.Lp_problem.make ~minimize:p.minimize ~names:p.names ~num_vars:p.num_vars ()
+        in
+        let lp = Lp.Lp_problem.set_objective lp obj in
+        let lp = Lp.Lp_problem.add_constraints lp (base_rows @ !cut_pool) in
+        lp_template := Some (!cut_pool, lp);
+        lp
+    in
+    Lp.Simplex.run ?budget ?tally (Lp.Lp_problem.with_bounds base ~lo ~hi)
+  in
+  let on_integral =
+    Option.value on_integral ~default:(fun ~lo:_ ~hi:_ x obj -> `Accept (x, obj))
+  in
+  let s =
+    search ~options ~relax ~root:() ~carry:ignore ~on_integral
+      ~add_cuts:(fun cuts -> cut_pool := cuts @ !cut_pool)
+      ?budget ?tally ?warm_start p
+  in
+  { s with Solution.stats = { s.Solution.stats with lp_solves = !lp_solves } }

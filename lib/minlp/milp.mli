@@ -1,53 +1,53 @@
-(** Mixed-integer {e linear} branch-and-bound over {!Lp.Simplex}.
+(** The branch-and-bound tree every solver in this library runs.
 
-    Used standalone for MILP models and as the master-problem engine of
-    the single-tree LP/NLP-based MINLP solver ({!Oa}): the [on_integral]
-    callback fires whenever a node's LP optimum satisfies integrality
-    and SOS1 conditions, and may reject the point by returning cuts that
-    are added to a global pool — exactly how Quesada–Grossmann keeps a
-    single tree while tightening the MILP relaxation.
+    {!run} searches it over LP relaxations ({!Lp.Simplex}): standalone
+    for MILP models, and as the master problem of the single-tree
+    LP/NLP-based MINLP solver ({!Oa}), whose [on_integral] callback
+    rejects an integral LP point by returning cuts that join a global
+    pool — exactly how Quesada–Grossmann keeps a single tree while
+    tightening the MILP relaxation. {!search} is the same tree over any
+    node relaxation; the NLP-based solver ({!Bnb}) plugs in its
+    continuous NLP.
 
-    Branching follows the paper: violated SOS1 sets are branched as
-    sets (split at the weighted average) before any single fractional
-    variable is considered; the [branch_sos_first] toggle exists for the
-    ablation experiment. *)
+    Nodes are expanded best bound first. Branching follows the paper:
+    violated SOS1 sets are branched as sets (split at the weighted
+    average) before any single fractional variable is considered; the
+    [branch_sos_first] toggle exists for the ablation experiment. *)
 
 (** Variable-branching rule: [Most_fractional] picks the integer
-    variable farthest from integrality; [Pseudocost] (default) learns
-    each variable's objective degradation per branch direction and
-    picks the best product score — fewer nodes once estimates warm
-    up. *)
+    variable farthest from integrality; [Pseudocost] learns each
+    variable's objective degradation per branch direction and picks the
+    best product score — fewer nodes once estimates warm up. *)
 type branching = Most_fractional | Pseudocost
 
+(** The options of every tree search: {!run} and the three MINLP
+    solvers each ship their own defaults of this one record. *)
 type options = {
-  max_nodes : int;
-  tol_int : float;  (** integrality tolerance *)
+  max_nodes : int;  (** nodes expanded before the search stops with [Feasible Node_limit] *)
   rel_gap : float;  (** stop when (incumbent - bound)/|incumbent| below this *)
   branch_sos_first : bool;
-  depth_first : bool;  (** false = best-bound node selection *)
   branching : branching;
 }
 
+(** {!run}'s: 100,000 nodes, gap 1e-9, SOS1 first, pseudocost. *)
 val default_options : options
 
-(** [on_integral x obj] — called on integer-feasible node solutions.
-    [`Accept] takes the point as a new incumbent candidate; [`Reject
-    cuts] refuses it and adds the rows to every remaining node;
-    [`Reject_with_incumbent (cuts, x', obj')] additionally records an
-    externally-constructed feasible point (the OA solver's fixed-integer
-    NLP solution) as an incumbent so pruning stays sharp. *)
+(** [on_integral ~lo ~hi x obj] — called on a node whose relaxation
+    point [x] (integer variables rounded) with value [obj] satisfies
+    integrality and SOS1 conditions; [lo, hi] is the node's box.
+    [`Accept (x', obj')] closes the node and offers [x'] as an
+    incumbent at value [obj'] (an unrejected point offers itself);
+    [`Reject (cuts, offer)] adds the rows to every remaining node,
+    offers the optional point, and re-opens the node against the
+    tightened relaxation. An offered point replaces the incumbent when
+    its value is better. *)
 type callback =
+  lo:float array ->
+  hi:float array ->
   float array ->
   float ->
-  [ `Accept
-  | `Reject of Lp.Lp_problem.constr list
-  | `Reject_with_incumbent of Lp.Lp_problem.constr list * float array * float ]
-
-(** [sos_split members x] — partition an SOS1 set at the weighted
-    average of the point [x] (both halves non-empty). Exposed for reuse
-    by the nonlinear tree searches. *)
-val sos_split :
-  (int * float) list -> float array -> (int * float) list * (int * float) list
+  [ `Accept of float array * float
+  | `Reject of Lp.Lp_problem.constr list * (float array * float) option ]
 
 (** [run ?options ?extra_rows ?on_integral ?budget ?tally ?warm_start p]
     — [p] must have a linear objective and only linear constraints
@@ -64,6 +64,33 @@ val run :
   ?options:options ->
   ?extra_rows:Lp.Lp_problem.constr list ->
   ?on_integral:callback ->
+  ?budget:Engine.Budget.armed ->
+  ?tally:Engine.Telemetry.t ->
+  ?warm_start:float array ->
+  Problem.t ->
+  Solution.t
+
+(** [search ~options ~relax ~root ~carry ~on_integral ~add_cuts ?budget
+    ?tally ?warm_start p] — the node loop of {!run} over the relaxation
+    [relax start ~lo ~hi], which solves the relaxation of [p] over the
+    box from the state [start] its node carries: the root carries
+    [root], and both children of a node carry [carry x] of its
+    relaxation point [x]. A relaxation reports [Optimal] with its point
+    and value, or [Infeasible] to prune the node ([Unbounded] at the
+    root ends the search; [Iteration_limit] abandons the node and
+    withholds the optimality claim). [add_cuts] receives the rows of
+    every [`Reject], which the relaxation must honour from then on.
+
+    The returned stats count nodes and cuts; their [lp_solves] and
+    [nlp_solves] are 0, for the caller to fill in. Budget, warm start
+    and tally act as in {!run}. *)
+val search :
+  options:options ->
+  relax:('a -> lo:float array -> hi:float array -> Lp.Simplex.solution) ->
+  root:'a ->
+  carry:(float array -> 'a) ->
+  on_integral:callback ->
+  add_cuts:(Lp.Lp_problem.constr list -> unit) ->
   ?budget:Engine.Budget.armed ->
   ?tally:Engine.Telemetry.t ->
   ?warm_start:float array ->

@@ -79,3 +79,34 @@ let tighten ?(max_rounds = 10) (p : Problem.t) =
       tightened = !tightened;
       infeasible = false;
     }
+
+let framed ?tally ?warm_start (p0 : Problem.t) solve =
+  let p, orig_dim = Problem.normalize p0 in
+  let pre = Engine.Telemetry.time tally "presolve" (fun () -> tighten p) in
+  if pre.infeasible then
+    {
+      Solution.status = Solution.Infeasible;
+      x = [||];
+      obj = nan;
+      bound = nan;
+      stats = Solution.empty_stats;
+    }
+  else begin
+    let p = pre.problem in
+    (* tightening only shrinks boxes around the feasible set, so a
+       feasible warm start survives it *)
+    let warm =
+      Option.bind warm_start (fun x0 ->
+          match Problem.lift_point ~orig:p0 p x0 with
+          | Some w when Problem.feasible p w -> Some w
+          | Some _ | None -> None)
+    in
+    let (s : Solution.t) = solve p warm in
+    let s = if Array.length s.x > orig_dim then { s with x = Array.sub s.x 0 orig_dim } else s in
+    if Solution.has_incumbent s then begin
+      let obj = Problem.objective_value p0 s.x in
+      let keyed = if p0.minimize then obj else -.obj in
+      { s with obj; bound = Float.min s.bound keyed }
+    end
+    else s
+  end

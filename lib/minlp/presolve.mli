@@ -17,3 +17,21 @@ type result = {
 
 (** [tighten ?max_rounds p] — propagate (default 10 rounds max). *)
 val tighten : ?max_rounds:int -> Problem.t -> result
+
+(** [framed ?tally ?warm_start p0 solve] — the frame every MINLP
+    solver runs in. [p0] is epigraph-normalized ({!Problem.normalize})
+    and tightened, timed as the ["presolve"] phase; a box that empties
+    answers [Infeasible] with empty stats. Otherwise [solve p warm] runs
+    on the tightened problem [p], where [warm] is [warm_start] lifted
+    into [p]'s variables ({!Problem.lift_point}) when feasible there.
+    Its answer comes back in [p0]'s variables with the objective
+    re-evaluated at the returned point, and the bound clamped to that
+    value: an early-aborted inner NLP can leave the epigraph variable
+    above the true objective, and a certificate's claim must match its
+    witness exactly. *)
+val framed :
+  ?tally:Engine.Telemetry.t ->
+  ?warm_start:float array ->
+  Problem.t ->
+  (Problem.t -> float array option -> Solution.t) ->
+  Solution.t

@@ -169,6 +169,19 @@ let solve_nlp_ctx ?(tol_feas = 1e-6) ?budget ?tally ctx ~lo ~hi ~start =
         first candidates
     end
 
+let solve_fixed ?budget ?tally ctx ~lo ~hi x =
+  let lo = Array.copy lo and hi = Array.copy hi in
+  Array.iteri
+    (fun j kind ->
+      match kind with
+      | Problem.Integer | Problem.Binary ->
+        let v = Float.round x.(j) in
+        lo.(j) <- v;
+        hi.(j) <- v
+      | Problem.Continuous -> ())
+    ctx.p.kinds;
+  solve_nlp_ctx ?budget ?tally ctx ~lo ~hi ~start:x
+
 let solve_nlp ?tol_feas ?budget ?tally (p : Problem.t) ~lo ~hi ~start =
   solve_nlp_ctx ?tol_feas ?budget ?tally (context p) ~lo ~hi ~start
 
@@ -189,6 +202,17 @@ let oa_cut (c : Problem.constr) x =
       end)
     grad;
   { Lp.Lp_problem.coeffs = List.rev !coeffs; sense = Lp.Lp_problem.Le; rhs = c.rhs -. value +. !shift }
+
+let finite_cuts cs x =
+  List.filter_map
+    (fun c ->
+      let row = oa_cut c x in
+      if
+        Float.is_finite row.Lp.Lp_problem.rhs
+        && List.for_all (fun (_, a) -> Float.is_finite a) row.Lp.Lp_problem.coeffs
+      then Some row
+      else None)
+    cs
 
 let violated_nl ?(tol = 1e-6) (p : Problem.t) x =
   let _, nl = Problem.split_constraints p in

@@ -1,8 +1,8 @@
 (** Continuous relaxations of a MINLP and their solution.
 
-    Internal plumbing for {!Bnb} and {!Oa}: drops integrality, applies
-    node bounds and hands the resulting NLP to {!Nlp.Auglag} with exact
-    expression gradients. *)
+    Internal plumbing for {!Bnb}, {!Oa} and {!Oa_multi}: drops
+    integrality, applies node bounds and hands the resulting NLP to
+    {!Nlp.Auglag} with exact expression gradients. *)
 
 type nlp_result = {
   x : float array;
@@ -24,7 +24,7 @@ type ctx
 val context : Problem.t -> ctx
 
 (** [solve_nlp_ctx ctx ~lo ~hi ~start] — like {!solve_nlp} but reusing
-    the compiled context; this is what the node loops call. *)
+    the compiled context; this is what every solver calls. *)
 val solve_nlp_ctx :
   ?tol_feas:float ->
   ?budget:Engine.Budget.armed ->
@@ -35,13 +35,28 @@ val solve_nlp_ctx :
   start:float array ->
   nlp_result
 
+(** [solve_fixed ctx ~lo ~hi x] — the best continuous completion of
+    [x]'s integer assignment: {!solve_nlp_ctx} over the box [lo, hi]
+    with every integer variable fixed to its rounded value in [x],
+    started from [x]. *)
+val solve_fixed :
+  ?budget:Engine.Budget.armed ->
+  ?tally:Engine.Telemetry.t ->
+  ctx ->
+  lo:float array ->
+  hi:float array ->
+  float array ->
+  nlp_result
+
 (** [solve_nlp p ~lo ~hi ~start] — solve the continuous relaxation of
     [p] restricted to the box [lo, hi]. [start] (clamped) seeds the
     solver; pass the parent node's solution for warm starts. [budget]
     and [tally] are threaded into the LP seeding and the
     augmented-Lagrangian inner loops; each AugLag attempt counts one
-    [nlp_solves]. One-shot convenience equal to
-    [solve_nlp_ctx (context p)]. *)
+    [nlp_solves]. Equal to [solve_nlp_ctx (context p)], compiling the
+    context on every call: no solver uses it, and [bench --kernels]
+    keeps it as the reference the compiled context is timed and
+    checked against. *)
 val solve_nlp :
   ?tol_feas:float ->
   ?budget:Engine.Budget.armed ->
@@ -61,6 +76,11 @@ val midpoint : float array -> float array -> float array
     [g(x) + ∇g(x)·(x' − x) <= rhs] as an LP row over the variables of
     [c.expr]. Valid globally when [c.expr] is convex. *)
 val oa_cut : Problem.constr -> float array -> Lp.Lp_problem.constr
+
+(** [finite_cuts cs x] — {!oa_cut} of each constraint of [cs] at [x],
+    keeping the rows whose coefficients and right-hand side are all
+    finite (a point on a curve's pole yields none). *)
+val finite_cuts : Problem.constr list -> float array -> Lp.Lp_problem.constr list
 
 (** [violated_nl p ?tol x] — nonlinear constraints of [p] violated at
     [x]. *)

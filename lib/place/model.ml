@@ -147,20 +147,50 @@ let make ~topology ~groups ~names ~duration_s ~mem_gb ~mem_per_node_gb ~comm_mb
 
 (* ---------- evaluation ---------- *)
 
+(* Topology.distance is the shortest-path metric of the torus's
+   six-neighbour graph, so a breadth-first search from all of a group's
+   nodes reaches each other group first at the minimum distance over
+   their node pairs: O(groups · nodes), where a min over every node
+   pair costs O(nodes²) whatever the group count *)
 let hop_matrix inst =
   let ng = num_groups inst in
+  let { Topology.dim_x = dx; dim_y = dy; dim_z = dz } = inst.topology in
+  let n = dx * dy * dz and sx = dy * dz in
+  let owner = Array.make n (-1) in
+  Array.iteri (fun g ids -> Array.iter (fun id -> owner.(id) <- g) ids) inst.groups;
   let h = Array.make_matrix ng ng 0 in
-  for g = 0 to ng - 1 do
-    for g' = g + 1 to ng - 1 do
-      let d = ref max_int in
-      Array.iter
-        (fun a ->
-          Array.iter
-            (fun b -> d := Stdlib.min !d (Topology.distance inst.topology a b))
-            inst.groups.(g'))
-        inst.groups.(g);
-      h.(g).(g') <- !d;
-      h.(g').(g) <- !d
+  let dist = Array.make n (-1) and queue = Array.make n 0 in
+  for g = 0 to ng - 2 do
+    Array.fill dist 0 n (-1);
+    let head = ref 0 and tail = ref 0 in
+    (* groups after [g] not reached yet; disjoint groups are at least one
+       hop apart, so a zero entry above the diagonal means unreached *)
+    let left = ref (ng - 1 - g) in
+    let visit id d =
+      if dist.(id) < 0 then begin
+        dist.(id) <- d;
+        queue.(!tail) <- id;
+        incr tail;
+        let g' = owner.(id) in
+        if g' > g && h.(g).(g') = 0 then begin
+          h.(g).(g') <- d;
+          h.(g').(g) <- d;
+          decr left
+        end
+      end
+    in
+    Array.iter (fun id -> visit id 0) inst.groups.(g);
+    while !left > 0 && !head < !tail do
+      let id = queue.(!head) in
+      incr head;
+      let d = dist.(id) + 1 in
+      let z = id mod dz and y = id / dz mod dy and x = id / sx in
+      visit (if z + 1 = dz then id - z else id + 1) d;
+      visit (if z = 0 then id + dz - 1 else id - 1) d;
+      visit (if y + 1 = dy then id - (y * dz) else id + dz) d;
+      visit (if y = 0 then id + ((dy - 1) * dz) else id - dz) d;
+      visit (if x + 1 = dx then id - (x * sx) else id + sx) d;
+      visit (if x = 0 then id + ((dx - 1) * sx) else id - sx) d
     done
   done;
   h

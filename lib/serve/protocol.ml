@@ -95,9 +95,11 @@ let parse_version v =
 (* The largest placement a request may ask for: a torus of the paper's
    largest run, 262,144 nodes, carved into at most 1,024 groups. At both
    caps the instance behind the cache key takes ~0.1 s and ~10 MB to
-   build on one core. The comm-aware search that follows measures every
-   node pair across groups (Place.Model's hop matrix), so its time grows
-   with the square of the torus. *)
+   build on one core. The comm-aware search that follows prices group
+   pairs by Place.Model's hop matrix, one breadth-first search of the
+   torus per group, O(groups · nodes): ~13 s at both caps on one core
+   of a 2-vCPU x86-64 host, and a placed solve builds it twice (the
+   search, then the evaluation of its answer), ~24 s in all. *)
 let max_torus_nodes = 262_144
 let max_place_groups = 1_024
 

@@ -404,12 +404,6 @@ let test_milp_branching_rules_agree () =
   check_status "pc optimal" Solution.Optimal c.Solution.status;
   check_float "same optimum" a.Solution.obj c.Solution.obj
 
-let test_milp_depth_first () =
-  let options = { Milp.default_options with depth_first = true } in
-  let s = Milp.run ~options (knapsack_problem ()) in
-  check_status "status" Solution.Optimal s.Solution.status;
-  check_float "obj" 20. s.Solution.obj
-
 (* brute force comparison on random binary problems *)
 let prop_milp_matches_enumeration =
   QCheck.Test.make ~name:"milp matches brute-force on binary problems" ~count:40
@@ -685,6 +679,71 @@ let test_oa_with_sos1_allocation () =
     opts;
   check_float ~eps:1e-4 "optimal" !best s.Solution.obj
 
+(* Each solver's answer and work on fixed models: status, objective
+   (compared as [%h], so bit for bit), nodes, LP and NLP solves, cuts
+   and simplex pivots. A change to the search (branching, LP warm
+   starts, pruning) shows here as a work-count delta to explain. Bnb
+   sits out the sweet-spot models, as in E6b. *)
+let pinned_work =
+  [
+    ("e6 2 classes", "oa", "optimal", 0x1.3e681b1980b9cp+3, 4, 4, 2, 2, 24);
+    ("e6 2 classes", "bnb", "optimal", 0x1.3e681b1980b9cp+3, 4, 0, 6, 0, 1);
+    ("e6 2 classes", "oa-multi", "optimal", 0x1.3e681b1980b9cp+3, 7, 7, 2, 6, 48);
+    ("e6 4 classes", "oa", "optimal", 0x1.1e1659ea55bd2p+4, 49, 49, 6, 20, 881);
+    ("e6 4 classes", "bnb", "optimal", 0x1.1e1659ea55bd2p+4, 13, 0, 15, 0, 5);
+    ("e6 4 classes", "oa-multi", "optimal", 0x1.1e1659ea55bd2p+4, 34, 34, 5, 40, 565);
+    ("e6 2 classes, sweet spots", "oa", "optimal", 0x1.10a2e600cd2ecp+4, 9, 9, 4, 6, 258);
+    ("e6 2 classes, sweet spots", "oa-multi", "optimal", 0x1.10a2e600cd2edp+4, 7, 7, 5, 20, 180);
+    ("e6 4 classes, sweet spots", "oa", "optimal", 0x1.c98f1be4c123p+4, 100, 100, 6, 20, 8673);
+    ("e6 4 classes, sweet spots", "oa-multi", "optimal", 0x1.c98f1be4c123p+4, 61, 61, 4, 40, 3492);
+    ("e6 3 classes, min-sum", "oa", "optimal", 0x1.4a47c63f5840ap+5, 41, 41, 10, 27, 975);
+    ("e6 3 classes, min-sum", "bnb", "optimal", 0x1.4a47c722e6085p+5, 6, 0, 8, 0, 3);
+    ("e6 3 classes, min-sum", "oa-multi", "optimal", 0x1.4a47c63f5840ap+5, 49, 49, 9, 135, 1389);
+    ("allocation.mod", "oa", "optimal", 0x1.20575cdbe8ed8p+6, 12, 12, 3, 8, 168);
+    ("allocation.mod", "bnb", "optimal", 0x1.2812b4639d8fep+6, 9, 0, 11, 0, 5);
+    ("allocation.mod", "oa-multi", "optimal", 0x1.20575cdbe8ed8p+6, 14, 14, 3, 12, 162);
+  ]
+
+let e6_model ?allowed_count ~objective classes =
+  let specs = Experiments.E6_solver.synthetic_specs ?allowed_count ~classes () in
+  let p, _, _ = Hslb.Alloc_model.build_minlp ~objective ~n_total:(128 * classes) specs in
+  p
+
+let test_solver_work_pinned () =
+  let models =
+    [
+      ("e6 2 classes", lazy (e6_model ~objective:Hslb.Objective.Min_max 2));
+      ("e6 4 classes", lazy (e6_model ~objective:Hslb.Objective.Min_max 4));
+      ( "e6 2 classes, sweet spots",
+        lazy (e6_model ~allowed_count:10 ~objective:Hslb.Objective.Min_max 2) );
+      ( "e6 4 classes, sweet spots",
+        lazy (e6_model ~allowed_count:10 ~objective:Hslb.Objective.Min_max 4) );
+      ("e6 3 classes, min-sum", lazy (e6_model ~objective:Hslb.Objective.Min_sum 3));
+      ("allocation.mod", lazy (Model_text.parse_file "../examples/models/allocation.mod"));
+    ]
+  in
+  List.iter
+    (fun (model, solver, status, obj, nodes, lps, nlps, cuts, pivots) ->
+      let p = Lazy.force (List.assoc model models) in
+      let tally = Engine.Telemetry.create () in
+      let s =
+        match solver with
+        | "oa" -> Oa.run ~tally p
+        | "bnb" -> Bnb.run ~tally p
+        | _ -> (Oa_multi.run ~tally p).Oa_multi.solution
+      in
+      let st = s.Solution.stats in
+      let got =
+        ( Solution.status_to_string s.Solution.status,
+          Printf.sprintf "%h" s.Solution.obj,
+          [ st.Solution.nodes; st.lp_solves; st.nlp_solves; st.cuts; tally.simplex_pivots ] )
+      in
+      Alcotest.(check (triple string string (list int)))
+        (Printf.sprintf "%s, %s: status, objective, nodes/LPs/NLPs/cuts/pivots" model solver)
+        (status, Printf.sprintf "%h" obj, [ nodes; lps; nlps; cuts; pivots ])
+        got)
+    pinned_work
+
 (* random 2-component HSLB allocations: OA matches brute force *)
 let prop_oa_matches_brute_force =
   QCheck.Test.make ~name:"OA matches brute force on allocation MINLPs" ~count:25
@@ -761,7 +820,6 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_milp_infeasible;
           Alcotest.test_case "sos1 selection" `Quick test_milp_sos1_selection;
           Alcotest.test_case "sos branching off" `Quick test_milp_sos_branching_off_still_correct;
-          Alcotest.test_case "depth first" `Quick test_milp_depth_first;
           Alcotest.test_case "branching rules agree" `Quick test_milp_branching_rules_agree;
         ] );
       ( "convex minlp",
@@ -776,6 +834,7 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_oa_infeasible;
           Alcotest.test_case "pure milp fallback" `Quick test_oa_pure_milp_fallback;
           Alcotest.test_case "sos1 allocation" `Quick test_oa_with_sos1_allocation;
+          Alcotest.test_case "solver work pinned" `Quick test_solver_work_pinned;
         ] );
       ("properties", qsuite);
     ]

@@ -244,6 +244,49 @@ let test_minlp_vs_brute_force () =
           | Error _ as v -> Alcotest.failf "%s certificate rejected: %s" name (Audit.summary v))))
     Engine.Solver_choice.minlp
 
+(* ---------- hop matrix: per-group BFS = all-pairs oracle ---------- *)
+
+(* the definition: the least torus distance over every node pair of
+   every group pair, O(nodes²) *)
+let hop_matrix_all_pairs (inst : Place.Model.instance) =
+  let groups = inst.Place.Model.groups in
+  let ng = Array.length groups in
+  Array.init ng (fun g ->
+      Array.init ng (fun g' ->
+          if g = g' then 0
+          else
+            Array.fold_left
+              (fun d a ->
+                Array.fold_left
+                  (fun d b -> Stdlib.min d (Topology.distance inst.Place.Model.topology a b))
+                  d groups.(g'))
+              max_int groups.(g)))
+
+(* small tori, axes of size 1 to 5 (1 and 2 included, where both
+   neighbours on an axis coincide), random group sizes, compact and
+   scattered carves; the nodes need not all be carved *)
+let prop_hop_matrix_matches_all_pairs =
+  QCheck.Test.make ~count:300 ~name:"hop matrix = all-pairs oracle"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Numerics.Rng.create seed in
+      let axis () = 1 + Numerics.Rng.int rng 5 in
+      let topology = Topology.make ~x:(axis ()) ~y:(axis ()) ~z:(axis ()) in
+      let nodes = Topology.num_nodes topology in
+      let ng = 1 + Numerics.Rng.int rng (Stdlib.min nodes 9) in
+      let sizes = List.init ng (fun _ -> 1 + Numerics.Rng.int rng (nodes / ng)) in
+      let placement =
+        if Numerics.Rng.int rng 2 = 0 then Topology.Compact else Topology.Scattered
+      in
+      let inst =
+        Place.Model.make ~topology
+          ~groups:(Array.of_list (Topology.place topology ~placement ~sizes))
+          ~names:[| "t" |] ~duration_s:[| Array.make ng 1. |] ~mem_gb:[| 0.5 |]
+          ~mem_per_node_gb:1. ~comm_mb:[| [| 0. |] |] ~hop_cost_s_per_mb:0.01 ()
+      in
+      Place.Model.hop_matrix inst = hop_matrix_all_pairs inst
+      || QCheck.Test.fail_reportf "seed %d: %s" seed (Topology.placement_to_string placement))
+
 (* ---------- E11 golden: byte-stable under the pinned comm seed ---------- *)
 
 let test_e11_golden () =
@@ -304,6 +347,8 @@ let () =
           Alcotest.test_case "memory rejection messages" `Quick test_memory_rejection_messages;
           Alcotest.test_case "fingerprint topology regression" `Quick
             test_fingerprint_topology_regression;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 24 |])
+            prop_hop_matrix_matches_all_pairs;
         ] );
       ("optimizer", [ Alcotest.test_case "beats blind" `Quick test_optimizer_beats_blind ]);
       ( "minlp",
