@@ -179,61 +179,6 @@ let write_kernels_bench path =
       cand_s (base_s /. cand_s) identical
   in
   let bits = Int64.bits_of_float in
-  (* lp/simplex_dense: the reference Array.make_matrix tableau vs the
-     flat float-array kernel, over a batch of random dense-ish LPs *)
-  (let lps =
-     List.init 16 (fun seed ->
-         let rng = Numerics.Rng.create (1000 + seed) in
-         let nv = 8 and nc = 12 in
-         let x0 = Array.init nv (fun _ -> Numerics.Rng.uniform rng ~lo:0. ~hi:10.) in
-         let p = Lp.Lp_problem.make ~num_vars:nv () in
-         let p =
-           Lp.Lp_problem.set_objective p
-             (Array.init nv (fun _ -> Numerics.Rng.uniform rng ~lo:(-5.) ~hi:5.))
-         in
-         let rows =
-           List.init nc (fun _ ->
-               let coeffs =
-                 List.init nv (fun j -> (j, Numerics.Rng.uniform rng ~lo:(-3.) ~hi:3.))
-               in
-               let lhs =
-                 List.fold_left (fun acc (j, a) -> acc +. (a *. x0.(j))) 0. coeffs
-               in
-               if Numerics.Rng.bool rng then
-                 { Lp.Lp_problem.coeffs; sense = Lp.Lp_problem.Le;
-                   rhs = lhs +. Numerics.Rng.float rng 5. }
-               else
-                 { Lp.Lp_problem.coeffs; sense = Lp.Lp_problem.Ge;
-                   rhs = lhs -. Numerics.Rng.float rng 5. })
-         in
-         let p = Lp.Lp_problem.add_constraints p rows in
-         List.fold_left
-           (fun p j -> Lp.Lp_problem.set_bounds p j ~lo:0. ~hi:100.)
-           p (List.init nv Fun.id))
-   in
-   let reps = 40 in
-   let identical =
-     List.for_all
-       (fun p ->
-         let a = Lp.Simplex.run p and b = Lp.Simplex_reference.run p in
-         a.Lp.Simplex.status = b.Lp.Simplex.status
-         && bits a.Lp.Simplex.obj = bits b.Lp.Simplex.obj)
-       lps
-   in
-   let (), base_s =
-     wall (fun () ->
-         for _ = 1 to reps do
-           List.iter (fun p -> ignore (Lp.Simplex_reference.run p)) lps
-         done)
-   in
-   let (), cand_s =
-     wall (fun () ->
-         for _ = 1 to reps do
-           List.iter (fun p -> ignore (Lp.Simplex.run p)) lps
-         done)
-   in
-   record ~name:"lp/simplex_dense" ~baseline:"matrix_reference" ~candidate:"flat_tableau"
-     ~reps:(reps * List.length lps) ~base_s ~cand_s ~identical);
   (* minlp/expr_eval + expr_grad: the interpreted AST walk vs the
      closure-compiled program, on a scaling-law objective like the
      allocation relaxations evaluate millions of times *)
@@ -273,7 +218,15 @@ let write_kernels_bench path =
    ignore !sink;
    record ~name:"minlp/expr_eval" ~baseline:"ast_interpreter" ~candidate:"closure_compiled"
      ~reps:(sweeps * Array.length points) ~base_s ~cand_s ~identical);
-  (let grad_ref = Minlp.Expr.compile_gradient e in
+  (* the baseline: the symbolic partials derived once, each evaluated by
+     the AST walk into a fresh array *)
+  (let grad_ref =
+     let partials = List.map (fun j -> (j, Minlp.Expr.diff e j)) (Minlp.Expr.vars e) in
+     fun x ->
+       let g = Array.make (Array.length x) 0. in
+       List.iter (fun (j, d) -> g.(j) <- Minlp.Expr.eval d x) partials;
+       g
+   in
    let cgrad = Minlp.Expr.Compiled.compile_gradient e in
    let out = Array.make nv 0. in
    let identical =
@@ -339,7 +292,7 @@ let write_kernels_bench path =
    let lo = Array.copy p.Minlp.Problem.lo and hi = Array.copy p.Minlp.Problem.hi in
    let start = Minlp.Relax.midpoint lo hi in
    let ctx = Minlp.Relax.context p in
-   let one_shot () = Minlp.Relax.solve_nlp p ~lo ~hi ~start in
+   let one_shot () = Minlp.Relax.solve_nlp_ctx (Minlp.Relax.context p) ~lo ~hi ~start in
    let with_ctx () = Minlp.Relax.solve_nlp_ctx ctx ~lo ~hi ~start in
    let ra = one_shot () and rb = with_ctx () in
    let identical =

@@ -32,7 +32,6 @@ type armed = {
   counted_nodes : int Atomic.t;
   counted_iters : int Atomic.t;
   counted_polls : int Atomic.t;
-  cancel : Cancel.t option;  (** effective token; see [with_extra_cancel] *)
 }
 
 let arm spec =
@@ -42,21 +41,7 @@ let arm spec =
     counted_nodes = Atomic.make 0;
     counted_iters = Atomic.make 0;
     counted_polls = Atomic.make 0;
-    cancel = spec.cancel;
   }
-
-let with_extra_cancel a tok =
-  {
-    a with
-    cancel = Some (match a.cancel with None -> tok | Some c -> Cancel.link [ tok; c ]);
-  }
-
-let join ?budget ?cancel () =
-  match (budget, cancel) with
-  | None, None -> None
-  | Some b, None -> Some b
-  | Some b, Some c -> Some (with_extra_cancel b c)
-  | None, Some c -> Some (arm (make ~cancel:c ()))
 
 let add_nodes a n = ignore (Atomic.fetch_and_add a.counted_nodes n)
 let add_iters a n = ignore (Atomic.fetch_and_add a.counted_iters n)
@@ -74,7 +59,7 @@ let verdict a ~polls:np =
   match fused with
   | Some _ as s -> s
   | None -> (
-    let cancelled = match a.cancel with Some c -> Cancel.cancelled c | None -> false in
+    let cancelled = match a.spec.cancel with Some c -> Cancel.cancelled c | None -> false in
     if cancelled then Some Cancelled
     else
       match a.spec.deadline_s with

@@ -50,18 +50,6 @@ type armed
     budget may be polled and charged from several domains at once. *)
 val arm : t -> armed
 
-(** [with_extra_cancel a tok] — a view of the same run: shared clock and
-    shared (atomic) counters, but additionally stopped once [tok] is
-    cancelled. Cancelling [tok] does not affect [a] itself or the
-    caller's own token. *)
-val with_extra_cancel : armed -> Cancel.t -> armed
-
-(** [join ?budget ?cancel ()] — the single stopping authority a solver
-    polls: the caller's armed budget, additionally stopped by [cancel]
-    when one is given ({!with_extra_cancel}). [None] only when neither
-    is given. *)
-val join : ?budget:armed -> ?cancel:Cancel.t -> unit -> armed option
-
 val add_nodes : armed -> int -> unit
 val add_iters : armed -> int -> unit
 val nodes : armed -> int
@@ -70,8 +58,7 @@ val iters : armed -> int
 (** Seconds since [arm]. *)
 val elapsed_s : armed -> float
 
-(** Polls charged so far ({!check} calls, across all views of the
-    run). *)
+(** Polls charged so far ({!check} calls). *)
 val polls : armed -> int
 
 (** [None] while the run may continue; [Some reason] once any limit has

@@ -18,10 +18,3 @@ val create : unit -> t
 val cancel : t -> unit
 
 val cancelled : t -> bool
-
-(** [link parents] — a fresh token that reports cancelled when it
-    itself or any of [parents] is cancelled. Cancelling the linked
-    token does not propagate to the parents. Used by
-    {!Budget.with_extra_cancel} to combine an extra token with the
-    budget's own. *)
-val link : t list -> t

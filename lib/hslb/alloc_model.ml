@@ -625,10 +625,9 @@ let memoize ~solver ~objective cache key result =
     Runtime.Cache.put ~recurring cache key alloc
   | Ok _ | Error _ -> ()
 
-let solve ?(solver = default_solver) ?(objective = Objective.Min_max) ?budget
-    ?cancel ?warm_start ?trace ?cache ~n_total specs =
+let solve ?(solver = default_solver) ?(objective = Objective.Min_max) ?budget ?warm_start
+    ?trace ?cache ~n_total specs =
   if specs = [] then invalid_arg "Alloc_model.solve: no classes";
-  let budget = Engine.Budget.join ?budget ?cancel () in
   let key = lazy (fingerprint ~solver ~objective ~n_total specs) in
   let cached =
     match cache with Some c -> Runtime.Cache.find c (Lazy.force key) | None -> None

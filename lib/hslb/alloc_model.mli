@@ -92,9 +92,10 @@ val fingerprint :
     to it as well. *)
 val default_solver : Engine.Solver_choice.t
 
-(** [solve ?solver ?objective ?budget ?cancel ?warm_start ?trace ?cache
-    ~n_total specs] — full solve + decode. [cancel] additionally stops
-    [budget] ({!Engine.Budget.join}); [trace] accumulates the solver's
+(** [solve ?solver ?objective ?budget ?warm_start ?trace ?cache
+    ~n_total specs] — full solve + decode. [budget] is the one handle
+    that stops the solve (arm it with [Engine.Budget.make ~cancel] to
+    stop it from another domain); [trace] accumulates the solver's
     counters. An instance with no admissible allocation — some class
     has no size in [[n_min, min n_max n_total]] (or none of its sweet
     spots lies there), or the smallest admissible sizes overflow
@@ -152,7 +153,6 @@ val solve :
   ?solver:Engine.Solver_choice.t ->
   ?objective:Objective.t ->
   ?budget:Engine.Budget.armed ->
-  ?cancel:Engine.Cancel.t ->
   ?warm_start:int array ->
   ?trace:Engine.Telemetry.t ->
   ?cache:allocation Runtime.Cache.t ->

@@ -141,8 +141,7 @@ let decode layout inputs (vi, vl, va, vo) (sol : Minlp.Solution.t) cert =
     certificate = Some cert;
   }
 
-let solve ?budget ?cancel ?trace layout config inputs =
-  let budget = Engine.Budget.join ?budget ?cancel () in
+let solve ?budget ?trace layout config inputs =
   let problem, vars = build layout config inputs in
   (* the nonconvex tsync constraint invalidates OA cuts; only the
      NLP-based tree (local relaxations) is sound there, so tsync models

@@ -61,17 +61,16 @@ val layout_total : layout -> ice:float -> lnd:float -> atm:float -> ocn:float ->
     the variable indices of [(n_ice, n_lnd, n_atm, n_ocn)]. *)
 val build : layout -> config -> inputs -> Minlp.Problem.t * (int * int * int * int)
 
-(** [solve ?budget ?cancel ?trace layout config inputs] — build, solve
+(** [solve ?budget ?trace layout config inputs] — build, solve
     with [config.solver] ({!Minlp.Solver.run} at
-    {!Minlp.Solver.model_rel_gap}) and decode. [cancel] additionally
-    stops [budget]; [trace] accumulates the solver's counters.
+    {!Minlp.Solver.model_rel_gap}) and decode. [budget] stops the
+    solve; [trace] accumulates the solver's counters.
     Infeasibility or an empty-handed budget stop is returned as
     [Error], not raised.
     Models with a [tsync] tolerance are nonconvex and always use the
     NLP-based branch and bound, whatever [config.solver] says. *)
 val solve :
   ?budget:Engine.Budget.armed ->
-  ?cancel:Engine.Cancel.t ->
   ?trace:Engine.Telemetry.t ->
   layout ->
   config ->

@@ -1,9 +1,10 @@
 (* Cheap LP presolve: fixed-variable substitution, empty/singleton row
    elimination (as bound tightening) to a fixpoint, then power-of-two
-   row equilibration.  The node loops of the MINLP layer emit thousands
-   of small LPs whose boxes fix many variables (branching pins
-   integers); eliminating them before the simplex shrinks the tableau
-   the flat kernel has to sweep.
+   row equilibration.  Its one caller is Minlp.Relax, whose LP seeding
+   of each NLP relaxation runs on node boxes that fix many variables
+   (branching pins integers); eliminating them before the simplex
+   shrinks the tableau the flat kernel has to sweep.  Milp's node LPs go
+   straight to Simplex.run.
 
    Scaling uses powers of two only, so row coefficients change exponent
    bits exclusively — every scaled coefficient, pivot and recovered

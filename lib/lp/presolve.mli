@@ -1,4 +1,5 @@
-(** Cheap LP presolve shared by the MINLP relaxation layer.
+(** Cheap LP presolve for the MINLP relaxation layer: [Minlp.Relax]
+    runs it before the LP that seeds each NLP relaxation.
 
     [reduce] applies, to a fixpoint: fixed-variable substitution
     (variables whose bounds coincide — branching pins many), empty-row

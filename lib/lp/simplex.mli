@@ -24,11 +24,7 @@ type solution = {
     (bound offsets undone).
 
     The tableau is a flat row-major [float array] (stride = columns +
-    rhs); pivoting and the ratio test are allocation-free.  The kernel
-    is bit-for-bit equivalent to the retained {!Simplex_reference}
-    implementation: identical pivot sequence (observable through
-    [pivot_log], which receives [(row, entering column)] pairs, most
-    recent first), statuses, solutions and objectives.
+    rhs); pivoting and the ratio test are allocation-free.
 
     [budget] is an armed {!Engine.Budget}: each pivot bumps its
     iteration counter and the deadline/cancel token is polled every 64
@@ -39,6 +35,5 @@ val run :
   ?max_iter:int ->
   ?budget:Engine.Budget.armed ->
   ?tally:Engine.Telemetry.t ->
-  ?pivot_log:(int * int) list ref ->
   Lp_problem.t ->
   solution

@@ -105,13 +105,6 @@ let gradient e x =
   List.iter (fun j -> g.(j) <- eval (diff e j) x) (vars e);
   g
 
-let compile_gradient e =
-  let partials = List.map (fun j -> (j, diff e j)) (vars e) in
-  fun x ->
-    let g = Array.make (Array.length x) 0. in
-    List.iter (fun (j, d) -> g.(j) <- eval d x) partials;
-    g
-
 (* --- compiled programs ---
 
    [eval] is a tree-walk interpreter; the AL/SPG inner loops in

@@ -52,12 +52,6 @@ val diff : t -> int -> t
     the length of [x]. *)
 val gradient : t -> float array -> float array
 
-(** [compile_gradient e] — precompute the symbolic partials of [e] once
-    and return a fast evaluator. Equivalent to [gradient e] but without
-    re-deriving on every call; the NLP solvers evaluate gradients tens
-    of thousands of times per relaxation. *)
-val compile_gradient : t -> float array -> float array
-
 (** Closure-compiled form of an expression.
 
     [compile] lowers the tree once into nested OCaml closures — all AST
@@ -98,7 +92,7 @@ module Compiled : sig
 
   (** [grad_into g x out] writes the dense gradient at [x] into [out]
       (zero-filling entries for absent variables), matching
-      [Expr.compile_gradient] output bit-for-bit. *)
+      [Expr.gradient] bit-for-bit. *)
   val grad_into : gradient -> float array -> float array -> unit
 
   (** [grad_acc g x w acc] accumulates [acc += w · ∇e(x)] in place,

@@ -37,6 +37,14 @@ let run ?(options = default_options) ?budget ?tally p0 =
                 ~start:(Relax.midpoint p.lo p.hi))
         in
         let cuts = ref (Relax.finite_cuts nl root.Relax.x) in
+        (* as Oa counts them: each cut generated after the root's seed
+           cuts, once, in the stats and in the tally's [oa_cuts] *)
+        let add_cuts fresh =
+          cuts := fresh @ !cuts;
+          let n = List.length fresh in
+          stats := { !stats with Solution.cuts = !stats.Solution.cuts + n };
+          Engine.Telemetry.bump tally Engine.Telemetry.add_oa_cuts n
+        in
         let incumbent = ref None in
         let incumbent_key = ref infinity in
         let lower_bound = ref neg_infinity in
@@ -60,9 +68,7 @@ let run ?(options = default_options) ?budget ?tally p0 =
             Engine.Telemetry.time tally "master" (fun () ->
                 Milp.run ~options ~extra_rows:!cuts ?budget ?tally master)
           in
-          stats :=
-            add_stats !stats
-              { ms.Solution.stats with Solution.cuts = List.length !cuts };
+          stats := add_stats !stats ms.Solution.stats;
           (match ms.Solution.status with
           | Solution.Infeasible ->
             (* master infeasible: the cuts prove there is no better point *)
@@ -86,11 +92,11 @@ let run ?(options = default_options) ?budget ?tally p0 =
                   incumbent_key := key r.Relax.obj;
                   incumbent := Some (Problem.round_integral p r.Relax.x, r.Relax.obj)
                 end;
-                cuts := Relax.finite_cuts nl r.Relax.x @ !cuts
+                add_cuts (Relax.finite_cuts nl r.Relax.x)
               end
               else
                 (* no feasible completion: cut the master point away *)
-                cuts := Relax.finite_cuts (Relax.violated_nl p ms.Solution.x) ms.Solution.x @ !cuts;
+                add_cuts (Relax.finite_cuts (Relax.violated_nl p ms.Solution.x) ms.Solution.x);
               (* integer no-good is implied by the new cuts for convex
                  problems; gap check happens on the next master solve *)
               if !incumbent_key < infinity && within_gap () then finished := true

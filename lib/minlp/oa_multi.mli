@@ -22,7 +22,9 @@ type info = {
 
 (** [run ?options ?budget ?tally p] — returns the solution, solved in
     {!Presolve.framed}, plus the iteration count. [solution.stats]
-    accumulates over all master solves. The armed [budget] is checked
+    accumulates over all master solves; its [cuts], like the tally's
+    [oa_cuts], counts each cut generated after the root's seed cuts
+    once, as {!Oa} does. The armed [budget] is checked
     between alternations and threaded into every master / NLP solve; on
     exhaustion the best incumbent is returned with status
     [Budget_exhausted]. *)

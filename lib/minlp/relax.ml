@@ -182,9 +182,6 @@ let solve_fixed ?budget ?tally ctx ~lo ~hi x =
     ctx.p.kinds;
   solve_nlp_ctx ?budget ?tally ctx ~lo ~hi ~start:x
 
-let solve_nlp ?tol_feas ?budget ?tally (p : Problem.t) ~lo ~hi ~start =
-  solve_nlp_ctx ?tol_feas ?budget ?tally (context p) ~lo ~hi ~start
-
 let oa_cut (c : Problem.constr) x =
   (match c.sense with
   | Lp.Lp_problem.Le -> ()

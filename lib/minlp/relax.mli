@@ -23,8 +23,12 @@ type ctx
 (** [context p] — compile [p]'s hot-path evaluators once. *)
 val context : Problem.t -> ctx
 
-(** [solve_nlp_ctx ctx ~lo ~hi ~start] — like {!solve_nlp} but reusing
-    the compiled context; this is what every solver calls. *)
+(** [solve_nlp_ctx ctx ~lo ~hi ~start] — solve the continuous
+    relaxation of [ctx]'s problem restricted to the box [lo, hi].
+    [start] (clamped) seeds the solver; pass the parent node's solution
+    for warm starts. [budget] and [tally] are threaded into the LP
+    seeding and the augmented-Lagrangian inner loops; each AugLag
+    attempt counts one [nlp_solves]. *)
 val solve_nlp_ctx :
   ?tol_feas:float ->
   ?budget:Engine.Budget.armed ->
@@ -46,25 +50,6 @@ val solve_fixed :
   lo:float array ->
   hi:float array ->
   float array ->
-  nlp_result
-
-(** [solve_nlp p ~lo ~hi ~start] — solve the continuous relaxation of
-    [p] restricted to the box [lo, hi]. [start] (clamped) seeds the
-    solver; pass the parent node's solution for warm starts. [budget]
-    and [tally] are threaded into the LP seeding and the
-    augmented-Lagrangian inner loops; each AugLag attempt counts one
-    [nlp_solves]. Equal to [solve_nlp_ctx (context p)], compiling the
-    context on every call: no solver uses it, and [bench --kernels]
-    keeps it as the reference the compiled context is timed and
-    checked against. *)
-val solve_nlp :
-  ?tol_feas:float ->
-  ?budget:Engine.Budget.armed ->
-  ?tally:Engine.Telemetry.t ->
-  Problem.t ->
-  lo:float array ->
-  hi:float array ->
-  start:float array ->
   nlp_result
 
 (** [midpoint lo hi] — a finite starting point inside the box

@@ -1,3 +1,5 @@
+type hop_memo = int array array option Atomic.t
+
 type instance = {
   topology : Topology.t;
   groups : int array array;
@@ -7,6 +9,7 @@ type instance = {
   mem_per_node_gb : float;
   comm_mb : float array array;
   hop_cost_s_per_mb : float;
+  hops : hop_memo;
 }
 
 let num_tasks inst = Array.length inst.names
@@ -143,6 +146,7 @@ let make ~topology ~groups ~names ~duration_s ~mem_gb ~mem_per_node_gb ~comm_mb
     mem_per_node_gb;
     comm_mb = Array.map Array.copy comm_mb;
     hop_cost_s_per_mb;
+    hops = Atomic.make None;
   }
 
 (* ---------- evaluation ---------- *)
@@ -152,7 +156,7 @@ let make ~topology ~groups ~names ~duration_s ~mem_gb ~mem_per_node_gb ~comm_mb
    nodes reaches each other group first at the minimum distance over
    their node pairs: O(groups · nodes), where a min over every node
    pair costs O(nodes²) whatever the group count *)
-let hop_matrix inst =
+let build_hop_matrix inst =
   let ng = num_groups inst in
   let { Topology.dim_x = dx; dim_y = dy; dim_z = dz } = inst.topology in
   let n = dx * dy * dz and sx = dy * dz in
@@ -194,6 +198,17 @@ let hop_matrix inst =
     done
   done;
   h
+
+(* built on first use and kept with the instance, so a placed solve's
+   search, its reply's evaluation and the exact path share one matrix;
+   two domains racing on a fresh instance may each build it, equal *)
+let hop_matrix inst =
+  match Atomic.get inst.hops with
+  | Some h -> h
+  | None ->
+    let h = build_hop_matrix inst in
+    Atomic.set inst.hops (Some h);
+    h
 
 let check_assignment inst assignment =
   let nt = num_tasks inst and ng = num_groups inst in
@@ -393,8 +408,7 @@ type solved = {
   certificate : Engine.Certificate.t option;
 }
 
-let solve_minlp ?(solver = Engine.Solver_choice.Oa) ?budget ?cancel ?warm_start ?trace inst =
-  let budget = Engine.Budget.join ?budget ?cancel () in
+let solve_minlp ?(solver = Engine.Solver_choice.Oa) ?budget ?warm_start ?trace inst =
   let problem, lift = build_milp inst in
   let sol, cert =
     Minlp.Solver.run ~rel_gap:Minlp.Solver.model_rel_gap ?budget ?tally:trace

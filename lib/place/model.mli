@@ -21,6 +21,9 @@
     [Invalid_argument] before any solver work (the
     {!Hslb.Fitting.recommended_sizes} per-case message convention). *)
 
+(** The instance's hop matrix, built by its first {!hop_matrix}. *)
+type hop_memo
+
 type instance = private {
   topology : Topology.t;
   groups : int array array;  (** node ids per group, disjoint *)
@@ -30,6 +33,7 @@ type instance = private {
   mem_per_node_gb : float;
   comm_mb : float array array;  (** symmetric, zero diagonal *)
   hop_cost_s_per_mb : float;
+  hops : hop_memo;
 }
 
 (** Validates every shape and the two memory-feasibility necessary
@@ -55,7 +59,10 @@ val num_groups : instance -> int
 val capacity_gb : instance -> int -> float
 
 (** [hop_matrix inst] — minimum pairwise torus distance between every
-    pair of groups; zero on the diagonal. *)
+    pair of groups; zero on the diagonal. The first call builds it, one
+    breadth-first search per group, and every later call on [inst]
+    ({!eval}, {!build_milp}, the optimizer) returns the same matrix,
+    which callers must not mutate. *)
 val hop_matrix : instance -> int array array
 
 type eval = { makespan_s : float; comm_cost_s : float; total_s : float }
@@ -94,10 +101,11 @@ type solved = {
   certificate : Engine.Certificate.t option;
 }
 
-(** [solve_minlp ?solver ?budget ?cancel ?warm_start ?trace inst] — the
+(** [solve_minlp ?solver ?budget ?warm_start ?trace inst] — the
     full MINLP path through {!Minlp.Solver.run} at
     {!Minlp.Solver.model_rel_gap}: Bnb/Oa/Oa_multi via [solver] (default
-    Oa), engine budgets and cooperative cancellation, [warm_start] a
+    Oa), an engine budget (its deadline, limits and cancel token stop
+    the solve), [warm_start] a
     task→group assignment priming the incumbent (the heuristic's answer,
     typically; Oa_multi has none), [trace] accumulating solver counters.
     Returns the audited-checkable certificate alongside the decoded
@@ -105,7 +113,6 @@ type solved = {
 val solve_minlp :
   ?solver:Engine.Solver_choice.t ->
   ?budget:Engine.Budget.armed ->
-  ?cancel:Engine.Cancel.t ->
   ?warm_start:int array ->
   ?trace:Engine.Telemetry.t ->
   instance ->

@@ -97,9 +97,9 @@ let parse_version v =
    caps the instance behind the cache key takes ~0.1 s and ~10 MB to
    build on one core. The comm-aware search that follows prices group
    pairs by Place.Model's hop matrix, one breadth-first search of the
-   torus per group, O(groups · nodes): ~13 s at both caps on one core
-   of a 2-vCPU x86-64 host, and a placed solve builds it twice (the
-   search, then the evaluation of its answer), ~24 s in all. *)
+   torus per group, O(groups · nodes), built once per placed solve (the
+   search and the evaluation of its answer share it): a placed solve
+   at both caps takes 12-15 s on one core of a 2-vCPU x86-64 host. *)
 let max_torus_nodes = 262_144
 let max_place_groups = 1_024
 

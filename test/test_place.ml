@@ -182,7 +182,8 @@ let test_minlp_budget_and_warm_start () =
   (* an already-cancelled budget must come back empty-handed, not crash *)
   let cancel = Engine.Cancel.create () in
   Engine.Cancel.cancel cancel;
-  (match Place.Model.solve_minlp ~cancel inst with
+  let cancelled () = Engine.Budget.arm (Engine.Budget.make ~cancel ()) in
+  (match Place.Model.solve_minlp ~budget:(cancelled ()) inst with
   | Ok solved ->
     Alcotest.(check bool) "cancelled run may still carry the warm incumbent" true
       (match solved.Place.Model.status with
@@ -192,7 +193,7 @@ let test_minlp_budget_and_warm_start () =
   | Error st -> Alcotest.failf "unexpected status: %s" (Minlp.Solution.status_to_string st));
   (* a warm start under the same cancelled budget always has an incumbent *)
   let warm = Place.Optimizer.comm_blind inst in
-  match Place.Model.solve_minlp ~cancel ~warm_start:warm inst with
+  match Place.Model.solve_minlp ~budget:(cancelled ()) ~warm_start:warm inst with
   | Ok _ -> ()
   | Error st ->
     Alcotest.failf "warm-started cancelled solve lost its incumbent: %s"
@@ -287,6 +288,17 @@ let prop_hop_matrix_matches_all_pairs =
       Place.Model.hop_matrix inst = hop_matrix_all_pairs inst
       || QCheck.Test.fail_reportf "seed %d: %s" seed (Topology.placement_to_string placement))
 
+(* a placed solve's search, its evaluation and the exact path read the
+   matrix the instance's first [hop_matrix] built, not a new one *)
+let test_one_hop_matrix () =
+  let inst = small_instance () in
+  let h = Place.Model.hop_matrix inst in
+  let aware = Place.Optimizer.optimize inst in
+  ignore (Place.Model.eval inst aware : Place.Model.eval);
+  ignore (Place.Model.build_milp inst);
+  Alcotest.(check bool) "the same matrix" true (Place.Model.hop_matrix inst == h);
+  Alcotest.(check bool) "equal to the definition" true (h = hop_matrix_all_pairs inst)
+
 (* ---------- E11 golden: byte-stable under the pinned comm seed ---------- *)
 
 let test_e11_golden () =
@@ -349,6 +361,7 @@ let () =
             test_fingerprint_topology_regression;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 24 |])
             prop_hop_matrix_matches_all_pairs;
+          Alcotest.test_case "one hop matrix per instance" `Quick test_one_hop_matrix;
         ] );
       ("optimizer", [ Alcotest.test_case "beats blind" `Quick test_optimizer_beats_blind ]);
       ( "minlp",

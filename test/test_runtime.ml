@@ -405,39 +405,6 @@ let test_cache_skips_unproven () =
   | Error _ -> ());
   Alcotest.(check int) "nothing stored" 0 (Runtime.Cache.length cache)
 
-(* ---------- shared-budget cancellation primitives ---------- *)
-
-let test_with_extra_cancel () =
-  let tok = Engine.Cancel.create () in
-  let base = Engine.Budget.arm (Engine.Budget.make ~max_nodes:5 ()) in
-  let view = Engine.Budget.with_extra_cancel base tok in
-  Alcotest.(check bool) "view starts clean" true (Engine.Budget.check view = None);
-  (* counters are shared: charging the view charges the base *)
-  Engine.Budget.add_nodes view 5;
-  Alcotest.(check int) "shared node pool" 5 (Engine.Budget.nodes base);
-  Alcotest.(check bool) "base sees the limit" true
-    (Engine.Budget.check base = Some Engine.Budget.Node_limit);
-  (* the extra token stops the view but not the base *)
-  let tok2 = Engine.Cancel.create () in
-  let base2 = Engine.Budget.arm (Engine.Budget.make ()) in
-  let view2 = Engine.Budget.with_extra_cancel base2 tok2 in
-  Engine.Cancel.cancel tok2;
-  Alcotest.(check bool) "view cancelled" true
-    (Engine.Budget.check view2 = Some Engine.Budget.Cancelled);
-  Alcotest.(check bool) "base isolated" true (Engine.Budget.check base2 = None)
-
-let test_cancel_link () =
-  let parent = Engine.Cancel.create () in
-  let child = Engine.Cancel.link [ parent ] in
-  Alcotest.(check bool) "clean" false (Engine.Cancel.cancelled child);
-  Engine.Cancel.cancel parent;
-  Alcotest.(check bool) "parent propagates" true (Engine.Cancel.cancelled child);
-  let parent2 = Engine.Cancel.create () in
-  let child2 = Engine.Cancel.link [ parent2 ] in
-  Engine.Cancel.cancel child2;
-  Alcotest.(check bool) "child cancelled" true (Engine.Cancel.cancelled child2);
-  Alcotest.(check bool) "no upward propagation" false (Engine.Cancel.cancelled parent2)
-
 (* ---------- cross-domain cancellation ---------- *)
 
 let test_cross_domain_cancel () =
@@ -644,8 +611,6 @@ let () =
         ] );
       ( "cancellation",
         [
-          Alcotest.test_case "extra cancel view" `Quick test_with_extra_cancel;
-          Alcotest.test_case "linked tokens" `Quick test_cancel_link;
           Alcotest.test_case "cross-domain cancel" `Quick test_cross_domain_cancel;
         ] );
       ( "model store",
