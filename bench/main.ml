@@ -25,8 +25,7 @@
 
 let fitted_specs =
   lazy
-    (let rng = Numerics.Rng.create 5 in
-     List.init 4 (fun i ->
+    (List.init 4 (fun i ->
          let law =
            Scaling_law.make ~a:(100. +. (50. *. float_of_int i)) ~b:1e-6 ~c:0.9 ~d:1.
          in
@@ -35,7 +34,7 @@ let fitted_specs =
                Scaling_law.eval_int law nodes)
          in
          Hslb.Alloc_model.spec_of
-           (List.hd (Hslb.Classes.gather_and_fit ~rng ~sizes:[ 1; 4; 16; 64 ] ~reps:1 [ cls ]))))
+           (List.hd (Hslb.Classes.gather_and_fit ~sizes:[ 1; 4; 16; 64 ] ~reps:1 [ cls ]))))
 
 (* the E6-style sweet-spotted instance (alloc4_sweet_n64) *)
 let e6_specs () =

@@ -23,22 +23,41 @@ open Cmdliner
 
 (* ---------- shared helpers ---------- *)
 
-let read_csv_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line ->
-      let line = String.trim line in
-      if line = "" || line.[0] = '#' then go acc else go (line :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
+let read_file path = In_channel.with_open_text path In_channel.input_all
 
-let split_csv line = List.map String.trim (String.split_on_char ',' line)
+(* a bad input file is a usage error: its message on stderr, exit 2 *)
+let usage_error cmd msg =
+  Format.eprintf "hslb %s: %s@." cmd msg;
+  exit 2
 
 (* ---------- fit ---------- *)
+
+(* "nodes,seconds" lines; line numbers are 1-based over the raw text,
+   comments and blanks included, as Model_store numbers them *)
+let parse_observations text =
+  let number lineno line what s =
+    match float_of_string_opt s with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "line %d: %s is not a number: %S: %s" lineno what s line)
+  in
+  let ( let* ) = Result.bind in
+  let rec go lineno acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | line :: rest -> (
+      let line = String.trim line in
+      if line = "" || line.[0] = '#' then go (lineno + 1) acc rest
+      else
+        match List.map String.trim (String.split_on_char ',' line) with
+        | [ n; t ] ->
+          let* n = number lineno line "nodes" n in
+          let* t = number lineno line "seconds" t in
+          go (lineno + 1) ((n, t) :: acc) rest
+        | fields ->
+          Error
+            (Printf.sprintf "line %d: expected 2 comma-separated fields (nodes,seconds), got %d: %s"
+               lineno (List.length fields) line))
+  in
+  go 1 [] (String.split_on_char '\n' text)
 
 let fit_cmd =
   let file =
@@ -46,10 +65,6 @@ let fit_cmd =
       required
       & pos 0 (some file) None
       & info [] ~docv:"CSV" ~doc:"Observations file: one \"nodes,seconds\" pair per line.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed for multi-start.") in
-  let starts =
-    Arg.(value & opt int 12 & info [ "starts" ] ~doc:"Number of multi-start attempts.")
   in
   let save_class =
     Arg.(
@@ -60,20 +75,16 @@ let fit_cmd =
             "Append the fitted model as a class line (name,count,a,b,c,d) to FILE, creating \
              it if needed — the input format of the solve subcommand.")
   in
-  let run file seed starts save_class =
-    let obs =
-      List.map
-        (fun line ->
-          match split_csv line with
-          | [ n; t ] -> (float_of_string n, float_of_string t)
-          | _ -> failwith ("bad observation line: " ^ line))
-        (read_csv_lines file)
+  let run file save_class =
+    let fit =
+      match parse_observations (read_file file) with
+      | Error msg -> usage_error "fit" msg
+      | Ok obs -> (
+        try Hslb.Fitting.fit_observations obs with Invalid_argument msg -> usage_error "fit" msg)
     in
-    let rng = Numerics.Rng.create seed in
-    let fit = Hslb.Fitting.fit_observations ~starts ~rng (Array.of_list obs) in
     Format.printf "T(n) = %a@." Scaling_law.pp fit.Hslb.Fitting.law;
     Format.printf "R2 = %.6f, RMSE = %.6g over %d observations@." fit.Hslb.Fitting.r2
-      fit.Hslb.Fitting.rmse (List.length obs);
+      fit.Hslb.Fitting.rmse (Array.length fit.Hslb.Fitting.observations);
     match save_class with
     | None -> ()
     | Some spec -> (
@@ -86,11 +97,11 @@ let fit_cmd =
           count law.Scaling_law.a law.Scaling_law.b law.Scaling_law.c law.Scaling_law.d;
         close_out oc;
         Format.printf "appended class %s (count %s) to %s@." name count path
-      | _ -> failwith "--save-class expects FILE:NAME:COUNT")
+      | _ -> usage_error "fit" "--save-class expects FILE:NAME:COUNT")
   in
   Cmd.v
     (Cmd.info "fit" ~doc:"Fit the HSLB performance model to benchmark observations.")
-    Term.(const run $ file $ seed $ starts $ save_class)
+    Term.(const run $ file $ save_class)
 
 (* ---------- solve ---------- *)
 
@@ -140,8 +151,8 @@ let solve_cmd =
   in
   let run file nodes objective solver repeat deadline_ms max_nodes report audit =
     let specs =
-      Hslb.Model_store.specs_of_csv
-        (String.concat "\n" (read_csv_lines file))
+      try Hslb.Model_store.specs_of_csv (read_file file)
+      with Failure msg -> usage_error "solve" msg
     in
     let repeat = Stdlib.max 1 repeat in
     let cache = Runtime.Cache.create () in
@@ -154,9 +165,7 @@ let solve_cmd =
         try
           Hslb.Alloc_model.solve ~solver ~objective ~budget ~trace:tally ~cache ~n_total:nodes
             specs
-        with Invalid_argument msg ->
-          Format.eprintf "hslb solve: %s@." msg;
-          exit 2
+        with Invalid_argument msg -> usage_error "solve" msg
       in
       let wall_s = Engine.Budget.elapsed_s budget in
       let cache_hit = Runtime.Cache.hits cache > hits0 in
@@ -374,7 +383,7 @@ let layouts_cmd =
     let classes = Layouts.Cesm_data.benchmark_classes ~rng resolution in
     let n_max = Stdlib.max 512 nodes in
     let fits =
-      Hslb.Classes.gather_and_fit ~rng
+      Hslb.Classes.gather_and_fit
         ~sizes:(Hslb.Fitting.recommended_sizes ~n_min:8 ~n_max ~points:6)
         ~reps:2 classes
     in

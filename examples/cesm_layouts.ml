@@ -18,7 +18,7 @@ let () =
   (* steps 1+2: benchmark and fit each component *)
   let classes = Layouts.Cesm_data.benchmark_classes ~rng resolution in
   let fits =
-    Hslb.Classes.gather_and_fit ~rng
+    Hslb.Classes.gather_and_fit
       ~sizes:(Hslb.Fitting.recommended_sizes ~n_min:8 ~n_max:2048 ~points:6)
       ~reps:2 classes
   in

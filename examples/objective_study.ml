@@ -8,8 +8,7 @@
 let fitted_of_law ~name ~count law =
   let cls = Hslb.Classes.make ~name ~count (fun ~nodes -> Scaling_law.eval_int law nodes) in
   List.hd
-    (Hslb.Classes.gather_and_fit ~rng:(Numerics.Rng.create 11)
-       ~sizes:[ 1; 2; 4; 8; 16; 64; 256 ] ~reps:1 [ cls ])
+    (Hslb.Classes.gather_and_fit ~sizes:[ 1; 2; 4; 8; 16; 64; 256 ] ~reps:1 [ cls ])
 
 let () =
   let heavy = Scaling_law.make ~a:900. ~b:1e-6 ~c:0.92 ~d:2. in

@@ -38,10 +38,9 @@ let synthetic_specs ?allowed_count ~classes () =
           ~count:1
           (fun ~nodes -> Scaling_law.eval_int law nodes)
       in
-      let fit_rng = Workloads.rng (100 + i) in
       let fc =
         List.hd
-          (Hslb.Classes.gather_and_fit ~rng:fit_rng ~sizes:[ 1; 2; 4; 16; 64; 256 ] ~reps:1
+          (Hslb.Classes.gather_and_fit ~sizes:[ 1; 2; 4; 16; 64; 256 ] ~reps:1
              [ cls ])
       in
       match allowed_count with
@@ -153,8 +152,8 @@ let run ?(quick = false) fmt =
     ~header rows_a;
   Format.fprintf fmt
     "note: the NLP-based tree prunes on values from a first-order local solver, which are not \
-     lower bounds; on the larger models it stamps optimal up to ~20%% above the exact optimum, \
-     which OA reaches within its gap@.";
+     lower bounds; on the larger models it can stamp optimal well above the exact optimum \
+     (compare each size's exact row), which OA reaches within its gap@.";
   (* part (b): SOS1 branching ablation on sweet-spotted models *)
   let sizes_b = if quick then [ 2; 4 ] else [ 2; 4; 8; 16 ] in
   let rows_b =

@@ -45,7 +45,7 @@ let run ?(quick = false) fmt =
           in
           let sizes = Hslb.Fitting.recommended_sizes ~n_min:1 ~n_max:n_total ~points in
           let fits =
-            Hslb.Classes.gather_and_fit ~rng ~sizes ~reps:2
+            Hslb.Classes.gather_and_fit ~sizes ~reps:2
               [ noisy truth_a "A"; noisy truth_b "B" ]
           in
           List.iter

@@ -59,6 +59,15 @@ let run ?(quick = false) fmt =
   Table.print fmt ~title:"E9: layout scaling (1 deg components)"
     ~header:[ "nodes"; "layout1 pred"; "layout1 actual"; "layout2 pred"; "layout3 pred" ]
     (List.map fst rows);
+  List.iter2
+    (fun n_total (a1, a2, a3) ->
+      List.iteri
+        (fun i a ->
+          E8_cesm_table3.note_status fmt
+            ~what:(Printf.sprintf "layout %d, %d nodes" (i + 1) n_total)
+            a)
+        [ a1; a2; a3 ])
+    node_counts solved;
   let series_of idx marker label =
     {
       Chart.label;

@@ -103,10 +103,7 @@ let run_rate ~seed ~rounds ~classes ~nodes ~eps drift_rate =
   let sizes = sample_sizes ~nodes in
   (* round 0: everyone fits the same initial benchmarks and solves once *)
   let initial_obs = List.map (fun tr -> observe_truth ~rng tr sizes) truths in
-  let fit_rng () = Numerics.Rng.create (world_seed + 1) in
-  let initial_fits =
-    List.map (fun obs -> Hslb.Fitting.fit_observations ~rng:(fit_rng ()) obs) initial_obs
-  in
+  let initial_fits = List.map Hslb.Fitting.fit_observations initial_obs in
   let initial_fitted = List.map2 fitted_of truths initial_fits in
   let alloc0 = solve_alloc ~nodes initial_fitted in
   (* per-policy state *)
@@ -117,10 +114,7 @@ let run_rate ~seed ~rounds ~classes ~nodes ~eps drift_rate =
   and skipped_cert = ref 0 in
   let history = List.map (fun obs -> ref [ obs ]) initial_obs in
   let online =
-    List.map
-      (fun (f : Hslb.Fitting.fit) ->
-        Hslb.Fitting.Online.of_law ~rng:(fit_rng ()) f.Hslb.Fitting.law)
-      initial_fits
+    List.map (fun (f : Hslb.Fitting.fit) -> Hslb.Fitting.Online.of_law f.Hslb.Fitting.law) initial_fits
   in
   let score_always = ref 0. and score_never = ref 0. and score_cert = ref 0. in
   for _round = 1 to rounds do
@@ -130,7 +124,7 @@ let run_rate ~seed ~rounds ~classes ~nodes ~eps drift_rate =
     List.iter2 (fun h obs -> h := obs :: !h) history fresh;
     let fits =
       List.map
-        (fun h -> Hslb.Fitting.fit_observations ~rng:(fit_rng ()) (Array.concat (List.rev !h)))
+        (fun h -> Hslb.Fitting.fit_observations (Array.concat (List.rev !h)))
         history
     in
     alloc_always := solve_alloc ~nodes (List.map2 fitted_of truths fits);

@@ -18,11 +18,7 @@ let gather cls ~sizes ~reps =
     sizes;
   Array.of_list (List.rev !obs)
 
-let gather_and_fit ~rng ~sizes ~reps classes =
-  List.map
-    (fun cls ->
-      let obs = gather cls ~sizes ~reps in
-      { cls; fit = Fitting.fit_observations ~rng obs })
-    classes
+let gather_and_fit ~sizes ~reps classes =
+  List.map (fun cls -> { cls; fit = Fitting.fit_observations (gather cls ~sizes ~reps) }) classes
 
 let predicted_time fc n = Fitting.predict fc.fit n

@@ -24,10 +24,9 @@ val make : name:string -> count:int -> (nodes:int -> float) -> t
     observations. *)
 val gather : t -> sizes:int list -> reps:int -> (float * float) array
 
-(** [gather_and_fit ~rng ~sizes ~reps classes] — steps 1+2 of HSLB for
+(** [gather_and_fit ~sizes ~reps classes] — steps 1+2 of HSLB for
     every class. *)
-val gather_and_fit :
-  rng:Numerics.Rng.t -> sizes:int list -> reps:int -> t list -> fitted list
+val gather_and_fit : sizes:int list -> reps:int -> t list -> fitted list
 
 (** [predicted_time fc n] — fitted time of one task of the class on [n]
     nodes. *)

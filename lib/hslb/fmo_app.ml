@@ -98,10 +98,10 @@ let plan_hslb ~rng machine (plan : Fmo.Task.plan) ~n_total config =
   let monomer_classes = classes_of ~rng machine plan.Fmo.Task.monomers in
   let dimer_classes = classes_of ~rng machine (Fmo.Task.correction_tasks plan) in
   let monomer_fits =
-    Classes.gather_and_fit ~rng ~sizes ~reps:config.benchmark_reps monomer_classes
+    Classes.gather_and_fit ~sizes ~reps:config.benchmark_reps monomer_classes
   in
   let dimer_fits =
-    Classes.gather_and_fit ~rng ~sizes ~reps:config.benchmark_reps dimer_classes
+    Classes.gather_and_fit ~sizes ~reps:config.benchmark_reps dimer_classes
   in
   (* step 3: allocation MINLP over monomer classes *)
   let specs =

@@ -1,16 +1,9 @@
-let default_h = 1e-6
-let step h x = h *. Float.max 1. (Float.abs x)
-
-let derivative ?(h = default_h) f x =
-  let d = step h x in
-  (f (x +. d) -. f (x -. d)) /. (2. *. d)
-
-let gradient ?(h = default_h) f x =
+let gradient ?(h = 1e-6) f x =
   let n = Array.length x in
   let g = Array.make n 0. in
   let xi = Array.copy x in
   for i = 0 to n - 1 do
-    let d = step h x.(i) in
+    let d = h *. Float.max 1. (Float.abs x.(i)) in
     xi.(i) <- x.(i) +. d;
     let fp = f xi in
     xi.(i) <- x.(i) -. d;
@@ -19,56 +12,3 @@ let gradient ?(h = default_h) f x =
     g.(i) <- (fp -. fm) /. (2. *. d)
   done;
   g
-
-let jacobian ?(h = default_h) f x =
-  let n = Array.length x in
-  let xi = Array.copy x in
-  let columns =
-    Array.init n (fun i ->
-        let d = step h x.(i) in
-        xi.(i) <- x.(i) +. d;
-        let fp = f xi in
-        xi.(i) <- x.(i) -. d;
-        let fm = f xi in
-        xi.(i) <- x.(i);
-        Array.map2 (fun a b -> (a -. b) /. (2. *. d)) fp fm)
-  in
-  let m = Array.length columns.(0) in
-  Mat.init m n (fun r c -> columns.(c).(r))
-
-let hessian ?(h = 1e-4) f x =
-  let n = Array.length x in
-  let hess = Mat.create n n 0. in
-  let xi = Array.copy x in
-  let eval di dj i j =
-    xi.(i) <- xi.(i) +. di;
-    xi.(j) <- xi.(j) +. dj;
-    let v = f xi in
-    xi.(i) <- x.(i);
-    xi.(j) <- x.(j);
-    v
-  in
-  for i = 0 to n - 1 do
-    let di = step h x.(i) in
-    for j = i to n - 1 do
-      let dj = step h x.(j) in
-      let v =
-        if i = j then begin
-          let fpp = eval di 0. i i
-          and fmm = eval (-.di) 0. i i
-          and f0 = f x in
-          (fpp -. (2. *. f0) +. fmm) /. (di *. di)
-        end
-        else begin
-          let fpp = eval di dj i j
-          and fpm = eval di (-.dj) i j
-          and fmp = eval (-.di) dj i j
-          and fmm = eval (-.di) (-.dj) i j in
-          (fpp -. fpm -. fmp +. fmm) /. (4. *. di *. dj)
-        end
-      in
-      Mat.set hess i j v;
-      Mat.set hess j i v
-    done
-  done;
-  hess

@@ -1,19 +1,9 @@
-(** Finite-difference derivatives.
+(** Finite-difference gradients.
 
-    Fallbacks for model functions without analytic derivatives; the MINLP
-    expression AST provides exact derivatives, but the fitting layer and
-    the NLP solver accept black-box objectives. *)
+    A fallback for objectives without analytic derivatives: the MINLP
+    expression AST provides exact derivatives, but the NLP solver
+    accepts black-box objectives and constraints. *)
 
 (** [gradient ?h f x] — central-difference gradient of [f] at [x].
     [h] is the base step, scaled per-coordinate by [max 1 |x_i|]. *)
 val gradient : ?h:float -> (Vec.t -> float) -> Vec.t -> Vec.t
-
-(** [jacobian ?h f x] — central-difference Jacobian of a vector-valued
-    [f] at [x]; row [i] is the gradient of component [i]. *)
-val jacobian : ?h:float -> (Vec.t -> Vec.t) -> Vec.t -> Mat.t
-
-(** [hessian ?h f x] — symmetric finite-difference Hessian. *)
-val hessian : ?h:float -> (Vec.t -> float) -> Vec.t -> Mat.t
-
-(** [derivative ?h f x] — scalar central difference. *)
-val derivative : ?h:float -> (float -> float) -> float -> float

@@ -272,7 +272,7 @@ let parse_prev v =
 let parse_sample = function
   | Json.Arr [ n; t ] -> (
     match (Json.num n, Json.num t) with
-    | Some n, Some t when n >= 1. && t >= 0. && Float.is_finite n && Float.is_finite t ->
+    | Some n, Some t when n >= 1. && t > 0. && Float.is_finite n && Float.is_finite t ->
       Some (n, t)
     | _ -> None)
   | _ -> None
@@ -295,7 +295,7 @@ let parse_observe v =
               Error
                 (Printf.sprintf
                    "field \"observe\": class %S: samples must be an array of [nodes, seconds] \
-                    pairs of finite numbers (nodes >= 1, seconds >= 0)"
+                    pairs of finite numbers (nodes >= 1, seconds > 0)"
                    name)
             | Some pairs ->
               let parsed = List.filter_map parse_sample pairs in
@@ -303,7 +303,7 @@ let parse_observe v =
                 Error
                   (Printf.sprintf
                      "field \"observe\": class %S: samples must be an array of [nodes, \
-                      seconds] pairs of finite numbers (nodes >= 1, seconds >= 0)"
+                      seconds] pairs of finite numbers (nodes >= 1, seconds > 0)"
                      name)
               else walk ((name, Array.of_list parsed) :: acc) tl)
           | _ -> Error bad)

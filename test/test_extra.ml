@@ -85,8 +85,7 @@ let fitted_of_law ~name ~count law =
     Hslb.Classes.make ~name ~count (fun ~nodes -> Scaling_law.eval_int law nodes)
   in
   List.hd
-    (Hslb.Classes.gather_and_fit ~rng:(Numerics.Rng.create 11)
-       ~sizes:[ 1; 2; 4; 8; 16; 32 ] ~reps:1 [ cls ])
+    (Hslb.Classes.gather_and_fit ~sizes:[ 1; 2; 4; 8; 16; 32 ] ~reps:1 [ cls ])
 
 let solve_ok ?objective ~n_total specs =
   match Hslb.Alloc_model.solve ?objective ~n_total specs with
@@ -165,7 +164,7 @@ let test_layout_atm_sweet_spots () =
   let rng = Numerics.Rng.create 5 in
   let classes = Layouts.Cesm_data.benchmark_classes ~rng Layouts.Cesm_data.Deg1 in
   let fits =
-    Hslb.Classes.gather_and_fit ~rng ~sizes:[ 8; 32; 128; 512 ] ~reps:1 classes
+    Hslb.Classes.gather_and_fit ~sizes:[ 8; 32; 128; 512 ] ~reps:1 classes
   in
   let comp name =
     Layouts.Component.of_fit ~name

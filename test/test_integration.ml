@@ -64,7 +64,7 @@ let test_layout_pipeline_end_to_end () =
   let rng = Numerics.Rng.create 21 in
   let classes = Layouts.Cesm_data.benchmark_classes ~rng Layouts.Cesm_data.Deg1 in
   let fits =
-    Hslb.Classes.gather_and_fit ~rng
+    Hslb.Classes.gather_and_fit
       ~sizes:(Hslb.Fitting.recommended_sizes ~n_min:8 ~n_max:1024 ~points:5)
       ~reps:1 classes
   in

@@ -10,7 +10,7 @@ let fitted_inputs ?(noise = 0.0) resolution =
   let rng = Numerics.Rng.create 11 in
   let classes = Cesm_data.benchmark_classes ~rng ~noise resolution in
   let sizes = Hslb.Fitting.recommended_sizes ~n_min:8 ~n_max:2048 ~points:6 in
-  let fits = Hslb.Classes.gather_and_fit ~rng ~sizes ~reps:1 classes in
+  let fits = Hslb.Classes.gather_and_fit ~sizes ~reps:1 classes in
   let comp name =
     Component.of_fit ~name
       (List.find (fun (fc : Hslb.Classes.fitted) -> fc.Hslb.Classes.cls.Hslb.Classes.name = name) fits)

@@ -687,19 +687,19 @@ let test_oa_with_sos1_allocation () =
    sits out the sweet-spot models, as in E6b. *)
 let pinned_work =
   [
-    ("e6 2 classes", "oa", "optimal", 0x1.3e681b1980b9cp+3, 4, 4, 2, 2, 24);
-    ("e6 2 classes", "bnb", "optimal", 0x1.3e681b1980b9cp+3, 4, 0, 6, 0, 1);
-    ("e6 2 classes", "oa-multi", "optimal", 0x1.3e681b1980b9cp+3, 7, 7, 2, 2, 48);
-    ("e6 4 classes", "oa", "optimal", 0x1.1e1659ea55bd2p+4, 49, 49, 6, 20, 881);
-    ("e6 4 classes", "bnb", "optimal", 0x1.1e1659ea55bd2p+4, 13, 0, 15, 0, 5);
-    ("e6 4 classes", "oa-multi", "optimal", 0x1.1e1659ea55bd2p+4, 34, 34, 5, 16, 565);
-    ("e6 2 classes, sweet spots", "oa", "optimal", 0x1.10a2e600cd2ecp+4, 9, 9, 4, 6, 258);
-    ("e6 2 classes, sweet spots", "oa-multi", "optimal", 0x1.10a2e600cd2edp+4, 7, 7, 5, 8, 180);
-    ("e6 4 classes, sweet spots", "oa", "optimal", 0x1.c98f1be4c123p+4, 100, 100, 6, 20, 8673);
-    ("e6 4 classes, sweet spots", "oa-multi", "optimal", 0x1.c98f1be4c123p+4, 61, 61, 4, 12, 3492);
-    ("e6 3 classes, min-sum", "oa", "optimal", 0x1.4a47c63f5840ap+5, 41, 41, 10, 27, 975);
-    ("e6 3 classes, min-sum", "bnb", "optimal", 0x1.4a47c722e6085p+5, 6, 0, 8, 0, 3);
-    ("e6 3 classes, min-sum", "oa-multi", "optimal", 0x1.4a47c63f5840ap+5, 49, 49, 9, 24, 1389);
+    ("e6 2 classes", "oa", "optimal", 0x1.3e681b1994f39p+3, 6, 6, 3, 4, 43);
+    ("e6 2 classes", "bnb", "optimal", 0x1.3e681b1994f38p+3, 4, 0, 6, 0, 1);
+    ("e6 2 classes", "oa-multi", "optimal", 0x1.3e681b1994f39p+3, 8, 8, 2, 2, 53);
+    ("e6 4 classes", "oa", "optimal", 0x1.1e1659ea3cbfap+4, 39, 39, 4, 12, 640);
+    ("e6 4 classes", "bnb", "optimal", 0x1.1ebef3f2d45e6p+4, 18, 0, 20, 0, 8);
+    ("e6 4 classes", "oa-multi", "optimal", 0x1.1e1659ea3cbf9p+4, 34, 34, 5, 16, 566);
+    ("e6 2 classes, sweet spots", "oa", "optimal", 0x1.10a2e60124306p+4, 9, 9, 4, 6, 255);
+    ("e6 2 classes, sweet spots", "oa-multi", "optimal", 0x1.10a2e60124303p+4, 7, 7, 5, 8, 180);
+    ("e6 4 classes, sweet spots", "oa", "optimal", 0x1.c98f1be57d558p+4, 22, 22, 3, 8, 1255);
+    ("e6 4 classes, sweet spots", "oa-multi", "optimal", 0x1.c98f1be57d55ap+4, 29, 29, 4, 12, 1556);
+    ("e6 3 classes, min-sum", "oa", "optimal", 0x1.4a47c63fbad6p+5, 41, 41, 10, 27, 975);
+    ("e6 3 classes, min-sum", "bnb", "optimal", 0x1.4a47c72348142p+5, 6, 0, 8, 0, 3);
+    ("e6 3 classes, min-sum", "oa-multi", "optimal", 0x1.4a47c63fbad6p+5, 49, 49, 9, 24, 1366);
     ("allocation.mod", "oa", "optimal", 0x1.20575cdbe8ed8p+6, 12, 12, 3, 8, 168);
     ("allocation.mod", "bnb", "optimal", 0x1.2812b4639d8fep+6, 9, 0, 11, 0, 5);
     ("allocation.mod", "oa-multi", "optimal", 0x1.20575cdbe8ed8p+6, 14, 14, 3, 8, 162);

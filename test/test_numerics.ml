@@ -177,20 +177,14 @@ let test_gradient () =
   check_float ~eps:1e-5 "df/dx" 19. g.(0);
   check_float ~eps:1e-5 "df/dy" 6. g.(1)
 
+(* the Jacobian lives with the Levenberg–Marquardt oracle, its only user *)
 let test_jacobian () =
   let f x = [| x.(0) *. x.(1); x.(0) +. x.(1) |] in
-  let j = Num_diff.jacobian f [| 2.; 3. |] in
+  let j = Lm_oracle.jacobian f [| 2.; 3. |] in
   check_float ~eps:1e-5 "j00" 3. (Mat.get j 0 0);
   check_float ~eps:1e-5 "j01" 2. (Mat.get j 0 1);
   check_float ~eps:1e-5 "j10" 1. (Mat.get j 1 0);
   check_float ~eps:1e-5 "j11" 1. (Mat.get j 1 1)
-
-let test_hessian () =
-  let f x = (x.(0) *. x.(0) *. x.(1)) +. (x.(1) *. x.(1)) in
-  let h = Num_diff.hessian f [| 1.; 2. |] in
-  check_float ~eps:1e-3 "h00" 4. (Mat.get h 0 0);
-  check_float ~eps:1e-3 "h01" 2. (Mat.get h 0 1);
-  check_float ~eps:1e-3 "h11" 2. (Mat.get h 1 1)
 
 (* ---------- Scalar_opt ---------- *)
 
@@ -212,7 +206,7 @@ let test_golden_min () =
   let x, _ = Scalar_opt.golden_min (fun x -> Float.abs (x -. 0.3)) ~lo:0. ~hi:1. in
   check_float ~eps:1e-6 "argmin" 0.3 x
 
-(* ---------- Least_squares ---------- *)
+(* ---------- Least_squares: the test-only Levenberg–Marquardt oracle ---------- *)
 
 (* the paper's performance model: T(n) = a/n^c + b n + d *)
 let perf_model p n = (p.(0) /. (n ** p.(2))) +. (p.(1) *. n) +. p.(3)
@@ -224,7 +218,7 @@ let test_lm_exact_recovery () =
   let ys = synth_data truth ns in
   let residual p = Array.mapi (fun i n -> perf_model p n -. ys.(i)) ns in
   let lo = Array.make 4 0. and hi = Array.make 4 infinity in
-  let r = Least_squares.fit ~residual ~lo ~hi [| 50.; 0.1; 0.5; 1. |] in
+  let r = Lm_oracle.fit ~residual ~lo ~hi [| 50.; 0.1; 0.5; 1. |] in
   Alcotest.(check bool) "converged" true r.converged;
   (* prediction quality matters more than parameter identity *)
   Array.iter
@@ -234,7 +228,7 @@ let test_lm_exact_recovery () =
 let test_lm_respects_bounds () =
   let residual p = [| p.(0) +. 5. |] in
   (* unconstrained optimum is -5; box forces 0 *)
-  let r = Least_squares.fit ~residual ~lo:[| 0. |] ~hi:[| 10. |] [| 3. |] in
+  let r = Lm_oracle.fit ~residual ~lo:[| 0. |] ~hi:[| 10. |] [| 3. |] in
   Alcotest.(check bool) "at bound" true (r.params.(0) >= 0.);
   check_float ~eps:1e-6 "clamped to zero" 0. r.params.(0)
 
@@ -246,7 +240,7 @@ let test_lm_multistart_beats_single () =
   let residual p = Array.mapi (fun i n -> perf_model p n -. ys.(i)) ns in
   let lo = Array.make 4 0. and hi = Array.make 4 infinity in
   let r =
-    Least_squares.fit_multi_start ~rng ~starts:8 ~residual ~lo ~hi [| 1.; 1.; 0.1; 1. |]
+    Lm_oracle.fit_multi_start ~rng ~starts:8 ~residual ~lo ~hi [| 1.; 1.; 0.1; 1. |]
   in
   Alcotest.(check bool) "good fit" true (r.residual_norm < 1e-2 *. Vec.norm2 ys)
 
@@ -263,7 +257,7 @@ let prop_lm_stays_in_box =
       let ys = synth_data truth ns in
       let residual p = Array.mapi (fun i n -> perf_model p n -. ys.(i)) ns in
       let lo = Array.make 4 0. and hi = Array.make 4 1e6 in
-      let r = Least_squares.fit ~residual ~lo ~hi [| 1.; 0.01; 1.; 1. |] in
+      let r = Lm_oracle.fit ~residual ~lo ~hi [| 1.; 0.01; 1.; 1. |] in
       Array.for_all (fun x -> x >= 0. && x <= 1e6) r.params)
 
 let () =
@@ -309,7 +303,6 @@ let () =
         [
           Alcotest.test_case "gradient" `Quick test_gradient;
           Alcotest.test_case "jacobian" `Quick test_jacobian;
-          Alcotest.test_case "hessian" `Quick test_hessian;
         ] );
       ( "scalar_opt",
         [

@@ -183,8 +183,7 @@ let fitted_of_law ~name ~count law =
     Hslb.Classes.make ~name ~count (fun ~nodes -> Scaling_law.eval_int law nodes)
   in
   List.hd
-    (Hslb.Classes.gather_and_fit ~rng:(Numerics.Rng.create 11)
-       ~sizes:[ 1; 2; 4; 8; 16; 64; 256 ] ~reps:1 [ cls ])
+    (Hslb.Classes.gather_and_fit ~sizes:[ 1; 2; 4; 8; 16; 64; 256 ] ~reps:1 [ cls ])
 
 let e6_specs ?allowed ?(classes = 6) () =
   List.init classes (fun i ->
