@@ -73,7 +73,12 @@ let run_all ?quick ?jobs fmt =
        buffer and the chunks are emitted in registry order, so output
        stays deterministic while the work overlaps. Parallel runs report
        per-experiment wall clock ([Sys.time] is process-wide CPU and
-       would be meaningless across domains). *)
+       would be meaningless across domains). The pool starts the longest
+       experiment first (longest processing time first): E14 is most of
+       a quick run's work and of a full one's, and started last, in
+       registry order, it ran alone once the rest were done. *)
+    let longest, rest = List.partition (fun e -> e.id = E14_place.name) all in
+    let order = longest @ rest in
     let chunks =
       Runtime.Pool.map ~jobs
         (fun e ->
@@ -84,8 +89,8 @@ let run_all ?quick ?jobs fmt =
           e.run ?quick bfmt;
           Format.fprintf bfmt "[%s finished in %.1f s]@." e.id (Unix.gettimeofday () -. t0);
           Format.pp_print_flush bfmt ();
-          Buffer.contents buf)
-        all
+          (e.id, Buffer.contents buf))
+        order
     in
-    List.iter (fun chunk -> Format.pp_print_string fmt chunk) chunks;
+    List.iter (fun e -> Format.pp_print_string fmt (List.assoc e.id chunks)) all;
     Format.pp_print_flush fmt ()

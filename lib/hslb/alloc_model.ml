@@ -690,8 +690,11 @@ let reoptimality ~eps ~n_total ~incumbent specs =
   else
     let optimum = exact_solve ~n_total ls specs in
     let incumbent_makespan, _ = predicted_of specs incumbent in
+    (* relative to the optimum itself, whatever the unit of time; OPT
+       is 0 only when every law is, and then so is U *)
     let gap_rel =
-      (incumbent_makespan -. optimum.predicted_makespan)
-      /. Float.max optimum.predicted_makespan 1e-12
+      if optimum.predicted_makespan > 0. then
+        (incumbent_makespan -. optimum.predicted_makespan) /. optimum.predicted_makespan
+      else 0.
     in
     Some { incumbent_makespan; optimum; gap_rel; keep = gap_rel <= eps }

@@ -167,7 +167,7 @@ type reoptimality = {
   optimum : allocation;
       (** the default ([Exact]) min-max solve; its makespan is the
           optimum [OPT], a lower bound on every allocation's *)
-  gap_rel : float;  (** [(U − OPT) / max OPT 1e-12] *)
+  gap_rel : float;  (** [(U − OPT) / OPT], and 0 when [OPT] is 0 *)
   keep : bool;  (** [gap_rel <= eps]: the incumbent stays *)
 }
 

@@ -39,8 +39,17 @@ let run ?(options = default_options) ?budget ?tally ?warm_start p0 =
         (* a failed root NLP is not proof of infeasibility (the augmented
            Lagrangian is a local method): linearize at the best point it
            reached — OA cuts are globally valid for convex constraints at
-           any point — and let the master tree decide feasibility *)
-        let initial_cuts = Relax.finite_cuts nl root.Relax.x in
+           any point — and let the master tree decide feasibility. The
+           warm start is linearized too: the root NLP stops at its
+           iteration caps far from the optimum on the fitted allocation
+           models, and cuts there alone left water-32's monomer master
+           600-3,800 nodes to close, a count that swung by 2x with the
+           last digits of the laws; with cuts at a good integral point it
+           closes in 75-120 *)
+        let initial_cuts =
+          Relax.finite_cuts nl root.Relax.x
+          @ match warm with Some w -> Relax.finite_cuts nl w | None -> []
+        in
         let rounds : (string, int) Hashtbl.t = Hashtbl.create 64 in
         let on_integral ~lo:_ ~hi:_ x obj =
           let violated = Relax.violated_nl p x in

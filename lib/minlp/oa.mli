@@ -27,8 +27,10 @@ val default_options : Milp.options
     fixed-integer NLPs); on exhaustion the best incumbent is returned
     with status [Budget_exhausted]. [warm_start] is a feasible point of
     [p] in the original variable space: it primes the master tree's
-    incumbent so pruning is sharp from the first node (points that fail
-    the feasibility check are silently ignored). [tally] accumulates the
+    incumbent so pruning is sharp from the first node, and the master's
+    first cuts linearize the nonlinear rows there as well as at the root
+    relaxation's point (points that fail the feasibility check are
+    silently ignored). [tally] accumulates the
     full counter set, plus "presolve" / "root-nlp" / "master" phase
     timers. *)
 val run :

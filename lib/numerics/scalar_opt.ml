@@ -25,29 +25,38 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
 
 let golden = (3. -. sqrt 5.) /. 2.
 
+(* golden-section search to an absolute bracket width [tol]. The answer
+   is the best point evaluated (the first of equal values), never an
+   unevaluated midpoint, so it is no worse than either interior start. *)
 let golden_min ?(tol = 1e-10) f ~lo ~hi =
-  let a = ref lo and b = ref hi in
-  let x1 = ref (!a +. (golden *. (!b -. !a))) in
-  let x2 = ref (!b -. (golden *. (!b -. !a))) in
+  let ratio = (sqrt 5. -. 1.) /. 2. in
+  let lo = ref lo and hi = ref hi in
+  let x1 = ref (!hi -. (ratio *. (!hi -. !lo))) and x2 = ref (!lo +. (ratio *. (!hi -. !lo))) in
   let f1 = ref (f !x1) and f2 = ref (f !x2) in
-  while !b -. !a > tol *. (1. +. Float.abs !a +. Float.abs !b) do
-    if !f1 < !f2 then begin
-      b := !x2;
+  let best = ref (if !f2 < !f1 then (!x2, !f2) else (!x1, !f1)) in
+  let eval x =
+    let fx = f x in
+    if fx < snd !best then best := (x, fx);
+    fx
+  in
+  (* [x1 < x2] stops a [tol] below the bracket's float spacing *)
+  while !hi -. !lo > tol && !x1 < !x2 do
+    if !f1 <= !f2 then begin
+      hi := !x2;
       x2 := !x1;
       f2 := !f1;
-      x1 := !a +. (golden *. (!b -. !a));
-      f1 := f !x1
+      x1 := !hi -. (ratio *. (!hi -. !lo));
+      f1 := eval !x1
     end
     else begin
-      a := !x1;
+      lo := !x1;
       x1 := !x2;
       f1 := !f2;
-      x2 := !b -. (golden *. (!b -. !a));
-      f2 := f !x2
+      x2 := !lo +. (ratio *. (!hi -. !lo));
+      f2 := eval !x2
     end
   done;
-  let x = 0.5 *. (!a +. !b) in
-  (x, f x)
+  !best
 
 (* Brent's method: golden-section with a parabolic-interpolation shortcut. *)
 let brent_min ?(tol = 1e-10) ?(max_iter = 200) f ~lo ~hi =

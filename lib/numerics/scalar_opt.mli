@@ -11,5 +11,7 @@ val bisect : ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:f
 val brent_min :
   ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float * float
 
-(** [golden_min ?tol f ~lo ~hi] — pure golden-section search. *)
+(** [golden_min ?tol f ~lo ~hi] — golden-section search on [lo, hi]
+    until the bracket is narrower than [tol] (absolute, default
+    [1e-10]). Returns the best point it evaluated and its value. *)
 val golden_min : ?tol:float -> (float -> float) -> lo:float -> hi:float -> float * float
