@@ -73,8 +73,11 @@
 # - resolve: a live server walks a drift fixture — a v1 solve, a
 #   kept v2 `resolve` (answered "unchanged": the incumbent is within ε
 #   of the exact optimum), a drifted v2 `resolve` (genuine re-solve), a
-#   v3 probe (exact unsupported-version diagnostic) — with the counters
-#   asserted on the terminal drained event. An integer optimum that a
+#   v3 probe (exact unsupported-version diagnostic), a one-sample
+#   `resolve` (the law is rescaled onto its sample: "unchanged" at
+#   makespan 26.016) and an `observe` entry for a class the model lacks
+#   (exact diagnostic) — with the counters asserted on the terminal
+#   drained event. An integer optimum that a
 #   relaxation bound would call 6.7% off must also answer "unchanged",
 #   `hslb solve -n 4000000000000000000` must exit 2 with the exact
 #   solver's refusal, and an overflowing place torus must get its
@@ -555,7 +558,10 @@ echo "== resolve smoke: drift fixture through a live server (v1/v2 mix) =="
 # observations of a 2x-slower law (the incumbent falls more than ε
 # behind and a genuine re-solve runs), id 4 probes v3 (exact
 # diagnostic), id 5 asks a v2 stats (which must advertise the protocol
-# range). Counters are
+# range), id 6 sends one sample at twice the law's 13.008 s at 8 nodes
+# (one node count rescales the law, so the incumbent is kept at 26.016),
+# id 7 misspells its observe class
+# (exact diagnostic, not an answer from the stale law). Counters are
 # asserted on the terminal drained event — emitted only after the
 # queue empties, so they cannot race the in-flight resolves.
 printf '%s\n' \
@@ -564,6 +570,8 @@ printf '%s\n' \
   '{"id":3,"v":2,"op":"resolve","model_csv":"alpha,4,100,0.001,1,0.5","nodes":32,"prev":[4],"observe":[{"class":"alpha","samples":[[2,100.5],[4,50.5],[8,25.5],[16,13.0]]}]}' \
   '{"id":4,"v":3,"op":"ping"}' \
   '{"id":5,"v":2,"op":"stats"}' \
+  '{"id":6,"v":2,"op":"resolve","model_csv":"alpha,4,100,0.001,1,0.5","nodes":32,"prev":[8],"observe":[{"class":"alpha","samples":[[8,26.016]]}]}' \
+  '{"id":7,"v":2,"op":"resolve","model_csv":"alpha,4,100,0.001,1,0.5","nodes":32,"prev":[4],"observe":[{"class":"alpah","samples":[[2,100.5],[4,50.5],[8,25.5],[16,13.0]]}]}' \
   | "$SERVE_BIN" serve --jobs 1 > "$SMOKE_DIR/resolve.out"
 if grep '"id":1' "$SMOKE_DIR/resolve.out" | grep -q '"v":'; then
   echo "resolve smoke: v1 response leaked a \"v\" field" >&2
@@ -586,11 +594,21 @@ grep '"id":5' "$SMOKE_DIR/resolve.out" | grep -q '"protocol":' || {
   echo "resolve smoke: v2 stats did not advertise the protocol range" >&2
   exit 1
 }
+grep '"id":6' "$SMOKE_DIR/resolve.out" | grep '"resolve":"unchanged"' \
+  | grep -q '"makespan":26.01' || {
+  echo "resolve smoke: one sample did not rescale the law onto it (makespan 26.016)" >&2
+  exit 1
+}
+grep '"id":7' "$SMOKE_DIR/resolve.out" \
+  | grep -qF '"error":"field \"observe\": class \"alpah\" is not in the model"' || {
+  echo "resolve smoke: a misspelled observe class missing its exact diagnostic" >&2
+  exit 1
+}
 drained=$(grep '"event":"drained"' "$SMOKE_DIR/resolve.out")
 case "$drained" in
-*'"resolve_skipped":1'*) ;;
+*'"resolve_skipped":2'*) ;;
 *)
-  echo "resolve smoke: expected exactly one kept incumbent" >&2
+  echo "resolve smoke: expected exactly two kept incumbents" >&2
   exit 1
   ;;
 esac

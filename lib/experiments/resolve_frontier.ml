@@ -8,10 +8,11 @@
 
    - always: full batch refit + re-solve every round;
    - never: solve once, keep the incumbent forever;
-   - certified: fold observations in with rank-one online updates
-     (Fitting.Online), price the incumbent against the exact optimum
-     of the updated fit (Alloc_model.reoptimality), and adopt that
-     optimum only when the incumbent is more than ε above it.
+   - certified: bring each law up to date with the round's fresh
+     samples alone (Fitting.update, as serve's resolve does with a
+     request's), price the incumbent against the exact optimum of the
+     updated laws (Alloc_model.reoptimality), and adopt that optimum
+     only when the incumbent is more than ε above it.
 
    Every policy is scored on the TRUE makespan of its current
    allocation under the hidden laws, averaged over rounds — the fitted
@@ -113,9 +114,7 @@ let run_rate ~seed ~rounds ~classes ~nodes ~eps drift_rate =
   and solves_cert = ref 1
   and skipped_cert = ref 0 in
   let history = List.map (fun obs -> ref [ obs ]) initial_obs in
-  let online =
-    List.map (fun (f : Hslb.Fitting.fit) -> Hslb.Fitting.Online.of_law f.Hslb.Fitting.law) initial_fits
-  in
+  let laws_cert = ref (List.map (fun (f : Hslb.Fitting.fit) -> f.Hslb.Fitting.law) initial_fits) in
   let score_always = ref 0. and score_never = ref 0. and score_cert = ref 0. in
   for _round = 1 to rounds do
     List.iter (drift_truth ~rate:drift_rate) truths;
@@ -129,24 +128,20 @@ let run_rate ~seed ~rounds ~classes ~nodes ~eps drift_rate =
     in
     alloc_always := solve_alloc ~nodes (List.map2 fitted_of truths fits);
     incr solves_always;
-    (* certified: rank-one updates, then the incumbent is kept while it
-       is within eps of the exact optimum, which is adopted otherwise *)
-    List.iter2 (fun ol obs -> Hslb.Fitting.Online.observe_all ol obs) online fresh;
-    let online_fitted =
+    (* certified: each law updated from this round's samples, then the
+       incumbent is kept while it is within eps of the exact optimum,
+       which is adopted otherwise *)
+    laws_cert := List.map2 Hslb.Fitting.update !laws_cert fresh;
+    let cert_fitted =
       List.map2
-        (fun tr ol ->
+        (fun tr law ->
           fitted_of tr
-            {
-              Hslb.Fitting.law = Hslb.Fitting.Online.law ol;
-              r2 = Float.nan;
-              rmse = Float.nan;
-              observations = [||];
-            })
-        truths online
+            { Hslb.Fitting.law; r2 = Float.nan; rmse = Float.nan; observations = [||] })
+        truths !laws_cert
     in
     (match
        Hslb.Alloc_model.reoptimality ~eps ~n_total:nodes ~incumbent:!alloc_cert
-         (specs_of ~nodes online_fitted)
+         (specs_of ~nodes cert_fitted)
      with
     | Some r when r.Hslb.Alloc_model.keep -> incr skipped_cert
     | Some r ->

@@ -4,10 +4,11 @@
     A seeded world of task classes follows hidden ground-truth scaling
     laws that drift each round; three policies maintain an allocation
     from noisy benchmarks of that truth — [always] (batch refit + solve
-    every round), [never] (solve once), and [certified] (rank-one
-    online updates; adopt the exact optimum of the updated fit only
-    when {!Hslb.Alloc_model.reoptimality} finds the incumbent more than
-    ε above it). Each policy is scored on the true makespan of its
+    every round), [never] (solve once), and [certified] (each law
+    brought up to date with the round's samples by
+    {!Hslb.Fitting.update}; adopt the exact optimum of the updated laws
+    only when {!Hslb.Alloc_model.reoptimality} finds the incumbent more
+    than ε above it). Each policy is scored on the true makespan of its
     current allocation, averaged over rounds. *)
 
 val schema_version : string

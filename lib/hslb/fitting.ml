@@ -5,9 +5,8 @@ type fit = {
   observations : (float * float) array;
 }
 
-(* one validator for the batch fit and Online.observe: a relative
-   residual divides by the time, so a zero, negative or non-finite time
-   (or node count) has no weight it could be given *)
+(* a relative residual divides by the time, so a zero, negative or
+   non-finite time (or node count) has no weight it could be given *)
 let check_observation who (n, y) =
   if not (Float.is_finite n && n >= 1. && Float.is_finite y && y > 0.) then
     invalid_arg
@@ -15,11 +14,36 @@ let check_observation who (n, y) =
          "%s: invalid observation (%g, %g): nodes must be finite and >= 1, seconds finite and > 0"
          who n y)
 
-(* the exact message is part of the public contract (pinned by tests) *)
-let validate_distinct obs =
-  let distinct = List.sort_uniq compare (Array.to_list (Array.map fst obs)) in
-  if List.length distinct < 2 then
-    invalid_arg "Fitting.fit_observations: need observations at 2 or more distinct node counts"
+(* the exponent e of a power of two near the largest time: fitting in
+   units of 2^e leaves every relative residual as it is and scales
+   exactly, so the laws are bit for bit those of a fit in seconds
+   wherever that one does not overflow, and times near the ends of the
+   float range (1e-200 s) do not overflow the Gram matrix *)
+let unit_exponent obs =
+  snd (Float.frexp (Array.fold_left (fun acc (_, y) -> Float.max acc y) 0. obs))
+
+let in_units e obs = Array.map (fun (n, y) -> (n, Float.ldexp y (-e))) obs
+
+(* one validator for the fit and both branches of [update]: every pair
+   weighable, and the Gram matrix's largest entry, the sum of (n/y)^2
+   in units of 2^e, finite; when it overflows, the times span more
+   orders of magnitude than a float can weigh against each other *)
+let validate who obs =
+  Array.iter (check_observation who) obs;
+  let sq (n, y) = (n /. y) *. (n /. y) in
+  let scaled = in_units (unit_exponent obs) obs in
+  if not (Float.is_finite (Array.fold_left (fun acc o -> acc +. sq o) 0. scaled)) then begin
+    let ys = Array.map snd obs in
+    invalid_arg
+      (Printf.sprintf
+         "%s: times from %g s to %g s span too many orders of magnitude to weigh their \
+          relative residuals"
+         who
+         (Array.fold_left Float.min infinity ys)
+         (Array.fold_left Float.max 0. ys))
+  end
+
+let distinct_nodes obs = List.length (List.sort_uniq compare (Array.to_list (Array.map fst obs)))
 
 (* box on (a, b, d): c lies in [0, 2] — scaling exponents beyond 2 are
    not physical for this model and, with very few sample points,
@@ -111,36 +135,13 @@ let scored_fit law obs =
     observations = Array.copy obs;
   }
 
-(* the exponent e of a power of two near the largest time: fitting in
-   units of 2^e leaves every relative residual as it is and scales
-   exactly, so the laws are bit for bit those of a fit in seconds
-   wherever that one does not overflow, and times near the ends of the
-   float range (1e-200 s) do not overflow the Gram matrix *)
-let unit_exponent obs =
-  snd (Float.frexp (Array.fold_left (fun acc (_, y) -> Float.max acc y) 0. obs))
-
 (* the search over c: a [c_grid]-point grid on [0, c_max], then golden
    section on the best grid point's bracket (its two neighbours) to an
    absolute width of [c_tol]. The best c evaluated wins, so the answer is
-   never worse than the best grid point. *)
-let fit_observations ?rng:_ obs =
-  Array.iter (check_observation "Fitting.fit_observations") obs;
-  validate_distinct obs;
+   never worse than the best grid point. [obs] is validated. *)
+let fit_law obs =
   let e = unit_exponent obs in
-  let scaled = Array.map (fun (n, y) -> (n, Float.ldexp y (-e))) obs in
-  (* the Gram matrix's largest entry is the sum of (n/y)^2: when that
-     overflows, the times span more orders of magnitude than a float
-     can weigh against each other *)
-  let sq (n, y) = (n /. y) *. (n /. y) in
-  if not (Float.is_finite (Array.fold_left (fun acc o -> acc +. sq o) 0. scaled)) then begin
-    let ys = Array.map snd obs in
-    invalid_arg
-      (Printf.sprintf
-         "Fitting.fit_observations: times from %g s to %g s span too many orders of magnitude \
-          to weigh their relative residuals"
-         (Array.fold_left Float.min infinity ys)
-         (Array.fold_left Float.max 0. ys))
-  end;
+  let scaled = in_units e obs in
   let project = project ~ub:(box_of scaled) scaled in
   let ssr c = fst (project c) in
   let step = c_max /. float_of_int (c_grid - 1) in
@@ -154,102 +155,50 @@ let fit_observations ?rng:_ obs =
   in
   let c = if f < grid.(!k) then c else float_of_int !k *. step in
   let x = Array.map (fun v -> Float.ldexp v e) (snd (project c)) in
-  scored_fit (Scaling_law.make ~a:x.(0) ~b:x.(1) ~c ~d:x.(2)) obs
+  Scaling_law.make ~a:x.(0) ~b:x.(1) ~c ~d:x.(2)
 
-module Online = struct
-  type t = {
-    mutable obs_rev : (float * float) list;  (* newest first; all retained *)
-    mutable rls : Numerics.Rls.t;  (* its estimate is the current law, in units of 2^e s *)
-    mutable e : int;
-    mutable n_rank_one : int;
-    mutable n_refits : int;
-  }
+let fit_observations ?rng:_ obs =
+  validate "Fitting.fit_observations" obs;
+  (* the exact message is part of the public contract (pinned by tests) *)
+  if distinct_nodes obs < 2 then
+    invalid_arg "Fitting.fit_observations: need observations at 2 or more distinct node counts";
+  scored_fit (fit_law obs) obs
 
-  let of_law law =
-    {
-      obs_rev = [];
-      rls = Numerics.Rls.create (Scaling_law.to_array law);
-      e = 0;
-      n_rank_one = 0;
-      n_refits = 0;
-    }
+(* a time a scale factor can be read off, or land on: finite and > 0 *)
+let positive_time law n =
+  let t = Scaling_law.eval law n in
+  Float.is_finite t && t > 0.
 
-  (* (a, b, c, d) between seconds and units of 2^e s; c has no unit *)
-  let rescale e p = Array.mapi (fun i v -> if i = 2 then v else Float.ldexp v e) p
-  let law t = Scaling_law.of_array (rescale t.e (Numerics.Rls.theta t.rls))
-  let rank_one_updates t = t.n_rank_one
-  let full_refits t = t.n_refits
+(* the law times the geometric mean of y_i / T(n_i), taken in logs: a
+   law in seconds and samples of 1e-198 s give a factor of ~1e-199,
+   where a product of the ratios could overflow or underflow first *)
+let rescale law obs =
+  let log_ratio (n, y) =
+    if not (positive_time law n) then
+      invalid_arg
+        (Printf.sprintf
+           "Fitting.update: the law predicts %g s at %g nodes, where a sample sits, so no factor \
+            scales it onto the samples"
+           (Scaling_law.eval law n) n);
+    Float.log y -. Float.log (Scaling_law.eval law n)
+  in
+  let s =
+    Float.exp
+      (Array.fold_left (fun acc o -> acc +. log_ratio o) 0. obs /. float_of_int (Array.length obs))
+  in
+  let { Scaling_law.a; b; c; d } = law in
+  match Scaling_law.make ~a:(a *. s) ~b:(b *. s) ~c ~d:(d *. s) with
+  | scaled when Array.for_all (fun (n, _) -> positive_time scaled n) obs -> scaled
+  | _ | (exception Invalid_argument _) ->
+    invalid_arg
+      (Printf.sprintf
+         "Fitting.update: scaling the law by %g to meet the samples leaves the float range" s)
 
-  (* gradient of one relative residual w.r.t. (a, b, c, d) at p *)
-  let residual_gradient p n y =
-    let nc = n ** p.(2) in
-    [| 1. /. nc /. y; n /. y; -.p.(0) *. Float.log n /. nc /. y; 1. /. y |]
-
-  (* the non-negativity box the batch path enforces; Scaling_law.make
-     rejects negative coefficients, so an unclamped rank-one step could
-     leave the state unable to produce a law at all *)
-  let clamp_theta theta =
-    Array.mapi (fun i v -> if i = 2 then Float.min 2. (Float.max 0. v) else Float.max 0. v) theta
-
-  (* the batch fit over every observation, then re-linearize the
-     rank-one state there so later updates start from the true
-     curvature, not a stale prior. The state moves to the batch fit's
-     units (exact powers of two, so the updates are those of a state
-     kept in seconds wherever that one would not overflow). *)
-  let refit t =
-    let obs = Array.of_list (List.rev t.obs_rev) in
-    let e = unit_exponent obs in
-    let p = rescale (-e) (Scaling_law.to_array (fit_observations obs).law) in
-    let jtj = Array.make_matrix 4 4 0. in
-    Array.iter
-      (fun (n, y) ->
-        let g = residual_gradient p n (Float.ldexp y (-e)) in
-        for i = 0 to 3 do
-          for j = 0 to 3 do
-            jtj.(i).(j) <- jtj.(i).(j) +. (g.(i) *. g.(j))
-          done
-        done)
-      obs;
-    t.rls <- Numerics.Rls.of_normal_equations ~jtj p;
-    t.e <- e;
-    t.n_refits <- t.n_refits + 1
-
-  (* relative RMSE of [law] over the 8 most recent observations: the
-     linearization-error monitor deciding when rank-one updates have
-     wandered too far from the least-squares surface *)
-  let recent_error t law =
-    let recent = List.filteri (fun i _ -> i < 8) t.obs_rev in
-    let sq =
-      List.fold_left
-        (fun acc (n, y) ->
-          let r = (Scaling_law.eval law n -. y) /. y in
-          acc +. (r *. r))
-        0. recent
-    in
-    sqrt (sq /. float_of_int (List.length recent))
-
-  let observe t (n, y) =
-    check_observation "Fitting.Online.observe" (n, y);
-    t.obs_rev <- (n, y) :: t.obs_rev;
-    let p = Numerics.Rls.theta t.rls in
-    let error = (y -. Scaling_law.eval (law t) n) /. y in
-    (* a time too far from the state's units for its step to be finite
-       is skipped, and the error monitor below refits *)
-    if
-      Numerics.Rls.update t.rls ~gradient:(residual_gradient p n (Float.ldexp y (-t.e))) ~error
-    then begin
-      Numerics.Rls.set_theta t.rls (clamp_theta (Numerics.Rls.theta t.rls));
-      t.n_rank_one <- t.n_rank_one + 1
-    end;
-    (* fallback: when the linearized updates no longer track the data,
-       refit from every observation and re-linearize there *)
-    if
-      recent_error t (law t) > 0.25
-      && List.length (List.sort_uniq compare (List.map fst t.obs_rev)) >= 2
-    then refit t
-
-  let observe_all t obs = Array.iter (observe t) obs
-end
+let update law obs =
+  validate "Fitting.update" obs;
+  if Array.length obs = 0 then law
+  else if distinct_nodes obs >= 4 then fit_law obs
+  else rescale law obs
 
 let predict fit n = Scaling_law.eval_int fit.law n
 

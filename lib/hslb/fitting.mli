@@ -16,8 +16,9 @@
     give the same law, bit for bit.
 
     Long-lived callers that hold only coefficients (serve's [resolve],
-    E12) keep an {!Online.t} and fold fresh observations in with
-    rank-one updates, falling back to this same fit. *)
+    E12) bring a law up to date with fresh samples through {!update}:
+    a refit from the samples alone where they pin all four
+    coefficients, a rescale of the law where they do not. *)
 
 type fit = {
   law : Scaling_law.t;
@@ -25,48 +26,6 @@ type fit = {
   rmse : float;
   observations : (float * float) array;  (** (nodes, seconds) pairs used *)
 }
-
-(** Incremental fit state over the normal-equations sufficient
-    statistics of the linearized problem.
-
-    [observe] performs a Sherman–Morrison rank-one update (see
-    {!Numerics.Rls}) of the coefficient estimate at the current
-    linearization point, projected back into the box ([a,b,d >= 0],
-    [c ∈ \[0,2\]]). When the relative RMSE of the current law over the
-    most recent (up to 8) observations exceeds 0.25, and the observations
-    it has seen span two or more node counts, the state refits with
-    {!fit_observations} over all of them and re-linearizes there, in
-    that fit's units. A rank-one step whose terms would overflow (a
-    time far from the state's units) is skipped and not counted. *)
-module Online : sig
-  type t
-
-  (** [of_law law] — seed the estimate from an already-fitted law with
-      no observation history (the serve-layer case: the model store
-      holds coefficients, not raw benchmarks), held by a ridge prior of
-      weight [1e-4] (see {!Numerics.Rls.create}). *)
-  val of_law : Scaling_law.t -> t
-
-  (** [observe t (n, y)] — fold in one benchmark point with a rank-one
-      update, then refit if the linearization error exceeds the
-      threshold.
-      @raise Invalid_argument when [n] is not finite and [>= 1] or [y]
-      is not finite and [> 0], naming the pair, or when the refit
-      raises it ({!fit_observations}). *)
-  val observe : t -> float * float -> unit
-
-  (** [observe_all t obs] — [observe] each in order. *)
-  val observe_all : t -> (float * float) array -> unit
-
-  (** Current law. *)
-  val law : t -> Scaling_law.t
-
-  (** Count of rank-one updates applied. *)
-  val rank_one_updates : t -> int
-
-  (** Count of fallback refits performed. *)
-  val full_refits : t -> int
-end
 
 (** [fit_observations obs] — fit one task class.
 
@@ -90,6 +49,26 @@ end
     the times span too many orders of magnitude (~150 and up) for their
     relative residuals to be weighed in floats. *)
 val fit_observations : ?rng:Numerics.Rng.t -> (float * float) array -> fit
+
+(** [update law obs] — [law] brought up to date with fresh samples.
+
+    - Samples at 4 or more distinct node counts are refit alone: the
+      result is [(fit_observations obs).law], bit for bit. Four
+      coefficients need four sizes, and the paper asks for at least
+      four.
+    - Samples at 1–3 node counts keep the law's shape: [c] stays, and
+      [a], [b] and [d] are multiplied by the geometric mean of
+      [y_i / T(n_i)], taken in logs, so a law in seconds meets samples
+      of 1e-198 s without overflow.
+    - An empty array returns [law].
+
+    @raise Invalid_argument on an observation whose node count is not
+    finite and [>= 1] or whose time is not finite and [> 0], on times
+    that span too many orders of magnitude (the messages of
+    {!fit_observations}, prefixed [Fitting.update:]), when [law]
+    predicts no finite positive time at a sample's node count, or when
+    the scaled coefficients leave the float range. *)
+val update : Scaling_law.t -> (float * float) array -> Scaling_law.t
 
 (** [predict fit n] — fitted time on [n] nodes. *)
 val predict : fit -> int -> float

@@ -24,8 +24,6 @@ let optimal_nodes law ~max_nodes =
   end
 
 let is_convex law = law.a >= 0. && law.b >= 0. && law.c >= 0. && law.d >= 0.
-let of_array p = make ~a:p.(0) ~b:p.(1) ~c:p.(2) ~d:p.(3)
-let to_array law = [| law.a; law.b; law.c; law.d |]
 
 let pp fmt law =
   Format.fprintf fmt "%.6g/n^%.4g + %.3en + %.6g" law.a law.c law.b law.d

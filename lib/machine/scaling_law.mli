@@ -37,9 +37,4 @@ val optimal_nodes : t -> max_nodes:float -> float
 (** [is_convex law] — all coefficients non-negative. *)
 val is_convex : t -> bool
 
-(** [of_array [|a;b;c;d|]] / [to_array law] — conversion for the
-    least-squares fitting layer. *)
-val of_array : float array -> t
-
-val to_array : t -> float array
 val pp : Format.formatter -> t -> unit

@@ -21,7 +21,6 @@ let rows m = m.nr
 let cols m = m.nc
 let get m i j = m.data.((i * m.nc) + j)
 let set m i j x = m.data.((i * m.nc) + j) <- x
-let to_arrays m = Array.init m.nr (fun i -> Array.init m.nc (fun j -> get m i j))
 let identity n = init n n (fun i j -> if i = j then 1. else 0.)
 let copy m = { m with data = Array.copy m.data }
 let row m i = Array.init m.nc (fun j -> get m i j)
@@ -74,7 +73,7 @@ let tmul_vec m v =
       done;
       !acc)
 
-type lu = { lu_mat : t; perm : int array; sign : float }
+type lu = { lu_mat : t; perm : int array }
 
 let pivot_eps = 1e-13
 
@@ -83,7 +82,6 @@ let lu_decompose a =
   let n = a.nr in
   let m = copy a in
   let perm = Array.init n (fun i -> i) in
-  let sign = ref 1. in
   for k = 0 to n - 1 do
     (* partial pivoting: pick the largest magnitude in column k *)
     let piv = ref k in
@@ -98,8 +96,7 @@ let lu_decompose a =
       done;
       let t = perm.(k) in
       perm.(k) <- perm.(!piv);
-      perm.(!piv) <- t;
-      sign := -. !sign
+      perm.(!piv) <- t
     end;
     let pivot = get m k k in
     if Float.abs pivot < pivot_eps then raise Singular;
@@ -111,9 +108,9 @@ let lu_decompose a =
       done
     done
   done;
-  { lu_mat = m; perm; sign = !sign }
+  { lu_mat = m; perm }
 
-let lu_solve { lu_mat = m; perm; _ } b =
+let lu_solve { lu_mat = m; perm } b =
   let n = m.nr in
   if Array.length b <> n then invalid_arg "Mat.lu_solve: dimension mismatch";
   let x = Array.init n (fun i -> b.(perm.(i))) in
@@ -132,16 +129,6 @@ let lu_solve { lu_mat = m; perm; _ } b =
 
 let solve a b = lu_solve (lu_decompose a) b
 
-let det a =
-  match lu_decompose a with
-  | exception Singular -> 0.
-  | { lu_mat; sign; _ } ->
-    let d = ref sign in
-    for i = 0 to lu_mat.nr - 1 do
-      d := !d *. get lu_mat i i
-    done;
-    !d
-
 let inverse a =
   let f = lu_decompose a in
   let n = a.nr in
@@ -154,112 +141,6 @@ let inverse a =
     done
   done;
   inv
-
-let cholesky a =
-  if a.nr <> a.nc then invalid_arg "Mat.cholesky: not square";
-  let n = a.nr in
-  let l = create n n 0. in
-  for i = 0 to n - 1 do
-    for j = 0 to i do
-      let s = ref (get a i j) in
-      for k = 0 to j - 1 do
-        s := !s -. (get l i k *. get l j k)
-      done;
-      if i = j then begin
-        if !s <= 0. then raise Singular;
-        set l i j (sqrt !s)
-      end
-      else set l i j (!s /. get l j j)
-    done
-  done;
-  l
-
-let cholesky_solve l b =
-  let n = rows l in
-  if Array.length b <> n then invalid_arg "Mat.cholesky_solve: dimension mismatch";
-  let y = Array.copy b in
-  for i = 0 to n - 1 do
-    for j = 0 to i - 1 do
-      y.(i) <- y.(i) -. (get l i j *. y.(j))
-    done;
-    y.(i) <- y.(i) /. get l i i
-  done;
-  for i = n - 1 downto 0 do
-    for j = i + 1 to n - 1 do
-      y.(i) <- y.(i) -. (get l j i *. y.(j))
-    done;
-    y.(i) <- y.(i) /. get l i i
-  done;
-  y
-
-(* Householder QR: accumulate reflectors into an explicit Q since the
-   matrices here are small. *)
-let qr a =
-  if a.nr < a.nc then invalid_arg "Mat.qr: requires rows >= cols";
-  let m = a.nr and n = a.nc in
-  let r = copy a in
-  let q = identity m in
-  let v = Array.make m 0. in
-  for k = 0 to n - 1 do
-    let norm = ref 0. in
-    for i = k to m - 1 do
-      norm := !norm +. (get r i k *. get r i k)
-    done;
-    let norm = sqrt !norm in
-    if norm > 1e-300 then begin
-      let alpha = if get r k k >= 0. then -.norm else norm in
-      let vnorm2 = ref 0. in
-      for i = k to m - 1 do
-        v.(i) <- (if i = k then get r k k -. alpha else get r i k);
-        vnorm2 := !vnorm2 +. (v.(i) *. v.(i))
-      done;
-      if !vnorm2 > 1e-300 then begin
-        (* apply H = I - 2 v vᵀ / (vᵀv) to R (left) and Q (right) *)
-        for j = 0 to n - 1 do
-          let s = ref 0. in
-          for i = k to m - 1 do
-            s := !s +. (v.(i) *. get r i j)
-          done;
-          let f = 2. *. !s /. !vnorm2 in
-          for i = k to m - 1 do
-            set r i j (get r i j -. (f *. v.(i)))
-          done
-        done;
-        for i = 0 to m - 1 do
-          let s = ref 0. in
-          for j = k to m - 1 do
-            s := !s +. (get q i j *. v.(j))
-          done;
-          let f = 2. *. !s /. !vnorm2 in
-          for j = k to m - 1 do
-            set q i j (get q i j -. (f *. v.(j)))
-          done
-        done
-      end
-    end
-  done;
-  (* zero out numerical noise below the diagonal *)
-  for i = 0 to m - 1 do
-    for j = 0 to Stdlib.min (i - 1) (n - 1) do
-      set r i j 0.
-    done
-  done;
-  (q, r)
-
-let solve_least_squares a b =
-  if a.nr <> Array.length b then invalid_arg "Mat.solve_least_squares: dimension mismatch";
-  let q, r = qr a in
-  let qtb = tmul_vec q b in
-  let n = a.nc in
-  let x = Array.sub qtb 0 n in
-  for i = n - 1 downto 0 do
-    for j = i + 1 to n - 1 do
-      x.(i) <- x.(i) -. (get r i j *. x.(j))
-    done;
-    if Float.abs (get r i i) < pivot_eps then raise Singular;
-    x.(i) <- x.(i) /. get r i i
-  done;
-  x
 
 let equal ~eps a b =
   a.nr = b.nr && a.nc = b.nc

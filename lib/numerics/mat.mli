@@ -16,7 +16,6 @@ val init : int -> int -> (int -> int -> float) -> t
     Raises [Invalid_argument] on ragged or empty input. *)
 val of_arrays : float array array -> t
 
-val to_arrays : t -> float array array
 val identity : int -> t
 val copy : t -> t
 val rows : t -> int
@@ -58,27 +57,8 @@ val lu_solve : lu -> Vec.t -> Vec.t
 (** [solve a b] — one-shot [lu_solve (lu_decompose a) b]. *)
 val solve : t -> Vec.t -> Vec.t
 
-(** [det a] via LU; [0.] when singular. *)
-val det : t -> float
-
 (** [inverse a]. @raise Singular on singular input. *)
 val inverse : t -> t
-
-(** Cholesky factor [L] (lower-triangular, [A = L Lᵀ]) of a symmetric
-    positive-definite matrix. @raise Singular when not SPD. *)
-val cholesky : t -> t
-
-(** [cholesky_solve l b] solves [A x = b] given the Cholesky factor. *)
-val cholesky_solve : t -> Vec.t -> Vec.t
-
-(** Householder QR: [qr a] returns [(q, r)] with [a = q r], [q] orthogonal
-    ([rows a]×[rows a]) and [r] upper-trapezoidal. Requires
-    [rows a >= cols a]. *)
-val qr : t -> t * t
-
-(** [solve_least_squares a b] — minimum-residual solution of the
-    overdetermined system [A x ≈ b] via QR. *)
-val solve_least_squares : t -> Vec.t -> Vec.t
 
 val equal : eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -46,14 +46,6 @@ let normal t ~mu ~sigma =
 
 let lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
 
-let exponential t ~rate =
-  if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
-  let rec draw () =
-    let u = unit_float t in
-    if u <= 1e-300 then draw () else u
-  in
-  -.log (draw ()) /. rate
-
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let shuffle t a =

@@ -29,9 +29,6 @@ val normal : t -> mu:float -> sigma:float -> float
     log-space parameters. Used for multiplicative runtime noise. *)
 val lognormal : t -> mu:float -> sigma:float -> float
 
-(** [exponential t ~rate] — exponential draw with the given rate. *)
-val exponential : t -> rate:float -> float
-
 (** [bool t] — fair coin. *)
 val bool : t -> bool
 

@@ -1,28 +1,3 @@
-let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
-  let flo = f lo and fhi = f hi in
-  if flo = 0. then lo
-  else if fhi = 0. then hi
-  else if flo *. fhi > 0. then invalid_arg "Scalar_opt.bisect: no sign change on interval"
-  else begin
-    let a = ref lo and b = ref hi and fa = ref flo in
-    let iters = ref 0 in
-    while !b -. !a > tol && !iters < max_iter do
-      incr iters;
-      let m = 0.5 *. (!a +. !b) in
-      let fm = f m in
-      if fm = 0. then begin
-        a := m;
-        b := m
-      end
-      else if !fa *. fm < 0. then b := m
-      else begin
-        a := m;
-        fa := fm
-      end
-    done;
-    0.5 *. (!a +. !b)
-  end
-
 let golden = (3. -. sqrt 5.) /. 2.
 
 (* golden-section search to an absolute bracket width [tol]. The answer

@@ -1,9 +1,4 @@
-(** One-dimensional root finding and minimization. *)
-
-(** [bisect ?tol ?max_iter f ~lo ~hi] — root of a continuous [f] with a
-    sign change on [lo, hi]. @raise Invalid_argument when
-    [f lo] and [f hi] have the same strict sign. *)
-val bisect : ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float
+(** One-dimensional minimization. *)
 
 (** [brent_min ?tol ?max_iter f ~lo ~hi] — minimizer of a unimodal [f]
     on [lo, hi] via golden-section with parabolic interpolation.

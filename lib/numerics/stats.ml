@@ -50,46 +50,3 @@ let rmse ~observed ~predicted =
       acc := !acc +. (e *. e))
     observed;
   sqrt (!acc /. float_of_int (Array.length observed))
-
-let mae ~observed ~predicted =
-  check_paired "mae" observed predicted;
-  let acc = ref 0. in
-  Array.iteri (fun i y -> acc := !acc +. Float.abs (y -. predicted.(i))) observed;
-  !acc /. float_of_int (Array.length observed)
-
-let mape ~observed ~predicted =
-  check_paired "mape" observed predicted;
-  let acc = ref 0. and n = ref 0 in
-  Array.iteri
-    (fun i y ->
-      if y <> 0. then begin
-        acc := !acc +. Float.abs ((y -. predicted.(i)) /. y);
-        incr n
-      end)
-    observed;
-  if !n = 0 then 0. else 100. *. !acc /. float_of_int !n
-
-let covariance a b =
-  check_paired "covariance" a b;
-  let n = Array.length a in
-  if n < 2 then 0.
-  else begin
-    let ma = mean a and mb = mean b in
-    let acc = ref 0. in
-    for i = 0 to n - 1 do
-      acc := !acc +. ((a.(i) -. ma) *. (b.(i) -. mb))
-    done;
-    !acc /. float_of_int (n - 1)
-  end
-
-let pearson a b =
-  let sa = stddev a and sb = stddev b in
-  if sa <= 0. || sb <= 0. then 0. else covariance a b /. (sa *. sb)
-
-let linear_fit xs ys =
-  check_paired "linear_fit" xs ys;
-  let vx = variance xs in
-  if vx <= 0. then invalid_arg "Stats.linear_fit: xs are constant";
-  let slope = covariance xs ys /. vx in
-  let intercept = mean ys -. (slope *. mean xs) in
-  (intercept, slope)

@@ -24,19 +24,3 @@ val r_squared : observed:float array -> predicted:float array -> float
 
 (** Root-mean-square error between paired samples. *)
 val rmse : observed:float array -> predicted:float array -> float
-
-(** Mean absolute error. *)
-val mae : observed:float array -> predicted:float array -> float
-
-(** Mean absolute percentage error (skips zero observations). *)
-val mape : observed:float array -> predicted:float array -> float
-
-(** Sample covariance of paired samples (divides by [n-1]). *)
-val covariance : float array -> float array -> float
-
-(** Pearson correlation coefficient; [0.] when either side is constant. *)
-val pearson : float array -> float array -> float
-
-(** [linear_fit xs ys] — ordinary least squares [(intercept, slope)].
-    Requires at least two distinct [xs]. *)
-val linear_fit : float array -> float array -> float * float

@@ -63,14 +63,6 @@ let clamp ~lo ~hi v =
   check_dims "clamp" hi v;
   Array.init (Array.length v) (fun i -> Float.min hi.(i) (Float.max lo.(i) v.(i)))
 
-let max_elt v =
-  if Array.length v = 0 then invalid_arg "Vec.max_elt: empty vector";
-  Array.fold_left Float.max v.(0) v
-
-let min_elt v =
-  if Array.length v = 0 then invalid_arg "Vec.min_elt: empty vector";
-  Array.fold_left Float.min v.(0) v
-
 let arg_extreme name better v =
   if Array.length v = 0 then invalid_arg name;
   let best = ref 0 in

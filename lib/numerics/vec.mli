@@ -57,11 +57,6 @@ val mean : t -> float
 (** [clamp ~lo ~hi v] projects each entry into [lo.(i), hi.(i)]. *)
 val clamp : lo:t -> hi:t -> t -> t
 
-(** [max_elt v] / [min_elt v] — extreme entries; raise on empty. *)
-val max_elt : t -> float
-
-val min_elt : t -> float
-
 (** [argmax v] is the index of the first maximal entry. *)
 val argmax : t -> int
 

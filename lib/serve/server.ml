@@ -324,25 +324,41 @@ let process_solve t ~start rq (sj : solve_job) =
       (cached_solve t ~key:sj.key ~queue_wait:(start -. rq.arrival) p sj.specs)
       rq
 
-(* ---------- resolve: online update, certificate, warm re-solve ---------- *)
+(* ---------- resolve: law update, certificate, warm re-solve ---------- *)
 
-(* fold the request's fresh observations into each class's law with
-   rank-one online updates; classes the request says nothing about keep
-   their coefficients *)
+(* bring each observed class's law up to date with its fresh samples
+   (Fitting.update: a refit at 4 or more node counts, a rescale below);
+   classes the request says nothing about keep their coefficients. An
+   entry for a class the model lacks, or a second entry for one class,
+   is refused: either would otherwise drop samples without a word *)
 let updated_specs (rj : resolve_job) =
-  List.map
-    (fun (spec : Hslb.Alloc_model.spec) ->
+  let name (spec : Hslb.Alloc_model.spec) =
+    spec.Hslb.Alloc_model.fc.Hslb.Classes.cls.Hslb.Classes.name
+  in
+  let rec check seen = function
+    | [] -> Ok ()
+    | (cls, _) :: _ when not (List.exists (fun spec -> name spec = cls) rj.rspecs) ->
+      Error (Printf.sprintf "field \"observe\": class %S is not in the model" cls)
+    | (cls, _) :: _ when List.mem cls seen ->
+      Error (Printf.sprintf "field \"observe\": class %S is named twice" cls)
+    | (cls, _) :: tl -> check (cls :: seen) tl
+  in
+  let update (spec : Hslb.Alloc_model.spec) =
+    match List.assoc_opt (name spec) rj.rparams.Protocol.observe with
+    | None -> spec
+    | Some samples ->
       let fc = spec.Hslb.Alloc_model.fc in
-      let name = fc.Hslb.Classes.cls.Hslb.Classes.name in
-      match List.assoc_opt name rj.rparams.Protocol.observe with
-      | None | Some [||] -> spec
-      | Some samples ->
-        let fit0 = fc.Hslb.Classes.fit in
-        let ol = Hslb.Fitting.Online.of_law fit0.Hslb.Fitting.law in
-        Hslb.Fitting.Online.observe_all ol samples;
-        let fit = { fit0 with Hslb.Fitting.law = Hslb.Fitting.Online.law ol } in
-        { spec with Hslb.Alloc_model.fc = { fc with Hslb.Classes.fit } })
-    rj.rspecs
+      let fit0 = fc.Hslb.Classes.fit in
+      let fit = { fit0 with Hslb.Fitting.law = Hslb.Fitting.update fit0.Hslb.Fitting.law samples } in
+      { spec with Hslb.Alloc_model.fc = { fc with Hslb.Classes.fit } }
+  in
+  match check [] rj.rparams.Protocol.observe with
+  | Error _ as e -> e
+  | Ok () -> (
+    (* samples the update cannot weigh, or a law it cannot scale *)
+    match List.map update rj.rspecs with
+    | specs -> Ok specs
+    | exception Invalid_argument msg -> Error msg)
 
 let certificate_fields ~eps = function
   | None -> []
@@ -366,10 +382,8 @@ let process_resolve t ~start rq (rj : resolve_job) =
   | Some ms -> expire t ~op:"resolve" ~start ms rq
   | None -> (
     match updated_specs rj with
-    | exception Invalid_argument msg ->
-      (* samples the refit cannot weigh *)
-      fail t ~op:"resolve" rq ~outcome:"error" msg (tele_of ~start rq)
-    | specs ->
+    | Error msg -> fail t ~op:"resolve" rq ~outcome:"error" msg (tele_of ~start rq)
+    | Ok specs ->
     let k = List.length specs in
     (* keyed like a place-free solve of the UPDATED model (a resolve
        answers no placement), so a later solve or resolve of the drifted

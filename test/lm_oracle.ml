@@ -114,4 +114,4 @@ let fit_law ~rng obs =
       obs
   in
   let r = fit_multi_start ~rng ~starts:12 ~residual ~lo ~hi x0 in
-  Scaling_law.of_array r.params
+  Scaling_law.make ~a:r.params.(0) ~b:r.params.(1) ~c:r.params.(2) ~d:r.params.(3)

@@ -10,6 +10,10 @@ let check_float ?(eps = 1e-6) msg expected actual =
 let observations_of law ns =
   Array.of_list (List.map (fun n -> (float_of_int n, Scaling_law.eval_int law n)) ns)
 
+(* a law's coefficients (a, b, c, d) and their bits *)
+let coeffs (l : Scaling_law.t) = [| l.a; l.b; l.c; l.d |]
+let law_bits l = Array.map Int64.bits_of_float (coeffs l)
+
 let test_fit_recovers_noiseless () =
   let truth = Scaling_law.make ~a:120. ~b:0.001 ~c:0.9 ~d:2. in
   let obs = observations_of truth [ 1; 2; 4; 8; 16; 32; 64 ] in
@@ -73,7 +77,7 @@ let test_fit_pure () =
     Array.mapi (fun i (n, y) -> (n, y *. (1. +. (0.03 *. float_of_int ((i mod 3) - 1)))))
       (observations_of truth [ 1; 2; 4; 8; 16; 32 ])
   in
-  let bits f = Array.map Int64.bits_of_float (Scaling_law.to_array f.Hslb.Fitting.law) in
+  let bits f = law_bits f.Hslb.Fitting.law in
   let first = bits (Hslb.Fitting.fit_observations obs) in
   Alcotest.(check (array int64)) "same observations, same law" first
     (bits (Hslb.Fitting.fit_observations obs));
@@ -136,7 +140,6 @@ let test_fit_any_time_scale () =
     Array.mapi (fun i (n, y) -> (n, y *. (1. +. (0.03 *. float_of_int ((i mod 3) - 1)))))
       (observations_of truth [ 1; 2; 4; 8; 16; 32 ])
   in
-  let bits law = Array.map Int64.bits_of_float (Scaling_law.to_array law) in
   let law = (Hslb.Fitting.fit_observations obs).Hslb.Fitting.law in
   List.iter
     (fun k ->
@@ -147,8 +150,8 @@ let test_fit_any_time_scale () =
       in
       Alcotest.(check (array int64))
         (Printf.sprintf "times x 2^%d" k)
-        (bits expected)
-        (bits (Hslb.Fitting.fit_observations scaled).Hslb.Fitting.law))
+        (law_bits expected)
+        (law_bits (Hslb.Fitting.fit_observations scaled).Hslb.Fitting.law))
     [ -700; -300; -1; 1; 300; 700 ];
   let flat = (Hslb.Fitting.fit_observations [| (1., 1e-200); (2., 1e-200) |]).Hslb.Fitting.law in
   List.iter
@@ -200,7 +203,7 @@ let test_fit_nonneg_params () =
      in the box (the paper constrains a,b,c,d >= 0) *)
   let obs = [| (1., 10.); (2., 5.5); (4., 2.4); (8., 1.6); (16., 0.6) |] in
   let fit = Hslb.Fitting.fit_observations obs in
-  let p = Scaling_law.to_array fit.Hslb.Fitting.law in
+  let p = coeffs fit.Hslb.Fitting.law in
   Array.iter (fun v -> Alcotest.(check bool) "nonneg" true (v >= 0.)) p
 
 let test_recommended_sizes () =
@@ -224,10 +227,12 @@ let test_recommended_sizes_messages () =
     (Invalid_argument "Fitting.recommended_sizes: n_min (9) exceeds n_max (4)")
     (fun () -> ignore (Hslb.Fitting.recommended_sizes ~n_min:9 ~n_max:4 ~points:3))
 
+(* ---------- Fitting.update ---------- *)
+
+(* a stale law, then samples of a 2x slower truth at five node counts:
+   they pin all four coefficients, and the refit from them alone lands
+   on the new curve *)
 let test_online_tracks_drift () =
-  (* seed the state with a stale law, stream observations of a 2x
-     slower truth: rank-one updates plus the automatic refit fallback
-     must pull predictions onto the new curve *)
   let stale = Scaling_law.make ~a:100. ~b:0.001 ~c:1. ~d:0.5 in
   let truth = Scaling_law.make ~a:200. ~b:0.001 ~c:1. ~d:0.5 in
   let err law =
@@ -237,25 +242,16 @@ let test_online_tracks_drift () =
         Float.max acc (Float.abs (Scaling_law.eval_int law n -. y) /. y))
       0. [ 2; 4; 8; 16; 32 ]
   in
-  let st = Hslb.Fitting.Online.of_law stale in
-  let before = err (Hslb.Fitting.Online.law st) in
-  Hslb.Fitting.Online.observe_all st (observations_of truth [ 2; 4; 8; 16; 32 ]);
-  let after = err (Hslb.Fitting.Online.law st) in
+  let before = err stale in
+  let after = err (Hslb.Fitting.update stale (observations_of truth [ 2; 4; 8; 16; 32 ])) in
   Alcotest.(check bool) "stale law starts far off" true (before > 0.3);
   Alcotest.(check bool)
     (Printf.sprintf "tracked the drifted law (%.4f -> %.4f)" before after)
     true
-    (after < 0.02);
-  Alcotest.(check bool) "rank-one updates happened" true
-    (Hslb.Fitting.Online.rank_one_updates st > 0);
-  Alcotest.(check bool) "the divergence monitor forced a refit" true
-    (Hslb.Fitting.Online.full_refits st >= 1)
+    (after < 0.02)
 
-(* the fallback refit re-linearizes on the normal equations of the
-   relative residuals, whose columns (1/y next to n/y) lie orders of
-   magnitude apart: on finite, positive samples of any scale, observing
-   never raises (unscaled, Numerics.Mat.Singular escaped on ~7% of these
-   draws, and reached serve's resolve as an internal error) *)
+(* on finite, positive samples of any scale, at 1-8 node counts (both
+   branches), against laws of any scale, update never raises *)
 let test_online_any_scale () =
   for seed = 1 to 2_000 do
     let rng = Numerics.Rng.create seed in
@@ -271,30 +267,112 @@ let test_online_any_scale () =
         (1 + Numerics.Rng.int rng 8)
         (fun _ -> (float_of_int (1 + Numerics.Rng.int rng 100_000), log_uniform 1e-6 1e5))
     in
-    let st = Hslb.Fitting.Online.of_law law in
-    match Hslb.Fitting.Online.observe_all st samples with
-    | () -> ignore (Hslb.Fitting.Online.law st : Scaling_law.t)
+    match Hslb.Fitting.update law samples with
+    | (_ : Scaling_law.t) -> ()
     | exception e -> Alcotest.failf "seed %d: %s" seed (Printexc.to_string e)
   done
 
-(* a prior in seconds, then samples of 1e-198/n s: the rank-one steps
-   would overflow and are skipped, and the refit moves the state to the
-   samples' units (kept in seconds, its normal equations overflowed,
-   and the law raised "coefficients must be finite") *)
+(* a law in seconds, then samples of 1e-198/n s: at four node counts
+   the refit runs in the samples' units; at one, the factor ~1e-199 is
+   read off in logs *)
 let test_online_tiny_times () =
-  let st = Hslb.Fitting.Online.of_law (Scaling_law.make ~a:100. ~b:0.001 ~c:1. ~d:0.5) in
+  let law = Scaling_law.make ~a:100. ~b:0.001 ~c:1. ~d:0.5 in
   let truth n = 1e-198 /. n in
-  Hslb.Fitting.Online.observe_all st (Array.map (fun n -> (n, truth n)) [| 2.; 4.; 8.; 16. |]);
-  let law = Hslb.Fitting.Online.law st in
-  List.iter
-    (fun n ->
-      let r = (Scaling_law.eval law n -. truth n) /. truth n in
-      if Float.abs r > 1e-9 then Alcotest.failf "at %g nodes: relative error %g" n r)
+  let close what law ns =
+    List.iter
+      (fun n ->
+        let r = (Scaling_law.eval law n -. truth n) /. truth n in
+        if Float.abs r > 1e-9 then Alcotest.failf "%s, at %g nodes: relative error %g" what n r)
+      ns
+  in
+  close "refit" (Hslb.Fitting.update law (Array.map (fun n -> (n, truth n)) [| 2.; 4.; 8.; 16. |]))
     [ 2.; 4.; 8.; 16. ];
-  Alcotest.(check bool) "refit" true (Hslb.Fitting.Online.full_refits st >= 1);
-  (* later steps run in the new units *)
-  Hslb.Fitting.Online.observe st (32., truth 32.);
-  ignore (Hslb.Fitting.Online.law st : Scaling_law.t)
+  let one = Hslb.Fitting.update law [| (8., truth 8.) |] in
+  close "rescale" one [ 8. ]
+
+(* samples of s·law at 1-3 node counts, s from 1e-150 to 1e150: the
+   rescale gives back s·law, with c bit for bit *)
+let test_update_rescales () =
+  for seed = 1 to 500 do
+    let rng = Numerics.Rng.create seed in
+    let log_uniform lo hi = exp (Numerics.Rng.uniform rng ~lo:(log lo) ~hi:(log hi)) in
+    let law =
+      Scaling_law.make ~a:(log_uniform 1. 1e5)
+        ~b:(if Numerics.Rng.bool rng then 0. else log_uniform 1e-6 1e-2)
+        ~c:(Numerics.Rng.uniform rng ~lo:0. ~hi:2.)
+        ~d:(if Numerics.Rng.bool rng then 0. else log_uniform 1e-3 10.)
+    in
+    let s = log_uniform 1e-150 1e150 in
+    let sizes = List.init (1 + Numerics.Rng.int rng 3) (fun k -> 1 lsl (k * (1 + Numerics.Rng.int rng 5))) in
+    let samples =
+      Array.of_list
+        (List.concat_map
+           (fun n -> List.init (1 + Numerics.Rng.int rng 2) (fun _ -> (float_of_int n, s *. Scaling_law.eval_int law n)))
+           sizes)
+    in
+    let got = Hslb.Fitting.update law samples in
+    if Int64.bits_of_float got.c <> Int64.bits_of_float law.c then
+      Alcotest.failf "seed %d: c moved from %.17g to %.17g" seed law.c got.c;
+    List.iter
+      (fun (what, want, v) ->
+        if Float.abs (v -. want) > 1e-12 *. want then
+          Alcotest.failf "seed %d (s = %g): %s = %.17g, expected %.17g" seed s what v want)
+      [ ("a", s *. law.a, got.a); ("b", s *. law.b, got.b); ("d", s *. law.d, got.d) ]
+  done
+
+(* at 4 or more distinct node counts the samples are refit alone: the
+   stored law does not matter, and the result is fit_observations' law
+   bit for bit *)
+let test_update_refits () =
+  let truth = Scaling_law.make ~a:200. ~b:0.004 ~c:0.95 ~d:1.5 in
+  List.iter
+    (fun sizes ->
+      let obs =
+        Array.mapi (fun i (n, y) -> (n, y *. (1. +. (0.03 *. float_of_int ((i mod 3) - 1)))))
+          (observations_of truth sizes)
+      in
+      let want = law_bits (Hslb.Fitting.fit_observations obs).Hslb.Fitting.law in
+      List.iter
+        (fun stored ->
+          Alcotest.(check (array int64))
+            (Printf.sprintf "%d sizes" (List.length sizes))
+            want
+            (law_bits (Hslb.Fitting.update stored obs)))
+        [ truth; Scaling_law.make ~a:1e-3 ~b:0. ~c:2. ~d:0. ])
+    [ [ 1; 2; 4; 8 ]; [ 1; 2; 4; 8; 16; 32 ]; [ 3; 3; 5; 7; 11; 11 ] ];
+  let law = Scaling_law.make ~a:100. ~b:0.001 ~c:1. ~d:0.5 in
+  Alcotest.(check (array int64)) "no samples, same law" (law_bits law)
+    (law_bits (Hslb.Fitting.update law [||]))
+
+(* each refusal is an Invalid_argument with its exact message *)
+let test_update_refusals () =
+  let law = Scaling_law.make ~a:100. ~b:0.001 ~c:1. ~d:0.5 in
+  let refuses what msg law samples =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+        ignore (Hslb.Fitting.update law samples : Scaling_law.t))
+  in
+  let unweighable shown =
+    Printf.sprintf
+      "Fitting.update: invalid observation %s: nodes must be finite and >= 1, seconds finite \
+       and > 0"
+      shown
+  in
+  refuses "zero time" (unweighable "(4, 0)") law [| (2., 50.); (4., 0.) |];
+  refuses "nan time" (unweighable "(4, nan)") law [| (4., Float.nan) |];
+  refuses "infinite time" (unweighable "(4, inf)") law [| (2., 50.); (4., Float.infinity); (8., 12.); (16., 7.) |];
+  refuses "times 1e-200 s to 1e200 s"
+    "Fitting.update: times from 1e-200 s to 1e+200 s span too many orders of magnitude to \
+     weigh their relative residuals"
+    law [| (2., 1e-200); (4., 1e200) |];
+  refuses "an all-zero law"
+    "Fitting.update: the law predicts 0 s at 8 nodes, where a sample sits, so no factor scales \
+     it onto the samples"
+    (Scaling_law.make ~a:0. ~b:0. ~c:1. ~d:0.)
+    [| (8., 26.016) |];
+  refuses "a factor past the float range"
+    "Fitting.update: scaling the law by inf to meet the samples leaves the float range"
+    (Scaling_law.make ~a:1e-300 ~b:0. ~c:1. ~d:0.)
+    [| (1., 1e10) |]
 
 (* ---------- Classes ---------- *)
 
@@ -1023,6 +1101,9 @@ let () =
           Alcotest.test_case "online tracks drift" `Quick test_online_tracks_drift;
           Alcotest.test_case "online observes any scale" `Quick test_online_any_scale;
           Alcotest.test_case "online observes 1e-200 s" `Quick test_online_tiny_times;
+          Alcotest.test_case "update rescales below four node counts" `Quick test_update_rescales;
+          Alcotest.test_case "update refits at four or more node counts" `Quick test_update_refits;
+          Alcotest.test_case "update refusals" `Quick test_update_refusals;
         ] );
       ( "classes",
         [

@@ -52,14 +52,6 @@ let test_optimal_nodes () =
   let law0 = Scaling_law.make ~a:100. ~b:0. ~c:1. ~d:0. in
   check_float "b=0 takes max" 1000. (Scaling_law.optimal_nodes law0 ~max_nodes:1000.)
 
-let test_law_roundtrip () =
-  let law = Scaling_law.make ~a:1. ~b:2. ~c:0.5 ~d:3. in
-  let law' = Scaling_law.of_array (Scaling_law.to_array law) in
-  check_float "a" law.Scaling_law.a law'.Scaling_law.a;
-  check_float "b" law.Scaling_law.b law'.Scaling_law.b;
-  check_float "c" law.Scaling_law.c law'.Scaling_law.c;
-  check_float "d" law.Scaling_law.d law'.Scaling_law.d
-
 let test_derivative () =
   let law = Scaling_law.make ~a:100. ~b:0.05 ~c:1. ~d:0. in
   let n = 10. in
@@ -164,7 +156,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_law_validation;
           Alcotest.test_case "monotone" `Quick test_law_monotone_when_b_zero;
           Alcotest.test_case "optimal nodes" `Quick test_optimal_nodes;
-          Alcotest.test_case "array roundtrip" `Quick test_law_roundtrip;
           Alcotest.test_case "derivative" `Quick test_derivative;
         ] );
       ( "topology",

@@ -1309,6 +1309,57 @@ let test_serve_resolve_any_scale () =
     Alcotest.(check (option string)) "resolved" (Some "resolved")
       (Option.bind (Serve.Json.member "resolve" v) Serve.Json.str)
 
+(* one sample at 8 nodes, twice the stored law's 13.008 s there: one
+   node count cannot pin four coefficients, so the law is doubled, and
+   the incumbent (all tasks at 8 nodes, still the optimum) is kept at
+   26.016 s *)
+let test_serve_resolve_one_sample () =
+  let h = make_harness ~jobs:1 () in
+  Serve.Server.submit h.server
+    (resolve_line ~id:1 ~model:single_model ~prev:"[8]"
+       ~extra:{|,"observe":[{"class":"alpha","samples":[[8,26.016]]}]|} ());
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  match find_by_id h 1 with
+  | None -> Alcotest.fail "resolve unanswered"
+  | Some r ->
+    Alcotest.(check string) "ok" "ok" (outcome_of r);
+    Alcotest.(check (option string)) "unchanged" (Some "unchanged")
+      (Option.bind (Serve.Json.member "resolve" r) Serve.Json.str);
+    Alcotest.(check (option (float 1e-9))) "makespan of the doubled law" (Some 26.016)
+      (Option.bind (Serve.Json.member "makespan" r) Serve.Json.num)
+
+(* an observe entry for a class the model lacks, or a second entry for
+   one class, is refused with its exact diagnostic, not dropped: the
+   reply would come from the stale law or from the first entry alone *)
+let test_serve_resolve_observe_classes () =
+  let four = {|"samples":[[2,100.5],[4,50.5],[8,25.5],[16,13.0]]|} in
+  let cases =
+    [
+      ( Printf.sprintf {|,"observe":[{"class":"alpah",%s}]|} four,
+        {|field "observe": class "alpah" is not in the model|} );
+      ( Printf.sprintf {|,"observe":[{"class":"alpha","samples":[[2,50.5]]},{"class":"alpha",%s}]|}
+          four,
+        {|field "observe": class "alpha" is named twice|} );
+    ]
+  in
+  let h = make_harness ~jobs:1 () in
+  List.iteri
+    (fun i (extra, _) ->
+      Serve.Server.submit h.server (resolve_line ~id:(i + 1) ~model:single_model ~prev:"[4]" ~extra ()))
+    cases;
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  List.iteri
+    (fun i (_, msg) ->
+      match find_by_id h (i + 1) with
+      | None -> Alcotest.failf "request %d never answered" (i + 1)
+      | Some r ->
+        Alcotest.(check string) (Printf.sprintf "id %d outcome" (i + 1)) "error" (outcome_of r);
+        Alcotest.(check (option string))
+          (Printf.sprintf "id %d error" (i + 1))
+          (Some msg)
+          (Option.bind (Serve.Json.member "error" r) Serve.Json.str))
+    cases
+
 (* samples of 1e-198/n s against a stored law in seconds: the refit
    runs in the samples' units, and the incumbent (4 nodes a task, twice
    the optimum's time) is priced relative to an optimum of ~1e-199 s,
@@ -1322,8 +1373,8 @@ let test_serve_resolve_tiny_times () =
         {|,"observe":[{"class":"alpha","samples":[[2,5e-199],[4,2.5e-199],[8,1.25e-199],[16,6.25e-200]]}]|}
       ()
   in
-  (* times 400 orders of magnitude apart cannot be weighed: the refit's
-     exact diagnostic, not an answer from the zero law *)
+  (* times 400 orders of magnitude apart cannot be weighed: the
+     update's exact diagnostic, not an answer from the zero law *)
   let spread =
     resolve_line ~id:2 ~model:"alpha,4,100,0.001,1,0.5" ~prev:"[4]"
       ~extra:{|,"observe":[{"class":"alpha","samples":[[2,1e-200],[4,1e200]]}]|} ()
@@ -1338,8 +1389,8 @@ let test_serve_resolve_tiny_times () =
     Alcotest.(check (option string))
       "spread error"
       (Some
-         "Fitting.fit_observations: times from 1e-200 s to 1e+200 s span too many orders of \
-          magnitude to weigh their relative residuals")
+         "Fitting.update: times from 1e-200 s to 1e+200 s span too many orders of magnitude \
+          to weigh their relative residuals")
       (Option.bind (Serve.Json.member "error" v) Serve.Json.str));
   match find_by_id h 1 with
   | None -> Alcotest.fail "request never answered"
@@ -1576,6 +1627,9 @@ let () =
           Alcotest.test_case "zero-time samples" `Quick test_serve_zero_time_samples;
           Alcotest.test_case "resolve samples of any scale" `Quick test_serve_resolve_any_scale;
           Alcotest.test_case "resolve samples of 1e-200 s" `Quick test_serve_resolve_tiny_times;
+          Alcotest.test_case "resolve one sample rescales" `Quick test_serve_resolve_one_sample;
+          Alcotest.test_case "resolve observe names model classes once" `Quick
+            test_serve_resolve_observe_classes;
           Alcotest.test_case "billion-node budget" `Quick test_serve_huge_budget;
           Alcotest.test_case "scenario replay audited" `Quick test_serve_scenario_replay_audited;
           Alcotest.test_case "input caps" `Quick test_serve_input_caps;
