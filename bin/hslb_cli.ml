@@ -30,6 +30,19 @@ let usage_error cmd msg =
   Format.eprintf "hslb %s: %s@." cmd msg;
   exit 2
 
+(* the REASON of a [Sys_error] about [path]: its message less the
+   "PATH: " the runtime puts in front when the open failed *)
+let sys_reason path msg =
+  let prefix = path ^ ": " in
+  if String.starts_with ~prefix msg then
+    String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+  else msg
+
+(* a file named by [flag] that [cmd] could not [verb] ("open",
+   "write"): "hslb CMD: FLAG: cannot VERB PATH: REASON" on stderr *)
+let file_error cmd flag verb path msg =
+  Format.eprintf "hslb %s: %s: cannot %s %s: %s@." cmd flag verb path (sys_reason path msg)
+
 (* ---------- fit ---------- *)
 
 (* "nodes,seconds" lines; line numbers are 1-based over the raw text,
@@ -545,44 +558,29 @@ let serve_cmd =
       & info [ "metrics-interval-ms" ] ~docv:"MS"
           ~doc:"Flush period for $(b,--metrics-out) (must be positive).")
   in
-  let policy_from =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "policy-from" ] ~docv:"FILE"
-          ~doc:
-            "Load the scenario-class → scheduler table answered for $(i,policy) hints \
-             from a BENCH_arena.json artifact (as written by $(b,hslb arena --out)) \
-             instead of the built-in table.")
-  in
   let run jobs queue_limit cache_capacity drain_grace_ms telemetry metrics_out
-      metrics_interval_ms policy_from listen report =
+      metrics_interval_ms listen report =
     (match jobs with Some j -> Runtime.Config.set_jobs j | None -> ());
     if metrics_interval_ms <= 0. then begin
       Format.eprintf "hslb serve: --metrics-interval-ms must be positive@.";
       exit 2
     end;
-    let policy =
-      match policy_from with
-      | None -> Arena.Policy.builtin
-      | Some path -> (
-        match Arena.Policy.of_bench_file path with
-        | Ok p -> p
-        | Error msg ->
-          Format.eprintf "hslb serve: --policy-from: %s@." msg;
-          exit 2)
-    in
     let cfg =
       {
         Serve.Server.jobs = Runtime.Config.jobs ();
         queue_limit;
         cache_capacity;
         drain_grace_s = drain_grace_ms /. 1000.;
-        policy;
       }
     in
     let telemetry_oc =
-      Option.map (fun p -> open_out_gen [ Open_append; Open_creat ] 0o644 p) telemetry
+      Option.map
+        (fun p ->
+          try open_out_gen [ Open_append; Open_creat ] 0o644 p
+          with Sys_error msg ->
+            file_error "serve" "--telemetry" "open" p msg;
+            exit 2)
+        telemetry
     in
     let telemetry =
       Option.map
@@ -600,6 +598,10 @@ let serve_cmd =
         (Serve.Service.core_of_server server)
     with
     | _report -> Option.iter close_out telemetry_oc
+    | exception Serve.Service.Report_unwritable (path, msg) ->
+      (* every request was answered and the drained event is out *)
+      file_error "serve" "--report" "write" path msg;
+      exit 1
     | exception Unix.Unix_error (e, _, arg) ->
       listen_failed "serve" listen e arg;
       exit 1
@@ -614,8 +616,7 @@ let serve_cmd =
           optima are cached, and SIGTERM drains gracefully.")
     Term.(
       const run $ jobs $ queue_limit $ cache_capacity $ drain_grace_ms $ telemetry
-      $ metrics_out $ metrics_interval_ms $ policy_from
-      $ listen_arg $ report_arg)
+      $ metrics_out $ metrics_interval_ms $ listen_arg $ report_arg)
 
 (* ---------- arena: scheduler race over the workload-scenario zoo ---------- *)
 
@@ -634,8 +635,7 @@ let arena_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:
             "Write the regret matrix as a BENCH_arena.json artifact (schema \
-             $(i,hslb-bench-arena-v1)) — the file $(b,hslb obs --bench) \
-             checks and $(b,hslb serve --policy-from) consumes.")
+             $(i,hslb-bench-arena-v1)) — the file $(b,hslb obs --bench) checks.")
   in
   let classes_arg =
     Arg.(
@@ -646,16 +646,7 @@ let arena_cmd =
             "Race only this scenario class (repeatable): steady | bursty | \
              multi-tenant | heavy-tailed | drifting | failure. Default: all six.")
   in
-  let scenario_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scenario-out" ] ~docv:"PREFIX"
-          ~doc:
-            "Also write each raced scenario as PREFIX-CLASS.ndjson, the replayable \
-             trace format $(b,hslb loadgen --scenario) consumes.")
-  in
-  let run seed quick out classes scenario_out =
+  let run seed quick out classes =
     let classes =
       match classes with
       | [] -> Arena.Scenario.all_classes
@@ -673,33 +664,22 @@ let arena_cmd =
     let tasks_per_phase = if quick then 24 else 48 in
     let t = Arena.Race.run ~phases ~tasks_per_phase ~seed classes in
     Format.printf "%a@." Arena.Race.pp t;
-    (match scenario_out with
-    | None -> ()
-    | Some prefix ->
-      List.iter
-        (fun cls ->
-          let sc = Arena.Scenario.generate ~phases ~tasks_per_phase cls ~seed in
-          let path =
-            Printf.sprintf "%s-%s.ndjson" prefix (Arena.Scenario.class_to_string cls)
-          in
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc (Arena.Scenario.to_ndjson sc));
-          Format.printf "scenario written to %s@." path)
-        classes);
     match out with
     | None -> ()
-    | Some path ->
-      Arena.Race.write_bench path t;
-      Format.printf "arena benchmark written to %s@." path
+    | Some path -> (
+      match Arena.Race.write_bench path t with
+      | () -> Format.printf "arena benchmark written to %s@." path
+      | exception Sys_error msg ->
+        file_error "arena" "--out" "write" path msg;
+        exit 1)
   in
   Cmd.v
     (Cmd.info "arena"
        ~doc:
          "Race every scheduler family (dynamic, static LPT, work stealing, hybrid \
           rebalancing, diffusive exchange) over the seeded workload-scenario zoo and \
-          print the regret-vs-dynamic matrix (experiment E13). The per-class winners \
-          become the policy table $(b,hslb serve) answers for $(i,policy) hints.")
-    Term.(const run $ seed $ quick $ out $ classes_arg $ scenario_out)
+          print the regret-vs-dynamic matrix (experiment E13).")
+    Term.(const run $ seed $ quick $ out $ classes_arg)
 
 (* ---------- route: fingerprint-sharded solve fleet ---------- *)
 
@@ -791,6 +771,9 @@ let route_cmd =
         ~listen:(Some listen) (Serve.Router.core router)
     with
     | _report -> ()
+    | exception Serve.Service.Report_unwritable (path, msg) ->
+      file_error "route" "--report" "write" path msg;
+      exit 1
     | exception Unix.Unix_error (e, _, arg) ->
       listen_failed "route" (Some listen) e arg;
       Serve.Router.initiate_drain router;
@@ -882,18 +865,6 @@ let loadgen_cmd =
              $(b,expired) (0: never).")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Trace generator seed.") in
-  let scenario =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scenario" ] ~docv:"FILE"
-          ~doc:
-            "Replay an arena scenario trace (the NDJSON $(b,hslb arena --scenario-out) \
-             writes) instead of the synthetic mix: each task becomes a solve carrying \
-             the scenario class as its $(i,policy) hint, each phase gap a sleep. \
-             Malformed traces are rejected with a line-numbered diagnostic. Only with \
-             $(b,--connect).")
-  in
   let rate =
     Arg.(
       value
@@ -918,7 +889,7 @@ let loadgen_cmd =
     Arg.(value & opt string "run" & info [ "label" ] ~doc:"Label in the emitted result.")
   in
   let run connect bench_out backends requests distinct classes nodes sleep_every
-      sleep_ms expire_every seed scenario rate window drain label deadline_ms jobs
+      sleep_ms expire_every seed rate window drain label deadline_ms jobs
       queue_limit cache_capacity =
     let spec =
       {
@@ -939,22 +910,7 @@ let loadgen_cmd =
       Format.eprintf "hslb loadgen: pass exactly one of --connect or --bench-out@.";
       exit 2
     | Some addr, None ->
-      let trace =
-        match scenario with
-        | None -> Serve.Loadgen.make_trace spec
-        | Some path -> (
-          match Arena.Scenario.read_file path with
-          | Ok sc ->
-            Format.printf "scenario %s: class %s, %d phases, %d tasks@."
-              sc.Arena.Scenario.name
-              (Arena.Scenario.class_to_string sc.Arena.Scenario.cls)
-              (Array.length sc.Arena.Scenario.phases)
-              (Arena.Scenario.num_tasks sc);
-            Serve.Loadgen.trace_of_scenario sc
-          | Error msg ->
-            Format.eprintf "hslb loadgen: %s@." msg;
-            exit 2)
-      in
+      let trace = Serve.Loadgen.make_trace spec in
       let r =
         try
           Serve.Loadgen.run ~label ?rate_rps:rate ~window ~drain_at_end:drain
@@ -973,10 +929,6 @@ let loadgen_cmd =
         exit 1
       end
     | None, Some path ->
-      if scenario <> None then begin
-        Format.eprintf "hslb loadgen: --scenario requires --connect@.";
-        exit 2
-      end;
       if backends < 2 then begin
         Format.eprintf "hslb loadgen: --backends must be >= 2 for --bench-out@.";
         exit 2
@@ -1023,7 +975,7 @@ let loadgen_cmd =
           N-backend fleet on the same trace and write BENCH_fleet.json.")
     Term.(
       const run $ connect $ bench_out $ backends $ requests $ distinct $ classes
-      $ nodes $ sleep_every $ sleep_ms $ expire_every $ seed $ scenario $ rate
+      $ nodes $ sleep_every $ sleep_ms $ expire_every $ seed $ rate
       $ window $ drain $ label $ Cli_common.deadline_ms_arg $ Cli_common.jobs_arg
       $ Cli_common.queue_limit_arg $ Cli_common.cache_capacity_arg)
 
@@ -1065,12 +1017,6 @@ let obs_cmd =
                      (fun (c : Obs.Gate.checker) -> c.Obs.Gate.schema)
                      Experiments.Bench_gates.checkers))))
   in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let run chrome_trace prometheus bench =
     if chrome_trace = None && prometheus = None && bench = [] then begin
       Format.eprintf
@@ -1078,32 +1024,43 @@ let obs_cmd =
       exit 2
     end;
     let ok = ref true in
-    (match chrome_trace with
-    | None -> ()
-    | Some path -> (
-      match Obs.Json.parse (read_file path) with
-      | Error msg ->
-        Format.eprintf "%s: JSON parse error %s@." path msg;
+    (* [check path f] runs [f] on the file's text; a file that cannot be
+       read fails the run, and the other artifacts are still checked *)
+    let check path f =
+      match read_file path with
+      | text -> f text
+      | exception Sys_error msg ->
+        Format.eprintf "%s: cannot read: %s@." path (sys_reason path msg);
         ok := false
-      | Ok json -> (
-        match Obs.Export.check_chrome_trace json with
-        | Ok n -> Format.printf "%s: valid chrome trace, %d events@." path n
-        | Error msg ->
-          Format.eprintf "%s: invalid chrome trace: %s@." path msg;
-          ok := false)));
-    (match prometheus with
-    | None -> ()
-    | Some path -> (
-      match Obs.Export.check_prometheus (read_file path) with
-      | Ok n -> Format.printf "%s: valid prometheus exposition, %d samples@." path n
-      | Error msg ->
-        Format.eprintf "%s: invalid prometheus exposition: %s@." path msg;
-        ok := false));
+    in
+    Option.iter
+      (fun path ->
+        check path (fun text ->
+            match Obs.Json.parse text with
+            | Error msg ->
+              Format.eprintf "%s: JSON parse error %s@." path msg;
+              ok := false
+            | Ok json -> (
+              match Obs.Export.check_chrome_trace json with
+              | Ok n -> Format.printf "%s: valid chrome trace, %d events@." path n
+              | Error msg ->
+                Format.eprintf "%s: invalid chrome trace: %s@." path msg;
+                ok := false)))
+      chrome_trace;
+    Option.iter
+      (fun path ->
+        check path (fun text ->
+            match Obs.Export.check_prometheus text with
+            | Ok n -> Format.printf "%s: valid prometheus exposition, %d samples@." path n
+            | Error msg ->
+              Format.eprintf "%s: invalid prometheus exposition: %s@." path msg;
+              ok := false))
+      prometheus;
     List.iter
       (fun path ->
+        check path @@ fun text ->
         match
-          Result.bind (Obs.Json.parse (read_file path))
-            (Obs.Gate.check Experiments.Bench_gates.checkers)
+          Result.bind (Obs.Json.parse text) (Obs.Gate.check Experiments.Bench_gates.checkers)
         with
         | Error msg ->
           Format.eprintf "%s: invalid bench artifact: %s@." path msg;
@@ -1129,8 +1086,8 @@ let obs_cmd =
          "Validate observability artifacts — Chrome trace_event JSON from \
           $(b,bench --trace), Prometheus text exposition from \
           $(b,serve --metrics-out) — and check BENCH_*.json artifacts against \
-          their declared gates. Exits 1 if any artifact is invalid or any gate \
-          fails.")
+          their declared gates. Exits 1 if any artifact cannot be read or is \
+          invalid, or any gate fails.")
     Term.(const run $ chrome_trace $ prometheus $ bench)
 
 (* ---------- place: topology-aware placement ---------- *)

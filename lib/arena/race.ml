@@ -121,11 +121,6 @@ let to_json t =
       ("nodes_per_group", Json.Num (float_of_int t.nodes_per_group));
       ("schedulers", Json.Arr (List.map (fun s -> Json.Str s) t.schedulers));
       ("rows", Json.Arr (List.map row_json t.rows));
-      ( "policy",
-        Json.Obj
-          (List.map
-             (fun r -> (Scenario.class_to_string r.cls, Json.Str r.winner))
-             t.rows) );
     ]
 
 let of_json j =

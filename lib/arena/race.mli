@@ -3,8 +3,8 @@
 
     Regret of balancer [b] on scenario [s] is
     [(makespan_b − makespan_dynamic) / makespan_dynamic] — negative
-    means [b] beat the stock dynamic scheduler. The per-class winner
-    (argmin regret) is what {!Policy} serves back to the fleet. *)
+    means [b] beat the stock dynamic scheduler; the per-class winner
+    is the argmin regret. *)
 
 type cell = {
   scheduler : string;  (** {!Balancer.name} *)

@@ -1,5 +1,4 @@
 module Rng = Numerics.Rng
-module Json = Obs.Json
 
 type cls = Steady | Bursty | Multi_tenant | Heavy_tailed | Drifting | Failure
 
@@ -35,13 +34,10 @@ type t = {
 let partition t =
   Gddi.Group.even_partition ~total_nodes:(t.groups * t.nodes_per_group) ~groups:t.groups
 
-let num_tasks t =
-  Array.fold_left (fun acc p -> acc + Array.length p.costs) 0 t.phases
-
 (* Every phase fills from its own split stream, taken from the root in a
    first pass (the E9 two-pass convention): phase [i]'s stream depends
    only on [(seed, i)], so shortening or extending the scenario leaves
-   the shared prefix byte-identical. Meta decisions (which groups drift,
+   the shared prefix identical. Meta decisions (which groups drift,
    which group fails) come from a dedicated stream split off first. *)
 let generate ?(phases = 8) ?(tasks_per_phase = 48) ?(groups = 8) ?(nodes_per_group = 4)
     cls ~seed =
@@ -138,162 +134,3 @@ let generate ?(phases = 8) ?(tasks_per_phase = 48) ?(groups = 8) ?(nodes_per_gro
     nodes_per_group;
     phases = Array.init phases make_phase;
   }
-
-(* --- NDJSON trace format ------------------------------------------- *)
-
-let format_version = "arena-v1"
-
-let to_ndjson t =
-  let buf = Buffer.create 4096 in
-  let header =
-    Json.Obj
-      [
-        ("scenario", Json.Str format_version);
-        ("name", Json.Str t.name);
-        ("class", Json.Str (class_to_string t.cls));
-        ("seed", Json.Num (float_of_int t.seed));
-        ("groups", Json.Num (float_of_int t.groups));
-        ("nodes_per_group", Json.Num (float_of_int t.nodes_per_group));
-        ("phases", Json.Num (float_of_int (Array.length t.phases)));
-      ]
-  in
-  Buffer.add_string buf (Json.to_string header);
-  Buffer.add_char buf '\n';
-  Array.iteri
-    (fun i p ->
-      let floats a = Json.Arr (Array.to_list (Array.map (fun x -> Json.Num x) a)) in
-      let line =
-        Json.Obj
-          [
-            ("phase", Json.Num (float_of_int i));
-            ("gap_s", Json.Num p.gap_s);
-            ("costs", floats p.costs);
-            ("speed", floats p.speed);
-          ]
-      in
-      Buffer.add_string buf (Json.to_string line);
-      Buffer.add_char buf '\n')
-    t.phases;
-  Buffer.contents buf
-
-(* Parsing: every failure is reported as "FILE:LINE: message" so a bad
-   hand-edited trace points at the offending line, not just the file. *)
-
-exception Bad of int * string
-
-let fail line fmt = Printf.ksprintf (fun msg -> raise (Bad (line, msg))) fmt
-
-let field line obj key =
-  match Json.member key obj with
-  | Some v -> v
-  | None -> fail line "missing field %S" key
-
-let num_field line obj key =
-  match Json.num (field line obj key) with
-  | Some v -> v
-  | None ->
-      fail line "field %S: expected a number, got %s" key
-        (Json.type_name (field line obj key))
-
-let int_field line obj key =
-  match Json.int_ (field line obj key) with
-  | Some v -> v
-  | None -> fail line "field %S: expected an integer" key
-
-let str_field line obj key =
-  match Json.str (field line obj key) with
-  | Some v -> v
-  | None ->
-      fail line "field %S: expected a string, got %s" key
-        (Json.type_name (field line obj key))
-
-let float_array_field line obj key =
-  match Json.arr (field line obj key) with
-  | None ->
-      fail line "field %S: expected an array, got %s" key
-        (Json.type_name (field line obj key))
-  | Some items ->
-      let a = Array.of_list items in
-      Array.mapi
-        (fun i v ->
-          match Json.num v with
-          | Some x when Float.is_finite x -> x
-          | _ -> fail line "field %S: element %d is not a finite number" key i)
-        a
-
-let of_ndjson ?(file = "scenario") text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.mapi (fun i l -> (i + 1, l))
-    |> List.filter (fun (_, l) -> String.trim l <> "")
-  in
-  try
-    match lines with
-    | [] -> Error (Printf.sprintf "%s:1: empty scenario file" file)
-    | (hline, htext) :: rest ->
-        let parse_obj line text =
-          match Json.parse text with
-          | Error e -> fail line "%s" e
-          | Ok (Json.Obj _ as o) -> o
-          | Ok v -> fail line "expected an object, got %s" (Json.type_name v)
-        in
-        let h = parse_obj hline htext in
-        let version = str_field hline h "scenario" in
-        if version <> format_version then
-          fail hline "unsupported scenario format %S (expected %S)" version
-            format_version;
-        let name = str_field hline h "name" in
-        let cls =
-          match class_of_string (str_field hline h "class") with
-          | Ok c -> c
-          | Error e -> fail hline "field \"class\": %s" e
-        in
-        let seed = int_field hline h "seed" in
-        let groups = int_field hline h "groups" in
-        let nodes_per_group = int_field hline h "nodes_per_group" in
-        let phases = int_field hline h "phases" in
-        if groups <= 0 then fail hline "field \"groups\": must be positive";
-        if nodes_per_group <= 0 then
-          fail hline "field \"nodes_per_group\": must be positive";
-        if phases <= 0 then fail hline "field \"phases\": must be positive";
-        if List.length rest <> phases then
-          fail hline "header declares %d phases but the file has %d phase lines"
-            phases (List.length rest);
-        let parse_phase idx (line, text) =
-          let o = parse_obj line text in
-          let i = int_field line o "phase" in
-          if i <> idx then fail line "expected phase %d, got phase %d" idx i;
-          let gap_s = num_field line o "gap_s" in
-          if not (Float.is_finite gap_s) || gap_s < 0.0 then
-            fail line "field \"gap_s\": must be finite and non-negative";
-          let costs = float_array_field line o "costs" in
-          Array.iteri
-            (fun j c ->
-              if c < 0.0 then fail line "field \"costs\": element %d is negative" j)
-            costs;
-          let speed = float_array_field line o "speed" in
-          if Array.length speed <> groups then
-            fail line "field \"speed\": expected %d entries (one per group), got %d"
-              groups (Array.length speed);
-          Array.iteri
-            (fun j s ->
-              if s <= 0.0 then
-                fail line "field \"speed\": element %d must be positive" j)
-            speed;
-          { costs; speed; gap_s }
-        in
-        Ok
-          {
-            name;
-            cls;
-            seed;
-            groups;
-            nodes_per_group;
-            phases = Array.of_list (List.mapi parse_phase rest);
-          }
-  with Bad (line, msg) -> Error (Printf.sprintf "%s:%d: %s" file line msg)
-
-let read_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> of_ndjson ~file:path text
-  | exception Sys_error e -> Error e

@@ -8,7 +8,7 @@
     multi-tenant mixes, heavy-tailed fragment-size distributions, and
     group slowdown/failure mid-run.
 
-    Generation is reproducible: equal seeds give byte-identical traces,
+    Generation is reproducible: equal seeds give equal scenarios,
     and every phase draws from its own {!Numerics.Rng.split} stream
     (the E9 two-pass split convention), so phase [i]'s content depends
     only on [(seed, i)] — never on how many phases follow it. *)
@@ -68,16 +68,3 @@ val generate :
 (** [partition t] — the even processor-group partition every balancer
     races on. *)
 val partition : t -> Gddi.Group.partition
-
-val num_tasks : t -> int
-
-(** [to_ndjson t] — one header line plus one line per phase; the
-    replayable trace format [hslb loadgen --scenario] consumes. *)
-val to_ndjson : t -> string
-
-(** [of_ndjson ?file text] — parse a scenario trace. Errors are
-    line-numbered diagnostics of the form ["FILE:LINE: message"]
-    ([file] defaults to ["scenario"]). *)
-val of_ndjson : ?file:string -> string -> (t, string) result
-
-val read_file : string -> (t, string) result

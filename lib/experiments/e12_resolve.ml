@@ -1,11 +1,11 @@
 (* E12 — the incremental re-solve frontier (beyond the paper's tables).
 
    The paper fits once and solves once; E12 asks what a long-lived
-   balancer should do when the coefficients drift. Three policies run
-   against the same drifting ground truth: always re-solve, never
-   re-solve, and bring each law up to date with the round's samples
-   (Fitting.update), adopting the exact optimum only when the incumbent
-   is more than ε above it (the serve layer's `resolve` op). The
+   balancer should do when the coefficients drift. Each round brings
+   every law up to date with that round's samples (Fitting.update), and
+   three policies run against the same drifting ground truth: always
+   re-solve, never re-solve, and adopt the exact optimum only when the
+   incumbent is more than ε above it (the serve layer's `resolve` op). The
    interesting cell is certified-at-low-drift: nearly the makespan of
    always, on a fraction of the allocation changes. The solves column
    counts allocations adopted, the initial one included. *)

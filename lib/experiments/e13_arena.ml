@@ -8,8 +8,8 @@
    families race on each — the repo's Dynamic/Static/Stealing plus the
    hybrid periodic-rebalance and diffusive neighbor-exchange schemes.
    The output is a regret-vs-dynamic matrix: negative entries mean the
-   balancer beat the stock dynamic scheduler; the per-class winner is
-   what the serve layer's `policy` hint recommends. *)
+   balancer beat the stock dynamic scheduler, and the per-class winner
+   is the row's least regret. *)
 
 let name = "E13_arena"
 let describes = "Scheduler arena: regret matrix over a generated scenario zoo"

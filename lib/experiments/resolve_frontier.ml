@@ -2,17 +2,20 @@
    BENCH_resolve.json.
 
    A seeded world of task classes follows hidden ground-truth scaling
-   laws whose coefficients drift a little every round. Three policies
-   maintain an allocation against noisy benchmark observations of the
-   drifting truth:
+   laws whose coefficients drift a little every round. Each round every
+   law is brought up to date with that round's fresh noisy samples of
+   the drifting truth alone (Fitting.update, as serve's resolve does
+   with a request's), and three policies maintain an allocation against
+   those laws:
 
-   - always: full batch refit + re-solve every round;
+   - always: re-solve every round;
    - never: solve once, keep the incumbent forever;
-   - certified: bring each law up to date with the round's fresh
-     samples alone (Fitting.update, as serve's resolve does with a
-     request's), price the incumbent against the exact optimum of the
+   - certified: price the incumbent against the exact optimum of the
      updated laws (Alloc_model.reoptimality), and adopt that optimum
      only when the incumbent is more than ε above it.
+
+   always and certified see the same laws, so the frontier measures the
+   ε-certificate alone, not a second estimator.
 
    Every policy is scored on the TRUE makespan of its current
    allocation under the hidden laws, averaged over rounds — the fitted
@@ -113,35 +116,28 @@ let run_rate ~seed ~rounds ~classes ~nodes ~eps drift_rate =
   let alloc_cert = ref alloc0
   and solves_cert = ref 1
   and skipped_cert = ref 0 in
-  let history = List.map (fun obs -> ref [ obs ]) initial_obs in
-  let laws_cert = ref (List.map (fun (f : Hslb.Fitting.fit) -> f.Hslb.Fitting.law) initial_fits) in
+  let laws = ref (List.map (fun (f : Hslb.Fitting.fit) -> f.Hslb.Fitting.law) initial_fits) in
   let score_always = ref 0. and score_never = ref 0. and score_cert = ref 0. in
   for _round = 1 to rounds do
     List.iter (drift_truth ~rate:drift_rate) truths;
     let fresh = List.map (fun tr -> observe_truth ~rng tr sizes) truths in
-    (* always: refit on the full history, solve from scratch *)
-    List.iter2 (fun h obs -> h := obs :: !h) history fresh;
-    let fits =
-      List.map
-        (fun h -> Hslb.Fitting.fit_observations (Array.concat (List.rev !h)))
-        history
-    in
-    alloc_always := solve_alloc ~nodes (List.map2 fitted_of truths fits);
-    incr solves_always;
-    (* certified: each law updated from this round's samples, then the
-       incumbent is kept while it is within eps of the exact optimum,
-       which is adopted otherwise *)
-    laws_cert := List.map2 Hslb.Fitting.update !laws_cert fresh;
-    let cert_fitted =
+    (* each law updated from this round's samples *)
+    laws := List.map2 Hslb.Fitting.update !laws fresh;
+    let fitted =
       List.map2
         (fun tr law ->
           fitted_of tr
             { Hslb.Fitting.law; r2 = Float.nan; rmse = Float.nan; observations = [||] })
-        truths !laws_cert
+        truths !laws
     in
+    (* always: solve from scratch *)
+    alloc_always := solve_alloc ~nodes fitted;
+    incr solves_always;
+    (* certified: the incumbent is kept while it is within eps of the
+       exact optimum, which is adopted otherwise *)
     (match
        Hslb.Alloc_model.reoptimality ~eps ~n_total:nodes ~incumbent:!alloc_cert
-         (specs_of ~nodes cert_fitted)
+         (specs_of ~nodes fitted)
      with
     | Some r when r.Hslb.Alloc_model.keep -> incr skipped_cert
     | Some r ->

@@ -2,11 +2,11 @@
     BENCH_resolve.json artifact it is serialized to.
 
     A seeded world of task classes follows hidden ground-truth scaling
-    laws that drift each round; three policies maintain an allocation
-    from noisy benchmarks of that truth — [always] (batch refit + solve
-    every round), [never] (solve once), and [certified] (each law
-    brought up to date with the round's samples by
-    {!Hslb.Fitting.update}; adopt the exact optimum of the updated laws
+    laws that drift each round. Each round every law is brought up to
+    date with that round's noisy benchmarks of the truth by
+    {!Hslb.Fitting.update}, and three policies maintain an allocation
+    from those laws — [always] (solve every round), [never] (solve
+    once), and [certified] (adopt the exact optimum of the updated laws
     only when {!Hslb.Alloc_model.reoptimality} finds the incumbent more
     than ε above it). Each policy is scored on the true makespan of its
     current allocation, averaged over rounds. *)

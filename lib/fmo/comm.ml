@@ -80,9 +80,9 @@ let of_matrix m =
 let to_matrix t = Array.map Array.copy t.volume_mb
 
 (* ---------- NDJSON ----------
-   Same shape and diagnostics as Arena.Scenario: a header line, one
-   data line per row, and parse errors as "FILE:LINE: message" so a
-   hand-edited trace points at the offending line. *)
+   A header line, one data line per row, and parse errors as
+   "FILE:LINE: message" so a hand-edited trace points at the offending
+   line. *)
 
 let json_num v = Json.to_string (Json.Num v)
 

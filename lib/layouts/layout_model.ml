@@ -4,7 +4,6 @@ type config = {
   n_total : int;
   ocn_allowed : int list option;
   atm_allowed : int list option;
-  tsync : float option;
   solver : Engine.Solver_choice.t;
 }
 
@@ -13,7 +12,6 @@ let default_config ~n_total =
     n_total;
     ocn_allowed = None;
     atm_allowed = None;
-    tsync = None;
     solver = Engine.Solver_choice.Oa;
   }
 
@@ -91,12 +89,6 @@ let build layout config inputs =
     le ~name:"atm<=N-ocn" (Minlp.Expr.linear [ (n_a, 1.); (n_o, 1.) ]) n
   | Fully_sequential ->
     le ~name:"T>=sum" Minlp.Expr.(ice_e + lnd_e + atm_e + ocn_e - var t) 0.);
-  (* synchronization tolerance |T_lnd - T_ice| <= Tsync (nonconvex) *)
-  (match config.tsync with
-  | None -> ()
-  | Some tol ->
-    le ~name:"tsync+" Minlp.Expr.(lnd_e - ice_e) tol;
-    le ~name:"tsync-" Minlp.Expr.(ice_e - lnd_e) tol);
   (* sweet spots *)
   (match config.ocn_allowed with
   | None -> ()
@@ -143,14 +135,9 @@ let decode layout inputs (vi, vl, va, vo) (sol : Minlp.Solution.t) cert =
 
 let solve ?budget ?trace layout config inputs =
   let problem, vars = build layout config inputs in
-  (* the nonconvex tsync constraint invalidates OA cuts; only the
-     NLP-based tree (local relaxations) is sound there, so tsync models
-     always run Bnb, whatever [config.solver] says *)
-  let solver =
-    match config.tsync with Some _ -> Engine.Solver_choice.Bnb | None -> config.solver
-  in
   let sol, cert =
-    Minlp.Solver.run ~rel_gap:Minlp.Solver.model_rel_gap ?budget ?tally:trace solver problem
+    Minlp.Solver.run ~rel_gap:Minlp.Solver.model_rel_gap ?budget ?tally:trace config.solver
+      problem
   in
   if Minlp.Solution.has_incumbent sol then Ok (decode layout inputs vars sol cert)
   else Error sol.Minlp.Solution.status

@@ -16,12 +16,11 @@
 
     Ocean and atmosphere node counts may be restricted to discrete
     "sweet spot" lists, modelled with binaries and an SOS1 set exactly
-    as in the text (lines 29–31 of Table I). The optional
-    synchronization-tolerance constraint
-    [|T_lnd − T_ice| <= Tsync] is nonconvex, so it is only honoured by
-    the NLP-based branch-and-bound (documented limitation; the text
-    itself warns the constraint "may actually result in reduced
-    performance"). *)
+    as in the text (lines 29–31 of Table I). The text's optional
+    bound on [|T_lnd − T_ice|] (line 9, a synchronization tolerance) is
+    not modelled: it is nonconvex, so no solver here proves an optimum
+    under it, and the text itself warns it "may actually result in
+    reduced performance". *)
 
 type layout = Hybrid | Sequential_group | Fully_sequential
 
@@ -29,7 +28,6 @@ type config = {
   n_total : int;
   ocn_allowed : int list option;  (** ocean sweet spots (Table I line 5) *)
   atm_allowed : int list option;  (** atmosphere sweet spots (line 6) *)
-  tsync : float option;  (** synchronization tolerance (line 9) *)
   solver : Engine.Solver_choice.t;
 }
 
@@ -66,9 +64,7 @@ val build : layout -> config -> inputs -> Minlp.Problem.t * (int * int * int * i
     {!Minlp.Solver.model_rel_gap}) and decode. [budget] stops the
     solve; [trace] accumulates the solver's counters.
     Infeasibility or an empty-handed budget stop is returned as
-    [Error], not raised.
-    Models with a [tsync] tolerance are nonconvex and always use the
-    NLP-based branch and bound, whatever [config.solver] says. *)
+    [Error], not raised. *)
 val solve :
   ?budget:Engine.Budget.armed ->
   ?trace:Engine.Telemetry.t ->

@@ -84,46 +84,6 @@ let make_trace spec =
           )
       end)
 
-(* ---------- arena scenario replay ---------- *)
-
-(* a task cost becomes a solve instance by bucketing the cost to the
-   nearest power of two: a scenario's hundreds of tasks then cycle a
-   bounded set of distinct fingerprints, so the server's optimum cache
-   sees the same reuse pattern real traffic would *)
-let scenario_instance_csv cost =
-  let b = int_of_float (Float.round (Float.log2 (Float.max 1e-3 cost))) in
-  let scale = Float.pow 2. (float_of_int b) in
-  Printf.sprintf "frag-p%+03d,2,%g,0.001,1.2,0.2" b (50. *. scale)
-
-let trace_of_scenario (sc : Arena.Scenario.t) =
-  let nodes = sc.Arena.Scenario.groups * sc.Arena.Scenario.nodes_per_group in
-  let policy = Arena.Scenario.class_to_string sc.Arena.Scenario.cls in
-  List.concat_map
-    (fun (p : Arena.Scenario.phase) ->
-      let gap =
-        if p.Arena.Scenario.gap_s > 0. then
-          [
-            Json.Obj
-              [
-                ("op", Json.Str "sleep");
-                ("ms", Json.Num (p.Arena.Scenario.gap_s *. 1000.));
-              ];
-          ]
-        else []
-      in
-      gap
-      @ List.map
-          (fun cost ->
-            Json.Obj
-              [
-                ("op", Json.Str "solve");
-                ("model_csv", Json.Str (scenario_instance_csv cost));
-                ("nodes", Json.Num (float_of_int nodes));
-                ("policy", Json.Str policy);
-              ])
-          (Array.to_list p.Arena.Scenario.costs))
-    (Array.to_list sc.Arena.Scenario.phases)
-
 (* ---------- replay ---------- *)
 
 type endpoint =

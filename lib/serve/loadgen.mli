@@ -44,14 +44,6 @@ val default_spec : unit -> trace_spec
     non-positive counts. *)
 val make_trace : trace_spec -> Json.t list
 
-(** [trace_of_scenario sc] — turn an arena workload scenario into a
-    replayable request trace (the [hslb loadgen --scenario] path):
-    each phase gap becomes a [sleep] op, each task a [solve] whose
-    model is bucketed by task cost (nearest power of two, so the cache
-    sees bounded reuse) and which carries the scenario
-    class as its [policy] hint. *)
-val trace_of_scenario : Arena.Scenario.t -> Json.t list
-
 type endpoint =
   | Net of Transport_socket.addr
   | Inproc of (reply:(string -> unit) -> string -> unit)

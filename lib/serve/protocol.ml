@@ -24,7 +24,6 @@ type solve_params = {
   solver : Engine.Solver_choice.t option;
   deadline_ms : float option;
   allowed : int list option;
-  policy : Arena.Scenario.cls option;
   place : place_params option;
 }
 
@@ -246,9 +245,8 @@ let parse_solve_params ~v:version v =
         if List.length ints = List.length vs then Ok (Some ints)
         else Error "field \"allowed\": expected an array of integers"))
   in
-  let* policy = opt_str_field v "policy" Arena.Scenario.class_of_string in
   let* place = parse_place ~v:version v in
-  Ok { model; n_total; objective; solver; deadline_ms; allowed; policy; place }
+  Ok { model; n_total; objective; solver; deadline_ms; allowed; place }
 
 let parse_solve ~v obj =
   let* p = parse_solve_params ~v obj in

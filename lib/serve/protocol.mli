@@ -57,11 +57,6 @@ type solve_params = {
       (** ["deadline_ms"] — end-to-end (queue wait included), mapped to
           an {!Engine.Budget} wall-clock deadline for the solve *)
   allowed : int list option;  (** ["allowed"] — sweet-spot restriction *)
-  policy : Arena.Scenario.cls option;
-      (** ["policy"] — the workload class the client believes this
-          traffic belongs to; the server answers with the scheduler the
-          arena's regret matrix crowned for that class (see
-          docs/ARENA.md). Advisory: it never changes the solve. *)
   place : place_params option;
       (** ["place"] (v2+) — ask for a topology-aware placement of the
           classes alongside the allocation *)

@@ -11,7 +11,6 @@ type config = {
   queue_limit : int;
   cache_capacity : int;
   drain_grace_s : float;
-  policy : Arena.Policy.t;
 }
 
 let default_config () =
@@ -20,7 +19,6 @@ let default_config () =
     queue_limit = 64;
     cache_capacity = 128;
     drain_grace_s = 2.0;
-    policy = Arena.Policy.builtin;
   }
 
 (* one admitted request: what [finish] needs to answer it *)
@@ -29,12 +27,10 @@ type requester = {
   v : int;  (* answered in this protocol version *)
   arrival : float;
   reply : string -> unit;
-  hint : Arena.Scenario.cls option;  (* its own policy hint *)
 }
 
 (* a solve admitted to the queue, with its cache key
-   ([Protocol.solve_key]: the instance and the solver that answers it;
-   the policy hint stays out, so it cannot fragment the cache) *)
+   ([Protocol.solve_key]: the instance and the solver that answers it) *)
 type solve_job = {
   params : Protocol.solve_params;
   specs : Hslb.Alloc_model.spec list;
@@ -81,7 +77,6 @@ type t = {
   mutable n_drain_rejected : int;
   mutable n_expired : int;
   mutable n_protocol_errors : int;
-  mutable n_policy_hints : int;
   mutable n_resolved : int;
   mutable n_resolve_skipped : int;
   mutable n_placed : int;
@@ -180,21 +175,6 @@ let audit_verdict (p : Protocol.solve_params) specs
         (if Audit.optimality_checked cert then "verified" else "exact-method")
         cert.Engine.Certificate.producer)
 
-(* the policy annotation on an ok response: the scenario class the
-   client declared, and the scheduler the arena's regret matrix crowned
-   for it. Absent when the request carried no hint. *)
-let policy_fields t = function
-  | None -> []
-  | Some cls ->
-    [
-      ( "policy",
-        Json.Obj
-          [
-            ("scenario", Json.Str (Arena.Scenario.class_to_string cls));
-            ("scheduler", Json.Str (Arena.Policy.recommend t.cfg.policy cls));
-          ] );
-    ]
-
 (* ---------- workers ---------- *)
 
 (* the one memoized solve step behind both workers: arm the request's
@@ -266,9 +246,8 @@ let place_section t (p : Protocol.solve_params) specs (alloc : Hslb.Alloc_model.
     in
     [ ("place", section) ]
 
-(* One solve outcome, answered to its requester in its own version and
-   with its own policy hint; every allocation carries its audit
-   verdict *)
+(* One solve outcome, answered to its requester in its own version;
+   every allocation carries its audit verdict *)
 let answer_solve t ~op ~start ~extra (p : Protocol.solve_params) specs (outcome, solve_wall)
     rq =
   let cache_hit = match outcome with `Solved (_, hit) -> hit | `Crashed _ -> false in
@@ -287,7 +266,6 @@ let answer_solve t ~op ~start ~extra (p : Protocol.solve_params) specs (outcome,
          ("audit", Json.Str (audit_verdict p specs alloc));
        ]
       @ extra alloc
-      @ policy_fields t rq.hint
       @ [ telemetry_member tele ])
       tele
   | `Solved (Error st, _) ->
@@ -432,7 +410,6 @@ let process_resolve t ~start rq (rj : resolve_job) =
              ("predicted_times", Json.Arr predicted_times);
            ]
           @ certificate_fields ~eps check
-          @ policy_fields t rq.hint
           @ [ telemetry_member tele ])
           tele
       | Some _ | None ->
@@ -529,7 +506,6 @@ let create ?telemetry cfg ~emit =
       n_drain_rejected = 0;
       n_expired = 0;
       n_protocol_errors = 0;
-      n_policy_hints = 0;
       n_resolved = 0;
       n_resolve_skipped = 0;
       n_placed = 0;
@@ -566,7 +542,6 @@ let stats_obj t =
              ("drain_rejected", Json.Num (float_of_int t.n_drain_rejected));
              ("expired", Json.Num (float_of_int t.n_expired));
              ("protocol_errors", Json.Num (float_of_int t.n_protocol_errors));
-             ("policy_hints", Json.Num (float_of_int t.n_policy_hints));
              ("resolved", Json.Num (float_of_int t.n_resolved));
              ("resolve_skipped", Json.Num (float_of_int t.n_resolve_skipped));
              ("placed", Json.Num (float_of_int t.n_placed));
@@ -655,7 +630,6 @@ let admit t rq work =
         end
         else begin
           t.n_accepted <- t.n_accepted + 1;
-          if rq.hint <> None then t.n_policy_hints <- t.n_policy_hints + 1;
           Queue.push { rq; work } t.queue;
           Condition.signal t.nonempty;
           `Admitted
@@ -694,7 +668,7 @@ let submit ?reply t line =
     | Protocol.Drain ->
       initiate_drain t;
       inline [ ("draining", Json.Bool true) ]
-    | Protocol.Sleep dur -> Ok (Some (W_sleep dur, None))
+    | Protocol.Sleep dur -> Ok (Some (W_sleep dur))
     | Protocol.Solve p ->
       let* specs = Protocol.resolve_specs p in
       (* the key wraps the allocation fingerprint with the placement
@@ -702,14 +676,14 @@ let submit ?reply t line =
          place section (wrong arity, asymmetric traffic, memory
          infeasibility) is rejected here, before any solver work *)
       let* key = Protocol.solve_key p specs in
-      Ok (Some (W_solve { params = p; specs; key }, p.Protocol.policy))
+      Ok (Some (W_solve { params = p; specs; key }))
     | Protocol.Resolve rp ->
       let* specs = Protocol.resolve_specs rp.Protocol.base in
-      Ok (Some (W_resolve { rparams = rp; rspecs = specs }, rp.Protocol.base.Protocol.policy))
+      Ok (Some (W_resolve { rparams = rp; rspecs = specs }))
   in
   match work with
   | Ok None -> ()
-  | Ok (Some (work, hint)) -> admit t { id; v; arrival = now (); reply; hint } work
+  | Ok (Some work) -> admit t { id; v; arrival = now (); reply } work
   | Error msg ->
     locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);
     reply_line t reply (Protocol.error_response ~v ~id ~outcome:"error" msg)

@@ -56,16 +56,10 @@ type config = {
   drain_grace_s : float;
       (** how long after drain starts in-flight/queued solves may keep
           running before the drain token budget-cancels them *)
-  policy : Arena.Policy.t;
-      (** scenario-class → scheduler table consulted when a solve
-          carries a ["policy"] hint: the ok response then includes a
-          [policy] object naming the declared scenario class and the
-          recommended scheduler. Advisory only — it never changes the
-          solve or the cache key. *)
 }
 
 (** jobs from {!Runtime.Config.jobs}, queue limit 64, cache capacity
-    128, grace 2 s, policy {!Arena.Policy.builtin}. *)
+    128, grace 2 s. *)
 val default_config : unit -> config
 
 type t

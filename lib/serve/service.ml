@@ -24,6 +24,8 @@ let core_of_server s =
     metrics = (fun () -> Server.metrics s);
   }
 
+exception Report_unwritable of string * string
+
 let stdout_line line =
   print_string line;
   print_newline ();
@@ -103,12 +105,21 @@ let run ?report_path ?metrics_out ?(metrics_interval_s = 1.0) ?(events = stdout_
   (* final flush covers everything served, including the tail between
      the last periodic write and the drain *)
   Option.iter flush_metrics metrics_out;
-  (match report_path with
-  | Some path -> Engine.Run_report.write_json path report
-  | None -> ());
+  (* a report that cannot be written still lets the drained event out:
+     every request was answered, and clients wait for that line *)
+  let unwritable =
+    match report_path with
+    | Some path -> (
+      match Engine.Run_report.write_json path report with
+      | () -> None
+      | exception Sys_error msg -> Some (path, msg))
+    | None -> None
+  in
   events
     (Printf.sprintf "{\"event\":\"drained\",\"stats\":%s,\"report\":%s}"
        (core.stats_json ())
        (Engine.Run_report.to_json report));
   Sys.set_signal Sys.sigterm previous;
-  report
+  match unwritable with
+  | Some (path, msg) -> raise (Report_unwritable (path, msg))
+  | None -> report

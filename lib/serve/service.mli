@@ -22,6 +22,11 @@ type core = {
 
 val core_of_server : Server.t -> core
 
+(** [Report_unwritable (path, msg)] — {!run} served every request and
+    emitted the drained event, but could not write its report to
+    [path]; [msg] is the [Sys_error] message. *)
+exception Report_unwritable of string * string
+
 (** One line to stdout, newline-terminated and flushed — the default
     event sink of {!run} and {!Router.create}. *)
 val stdout_line : string -> unit
@@ -43,7 +48,9 @@ val stdout_line : string -> unit
     [events] (default {!stdout_line}).
 
     @raise Invalid_argument if [metrics_interval_s <= 0].
-    @raise Unix.Unix_error when [addr] cannot be bound. *)
+    @raise Unix.Unix_error when [addr] cannot be bound.
+    @raise Report_unwritable when [report_path] cannot be written,
+    after the drained event. *)
 val run :
   ?report_path:string ->
   ?metrics_out:string ->

@@ -43,7 +43,6 @@ let test_ring_deterministic () =
         deadline_ms = None;
         solver = None;
         allowed = None;
-        policy = None;
         place = None;
       }
   in
@@ -162,7 +161,6 @@ let backend_core () =
          queue_limit = 16;
          cache_capacity = 8;
          drain_grace_s = 5.0;
-         policy = Arena.Policy.builtin;
        }
        ~emit:(fun _ -> ()))
 
@@ -415,26 +413,6 @@ let test_router_shards_and_caches () =
           (List.sort compare (List.map fst fields))
       | _ -> Alcotest.failf "stats missing backends: %s" (Serve.Json.to_string stats))
 
-let test_router_policy_passthrough () =
-  with_two_backend_router (fun router _ ->
-      let s = make_sink () in
-      (* a hinted solve crosses the router unchanged and the backend's
-         wire-exact policy annotation survives the trip back *)
-      Serve.Router.submit router ~reply:(sink_reply s)
-        (Printf.sprintf {|{"id":31,"model_csv":%s,"nodes":32,"policy":"failure"}|}
-           (Serve.Json.to_string (Serve.Json.Str model_csv)));
-      wait_until "hinted solve answer" (fun () -> sink_values s <> []);
-      let v = find_by_id (sink_values s) 31 in
-      Alcotest.(check string) "hinted solve ok" "ok" (outcome_of v);
-      Alcotest.(check bool) "policy annotation passes the router" true
-        (Serve.Json.member "policy" v
-        = Some
-            (Serve.Json.Obj
-               [
-                 ("scenario", Serve.Json.Str "failure");
-                 ("scheduler", Serve.Json.Str "stealing");
-               ])))
-
 let test_router_resolve_passthrough () =
   with_two_backend_router (fun router _ ->
       let s = make_sink () in
@@ -642,7 +620,6 @@ let server_replies () =
         queue_limit = 1;
         cache_capacity = 8;
         drain_grace_s = 5.0;
-        policy = Arena.Policy.builtin;
       }
       ~emit:(fun _ -> ())
   in
@@ -664,7 +641,7 @@ let server_replies () =
   List.iter submit
     [
       solve_line ~id:5 ();
-      Printf.sprintf {|{"id":6,"v":2,"model_csv":%s,"nodes":16,"policy":"failure"}|} csv;
+      Printf.sprintf {|{"id":6,"v":2,"model_csv":%s,"nodes":16}|} csv;
       solve_line ~id:7 ~nodes:0 ();
     ];
   await 7;
@@ -911,6 +888,40 @@ let test_service_drain_keeps_owed_replies () =
   ignore (Domain.join run : Engine.Run_report.t);
   Serve.Transport_socket.Client.close client
 
+(* a report path under a missing directory: the request is answered
+   and the drained event still goes out, then run raises *)
+let test_service_report_unwritable () =
+  let sock = fresh_sock () in
+  (* a fresh path nobody created stands for the missing directory *)
+  let report_path = Filename.concat (fresh_sock ()) "report.json" in
+  let events = make_sink () in
+  let run =
+    Domain.spawn (fun () ->
+        match
+          Serve.Service.run ~report_path ~events:(sink_reply events)
+            ~listen:(Some (Serve.Transport_socket.Unix_path sock))
+            (backend_core ())
+        with
+        | _ -> None
+        | exception Serve.Service.Report_unwritable (path, _) -> Some path)
+  in
+  wait_until "listening event" (fun () -> sink_lines events <> []);
+  let client = Serve.Transport_socket.Client.connect (Serve.Transport_socket.Unix_path sock) in
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) ("send " ^ l) true (Serve.Transport_socket.Client.send client l))
+    [ {|{"id":1,"op":"sleep","ms":1}|}; {|{"id":2,"op":"drain"}|} ];
+  let vs = recv_lines client 2 in
+  Alcotest.(check string) "request answered" "ok" (outcome_of (find_by_id vs 1));
+  Alcotest.(check (option string)) "raised for the report path" (Some report_path)
+    (Domain.join run);
+  Serve.Transport_socket.Client.close client;
+  match List.rev (sink_values events) with
+  | drained :: _ ->
+    Alcotest.(check (option string)) "drained event last" (Some "drained")
+      (Option.bind (Serve.Json.member "event" drained) Serve.Json.str)
+  | [] -> Alcotest.fail "no events"
+
 let () =
   Alcotest.run "fleet"
     [
@@ -932,7 +943,6 @@ let () =
         [
           Alcotest.test_case "shards + caches + fan-out" `Quick
             test_router_shards_and_caches;
-          Alcotest.test_case "policy passthrough" `Quick test_router_policy_passthrough;
           Alcotest.test_case "resolve passthrough" `Quick test_router_resolve_passthrough;
           Alcotest.test_case "drain rejects" `Quick test_router_drain_rejects;
           Alcotest.test_case "attached death shrinks ring" `Quick
@@ -947,5 +957,7 @@ let () =
           Alcotest.test_case "run over a socket" `Quick test_service_run_listen;
           Alcotest.test_case "drain keeps owed replies" `Quick
             test_service_drain_keeps_owed_replies;
+          Alcotest.test_case "unwritable report still drains" `Quick
+            test_service_report_unwritable;
         ] );
     ]

@@ -104,19 +104,6 @@ let test_predict_scaling_monotone () =
     Alcotest.(check bool) "more nodes faster" true (t256 < t64 && t1024 < t256)
   | _ -> Alcotest.fail "expected three points"
 
-let test_tsync_uses_bnb_and_tightens () =
-  let inputs = fitted_inputs Cesm_data.Deg1 in
-  let base = Layout_model.default_config ~n_total:128 in
-  let with_sync = { base with Layout_model.tsync = Some 5. } in
-  let a = solve_ok Layout_model.Hybrid with_sync inputs in
-  let t name = List.assoc name a.Layout_model.times in
-  (* the constraint |T_lnd - T_ice| <= tsync holds at the solution *)
-  Alcotest.(check bool) "tsync satisfied" true (Float.abs (t "lnd" -. t "ice") <= 5. +. 0.5);
-  (* and the optimum cannot be better than without it *)
-  let b = solve_ok Layout_model.Hybrid base inputs in
-  Alcotest.(check bool) "no better than unconstrained" true
-    (a.Layout_model.total >= b.Layout_model.total -. 1e-6)
-
 (* every solver's certificate names it and passes the independent
    checker against the layout's own problem *)
 let test_every_solver_certified () =
@@ -215,7 +202,6 @@ let () =
           Alcotest.test_case "unconstrained ocean" `Quick test_unconstrained_ocean_helps;
           Alcotest.test_case "beats manual" `Quick test_solution_beats_manual_baseline;
           Alcotest.test_case "scaling prediction" `Quick test_predict_scaling_monotone;
-          Alcotest.test_case "tsync" `Slow test_tsync_uses_bnb_and_tightens;
           Alcotest.test_case "every solver certified" `Quick test_every_solver_certified;
         ] );
       ( "cesm_data",

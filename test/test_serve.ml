@@ -349,7 +349,6 @@ let make_harness ?(jobs = 1) ?(queue_limit = 4) ?(drain_grace_s = 5.0) ?telemetr
       queue_limit;
       cache_capacity = 8;
       drain_grace_s;
-      policy = Arena.Policy.builtin;
     }
   in
   let emit l = Mutex.protect mutex (fun () -> lines := l :: !lines) in
@@ -537,79 +536,6 @@ let test_serve_cache_hit () =
   Alcotest.(check (option bool)) "exact: third sight a hit" (Some true) (cache_hit (v 5));
   Alcotest.(check bool) "exact twins agree" true
     (Serve.Json.member "nodes_per_task" (v 3) = Serve.Json.member "nodes_per_task" (v 5))
-
-let test_protocol_policy () =
-  let open Serve.Protocol in
-  (match parse_line (solve_line ~id:4 ~extra:{|,"policy":"drifting"|} ()) with
-  | { req = Ok (Solve p); _ } ->
-    Alcotest.(check bool) "policy parsed" true (p.policy = Some Arena.Scenario.Drifting)
-  | { req = Error e; _ } -> Alcotest.failf "policy hint rejected: %s" e
-  | _ -> Alcotest.fail "unexpected parse");
-  (match parse_line (solve_line ~extra:{|,"policy":null|} ()) with
-  | { req = Ok (Solve p); _ } -> Alcotest.(check bool) "null policy" true (p.policy = None)
-  | _ -> Alcotest.fail "null policy rejected");
-  (* the diagnostic is wire-exact: it names the field and every valid class *)
-  match parse_line (solve_line ~extra:{|,"policy":"warp"|} ()) with
-  | { req = Error msg; _ } ->
-    Alcotest.(check string) "exact diagnostic"
-      "field \"policy\": unknown scenario class \"warp\" (expected steady | bursty | \
-       multi-tenant | heavy-tailed | drifting | failure)"
-      msg
-  | { req = Ok _; _ } -> Alcotest.fail "bogus policy accepted"
-
-let policy_of v = Serve.Json.member "policy" v
-
-let test_serve_policy_hint () =
-  let h = make_harness ~jobs:1 ~queue_limit:8 () in
-  Serve.Server.submit h.server (solve_line ~id:1 ~extra:{|,"policy":"drifting"|} ());
-  Serve.Server.submit h.server (solve_line ~id:2 ());
-  Serve.Server.submit h.server {|{"id":3,"op":"stats"}|};
-  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
-  let v1 = Option.get (find_by_id h 1) in
-  Alcotest.(check string) "hinted solve ok" "ok" (outcome_of v1);
-  (* wire-exact: the annotation names the declared class and the
-     arena's winning scheduler for it, nothing else *)
-  Alcotest.(check bool) "policy object exact" true
-    (policy_of v1
-    = Some
-        (Serve.Json.Obj
-           [
-             ("scenario", Serve.Json.Str "drifting");
-             ("scheduler", Serve.Json.Str "hybrid");
-           ]));
-  (* no hint, no annotation *)
-  let v2 = Option.get (find_by_id h 2) in
-  Alcotest.(check string) "unhinted solve ok" "ok" (outcome_of v2);
-  Alcotest.(check bool) "no policy member" true (policy_of v2 = None);
-  (* the stats counter saw exactly one hint *)
-  let v3 = Option.get (find_by_id h 3) in
-  let hints =
-    Option.bind (Serve.Json.member "stats" v3) (fun s ->
-        Option.bind (Serve.Json.member "policy_hints" s) Serve.Json.int_)
-  in
-  Alcotest.(check (option int)) "policy_hints counter" (Some 1) hints
-
-let test_serve_policy_per_request () =
-  (* the policy hint stays out of the cache key: identical solves with
-     different hints (or none) each get the recommendation for their
-     own declared class *)
-  let h = make_harness ~jobs:1 ~queue_limit:8 () in
-  Serve.Server.submit h.server {|{"id":1,"op":"sleep","ms":150}|};
-  Serve.Server.submit h.server (solve_line ~id:2 ~nodes:24 ~extra:{|,"policy":"drifting"|} ());
-  Serve.Server.submit h.server (solve_line ~id:3 ~nodes:24 ~extra:{|,"policy":"failure"|} ());
-  Serve.Server.submit h.server (solve_line ~id:4 ~nodes:24 ());
-  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
-  let v2 = Option.get (find_by_id h 2)
-  and v3 = Option.get (find_by_id h 3)
-  and v4 = Option.get (find_by_id h 4) in
-  List.iter (fun v -> Alcotest.(check string) "ok" "ok" (outcome_of v)) [ v2; v3; v4 ];
-  let scheduler v =
-    Option.bind (policy_of v) (fun p ->
-        Option.bind (Serve.Json.member "scheduler" p) Serve.Json.str)
-  in
-  Alcotest.(check (option string)) "first's own class" (Some "hybrid") (scheduler v2);
-  Alcotest.(check (option string)) "second's own class" (Some "stealing") (scheduler v3);
-  Alcotest.(check bool) "unhinted twin unannotated" true (policy_of v4 = None)
 
 let test_serve_drain_rejects_and_joins () =
   let h = make_harness ~jobs:2 ~queue_limit:8 () in
@@ -1189,6 +1115,49 @@ let test_serve_strategy_ignored () =
   Alcotest.(check bool) "v2 reply echoes v" true
     (Option.bind (find_by_id h 2) (Serve.Json.member "v") = Some (Serve.Json.Num 2.))
 
+(* "policy" is outside the request table like "strategy": a solve that
+   carries it, with a class name or any other string, gets the reply of
+   the same solve without it *)
+let test_serve_policy_ignored () =
+  let h = make_harness ~jobs:1 () in
+  Serve.Server.submit h.server (solve_line ~id:1 ());
+  Serve.Server.submit h.server (solve_line ~id:2 ~extra:{|,"policy":"drifting"|} ());
+  Serve.Server.submit h.server (solve_line ~id:3 ~extra:{|,"policy":"warp"|} ());
+  Serve.Server.submit h.server {|{"id":4,"op":"stats"}|};
+  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
+  let v id =
+    match find_by_id h id with
+    | Some v -> v
+    | None -> Alcotest.failf "request %d never answered" id
+  in
+  List.iter
+    (fun id ->
+      Alcotest.(check string) (Printf.sprintf "id %d ok" id) "ok" (outcome_of (v id));
+      Alcotest.(check bool)
+        (Printf.sprintf "id %d has no policy member" id)
+        true
+        (Serve.Json.member "policy" (v id) = None);
+      List.iter
+        (fun key ->
+          Alcotest.(check bool)
+            (Printf.sprintf "id %d %s as without the member" id key)
+            true
+            (Serve.Json.member key (v id) = Serve.Json.member key (v 1)))
+        [ "nodes_per_task"; "makespan" ])
+    [ 2; 3 ];
+  (* the stats members, with no counter of hints among them *)
+  match Serve.Json.member "stats" (v 4) with
+  | Some (Serve.Json.Obj fields) ->
+    Alcotest.(check (list string))
+      "stats members"
+      [
+        "uptime_s"; "jobs"; "queue_depth"; "queue_limit"; "draining"; "accepted"; "served";
+        "overloaded"; "drain_rejected"; "expired"; "protocol_errors"; "resolved";
+        "resolve_skipped"; "placed"; "protocol"; "latency"; "cache";
+      ]
+      (List.map fst fields)
+  | _ -> Alcotest.fail "stats reply without a stats object"
+
 (* instances with no admissible allocation answer infeasible on the
    wire, never "optimal" or an internal error: A's smallest sizes need 8
    of 5 nodes; B's only sweet spot, 64, lies past the 50-node budget *)
@@ -1460,40 +1429,6 @@ let test_serve_huge_budget () =
       if mb > 16. then Alcotest.failf "billion-node %s solve allocated %.1f MB" name mb)
     cases
 
-(* the solves of an arena scenario replay (what `hslb loadgen
-   --scenario` sends for ci.sh's quick steady zoo) are each answered
-   ok, and each reply carries a verified audit *)
-let test_serve_scenario_replay_audited () =
-  let sc =
-    Arena.Scenario.generate ~phases:4 ~tasks_per_phase:24 Arena.Scenario.Steady ~seed:42
-  in
-  let solves =
-    List.filter
-      (fun r -> Serve.Json.member "op" r = Some (Serve.Json.Str "solve"))
-      (Serve.Loadgen.trace_of_scenario sc)
-  in
-  let h = make_harness ~jobs:1 ~queue_limit:(List.length solves) () in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Serve.Json.Obj fs ->
-        Serve.Server.submit h.server
-          (Serve.Json.to_string (Serve.Json.Obj (("id", Serve.Json.Num (float_of_int i)) :: fs)))
-      | _ -> Alcotest.fail "trace element is not an object")
-    solves;
-  ignore (Serve.Server.await_drain h.server : Engine.Run_report.t);
-  Alcotest.(check int) "every solve answered" (List.length solves) (List.length (responses h));
-  List.iter
-    (fun v ->
-      Alcotest.(check string) "ok" "ok" (outcome_of v);
-      match audit_of v with
-      | Some a when String.starts_with ~prefix:"verified (" a -> ()
-      | a ->
-        Alcotest.failf "audit %s in %s"
-          (Option.value a ~default:"missing")
-          (Serve.Json.to_string v))
-    (responses h)
-
 (* loadgen's result tallies every reply's audit verdict and every line
    that does not parse: a replay against scripted replies *)
 let test_loadgen_tallies_audits () =
@@ -1592,7 +1527,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_protocol_errors;
           Alcotest.test_case "version negotiation" `Quick test_protocol_version;
           Alcotest.test_case "resolve op" `Quick test_protocol_resolve;
-          Alcotest.test_case "policy hint" `Quick test_protocol_policy;
           Alcotest.test_case "place section" `Quick test_protocol_place;
           Alcotest.test_case "place fingerprint" `Quick test_protocol_place_fingerprint;
         ]
@@ -1607,8 +1541,6 @@ let () =
           Alcotest.test_case "own deadlines" `Quick test_serve_own_deadlines;
           Alcotest.test_case "bounded admission" `Quick test_serve_bounded_admission;
           Alcotest.test_case "cache hit" `Quick test_serve_cache_hit;
-          Alcotest.test_case "policy hint answered" `Quick test_serve_policy_hint;
-          Alcotest.test_case "policy per request" `Quick test_serve_policy_per_request;
           Alcotest.test_case "drain rejects + joins" `Quick test_serve_drain_rejects_and_joins;
           Alcotest.test_case "drain grace cancels" `Quick test_serve_drain_grace_cancels;
           Alcotest.test_case "protocol error + ping" `Quick test_serve_protocol_error_and_ping;
@@ -1621,6 +1553,7 @@ let () =
           Alcotest.test_case "place annotation" `Quick test_serve_place_annotation;
           Alcotest.test_case "answers keyed by solver" `Quick test_serve_solver_keyed;
           Alcotest.test_case "strategy member ignored" `Quick test_serve_strategy_ignored;
+          Alcotest.test_case "policy member ignored" `Quick test_serve_policy_ignored;
           Alcotest.test_case "no admissible allocation is infeasible" `Quick
             test_serve_no_admissible_allocation;
           Alcotest.test_case "non-finite inputs" `Quick test_serve_non_finite_inputs;
@@ -1631,7 +1564,6 @@ let () =
           Alcotest.test_case "resolve observe names model classes once" `Quick
             test_serve_resolve_observe_classes;
           Alcotest.test_case "billion-node budget" `Quick test_serve_huge_budget;
-          Alcotest.test_case "scenario replay audited" `Quick test_serve_scenario_replay_audited;
           Alcotest.test_case "input caps" `Quick test_serve_input_caps;
           Alcotest.test_case "loadgen tallies audits" `Quick test_loadgen_tallies_audits;
         ] );
