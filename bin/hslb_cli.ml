@@ -43,6 +43,14 @@ let sys_reason path msg =
 let file_error cmd flag verb path msg =
   Format.eprintf "hslb %s: %s: cannot %s %s: %s@." cmd flag verb path (sys_reason path msg)
 
+(* [write ()] writes the file [path] named by [flag]; when it cannot,
+   [file_error] and exit 1 *)
+let write_or_exit cmd flag path write =
+  try write ()
+  with Sys_error msg ->
+    file_error cmd flag "write" path msg;
+    exit 1
+
 (* ---------- fit ---------- *)
 
 (* "nodes,seconds" lines; line numbers are 1-based over the raw text,
@@ -104,11 +112,12 @@ let fit_cmd =
       match String.split_on_char ':' spec with
       | [ path; name; count ] ->
         let law = fit.Hslb.Fitting.law in
-        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-        Printf.fprintf oc "%s,%s,%.17g,%.17g,%.17g,%.17g\n"
-          (Hslb.Model_store.csv_name name)
-          count law.Scaling_law.a law.Scaling_law.b law.Scaling_law.c law.Scaling_law.d;
-        close_out oc;
+        write_or_exit "fit" "--save-class" path (fun () ->
+            let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+            Printf.fprintf oc "%s,%s,%.17g,%.17g,%.17g,%.17g\n"
+              (Hslb.Model_store.csv_name name)
+              count law.Scaling_law.a law.Scaling_law.b law.Scaling_law.c law.Scaling_law.d;
+            close_out oc);
         Format.printf "appended class %s (count %s) to %s@." name count path
       | _ -> usage_error "fit" "--save-class expects FILE:NAME:COUNT")
   in
@@ -234,13 +243,14 @@ let solve_cmd =
         | Ok alloc -> alloc.Hslb.Alloc_model.certificate
         | Error _ -> None
       in
-      Engine.Run_report.write_json path
-        (Engine.Run_report.make
-           ~solver:(Engine.Solver_choice.to_string solver)
-           ~status:(Minlp.Solution.status_to_string status)
-           ?objective:objective_value ~cache_hit ?certificate
-           ?audit:(Option.map Cli_common.audit_outcome_string audit_verdict)
-           ~wall_s tally);
+      write_or_exit "solve" "--report" path (fun () ->
+          Engine.Run_report.write_json path
+            (Engine.Run_report.make
+               ~solver:(Engine.Solver_choice.to_string solver)
+               ~status:(Minlp.Solution.status_to_string status)
+               ?objective:objective_value ~cache_hit ?certificate
+               ?audit:(Option.map Cli_common.audit_outcome_string audit_verdict)
+               ~wall_s tally));
       Format.printf "run report written to %s@." path);
     let finish () =
       match audit_verdict with
@@ -471,13 +481,14 @@ let minlp_cmd =
     (match report with
     | None -> ()
     | Some path ->
-      Engine.Run_report.write_json path
-        (Engine.Run_report.make
-           ~solver:(Engine.Solver_choice.to_string solver)
-           ~status:(Minlp.Solution.status_to_string sol.Minlp.Solution.status)
-           ~objective:sol.Minlp.Solution.obj ~bound:sol.Minlp.Solution.bound ~certificate
-           ?audit:(Option.map Cli_common.audit_outcome_string audit_verdict)
-           ~wall_s tally);
+      write_or_exit "minlp" "--report" path (fun () ->
+          Engine.Run_report.write_json path
+            (Engine.Run_report.make
+               ~solver:(Engine.Solver_choice.to_string solver)
+               ~status:(Minlp.Solution.status_to_string sol.Minlp.Solution.status)
+               ~objective:sol.Minlp.Solution.obj ~bound:sol.Minlp.Solution.bound ~certificate
+               ?audit:(Option.map Cli_common.audit_outcome_string audit_verdict)
+               ~wall_s tally));
       Format.printf "run report written to %s@." path);
     Format.printf "status: %s@." (Minlp.Solution.status_to_string sol.Minlp.Solution.status);
     if Minlp.Solution.has_incumbent sol then begin
@@ -602,6 +613,10 @@ let serve_cmd =
       (* every request was answered and the drained event is out *)
       file_error "serve" "--report" "write" path msg;
       exit 1
+    | exception Serve.Service.Metrics_unwritable (path, msg) ->
+      (* refused before serving *)
+      file_error "serve" "--metrics-out" "write" path msg;
+      exit 2
     | exception Unix.Unix_error (e, _, arg) ->
       listen_failed "serve" listen e arg;
       exit 1
@@ -774,6 +789,11 @@ let route_cmd =
     | exception Serve.Service.Report_unwritable (path, msg) ->
       file_error "route" "--report" "write" path msg;
       exit 1
+    | exception Serve.Service.Metrics_unwritable (path, msg) ->
+      file_error "route" "--metrics-out" "write" path msg;
+      Serve.Router.initiate_drain router;
+      ignore (Serve.Router.await_drain router : Engine.Run_report.t);
+      exit 2
     | exception Unix.Unix_error (e, _, arg) ->
       listen_failed "route" (Some listen) e arg;
       Serve.Router.initiate_drain router;

@@ -35,7 +35,9 @@
 # smoke also pins the wire without in-flight dedupe: no reply or event
 # line names it, and `serve --no-audit` and `serve --solver` are usage
 # errors. A `--report` path under a missing directory must still let
-# the drained event out, then exit 1 with its message.
+# the drained event out, then exit 1 with its message; a `--metrics-out`
+# path there makes serve exit 2 with its message before it serves, and
+# `hslb solve --report` there exits 1 with its message.
 #
 # `hslb fit` on observations of exactly 200/n + 0.5 must print that law
 # with R2 = 1.000000, the same bytes on two runs, and two times of
@@ -354,6 +356,46 @@ grep -qF "hslb serve: --report: cannot write $SMOKE_DIR/no-such-dir/report.json:
   "$SMOKE_DIR/report_fail.err" || {
   echo "serve smoke: unwritable --report printed no diagnostic:" >&2
   cat "$SMOKE_DIR/report_fail.err" >&2
+  exit 1
+}
+
+echo "== serve smoke: an unwritable --metrics-out is refused before serving =="
+# the exposition goes under a directory that does not exist: serve
+# writes one before it serves, so it exits 2 with the path it could not
+# write and answers nothing
+status=0
+printf '%s\n' '{"id":1,"op":"ping"}' \
+  | "$SERVE_BIN" serve --jobs 1 --metrics-out "$SMOKE_DIR/no-such-dir/m.prom" \
+  > "$SMOKE_DIR/metrics_fail.out" 2> "$SMOKE_DIR/metrics_fail.err" || status=$?
+[ "$status" -eq 2 ] || {
+  echo "serve smoke: unwritable --metrics-out exited $status, not 2" >&2
+  exit 1
+}
+[ ! -s "$SMOKE_DIR/metrics_fail.out" ] || {
+  echo "serve smoke: unwritable --metrics-out still served:" >&2
+  cat "$SMOKE_DIR/metrics_fail.out" >&2
+  exit 1
+}
+grep -qF "hslb serve: --metrics-out: cannot write $SMOKE_DIR/no-such-dir/m.prom: No such file or directory" \
+  "$SMOKE_DIR/metrics_fail.err" || {
+  echo "serve smoke: unwritable --metrics-out printed no diagnostic:" >&2
+  cat "$SMOKE_DIR/metrics_fail.err" >&2
+  exit 1
+}
+
+echo "== solve: an unwritable --report exits 1 with its message =="
+status=0
+"$SERVE_BIN" solve examples/models/e6_classes.csv --nodes 64 \
+  --report "$SMOKE_DIR/no-such-dir/solve.json" \
+  > /dev/null 2> "$SMOKE_DIR/solve_report_fail.err" || status=$?
+[ "$status" -eq 1 ] || {
+  echo "solve: unwritable --report exited $status, not 1" >&2
+  exit 1
+}
+grep -qF "hslb solve: --report: cannot write $SMOKE_DIR/no-such-dir/solve.json: No such file or directory" \
+  "$SMOKE_DIR/solve_report_fail.err" || {
+  echo "solve: unwritable --report printed no diagnostic:" >&2
+  cat "$SMOKE_DIR/solve_report_fail.err" >&2
   exit 1
 }
 

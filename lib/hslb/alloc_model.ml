@@ -188,169 +188,281 @@ let predicted_of specs nodes =
 
 (* --- Ladders: one class's admissible sizes, walked by bisection --- *)
 
-(* least i in [lo, hi] with [p i], or hi + 1 when none; [p] is false
-   then true. Even where [p] is not monotone the answer is a boundary:
-   [p i] holds and [p (i - 1)] does not (or i = lo). *)
-let first_true lo hi p =
-  let lo = ref lo and hi = ref (hi + 1) in
-  while !lo < !hi do
-    let mid = !lo + ((!hi - !lo) / 2) in
-    if p mid then hi := mid else lo := mid + 1
-  done;
-  !lo
-
 (* One class on its admissible sizes, addressed by index in increasing
-   size: the box [max 1 n_min, min n_max N], or the sweet spots inside
-   it. [bottom] is the least index minimizing [time]: the law is convex,
-   so the step time (i + 1) - time i only grows and its sign bisects
-   (exactly on the integers, where Scaling_law.optimal_nodes is a
-   tolerance-bound real minimizer). No size range is ever enumerated;
-   every lookup is a bisection. [time] remembers its answers in
-   [memo_slots] direct-mapped slots: the walks revisit the same indices
-   from bisection to bisection, and a ladder of at most [memo_slots]
-   sizes evaluates each size's law at most once. *)
+   size: the box [max 1 n_min, min n_max N] from [lo], or the sweet
+   spots inside it. [bottom] is the least index minimizing its time: the
+   law is convex, so the step time (i + 1) - time i only grows and its
+   sign bisects (exactly on the integers, where
+   Scaling_law.optimal_nodes is a tolerance-bound real minimizer). No
+   size range is ever enumerated; every lookup is a bisection. Times
+   are remembered in [memo_slots] direct-mapped slots: the walks revisit
+   the same indices from bisection to bisection, and a ladder of at most
+   [memo_slots] sizes evaluates each size's law at most once. The walk
+   reads them straight off [times], so no key read boxes a float. *)
 type ladder = {
   count : int;
-  size : int -> int;
-  time : int -> float;
+  lo : int;
+  spots : int array option;
   last : int;
-  bottom : int;
+  law : Scaling_law.t;
+  seen : int array;  (** the index each slot holds, or -1 *)
+  times : float array;  (** its time *)
+  mutable bottom : int;
 }
 
 let memo_slots = 256
 
+let[@inline] size l i = match l.spots with None -> l.lo + i | Some a -> a.(i)
+
+(* the slot holding index [i]'s time, filled on first use *)
+let slot l i =
+  let s = i mod Array.length l.seen in
+  if l.seen.(s) <> i then begin
+    l.times.(s) <- Scaling_law.eval_int l.law (size l i);
+    l.seen.(s) <- i
+  end;
+  s
+
+let[@inline] time l i = l.times.(slot l i)
+
+(* Float.max, inlined so neither operand is boxed *)
+let[@inline] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if Float.is_nan x then x else y
+  else if Float.is_nan y then y else x
+
+(* Each bisection below returns the least i in [lo, hi] at which its
+   predicate holds, or hi + 1 when it holds nowhere; every predicate is
+   false then true. Even where one is not monotone the answer is a
+   boundary: the predicate holds at i and not at i - 1 (or i = lo).
+   Each is a loop of its own, so no bisection takes a closure. *)
+
+(* predicate: [size l i - base > bound] *)
+let first_over l lo hi base bound =
+  let lo = ref lo and hi = ref (hi + 1) in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if size l mid - base > bound then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* predicate: [time l i -. base < t], over [0, hi] *)
+let first_time_under l hi base t =
+  let lo = ref 0 and hi = ref (hi + 1) in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if time l mid -. base < t then hi := mid else lo := mid + 1
+  done;
+  !lo
+
 let ladder ~n_total spec =
   let lo = Stdlib.max 1 spec.n_min and hi = Stdlib.min spec.n_max n_total in
-  let last, size =
+  let last, spots =
     match spec.allowed with
-    | None -> (hi - lo, fun i -> lo + i)
+    | None -> (hi - lo, None)
     | Some values ->
-      let inside = List.filter (fun v -> v >= lo && v <= hi) (List.sort_uniq compare values) in
-      let a = Array.of_list inside in
-      (Array.length a - 1, Array.get a)
+      let a =
+        Array.of_list (List.filter (fun v -> v >= lo && v <= hi) (List.sort_uniq compare values))
+      in
+      (Array.length a - 1, Some a)
   in
-  let law = spec.fc.Classes.fit.Fitting.law in
   let slots = Stdlib.max 1 (Stdlib.min (last + 1) memo_slots) in
-  let seen = Array.make slots (-1) and times = Array.make slots 0. in
-  let time i =
-    let s = i mod slots in
-    if seen.(s) = i then times.(s)
-    else begin
-      let t = Scaling_law.eval_int law (size i) in
-      seen.(s) <- i;
-      times.(s) <- t;
-      t
-    end
+  let l =
+    {
+      count = spec.fc.Classes.cls.Classes.count;
+      lo;
+      spots;
+      last;
+      law = spec.fc.Classes.fit.Fitting.law;
+      seen = Array.make slots (-1);
+      times = Array.make slots 0.;
+      bottom = 0;
+    }
   in
-  let bottom = first_true 0 last (fun i -> i = last || time (i + 1) >= time i) in
-  { count = spec.fc.Classes.cls.Classes.count; size; time; last; bottom }
+  (* the first index whose step does not lower the time *)
+  let lo = ref 0 and hi = ref (last + 1) in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    if mid = last || time l (mid + 1) >= time l mid then hi := mid else lo := mid + 1
+  done;
+  l.bottom <- !lo;
+  l
 
 (* The walk every objective's allocation comes from: from the smallest
-   sizes, repeatedly give the class whose next step ranks highest by
-   [key] (lowest index among ties) that step, while the class is short
-   of its [stop] index and the step fits the budget. A class whose step
-   does not fit is done, for the budget only shrinks. [key l i] ranks
-   the step from index i of ladder l and must not rise along
-   [0, stop]. Taken in order, the steps form one sequence of keys that
-   never rise, replayed in at most k + 1 rounds: each finds by
-   bisection the lowest level L at which every step above L still
-   fits, takes them, then gives the classes at L, in index order, their
-   steps keyed L while they fit, and at least one class runs out of
-   budget there. Where rounding makes a key rise (consecutive sizes
-   past ~10^8 nodes), the walk may leave that order, but it still never
-   overdraws the budget. Returns the sizes reached, the slowest of
-   their times and each one's time, read off the ladders. *)
-let descend ~n_total ~key ~stop ls =
-  let k = Array.length ls in
-  let cur = Array.make k 0 in
-  let active = Array.map (fun s -> s > 0) stop in
-  let left = ref n_total in
-  Array.iter (fun l -> left := !left - (l.count * l.size 0)) ls;
-  let key c i = key ls.(c) i in
-  let move c i =
-    let l = ls.(c) in
-    left := !left - (l.count * (l.size i - l.size cur.(c)));
-    cur.(c) <- i;
-    if i = stop.(c) then active.(c) <- false
-  in
-  (* where class [c] stops once every step above [level] is taken *)
-  let reach c level =
-    Stdlib.min stop.(c) (first_true cur.(c) stop.(c) (fun i -> key c i <= level))
-  in
-  let fits level =
-    let rec go c left =
-      c = k
-      ||
-      if not active.(c) then go (c + 1) left
-      else
-        let l = ls.(c) in
-        let d = l.size (reach c level) - l.size cur.(c) in
-        d <= left / l.count && go (c + 1) (left - (l.count * d))
-    in
-    go 0 !left
-  in
-  (* the largest [f c] over the active classes that have one *)
-  let over f =
-    let best = ref neg_infinity in
-    Array.iteri
-      (fun c a -> if a then Option.iter (fun t -> best := Float.max !best t) (f c))
-      active;
-    !best
-  in
-  (* the lowest level taking the same steps as the levels just under
-     [level] *)
-  let next level =
-    over (fun c ->
-        let i = first_true cur.(c) stop.(c) (fun i -> key c i < level) in
-        if i <= stop.(c) then Some (key c i) else None)
-  in
-  (* the lowest level that fits, given that [hi] fits and [lo] does not.
-     It returns only levels [fits] passed: where a key rises, bisections
-     at nearby levels can land on different boundaries. *)
-  let rec lowest lo hi =
-    let t = next hi in
-    if t <= lo || not (fits t) then hi
-    else
-      let mid = lo +. ((t -. lo) /. 2.) in
-      if not (lo < mid && mid < t) then lowest lo t
-      else if fits mid then lowest lo mid
-      else lowest mid t
-  in
-  (* the highest key at the current sizes *)
-  let current () = over (fun c -> Some (key c cur.(c))) in
-  let rec round () =
-    if Array.exists Fun.id active then
-      if fits neg_infinity then Array.iteri (fun c a -> if a then move c stop.(c)) active
+   sizes, repeatedly give the class whose next step ranks highest by its
+   key (lowest index among ties) that step, while the class is short of
+   its [stop] index and the step fits the budget. A class whose step
+   does not fit is done, for the budget only shrinks. The key of the
+   step from index i is its time, or under [gain] min-sum's gain, and
+   must not rise along [0, stop]. Taken in order, the steps form one
+   sequence of keys that never rise, replayed in at most k + 1 rounds:
+   each finds by bisection the lowest level L at which every step above
+   L still fits, takes them, then gives the classes at L, in index
+   order, their steps keyed L while they fit, and at least one class
+   runs out of budget there. Where rounding makes a key rise
+   (consecutive sizes past ~10^8 nodes), the walk may leave that order,
+   but it still never overdraws the budget. The state lives in one
+   record of ints, bools and floats, and the level a bisection tests
+   sits in [lv.(0)], so no step allocates. *)
+type walk = {
+  ls : ladder array;
+  gain : bool;
+  stop : int array;
+  cur : int array;
+  active : bool array;
+  mutable left : int;
+  lv : float array;  (** [lv.(0)]: the level under test; [lv.(1)]: [next]'s answer *)
+}
+
+(* the key of class [c]'s step from index i: its time, or under [gain]
+   min-sum's gain, the total-time decrease per node of the step. Each
+   class cost is convex in its node count, so the gain falls along the
+   ladder; no step leaves the last size. Inlined, so the key is never
+   boxed. *)
+let[@inline] key w c i =
+  let l = w.ls.(c) in
+  if not w.gain then time l i
+  else if i = l.last then 0.
+  else
+    float_of_int l.count *. (time l i -. time l (i + 1))
+    /. float_of_int (l.count * (size l (i + 1) - size l i))
+
+(* predicate: the key of class [c]'s step from i is under the level, or
+   at it when not [strict] *)
+let first_under w c ~strict lo hi =
+  let level = w.lv.(0) in
+  let lo = ref lo and hi = ref (hi + 1) in
+  while !lo < !hi do
+    let mid = !lo + ((!hi - !lo) / 2) in
+    let k = key w c mid in
+    if if strict then k < level else k <= level then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let move w c i =
+  let l = w.ls.(c) in
+  w.left <- w.left - (l.count * (size l i - size l w.cur.(c)));
+  w.cur.(c) <- i;
+  if i = w.stop.(c) then w.active.(c) <- false
+
+(* where class [c] stops once every step above the level is taken *)
+let reach w c = Stdlib.min w.stop.(c) (first_under w c ~strict:false w.cur.(c) w.stop.(c))
+
+(* whether the active classes can all take every step above the level *)
+let fits w =
+  let c = ref 0 and left = ref w.left and ok = ref true in
+  while !ok && !c < Array.length w.ls do
+    if w.active.(!c) then begin
+      let l = w.ls.(!c) in
+      let d = size l (reach w !c) - size l w.cur.(!c) in
+      if d <= !left / l.count then left := !left - (l.count * d) else ok := false
+    end;
+    incr c
+  done;
+  !ok
+
+(* into [lv.(1)]: the lowest level taking the same steps as the levels
+   just under the level *)
+let next w =
+  let best = ref neg_infinity in
+  for c = 0 to Array.length w.ls - 1 do
+    if w.active.(c) then begin
+      let i = first_under w c ~strict:true w.cur.(c) w.stop.(c) in
+      if i <= w.stop.(c) then best := fmax !best (key w c i)
+    end
+  done;
+  w.lv.(1) <- !best
+
+(* the lowest level that fits, given that [hi] fits and [lo] does not.
+   It returns only levels [fits] passed: where a key rises, bisections
+   at nearby levels can land on different boundaries. *)
+let lowest w lo hi =
+  let lo = ref lo and hi = ref hi and found = ref false in
+  while not !found do
+    w.lv.(0) <- !hi;
+    next w;
+    let t = w.lv.(1) in
+    w.lv.(0) <- t;
+    if t <= !lo || not (fits w) then found := true
+    else begin
+      let mid = !lo +. ((t -. !lo) /. 2.) in
+      if not (!lo < mid && mid < t) then hi := t
       else begin
-        (* under every active class's key at its stop nothing fits *)
-        let under = Float.pred (-.over (fun c -> Some (-.key c stop.(c)))) in
-        (* the level of the current sizes takes no step, unless a key
-           rises *)
-        let hi = current () in
-        if fits hi then begin
-          let level = lowest under hi in
-          Array.iteri (fun c a -> if a then move c (reach c level)) active
-        end;
-        let top = current () in
-        Array.iteri
-          (fun c a ->
-            let l = ls.(c) in
-            if a && key c cur.(c) = top then begin
-              (* its steps keyed [top], as many as fit *)
-              let j = reach c (Float.pred top) in
-              let i =
-                first_true cur.(c) j (fun i -> l.size i - l.size cur.(c) > !left / l.count) - 1
-              in
-              move c i;
-              if i < j then active.(c) <- false
-            end)
-          active;
-        round ()
+        w.lv.(0) <- mid;
+        if fits w then hi := mid
+        else begin
+          lo := mid;
+          hi := t
+        end
       end
+    end
+  done;
+  !hi
+
+(* the highest key at the current sizes *)
+let[@inline] current w =
+  let best = ref neg_infinity in
+  for c = 0 to Array.length w.ls - 1 do
+    if w.active.(c) then best := fmax !best (key w c w.cur.(c))
+  done;
+  !best
+
+(* Returns the sizes reached, the slowest of their times and each one's
+   time, read off the ladders. *)
+let descend ~n_total ~gain ~stop ls =
+  let k = Array.length ls in
+  let w =
+    {
+      ls;
+      gain;
+      stop;
+      cur = Array.make k 0;
+      active = Array.map (fun s -> s > 0) stop;
+      left = n_total;
+      lv = Array.make 2 0.;
+    }
   in
-  round ();
-  let times = Array.mapi (fun c i -> ls.(c).time i) cur in
-  (Array.mapi (fun c i -> ls.(c).size i) cur, Array.fold_left Float.max 0. times, times)
+  for c = 0 to k - 1 do
+    w.left <- w.left - (ls.(c).count * size ls.(c) 0)
+  done;
+  while Array.exists Fun.id w.active do
+    w.lv.(0) <- neg_infinity;
+    if fits w then
+      for c = 0 to k - 1 do
+        if w.active.(c) then move w c stop.(c)
+      done
+    else begin
+      (* under every active class's key at its stop nothing fits *)
+      let best = ref neg_infinity in
+      for c = 0 to k - 1 do
+        if w.active.(c) then best := fmax !best (-.key w c stop.(c))
+      done;
+      let under = Float.pred (-. !best) in
+      (* the level of the current sizes takes no step, unless a key
+         rises *)
+      let hi = current w in
+      w.lv.(0) <- hi;
+      if fits w then begin
+        w.lv.(0) <- lowest w under hi;
+        for c = 0 to k - 1 do
+          if w.active.(c) then move w c (reach w c)
+        done
+      end;
+      let top = current w in
+      w.lv.(0) <- Float.pred top;
+      for c = 0 to k - 1 do
+        if w.active.(c) && key w c w.cur.(c) = top then begin
+          (* its steps keyed [top], as many as fit *)
+          let l = ls.(c) in
+          let j = reach w c in
+          let i = first_over l w.cur.(c) j (size l w.cur.(c)) (w.left / l.count) - 1 in
+          move w c i;
+          if i < j then w.active.(c) <- false
+        end
+      done
+    end
+  done;
+  let times = Array.mapi (fun c i -> time ls.(c) i) w.cur in
+  (Array.mapi (fun c i -> size ls.(c) i) w.cur, Array.fold_left Float.max 0. times, times)
 
 let bottoms ls = Array.map (fun l -> l.bottom) ls
 
@@ -371,7 +483,7 @@ let max_min ~n_total ls specs =
             ~max_nodes:(float_of_int (Stdlib.min spec.n_max n_total))
         in
         let cap = Stdlib.max 1 (int_of_float (Float.floor opt)) in
-        first_true 0 l.last (fun i -> l.size i > cap) - 1)
+        first_over l 0 l.last 0 cap - 1)
       ls (Array.of_list specs)
   in
   (* a class whose admissible sizes all lie past its curve's minimum
@@ -379,18 +491,18 @@ let max_min ~n_total ls specs =
   if Array.exists (fun e -> e < 0) ends then Error Minlp.Solution.Infeasible
   else begin
     (* the largest index with time >= t, or -1 *)
-    let cap c t = first_true 0 ends.(c) (fun i -> ls.(c).time i < t) - 1 in
+    let cap c t = first_time_under ls.(c) ends.(c) 0. t - 1 in
     let covers t =
       let rec go c total =
         if c = Array.length ls then total >= n_total
         else
           let i = cap c t in
-          i >= 0 && go (c + 1) (total + (ls.(c).count * ls.(c).size i))
+          i >= 0 && go (c + 1) (total + (ls.(c).count * size ls.(c) i))
       in
       go 0 0
     in
     (* the minimum time cannot exceed any class's time at its smallest size *)
-    let t_hi = Array.fold_left (fun acc l -> Float.min acc (l.time 0)) infinity ls in
+    let t_hi = Array.fold_left (fun acc l -> Float.min acc (time l 0)) infinity ls in
     let t_star =
       if covers t_hi then t_hi
       else begin
@@ -403,9 +515,7 @@ let max_min ~n_total ls specs =
       end
     in
     let stop = Array.mapi (fun c _ -> Stdlib.max 0 (cap c t_star)) ls in
-    let nodes, predicted_makespan, predicted_times =
-      descend ~n_total ~key:(fun l -> l.time) ~stop ls
-    in
+    let nodes, predicted_makespan, predicted_times = descend ~n_total ~gain:false ~stop ls in
     Ok
       {
         nodes_per_task = nodes;
@@ -434,19 +544,13 @@ let max_min ~n_total ls specs =
    the smallest sizes, repeatedly give the class with the best
    total-time decrease per node spent its next step. Each class cost is
    convex in its node count, so that gain falls along each ladder, and
-   the greedy is the walk keyed by [gain], down to each class's bottom.
-   It is exact when every step costs one node (count 1, no sweet
+   the greedy is the walk keyed by that gain, down to each class's
+   bottom. It is exact when every step costs one node (count 1, no sweet
    spots); steps of several nodes make the budget a knapsack, where it
-   can stop above the optimum. No step leaves the last size. *)
-let gain l i =
-  if i = l.last then 0.
-  else
-    float_of_int l.count *. (l.time i -. l.time (i + 1))
-    /. float_of_int (l.count * (l.size (i + 1) - l.size i))
-
+   can stop above the optimum. *)
 let min_sum ~n_total ls =
   let nodes, predicted_makespan, predicted_times =
-    descend ~n_total ~key:gain ~stop:(bottoms ls) ls
+    descend ~n_total ~gain:true ~stop:(bottoms ls) ls
   in
   let total_time = ref 0. in
   Array.iteri
@@ -486,9 +590,9 @@ let threshold_sides ls t_star =
   let eta = threshold_tol *. (1. +. Float.abs t_star) in
   Array.map
     (fun l ->
-      let beats i = l.time i -. t_star < -.eta in
-      if beats l.bottom then Engine.Certificate.Below (l.size (first_true 0 l.bottom beats))
-      else Engine.Certificate.Floor (l.size l.bottom))
+      if time l l.bottom -. t_star < -.eta then
+        Engine.Certificate.Below (size l (first_time_under l l.bottom t_star (-.eta)))
+      else Engine.Certificate.Floor (size l l.bottom))
     ls
 
 (* The walk keyed by time, down to each class's bottom, steps the
@@ -511,7 +615,7 @@ let exact_solve ~n_total ls specs =
              spec.fc.Classes.cls.Classes.name))
     specs;
   let nodes, predicted_makespan, predicted_times =
-    descend ~n_total ~key:(fun l -> l.time) ~stop:(bottoms ls) ls
+    descend ~n_total ~gain:false ~stop:(bottoms ls) ls
   in
   let sides = threshold_sides ls predicted_makespan in
   (* some class has a floor, or the below sizes overflow the budget *)
@@ -544,41 +648,80 @@ let exact_solve ~n_total ls specs =
    instance with length-prefixed names, each float as the 8 bytes of
    its bit pattern (fixed width, exact) and sorted-deduplicated allowed
    lists (the model dedups them too). Equal fingerprints imply equal
-   instances solved by the same solver. *)
+   instances solved by the same solver. Written in two passes over one
+   traversal: the first only counts the bytes, the second writes them
+   into a string of that length, with no intermediate string. *)
+type key_sink = { mutable key : Bytes.t; mutable pos : int }
+
+let[@inline] writing k = Bytes.length k.key > 0
+
+let put_string k s =
+  if writing k then Bytes.blit_string s 0 k.key k.pos (String.length s);
+  k.pos <- k.pos + String.length s
+
+let put_char k c =
+  if writing k then Bytes.set k.key k.pos c;
+  k.pos <- k.pos + 1
+
+(* [sep], then [n] in decimal, as string_of_int prints it *)
+let put_int k sep n =
+  put_char k sep;
+  if n < 0 then put_string k (string_of_int n)
+  else begin
+    let digits = ref 1 and m = ref n in
+    while !m >= 10 do
+      incr digits;
+      m := !m / 10
+    done;
+    if writing k then begin
+      let m = ref n in
+      for j = k.pos + !digits - 1 downto k.pos do
+        Bytes.set k.key j (Char.chr (48 + (!m mod 10)));
+        m := !m / 10
+      done
+    end;
+    k.pos <- k.pos + !digits
+  end
+
+let put_law k (law : Scaling_law.t) =
+  if writing k then begin
+    Bytes.set_int64_le k.key k.pos (Int64.bits_of_float law.a);
+    Bytes.set_int64_le k.key (k.pos + 8) (Int64.bits_of_float law.b);
+    Bytes.set_int64_le k.key (k.pos + 16) (Int64.bits_of_float law.c);
+    Bytes.set_int64_le k.key (k.pos + 24) (Int64.bits_of_float law.d)
+  end;
+  k.pos <- k.pos + 32
+
+let put_spec k s =
+  let name = s.fc.Classes.cls.Classes.name in
+  put_int k '|' (String.length name);
+  put_char k ':';
+  put_string k name;
+  put_int k ',' s.fc.Classes.cls.Classes.count;
+  put_int k ',' s.n_min;
+  put_int k ',' s.n_max;
+  put_char k ',';
+  put_law k s.fc.Classes.fit.Fitting.law;
+  match s.allowed with
+  | None -> put_char k '*'
+  | Some values -> List.iter (put_int k 'a') (List.sort_uniq compare values)
+
+let put_key k ~solver ~objective ~n_total specs =
+  put_string k "alloc-v3|";
+  put_string k (Engine.Solver_choice.to_string solver);
+  put_char k '|';
+  put_string k (Objective.to_string objective);
+  put_int k '|' n_total;
+  put_int k '|' (List.length specs);
+  List.iter (put_spec k) specs
+
 let fingerprint ~solver ~objective ~n_total specs =
-  let b = Buffer.create 256 in
-  let str s = Buffer.add_string b s in
-  let int sep n =
-    Buffer.add_char b sep;
-    str (string_of_int n)
-  in
-  let float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
-  str "alloc-v3|";
-  str (Engine.Solver_choice.to_string solver);
-  str "|";
-  str (Objective.to_string objective);
-  int '|' n_total;
-  int '|' (List.length specs);
-  List.iter
-    (fun spec ->
-      let law = spec.fc.Classes.fit.Fitting.law in
-      let name = spec.fc.Classes.cls.Classes.name in
-      int '|' (String.length name);
-      str ":";
-      str name;
-      int ',' spec.fc.Classes.cls.Classes.count;
-      int ',' spec.n_min;
-      int ',' spec.n_max;
-      str ",";
-      float law.Scaling_law.a;
-      float law.Scaling_law.b;
-      float law.Scaling_law.c;
-      float law.Scaling_law.d;
-      match spec.allowed with
-      | None -> str "*"
-      | Some values -> List.iter (int 'a') (List.sort_uniq compare values))
-    specs;
-  Buffer.contents b
+  let k = { key = Bytes.empty; pos = 0 } in
+  put_key k ~solver ~objective ~n_total specs;
+  k.key <- Bytes.create k.pos;
+  k.pos <- 0;
+  put_key k ~solver ~objective ~n_total specs;
+  Bytes.unsafe_to_string k.key
 
 (* Min_max: the MINLP, warm-started from the caller's nodes-per-class
    vector or the greedy min-sum allocation (it respects the budget row,
@@ -641,7 +784,7 @@ let solve ?(solver = default_solver) ?(objective = Objective.Min_max) ?budget ?w
          admissible size, or when the smallest ones overflow the budget *)
       if
         Array.exists (fun l -> l.last < 0) ls
-        || Array.fold_left (fun used l -> used + (l.count * l.size 0)) 0 ls > n_total
+        || Array.fold_left (fun used l -> used + (l.count * size l 0)) 0 ls > n_total
       then Error Minlp.Solution.Infeasible
       else
         match (objective, solver) with
@@ -677,8 +820,8 @@ let reoptimality ~eps ~n_total ~incumbent specs =
   let ls = Array.of_list (List.map (ladder ~n_total) specs) in
   let k = Array.length ls in
   let on_ladder l x =
-    let i = first_true 0 l.last (fun i -> l.size i >= x) in
-    i <= l.last && l.size i = x
+    let i = first_over l 0 l.last x (-1) in
+    i <= l.last && size l i = x
   in
   let rec admissible c left =
     c = k

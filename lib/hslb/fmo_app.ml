@@ -13,7 +13,7 @@ let default_config =
     objective = Objective.Min_max;
     (* OA, not Alloc_model.default_solver, for two reasons in
        perfbench's fmo workload, so the switch waits for a change to
-       the benchmark (ROADMAP item 2): it audits every plan with
+       the benchmark (ROADMAP item 1): it audits every plan with
        Audit.check_minlp against the rebuilt MINLP, which refuses the
        exact solver's threshold witness (nodes per task, one variable
        short of the model), so every op would fail; and it keeps every

@@ -36,115 +36,150 @@ let to_csv fits =
     fits;
   Buffer.contents b
 
-(* [split_fields line] — comma-split that understands [csv_name]'s
-   quoting: a field opening with a double quote runs to the matching
-   close quote (a doubled quote is a literal one, commas inside are
-   data, surrounding whitespace is significant); unquoted fields are
-   trimmed as before. *)
-let split_fields line =
-  let n = String.length line in
-  let rec skip_spaces j =
-    if j < n && (line.[j] = ' ' || line.[j] = '\t') then skip_spaces (j + 1) else j
-  in
-  let read_quoted start =
-    let b = Buffer.create 16 in
-    let rec go j =
-      if j >= n then Error "unterminated quoted field"
-      else if line.[j] = '"' then
-        if j + 1 < n && line.[j + 1] = '"' then (
-          Buffer.add_char b '"';
-          go (j + 2))
-        else Ok (Buffer.contents b, j + 1)
-      else (
-        Buffer.add_char b line.[j];
-        go (j + 1))
-    in
-    go start
-  in
-  let read_unquoted start =
-    let j = ref start in
-    while !j < n && line.[!j] <> ',' do
+(* String.trim's whitespace *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+exception Bad_line of string
+
+(* The fields of the line [text.[lo .. hi - 1]], comma-split with
+   [csv_name]'s quoting: a field opening with a double quote runs to the
+   matching close quote (a doubled quote is a literal one, commas inside
+   are data, surrounding whitespace is significant); unquoted fields are
+   trimmed. The first six fields land in [spans] as (start, stop,
+   quoted) triples, the raw text between the quotes for a quoted one;
+   returns how many fields the line has, or raises [Bad_line] on a
+   quote that does not close or is followed by more than spaces.
+   Nothing is copied. *)
+let split_fields text lo hi spans =
+  let skip_spaces j =
+    let j = ref j in
+    while !j < hi && (text.[!j] = ' ' || text.[!j] = '\t') do
       incr j
     done;
-    (String.trim (String.sub line start (!j - start)), !j)
+    !j
   in
-  let rec fields acc i =
-    let j = skip_spaces i in
-    if j < n && line.[j] = '"' then
-      match read_quoted (j + 1) with
-      | Error _ as e -> e
-      | Ok (f, k) ->
-        let k = skip_spaces k in
-        if k >= n then Ok (List.rev (f :: acc))
-        else if line.[k] = ',' then fields (f :: acc) (k + 1)
-        else Error "unexpected characters after closing quote"
-    else
-      let f, k = read_unquoted i in
-      if k >= n then Ok (List.rev (f :: acc)) else fields (f :: acc) (k + 1)
+  let count = ref 0 in
+  let field start stop quoted =
+    if !count < 6 then begin
+      spans.(3 * !count) <- start;
+      spans.((3 * !count) + 1) <- stop;
+      spans.((3 * !count) + 2) <- Bool.to_int quoted
+    end;
+    incr count
   in
-  fields [] 0
+  let i = ref lo and last = ref false in
+  while not !last do
+    let j = skip_spaces !i in
+    if j < hi && text.[j] = '"' then begin
+      let k = ref (j + 1) and closed = ref false in
+      while not !closed do
+        if !k >= hi then raise (Bad_line "unterminated quoted field")
+        else if text.[!k] <> '"' then incr k
+        else if !k + 1 < hi && text.[!k + 1] = '"' then k := !k + 2
+        else closed := true
+      done;
+      field (j + 1) !k true;
+      let k = skip_spaces (!k + 1) in
+      if k >= hi then last := true
+      else if text.[k] = ',' then i := k + 1
+      else raise (Bad_line "unexpected characters after closing quote")
+    end
+    else begin
+      let k = ref !i in
+      while !k < hi && text.[!k] <> ',' do
+        incr k
+      done;
+      let start = ref !i and stop = ref !k in
+      while !start < !stop && is_space text.[!start] do
+        incr start
+      done;
+      while !stop > !start && is_space text.[!stop - 1] do
+        decr stop
+      done;
+      field !start !stop false;
+      if !k >= hi then last := true else i := !k + 1
+    end
+  done;
+  !count
 
-let parse_line ~lineno line =
-  let fail what =
-    Error (Printf.sprintf "Model_store.of_csv: line %d: %s: %s" lineno what line)
-  in
-  let number what conv s =
-    match conv (String.trim s) with
-    | v -> Ok v
-    | exception Failure _ -> fail (Printf.sprintf "%s is not a number: %S" what s)
-  in
-  let ( let* ) = Result.bind in
-  let* split = match split_fields line with Ok f -> Ok f | Error what -> fail what in
-  match split with
-  | [ name; count; a; b; c; d ] ->
-    let* count =
-      match int_of_string_opt count with
-      | Some n -> Ok n
-      | None -> fail (Printf.sprintf "count is not an integer: %S" count)
+(* field [f]'s text: an unquoted one trimmed, a quoted one with each
+   doubled quote (every quote inside it is one) made single *)
+let field_text text spans f =
+  let start = spans.(3 * f) and stop = spans.((3 * f) + 1) in
+  let raw = String.sub text start (stop - start) in
+  if spans.((3 * f) + 2) = 1 && String.contains raw '"' then
+    String.concat "\"" (List.filteri (fun i _ -> i mod 2 = 0) (String.split_on_char '"' raw))
+  else raw
+
+let parse_line text ~lineno lo hi spans =
+  try
+    let fields = split_fields text lo hi spans in
+    if fields <> 6 then
+      raise
+        (Bad_line (Printf.sprintf "expected 6 comma-separated fields, got %d" fields));
+    let name = field_text text spans 0 in
+    let count =
+      let s = field_text text spans 1 in
+      match int_of_string_opt s with
+      | Some n -> n
+      | None -> raise (Bad_line (Printf.sprintf "count is not an integer: %S" s))
     in
-    let* a = number "a" float_of_string a in
-    let* b = number "b" float_of_string b in
-    let* c = number "c" float_of_string c in
-    let* d = number "d" float_of_string d in
-    (match Scaling_law.make ~a ~b ~c ~d with
-    | law ->
-      let cls =
-        match
-          Classes.make ~name ~count (fun ~nodes -> Scaling_law.eval_int law nodes)
-        with
-        | cls -> Ok cls
-        | exception Invalid_argument m -> fail m
-      in
-      let* cls = cls in
-      Ok
-        {
-          Classes.cls;
-          fit =
-            {
-              Fitting.law;
-              r2 = 1.;
-              rmse = 0.;
-              observations = [| (1., Scaling_law.eval_int law 1) |];
-            };
-        }
-    | exception Invalid_argument m -> fail m)
-  | fields ->
-    fail (Printf.sprintf "expected 6 comma-separated fields, got %d" (List.length fields))
+    let number f what =
+      let s = field_text text spans f in
+      match float_of_string (String.trim s) with
+      | v -> v
+      | exception Failure _ -> raise (Bad_line (Printf.sprintf "%s is not a number: %S" what s))
+    in
+    let a = number 2 "a" in
+    let b = number 3 "b" in
+    let c = number 4 "c" in
+    let d = number 5 "d" in
+    let law =
+      try Scaling_law.make ~a ~b ~c ~d with Invalid_argument m -> raise (Bad_line m)
+    in
+    let cls =
+      try Classes.make ~name ~count (fun ~nodes -> Scaling_law.eval_int law nodes)
+      with Invalid_argument m -> raise (Bad_line m)
+    in
+    Ok
+      {
+        Classes.cls;
+        fit =
+          {
+            Fitting.law;
+            r2 = 1.;
+            rmse = 0.;
+            observations = [| (1., Scaling_law.eval_int law 1) |];
+          };
+      }
+  with Bad_line what ->
+    Error
+      (Printf.sprintf "Model_store.of_csv: line %d: %s: %s" lineno what
+         (String.sub text lo (hi - lo)))
 
 let of_csv_result text =
   (* line numbers are 1-based over the raw text, comments and blanks
      included, so they match what an editor shows *)
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      let t = String.trim line in
-      if t = "" || t.[0] = '#' then go (lineno + 1) acc rest
-      else (
-        match parse_line ~lineno line with
-        | Ok fc -> go (lineno + 1) (fc :: acc) rest
-        | Error _ as e -> e)
+  let n = String.length text and spans = Array.make 18 0 in
+  let rec go lineno lo acc =
+    if lo > n then Ok (List.rev acc)
+    else begin
+      let hi = ref lo in
+      while !hi < n && text.[!hi] <> '\n' do
+        incr hi
+      done;
+      let first = ref lo in
+      while !first < !hi && is_space text.[!first] do
+        incr first
+      done;
+      if !first = !hi || text.[!first] = '#' then go (lineno + 1) (!hi + 1) acc
+      else
+        match parse_line text ~lineno lo !hi spans with
+        | Ok fc -> go (lineno + 1) (!hi + 1) (fc :: acc)
+        | Error _ as e -> e
+    end
   in
-  go 1 [] (String.split_on_char '\n' text)
+  go 1 0 []
 
 let of_csv text =
   match of_csv_result text with Ok fits -> fits | Error msg -> failwith msg

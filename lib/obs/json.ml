@@ -71,26 +71,52 @@ let to_string v =
 
 exception Parse_error of int * string
 
+let rec skip_ws s i =
+  if i < String.length s && (s.[i] = ' ' || s.[i] = '\t' || s.[i] = '\n' || s.[i] = '\r') then
+    skip_ws s (i + 1)
+  else i
+
+(* whether [word] is spelled at offset [i] of [s] *)
+let spelled s i word =
+  let m = String.length word in
+  let k = ref 0 in
+  while !k < m && i + !k < String.length s && s.[i + !k] = word.[!k] do
+    incr k
+  done;
+  !k = m
+
+(* the code unit of the four characters at [i], as
+   [int_of_string ("0x" ^ String.sub s i 4)] reads them: a hex digit,
+   then hex digits or underscores; -1 when they are not that *)
+let hex4_value s i =
+  let digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - 48
+    | 'a' .. 'f' -> Char.code c - 87
+    | 'A' .. 'F' -> Char.code c - 55
+    | _ -> -1
+  in
+  let v = ref (digit s.[i]) in
+  for k = i + 1 to i + 3 do
+    if !v >= 0 && s.[k] <> '_' then
+      let d = digit s.[k] in
+      v := if d < 0 then -1 else (!v * 16) + d
+  done;
+  !v
+
 let parse s =
   let n = String.length s in
   let fail i what = raise (Parse_error (i, what)) in
-  let rec skip_ws i =
-    if i < n && (s.[i] = ' ' || s.[i] = '\t' || s.[i] = '\n' || s.[i] = '\r') then
-      skip_ws (i + 1)
-    else i
-  in
+  let skip_ws i = skip_ws s i in
   let expect i c =
     if i < n && s.[i] = c then i + 1 else fail i (Printf.sprintf "expected '%c'" c)
   in
   let literal i word v =
-    let m = String.length word in
-    if i + m <= n && String.sub s i m = word then (v, i + m) else fail i ("expected " ^ word)
+    if spelled s i word then (v, i + String.length word) else fail i ("expected " ^ word)
   in
   let hex4 i =
     if i + 4 > n then fail i "truncated \\u escape";
-    match int_of_string_opt ("0x" ^ String.sub s i 4) with
-    | Some v -> v
-    | None -> fail i "bad \\u escape"
+    match hex4_value s i with -1 -> fail i "bad \\u escape" | v -> v
   in
   let add_utf8 b cp =
     (* UTF-8 encode one code point *)
@@ -111,9 +137,11 @@ let parse s =
       Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
-  let parse_string i =
-    (* i points just after the opening quote *)
+  let parse_escaped i j =
+    (* the string opened just before i holds an escape (or a control
+       character, an error) at j *)
     let b = Buffer.create 16 in
+    Buffer.add_substring b s i (j - i);
     let rec go i =
       if i >= n then fail i "unterminated string"
       else
@@ -174,7 +202,16 @@ let parse s =
           Buffer.add_char b c;
           go (i + 1)
     in
-    go i
+    go j
+  in
+  let parse_string i =
+    (* i points just after the opening quote; a string without escapes
+       is one copy *)
+    let j = ref i in
+    while !j < n && s.[!j] <> '"' && s.[!j] <> '\\' && Char.code s.[!j] >= 0x20 do
+      incr j
+    done;
+    if !j < n && s.[!j] = '"' then (String.sub s i (!j - i), !j + 1) else parse_escaped i !j
   in
   let parse_number i =
     let j = ref i in
@@ -235,6 +272,118 @@ let parse s =
   with
   | v -> Ok v
   | exception Parse_error (i, what) -> Error (Printf.sprintf "at offset %d: %s" i what)
+
+(* ---------- checking ---------- *)
+
+(* [is_object] takes the steps [parse] takes and builds nothing: each
+   scan returns the offset after what it accepted, or raises [Invalid] *)
+exception Invalid
+
+let scan_expect s i c = if i < String.length s && s.[i] = c then i + 1 else raise Invalid
+
+let rec scan_string s i =
+  let n = String.length s in
+  if i >= n then raise Invalid
+  else
+    match s.[i] with
+    | '"' -> i + 1
+    | '\\' ->
+      if i + 1 >= n then raise Invalid
+      else (
+        match s.[i + 1] with
+        | '"' | '\\' | '/' | 'n' | 't' | 'r' | 'b' | 'f' -> scan_string s (i + 2)
+        | 'u' ->
+          let cp = scan_hex4 s (i + 2) in
+          if cp >= 0xD800 && cp <= 0xDBFF then
+            if
+              i + 11 < n
+              && s.[i + 6] = '\\'
+              && s.[i + 7] = 'u'
+              &&
+              let lo = scan_hex4 s (i + 8) in
+              lo >= 0xDC00 && lo <= 0xDFFF
+            then scan_string s (i + 12)
+            else raise Invalid
+          else scan_string s (i + 6)
+        | _ -> raise Invalid)
+    | c when Char.code c < 0x20 -> raise Invalid
+    | _ -> scan_string s (i + 1)
+
+and scan_hex4 s i =
+  if i + 4 > String.length s then raise Invalid;
+  match hex4_value s i with -1 -> raise Invalid | v -> v
+
+let rec skip_digits s i stop =
+  if i < stop && s.[i] >= '0' && s.[i] <= '9' then skip_digits s (i + 1) stop else i
+
+(* the run [parse_number] hands float_of_string, accepted by its rule:
+   a sign, digits with at most one point (at least one digit), then an
+   exponent with at least one digit *)
+let scan_number s i =
+  let j = ref i in
+  while
+    !j < String.length s
+    &&
+    match s.[!j] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+  do
+    incr j
+  done;
+  let stop = !j in
+  let p = if s.[i] = '-' || s.[i] = '+' then i + 1 else i in
+  let q = skip_digits s p stop in
+  let point = q < stop && s.[q] = '.' in
+  let r = if point then skip_digits s (q + 1) stop else q in
+  (* no digit before the point, and none after it *)
+  if q = p && ((not point) || r = q + 1) then raise Invalid;
+  let e =
+    if r < stop && (s.[r] = 'e' || s.[r] = 'E') then begin
+      let sign = if r + 1 < stop && (s.[r + 1] = '-' || s.[r + 1] = '+') then r + 2 else r + 1 in
+      let e = skip_digits s sign stop in
+      if e = sign then raise Invalid;
+      e
+    end
+    else r
+  in
+  if e <> stop then raise Invalid;
+  stop
+
+let rec scan_value s i =
+  let i = skip_ws s i in
+  if i >= String.length s then raise Invalid
+  else
+    match s.[i] with
+    | 'n' -> scan_word s i "null"
+    | 't' -> scan_word s i "true"
+    | 'f' -> scan_word s i "false"
+    | '"' -> scan_string s (i + 1)
+    | '[' -> scan_array s (skip_ws s (i + 1)) ~first:true
+    | '{' -> scan_object s (skip_ws s (i + 1)) ~first:true
+    | '-' | '0' .. '9' -> scan_number s i
+    | _ -> raise Invalid
+
+and scan_word s i word = if spelled s i word then i + String.length word else raise Invalid
+
+and scan_array s i ~first =
+  if first && i < String.length s && s.[i] = ']' then i + 1
+  else
+    let j = skip_ws s (scan_value s i) in
+    if j < String.length s && s.[j] = ',' then scan_array s (skip_ws s (j + 1)) ~first:false
+    else scan_expect s j ']'
+
+and scan_object s i ~first =
+  if first && i < String.length s && s.[i] = '}' then i + 1
+  else
+    let i = scan_expect s (skip_ws s i) '"' in
+    let j = scan_expect s (skip_ws s (scan_string s i)) ':' in
+    let j = skip_ws s (scan_value s j) in
+    if j < String.length s && s.[j] = ',' then scan_object s (skip_ws s (j + 1)) ~first:false
+    else scan_expect s j '}'
+
+let is_object s =
+  let i = skip_ws s 0 in
+  i < String.length s
+  && s.[i] = '{'
+  && match skip_ws s (scan_value s i) with j -> j = String.length s | exception Invalid -> false
 
 (* ---------- accessors ---------- *)
 

@@ -24,6 +24,11 @@ type t =
     UTF-8. Errors carry a character offset. *)
 val parse : string -> (t, string) result
 
+(** [is_object s] — whether [parse s] is [Ok (Obj _)], decided by the
+    same steps without building the value: no list, string or float is
+    allocated. *)
+val is_object : string -> bool
+
 (** Compact single-line rendering (never contains a raw newline, so a
     value is always a valid NDJSON line). Control characters, quotes
     and backslashes in strings are escaped; non-finite numbers render

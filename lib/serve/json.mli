@@ -12,6 +12,7 @@ type t = Obs.Json.t =
   | Obj of (string * t) list
 
 val parse : string -> (t, string) result
+val is_object : string -> bool
 val to_string : t -> string
 val member : string -> t -> t option
 val str : t -> string option

@@ -313,11 +313,12 @@ let take_inflight t iid =
         Hashtbl.remove t.inflight iid;
         Some e)
 
-(* a line must be one JSON object (Json.parse) before any of it reaches
-   a client; anything else is garbage and answers nothing *)
+(* a line must be one JSON object ([Json.is_object], which builds no
+   tree) before any of it reaches a client; anything else is garbage and
+   answers nothing. Only a fan-out member's answer is parsed: the
+   aggregate reads its members. *)
 let handle_backend_line t (b : backend) line =
-  match Json.parse line with
-  | Ok (Json.Obj _ as v) -> (
+  if Json.is_object line then (
     match answer_id line with
     | None -> ()  (* not an answer to anything we sent *)
     | Some (iid, stop) -> (
@@ -327,6 +328,7 @@ let handle_backend_line t (b : backend) line =
         Obs.Metrics.Histogram.observe t.rtt_h ((now () -. sent_at) *. 1000.);
         reply_line t reply (client_reply ~orig ~backend:b.bname line stop)
       | Some (_, Member a) ->
+        let v = Result.get_ok (Json.parse line) in
         let finished =
           locked t (fun () ->
               a.waiting <- a.waiting - 1;
@@ -343,13 +345,14 @@ let handle_backend_line t (b : backend) line =
               a.waiting = 0)
         in
         if finished then finish_agg t a))
-  | Ok _ | Error _ ->
+  else begin
     locked t (fun () -> t.n_protocol_errors <- t.n_protocol_errors + 1);
     event t
       [
         ("event", Json.Str "backend_garbage");
         ("backend", Json.Str b.bname);
       ]
+  end
 
 (* A backend's link dropped. [graceful] when it was told to drain —
    counters and events stay quiet; the inflight sweep still runs in
@@ -734,7 +737,8 @@ let create ?(cfg = default_config ()) ?(events = Service.stdout_line) targets =
 
 let core t =
   {
-    Service.submit = (fun ~reply line -> submit t ~reply line);
+    Service.name = "route";
+    submit = (fun ~reply line -> submit t ~reply line);
     initiate_drain = (fun () -> initiate_drain t);
     draining = (fun () -> draining t);
     await_drain = (fun () -> await_drain t);

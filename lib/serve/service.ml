@@ -6,6 +6,7 @@
    drained event. *)
 
 type core = {
+  name : string;
   submit : Transport.submit;
   initiate_drain : unit -> unit;
   draining : unit -> bool;
@@ -16,6 +17,7 @@ type core = {
 
 let core_of_server s =
   {
+    name = "serve";
     submit = (fun ~reply line -> Server.submit ~reply s line);
     initiate_drain = (fun () -> Server.initiate_drain s);
     draining = (fun () -> Server.draining s);
@@ -25,6 +27,7 @@ let core_of_server s =
   }
 
 exception Report_unwritable of string * string
+exception Metrics_unwritable of string * string
 
 let stdout_line line =
   print_string line;
@@ -35,6 +38,37 @@ let run ?report_path ?metrics_out ?(metrics_interval_s = 1.0) ?(events = stdout_
     ?(listening = []) ~listen core =
   if metrics_interval_s <= 0. then
     invalid_arg "Service.run: metrics_interval_s must be > 0";
+  (* periodic Prometheus flush: write-then-rename so scrapers never see
+     a half-written exposition. A Sys_error's reason comes without the
+     temporary file's name the runtime puts in front of it. *)
+  let write_metrics path =
+    let tmp = path ^ ".tmp" in
+    match
+      Obs.Export.write_prometheus tmp (core.metrics ());
+      Sys.rename tmp path
+    with
+    | () -> Ok ()
+    | exception Sys_error msg ->
+      let prefix = tmp ^ ": " in
+      Error
+        (if String.starts_with ~prefix msg then
+           String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+         else msg)
+  in
+  (* one flush before serving: an exposition that cannot be written is
+     refused up front; a later failure is reported, not dropped *)
+  Option.iter
+    (fun path ->
+      match write_metrics path with
+      | Ok () -> ()
+      | Error reason -> raise (Metrics_unwritable (path, reason)))
+    metrics_out;
+  let flush_metrics path =
+    match write_metrics path with
+    | Ok () -> ()
+    | Error reason ->
+      Printf.eprintf "hslb %s: --metrics-out: cannot write %s: %s\n%!" core.name path reason
+  in
   let sigterm = Atomic.make false in
   let previous =
     Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set sigterm true))
@@ -63,15 +97,6 @@ let run ?report_path ?metrics_out ?(metrics_interval_s = 1.0) ?(events = stdout_
                    Json.Str (Transport_socket.addr_to_string (Transport_socket.bound_addr l)) )
               :: listening)));
       (Transport_socket.listener l, None)
-  in
-  (* periodic Prometheus flush: write-then-rename so scrapers never see
-     a half-written exposition *)
-  let flush_metrics path =
-    let tmp = path ^ ".tmp" in
-    try
-      Obs.Export.write_prometheus tmp (core.metrics ());
-      Sys.rename tmp path
-    with Sys_error _ -> ()
   in
   let metrics_stop = Atomic.make false in
   let flusher =

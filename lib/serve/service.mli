@@ -10,6 +10,7 @@
     [{"event":"drained",...}] line. *)
 
 type core = {
+  name : string;  (** the [hslb] command serving it: ["serve"] or ["route"] *)
   submit : Transport.submit;  (** where the transport pumps request lines *)
   initiate_drain : unit -> unit;  (** idempotent; stops admission *)
   draining : unit -> bool;
@@ -27,6 +28,11 @@ val core_of_server : Server.t -> core
     [path]; [msg] is the [Sys_error] message. *)
 exception Report_unwritable of string * string
 
+(** [Metrics_unwritable (path, reason)] — {!run} could not write its
+    first [metrics_out] exposition to [path] and served nothing;
+    [reason] is the [Sys_error] message, less the file name. *)
+exception Metrics_unwritable of string * string
+
 (** One line to stdout, newline-terminated and flushed — the default
     event sink of {!run} and {!Router.create}. *)
 val stdout_line : string -> unit
@@ -40,6 +46,11 @@ val stdout_line : string -> unit
       announces [{"event":"listening","addr":...}] followed by the
       [listening] members (default none) on [events].
 
+    With [metrics_out], one exposition is written before serving; a
+    later write that fails prints
+    ["hslb NAME: --metrics-out: cannot write PATH: REASON"] to stderr
+    and serving goes on.
+
     Transports stop on SIGTERM and once the core starts draining (a
     [drain] op). Shutdown sequence: transports unwind, the listener is
     shut down, the core drains (grace timer, then budget-cancel),
@@ -48,6 +59,8 @@ val stdout_line : string -> unit
     [events] (default {!stdout_line}).
 
     @raise Invalid_argument if [metrics_interval_s <= 0].
+    @raise Metrics_unwritable when the first exposition cannot be
+    written, before serving.
     @raise Unix.Unix_error when [addr] cannot be bound.
     @raise Report_unwritable when [report_path] cannot be written,
     after the drained event. *)

@@ -674,14 +674,16 @@ let server_replies () =
     [ "unchanged"; "resolved" ];
   Array.of_list lines
 
-(* [line] with its leading {"id":N replaced by {"id":iid *)
+(* [line] with its leading {"id":N replaced by {"id":iid; a line that
+   opens otherwise goes out as it is *)
 let with_id iid line =
   let head = {|{"id":|} in
   let rec digits j =
     if j < String.length line && line.[j] >= '0' && line.[j] <= '9' then digits (j + 1) else j
   in
   let stop = digits (String.length head) in
-  head ^ string_of_int iid ^ String.sub line stop (String.length line - stop)
+  if not (String.starts_with ~prefix:head line) then line
+  else head ^ string_of_int iid ^ String.sub line stop (String.length line - stop)
 
 (* A scripted backend: it answers each forwarded request with the raw
    line in the request's "emit" member, under the request's internal
@@ -755,18 +757,20 @@ let test_router_bad_backend_lines () =
       Alcotest.(check (list string)) "well-formed answer, byte for byte"
         [ tree_reply ~orig:(num 1) ~backend:"backend-0" ok ]
         (sink_lines s);
-      (* (b) an id prefix on a malformed body, (c) a line cut short *)
+      (* (b) an id prefix on a malformed body, (c) a line cut short,
+         (d) valid JSON that is not an object *)
       submit (num 2) {|{"id":0,"outcome":"ok","makespan":}|};
       submit (num 3) (String.sub ok 0 (String.length ok / 2));
+      submit (num 5) "[1]";
       let garbage = {|{"event":"backend_garbage","backend":"backend-0"}|} in
-      wait_until "two garbage events" (fun () ->
-          List.length (List.filter (( = ) garbage) (sink_lines events)) = 2);
+      wait_until "three garbage events" (fun () ->
+          List.length (List.filter (( = ) garbage) (sink_lines events)) = 3);
       Alcotest.(check int) "garbage reached no client" 1 (List.length (sink_lines s));
-      Alcotest.(check (option int)) "counted as protocol errors" (Some 2)
+      Alcotest.(check (option int)) "counted as protocol errors" (Some 3)
         (int_member "protocol_errors" (parse_json (Serve.Router.stats_json router)));
-      (* the link closes: the two requests still owed are answered *)
+      (* the link closes: the three requests still owed are answered *)
       Serve.Router.submit router ~reply:(sink_reply s) {|{"id":4,"op":"sleep","ms":0}|};
-      wait_until "owed requests answered" (fun () -> List.length (sink_lines s) = 4);
+      wait_until "owed requests answered" (fun () -> List.length (sink_lines s) = 5);
       let vs = sink_values s in
       List.iter
         (fun id ->
@@ -775,7 +779,7 @@ let test_router_bad_backend_lines () =
           Alcotest.(check (option string)) (Printf.sprintf "id %d error" id)
             (Some "backend backend-0 died before answering")
             (Option.bind (Serve.Json.member "error" v) Serve.Json.str))
-        [ 2; 3; 4 ])
+        [ 2; 3; 4; 5 ])
 
 (* the spliced reply equals the tree path's on every line a real serve
    core writes, under client ids of every shape *)
@@ -890,6 +894,26 @@ let test_service_drain_keeps_owed_replies () =
 
 (* a report path under a missing directory: the request is answered
    and the drained event still goes out, then run raises *)
+(* a --metrics-out file that cannot be written is refused before the
+   service binds or answers anything *)
+let test_service_metrics_unwritable () =
+  let sock = fresh_sock () in
+  let metrics_out = Filename.concat (fresh_sock ()) "m.prom" in
+  let events = make_sink () and core = backend_core () in
+  (match
+     Serve.Service.run ~metrics_out ~events:(sink_reply events)
+       ~listen:(Some (Serve.Transport_socket.Unix_path sock))
+       core
+   with
+  | _ -> Alcotest.fail "served with an unwritable --metrics-out"
+  | exception Serve.Service.Metrics_unwritable (path, reason) ->
+    Alcotest.(check string) "path" metrics_out path;
+    Alcotest.(check string) "reason" "No such file or directory" reason);
+  Alcotest.(check (list string)) "no event, no listener" [] (sink_lines events);
+  Alcotest.(check bool) "socket never bound" false (Sys.file_exists sock);
+  core.Serve.Service.initiate_drain ();
+  ignore (core.Serve.Service.await_drain () : Engine.Run_report.t)
+
 let test_service_report_unwritable () =
   let sock = fresh_sock () in
   (* a fresh path nobody created stands for the missing directory *)
@@ -959,5 +983,6 @@ let () =
             test_service_drain_keeps_owed_replies;
           Alcotest.test_case "unwritable report still drains" `Quick
             test_service_report_unwritable;
+          Alcotest.test_case "unwritable metrics refused" `Quick test_service_metrics_unwritable;
         ] );
     ]

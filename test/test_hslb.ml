@@ -899,6 +899,109 @@ let prop_ladders_match_oracles ~name ~count ~budgets =
               (Hslb.Objective.to_string objective) n_total (show r) (show r'))
         Hslb.Objective.[ Max_min; Min_sum ])
 
+(* an instance for the walk oracle: 1-6 classes, counts 1-5, budgets up
+   to 10^9, boxes and sweet spots drawn across the budget, and laws
+   whose bottoms fall inside the box, past it or at its last size *)
+let walk_instance rng =
+  let int = Numerics.Rng.int rng and u lo hi = Numerics.Rng.uniform rng ~lo ~hi in
+  let k = 1 + int 6 in
+  let n_total =
+    match int 3 with 0 -> 1 + int 64 | 1 -> 1 + int 100_000 | _ -> 1 + int 1_000_000_000
+  in
+  let specs =
+    List.init k (fun i ->
+        let law =
+          Scaling_law.make ~a:(u 0. 1e4)
+            ~b:(match int 3 with 0 -> 0. | 1 -> u 0. 1e-6 | _ -> u 0. 0.1)
+            ~c:(u 0. 2.) ~d:(if int 2 = 0 then 0. else u 0. 10.)
+        in
+        let within () = 1 + int (Stdlib.max 1 (n_total / (1 + int 8))) in
+        let n_min = if int 3 = 0 then Some (within ()) else None in
+        let n_max =
+          if int 3 = 0 then Some (Option.value n_min ~default:1 + within ()) else None
+        in
+        let allowed =
+          if int 3 = 0 then Some (List.init (1 + int 8) (fun _ -> within ())) else None
+        in
+        spec_of_law ?n_min ?n_max ?allowed ~name:(Printf.sprintf "c%d" i) ~count:(1 + int 5) law)
+  in
+  (n_total, specs)
+
+(* an answer as text, each float by its bits *)
+let show_walk_answer = function
+  | Error st -> Minlp.Solution.status_to_string st
+  | Ok (a : Hslb.Alloc_model.allocation) ->
+    let floats xs = String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") xs)) in
+    let cert =
+      match a.certificate with
+      | None -> "none"
+      | Some c ->
+        let evidence =
+          match c.Engine.Certificate.evidence with
+          | Engine.Certificate.Threshold sides ->
+            String.concat ";"
+              (Array.to_list
+                 (Array.map
+                    (function
+                      | Engine.Certificate.Below n -> Printf.sprintf "below %d" n
+                      | Floor n -> Printf.sprintf "floor %d" n)
+                    sides))
+          | e -> Engine.Certificate.evidence_to_string e
+        in
+        Printf.sprintf "%s %s [%s] %h %h %b %h {%s} %s" c.producer
+          (Minlp.Solution.status_to_string c.claimed_status)
+          (floats (Option.value c.witness ~default:[||]))
+          c.claimed_obj c.claimed_bound c.minimize c.tol evidence
+          (Option.value c.budget_stop ~default:"-")
+    in
+    Printf.sprintf "[%s] %h [%s] %s %s"
+      (String.concat ";" (Array.to_list (Array.map string_of_int a.nodes_per_task)))
+      a.predicted_makespan (floats a.predicted_times)
+      (Minlp.Solution.status_to_string a.status)
+      cert
+
+let show_reoptimality = function
+  | None -> "inadmissible"
+  | Some (r : Hslb.Alloc_model.reoptimality) ->
+    Printf.sprintf "%h %h %b %s" r.incumbent_makespan r.gap_rel r.keep
+      (show_walk_answer (Ok r.optimum))
+
+(* the walk on ints and float arrays answers every customized path bit
+   for bit as the closure walk it replaced (Walk_oracle): allocations,
+   times, threshold sides and certificates, and [reoptimality] on the
+   min-sum answer (even seeds) or a random incumbent *)
+let test_walk_matches_oracle () =
+  let checked = ref 0 in
+  for seed = 0 to 19_999 do
+    let rng = Numerics.Rng.create seed in
+    let n_total, specs = walk_instance rng in
+    let agree what show mine theirs =
+      let run f = match f () with r -> show r | exception Invalid_argument m -> "raises " ^ m in
+      let mine = run mine and theirs = run theirs in
+      if mine <> theirs then
+        Alcotest.failf "seed %d, %s, n_total %d:\n walk   %s\n oracle %s" seed what n_total mine
+          theirs
+    in
+    List.iter
+      (fun objective ->
+        agree
+          (Hslb.Objective.to_string objective)
+          show_walk_answer
+          (fun () -> Hslb.Alloc_model.solve ~objective ~n_total specs)
+          (fun () -> Walk_oracle.solve ~objective ~n_total specs))
+      Hslb.Objective.[ Min_max; Max_min; Min_sum ];
+    let incumbent =
+      match Walk_oracle.solve ~objective:Hslb.Objective.Min_sum ~n_total specs with
+      | Ok a when seed mod 2 = 0 -> a.Hslb.Alloc_model.nodes_per_task
+      | Ok _ | Error _ -> Array.of_list (List.map (fun _ -> 1 + Numerics.Rng.int rng 16) specs)
+    in
+    agree "reoptimality" show_reoptimality
+      (fun () -> Hslb.Alloc_model.reoptimality ~eps:0.01 ~n_total ~incumbent specs)
+      (fun () -> Walk_oracle.reoptimality ~eps:0.01 ~n_total ~incumbent specs);
+    incr checked
+  done;
+  Alcotest.(check int) "instances" 20_000 !checked
+
 (* every answer of every objective passes the independent checker,
    from the specs it was solved for *)
 let prop_answers_audited =
@@ -1130,6 +1233,7 @@ let () =
           Alcotest.test_case "exact leftover rule" `Quick test_exact_leftover_rule;
           Alcotest.test_case "exact = oa, recorded seeds" `Quick test_exact_oa_recorded_seeds;
           Alcotest.test_case "min-sum dp oracle" `Quick test_min_sum_dp_oracle;
+          Alcotest.test_case "walk = oracle" `Quick test_walk_matches_oracle;
         ] );
       ( "sensitivity",
         [

@@ -309,6 +309,117 @@ let prop_json_roundtrip =
     (QCheck.make ~print:Obs.Json.to_string tree)
     (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
 
+(* ---------- the object check and the parse against the old parse ---------- *)
+
+(* reply lines as hslb serve writes them, captured from the fixture
+   trace, and a router fan-out answer *)
+let captured_replies =
+  [
+    {|{"id":1,"outcome":"ok","pong":true}|};
+    {|{"id":6,"outcome":"error","error":"unknown op \"warp\" (expected solve | resolve | sleep | ping | stats | drain)"}|};
+    {|{"id":null,"outcome":"error","error":"bad JSON: at offset 0: expected true"}|};
+    {|{"id":2,"outcome":"ok","slept_ms":200.07491111755371,"cancelled":false,"telemetry":{"queue_wait_ms":0.37407875061035156,"solve_wall_ms":200.07491111755371,"cache_hit":false}}|};
+    {|{"id":10,"outcome":"ok","status":"optimal","makespan":25.504000000000001,"nodes_per_task":[4,3],"predicted_times":[25.504000000000001,16.869666666666667],"audit":"verified (exact)","telemetry":{"queue_wait_ms":601.00007057189941,"solve_wall_ms":0.041961669921875,"cache_hit":false}}|};
+    {|{"id":46,"outcome":"ok","stats":{"uptime_s":0.000553131103515625,"jobs":1,"draining":false,"protocol":{"min":1,"max":2},"latency":{"queue_wait_ms":{"count":0,"p50":null}}},"backend":"backend-0"}|};
+    {|{"id":"é😀\/\b\f\n\r\t","v":2,"outcome":"ok","pong":true,"protocol":{"min":1,"max":2}}|};
+  ]
+
+(* a random JSON value's text: numbers of every shape the printer
+   writes, strings of any bytes, nesting to depth 4 *)
+let rec random_json rng depth =
+  let int = Numerics.Rng.int rng in
+  match if depth = 0 then int 5 else int 7 with
+  | 0 -> Obs.Json.Null
+  | 1 -> Obs.Json.Bool (int 2 = 0)
+  | 2 ->
+    Obs.Json.Num
+      (match int 5 with
+      | 0 -> float_of_int (int 2_000_001 - 1_000_000)
+      | 1 -> Int64.float_of_bits (Int64.of_int (int max_int))
+      | 2 -> Numerics.Rng.uniform rng ~lo:(-1e6) ~hi:1e6
+      | 3 -> [| 0.; -0.; 1e300; -1e-300; 5e-324; 1e16; 2. ** 53. |].(int 7)
+      | _ -> Numerics.Rng.float rng 1.)
+  | 3 -> Obs.Json.Str (String.init (int 8) (fun _ -> Char.chr (int 256)))
+  | 4 -> Obs.Json.Str "plain"
+  | 5 -> Obs.Json.Arr (List.init (int 4) (fun _ -> random_json rng (depth - 1)))
+  | _ ->
+    Obs.Json.Obj
+      (List.init (int 4) (fun i -> (Printf.sprintf "k%d" i, random_json rng (depth - 1))))
+
+(* byte-level damage: a truncation, a flipped byte, an inserted snippet
+   (odd numbers, escapes, literals, structure), a deleted byte, or two
+   of them *)
+let json_snippets =
+  [|
+    "-0"; "1e400"; "1."; "-.5"; ".5"; "01"; "1e"; "1e+"; "1E-3"; "--1"; "-"; "1e5e5"; "0x10";
+    "\\u0041"; "\\uD83D\\uDE00"; "\\uD800"; "\\uDC00"; "\\uD800\\u0041"; "\\u12_3"; "\\u_123";
+    "\\u1___"; "\\u00"; "\\x"; "\\/"; "null"; "nul"; "true"; "fals"; "[]"; "{}"; "[1]"; ",]";
+    ",}"; "\"a\":1"; " "; "\n"; "\t"; "\001"; "\""; "\\"; "{"; "}"; "["; "]"; ":"; ","; "Infinity";
+  |]
+
+let rec mutate rng s =
+  let int = Numerics.Rng.int rng in
+  let n = String.length s in
+  let at = if n = 0 then 0 else int (n + 1) in
+  let cut = Stdlib.min at n in
+  match int 6 with
+  | 0 -> String.sub s 0 cut
+  | 1 when n > 0 ->
+    let bytes = "\"\\{}[],:-+.0123456789eEu_aFx \n\001ntf/" in
+    let b = Bytes.of_string s in
+    Bytes.set b (int n) bytes.[int (String.length bytes)];
+    Bytes.to_string b
+  | 2 -> String.sub s 0 cut ^ Numerics.Rng.choose rng json_snippets ^ String.sub s cut (n - cut)
+  | 3 when n > 0 ->
+    let i = int n in
+    String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | 4 -> mutate rng (mutate rng s)
+  | _ -> s
+
+(* the same result, each number by its bits *)
+let rec same_json a b =
+  match (a, b) with
+  | Obs.Json.Num x, Obs.Json.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Arr xs, Arr ys -> List.length xs = List.length ys && List.for_all2 same_json xs ys
+  | Obj xs, Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (k', y) -> k = k' && same_json x y) xs ys
+  | a, b -> a = b
+
+(* [is_object] accepts exactly what [parse] returns an object for, and
+   [parse] gives the old parser's trees and errors, on captured reply
+   lines, random values and ~24,000 byte-level mutations of both *)
+let test_json_check_and_parse () =
+  let checked = ref 0 in
+  let check line =
+    let parsed = Obs.Json.parse line in
+    (match (parsed, Json_oracle.parse line) with
+    | Ok a, Ok b when same_json a b -> ()
+    | Error a, Error b when a = b -> ()
+    | _ -> Alcotest.failf "parse differs from the old parse on %S" line);
+    let is_obj = match parsed with Ok (Obs.Json.Obj _) -> true | Ok _ | Error _ -> false in
+    if Obs.Json.is_object line <> is_obj then
+      Alcotest.failf "is_object %S = %b, parse says %b" line (not is_obj) is_obj;
+    incr checked
+  in
+  let rng = Numerics.Rng.create 29 in
+  let bases =
+    captured_replies
+    @ List.init 400 (fun i ->
+          let v = random_json rng 4 in
+          let v = if i mod 2 = 0 then Obs.Json.Obj [ ("id", Obs.Json.Num 1.); ("v", v) ] else v in
+          let text = Obs.Json.to_string v in
+          if i mod 5 = 0 then " \t" ^ text ^ "\r\n" else text)
+  in
+  List.iter
+    (fun base ->
+      check base;
+      for _ = 1 to 60 do
+        check (mutate rng base)
+      done)
+    bases;
+  Alcotest.(check bool) "inputs checked" true (!checked > 24_000)
+
 (* a JSON number's bytes are Printf's: "%.0f" for an integer under
    1e16, "%.17g" for any other finite number, null otherwise. Drawn from
    raw bit patterns, integers around +-1e16 and 2^53, signed zeros and
@@ -708,6 +819,8 @@ let () =
           Alcotest.test_case "ndjson stream" `Quick test_ndjson_stream;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |]) prop_json_roundtrip;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |]) prop_num_bytes;
+          Alcotest.test_case "is_object = parse, parse = old parse" `Quick
+            test_json_check_and_parse;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "prometheus validator rejects" `Quick test_check_prometheus_rejects;
         ] );

@@ -577,6 +577,138 @@ let prop_csv_name_roundtrip =
       | Ok [ fc ] -> fc.Hslb.Classes.cls.Hslb.Classes.name = name
       | Ok _ | Error _ -> false)
 
+(* ---------- the decoder and the key against their old versions ---------- *)
+
+(* one instance's alloc-v3 key, byte for byte: the cache key and the
+   router's shard key, so any change to it moves every cached answer
+   and every shard *)
+let test_key_bytes_pinned () =
+  let specs =
+    match
+      Serve.Protocol.resolve_specs
+        {
+          Serve.Protocol.model = `Inline "cold7-c0,3,63,0.0046,3.7,0.3\n\"a,b\",2,1e3,0,1.5,0.9";
+          n_total = 16;
+          objective = Hslb.Objective.Min_max;
+          solver = None;
+          deadline_ms = None;
+          allowed = Some [ 8; 2; 4; 2 ];
+          place = None;
+        }
+    with
+    | Ok specs -> specs
+    | Error e -> Alcotest.fail e
+  in
+  let key =
+    Hslb.Alloc_model.fingerprint ~solver:Engine.Solver_choice.Exact
+      ~objective:Hslb.Objective.Min_max ~n_total:16 specs
+  in
+  let hex =
+    String.concat ""
+      (List.init (String.length key) (fun i -> Printf.sprintf "%02x" (Char.code key.[i])))
+  in
+  Alcotest.(check string) "alloc-v3 key"
+    (String.concat ""
+       [
+         (* alloc-v3|exact|min-max|16|2 *)
+         "616c6c6f632d76337c65786163747c6d696e2d6d61787c31367c32";
+         (* |8:cold7-c0,3,1,max_int, then a b c d as bits *)
+         "7c383a636f6c64372d63302c332c312c343631313638363031383432373338373930332c";
+         "0000000000804f404850fc1873d7723f9a99999999990d40333333333333d33f";
+         (* a2a4a8 *)
+         "613261346138";
+         (* |3:a,b,2,1,max_int, then a b c d as bits, a2a4a8 *)
+         "7c333a612c622c322c312c343631313638363031383432373338373930332c";
+         "0000000000408f400000000000000000000000000000f83fcdccccccccccec3f";
+         "613261346138";
+       ])
+    hex
+
+(* a random model line, then byte-level damage to the text *)
+let random_csv rng =
+  let int = Numerics.Rng.int rng in
+  let pick a = a.(int (Array.length a)) in
+  let line () =
+    let name =
+      if int 8 > 0 then pick [| "alpha"; "b c"; "\"q,\"\"x\"\""; "\" pad \""; "" |]
+      else pick [| "\"open"; "\"x\" y" |]
+    in
+    let num () =
+      if int 8 > 0 then pick [| "100"; "0.001"; "1e-06"; " 2.5 "; "\" 3\""; "0x1p3"; "1_0" |]
+      else pick [| "-1"; "nan"; "inf"; "1e400"; "ten"; "" |]
+    in
+    let count =
+      if int 8 > 0 then pick [| "4"; " 2 "; "0x10"; "\"3\"" |] else pick [| "0"; "-3"; "x"; "" |]
+    in
+    let fields = [ name; count; num (); num (); num (); num () ] in
+    let fields = match int 16 with 0 -> List.tl fields | 1 -> fields @ [ "7" ] | _ -> fields in
+    String.concat (pick [| ","; ", "; " ,\t" |]) fields
+  in
+  let text =
+    String.concat "\n"
+      (List.init (1 + int 4) (fun _ -> pick [| line (); line (); line (); "# comment"; "  "; "" |]))
+  in
+  let n = String.length text in
+  match int 4 with
+  | 0 when n > 0 -> String.sub text 0 (int n)
+  | 1 when n > 0 ->
+    let b = Bytes.of_string text in
+    Bytes.set b (int n) ",\"\n\r #.e1 ".[int 10];
+    Bytes.to_string b
+  | _ -> text
+
+let show_decoded = function
+  | Error msg -> "error " ^ msg
+  | Ok fits ->
+    String.concat "; "
+      (List.map
+         (fun (fc : Hslb.Classes.fitted) ->
+           let law = fc.fit.Hslb.Fitting.law in
+           Printf.sprintf "%S %d %h %h %h %h [%s]" fc.cls.Hslb.Classes.name fc.cls.count
+             law.Scaling_law.a law.b law.c law.d
+             (String.concat ";"
+                (Array.to_list
+                   (Array.map (fun (n, t) -> Printf.sprintf "%h,%h" n t) fc.fit.observations))))
+         fits)
+
+(* the in-place decoder answers every text as the splitting one did,
+   diagnostics included, and the two-pass key writes the old key's
+   bytes for every decoded instance under every solver and objective,
+   with random boxes and allowed lists *)
+let test_decode_matches_oracle () =
+  let rng = Numerics.Rng.create 29 in
+  let decoded = ref 0 in
+  for i = 1 to 10_000 do
+    let text = random_csv rng in
+    let mine = Hslb.Model_store.of_csv_result text in
+    let theirs = Decode_oracle.of_csv_result text in
+    if show_decoded mine <> show_decoded theirs then
+      Alcotest.failf "decode %S:\n new %s\n old %s" text (show_decoded mine) (show_decoded theirs);
+    match mine with
+    | Ok (_ :: _ as fits) ->
+      incr decoded;
+      let int = Numerics.Rng.int rng in
+      let specs =
+        List.map
+          (fun fc ->
+            let n_min = 1 + int 9 in
+            Hslb.Alloc_model.spec_of ~n_min
+              ~n_max:(if int 2 = 0 then max_int else n_min + int 1_000_000_000)
+              ?allowed:
+                (if int 2 = 0 then None else Some (List.init (1 + int 4) (fun _ -> 1 + int 99)))
+              fc)
+          fits
+      in
+      let solver = [| Engine.Solver_choice.Exact; Oa; Bnb; Oa_multi |].(i mod 4) in
+      let objective = Hslb.Objective.[| Min_max; Max_min; Min_sum |].(i mod 3) in
+      let n_total = if i mod 7 = 0 then -i else int max_int in
+      let key = Hslb.Alloc_model.fingerprint ~solver ~objective ~n_total specs in
+      if key <> Decode_oracle.fingerprint ~solver ~objective ~n_total specs then
+        Alcotest.failf "key of %S differs: %S" text key
+    | Ok [] | Error _ -> ()
+  done;
+  Alcotest.(check bool) (Printf.sprintf "texts decoded: %d" !decoded) true (!decoded > 800)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -617,5 +749,7 @@ let () =
           Alcotest.test_case "line-numbered errors" `Quick test_model_store_line_numbers;
           Alcotest.test_case "csv name escaping" `Quick test_model_store_csv_escaping;
           QCheck_alcotest.to_alcotest prop_csv_name_roundtrip;
+          Alcotest.test_case "decode = old decode, key = old key" `Quick test_decode_matches_oracle;
+          Alcotest.test_case "alloc-v3 key bytes pinned" `Quick test_key_bytes_pinned;
         ] );
     ]

@@ -1512,6 +1512,142 @@ let test_serve_input_caps () =
     Alcotest.(check bool) "pong" true (Serve.Json.member "pong" v = Some (Serve.Json.Bool true))
   | None -> Alcotest.fail "ping behind the refused inputs unanswered"
 
+(* ---------- work budget: minor words per layer of a cold request ---------- *)
+
+(* A serve_cold-shaped corpus: 200 solve lines of 3 classes (1-4 tasks,
+   a in 50-149, b in 0.0010-0.0109, c in 1.0-3.9, d in 0.0-0.9) on 16
+   nodes, each a cache miss for the exact solver *)
+let cold_corpus =
+  let rng = Numerics.Rng.create 29 in
+  let int = Numerics.Rng.int rng in
+  List.init 200 (fun i ->
+      let line c =
+        Printf.sprintf "cold%d-c%d,%d,%d,0.%04d,%d.%d,0.%d" i c (1 + int 4) (50 + int 100)
+          (10 + int 100) (1 + int 3) (int 10) (int 10)
+      in
+      Serve.Json.to_string
+        (Serve.Json.Obj
+           [
+             ("id", Serve.Json.Num (float_of_int i));
+             ("op", Serve.Json.Str "solve");
+             ("model_csv", Serve.Json.Str (String.concat "\n" (List.init 3 line)));
+             ("nodes", Serve.Json.Num 16.);
+           ]))
+
+(* Each layer's bound in minor words per request, ~1.2x its count when
+   the bounds were set (docs/SERVE.md, "What a cold request costs"); a
+   bound that moves needs a CHANGES.md line. [backend] is parse through
+   encode in one go; the router's fingerprint decodes and keys the model
+   again, and its reply check must build nothing. *)
+let word_budget =
+  [
+    ("parse", 420.);
+    ("specs", 370.);
+    ("key", 56.);
+    ("solve", 575.);
+    ("audit", 360.);
+    ("encode", 455.);
+    ("backend", 2_230.);
+    ("router fingerprint", 430.);
+    ("router reply check", 0.);
+  ]
+
+(* the minor words [f] allocates on this domain, and its result *)
+let words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
+
+(* every layer's mean over the corpus, measured on a domain of its own
+   after one pass that leaves nothing lazy to initialize *)
+let measure_cold_words () =
+  let totals = Hashtbl.create 16 in
+  let add layer w =
+    Hashtbl.replace totals layer (w +. Option.value (Hashtbl.find_opt totals layer) ~default:0.)
+  in
+  let objective = Hslb.Objective.Min_max and n_total = 16 in
+  let request line =
+    let parse, parsed = words (fun () -> Serve.Protocol.parse_line line) in
+    let p =
+      match parsed.Serve.Protocol.req with
+      | Ok (Serve.Protocol.Solve p) -> p
+      | Ok _ | Error _ -> Alcotest.failf "not a solve: %s" line
+    in
+    let specs, specs_v = words (fun () -> Result.get_ok (Serve.Protocol.resolve_specs p)) in
+    let key, _ = words (fun () -> Serve.Protocol.solve_key p specs_v) in
+    let solve, alloc = words (fun () -> Result.get_ok (Hslb.Alloc_model.solve ~n_total specs_v)) in
+    let cert = Option.get alloc.Hslb.Alloc_model.certificate in
+    let audit, _ = words (fun () -> Audit.check_allocation ~objective ~n_total specs_v cert) in
+    let reply () =
+      let nums f a = Serve.Json.Arr (Array.to_list (Array.map f a)) in
+      Serve.Protocol.response ~id:parsed.Serve.Protocol.id
+        [
+          ("outcome", Serve.Json.Str "ok");
+          ("status", Serve.Json.Str "optimal");
+          ("makespan", Serve.Json.Num alloc.predicted_makespan);
+          ("nodes_per_task", nums (fun n -> Serve.Json.Num (float_of_int n)) alloc.nodes_per_task);
+          ("predicted_times", nums (fun t -> Serve.Json.Num t) alloc.predicted_times);
+          ("audit", Serve.Json.Str "verified (exact)");
+          ( "telemetry",
+            Serve.Json.Obj
+              [
+                ("queue_wait_ms", Serve.Json.Num 0.0123);
+                ("solve_wall_ms", Serve.Json.Num 0.0111);
+                ("cache_hit", Serve.Json.Bool false);
+              ] );
+        ]
+    in
+    let encode, line_out = words reply in
+    let backend, _ =
+      words (fun () ->
+          match (Serve.Protocol.parse_line line).Serve.Protocol.req with
+          | Ok (Serve.Protocol.Solve p) ->
+            let specs = Result.get_ok (Serve.Protocol.resolve_specs p) in
+            ignore (Serve.Protocol.solve_key p specs);
+            let a = Result.get_ok (Hslb.Alloc_model.solve ~n_total specs) in
+            ignore
+              (Audit.check_allocation ~objective ~n_total specs
+                 (Option.get a.Hslb.Alloc_model.certificate));
+            reply ()
+          | Ok _ | Error _ -> "")
+    in
+    let fingerprint, _ = words (fun () -> Serve.Protocol.fingerprint p) in
+    let check, is_obj = words (fun () -> Serve.Json.is_object line_out) in
+    if not is_obj then Alcotest.failf "reply is not an object: %s" line_out;
+    [
+      ("parse", parse);
+      ("specs", specs);
+      ("key", key);
+      ("solve", solve);
+      ("audit", audit);
+      ("encode", encode);
+      ("backend", backend);
+      ("router fingerprint", fingerprint);
+      ("router reply check", check);
+    ]
+  in
+  List.iter (fun line -> ignore (request line)) cold_corpus;
+  List.iter (fun line -> List.iter (fun (layer, w) -> add layer w) (request line)) cold_corpus;
+  List.map
+    (fun (layer, _) ->
+      (layer, Hashtbl.find totals layer /. float_of_int (List.length cold_corpus)))
+    word_budget
+
+let test_cold_work_budget () =
+  let measured = Domain.join (Domain.spawn measure_cold_words) in
+  List.iter
+    (fun (layer, w) ->
+      Printf.printf "%-20s %8.1f words (bound %.0f)\n" layer w (List.assoc layer word_budget))
+    measured;
+  let over = List.filter (fun (layer, w) -> w > List.assoc layer word_budget) measured in
+  if over <> [] then
+    Alcotest.failf "over budget (minor words per request): %s"
+      (String.concat ", "
+         (List.map
+            (fun (layer, w) ->
+              Printf.sprintf "%s %.1f > %.0f" layer w (List.assoc layer word_budget))
+            over))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1567,4 +1703,6 @@ let () =
           Alcotest.test_case "input caps" `Quick test_serve_input_caps;
           Alcotest.test_case "loadgen tallies audits" `Quick test_loadgen_tallies_audits;
         ] );
+      ( "budget",
+        [ Alcotest.test_case "cold request within its words" `Quick test_cold_work_budget ] );
     ]
